@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -31,10 +30,6 @@ EXIT_GATE = 3
 EXIT_IO = 4
 
 _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA", "oracle")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 @dataclass
@@ -58,21 +53,29 @@ class GridSpec:
 
 @dataclass
 class RunConfig:
-    signature: Signature
-    seed: seeds.Seed
     solitons: SolitonConfig
     grid: GridSpec
-    fields: tuple[str, ...]
-    path: str
-    format: str
-    tolerances: Tolerances
-    continuity_tracking: bool = False
+    fields: tuple[str, ...] = ("q", "detA", "residuals")
+    path: str = "-"
+    format: str = "csv"
+
+
+def _section(raw, where: str, keys: tuple[str, ...], problems: list[str]) -> dict | None:
+    """raw when it is a JSON object, else None; keys outside ``keys`` are
+    violations."""
+    if not isinstance(raw, dict):
+        problems.append(f"{where} must be a JSON object")
+        return None
+    unknown = sorted(set(raw) - set(keys))
+    if unknown:
+        problems.append(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
+    return raw
 
 
 def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int]:
     try:
         lo, hi, count = float(raw[0]), float(raw[1]), int(raw[2])
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, KeyError):
         problems.append(f"grid.{name} must be [min, max, count]")
         return (0.0, 1.0, 2)
     if count < 1 or hi < lo:
@@ -83,7 +86,7 @@ def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int
 def _complex_pair(raw, what: str, problems: list[str]) -> complex:
     try:
         return complex(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, KeyError):
         problems.append(f"{what} must be a [re, im] pair")
         return 0j
 
@@ -100,37 +103,42 @@ def parse_config(text: bytes | str) -> RunConfig:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    _section(doc, "config", ("target", "seed", "solitons", "grid", "outputs",
+                             "tolerances"), problems)
 
-    tgt = doc.get("target", {})
-    try:
-        sig = Signature(int(tgt.get("p", 0)), int(tgt.get("q", 0)))
-    except (ConfigError, TypeError, ValueError) as exc:
-        problems.append(f"target: {exc}")
-        sig = Signature(1, 1)
+    sig = Signature(1, 1)
+    tgt = _section(doc.get("target", {}), "target", ("p", "q"), problems)
+    if tgt is not None:
+        try:
+            sig = Signature(int(tgt.get("p", 0)), int(tgt.get("q", 0)))
+        except (ConfigError, TypeError, ValueError) as exc:
+            problems.append(f"target: {exc}")
 
-    tol_doc = doc.get("tolerances", {})
-    tol = Tolerances(
-        constraint_tol=float(tol_doc.get("constraint_tol", 1e-9)),
-        singular_tol=float(tol_doc.get("singular_tol", 1e-12)),
-        condition_cap=float(tol_doc.get("condition_cap", 1e12)),
-        iterative_refinement=bool(tol_doc.get("iterative_refinement", False)),
-    )
+    tol_keys = ("constraint_tol", "singular_tol", "condition_cap")
+    tol_doc = _section(doc.get("tolerances", {}), "tolerances", tol_keys, problems) or {}
+    tol_values = {}
+    for key in tol_keys:
+        if key in tol_doc:
+            try:
+                tol_values[key] = float(tol_doc[key])
+            except (TypeError, ValueError):
+                problems.append(f"tolerances.{key} must be a number")
+    tol = Tolerances(**tol_values)
 
     seed_doc = doc.get("seed", "identity")
     seed = None
     if seed_doc == "identity":
         seed = seeds.identity_seed(sig)
     elif isinstance(seed_doc, dict) and "matrix" in seed_doc:
+        _section(seed_doc, "seed", ("matrix",), problems)
         try:
             rows = [[_complex_pair(cell, "seed.matrix entry", problems)
                      for cell in row] for row in seed_doc["matrix"]]
             seed = seeds.constant_seed(np.array(rows, dtype=complex), sig, tol.constraint_tol)
-        except VestureError as exc:
+        except (VestureError, TypeError, ValueError) as exc:
             problems.append(f"seed: {exc}")
     else:
         problems.append('seed must be "identity" or {"matrix": [[[re,im],...],...]}')
-    if seed is None:
-        seed = seeds.identity_seed(sig)
 
     poles: list[complex] = []
     vectors: list[np.ndarray] = []
@@ -138,21 +146,25 @@ def parse_config(text: bytes | str) -> RunConfig:
     if not isinstance(sol_doc, list):
         problems.append("solitons must be a list")
         sol_doc = []
-    for k, item in enumerate(sol_doc):
+    for k, raw in enumerate(sol_doc):
+        item = _section(raw, f"solitons[{k}]", ("omega", "v"), problems)
+        if item is None:
+            continue
         w = _complex_pair(item.get("omega", None), f"solitons[{k}].omega", problems)
         if w.imag == 0:
             problems.append(f"solitons[{k}]: real pole not supported (omega = {w})")
         v_raw = item.get("v", [])
-        v = np.array([_complex_pair(c, f"solitons[{k}].v entry", problems) for c in v_raw],
-                     dtype=complex)
+        v = np.array([_complex_pair(c, f"solitons[{k}].v entry", problems)
+                      for c in (v_raw if isinstance(v_raw, list) else [])], dtype=complex)
         if v.size != sig.n:
             problems.append(f"solitons[{k}].v has length {v.size}, expected {sig.n}")
         elif not np.any(v != 0):
             problems.append(f"solitons[{k}].v is the zero vector")
         poles.append(w)
-        vectors.append(v if v.size == sig.n else np.ones(sig.n, dtype=complex))
+        vectors.append(v)
 
-    grid_doc = doc.get("grid", {})
+    grid_doc = _section(doc.get("grid", {}), "grid",
+                        ("coords", "rho", "z", "r", "theta", "params"), problems) or {}
     coords = grid_doc.get("coords", "weyl")
     bl = None
     if coords == "weyl":
@@ -163,7 +175,8 @@ def parse_config(text: bytes | str) -> RunConfig:
     elif coords == "boyer-lindquist":
         axis1 = _axis_triple(grid_doc.get("r"), "r", problems)
         axis2 = _axis_triple(grid_doc.get("theta"), "theta", problems)
-        params = grid_doc.get("params", {})
+        params = _section(grid_doc.get("params", {}), "grid.params", ("m", "s", "e"),
+                          problems) or {}
         try:
             bl = targets.BLParams(m=float(params.get("m", 0.0)),
                                   s=float(params.get("s", 0.0)),
@@ -176,8 +189,13 @@ def parse_config(text: bytes | str) -> RunConfig:
         problems.append(f'grid.coords must be "weyl" or "boyer-lindquist", got {coords!r}')
         axis1 = axis2 = (0.0, 1.0, 2)
 
-    out_doc = doc.get("outputs", {})
-    fields = tuple(out_doc.get("fields", ["q", "detA", "residuals"]))
+    out_doc = _section(doc.get("outputs", {}), "outputs", ("fields", "path", "format"),
+                       problems) or {}
+    fields = out_doc.get("fields", ["q", "detA", "residuals"])
+    if not isinstance(fields, list):
+        problems.append("outputs.fields must be a list")
+        fields = []
+    fields = tuple(fields)
     for f in fields:
         if f not in _ALLOWED_FIELDS:
             problems.append(f"outputs.fields: unknown field {f!r}")
@@ -186,37 +204,36 @@ def parse_config(text: bytes | str) -> RunConfig:
     if "ernst" in fields and (sig.p, sig.q_minus) not in ((1, 1), (2, 1)):
         problems.append("ernst output is only defined for targets (1,1) and (2,1)")
     path = out_doc.get("path", "-")
+    if not isinstance(path, str):
+        problems.append("outputs.path must be a string")
     fmt = out_doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         problems.append(f'outputs.format must be "csv" or "json", got {fmt!r}')
 
-    solitons = None
     if not problems:
         try:
             solitons = SolitonConfig(signature=sig, poles=tuple(poles),
                                      vectors=tuple(vectors), seed=seed, tolerances=tol)
+            return RunConfig(solitons=solitons,
+                             grid=GridSpec(coords=coords, axis1=axis1, axis2=axis2, bl=bl),
+                             fields=fields, path=path, format=fmt)
         except ConfigError as exc:
             problems.append(str(exc))
-    if problems:
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
-    return RunConfig(signature=sig, seed=seed, solitons=solitons,
-                     grid=GridSpec(coords=coords, axis1=axis1, axis2=axis2, bl=bl),
-                     fields=fields, path=path, format=fmt, tolerances=tol,
-                     continuity_tracking=bool(doc.get("continuity_tracking", False)))
+    raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 
 
 # ---------------------------------------------------------------------------
 # output assembly
 # ---------------------------------------------------------------------------
 
-def _columns(n: int, coords: str, fields: tuple[str, ...], sig: Signature,
-             oracle: str | None) -> list[str]:
+def _columns(sig: Signature, coords: str, fields: tuple[str, ...],
+             oracle_columns: tuple[str, ...]) -> list[str]:
     cols = ["rho", "z"]
     if coords == "boyer-lindquist":
         cols += ["r", "theta"]
     if "q" in fields:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
+        for i in range(1, sig.n + 1):
+            for j in range(1, sig.n + 1):
                 cols += [f"q_re_{i}{j}", f"q_im_{i}{j}"]
     if "detA" in fields:
         cols += ["detA_re", "detA_im"]
@@ -226,11 +243,7 @@ def _columns(n: int, coords: str, fields: tuple[str, ...], sig: Signature,
     if "ernst" in fields:
         cols += ["x", "y"] if (sig.p, sig.q_minus) == (1, 1) else \
             ["E_re", "E_im", "Phi_re", "Phi_im"]
-    if oracle == "kerr":
-        cols += ["oracle_x", "oracle_y"]
-    elif oracle == "kerr-newman":
-        cols += ["oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"]
-    return cols
+    return cols + list(oracle_columns)
 
 
 def _write_output(path: str, fmt: str, columns: list[str],
@@ -240,7 +253,7 @@ def _write_output(path: str, fmt: str, columns: list[str],
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow(_fmt(v) for v in row)
+                writer.writerow(f"{v:.17g}" for v in row)
     else:
         def dump(fh):
             json.dump({"meta": meta, "columns": columns, "rows": rows}, fh)
@@ -252,21 +265,65 @@ def _write_output(path: str, fmt: str, columns: list[str],
             dump(fh)
 
 
-def _ernst_values(res, sig: Signature) -> list[float]:
-    if res.q is None:
-        return [math.nan] * (2 if (sig.p, sig.q_minus) == (1, 1) else 4)
-    try:
-        if (sig.p, sig.q_minus) == (1, 1):
-            e = targets.ernst_g11(res.q)
-            return [e.x, e.y]
-        e = targets.ernst_g21(res.q)
-        return [e.E.real, e.E.imag, e.Phi.real, e.Phi.imag]
-    except VestureError:
-        return [math.nan] * (2 if (sig.p, sig.q_minus) == (1, 1) else 4)
+def _q_cells(q, n: int) -> list[float]:
+    if q is None:
+        return [math.nan] * (2 * n * n)
+    return [part for z in q.reshape(-1) for part in (z.real, z.imag)]
 
 
-def _sweep_to_rows(cfg: RunConfig, results, hodge1, hodge2, oracle_rows) -> list[list[float]]:
+def _ernst_values(q, sig: Signature) -> list[float]:
+    if q is not None:
+        try:
+            if (sig.p, sig.q_minus) == (1, 1):
+                e = targets.ernst_g11(q)
+                return [e.x, e.y]
+            e = targets.ernst_g21(q)
+            return [e.E.real, e.E.imag, e.Phi.real, e.Phi.imag]
+        except VestureError:
+            pass
+    return [math.nan] * (2 if (sig.p, sig.q_minus) == (1, 1) else 4)
+
+
+def _flat(grid_rows: list[list]) -> list:
+    return [item for row in grid_rows for item in row]
+
+
+def _gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float) -> np.ndarray:
+    """Mask of points excluded from exit gates: singular points and the
+    det A locus, widened by a 3-cell margin."""
+    locus = singular | verification.locus_mask(det_a, singular_tol)
+    return verification.exclusion_mask(locus, margin=3)
+
+
+def _max_constraint(results, excluded: np.ndarray) -> float:
+    """Max membership-residual component over the points not excluded."""
+    worst = 0.0
+    for res, skip in zip(_flat(results), excluded.flat):
+        if not skip:
+            worst = max(worst, res.residuals["quadratic"],
+                        res.residuals["hermiticity"], res.residuals["unit_det"])
+    return worst
+
+
+def run_sweep(cfg: RunConfig, audit_chi: bool = True):
+    """Dress the configured grid in row-major order; returns the rows of
+    DressedPoints and the gate-exclusion mask."""
+    results = dressing.dress_grid(cfg.solitons, cfg.grid.point_rows(), audit_chi=audit_chi)
+    singular = np.array([[res.singular for res in row] for row in results])
+    det_a = np.array([[res.det_a for res in row] for row in results])
+    return results, _gate_exclusion(singular, det_a, cfg.solitons.tolerances.singular_tol)
+
+
+def _write_sweep(cfg: RunConfig, results, meta: dict,
+                 oracle_columns: tuple[str, ...] = (), oracle_rows=None) -> None:
+    """Write one row per dressed point, with the requested fields and the
+    finite-difference residuals on Weyl grids of at least 3x3 points."""
+    sig = cfg.solitons.signature
     a1, a2 = cfg.grid.axis_values()
+    hodge = np.full((2, len(a1), len(a2)), math.nan)
+    if "residuals" in cfg.fields and cfg.grid.coords == "weyl" \
+            and len(a1) >= 3 and len(a2) >= 3:
+        hodge = verification.hodge_residual(verification.FieldGrid.from_results(a1, a2, results))
     rows = []
     for i, row in enumerate(results):
         for j, res in enumerate(row):
@@ -274,93 +331,33 @@ def _sweep_to_rows(cfg: RunConfig, results, hodge1, hodge2, oracle_rows) -> list
             if cfg.grid.coords == "boyer-lindquist":
                 out += [float(a1[i]), float(a2[j])]
             if "q" in cfg.fields:
-                if res.q is None:
-                    out += [math.nan] * (2 * cfg.signature.n ** 2)
-                else:
-                    for qi in range(cfg.signature.n):
-                        for qj in range(cfg.signature.n):
-                            out += [res.q[qi, qj].real, res.q[qi, qj].imag]
+                out += _q_cells(res.q, sig.n)
             if "detA" in cfg.fields:
                 out += [res.det_a.real, res.det_a.imag]
             if "residuals" in cfg.fields:
-                out += [res.residuals["symspace"],
-                        float(hodge1[i, j]) if hodge1 is not None else math.nan,
-                        float(hodge2[i, j]) if hodge2 is not None else math.nan]
+                out += [res.residuals["symspace"], float(hodge[0][i, j]), float(hodge[1][i, j])]
             out += [1.0 if res.singular else 0.0]
             if "ernst" in cfg.fields:
-                out += _ernst_values(res, cfg.signature)
+                out += _ernst_values(res.q, sig)
             if oracle_rows is not None:
                 out += oracle_rows[i][j]
             rows.append(out)
-    return rows
-
-
-def _max_workers() -> int | None:
-    raw = os.environ.get("VESTURE_THREADS", "")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
-
-
-def _gate_exclusion(results, det_a_grid, tol: Tolerances) -> np.ndarray:
-    """Mask of points excluded from exit gates: singular points plus a
-    3-cell margin around the detected singular locus."""
-    locus = verification.locus_mask(det_a_grid, tol.singular_tol)
-    for i, row in enumerate(results):
-        for j, res in enumerate(row):
-            if res.singular:
-                locus[i, j] = True
-    return verification.exclusion_mask(locus, margin=3)
-
-
-def _constraint_gate(results, det_a_grid, tol: Tolerances) -> float:
-    """Max membership-residual component over gated points."""
-    excluded = _gate_exclusion(results, det_a_grid, tol)
-    worst = 0.0
-    for i, row in enumerate(results):
-        for j, res in enumerate(row):
-            if res.singular or excluded[i, j] or res.q is None:
-                continue
-            worst = max(worst, res.residuals["quadratic"],
-                        res.residuals["hermiticity"], res.residuals["unit_det"])
-    return worst
+    columns = _columns(sig, cfg.grid.coords, cfg.fields, oracle_columns)
+    _write_output(cfg.path, cfg.format, columns, rows, meta)
 
 
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
-    points = cfg.grid.point_rows()
-    try:
-        results = dressing.dress_grid(cfg.solitons, points, audit_chi=True,
-                                      max_workers=_max_workers(),
-                                      continuity_tracking=cfg.continuity_tracking)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    a1, a2 = cfg.grid.axis_values()
-    det_a_grid = np.array([[res.det_a for res in row] for row in results])
-    hodge1 = hodge2 = None
-    if "residuals" in cfg.fields and cfg.grid.coords == "weyl" \
-            and len(a1) >= 3 and len(a2) >= 3:
-        grid = verification.FieldGrid.from_results(a1, a2, results)
-        hodge1, hodge2 = verification.hodge_residual(grid)
-    rows = _sweep_to_rows(cfg, results, hodge1, hodge2, None)
-    cols = _columns(cfg.signature.n, cfg.grid.coords, cfg.fields, cfg.signature, None)
-    meta = {"target": {"p": cfg.signature.p, "q": cfg.signature.q_minus},
-            "coords": cfg.grid.coords}
-    try:
-        _write_output(cfg.path, cfg.format, cols, rows, meta)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    worst = _constraint_gate(results, det_a_grid, cfg.tolerances)
+    results, excluded = run_sweep(cfg)
+    sig = cfg.solitons.signature
+    _write_sweep(cfg, results, {"target": {"p": sig.p, "q": sig.q_minus},
+                                "coords": cfg.grid.coords})
+    worst = _max_constraint(results, excluded)
     n_sing = sum(res.singular for row in results for res in row)
     print(f"dressed {sum(len(r) for r in results)} points "
           f"({n_sing} singular); max gated constraint residual {worst:.3e}",
           file=sys.stderr)
-    return EXIT_OK if worst <= cfg.tolerances.constraint_tol else EXIT_GATE
+    return EXIT_OK if worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +376,23 @@ def _default_bl_grid(m: float, counts: tuple[int, int] = (40, 40)) -> GridSpec:
                     axis2=(math.pi / 8, 7 * math.pi / 8, counts[1]))
 
 
+def kerr_run_config(m: float, s: float, grid: GridSpec | None = None,
+                    path: str = "-", fmt: str = "csv") -> RunConfig:
+    """The flat seed dressed into the Kerr family on a Boyer-Lindquist grid."""
+    grid = grid or _default_bl_grid(m)
+    grid.bl = targets.BLParams(m=m, s=s)
+    return RunConfig(solitons=targets.kerr_config(m, s), grid=grid,
+                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
+
+
+def _kerr_oracle_rows(m: float, s: float, grid: GridSpec) -> list[list[list[float]]]:
+    """Closed-form Kerr potentials (x, y) at every grid point."""
+    a_spin = math.sqrt(m * m + s * s)
+    a1, a2 = grid.axis_values()
+    oracle = [[targets.kerr_oracle(m, a_spin, float(r), float(th)) for th in a2] for r in a1]
+    return [[[o.x, o.y] for o in row] for row in oracle]
+
+
 def run_preset_kerr(m: float, s: float, grid: GridSpec | None = None,
                     path: str = "-", fmt: str = "csv") -> int:
     """Dress the flat seed into the Kerr family and diff against the
@@ -386,115 +400,83 @@ def run_preset_kerr(m: float, s: float, grid: GridSpec | None = None,
     if s <= 0 or m < 0:
         print("kerr preset needs s > 0 and m >= 0", file=sys.stderr)
         return EXIT_CONFIG
-    grid = grid or _default_bl_grid(m)
-    grid.bl = targets.BLParams(m=m, s=s)
-    sol = targets.kerr_config(m, s)
-    cfg = RunConfig(signature=targets.SIG_11, seed=sol.seed, solitons=sol, grid=grid,
-                    fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt,
-                    tolerances=sol.tolerances)
-    points = grid.point_rows()
-    results = dressing.dress_grid(sol, points, audit_chi=True, max_workers=_max_workers())
-    a_spin = math.sqrt(m * m + s * s)
-    a1, a2 = grid.axis_values()
-    det_a_grid = np.array([[res.det_a for res in row] for row in results])
-    excluded = _gate_exclusion(results, det_a_grid, sol.tolerances)
+    cfg = kerr_run_config(m, s, grid, path, fmt)
+    results, excluded = run_sweep(cfg)
+    oracle = _kerr_oracle_rows(m, s, cfg.grid)
     worst = 0.0
-    oracle_rows = []
-    for i, row in enumerate(results):
-        o_row = []
-        for j, res in enumerate(row):
-            o = targets.kerr_oracle(m, a_spin, float(a1[i]), float(a2[j]))
-            o_row.append([o.x, o.y])
-            if not res.singular and res.q is not None and not excluded[i, j]:
-                e = targets.ernst_g11(res.q)
-                # compare the potential pair as one complex number; robust
-                # where a single component passes through zero
-                worst = max(worst, _rel_err(complex(e.x, e.y), complex(o.x, o.y)))
-        oracle_rows.append(o_row)
-    rows = _sweep_to_rows(cfg, results, None, None, oracle_rows)
-    cols = _columns(2, "boyer-lindquist", cfg.fields, targets.SIG_11, "kerr")
-    meta = {"preset": "kerr", "m": m, "s": s, "spin": a_spin,
+    for res, (ox, oy), skip in zip(_flat(results), _flat(oracle), excluded.flat):
+        if not skip:
+            e = targets.ernst_g11(res.q)
+            # compare the potential pair as one complex number; robust
+            # where a single component passes through zero
+            worst = max(worst, _rel_err(complex(e.x, e.y), complex(ox, oy)))
+    meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
             "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
-    try:
-        _write_output(path, fmt, cols, rows, meta)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    gate = _constraint_gate(results, det_a_grid, sol.tolerances)
+    _write_sweep(cfg, results, meta, ("oracle_x", "oracle_y"), oracle)
+    gate = _max_constraint(results, excluded)
     print(f"kerr m={m} s={s}: max relative Ernst error {worst:.3e}; "
           f"max gated constraint residual {gate:.3e}", file=sys.stderr)
-    ok = worst <= 1e-9 and gate <= sol.tolerances.constraint_tol
+    ok = worst <= 1e-9 and gate <= cfg.solitons.tolerances.constraint_tol
     return EXIT_OK if ok else EXIT_GATE
 
 
-def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
-                  path: str = "-", fmt: str = "csv") -> int:
+def _kn_sweep(m: float, e: float, s: float,
+              grid: GridSpec) -> tuple[list[list[float]], float, float]:
     """Evaluate the closed-form one-soliton family with the Kerr-Newman
-    identification and diff against the closed-form potentials.
+    identification over a Boyer-Lindquist grid.
 
-    The family with these identifications does not reproduce the closed
-    form exactly (the deviation is 2 e^2 / (r^2 + a^2 cos^2 theta) in
-    relative terms); the summary reports the measured maximum.
+    Returns the output rows and the maximum relative errors of E and of Phi
+    (phase-aligned at the first grid point) against the closed form.
     """
-    try:
-        fam = targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    grid = grid or _default_bl_grid(m)
     grid.bl = targets.BLParams(m=m, s=s, e=e)
+    fam = targets.kn_family_params(grid.bl)
     a1, a2 = grid.axis_values()
     phase: complex | None = None
     worst_e = worst_phi = 0.0
     rows = []
-    for i, r in enumerate(a1):
-        for j, th in enumerate(a2):
-            x = targets.bl_to_weyl(float(r), float(th), grid.bl)
+    for r in map(float, a1):
+        for th in map(float, a2):
+            x = targets.bl_to_weyl(r, th, grid.bl)
             try:
                 q = targets.g21_soliton_family(fam["a_param"], fam["b_param"],
                                                fam["n1"], fam["n2"], fam["n3"], fam["n4"],
-                                               grid.bl, float(r), float(th))
+                                               grid.bl, r, th)
                 ext = targets.ernst_g21(q, normalize=True)
-                singular = False
             except VestureError:
-                q = None
-                ext = None
-                singular = True
-            o = targets.kn_oracle(m, e, fam["oracle_a"], float(r), float(th))
-            out = [x.rho, x.z, float(r), float(th)]
-            if q is not None:
-                for qi in range(3):
-                    for qj in range(3):
-                        out += [q[qi, qj].real, q[qi, qj].imag]
-            else:
-                out += [math.nan] * 18
-            out += [1.0 if singular else 0.0]
+                q = ext = None
+            o = targets.kn_oracle(m, e, fam["oracle_a"], r, th)
+            out = [x.rho, x.z, r, th] + _q_cells(q, 3) + [1.0 if ext is None else 0.0]
             if ext is not None:
                 out += [ext.E.real, ext.E.imag, ext.Phi.real, ext.Phi.imag]
                 if phase is None and e != 0 and abs(ext.Phi) > 0:
                     ph = o.Phi / ext.Phi
                     phase = ph / abs(ph)
-                phi_adj = ext.Phi * (phase if phase is not None else 1.0)
                 worst_e = max(worst_e, _rel_err(ext.E, o.E))
                 if e != 0:
+                    phi_adj = ext.Phi * (phase if phase is not None else 1.0)
                     worst_phi = max(worst_phi, _rel_err(phi_adj, o.Phi))
             else:
                 out += [math.nan] * 4
-            out += [o.E.real, o.E.imag, o.Phi.real, o.Phi.imag]
-            rows.append(out)
-    cols = (["rho", "z", "r", "theta"]
-            + [f"q_{p}_{i}{j}" for i in range(1, 4) for j in range(1, 4)
-               for p in ("re", "im")]
-            + ["singular", "E_re", "E_im", "Phi_re", "Phi_im",
-               "oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"])
+            rows.append(out + [o.E.real, o.E.imag, o.Phi.real, o.Phi.imag])
+    return rows, worst_e, worst_phi
+
+
+def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
+                  path: str = "-", fmt: str = "csv") -> int:
+    """Closed-form Kerr-Newman family preset with oracle diff.
+
+    The family with these identifications does not reproduce the closed
+    form exactly (the deviation is 2 e^2 / (r^2 + a^2 cos^2 theta) in
+    relative terms); the summary reports the measured maximum.
+    """
+    grid = grid or _default_bl_grid(m)
+    rows, worst_e, worst_phi = _kn_sweep(m, e, s, grid)
     meta = {"preset": "kerr-newman", "m": m, "e": e, "s": s,
-            "oracle_a": fam["oracle_a"], "target": {"p": 2, "q": 1},
-            "coords": "boyer-lindquist"}
-    try:
-        _write_output(path, fmt, cols, rows, meta)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+            "oracle_a": targets.kn_family_params(grid.bl)["oracle_a"],
+            "target": {"p": 2, "q": 1}, "coords": "boyer-lindquist"}
+    cols = _columns(targets.SIG_21, "boyer-lindquist", ("q", "ernst"),
+                    ("oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"))
+    _write_output(path, fmt, cols, rows, meta)
     worst = max(worst_e, worst_phi)
     print(f"kerr-newman m={m} e={e} s={s}: max relative error {worst:.3e} "
           f"(E {worst_e:.3e}, Phi {worst_phi:.3e}, Phi phase-aligned at grid corner)",
@@ -506,32 +488,67 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_table(path: str) -> tuple[list[str], list[list[float]]]:
+def _load_table(path: str) -> tuple[list[str], np.ndarray]:
+    """Columns and rows (one float array) of a stored CSV or JSON output."""
     with open(path, "r", encoding="utf-8") as fh:
-        head = fh.read(1)
-        fh.seek(0)
-        if head == "{":
-            doc = json.load(fh)
-            return list(doc["columns"]), [list(map(float, row)) for row in doc["rows"]]
-        reader = csv.reader(fh)
-        cols = next(reader)
-        return cols, [[float(v) for v in row] for row in reader]
+        try:
+            head = fh.read(1)
+            fh.seek(0)
+            if head == "{":
+                doc = json.load(fh)
+                cols, raw = doc["columns"], doc["rows"]
+            else:
+                reader = csv.reader(fh)
+                cols, raw = next(reader), list(reader)
+            rows = [[float(v) for v in row] for row in raw]
+        except StopIteration:
+            raise ConfigError(f"{path}: empty file") from None
+        except KeyError as exc:
+            raise ConfigError(f"{path}: JSON output has no {exc} entry") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: not a table of numbers: {exc}") from None
+    for k, row in enumerate(rows):
+        if len(row) != len(cols):
+            raise ConfigError(f"{path}: row {k + 1} has {len(row)} cells "
+                              f"for {len(cols)} columns")
+    return list(cols), np.array(rows, dtype=float).reshape(len(rows), len(cols))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _read_lattice(data: np.ndarray, idx: dict[str, int]):
+    """(rhos, zs, ids) when the stored points form a complete rectangular
+    (rho, z) lattice, ids[i, j] being the row at (rhos[i], zs[j]); else None."""
+    if "rho" not in idx or "z" not in idx:
+        return None
+    rho, z = data[:, idx["rho"]], data[:, idx["z"]]
+    rhos, zs = np.unique(rho), np.unique(z)
+    if rhos.size * zs.size != len(data):
+        return None
+    ids = np.full((rhos.size, zs.size), -1)
+    ids[np.searchsorted(rhos, rho), np.searchsorted(zs, z)] = np.arange(len(data))
+    if np.any(ids < 0):
+        return None
+    return rhos, zs, ids
 
 
 def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
                 constraint_tol: float = 1e-9) -> int:
     """Recompute membership residuals from the stored q of an output file."""
-    try:
-        cols, rows = _load_table(path)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cols, data = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
     if not q_cols:
         print("file has no q columns to verify", file=sys.stderr)
         return EXIT_CONFIG
     n = int(math.isqrt(len(q_cols)))
-    if n * n != len(q_cols):
+    idx = {c: k for k, c in enumerate(cols)}
+    cells = [f"{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
+    if n * n != len(q_cols) or any(f"q_{part}_{c}" not in idx
+                                   for c in cells for part in ("re", "im")):
         print("q columns do not form a square matrix", file=sys.stderr)
         return EXIT_CONFIG
     sig = Signature(p if p is not None else n - 1, q_minus if q_minus is not None else 1)
@@ -540,117 +557,59 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
               file=sys.stderr)
         return EXIT_CONFIG
     g = algebra.gamma(sig)
-    idx = {c: k for k, c in enumerate(cols)}
-    sing_idx = idx.get("singular")
+    q = _complex(data[:, [idx[f"q_re_{c}"] for c in cells]],
+                 data[:, [idx[f"q_im_{c}"] for c in cells]]).reshape(-1, n, n)
+    singular = data[:, idx["singular"]] >= 0.5 if "singular" in idx \
+        else np.zeros(len(data), dtype=bool)
+    lattice = _read_lattice(data, idx)
+    # the sweep's own exit-gate exclusion, applied to the stored lattice
+    excluded = np.zeros(len(data), dtype=bool)
+    if lattice is not None and "detA_re" in idx and "detA_im" in idx:
+        ids = lattice[2]
+        det_a = _complex(data[ids, idx["detA_re"]], data[ids, idx["detA_im"]])
+        excluded[ids[_gate_exclusion(singular[ids], det_a, 1e-12)]] = True
     res_idx = idx.get("res_constraint")
-    excluded = _verify_exclusion(rows, idx)
     worst_gated = 0.0
     worst_all = 0.0
     worst_diff = 0.0
     checked = 0
-    for rid, row in enumerate(rows):
-        if sing_idx is not None and row[sing_idx] >= 0.5:
+    for rid in range(len(data)):
+        if singular[rid] or not np.all(np.isfinite(q[rid].view(float))):
             continue
-        qm = np.empty((n, n), dtype=complex)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                qm[i - 1, j - 1] = complex(row[idx[f"q_re_{i}{j}"]], row[idx[f"q_im_{i}{j}"]])
-        if not np.all(np.isfinite(qm.view(float))):
-            continue
-        resid = algebra.symspace_residual(qm, g)
+        resid = algebra.symspace_residual(q[rid], g)
         worst_all = max(worst_all, resid)
-        if rid not in excluded:
+        if not excluded[rid]:
             worst_gated = max(worst_gated, resid)
-        if res_idx is not None and math.isfinite(row[res_idx]):
-            worst_diff = max(worst_diff, abs(resid - row[res_idx]))
+        if res_idx is not None and math.isfinite(data[rid, res_idx]):
+            worst_diff = max(worst_diff, abs(resid - data[rid, res_idx]))
         checked += 1
-    note = f" ({len(excluded)} rows near the singular locus excluded from the gate)" \
-        if excluded else ""
+    note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
+        if excluded.any() else ""
     print(f"verified {checked} stored points: max recomputed constraint residual "
           f"{worst_gated:.3e} gated / {worst_all:.3e} overall{note}; "
           f"max deviation from stored values {worst_diff:.3e}", file=sys.stderr)
-    _verify_hodge(cols, rows, idx, n)
+    if lattice is not None:
+        _verify_hodge(data, idx, lattice, q, singular)
     return EXIT_OK if worst_gated <= constraint_tol else EXIT_GATE
 
 
-def _grid_layout(rows, idx):
-    """(rhos, zs, row-id lattice) when the stored points form a complete
-    rectangular lattice, else None."""
-    rhos = sorted({row[idx["rho"]] for row in rows})
-    zs = sorted({row[idx["z"]] for row in rows})
-    if len(rhos) * len(zs) != len(rows):
-        return None
-    lookup = {(row[idx["rho"]], row[idx["z"]]): rid for rid, row in enumerate(rows)}
-    if len(lookup) != len(rows):
-        return None
-    ids = np.array([[lookup[(r, z)] for z in zs] for r in rhos])
-    return np.array(rhos), np.array(zs), ids
-
-
-def _verify_exclusion(rows, idx) -> set[int]:
-    """Row ids inside the 3-cell margin of the singular locus, matching the
-    sweep's own exit-gate semantics; empty when det A columns are absent or
-    the file is not a complete grid."""
-    if "detA_re" not in idx or "rho" not in idx or "z" not in idx:
-        return set()
-    layout = _grid_layout(rows, idx)
-    if layout is None:
-        return set()
-    _, _, ids = layout
-    det_a = np.empty(ids.shape, dtype=complex)
-    locus = np.zeros(ids.shape, dtype=bool)
-    sing_idx = idx.get("singular")
-    for i in range(ids.shape[0]):
-        for j in range(ids.shape[1]):
-            row = rows[ids[i, j]]
-            det_a[i, j] = complex(row[idx["detA_re"]], row[idx["detA_im"]])
-            if sing_idx is not None and row[sing_idx] >= 0.5:
-                locus[i, j] = True
-    locus |= verification.locus_mask(det_a, 1e-12)
-    excl = verification.exclusion_mask(locus, margin=3)
-    return {int(ids[i, j]) for i, j in zip(*np.nonzero(excl))}
-
-
-def _verify_hodge(cols, rows, idx, n) -> None:
-    """Recompute the finite-difference residuals when the stored points form
-    a complete uniform Weyl lattice; report-only."""
-    layout = _grid_layout(rows, idx)
-    if layout is None:
-        return
-    rhos, zs, ids = layout
-    if rhos.size < 3 or zs.size < 3:
-        return
-    for axis in (rhos, zs):
-        d = np.diff(axis)
-        if d.min() <= 0 or d.max() - d.min() > 1e-9 * d.max():
-            return
-    values = np.full((rhos.size, zs.size, n, n), np.nan, dtype=complex)
-    mask = np.zeros((rhos.size, zs.size), dtype=bool)
-    sing_idx = idx.get("singular")
-    for i in range(rhos.size):
-        for j in range(zs.size):
-            row = rows[ids[i, j]]
-            if sing_idx is not None and row[sing_idx] >= 0.5:
-                continue
-            for a in range(1, n + 1):
-                for b in range(1, n + 1):
-                    values[i, j, a - 1, b - 1] = complex(
-                        row[idx[f"q_re_{a}{b}"]], row[idx[f"q_im_{a}{b}"]])
-            mask[i, j] = bool(np.all(np.isfinite(values[i, j].view(float))))
+def _verify_hodge(data, idx, lattice, q, singular) -> None:
+    """Recompute the finite-difference residuals when the stored lattice is
+    uniform with at least 3 points per axis (FieldGrid and hodge_residual
+    refuse other lattices); report-only."""
+    rhos, zs, ids = lattice
+    values = q[ids]
+    mask = ~singular[ids] & np.all(np.isfinite(values.view(float)), axis=(-2, -1))
     try:
         grid = verification.FieldGrid(rhos=rhos, zs=zs, values=values, mask=mask)
         res1, res2 = verification.hodge_residual(grid)
     except VestureError:
         return
     worst = 0.0
-    if "res_hodge1" in idx:
-        for i in range(rhos.size):
-            for j in range(zs.size):
-                row = rows[ids[i, j]]
-                stored = (row[idx["res_hodge1"]], row[idx["res_hodge2"]])
-                for got, ref in zip((res1[i, j], res2[i, j]), stored):
-                    if math.isfinite(got) and math.isfinite(ref):
-                        worst = max(worst, abs(got - ref))
+    if "res_hodge1" in idx and "res_hodge2" in idx:
+        for got, col in ((res1, "res_hodge1"), (res2, "res_hodge2")):
+            diff = np.abs(got - data[ids, idx[col]])
+            worst = max(worst, np.max(diff, where=np.isfinite(diff), initial=0.0))
     print(f"recomputed finite-difference residuals: medians "
           f"({np.nanmedian(res1):.3e}, {np.nanmedian(res2):.3e}); "
           f"max deviation from stored values {worst:.3e}", file=sys.stderr)
@@ -803,74 +762,36 @@ def _suite_chi() -> tuple[bool, str]:
     return worst <= 1e-9, f"max audit residual {worst:.2e}"
 
 
-def _kerr_max_errors(m: float, s: float, counts=(40, 40)) -> tuple[float, float]:
-    sol = targets.kerr_config(m, s)
-    grid = _default_bl_grid(m, counts)
-    grid.bl = targets.BLParams(m=m, s=s)
-    a_spin = math.sqrt(m * m + s * s)
-    a1, a2 = grid.axis_values()
-    results = dressing.dress_grid(sol, grid.point_rows(), audit_chi=False,
-                                  max_workers=_max_workers())
-    worst = 0.0
-    worst_c = 0.0
-    for i, row in enumerate(results):
-        for j, res in enumerate(row):
-            if res.singular:
-                continue
-            e = targets.ernst_g11(res.q)
-            o = targets.kerr_oracle(m, a_spin, float(a1[i]), float(a2[j]))
-            worst = max(worst, _rel_err(e.x, o.x), _rel_err(e.y, o.y))
-            worst_c = max(worst_c, res.residuals["quadratic"],
-                          res.residuals["hermiticity"], res.residuals["unit_det"])
-    return worst, worst_c
-
-
 def _suite_kerr() -> tuple[bool, str]:
     worst = 0.0
     worst_c = 0.0
     for m, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3)):
-        w, wc = _kerr_max_errors(m, s)
-        worst, worst_c = max(worst, w), max(worst_c, wc)
+        cfg = kerr_run_config(m, s)
+        results, _ = run_sweep(cfg, audit_chi=False)
+        oracle = _kerr_oracle_rows(m, s, cfg.grid)
+        for res, (ox, oy) in zip(_flat(results), _flat(oracle)):
+            if not res.singular:
+                e = targets.ernst_g11(res.q)
+                worst = max(worst, _rel_err(e.x, ox), _rel_err(e.y, oy))
+        singular = np.array([[res.singular for res in row] for row in results])
+        worst_c = max(worst_c, _max_constraint(results, singular))
     ok = worst <= 1e-9 and worst_c <= 1e-9
     return ok, f"max oracle error {worst:.2e}, max constraint {worst_c:.2e}"
 
 
-def _kn_max_error(m: float, e: float, s: float, counts=(40, 40)) -> float:
-    fam = targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))
-    grid = _default_bl_grid(m, counts)
-    bl = targets.BLParams(m=m, s=s, e=e)
-    a1, a2 = grid.axis_values()
-    phase = None
-    worst = 0.0
-    for r in a1:
-        for th in a2:
-            q = targets.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"],
-                                           fam["n2"], fam["n3"], fam["n4"],
-                                           bl, float(r), float(th))
-            ext = targets.ernst_g21(q, normalize=True)
-            o = targets.kn_oracle(m, e, fam["oracle_a"], float(r), float(th))
-            if phase is None and e != 0 and abs(ext.Phi) > 0:
-                ph = o.Phi / ext.Phi
-                phase = ph / abs(ph)
-            worst = max(worst, _rel_err(ext.E, o.E))
-            if e != 0:
-                worst = max(worst, _rel_err(ext.Phi * phase, o.Phi))
-    return worst
-
-
 def _suite_kn() -> tuple[bool, str]:
-    worst = max(_kn_max_error(1.0, 0.5, 1.0), _kn_max_error(1.0, 0.9, 0.5))
+    worst = max(max(_kn_sweep(m, e, s, _default_bl_grid(m))[1:])
+                for m, e, s in ((1.0, 0.5, 1.0), (1.0, 0.9, 0.5)))
     return worst <= 1e-9, f"max oracle error {worst:.2e} (known family/oracle gap)"
 
 
 def _kerr_field(m: float, s: float, box, h: float) -> verification.FieldGrid:
-    sol = targets.kerr_config(m, s)
     rho0, rho1, z0, z1 = box
-    rhos = np.arange(round((rho1 - rho0) / h) + 1) * h + rho0
-    zs = np.arange(round((z1 - z0) / h) + 1) * h + z0
-    rows = [[DomainPoint(rho=float(r), z=float(z)) for z in zs] for r in rhos]
-    results = dressing.dress_grid(sol, rows, audit_chi=False, max_workers=_max_workers())
-    return verification.FieldGrid.from_results(rhos, zs, results)
+    grid = GridSpec(coords="weyl", axis1=(rho0, rho1, round((rho1 - rho0) / h) + 1),
+                    axis2=(z0, z1, round((z1 - z0) / h) + 1))
+    results, _ = run_sweep(RunConfig(solitons=targets.kerr_config(m, s), grid=grid),
+                           audit_chi=False)
+    return verification.FieldGrid.from_results(*grid.axis_values(), results)
 
 
 def _suite_convergence() -> tuple[bool, str]:
@@ -889,14 +810,12 @@ def _suite_convergence() -> tuple[bool, str]:
 
 
 def _suite_flat() -> tuple[bool, str]:
-    sol = targets.kerr_config(0.0, 1.0)
-    grid = _default_bl_grid(0.0, (12, 12))
-    grid.bl = targets.BLParams(m=0.0, s=1.0)
+    results, _ = run_sweep(kerr_run_config(0.0, 1.0, _default_bl_grid(0.0, (12, 12))),
+                           audit_chi=False)
     worst = 0.0
-    for row in dressing.dress_grid(sol, grid.point_rows(), audit_chi=False):
-        for res in row:
-            e = targets.ernst_g11(res.q)
-            worst = max(worst, abs(e.x - 1.0), abs(e.y))
+    for res in _flat(results):
+        e = targets.ernst_g11(res.q)
+        worst = max(worst, abs(e.x - 1.0), abs(e.y))
     return worst <= 1e-12, f"max |(x,y)-(1,0)| {worst:.2e}"
 
 
@@ -982,12 +901,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "dress":
-            try:
-                with open(args.config, "rb") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"i/o failure: {exc}", file=sys.stderr)
-                return EXIT_IO
+            with open(args.config, "rb") as fh:
+                text = fh.read()
             return run_dress(parse_config(text))
         if args.command == "kerr":
             return run_preset_kerr(args.m, args.s, _grid_from_args(args, args.m),
@@ -1005,8 +920,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_CONFIG
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -12,7 +12,6 @@ and the deck involution into the ansatz.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class Tolerances:
     constraint_tol: float = 1e-9
     singular_tol: float = 1e-12
     condition_cap: float = 1e12
-    iterative_refinement: bool = False
 
 
 @dataclass(frozen=True)
@@ -197,16 +195,9 @@ def solve_system(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) ->
         raise NumericError(f"system condition {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
     b_star = b.conj().T
     u_star = np.linalg.solve(a, b_star)
-    b_norm = np.linalg.norm(b_star)
-    budget = 2 if tol.iterative_refinement else 0
-    while np.linalg.norm(a @ u_star - b_star) > SOLVE_RESIDUAL_REL * max(b_norm, 1e-300):
-        if budget == 0:
-            resid = np.linalg.norm(a @ u_star - b_star)
-            raise NumericError(
-                f"solve residual {resid:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||; "
-                "enable iterative_refinement or treat the point as singular")
-        u_star = u_star + np.linalg.solve(a, b_star - a @ u_star)
-        budget -= 1
+    resid = np.linalg.norm(a @ u_star - b_star)
+    if resid > SOLVE_RESIDUAL_REL * max(np.linalg.norm(b_star), 1e-300):
+        raise NumericError(f"solve residual {resid:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||")
     return u_star.conj().T
 
 
@@ -366,47 +357,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
     return DressedPoint(x=x, q=q, det_a=det_a, residuals=residuals, singular=False)
 
 
-def _tracked_swaps(cfg: SolitonConfig, row: list[DomainPoint]) -> list[tuple[bool, ...] | None]:
-    """Per-row continuity tracking: relabel each pair so lam_k stays closest
-    to its value at the previous point of the row. Diagnostic only."""
-    swaps: list[tuple[bool, ...] | None] = []
-    prev: list[complex] | None = None
-    for x in row:
-        flags = []
-        cur = []
-        for k, w in enumerate(cfg.poles):
-            try:
-                pair = spectral.pole_pair(w, x)
-            except SingularPointError:
-                flags.append(False)
-                cur.append(complex("nan"))
-                continue
-            if prev is None or prev[k] != prev[k]:  # first point or NaN
-                flags.append(False)
-                cur.append(pair.lambda_in)
-            else:
-                keep = abs(pair.lambda_in - prev[k]) <= abs(pair.lambda_out - prev[k])
-                flags.append(not keep)
-                cur.append(pair.lambda_in if keep else pair.lambda_out)
-        swaps.append(tuple(flags))
-        prev = cur
-    return swaps
-
-
 def dress_grid(cfg: SolitonConfig, points: list[list[DomainPoint]],
-               audit_chi: bool = True, max_workers: int | None = None,
-               continuity_tracking: bool = False) -> list[list[DressedPoint]]:
-    """Dress a grid of points (rows of DomainPoints) in row-major order.
-
-    Rows may be evaluated concurrently; the output order is deterministic
-    (row-major) regardless of scheduling.
-    """
-    def run_row(row: list[DomainPoint]) -> list[DressedPoint]:
-        swaps = _tracked_swaps(cfg, row) if continuity_tracking else [None] * len(row)
-        return [dress_point(cfg, x, swap=sw, audit_chi=audit_chi)
-                for x, sw in zip(row, swaps)]
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(run_row, points))
-    return [run_row(row) for row in points]
+               audit_chi: bool = True) -> list[list[DressedPoint]]:
+    """Dress a grid of points (rows of DomainPoints) in row-major order."""
+    return [[dress_point(cfg, x, audit_chi=audit_chi) for x in row] for row in points]

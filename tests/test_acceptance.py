@@ -39,7 +39,7 @@ def _kerr_sweep(m: float, s: float):
     rows = [[targets.bl_to_weyl(float(r), float(th), bl) for th in ths] for r in rs]
     cfg = targets.kerr_config(m, s)
     t0 = time.perf_counter()
-    results = dressing.dress_grid(cfg, rows, audit_chi=False, max_workers=None)
+    results = dressing.dress_grid(cfg, rows, audit_chi=False)
     return results, rs, ths, time.perf_counter() - t0
 
 

@@ -20,7 +20,7 @@ def minimal_config(tmp_path, **overrides):
 
 def test_parse_config_valid(tmp_path):
     cfg = cli.parse_config(json.dumps(minimal_config(tmp_path)))
-    assert cfg.signature.n == 2
+    assert cfg.solitons.signature.n == 2
     assert cfg.solitons.n_solitons == 1
     assert cfg.grid.coords == "weyl"
 
@@ -41,6 +41,30 @@ def test_parse_config_collects_all_violations(tmp_path):
     assert "real pole" in msg
     assert "zero vector" in msg
     assert "target" in msg
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"solitons": [1]}, "solitons[0] must be a JSON object"),
+    ({"target": [1, 1]}, "target must be a JSON object"),
+    ({"tolerances": {"constraint_tol": "x"}}, "tolerances.constraint_tol must be a number"),
+    ({"continuity_tracking": True}, "config: unknown keys 'continuity_tracking'"),
+    ({"tolerances": {"iterative_refinement": True}},
+     "tolerances: unknown keys 'iterative_refinement'"),
+    ({"target": {"p": 1, "q": 1, "r": 0}}, "target: unknown keys 'r'"),
+    ({"grid": {"coords": "weyl", "rho": [1.0, 2.0, 4], "z": [-0.5, 0.5, 3], "step": 1}},
+     "grid: unknown keys 'step'"),
+    ({"outputs": {"fields": ["q"], "colour": "red"}}, "outputs: unknown keys 'colour'"),
+    ({"solitons": [{"omega": [0.0, 1.0], "v": [[1.0, 0.0], [0.5, 0.0]], "w": 1}]},
+     "solitons[0]: unknown keys 'w'"),
+    ({"grid": {"coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
+               "params": {"m": 1.0, "s": 1.0, "a": 1.4}}}, "grid.params: unknown keys 'a'"),
+])
+def test_parse_config_bad_section_is_a_violation(tmp_path, capsys, overrides, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(tmp_path, **overrides)))
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and message in err
+    assert not (tmp_path / "out.csv").exists()
 
 def test_parse_config_rejects_oracle_field(tmp_path):
     doc = minimal_config(tmp_path)
@@ -221,12 +245,17 @@ def test_selftest_detects_injected_sign_bug(monkeypatch):
     ok, _ = cli._suite_spectral()
     assert ok
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("VESTURE_THREADS", "3")
-    assert cli._max_workers() == 3
-    monkeypatch.setenv("VESTURE_THREADS", "junk")
-    assert cli._max_workers() is None
-    doc = minimal_config(tmp_path)
-    monkeypatch.setenv("VESTURE_THREADS", "2")
-    code = cli.run_dress(cli.parse_config(json.dumps(doc)))
-    assert code == cli.EXIT_OK
+@pytest.mark.parametrize("content, message", [
+    ("", "empty file"),
+    ("rho,z,q_re_11\n1.0,0.0,abc\n", "not a table of numbers"),
+    ("rho,z,q_re_11\n1.0,0.0,1.0\n1.0,0.5\n", "row 2 has 2 cells for 3 columns"),
+    ('{"columns": ["rho", "z"]}', "JSON output has no 'rows' entry"),
+    ('{"rows": [[1.0, 0.0]]}', "JSON output has no 'columns' entry"),
+    ('{"columns": ["rho", "z"], "rows": [[1.0, null]]}', "not a table of numbers"),
+    ("\xff\xfe", "not a table of numbers"),
+])
+def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content.encode("latin-1"))
+    assert cli.main(["verify", str(path)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err

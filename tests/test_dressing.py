@@ -275,7 +275,7 @@ def test_spectral_data_swap_length_guard():
         dressing.spectral_data(cfg, DomainPoint(rho=1.0, z=1.0), swap=(True, False))
 
 
-def test_dress_grid_row_major_and_tracking():
+def test_dress_grid_row_major():
     cfg = kerr_cfg()
     rhos = [1.5, 2.0]
     zs = [-0.5, 0.0, 0.5]
@@ -283,18 +283,14 @@ def test_dress_grid_row_major_and_tracking():
     out = dressing.dress_grid(cfg, rows)
     assert len(out) == 2 and len(out[0]) == 3
     assert out[0][0].x == rows[0][0]
-    tracked = dressing.dress_grid(cfg, rows, continuity_tracking=True)
-    for row_a, row_b in zip(out, tracked):
-        for ra, rb in zip(row_a, row_b):
-            if ra.q is not None and rb.q is not None:
-                assert algebra.frobenius(ra.q - rb.q) < 1e-10
 
 
-def test_dress_grid_threaded_matches_serial():
+def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
     cfg = kerr_cfg()
-    rows = [[DomainPoint(rho=r, z=z) for z in (-0.4, 0.2)] for r in (1.2, 1.9, 2.6)]
-    serial = dressing.dress_grid(cfg, rows, max_workers=None)
-    threaded = dressing.dress_grid(cfg, rows, max_workers=4)
-    for ra, rb in zip(serial, threaded):
-        for a, b in zip(ra, rb):
-            np.testing.assert_array_equal(a.q, b.q)
+    x = DomainPoint(rho=1.5, z=0.5)
+    assert not dressing.dress_point(cfg, x).singular
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
+    res = dressing.dress_point(cfg, x)
+    assert res.singular and res.q is None
+    assert res.note.startswith("solve residual")
