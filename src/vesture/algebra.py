@@ -11,6 +11,7 @@ the caller. The Frobenius norm is used throughout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,47 @@ def gamma(sig: Signature) -> ComplexMatrix:
     return np.diag(np.array([1.0] * sig.p + [-1.0] * sig.q_minus, dtype=complex))
 
 
-def frobenius(m: ComplexMatrix) -> float:
-    return float(np.linalg.norm(m, "fro"))
+def frobenius(m: ComplexMatrix) -> float | np.ndarray:
+    """Frobenius norm of a matrix, or of each matrix of a (..., n, n) stack."""
+    return np.linalg.norm(m, axis=(-2, -1))
+
+
+def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a (..., n, n) stack and the 2-norm condition number of each.
+
+    A matrix whose condition is not finite or exceeds ``condition_cap`` is
+    refused: its slot holds the identity, and refusal() says why. The SVD
+    condition number is computed only where the bound
+    ||A||_F ||A^-1||_F >= cond(A) comes within a factor 10 of the cap;
+    elsewhere the returned value is that bound, which decides the same.
+    """
+    a = np.asarray(m, dtype=complex)
+    flat = a.reshape((-1,) + a.shape[-2:])
+    eye = np.eye(a.shape[-1])
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(flat)
+            cond = frobenius(flat) * frobenius(inv)
+        except np.linalg.LinAlgError:  # an exactly singular matrix in the stack
+            inv, cond = None, np.full(len(flat), math.inf)
+    near = ~(10.0 * cond <= condition_cap)
+    if near.any():
+        try:
+            cond[near] = np.linalg.cond(flat[near])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
+            raise NumericError(f"condition estimate failed: {exc}") from exc
+    refused = ~(cond <= condition_cap)
+    if inv is None:
+        inv = np.linalg.inv(np.where(refused[:, None, None], eye, flat))
+    inv[refused] = eye
+    return inv.reshape(a.shape), cond.reshape(a.shape[:-2])
+
+
+def refusal(cond: float, condition_cap: float) -> NumericError:
+    """The error for a matrix that checked_inv refused."""
+    if not np.isfinite(cond):
+        return NumericError("matrix is numerically singular")
+    return NumericError(f"condition estimate {cond:.3e} exceeds cap {condition_cap:.3e}")
 
 
 def inv(m: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
@@ -63,16 +103,10 @@ def inv(m: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
     Raises NumericError when the matrix is singular or its estimated
     2-norm condition number exceeds ``condition_cap``.
     """
-    a = np.asarray(m, dtype=complex)
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
-        raise NumericError(f"condition estimate failed: {exc}") from exc
-    if not np.isfinite(cond):
-        raise NumericError("matrix is numerically singular")
-    if cond > condition_cap:
-        raise NumericError(f"condition estimate {cond:.3e} exceeds cap {condition_cap:.3e}")
-    return np.linalg.inv(a)
+    out, cond = checked_inv(m, condition_cap)
+    if not cond <= condition_cap:
+        raise refusal(cond, condition_cap)
+    return out
 
 
 def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
@@ -85,7 +119,11 @@ def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix, condition_cap: float = 1e12)
 
 
 def sigma(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:
-    """Linear involution g -> gamma g gamma fixing S(U(p) x U(q))."""
+    """Linear involution g -> gamma g gamma fixing S(U(p) x U(q)), applied
+    to a matrix or to each matrix of a (..., n, n) stack."""
+    d = np.diagonal(gamma_mat)
+    if not np.any(gamma_mat - np.diag(d)):  # a diagonal metric flips entry signs
+        return m * (d[:, None] * d[None, :])
     return gamma_mat @ m @ gamma_mat
 
 
@@ -95,16 +133,18 @@ def group_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float:
     return metric + abs(np.linalg.det(m) - 1.0)
 
 
-def symspace_components(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> tuple[float, float, float]:
+def symspace_components(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> tuple:
     """(quadratic, hermiticity, unit-det) components of the symmetric-space
-    membership residual: ||m gamma m gamma - I||_F, ||m - m*||_F, |det m - 1|."""
-    n = m.shape[0]
-    quad = frobenius(m @ gamma_mat @ m @ gamma_mat - np.eye(n))
-    herm = frobenius(m - m.conj().T)
-    det_dev = abs(np.linalg.det(m) - 1.0)
+    membership residual: ||m gamma m gamma - I||_F, ||m - m*||_F, |det m - 1|;
+    one value per matrix of a (..., n, n) stack."""
+    n = m.shape[-1]
+    quad = frobenius(m @ sigma(m, gamma_mat) - np.eye(n))
+    herm = frobenius(m - m.conj().swapaxes(-1, -2))
+    det_dev = np.abs(np.linalg.det(m) - 1.0)
     return quad, herm, det_dev
 
 
 def symspace_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float:
-    """Total membership residual for the Cartan-embedded symmetric space."""
+    """Total membership residual for the Cartan-embedded symmetric space,
+    of a matrix or of each matrix of a stack."""
     return sum(symspace_components(m, gamma_mat))

@@ -1,4 +1,4 @@
-"""Per-point dressing pipeline.
+"""Batched dressing pipeline.
 
 Given N prescribed pole positions (non-real surface coordinates), constant
 vectors, and a seed, each domain point yields a 2N x 2N linear system whose
@@ -8,6 +8,14 @@ chi(lam) = I + sum_k R_k / (lam - lam_k). Pole pairs are deck-related
 (v_{N+k} = q0 gamma v_k, plain gamma v_k for the trivial seed), which
 builds the symmetry conditions chi(inf) = I, tau(chi(conj lam)) = chi(lam)
 and the deck involution into the ansatz.
+
+A grid of P points is dressed as one array pipeline: pole pairs as (P, 2N)
+arrays, one (P, 2N, 2N) solve, and the chi audits at (P, 8) samples. For a
+constant seed the paired vectors, psi0^{-1}, the Gram numerators and B are
+computed once and broadcast; other seeds give them a leading P axis. A
+point that fails a check is recorded with the exception the single-point
+stages raise for it, the first in pipeline order, and becomes a flagged
+DressedPoint. The single-point functions below are batches of one.
 """
 from __future__ import annotations
 
@@ -94,12 +102,17 @@ class SolitonConfig:
 
 @dataclass
 class SpectralData:
-    """Per-point cache: pole locations, paired vectors, seed evaluations."""
+    """Pole locations, paired vectors, seed evaluations.
 
-    lambdas: np.ndarray  # (2N,)
-    vs: np.ndarray       # (2N, n)
-    psi0: np.ndarray     # (2N, n, n)
-    psi0_inv: np.ndarray # (2N, n, n)
+    At one point: lambdas (2N,), vs (2N, n), psi0 and psi0_inv (2N, n, n).
+    Inside the pipeline each carries a leading batch axis: P for lambdas;
+    P, or 1 for a constant seed, for the others.
+    """
+
+    lambdas: np.ndarray
+    vs: np.ndarray
+    psi0: np.ndarray
+    psi0_inv: np.ndarray
 
 
 @dataclass
@@ -115,6 +128,247 @@ class DressedPoint:
     note: str = ""
 
 
+class _Failures:
+    """The first failure of each point, in pipeline order, as the exception
+    the single-point stages raise for it."""
+
+    def __init__(self, size: int) -> None:
+        self.ok = np.ones(size, dtype=bool)
+        self.error: list[Exception | None] = [None] * size
+
+    def flag(self, bad, make, at=None) -> None:
+        """Record make(j) for every j with bad[j] whose point (at[j], or j)
+        has not failed yet."""
+        at = np.arange(self.ok.size) if at is None else at
+        for j in np.flatnonzero(np.broadcast_to(bad, at.shape) & self.ok[at]):
+            self.ok[at[j]] = False
+            self.error[at[j]] = make(j)
+
+    def raise_first(self) -> None:
+        if self.error[0] is not None:
+            raise self.error[0]
+
+
+def _pick(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of a per-point array; a per-config array (length 1) as is."""
+    return arr[idx] if len(arr) > 1 else arr
+
+
+def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z: np.ndarray,
+              swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
+    """Pole pairs, paired vectors and the seed at every point (coordinates
+    rho, z); returns the spectral data and q0. A constant seed is evaluated
+    once, at the first point, and its arrays keep a batch axis of length 1;
+    any other seed is called at every point."""
+    n_sol, n = cfg.n_solitons, cfg.signature.n
+    if swap is not None and len(swap) != n_sol:
+        raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
+    size = len(points)
+    at = points[:1] if cfg.seed.constant else points
+    q0 = np.array([algebra.as_matrix(cfg.seed.q0_eval(x), n) for x in at])
+    lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
+    fails.flag(branch.any(axis=-1), lambda i: SingularPointError(
+        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {points[i]!r}"))
+    g = algebra.gamma(cfg.signature)
+    vecs = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
+    partners = (q0[:, None] @ (g @ vecs[..., None]))[..., 0]
+    own = np.broadcast_to(vecs, partners.shape)
+    if swap is not None:
+        flip = np.asarray(swap, dtype=bool)
+        lam_in, lam_out = np.where(flip, lam_out, lam_in), np.where(flip, lam_in, lam_out)
+        own, partners = (np.where(flip[:, None], partners, own),
+                         np.where(flip[:, None], own, partners))
+    lambdas = np.concatenate([lam_in, lam_out], axis=-1)
+    vs = np.concatenate([own, partners], axis=-2)
+    eye = np.eye(n, dtype=complex)
+    psi0 = np.array([[seeds.psi0_at(cfg.seed, lam, x) if cfg.seed.constant or fails.ok[p]
+                      else eye for lam in lambdas[p]]
+                     for p, x in enumerate(at)]).reshape(len(at), 2 * n_sol, n, n)
+    cap = cfg.tolerances.condition_cap
+    psi0_inv, cond = algebra.checked_inv(psi0, cap)
+    cond = np.broadcast_to(cond, (size, 2 * n_sol))
+    refused = ~(cond <= cap)
+    fails.flag(refused.any(axis=-1),
+               lambda i: algebra.refusal(cond[i, np.argmax(refused[i])], cap))
+    return SpectralData(lambdas=lambdas, vs=vs, psi0=psi0, psi0_inv=psi0_inv), q0
+
+
+def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
+            fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
+    """A (P, 2N, 2N) and B* (P or 1, 2N, n); A is the identity at failed points.
+
+    a_kj = v_k* S_kj v_j / (lam_k - conj lam_j) with the seed coupling
+    S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}; b_k* = -v_k* psi0_k^{-1} gamma.
+    The Gram numerators v_k* S_kj v_j and B* depend on the seed only.
+    """
+    lambdas, vs, psi0_inv = sd.lambdas, sd.vs, sd.psi0_inv
+    m = lambdas.shape[-1]
+    coupled = psi0_inv.conj().swapaxes(-1, -2)
+    num = np.empty(vs.shape[:-2] + (m, m), dtype=complex)
+    for k in range(m):
+        s_k = (psi0_inv[:, k, None] @ gamma_mat) @ coupled
+        num[:, k] = ((vs[:, k, None, None].conj() @ s_k) @ vs[..., None])[..., 0, 0]
+    b_star = -((vs.conj()[..., None, :] @ psi0_inv)[..., 0, :] @ gamma_mat)
+    denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
+    size = np.abs(lambdas)
+    scale = np.maximum(1.0, np.maximum(size[..., :, None], size[..., None, :]))
+    coincident = np.abs(denom) < 1e-13 * scale
+    fails.flag(coincident.any(axis=(-2, -1)), lambda i: SingularPointError(
+        "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
+            *divmod(int(np.argmax(coincident[i])), m))))
+    a = num / np.where(coincident, 1.0, denom)
+    return np.where(fails.ok[:, None, None], a, np.eye(m)), b_star
+
+
+def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
+           fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A U* = B* at every point; returns U* and det A.
+
+    Flags a point when |det A| drops below the singular threshold (the zero
+    set of det A is the ring-singularity locus of the dressed map, reported
+    rather than crossed), when the condition number exceeds the cap, and
+    when the solve residual exceeds SOLVE_RESIDUAL_REL * ||B||.
+    """
+    eye = np.eye(a.shape[-1])
+    det = np.linalg.det(a)
+    fails.flag(np.abs(det) < tol.singular_tol, lambda i: SingularPointError(
+        f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
+    a = np.where(fails.ok[:, None, None], a, eye)
+    cond = algebra.checked_inv(a, tol.condition_cap)[1]
+    fails.flag(~(cond <= tol.condition_cap), lambda i: NumericError(
+        f"system condition {cond[i]:.3e} exceeds cap {tol.condition_cap:.3e}"))
+    a = np.where(fails.ok[:, None, None], a, eye)
+    u_star = np.linalg.solve(a, b_star)
+    resid = algebra.frobenius(a @ u_star - b_star)
+    bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
+    fails.flag(resid > bound, lambda i: NumericError(
+        f"solve residual {resid[i]:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||"))
+    return u_star, det
+
+
+def _residues(u: np.ndarray, sd: SpectralData) -> np.ndarray:
+    """Residues u_k v_k* psi0_k^{-1} of chi at its poles, shape (P, 2N, n, n)."""
+    outer = u.swapaxes(-1, -2)[..., :, :, None] * sd.vs.conj()[..., :, None, :]
+    return outer @ sd.psi0_inv
+
+
+def _reconstruct(res: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
+                 fails: _Failures) -> np.ndarray:
+    """q = q0 - sum_k (1/lam_k) u_k v_k* psi0_k^{-1} q0 at every point."""
+    zero = lambdas == 0
+    if np.any(zero & fails.ok[:, None]):
+        raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
+    lambdas = np.where(zero, 1.0, lambdas)
+    q = np.broadcast_to(q0, res.shape[:1] + q0.shape[1:])
+    for k in range(lambdas.shape[-1]):
+        q = q - res[:, k] @ q0 / lambdas[:, k, None, None]
+    return q
+
+
+def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale each q by det(q)^{-1/n}; returns q and the branch-warning mask."""
+    n = q.shape[-1]
+    d = np.linalg.det(q)
+    zero = d == 0
+    fails.flag(zero, lambda i: SingularPointError("determinant vanishes; cannot normalize"))
+    d = np.where(zero, 1.0, d)
+    real = (np.abs(d.imag) <= tol * np.abs(d)) & (d.real > 0)
+    scale = np.where(real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))
+    return q * scale[..., None, None], ~real
+
+
+def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
+         const: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam (or ``const``
+    in place of I); returns chi (P, S, n, n) and the (P, S, 2N) mask of
+    values at a pole, where the term is left out."""
+    gap = lam[..., None] - lambdas[..., None, :]
+    at_pole = np.abs(gap) < 1e-13 * np.maximum(np.maximum(1.0, np.abs(lam))[..., None],
+                                               np.abs(lambdas)[..., None, :])
+    gap = np.where(at_pole, 1.0, gap)
+    const = np.eye(res.shape[-1], dtype=complex) if const is None else const[:, None]
+    chi = np.broadcast_to(const, lam.shape + res.shape[-2:])
+    for k in range(lambdas.shape[-1]):
+        chi = chi + res[:, None, k] / gap[..., k, None, None]
+    return chi, at_pole
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| rounded as Python's abs() of a complex rounds it: numpy's
+    vectorised abs may differ in the last bit, and the audit-sample search
+    compares these distances against a threshold."""
+    return np.hypot(z.real, z.imag)
+
+
+def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Deterministic (P, S) samples keeping lam, conj(lam) and the deck image
+    clear of the poles (and of their conjugates, where chi inverts): each
+    sample moves outward by 1.171 until clear, at most 60 times."""
+    scale = np.maximum(1.0, _abs(lambdas).max(axis=-1, initial=0.0))
+    gap = 1e-3 * scale[:, None]
+    samples = np.asarray(CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
+    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1).T[..., None]
+    moving = np.ones(samples.shape, dtype=bool)
+    for _ in range(60):
+        dist = np.full(samples.shape, math.inf)
+        for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
+            for pole in avoid:
+                dist = np.minimum(dist, _abs(probe - pole))
+        moving &= ~(dist > gap)
+        if not moving.any():
+            break
+        samples = np.where(moving, samples * 1.171, samples)
+    return samples
+
+
+def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
+           gamma_mat: ComplexMatrix, rho: np.ndarray, condition_cap: float,
+           fails: _Failures, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Max reality / deck-involution residuals of chi over the samples.
+
+    reality:    || tau(chi(conj lam)) - chi(lam) ||_F
+    involution: || chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) ||_F
+    A sample at a pole or a refused inverse fails the point: the first one
+    in sample order and, per sample, in the order chi(lam), chi(conj lam),
+    the inverse, chi(deck).
+    """
+    samples = _audit_samples(lambdas, rho)
+    chi, pole_lam = _chi(samples, res, lambdas)
+    chi_conj, pole_conj = _chi(samples.conj(), res, lambdas)
+    inv_conj, cond = algebra.checked_inv(chi_conj.conj().swapaxes(-1, -2), condition_cap)
+    # q sigma(chi) sigma(q0) at the deck images, from the residues of chi
+    # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k
+    left, right = q[:, None], algebra.sigma(q0, gamma_mat)[:, None]
+    rhs, pole_deck = _chi(-(rho * rho)[:, None] / samples,
+                          left @ algebra.sigma(res, gamma_mat) @ right, lambdas,
+                          (left @ right)[:, 0])
+    poles = (pole_lam, pole_conj, None, pole_deck)
+    steps = np.stack([pole_lam.any(-1), pole_conj.any(-1), ~(cond <= condition_cap),
+                      pole_deck.any(-1)], axis=-1)
+    steps = steps.reshape(samples.shape[0], 4 * samples.shape[1])
+
+    def failure(i: int) -> Exception:
+        s, step = divmod(int(np.argmax(steps[i])), 4)
+        if step == 2:
+            return algebra.refusal(cond[i, s], condition_cap)
+        k = int(np.argmax(poles[step][i, s]))
+        return DomainError(f"chi evaluated at its pole lam_{k} = {lambdas[i, k]}")
+
+    fails.flag(steps.any(axis=-1), failure, at)
+    reality = algebra.frobenius(algebra.sigma(inv_conj, gamma_mat) - chi)
+    involution = algebra.frobenius(chi - rhs)
+    return reality.max(axis=-1, initial=0.0), involution.max(axis=-1, initial=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline at one point: batches of one
+# ---------------------------------------------------------------------------
+
+def _one(sd: SpectralData) -> SpectralData:
+    return SpectralData(lambdas=sd.lambdas[None], vs=sd.vs[None], psi0=sd.psi0[None],
+                        psi0_inv=sd.psi0_inv[None])
+
+
 def spectral_data(cfg: SolitonConfig, x: DomainPoint,
                   swap: tuple[bool, ...] | None = None) -> SpectralData:
     """Assemble pole pairs, paired vectors, and seed matrices at one point.
@@ -124,30 +378,11 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
     to the plain gamma v_k for the trivial seed. ``swap`` optionally
     relabels selected pole pairs, which leaves the dressed map invariant.
     """
-    n_sol = cfg.n_solitons
-    if swap is not None and len(swap) != n_sol:
-        raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
-    n = cfg.signature.n
-    g = algebra.gamma(cfg.signature)
-    q0 = algebra.as_matrix(cfg.seed.q0_eval(x), n)
-    lambdas = np.zeros(2 * n_sol, dtype=complex)
-    vs = np.zeros((2 * n_sol, n), dtype=complex)
-    for k, (w, v) in enumerate(zip(cfg.poles, cfg.vectors)):
-        pair = spectral.pole_pair(w, x)
-        lam_k, lam_pk = pair.lambda_in, pair.lambda_out
-        v_k, v_pk = v, q0 @ (g @ v)
-        if swap is not None and swap[k]:
-            lam_k, lam_pk = lam_pk, lam_k
-            v_k, v_pk = v_pk, v_k
-        lambdas[k], lambdas[n_sol + k] = lam_k, lam_pk
-        vs[k], vs[n_sol + k] = v_k, v_pk
-    psi0 = np.zeros((2 * n_sol, n, n), dtype=complex)
-    psi0_inv = np.zeros_like(psi0)
-    for k in range(2 * n_sol):
-        m = seeds.psi0_at(cfg.seed, lambdas[k], x)
-        psi0[k] = m
-        psi0_inv[k] = algebra.inv(m, cfg.tolerances.condition_cap)
-    return SpectralData(lambdas=lambdas, vs=vs, psi0=psi0, psi0_inv=psi0_inv)
+    fails = _Failures(1)
+    sd, _ = _spectral(cfg, [x], np.array([x.rho]), np.array([x.z]), swap, fails)
+    fails.raise_first()
+    return SpectralData(lambdas=sd.lambdas[0], vs=sd.vs[0], psi0=sd.psi0[0],
+                        psi0_inv=sd.psi0_inv[0])
 
 
 def build_system(sd: SpectralData, gamma_mat: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -157,59 +392,31 @@ def build_system(sd: SpectralData, gamma_mat: ComplexMatrix) -> tuple[np.ndarray
     S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}; b_k* = -v_k* psi0_k^{-1} gamma.
     Returns (A, B) with B the n x 2N matrix whose columns are b_k.
     """
-    m = sd.lambdas.size
-    n = gamma_mat.shape[0]
-    a = np.zeros((m, m), dtype=complex)
-    b_star = np.zeros((m, n), dtype=complex)
-    for k in range(m):
-        row_k = sd.vs[k].conj() @ sd.psi0_inv[k]
-        b_star[k] = -(row_k @ gamma_mat)
-        for j in range(m):
-            denom = sd.lambdas[k] - np.conj(sd.lambdas[j])
-            scale = max(1.0, abs(sd.lambdas[k]), abs(sd.lambdas[j]))
-            if abs(denom) < 1e-13 * scale:
-                raise SingularPointError(
-                    f"coincident pole pair: lam_{k} - conj(lam_{j}) ~ 0")
-            s_kj = sd.psi0_inv[k] @ gamma_mat @ sd.psi0_inv[j].conj().T
-            a[k, j] = (sd.vs[k].conj() @ s_kj @ sd.vs[j]) / denom
-    return a, b_star.conj().T
+    fails = _Failures(1)
+    a, b_star = _system(_one(sd), gamma_mat, fails)
+    fails.raise_first()
+    return a[0], b_star[0].conj().T
 
 
 def solve_system(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     """Solve A U* = B* for the column vectors u_k; returns U (n x 2N).
 
     Flags the point singular when |det A| drops below the singular
-    threshold (the zero set of det A is the ring-singularity locus of the
-    dressed map, reported rather than crossed) and refuses the solve when
-    the condition estimate exceeds the cap.
+    threshold and refuses the solve when the condition estimate exceeds
+    the cap or the solve residual its bound.
     """
-    tol = tol or Tolerances()
-    m = a.shape[0]
-    if m == 0:
+    if a.shape[0] == 0:
         return np.zeros((b.shape[0], 0), dtype=complex)
-    det_a = complex(np.linalg.det(a))
-    if abs(det_a) < tol.singular_tol:
-        raise SingularPointError(f"det A = {det_a:.3e} below singular threshold", det_a=det_a)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > tol.condition_cap:
-        raise NumericError(f"system condition {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
-    b_star = b.conj().T
-    u_star = np.linalg.solve(a, b_star)
-    resid = np.linalg.norm(a @ u_star - b_star)
-    if resid > SOLVE_RESIDUAL_REL * max(np.linalg.norm(b_star), 1e-300):
-        raise NumericError(f"solve residual {resid:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||")
-    return u_star.conj().T
+    fails = _Failures(1)
+    u_star, _ = _solve(a[None], b.conj().T[None], tol or Tolerances(), fails)
+    fails.raise_first()
+    return u_star[0].conj().T
 
 
 def reconstruct_q(u: np.ndarray, sd: SpectralData, q0: ComplexMatrix) -> ComplexMatrix:
     """Dressed map q = q0 - sum_k (1/lam_k) u_k v_k* psi0_k^{-1} q0."""
-    q = q0.astype(complex).copy()
-    for k in range(sd.lambdas.size):
-        lam = sd.lambdas[k]
-        if lam == 0:
-            raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
-        q -= np.outer(u[:, k], sd.vs[k].conj()) @ sd.psi0_inv[k] @ q0 / lam
-    return q
+    res = _residues(u[None], _one(sd))
+    return _reconstruct(res, sd.lambdas[None], q0.astype(complex)[None], _Failures(1))[0]
 
 
 def normalize_det(q: ComplexMatrix, tol: float = 1e-9) -> tuple[ComplexMatrix, bool]:
@@ -221,47 +428,20 @@ def normalize_det(q: ComplexMatrix, tol: float = 1e-9) -> tuple[ComplexMatrix, b
     branch and returns a warning flag: the scaling is then a phase and may
     break Hermiticity (reported, not hidden).
     """
-    n = q.shape[0]
-    d = complex(np.linalg.det(q))
-    if d == 0:
-        raise SingularPointError("determinant vanishes; cannot normalize")
-    if abs(d.imag) <= tol * abs(d) and d.real > 0:
-        return q * (d.real ** (-1.0 / n)), False
-    return q * (d ** (-1.0 / n)), True
+    fails = _Failures(1)
+    out, warn = _normalize(np.asarray(q)[None], tol, fails)
+    fails.raise_first()
+    return out[0], bool(warn[0])
 
 
 def chi_at(lam: complex, u: np.ndarray, sd: SpectralData) -> ComplexMatrix:
     """Dressing matrix chi(lam) = I + sum_k u_k v_k* psi0_k^{-1} / (lam - lam_k)."""
-    n = u.shape[0] if u.size else sd.psi0.shape[1]
-    chi = np.eye(n, dtype=complex)
-    for k in range(sd.lambdas.size):
-        gap = lam - sd.lambdas[k]
-        if abs(gap) < 1e-13 * max(1.0, abs(lam), abs(sd.lambdas[k])):
-            raise DomainError(f"chi evaluated at its pole lam_{k} = {sd.lambdas[k]}")
-        chi += np.outer(u[:, k], sd.vs[k].conj()) @ sd.psi0_inv[k] / gap
-    return chi
-
-
-def _audit_samples(sd: SpectralData, x: DomainPoint) -> list[complex]:
-    """Deterministic sample points keeping lam, conj(lam) and the deck image
-    clear of the poles (and of their conjugates, where chi inverts)."""
-    scale = max([1.0] + [abs(l) for l in sd.lambdas])
-    gap = 1e-3 * scale
-    out = []
-    for base in CHI_SAMPLES:
-        lam = base * max(1.0, 0.3 * scale)
-        for _ in range(60):
-            probes = [lam, np.conj(lam), spectral.deck(lam, x)]
-            dist = min(
-                (abs(p - l) for p in probes for l in
-                 list(sd.lambdas) + [np.conj(l) for l in sd.lambdas]),
-                default=math.inf,
-            )
-            if dist > gap:
-                break
-            lam *= 1.171
-        out.append(lam)
-    return out
+    chi, at_pole = _chi(np.full((1, 1), lam, dtype=complex), _residues(u[None], _one(sd)),
+                        sd.lambdas[None])
+    if at_pole.any():
+        k = int(np.argmax(at_pole))
+        raise DomainError(f"chi evaluated at its pole lam_{k} = {sd.lambdas[k]}")
+    return chi[0, 0]
 
 
 def chi_symmetry_residuals(u: np.ndarray, sd: SpectralData, q: ComplexMatrix,
@@ -272,17 +452,11 @@ def chi_symmetry_residuals(u: np.ndarray, sd: SpectralData, q: ComplexMatrix,
     reality:    || tau(chi(conj lam)) - chi(lam) ||_F
     involution: || chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) ||_F
     """
-    reality = 0.0
-    involution = 0.0
-    for lam in _audit_samples(sd, x):
-        chi = chi_at(lam, u, sd)
-        chi_conj = chi_at(np.conj(lam), u, sd)
-        tau_chi = gamma_mat @ algebra.inv(chi_conj.conj().T, condition_cap) @ gamma_mat
-        reality = max(reality, algebra.frobenius(tau_chi - chi))
-        chi_deck = chi_at(spectral.deck(lam, x), u, sd)
-        rhs = q @ (gamma_mat @ chi_deck @ gamma_mat) @ (gamma_mat @ q0 @ gamma_mat)
-        involution = max(involution, algebra.frobenius(chi - rhs))
-    return reality, involution
+    fails = _Failures(1)
+    reality, involution = _audit(_residues(u[None], _one(sd)), sd.lambdas[None], q[None],
+                                 q0[None], gamma_mat, np.array([x.rho]), condition_cap, fails)
+    fails.raise_first()
+    return float(reality[0]), float(involution[0])
 
 
 def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
@@ -308,56 +482,77 @@ _NAN_RESIDUALS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the grid
+# ---------------------------------------------------------------------------
+
+def _dress(cfg: SolitonConfig, points: list[DomainPoint], audit_chi: bool,
+           swap: tuple[bool, ...] | None = None) -> list[DressedPoint]:
+    """Dress the points as one batch; singular points become flagged data
+    rather than failures. Configuration errors still raise."""
+    size, n_sol, tol = len(points), cfg.n_solitons, cfg.tolerances
+    if size == 0:
+        return []
+    g = algebra.gamma(cfg.signature)
+    rho = np.array([x.rho for x in points], dtype=float)
+    z = np.array([x.z for x in points], dtype=float)
+    fails = _Failures(size)
+    sd, q0 = _spectral(cfg, points, rho, z, swap, fails)
+    det_a = np.full(size, 1.0 if n_sol == 0 else math.nan, dtype=complex)
+    u_star = np.zeros((size, 0, cfg.signature.n), dtype=complex)
+    if n_sol:
+        a, b_star = _system(sd, g, fails)
+        built = fails.ok.copy()
+        u_star, det = _solve(a, b_star, tol, fails)
+        det_a[built] = det[built]
+    res = _residues(u_star.conj().swapaxes(-1, -2), sd)
+    q, warn = _normalize(_reconstruct(res, sd.lambdas, q0, fails), tol.constraint_tol, fails)
+    solved = fails.ok.copy()
+    quad, herm, det_dev = algebra.symspace_components(q, g)
+    reality = np.full(size, 0.0 if n_sol == 0 else math.nan)
+    involution = reality.copy()
+    if audit_chi and n_sol:
+        idx = np.flatnonzero(solved)
+        reality[idx], involution[idx] = _audit(
+            res[idx], sd.lambdas[idx], q[idx], _pick(q0, idx), g, rho[idx], tol.condition_cap,
+            fails, at=idx)
+        reality[~fails.ok] = involution[~fails.ok] = math.nan
+    out = []
+    columns = zip(points, fails.error, solved.tolist(), q, det_a.tolist(), quad.tolist(),
+                  herm.tolist(), det_dev.tolist(), warn.tolist(), reality.tolist(),
+                  involution.tolist())
+    for x, err, has_q, q_i, d, qu, he, de, wa, re, inv in columns:
+        if not has_q:
+            out.append(DressedPoint(x=x, q=None, det_a=d, residuals=dict(_NAN_RESIDUALS),
+                                    singular=True, note=str(err)))
+            continue
+        residuals = {
+            "quadratic": qu,
+            "hermiticity": he,
+            "unit_det": de,
+            "symspace": qu + he + de,
+            "chi_reality": re,
+            "chi_involution": inv,
+            "det_branch_warning": 1.0 if wa else 0.0,
+        }
+        out.append(DressedPoint(x=x, q=q_i, det_a=d, residuals=residuals,
+                                singular=err is not None,
+                                note="" if err is None else f"chi audit failed: {err}"))
+    return out
+
+
 def dress_point(cfg: SolitonConfig, x: DomainPoint,
                 swap: tuple[bool, ...] | None = None,
                 audit_chi: bool = True) -> DressedPoint:
-    """Run the full pipeline at one point; singular points become flagged
-    data rather than failures. Configuration errors still raise.
-    """
-    g = algebra.gamma(cfg.signature)
-    q0 = algebra.as_matrix(cfg.seed.q0_eval(x), cfg.signature.n)
-    det_a: complex = complex("nan")
-    try:
-        sd = spectral_data(cfg, x, swap)
-        a, b = build_system(sd, g)
-        if a.size:
-            det_a = complex(np.linalg.det(a))
-        else:
-            det_a = 1.0
-        u = solve_system(a, b, cfg.tolerances)
-        q_raw = reconstruct_q(u, sd, q0)
-        q, warn = normalize_det(q_raw, cfg.tolerances.constraint_tol)
-    except (SingularPointError, NumericError) as exc:
-        if isinstance(exc, SingularPointError) and exc.det_a is not None:
-            det_a = exc.det_a
-        return DressedPoint(x=x, q=None, det_a=det_a,
-                            residuals=dict(_NAN_RESIDUALS), singular=True, note=str(exc))
-    quad, herm, det_dev = algebra.symspace_components(q, g)
-    residuals = {
-        "quadratic": quad,
-        "hermiticity": herm,
-        "unit_det": det_dev,
-        "symspace": quad + herm + det_dev,
-        "chi_reality": math.nan,
-        "chi_involution": math.nan,
-        "det_branch_warning": 1.0 if warn else 0.0,
-    }
-    if audit_chi and cfg.n_solitons > 0:
-        try:
-            reality, involution = chi_symmetry_residuals(
-                u, sd, q, q0, g, x, cfg.tolerances.condition_cap)
-            residuals["chi_reality"] = reality
-            residuals["chi_involution"] = involution
-        except (NumericError, DomainError) as exc:
-            return DressedPoint(x=x, q=q, det_a=det_a, residuals=residuals,
-                                singular=True, note=f"chi audit failed: {exc}")
-    elif cfg.n_solitons == 0:
-        residuals["chi_reality"] = 0.0
-        residuals["chi_involution"] = 0.0
-    return DressedPoint(x=x, q=q, det_a=det_a, residuals=residuals, singular=False)
+    """Run the full pipeline at one point, a batch of one; singular points
+    become flagged data rather than failures. Configuration errors still
+    raise."""
+    return _dress(cfg, [x], audit_chi, swap)[0]
 
 
 def dress_grid(cfg: SolitonConfig, points: list[list[DomainPoint]],
                audit_chi: bool = True) -> list[list[DressedPoint]]:
-    """Dress a grid of points (rows of DomainPoints) in row-major order."""
-    return [[dress_point(cfg, x, audit_chi=audit_chi) for x in row] for row in points]
+    """Dress a grid of points (rows of DomainPoints) in row-major order, as
+    one batch."""
+    flat = iter(_dress(cfg, [x for row in points for x in row], audit_chi))
+    return [[next(flat) for _ in row] for row in points]

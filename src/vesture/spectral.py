@@ -10,7 +10,6 @@ lam = 0.
 """
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,26 @@ def deck(lam: complex, x: DomainPoint) -> complex:
     return -x.rho * x.rho / lam
 
 
+def pole_pairs(varpi0s, rho, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pole pairs of N surface coordinates at a batch of points.
+
+    ``rho`` and ``z`` have shape (P,); returns (lambda_in, lambda_out,
+    branch), each of shape (P, N): c = z - varpi0, disc = c^2 + rho^2,
+    lambda_in = c - sqrt(disc) (principal root), lambda_out = c + sqrt(disc),
+    and ``branch`` marks points within BRANCH_EXCLUSION of a branch point.
+    """
+    rho = np.asarray(rho, dtype=float)[..., None]
+    c = np.asarray(z, dtype=float)[..., None] - np.asarray(varpi0s, dtype=complex)
+    # c^2 from separately rounded real products, as scalar complex arithmetic
+    # does it (an array complex multiply may fuse them); the + 0.0 puts a
+    # negative real disc on the upper side of the cut, as c*c + rho^2 does
+    disc = np.empty(c.shape, dtype=complex)
+    disc.real = c.real * c.real - c.imag * c.imag + rho * rho
+    disc.imag = c.real * c.imag + c.imag * c.real + 0.0
+    root = np.sqrt(disc)
+    return c - root, c + root, np.abs(disc) < BRANCH_EXCLUSION
+
+
 def pole_pair(varpi0: complex, x: DomainPoint) -> PolePair:
     """Roots of lam^2 - 2 lam (z - varpi0) - rho^2 over a non-real varpi0.
 
@@ -64,17 +83,16 @@ def pole_pair(varpi0: complex, x: DomainPoint) -> PolePair:
     lambda_in = (z - varpi0) - sqrt((z - varpi0)^2 + rho^2), lambda_out the
     conjugate-branch partner. The labels are continuous wherever the
     principal branch is; the dressed solution is invariant under the paired
-    relabeling, so labeling is a determinism choice, not physics.
+    relabeling, so labeling is a determinism choice, not physics. A batch
+    of one of pole_pairs.
     """
     w0 = complex(varpi0)
     if w0.imag == 0.0:
         raise ConfigError(f"pole position must be non-real, got {w0}")
-    c = x.z - w0
-    disc = c * c + x.rho * x.rho
-    if abs(disc) < BRANCH_EXCLUSION:
+    lam_in, lam_out, branch = pole_pairs([w0], [x.rho], [x.z])
+    if branch[0, 0]:
         raise SingularPointError(f"branch point of varpi0={w0} at {x!r}")
-    root = cmath.sqrt(disc)
-    return PolePair(lambda_in=c - root, lambda_out=c + root)
+    return PolePair(lambda_in=complex(lam_in[0, 0]), lambda_out=complex(lam_out[0, 0]))
 
 
 def ab(lam: complex, x: DomainPoint) -> tuple[complex, complex]:

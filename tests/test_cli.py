@@ -175,6 +175,37 @@ def test_kn_preset_uncharged_matches_oracle(tmp_path):
                      "--r-count", "6", "--theta-count", "6", "--out", str(out)])
     assert code == cli.EXIT_OK
 
+@pytest.mark.parametrize("argv, message", [
+    (["kerr", "--m", "1", "--s", "1", "--r-count", "0"],
+     "grid.r needs count >= 1 and finite min <= max"),
+    (["kerr", "--m", "1", "--s", "1", "--theta-min", "-1"],
+     "grid.theta must lie strictly inside (0, pi)"),
+    (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1", "--theta-max", "4"],
+     "grid.theta must lie strictly inside (0, pi)"),
+    (["kerr", "--m", "1", "--s", "1", "--r-min", "5", "--r-max", "2"],
+     "grid.r needs count >= 1 and finite min <= max"),
+])
+def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+def test_presets_leave_the_grid_unchanged(tmp_path):
+    grid = cli.GridSpec(coords="boyer-lindquist", axis1=(2.5, 6.0, 3), axis2=(0.5, 2.5, 3))
+    before = repr(grid)
+    assert cli.run_preset_kerr(1.0, 1.0, grid, str(tmp_path / "k.csv")) == cli.EXIT_OK
+    assert cli.run_preset_kn(1.0, 0.5, 1.0, grid, str(tmp_path / "kn.csv")) == cli.EXIT_OK
+    assert repr(grid) == before and grid.bl is None
+
+def test_kerr_preset_extracts_each_ernst_value_once(tmp_path, monkeypatch):
+    calls = []
+    ernst = cli.targets.ernst_g11
+    monkeypatch.setattr(cli.targets, "ernst_g11", lambda q: calls.append(1) or ernst(q))
+    code = cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "3",
+                     "--theta-count", "4", "--out", str(tmp_path / "k.csv")])
+    assert code == cli.EXIT_OK and len(calls) == 12
+
 def test_verify_rejects_missing_q(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("rho,z\n1.0,0.0\n")

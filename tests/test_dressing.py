@@ -294,3 +294,60 @@ def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
     res = dressing.dress_point(cfg, x)
     assert res.singular and res.q is None
     assert res.note.startswith("solve residual")
+
+
+def _boost11(t):
+    return np.array([[np.cosh(2 * t), np.sinh(2 * t)],
+                     [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
+
+
+@pytest.mark.parametrize("make_cfg, prefix, keeps_q", [
+    # rho = 1, z = 0 is the branch point of the pole at i
+    (lambda: kerr_cfg(), "branch point of varpi0=1j", False),
+    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=10.0)),
+     "det A = ", False),
+    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(condition_cap=2.0)),
+     "system condition ", False),
+    # cond(psi0) = e^1.4 for the boosted seed
+    (lambda: SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
+                           seeds.constant_seed(_boost11(0.35), SIG11),
+                           Tolerances(condition_cap=2.0)),
+     "condition estimate 4.055e+00 exceeds cap", False),
+    # conjugate poles: lam_0 = conj(lam_1) at every point
+    (lambda: SolitonConfig(SIG11, (1j, -1j), (np.array([1.2, 0.4]), np.array([0.3, 1.0])),
+                           seeds.identity_seed(SIG11)),
+     "coincident pole pair: lam_0 - conj(lam_1) ~ 0", False),
+    # cond(A) = 11 passes the cap, chi at some audit sample does not
+    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(condition_cap=50.0)),
+     "chi audit failed: condition estimate", True),
+])
+def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_q):
+    # a small grid: the branch point of the pole at i, and a regular point
+    rows = [[DomainPoint(rho=1.0, z=0.0)], [DomainPoint(rho=1.5, z=0.5)]]
+    out = dressing.dress_grid(make_cfg(), rows)
+    res = out[0][0] if prefix.startswith("branch") else out[1][0]
+    assert res.singular
+    assert res.note.startswith(prefix), res.note
+    assert (res.q is not None) == keeps_q
+    if prefix.startswith("branch"):
+        assert not out[1][0].singular and out[1][0].note == ""
+    if prefix.startswith(("det A", "system")):
+        assert np.isfinite(res.det_a)
+
+
+def test_per_point_seed_dresses_like_the_constant_seed():
+    q0 = _boost11(0.35)
+    per_point = seeds.Seed(q0_eval=lambda x: q0, psi0_eval=lambda lam, x: q0,
+                           signature=SIG11, constant=False)
+    poles, vectors = (1j, 0.5 + 0.8j), (np.array([1.2, 0.4]), np.array([0.3, 1.0 + 0.2j]))
+    rows = [[DomainPoint(rho=r, z=z) for z in (-0.5, 0.0, 0.5, 1.0)] for r in (0.8, 1.0, 1.6)]
+    const = dressing.dress_grid(
+        SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rows)
+    varying = dressing.dress_grid(SolitonConfig(SIG11, poles, vectors, per_point), rows)
+    # the branch points of both poles lie on the grid
+    assert sum(res.singular for row in const for res in row) == 2
+    for a, b in zip((r for row in const for r in row), (r for row in varying for r in row)):
+        assert (a.singular, a.note) == (b.singular, b.note)
+        if a.q is not None:
+            assert np.linalg.norm(a.q - b.q) <= 1e-13 * np.linalg.norm(a.q)
+            assert abs(a.det_a - b.det_a) <= 1e-13 * abs(a.det_a)
