@@ -11,7 +11,6 @@ the caller. The Frobenius norm is used throughout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,29 +63,24 @@ def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray,
 
     A matrix whose condition is not finite or exceeds ``condition_cap`` is
     refused: its slot holds the identity, and refusal() says why. The SVD
-    condition number is computed only where the bound
-    ||A||_F ||A^-1||_F >= cond(A) comes within a factor 10 of the cap;
-    elsewhere the returned value is that bound, which decides the same.
+    is taken only where the upper bound ||A||_F ||A^-1||_F >= cond(A) does
+    not clear the cap by a factor 10, so every refusal and every reported
+    condition near the cap is the SVD's; elsewhere the bound is returned.
     """
     a = np.asarray(m, dtype=complex)
     flat = a.reshape((-1,) + a.shape[-2:])
-    eye = np.eye(a.shape[-1])
     with np.errstate(all="ignore"):
         try:
-            inv = np.linalg.inv(flat)
-            cond = frobenius(flat) * frobenius(inv)
+            cond = frobenius(flat) * frobenius(np.linalg.inv(flat))
         except np.linalg.LinAlgError:  # an exactly singular matrix in the stack
-            inv, cond = None, np.full(len(flat), math.inf)
+            cond = np.full(len(flat), np.inf)
     near = ~(10.0 * cond <= condition_cap)
-    if near.any():
-        try:
-            cond[near] = np.linalg.cond(flat[near])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
-            raise NumericError(f"condition estimate failed: {exc}") from exc
+    try:
+        cond[near] = np.linalg.cond(flat[near])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
+        raise NumericError(f"condition estimate failed: {exc}") from exc
     refused = ~(cond <= condition_cap)
-    if inv is None:
-        inv = np.linalg.inv(np.where(refused[:, None, None], eye, flat))
-    inv[refused] = eye
+    inv = np.linalg.inv(np.where(refused[:, None, None], np.eye(a.shape[-1]), flat))
     return inv.reshape(a.shape), cond.reshape(a.shape[:-2])
 
 
@@ -120,11 +114,13 @@ def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix, condition_cap: float = 1e12)
 
 def sigma(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:
     """Linear involution g -> gamma g gamma fixing S(U(p) x U(q)), applied
-    to a matrix or to each matrix of a (..., n, n) stack."""
+    to a matrix or to each matrix of a (..., n, n) stack.
+
+    ``gamma_mat`` is the diagonal metric of gamma(), so the involution
+    flips the sign of each entry g_ij with gamma_ii != gamma_jj.
+    """
     d = np.diagonal(gamma_mat)
-    if not np.any(gamma_mat - np.diag(d)):  # a diagonal metric flips entry signs
-        return m * (d[:, None] * d[None, :])
-    return gamma_mat @ m @ gamma_mat
+    return m * (d[:, None] * d[None, :])
 
 
 def group_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float:

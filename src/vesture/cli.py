@@ -320,18 +320,18 @@ def run_sweep(cfg: RunConfig, audit_chi: bool = True):
 
 
 def _write_sweep(cfg: RunConfig, results, meta: dict,
-                 oracle_columns: tuple[str, ...] = (), oracle_rows=None,
-                 ernst_rows=None) -> None:
+                 oracle_columns: tuple[str, ...] = (), oracle_rows=None) -> list[list[float]]:
     """Write one row per dressed point, with the requested fields and the
     finite-difference residuals on Weyl grids of at least 3x3 points;
-    ``ernst_rows`` holds Ernst values already extracted by the caller."""
+    returns the Ernst values written, one list per point in row-major order
+    (none without the ernst field)."""
     sig = cfg.solitons.signature
     a1, a2 = cfg.grid.axis_values()
     hodge = np.full((2, len(a1), len(a2)), math.nan)
     if "residuals" in cfg.fields and cfg.grid.coords == "weyl" \
             and len(a1) >= 3 and len(a2) >= 3:
         hodge = verification.hodge_residual(verification.FieldGrid.from_results(a1, a2, results))
-    rows = []
+    rows, ernst = [], []
     for i, row in enumerate(results):
         for j, res in enumerate(row):
             out: list[float] = [res.x.rho, res.x.z]
@@ -345,12 +345,14 @@ def _write_sweep(cfg: RunConfig, results, meta: dict,
                 out += [res.residuals["symspace"], float(hodge[0][i, j]), float(hodge[1][i, j])]
             out += [1.0 if res.singular else 0.0]
             if "ernst" in cfg.fields:
-                out += ernst_rows[i][j] if ernst_rows is not None else _ernst_values(res.q, sig)
+                ernst.append(_ernst_values(res.q, sig))
+                out += ernst[-1]
             if oracle_rows is not None:
                 out += oracle_rows[i][j]
             rows.append(out)
     columns = _columns(sig, cfg.grid.coords, cfg.fields, oracle_columns)
     _write_output(cfg.path, cfg.format, columns, rows, meta)
+    return ernst
 
 
 def run_dress(cfg: RunConfig) -> int:
@@ -409,15 +411,14 @@ def run_preset_kerr(m: float, s: float, grid: GridSpec | None = None,
     cfg = kerr_run_config(m, s, grid, path, fmt)
     results, excluded = run_sweep(cfg)
     oracle = _kerr_oracle_rows(m, s, cfg.grid)
-    ernst = [[_ernst_values(res.q, targets.SIG_11) for res in row] for row in results]
+    meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
+            "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
+    ernst = _write_sweep(cfg, results, meta, ("oracle_x", "oracle_y"), oracle)
     # compare the potential pair as one complex number, robust where a
     # single component passes through zero; a NaN fails the gate
     worst = float(np.max([_rel_err(complex(*e), complex(*o)) for e, o, skip in
-                          zip(_flat(ernst), _flat(oracle), excluded.flat) if not skip],
+                          zip(ernst, _flat(oracle), excluded.flat) if not skip],
                          initial=0.0))
-    meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
-            "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
-    _write_sweep(cfg, results, meta, ("oracle_x", "oracle_y"), oracle, ernst)
     gate = _max_constraint(results, excluded)
     print(f"kerr m={m} s={s}: max relative Ernst error {worst:.3e}; "
           f"max gated constraint residual {gate:.3e}", file=sys.stderr)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import algebra, seeds, spectral
 from .algebra import ComplexMatrix, Signature
-from .errors import ConfigError, DomainError, NumericError, SingularPointError
+from .errors import ConfigError, DomainError, NumericError, SeedError, SingularPointError
 from .seeds import Seed
 from .spectral import DomainPoint
 
@@ -159,7 +159,8 @@ def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z:
     """Pole pairs, paired vectors and the seed at every point (coordinates
     rho, z); returns the spectral data and q0. A constant seed is evaluated
     once, at the first point, and its arrays keep a batch axis of length 1;
-    any other seed is called at every point."""
+    a second evaluation at the last point and pole must give the same
+    matrices. Any other seed is called at every point."""
     n_sol, n = cfg.n_solitons, cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
@@ -184,6 +185,11 @@ def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z:
     psi0 = np.array([[seeds.psi0_at(cfg.seed, lam, x) if cfg.seed.constant or fails.ok[p]
                       else eye for lam in lambdas[p]]
                      for p, x in enumerate(at)]).reshape(len(at), 2 * n_sol, n, n)
+    if cfg.seed.constant and not (
+            np.array_equal(cfg.seed.q0_eval(points[-1]), q0[0])
+            and all(np.array_equal(cfg.seed.psi0_eval(lam, points[-1]), psi0[0, 0])
+                    for lam in lambdas[-1, -1:])):
+        raise SeedError("seed marked constant varies with x or lam")
     cap = cfg.tolerances.condition_cap
     psi0_inv, cond = algebra.checked_inv(psi0, cap)
     cond = np.broadcast_to(cond, (size, 2 * n_sol))

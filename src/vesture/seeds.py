@@ -21,6 +21,14 @@ from .spectral import DomainPoint
 
 @dataclass(frozen=True)
 class Seed:
+    """A seed map q0(x) and its generating matrix Psi0(lam, x).
+
+    ``constant=True`` promises that neither evaluator depends on x or lam:
+    the dressing pipeline then evaluates each once per grid and reuses the
+    result at every point, and refuses the seed when a second evaluation
+    differs. ``constant_seed`` is the way to build one.
+    """
+
     q0_eval: Callable[[DomainPoint], ComplexMatrix]
     psi0_eval: Callable[[complex, DomainPoint], ComplexMatrix]
     signature: Signature

@@ -4,7 +4,7 @@ import pytest
 from vesture import algebra, dressing, seeds, spectral, targets
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
-from vesture.errors import ConfigError, DomainError, SingularPointError
+from vesture.errors import ConfigError, DomainError, SeedError, SingularPointError
 from vesture.spectral import DomainPoint
 
 SIG11 = Signature(1, 1)
@@ -351,3 +351,16 @@ def test_per_point_seed_dresses_like_the_constant_seed():
         if a.q is not None:
             assert np.linalg.norm(a.q - b.q) <= 1e-13 * np.linalg.norm(a.q)
             assert abs(a.det_a - b.det_a) <= 1e-13 * abs(a.det_a)
+
+
+def test_seed_marked_constant_that_varies_is_refused():
+    q0 = _boost11(0.35)
+    rows = [[DomainPoint(rho=r, z=0.3) for r in (0.8, 1.6)]]
+    varying_q0 = seeds.Seed(q0_eval=lambda x: q0 if x.rho < 1 else np.eye(2, dtype=complex),
+                            psi0_eval=lambda lam, x: q0, signature=SIG11, constant=True)
+    varying_psi0 = seeds.Seed(q0_eval=lambda x: q0,
+                              psi0_eval=lambda lam, x: q0 * (1.0 + 0.0 * lam) if x.rho < 1 else 2 * q0,
+                              signature=SIG11, constant=True)
+    for seed in (varying_q0, varying_psi0):
+        with pytest.raises(SeedError, match="marked constant"):
+            dressing.dress_grid(SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seed), rows)
