@@ -8,6 +8,7 @@ references and a finite-difference verification layer.
 """
 from .algebra import ComplexMatrix, Signature, gamma, group_residual, sigma, symspace_residual, tau
 from .dressing import (
+    DressedGrid,
     DressedPoint,
     SolitonConfig,
     SpectralData,
@@ -15,6 +16,7 @@ from .dressing import (
     build_system,
     chi_at,
     dominance_check,
+    dress,
     dress_grid,
     dress_point,
     normalize_det,

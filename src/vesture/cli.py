@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra, dressing, seeds, spectral, targets, verification
 from .algebra import Signature
-from .dressing import SolitonConfig, Tolerances
+from .dressing import DressedGrid, SolitonConfig, Tolerances
 from .errors import ConfigError, NumericError, VestureError
 from .spectral import DomainPoint
 
@@ -44,11 +44,12 @@ class GridSpec:
         a2 = np.linspace(self.axis2[0], self.axis2[1], self.axis2[2])
         return a1, a2
 
-    def point_rows(self) -> list[list[DomainPoint]]:
+    def coordinates(self) -> DomainPoint:
+        """The Weyl coordinates of the grid points, as (axis1, axis2) arrays."""
         a1, a2 = self.axis_values()
         if self.coords == "weyl":
-            return [[DomainPoint(rho=float(r), z=float(z)) for z in a2] for r in a1]
-        return [[targets.bl_to_weyl(float(r), float(th), self.bl) for th in a2] for r in a1]
+            return DomainPoint(*np.meshgrid(a1, a2, indexing="ij"))
+        return targets.bl_to_weyl(a1[:, None], a2[None, :], self.bl)
 
 
 @dataclass
@@ -251,46 +252,20 @@ def _columns(sig: Signature, coords: str, fields: tuple[str, ...],
     return cols + list(oracle_columns)
 
 
-def _write_output(path: str, fmt: str, columns: list[str],
-                  rows: list[list[float]], meta: dict) -> None:
+def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
+                  meta: dict) -> None:
+    """Write a (P, len(columns)) table as CSV, 17 significant digits per
+    value, or as JSON."""
     if fmt == "csv":
-        def dump(fh):
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow(f"{v:.17g}" for v in row)
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+        text = ",".join(columns) + "\n" + "".join(line % tuple(row) for row in rows.tolist())
     else:
-        def dump(fh):
-            json.dump({"meta": meta, "columns": columns, "rows": rows}, fh)
-            fh.write("\n")
+        text = json.dumps({"meta": meta, "columns": columns, "rows": rows.tolist()}) + "\n"
     if path == "-":
-        dump(sys.stdout)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            dump(fh)
-
-
-def _q_cells(q, n: int) -> list[float]:
-    if q is None:
-        return [math.nan] * (2 * n * n)
-    return [part for z in q.reshape(-1) for part in (z.real, z.imag)]
-
-
-def _ernst_values(q, sig: Signature) -> list[float]:
-    if q is not None:
-        try:
-            if (sig.p, sig.q_minus) == (1, 1):
-                e = targets.ernst_g11(q)
-                return [e.x, e.y]
-            e = targets.ernst_g21(q)
-            return [e.E.real, e.E.imag, e.Phi.real, e.Phi.imag]
-        except VestureError:
-            pass
-    return [math.nan] * (2 if (sig.p, sig.q_minus) == (1, 1) else 4)
-
-
-def _flat(grid_rows: list[list]) -> list:
-    return [item for row in grid_rows for item in row]
+            fh.write(text)
 
 
 def _gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float) -> np.ndarray:
@@ -300,72 +275,72 @@ def _gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float
     return verification.exclusion_mask(locus, margin=3)
 
 
-def _max_constraint(results, excluded: np.ndarray) -> float:
+def _max_constraint(dressed: DressedGrid, excluded: np.ndarray) -> float:
     """Max membership-residual component over the points not excluded."""
-    worst = 0.0
-    for res, skip in zip(_flat(results), excluded.flat):
-        if not skip:
-            worst = max(worst, res.residuals["quadratic"],
-                        res.residuals["hermiticity"], res.residuals["unit_det"])
-    return worst
+    keep = ~excluded.ravel()
+    parts = [dressed.residuals[key][keep] for key in ("quadratic", "hermiticity", "unit_det")]
+    return float(np.fmax.reduce(np.concatenate(parts), initial=0.0))
 
 
-def run_sweep(cfg: RunConfig, audit_chi: bool = True):
-    """Dress the configured grid in row-major order; returns the rows of
-    DressedPoints and the gate-exclusion mask."""
-    results = dressing.dress_grid(cfg.solitons, cfg.grid.point_rows(), audit_chi=audit_chi)
-    singular = np.array([[res.singular for res in row] for row in results])
-    det_a = np.array([[res.det_a for res in row] for row in results])
-    return results, _gate_exclusion(singular, det_a, cfg.solitons.tolerances.singular_tol)
+def _vacuous(excluded: np.ndarray) -> str:
+    """The summary's note when the exit gate is left with no point."""
+    return (f"; gate vacuous: all {excluded.size} points singular or within 3 cells of the "
+            "singular locus") if excluded.all() else ""
 
 
-def _write_sweep(cfg: RunConfig, results, meta: dict,
-                 oracle_columns: tuple[str, ...] = (), oracle_rows=None) -> list[list[float]]:
-    """Write one row per dressed point, with the requested fields and the
-    finite-difference residuals on Weyl grids of at least 3x3 points;
-    returns the Ernst values written, one list per point in row-major order
-    (none without the ernst field)."""
+def run_sweep(cfg: RunConfig, audit_chi: bool = True) -> tuple[DressedGrid, np.ndarray]:
+    """Dress the configured grid in row-major order; returns the dressed
+    arrays and the gate-exclusion mask over the grid."""
+    x = cfg.grid.coordinates()
+    dressed = dressing.dress(cfg.solitons, x.rho, x.z, audit_chi=audit_chi)
+    excluded = _gate_exclusion(dressed.singular.reshape(x.rho.shape),
+                               dressed.det_a.reshape(x.rho.shape),
+                               cfg.solitons.tolerances.singular_tol)
+    return dressed, excluded
+
+
+def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict,
+                 oracle_columns: tuple[str, ...] = (), oracle: tuple = ()):
+    """Write one row per dressed point: the requested fields, finite-difference
+    residuals on Weyl grids of at least 3x3 points, and the oracle columns.
+    Returns the Ernst values written (None without the ernst field)."""
     sig = cfg.solitons.signature
     a1, a2 = cfg.grid.axis_values()
-    hodge = np.full((2, len(a1), len(a2)), math.nan)
-    if "residuals" in cfg.fields and cfg.grid.coords == "weyl" \
-            and len(a1) >= 3 and len(a2) >= 3:
-        hodge = verification.hodge_residual(verification.FieldGrid.from_results(a1, a2, results))
-    rows, ernst = [], []
-    for i, row in enumerate(results):
-        for j, res in enumerate(row):
-            out: list[float] = [res.x.rho, res.x.z]
-            if cfg.grid.coords == "boyer-lindquist":
-                out += [float(a1[i]), float(a2[j])]
-            if "q" in cfg.fields:
-                out += _q_cells(res.q, sig.n)
-            if "detA" in cfg.fields:
-                out += [res.det_a.real, res.det_a.imag]
-            if "residuals" in cfg.fields:
-                out += [res.residuals["symspace"], float(hodge[0][i, j]), float(hodge[1][i, j])]
-            out += [1.0 if res.singular else 0.0]
-            if "ernst" in cfg.fields:
-                ernst.append(_ernst_values(res.q, sig))
-                out += ernst[-1]
-            if oracle_rows is not None:
-                out += oracle_rows[i][j]
-            rows.append(out)
+    cols = [dressed.rho, dressed.z]
+    if cfg.grid.coords == "boyer-lindquist":
+        cols += [np.repeat(a1, len(a2)), np.tile(a2, len(a1))]
+    if "q" in cfg.fields:
+        cols.append(dressed.q.reshape(len(dressed.q), -1).view(float))
+    if "detA" in cfg.fields:
+        cols += [dressed.det_a.real, dressed.det_a.imag]
+    if "residuals" in cfg.fields:
+        hodge = np.full((2, len(a1) * len(a2)), math.nan)
+        if cfg.grid.coords == "weyl" and len(a1) >= 3 and len(a2) >= 3:
+            field = verification.FieldGrid.from_results(a1, a2, dressed)
+            hodge = np.reshape(verification.hodge_residual(field), hodge.shape)
+        cols += [dressed.residuals["symspace"], *hodge]
+    cols.append(dressed.singular)
+    ernst = None
+    if "ernst" in cfg.fields and sig.n == 2:
+        ernst = targets.ernst_g11(dressed.q)
+        cols += [ernst.x, ernst.y]
+    elif "ernst" in cfg.fields:
+        ernst = targets.ernst_g21(dressed.q)
+        cols += [ernst.E.real, ernst.E.imag, ernst.Phi.real, ernst.Phi.imag]
     columns = _columns(sig, cfg.grid.coords, cfg.fields, oracle_columns)
-    _write_output(cfg.path, cfg.format, columns, rows, meta)
+    _write_output(cfg.path, cfg.format, columns, np.column_stack(cols + list(oracle)), meta)
     return ernst
 
 
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
-    results, excluded = run_sweep(cfg)
+    dressed, excluded = run_sweep(cfg)
     sig = cfg.solitons.signature
-    _write_sweep(cfg, results, {"target": {"p": sig.p, "q": sig.q_minus},
+    _write_sweep(cfg, dressed, {"target": {"p": sig.p, "q": sig.q_minus},
                                 "coords": cfg.grid.coords})
-    worst = _max_constraint(results, excluded)
-    n_sing = sum(res.singular for row in results for res in row)
-    print(f"dressed {sum(len(r) for r in results)} points "
-          f"({n_sing} singular); max gated constraint residual {worst:.3e}",
-          file=sys.stderr)
+    worst = _max_constraint(dressed, excluded)
+    print(f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular); "
+          f"max gated constraint residual {worst:.3e}{_vacuous(excluded)}", file=sys.stderr)
     return EXIT_OK if worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
 
 
@@ -373,10 +348,11 @@ def run_dress(cfg: RunConfig) -> int:
 # presets
 # ---------------------------------------------------------------------------
 
-def _rel_err(value: float | complex, ref: float | complex) -> float:
-    if ref == 0:
-        return abs(value - ref)
-    return abs(value - ref) / abs(ref)
+def _rel_err(value, ref) -> np.ndarray:
+    """|value - ref| / |ref| (|value - ref| where ref = 0), |.| by hypot."""
+    diff = np.subtract(value, ref)
+    scale = np.hypot(np.real(ref), np.imag(ref))
+    return np.hypot(diff.real, diff.imag) / np.where(scale == 0, 1.0, scale)
 
 
 def _default_bl_grid(m: float, counts: tuple[int, int] = (40, 40)) -> GridSpec:
@@ -393,12 +369,11 @@ def kerr_run_config(m: float, s: float, grid: GridSpec | None = None,
                      fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
 
 
-def _kerr_oracle_rows(m: float, s: float, grid: GridSpec) -> list[list[list[float]]]:
-    """Closed-form Kerr potentials (x, y) at every grid point."""
-    a_spin = math.sqrt(m * m + s * s)
+def _kerr_oracle(m: float, s: float, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Kerr potentials x, y at every grid point, row-major."""
     a1, a2 = grid.axis_values()
-    oracle = [[targets.kerr_oracle(m, a_spin, float(r), float(th)) for th in a2] for r in a1]
-    return [[[o.x, o.y] for o in row] for row in oracle]
+    o = targets.kerr_oracle(m, math.sqrt(m * m + s * s), a1[:, None], a2[None, :])
+    return o.x.ravel(), o.y.ravel()
 
 
 def run_preset_kerr(m: float, s: float, grid: GridSpec | None = None,
@@ -409,56 +384,55 @@ def run_preset_kerr(m: float, s: float, grid: GridSpec | None = None,
         print("kerr preset needs s > 0 and m >= 0", file=sys.stderr)
         return EXIT_CONFIG
     cfg = kerr_run_config(m, s, grid, path, fmt)
-    results, excluded = run_sweep(cfg)
-    oracle = _kerr_oracle_rows(m, s, cfg.grid)
+    dressed, excluded = run_sweep(cfg)
+    ox, oy = _kerr_oracle(m, s, cfg.grid)
     meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
             "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
-    ernst = _write_sweep(cfg, results, meta, ("oracle_x", "oracle_y"), oracle)
+    e = _write_sweep(cfg, dressed, meta, ("oracle_x", "oracle_y"), (ox, oy))
     # compare the potential pair as one complex number, robust where a
     # single component passes through zero; a NaN fails the gate
-    worst = float(np.max([_rel_err(complex(*e), complex(*o)) for e, o, skip in
-                          zip(ernst, _flat(oracle), excluded.flat) if not skip],
-                         initial=0.0))
-    gate = _max_constraint(results, excluded)
+    err = _rel_err(e.x + 1j * e.y, ox + 1j * oy)
+    worst = float(np.max(err[~excluded.ravel()], initial=0.0))
+    gate = _max_constraint(dressed, excluded)
     print(f"kerr m={m} s={s}: max relative Ernst error {worst:.3e}; "
-          f"max gated constraint residual {gate:.3e}", file=sys.stderr)
+          f"max gated constraint residual {gate:.3e}{_vacuous(excluded)}", file=sys.stderr)
     ok = worst <= 1e-9 and gate <= cfg.solitons.tolerances.constraint_tol
     return EXIT_OK if ok else EXIT_GATE
 
 
-def _kn_sweep(bl: targets.BLParams,
-              grid: GridSpec) -> tuple[list[list[float]], float, float]:
+def _kn_sweep(bl: targets.BLParams, grid: GridSpec) -> tuple[np.ndarray, float, float]:
     """Evaluate the closed-form one-soliton family with the Kerr-Newman
     identification over the (r, theta) axes of a Boyer-Lindquist grid.
 
-    Returns the output rows and the maximum relative errors of E and of Phi
+    Returns the output table and the maximum relative errors of E and of Phi
     against the closed form.
     """
     fam = targets.kn_family_params(bl)
+    family = ("a_param", "b_param", "n1", "n2", "n3", "n4")
     a1, a2 = grid.axis_values()
-    worst_e = worst_phi = 0.0
-    rows = []
-    for r in map(float, a1):
-        for th in map(float, a2):
-            x = targets.bl_to_weyl(r, th, bl)
-            try:
-                q = targets.g21_soliton_family(fam["a_param"], fam["b_param"],
-                                               fam["n1"], fam["n2"], fam["n3"], fam["n4"],
-                                               bl, r, th)
-                ext = targets.ernst_g21(q, normalize=True)
-            except VestureError:
-                q = ext = None
-            o = targets.kn_oracle(bl.m, bl.e, fam["oracle_a"], r, th)
-            out = [x.rho, x.z, r, th] + _q_cells(q, 3) + [1.0 if ext is None else 0.0]
-            if ext is not None:
-                out += [ext.E.real, ext.E.imag, ext.Phi.real, ext.Phi.imag]
-                worst_e = max(worst_e, _rel_err(ext.E, o.E))
-                if bl.e != 0:
-                    worst_phi = max(worst_phi, _rel_err(ext.Phi, o.Phi))
-            else:
-                out += [math.nan] * 4
-            rows.append(out + [o.E.real, o.E.imag, o.Phi.real, o.Phi.imag])
-    return rows, worst_e, worst_phi
+    x = targets.bl_to_weyl(a1[:, None], a2[None, :], bl)
+    r, th = np.repeat(a1, len(a2)), np.tile(a2, len(a1))
+    q = np.full((len(r), 3, 3), complex(math.nan, math.nan))
+    unit, oracle = q.copy(), []
+    for k, (r_k, th_k) in enumerate(zip(r.tolist(), th.tolist())):
+        try:
+            q[k] = targets.g21_soliton_family(*(fam[key] for key in family), bl, r_k, th_k)
+            unit[k] = dressing.normalize_det(q[k])[0]
+        except VestureError:
+            pass
+        o = targets.kn_oracle(bl.m, bl.e, fam["oracle_a"], r_k, th_k)
+        oracle.append((o.E, o.Phi))
+    ext = targets.ernst_g21(unit)
+    singular = np.isnan(ext.x)
+    q[singular] = complex(math.nan, math.nan)
+    o_e, o_phi = np.array(oracle).T
+    table = np.column_stack([x.rho.ravel(), x.z.ravel(), r, th, q.reshape(len(r), -1).view(float),
+                             singular, ext.E.real, ext.E.imag, ext.Phi.real, ext.Phi.imag,
+                             o_e.real, o_e.imag, o_phi.real, o_phi.imag])
+    worst_e = float(np.fmax.reduce(_rel_err(ext.E, o_e)[~singular], initial=0.0))
+    worst_phi = float(np.fmax.reduce(_rel_err(ext.Phi, o_phi)[~singular], initial=0.0)) \
+        if bl.e != 0 else 0.0
+    return table, worst_e, worst_phi
 
 
 def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
@@ -471,13 +445,13 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
     at 1e-9.
     """
     bl = targets.BLParams(m=m, s=s, e=e)
-    rows, worst_e, worst_phi = _kn_sweep(bl, grid or _default_bl_grid(m))
+    table, worst_e, worst_phi = _kn_sweep(bl, grid or _default_bl_grid(m))
     meta = {"preset": "kerr-newman", "m": m, "e": e, "s": s,
             "oracle_a": targets.kn_family_params(bl)["oracle_a"],
             "target": {"p": 2, "q": 1}, "coords": "boyer-lindquist"}
     cols = _columns(targets.SIG_21, "boyer-lindquist", ("q", "ernst"),
                     ("oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"))
-    _write_output(path, fmt, cols, rows, meta)
+    _write_output(path, fmt, cols, table, meta)
     worst = max(worst_e, worst_phi)
     print(f"kerr-newman m={m} e={e} s={s}: max relative error {worst:.3e} "
           f"(E {worst_e:.3e}, Phi {worst_phi:.3e})",
@@ -489,8 +463,10 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec | None = None,
 # verify
 # ---------------------------------------------------------------------------
 
-def _load_table(path: str) -> tuple[list[str], np.ndarray]:
-    """Columns and rows (one float array) of a stored CSV or JSON output."""
+def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
+    """Columns, rows (one float array) and the stored signature (p, q) of
+    an output; (None, None) when it has none, as in a CSV."""
+    stored = (None, None)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             head = fh.read(1)
@@ -498,6 +474,8 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray]:
             if head == "{":
                 doc = json.load(fh)
                 cols, raw = doc["columns"], doc["rows"]
+                target = doc.get("meta", {}).get("target")
+                stored = stored if target is None else (int(target["p"]), int(target["q"]))
             else:
                 reader = csv.reader(fh)
                 cols, raw = next(reader), list(reader)
@@ -506,13 +484,13 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray]:
             raise ConfigError(f"{path}: empty file") from None
         except KeyError as exc:
             raise ConfigError(f"{path}: JSON output has no {exc} entry") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"{path}: not a table of numbers: {exc}") from None
     for k, row in enumerate(rows):
         if len(row) != len(cols):
             raise ConfigError(f"{path}: row {k + 1} has {len(row)} cells "
                               f"for {len(cols)} columns")
-    return list(cols), np.array(rows, dtype=float).reshape(len(rows), len(cols))
+    return list(cols), np.array(rows, dtype=float).reshape(len(rows), len(cols)), stored
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -539,8 +517,13 @@ def _read_lattice(data: np.ndarray, idx: dict[str, int]):
 
 def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
                 constraint_tol: float = 1e-9) -> int:
-    """Recompute membership residuals from the stored q of an output file."""
-    cols, data = _load_table(path)
+    """Recompute membership residuals from the stored q of an output file.
+
+    The signature is p, q_minus when given, else the one a JSON output
+    stores. A CSV with n <= 3 needs neither: (n-1, 1) and (1, n-1) give the
+    same residuals.
+    """
+    cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
     if not q_cols:
         print("file has no q columns to verify", file=sys.stderr)
@@ -552,7 +535,11 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
                                    for c in cells for part in ("re", "im")):
         print("q columns do not form a square matrix", file=sys.stderr)
         return EXIT_CONFIG
-    sig = Signature(p if p is not None else n - 1, q_minus if q_minus is not None else 1)
+    p, q_minus = stored[0] if p is None else p, stored[1] if q_minus is None else q_minus
+    if n >= 4 and None in (p, q_minus):
+        print(f"{n}x{n} q columns do not fix the signature: pass --p and --q", file=sys.stderr)
+        return EXIT_CONFIG
+    sig = Signature(n - 1 if p is None else p, 1 if q_minus is None else q_minus)
     if sig.n != n:
         print(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data",
               file=sys.stderr)
@@ -746,17 +733,10 @@ def _suite_invariance() -> tuple[bool, str]:
 
 def _suite_chi() -> tuple[bool, str]:
     rng = np.random.default_rng(606)
-    cfg = targets.kerr_config(1.0, 1.0)
-    worst = 0.0
-    audited = 0
-    while audited < 20:
-        x = DomainPoint(rho=0.5 + 4 * rng.random(), z=3 * rng.normal())
-        res = dressing.dress_point(cfg, x, audit_chi=True)
-        if res.singular:
-            continue
-        worst = max(worst, res.residuals["chi_reality"], res.residuals["chi_involution"])
-        audited += 1
-    return worst <= 1e-9, f"max audit residual {worst:.2e}"
+    dressed = dressing.dress(targets.kerr_config(1.0, 1.0), 0.5 + 4 * rng.random(20),
+                             3 * rng.normal(size=20))
+    worst = float(np.max([dressed.residuals["chi_reality"], dressed.residuals["chi_involution"]]))
+    return worst <= 1e-9, f"max audit residual {worst:.2e} over 20 points"
 
 
 def _suite_kerr() -> tuple[bool, str]:
@@ -764,14 +744,13 @@ def _suite_kerr() -> tuple[bool, str]:
     worst_c = 0.0
     for m, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3)):
         cfg = kerr_run_config(m, s)
-        results, _ = run_sweep(cfg, audit_chi=False)
-        oracle = _kerr_oracle_rows(m, s, cfg.grid)
-        for res, (ox, oy) in zip(_flat(results), _flat(oracle)):
-            if not res.singular:
-                e = targets.ernst_g11(res.q)
-                worst = max(worst, _rel_err(e.x, ox), _rel_err(e.y, oy))
-        singular = np.array([[res.singular for res in row] for row in results])
-        worst_c = max(worst_c, _max_constraint(results, singular))
+        dressed, _ = run_sweep(cfg, audit_chi=False)
+        ox, oy = _kerr_oracle(m, s, cfg.grid)
+        e = targets.ernst_g11(dressed.q)
+        err = np.concatenate([_rel_err(e.x, ox), _rel_err(e.y, oy)])
+        worst = max(worst, float(np.fmax.reduce(err[~np.tile(dressed.singular, 2)],
+                                                initial=0.0)))
+        worst_c = max(worst_c, _max_constraint(dressed, dressed.singular))
     ok = worst <= 1e-9 and worst_c <= 1e-9
     return ok, f"max oracle error {worst:.2e}, max constraint {worst_c:.2e}"
 
@@ -786,9 +765,9 @@ def _kerr_field(m: float, s: float, box, h: float) -> verification.FieldGrid:
     rho0, rho1, z0, z1 = box
     grid = GridSpec(coords="weyl", axis1=(rho0, rho1, round((rho1 - rho0) / h) + 1),
                     axis2=(z0, z1, round((z1 - z0) / h) + 1))
-    results, _ = run_sweep(RunConfig(solitons=targets.kerr_config(m, s), grid=grid),
+    dressed, _ = run_sweep(RunConfig(solitons=targets.kerr_config(m, s), grid=grid),
                            audit_chi=False)
-    return verification.FieldGrid.from_results(*grid.axis_values(), results)
+    return verification.FieldGrid.from_results(*grid.axis_values(), dressed)
 
 
 def _suite_convergence() -> tuple[bool, str]:
@@ -807,12 +786,10 @@ def _suite_convergence() -> tuple[bool, str]:
 
 
 def _suite_flat() -> tuple[bool, str]:
-    results, _ = run_sweep(kerr_run_config(0.0, 1.0, _default_bl_grid(0.0, (12, 12))),
+    dressed, _ = run_sweep(kerr_run_config(0.0, 1.0, _default_bl_grid(0.0, (12, 12))),
                            audit_chi=False)
-    worst = 0.0
-    for res in _flat(results):
-        e = targets.ernst_g11(res.q)
-        worst = max(worst, abs(e.x - 1.0), abs(e.y))
+    e = targets.ernst_g11(dressed.q)
+    worst = float(np.max(np.abs([e.x - 1.0, e.y])))
     return worst <= 1e-12, f"max |(x,y)-(1,0)| {worst:.2e}"
 
 

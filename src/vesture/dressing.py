@@ -9,13 +9,14 @@ chi(lam) = I + sum_k R_k / (lam - lam_k). Pole pairs are deck-related
 builds the symmetry conditions chi(inf) = I, tau(chi(conj lam)) = chi(lam)
 and the deck involution into the ansatz.
 
-A grid of P points is dressed as one array pipeline: pole pairs as (P, 2N)
-arrays, one (P, 2N, 2N) solve, and the chi audits at (P, 8) samples. For a
-constant seed the paired vectors, psi0^{-1}, the Gram numerators and B are
-computed once and broadcast; other seeds give them a leading P axis. A
-point that fails a check is recorded with the exception the single-point
-stages raise for it, the first in pipeline order, and becomes a flagged
-DressedPoint. The single-point functions below are batches of one.
+P points (rho, z arrays) are dressed as one array pipeline into a
+DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
+chi audits at (P, 8) samples. For a constant seed the paired vectors,
+psi0^{-1}, the Gram numerators and B are computed once and broadcast; other
+seeds give them a leading P axis. A point that fails a check is flagged with
+the exception the single-point stages raise for it, the first in pipeline
+order, as its note. DressedPoints are a per-point view of that result, and
+the single-point functions below are batches of one.
 """
 from __future__ import annotations
 
@@ -116,6 +117,23 @@ class SpectralData:
 
 
 @dataclass
+class DressedGrid:
+    """P dressed points as (P, ...) arrays in input order: q is NaN where
+    has_q is False, det A where the system was not built; residuals holds
+    one column per entry of a DressedPoint's record, and notes the reason
+    for each singular point, by index."""
+
+    rho: np.ndarray
+    z: np.ndarray
+    q: np.ndarray
+    has_q: np.ndarray
+    det_a: np.ndarray
+    residuals: dict[str, np.ndarray]
+    singular: np.ndarray
+    notes: dict[int, str]
+
+
+@dataclass
 class DressedPoint:
     """One dressed grid point: the map (None when singular), det A, the
     membership/symmetry residual record, and the singular flag."""
@@ -154,7 +172,7 @@ def _pick(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return arr[idx] if len(arr) > 1 else arr
 
 
-def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z: np.ndarray,
+def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
               swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
     """Pole pairs, paired vectors and the seed at every point (coordinates
     rho, z); returns the spectral data and q0. A constant seed is evaluated
@@ -164,12 +182,16 @@ def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z:
     n_sol, n = cfg.n_solitons, cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
-    size = len(points)
-    at = points[:1] if cfg.seed.constant else points
+    size = len(rho)
+
+    def point(i: int) -> DomainPoint:
+        return DomainPoint(rho=float(rho[i]), z=float(z[i]))
+
+    at = [point(0)] if cfg.seed.constant else [point(i) for i in range(size)]
     q0 = np.array([algebra.as_matrix(cfg.seed.q0_eval(x), n) for x in at])
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
     fails.flag(branch.any(axis=-1), lambda i: SingularPointError(
-        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {points[i]!r}"))
+        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {point(i)!r}"))
     g = algebra.gamma(cfg.signature)
     vecs = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
     partners = (q0[:, None] @ (g @ vecs[..., None]))[..., 0]
@@ -186,8 +208,8 @@ def _spectral(cfg: SolitonConfig, points: list[DomainPoint], rho: np.ndarray, z:
                       else eye for lam in lambdas[p]]
                      for p, x in enumerate(at)]).reshape(len(at), 2 * n_sol, n, n)
     if cfg.seed.constant and not (
-            np.array_equal(cfg.seed.q0_eval(points[-1]), q0[0])
-            and all(np.array_equal(cfg.seed.psi0_eval(lam, points[-1]), psi0[0, 0])
+            np.array_equal(cfg.seed.q0_eval(point(size - 1)), q0[0])
+            and all(np.array_equal(cfg.seed.psi0_eval(lam, point(size - 1)), psi0[0, 0])
                     for lam in lambdas[-1, -1:])):
         raise SeedError("seed marked constant varies with x or lam")
     cap = cfg.tolerances.condition_cap
@@ -385,7 +407,7 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
     relabels selected pole pairs, which leaves the dressed map invariant.
     """
     fails = _Failures(1)
-    sd, _ = _spectral(cfg, [x], np.array([x.rho]), np.array([x.z]), swap, fails)
+    sd, _ = _spectral(cfg, np.array([x.rho]), np.array([x.z]), swap, fails)
     fails.raise_first()
     return SpectralData(lambdas=sd.lambdas[0], vs=sd.vs[0], psi0=sd.psi0[0],
                         psi0_inv=sd.psi0_inv[0])
@@ -472,40 +494,38 @@ def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
     k, the sum running over the N input vectors only (the deck-paired
     columns decay at infinity and need no condition).
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    for k, vk in enumerate(vecs):
-        diag = abs(vk.conj() @ gamma_mat @ vk)
-        off = sum(abs(vk.conj() @ gamma_mat @ vj) for j, vj in enumerate(vecs) if j != k)
-        if not off < 0.5 * diag:
-            return False
-    return True
-
-
-_NAN_RESIDUALS = {
-    "quadratic": math.nan, "hermiticity": math.nan, "unit_det": math.nan,
-    "symspace": math.nan, "chi_reality": math.nan, "chi_involution": math.nan,
-    "det_branch_warning": 0.0,
-}
+    vecs = np.array(vectors, dtype=complex).reshape(len(vectors), len(gamma_mat))
+    gram = np.abs(vecs.conj() @ gamma_mat @ vecs.T)
+    off = np.where(np.eye(len(vecs), dtype=bool), 0.0, gram).sum(axis=-1)
+    return bool(np.all(off < 0.5 * np.diagonal(gram)))
 
 
 # ---------------------------------------------------------------------------
 # the grid
 # ---------------------------------------------------------------------------
 
-def _dress(cfg: SolitonConfig, points: list[DomainPoint], audit_chi: bool,
-           swap: tuple[bool, ...] | None = None) -> list[DressedPoint]:
-    """Dress the points as one batch; singular points become flagged data
-    rather than failures. Configuration errors still raise."""
-    size, n_sol, tol = len(points), cfg.n_solitons, cfg.tolerances
+#: the residual record of a dressed point, in order
+_RESIDUALS = ("quadratic", "hermiticity", "unit_det", "symspace", "chi_reality",
+              "chi_involution", "det_branch_warning")
+
+
+def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
+          swap: tuple[bool, ...] | None = None) -> DressedGrid:
+    """Dress the points (rho, z), two arrays of one shape, in row-major order
+    as one batch; singular points become flagged data rather than failures.
+    Configuration errors still raise."""
+    rho, z = (np.asarray(v, dtype=float).ravel() for v in (rho, z))
+    DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
+    size, n_sol, tol, n = len(rho), cfg.n_solitons, cfg.tolerances, cfg.signature.n
     if size == 0:
-        return []
+        none = np.zeros(0, dtype=bool)
+        return DressedGrid(rho, z, np.zeros((0, n, n), complex), none, rho.astype(complex),
+                           dict.fromkeys(_RESIDUALS, rho), none, {})
     g = algebra.gamma(cfg.signature)
-    rho = np.array([x.rho for x in points], dtype=float)
-    z = np.array([x.z for x in points], dtype=float)
     fails = _Failures(size)
-    sd, q0 = _spectral(cfg, points, rho, z, swap, fails)
+    sd, q0 = _spectral(cfg, rho, z, swap, fails)
     det_a = np.full(size, 1.0 if n_sol == 0 else math.nan, dtype=complex)
-    u_star = np.zeros((size, 0, cfg.signature.n), dtype=complex)
+    u_star = np.zeros((size, 0, n), dtype=complex)
     if n_sol:
         a, b_star = _system(sd, g, fails)
         built = fails.ok.copy()
@@ -513,38 +533,35 @@ def _dress(cfg: SolitonConfig, points: list[DomainPoint], audit_chi: bool,
         det_a[built] = det[built]
     res = _residues(u_star.conj().swapaxes(-1, -2), sd)
     q, warn = _normalize(_reconstruct(res, sd.lambdas, q0, fails), tol.constraint_tol, fails)
-    solved = fails.ok.copy()
+    has_q = fails.ok.copy()
     quad, herm, det_dev = algebra.symspace_components(q, g)
     reality = np.full(size, 0.0 if n_sol == 0 else math.nan)
     involution = reality.copy()
     if audit_chi and n_sol:
-        idx = np.flatnonzero(solved)
+        idx = np.flatnonzero(has_q)
         reality[idx], involution[idx] = _audit(
             res[idx], sd.lambdas[idx], q[idx], _pick(q0, idx), g, rho[idx], tol.condition_cap,
             fails, at=idx)
         reality[~fails.ok] = involution[~fails.ok] = math.nan
-    out = []
-    columns = zip(points, fails.error, solved.tolist(), q, det_a.tolist(), quad.tolist(),
-                  herm.tolist(), det_dev.tolist(), warn.tolist(), reality.tolist(),
-                  involution.tolist())
-    for x, err, has_q, q_i, d, qu, he, de, wa, re, inv in columns:
-        if not has_q:
-            out.append(DressedPoint(x=x, q=None, det_a=d, residuals=dict(_NAN_RESIDUALS),
-                                    singular=True, note=str(err)))
-            continue
-        residuals = {
-            "quadratic": qu,
-            "hermiticity": he,
-            "unit_det": de,
-            "symspace": qu + he + de,
-            "chi_reality": re,
-            "chi_involution": inv,
-            "det_branch_warning": 1.0 if wa else 0.0,
-        }
-        out.append(DressedPoint(x=x, q=q_i, det_a=d, residuals=residuals,
-                                singular=err is not None,
-                                note="" if err is None else f"chi audit failed: {err}"))
-    return out
+    lost = ~has_q
+    q[lost] = complex(math.nan, math.nan)
+    columns = (quad, herm, det_dev, quad + herm + det_dev, reality, involution)
+    residuals = {key: np.where(lost, math.nan, col) for key, col in zip(_RESIDUALS, columns)}
+    residuals["det_branch_warning"] = np.where(warn & has_q, 1.0, 0.0)
+    notes = {int(i): str(fails.error[i]) if lost[i] else f"chi audit failed: {fails.error[i]}"
+             for i in np.flatnonzero(~fails.ok)}
+    return DressedGrid(rho, z, q, has_q, det_a, residuals, ~fails.ok, notes)
+
+
+def _view(dressed: DressedGrid, points: list[DomainPoint]) -> list[DressedPoint]:
+    """The per-point DressedPoint view of a dressed batch."""
+    records = zip(*(dressed.residuals[key].tolist() for key in _RESIDUALS))
+    columns = zip(points, dressed.has_q.tolist(), dressed.det_a.tolist(), records,
+                  dressed.singular.tolist())
+    return [DressedPoint(x=x, q=dressed.q[i] if has_q else None, det_a=d,
+                         residuals=dict(zip(_RESIDUALS, record)), singular=singular,
+                         note=dressed.notes.get(i, ""))
+            for i, (x, has_q, d, record, singular) in enumerate(columns)]
 
 
 def dress_point(cfg: SolitonConfig, x: DomainPoint,
@@ -553,12 +570,13 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
     """Run the full pipeline at one point, a batch of one; singular points
     become flagged data rather than failures. Configuration errors still
     raise."""
-    return _dress(cfg, [x], audit_chi, swap)[0]
+    return _view(dress(cfg, [x.rho], [x.z], audit_chi, swap), [x])[0]
 
 
 def dress_grid(cfg: SolitonConfig, points: list[list[DomainPoint]],
                audit_chi: bool = True) -> list[list[DressedPoint]]:
     """Dress a grid of points (rows of DomainPoints) in row-major order, as
     one batch."""
-    flat = iter(_dress(cfg, [x for row in points for x in row], audit_chi))
-    return [[next(flat) for _ in row] for row in points]
+    flat = [x for row in points for x in row]
+    view = iter(_view(dress(cfg, [x.rho for x in flat], [x.z for x in flat], audit_chi), flat))
+    return [[next(view) for _ in row] for row in points]

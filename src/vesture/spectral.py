@@ -22,13 +22,14 @@ BRANCH_EXCLUSION = 1e-12
 
 @dataclass(frozen=True)
 class DomainPoint:
-    """Weyl half-plane point; rho is strictly positive (axis excluded)."""
+    """Weyl half-plane point, or a batch of points as arrays of one shape;
+    rho is strictly positive (axis excluded)."""
 
-    rho: float
-    z: float
+    rho: float | np.ndarray
+    z: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0) or not np.isfinite(self.rho) or not np.isfinite(self.z):
+        if not np.all((self.rho > 0.0) & np.isfinite(self.rho) & np.isfinite(self.z)):
             raise DomainError(f"domain point needs rho > 0 and finite coords, got {self!r}")
 
 

@@ -32,7 +32,8 @@ GAMMA_TILDE = np.array([[0, 0, -1j], [0, 1, 0], [1j, 0, 0]], dtype=complex)
 
 @dataclass(frozen=True)
 class ErnstValue11:
-    """Real Ernst pair: x the Killing-field norm, y the twist potential."""
+    """Real Ernst pair: x the Killing-field norm, y the twist potential;
+    (P,) arrays for a stack of points."""
 
     x: float
     y: float
@@ -43,7 +44,8 @@ class ErnstValue21:
     """Complex Ernst pair (E, Phi) with the real parts reported alongside.
 
     E = x + |Phi|^2 + i y; ``consistency`` is the extraction self-check
-    Im(qt_31 / qt_33) + |Phi|^2, reported rather than enforced.
+    Im(qt_31 / qt_33) + |Phi|^2, reported rather than enforced. (P,) arrays
+    for a stack of points.
     """
 
     E: complex
@@ -66,13 +68,30 @@ class BLParams:
             raise ConfigError(f"pole height s must be positive, got {self.s}")
 
 
-def bl_to_weyl(r: float, theta: float, p: BLParams) -> DomainPoint:
+def bl_to_weyl(r, theta, p: BLParams) -> DomainPoint:
     """Oblate-spheroidal to Weyl coordinates:
-    rho = sqrt((r-m)^2 + s^2) sin(theta), z = (r-m) cos(theta)."""
-    if not (0.0 < theta < math.pi):
+    rho = sqrt((r-m)^2 + s^2) sin(theta), z = (r-m) cos(theta); r and theta
+    may be arrays, broadcast together. Squares are C pow, as Python's ** on
+    floats, so arrays and floats round alike."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all((0.0 < theta) & (theta < math.pi)):
         raise DomainError(f"theta must lie strictly between 0 and pi, got {theta}")
-    rho = math.sqrt((r - p.m) ** 2 + p.s ** 2) * math.sin(theta)
-    return DomainPoint(rho=rho, z=(r - p.m) * math.cos(theta))
+    d = np.asarray(r, dtype=float) - p.m
+    rho = np.sqrt(np.float_power(d, 2) + np.float_power(p.s, 2)) * np.sin(theta)
+    return DomainPoint(*_values(np.ndim(rho) == 0, rho, d * np.cos(theta)))
+
+
+def _maps(q, n: int) -> tuple[np.ndarray, bool]:
+    """q as an n x n matrix (checked finite) or a (..., n, n) stack (which
+    may hold non-finite maps), and whether it is one matrix."""
+    if np.ndim(q) == 2:
+        return algebra.as_matrix(q, n), True
+    return np.asarray(q, dtype=complex), False
+
+
+def _values(single: bool, *arrays) -> list:
+    """Python scalars for a single point, else the arrays."""
+    return [a.item() for a in arrays] if single else list(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -80,18 +99,26 @@ def bl_to_weyl(r: float, theta: float, p: BLParams) -> DomainPoint:
 # ---------------------------------------------------------------------------
 
 def cayley2(q: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate a 2x2 matrix into the SL(2,R) picture."""
-    q = algebra.as_matrix(q, 2)
-    return CAYLEY_Q2 @ q @ CAYLEY_Q2.conj().T
+    """Conjugate a 2x2 matrix, or each of a (..., 2, 2) stack, into the
+    SL(2,R) picture."""
+    return CAYLEY_Q2 @ _maps(q, 2)[0] @ CAYLEY_Q2.conj().T
 
 
 def ernst_g11(q: ComplexMatrix) -> ErnstValue11:
-    """Extract (x, y) from a dressed 2x2 map: x = 1/q'_22, y = q'_12/q'_22
-    in the Cayley picture."""
+    """Extract (x, y) from a dressed 2x2 map, or from each map of a
+    (..., 2, 2) stack: x = 1/q'_22, y = q'_12/q'_22 in the Cayley picture.
+    One map with q'_22 = 0 raises; in a stack it, and a map that is not
+    finite, gives NaN."""
+    q, single = _maps(q, 2)
     qp = cayley2(q)
-    if qp[1, 1] == 0:
+    bad = qp[..., 1, 1] == 0
+    if single and bad:
         raise SingularPointError("Ernst extraction singular: q'_22 = 0")
-    return ErnstValue11(x=float((1.0 / qp[1, 1]).real), y=float((qp[0, 1] / qp[1, 1]).real))
+    bad |= ~np.isfinite(q).all(axis=(-2, -1))
+    q22 = np.where(bad, 1.0, qp[..., 1, 1])
+    x = np.where(bad, math.nan, (1.0 / q22).real)
+    y = np.where(bad, math.nan, (qp[..., 0, 1] / q22).real)
+    return ErnstValue11(*_values(single, x, y))
 
 
 def ernst_embed_g11(x: float, y: float) -> ComplexMatrix:
@@ -103,14 +130,15 @@ def ernst_embed_g11(x: float, y: float) -> ComplexMatrix:
     return CAYLEY_Q2.conj().T @ qp @ CAYLEY_Q2
 
 
-def kerr_oracle(m: float, a: float, r: float, theta: float) -> ErnstValue11:
-    """Closed-form Kerr potentials in Boyer-Lindquist coordinates."""
-    c = math.cos(theta)
+def kerr_oracle(m: float, a: float, r, theta) -> ErnstValue11:
+    """Closed-form Kerr potentials in Boyer-Lindquist coordinates; r and
+    theta may be arrays, broadcast against each other."""
+    c = np.cos(theta)
     den = r * r + a * a * c * c
-    if den == 0:
+    if np.any(den == 0):
         raise DomainError("Kerr oracle denominator vanishes")
-    return ErnstValue11(x=(r * r - 2.0 * m * r + a * a * c * c) / den,
-                        y=2.0 * m * a * c / den)
+    x = (r * r - 2.0 * m * r + a * a * c * c) / den
+    return ErnstValue11(*_values(np.ndim(x) == 0, x, 2.0 * m * a * c / den))
 
 
 def kerr_params(m: float, s: float) -> tuple[float, float, complex]:
@@ -161,7 +189,8 @@ _U3 = basis_change_u3()
 
 
 def to_tilde_rep(q: ComplexMatrix) -> ComplexMatrix:
-    """Diagonal-metric picture -> antidiagonal-metric picture."""
+    """Diagonal-metric picture -> antidiagonal-metric picture, of a matrix
+    or of each matrix of a stack."""
     return _U3 @ q @ _U3.conj().T
 
 
@@ -170,27 +199,33 @@ def from_tilde_rep(qt: ComplexMatrix) -> ComplexMatrix:
 
 
 def ernst_g21(q: ComplexMatrix, normalize: bool = False) -> ErnstValue21:
-    """Extract (E, Phi) from a 3x3 map given in the diagonal-metric picture.
+    """Extract (E, Phi) from a 3x3 map given in the diagonal-metric picture,
+    or from each map of a (..., 3, 3) stack.
 
     Third-row dictionary in the antidiagonal picture: x = 1 / Re(qt_33),
     Phi = i qt_32 / (sqrt2 qt_33), y = Re(qt_31 / qt_33). The extraction
     uses entry ratios plus the unit-determinant normalization only, so a
     pre-normalized input extracts identically; ``normalize`` applies the
-    determinant rescaling first for inputs that need it.
+    determinant rescaling first to a single map that needs it. One map with
+    Re qt_33 = 0 raises; in a stack it, and a map that is not finite, gives
+    NaN.
     """
-    q = algebra.as_matrix(q, 3)
+    q, single = _maps(q, 3)
     if normalize:
         q, _ = dressing.normalize_det(q)
     qt = to_tilde_rep(q)
-    if abs(qt[2, 2]) == 0 or qt[2, 2].real == 0:
+    bad = qt[..., 2, 2].real == 0
+    if single and bad:
         raise SingularPointError("Ernst extraction singular: qt_33 ~ 0")
-    x = 1.0 / qt[2, 2].real
-    phi = 1j * qt[2, 1] / (math.sqrt(2.0) * qt[2, 2])
-    ratio = qt[2, 0] / qt[2, 2]
-    y = float(ratio.real)
-    consistency = float(ratio.imag + abs(phi) ** 2)
-    return ErnstValue21(E=x + abs(phi) ** 2 + 1j * y, Phi=complex(phi),
-                        x=float(x), y=y, consistency=consistency)
+    bad |= ~np.isfinite(q).all(axis=(-2, -1))
+    q33 = np.where(bad, 1.0, qt[..., 2, 2])
+    x = np.where(bad, math.nan, 1.0 / q33.real)
+    nan = complex(math.nan, math.nan)
+    phi = np.where(bad, nan, 1j * qt[..., 2, 1] / (math.sqrt(2.0) * q33))
+    ratio = np.where(bad, nan, qt[..., 2, 0] / q33)
+    phi2 = np.float_power(np.hypot(phi.real, phi.imag), 2)
+    return ErnstValue21(*_values(single, x + phi2 + 1j * ratio.real, phi, x, ratio.real,
+                                 ratio.imag + phi2))
 
 
 def ptilde_matrix(ernst: complex, phi: complex) -> ComplexMatrix:

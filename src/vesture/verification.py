@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, spectral
-from .dressing import DressedPoint
+from .dressing import DressedGrid
 from .errors import ConfigError
 from .spectral import DomainPoint
 
@@ -61,26 +61,12 @@ class FieldGrid:
         return float(self.zs[1] - self.zs[0])
 
     @classmethod
-    def from_results(cls, rhos, zs, results: list[list[DressedPoint]]) -> "FieldGrid":
-        rhos = np.asarray(rhos, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        n = next((r.q.shape[0] for row in results for r in row if r.q is not None), 1)
-        values = np.full((rhos.size, zs.size, n, n), np.nan, dtype=complex)
-        mask = np.zeros((rhos.size, zs.size), dtype=bool)
-        for i, row in enumerate(results):
-            for j, res in enumerate(row):
-                if res.q is not None and not res.singular:
-                    values[i, j] = res.q
-                    mask[i, j] = True
-        return cls(rhos=rhos, zs=zs, values=values, mask=mask)
-
-
-def _batched_inv_with_holes(field: FieldGrid) -> np.ndarray:
-    n = field.values.shape[-1]
-    filled = np.where(field.mask[..., None, None], field.values, np.eye(n, dtype=complex))
-    inv = np.linalg.inv(filled)
-    inv[~field.mask] = np.nan
-    return inv
+    def from_results(cls, rhos, zs, results: DressedGrid) -> "FieldGrid":
+        """The maps of a lattice dressed in row-major order; its singular
+        points are the holes."""
+        shape = (np.size(rhos), np.size(zs))
+        return cls(rhos=rhos, zs=zs, values=results.q.reshape(shape + results.q.shape[1:]),
+                   mask=~results.singular.reshape(shape))
 
 
 def _grad(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -103,8 +89,9 @@ def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
     """
     if field.rhos.size < 3 or field.zs.size < 3:
         raise ConfigError("hodge residual needs at least 3 grid points per axis")
-    q = np.where(field.mask[..., None, None], field.values, np.nan)
-    qinv = _batched_inv_with_holes(field)
+    hole = ~field.mask[..., None, None]
+    q = np.where(hole, np.nan, field.values)
+    qinv = np.where(hole, np.nan, np.linalg.inv(np.where(hole, np.eye(q.shape[-1]), q)))
     h_rho, h_z = field.h_rho, field.h_z
     w_rho = -np.matmul(_grad(q, h_rho, 0), qinv)
     w_z = -np.matmul(_grad(q, h_z, 1), qinv)
@@ -120,25 +107,19 @@ def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
 def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:
     """True on points at least ``margin`` cells away from the grid boundary."""
     m = np.zeros(shape, dtype=bool)
-    if shape[0] > 2 * margin and shape[1] > 2 * margin:
-        m[margin:shape[0] - margin, margin:shape[1] - margin] = True
+    m[margin:shape[0] - margin, margin:shape[1] - margin] = True
     return m
 
 
 def exclusion_mask(locus: np.ndarray, margin: int = 3) -> np.ndarray:
-    """Dilate a boolean locus mask by a Chebyshev radius (the 3h margin rule)."""
-    out = locus.copy()
-    for di in range(-margin, margin + 1):
-        for dj in range(-margin, margin + 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.zeros_like(locus)
-            src_i = slice(max(0, -di), locus.shape[0] - max(0, di))
-            dst_i = slice(max(0, di), locus.shape[0] - max(0, -di))
-            src_j = slice(max(0, -dj), locus.shape[1] - max(0, dj))
-            dst_j = slice(max(0, dj), locus.shape[1] - max(0, -dj))
-            shifted[dst_i, dst_j] = locus[src_i, src_j]
-            out |= shifted
+    """Dilate a boolean locus mask by a Chebyshev radius (the 3h margin
+    rule): shifts along the rows, then along the columns."""
+    out = np.array(locus, dtype=bool)
+    for view in (out, out.T):
+        src = view.copy()
+        for k in range(1, margin + 1):
+            view[k:] |= src[:-k]
+            view[:-k] |= src[k:]
     return out
 
 
@@ -189,17 +170,10 @@ def convergence_order(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> fl
 
 def constraint_scan(field: FieldGrid, gamma_mat: np.ndarray) -> dict[str, float]:
     """Maxima of the membership-residual components over non-singular points."""
-    out = {"quadratic": 0.0, "hermiticity": 0.0, "unit_det": 0.0, "symspace": 0.0}
-    for i in range(field.rhos.size):
-        for j in range(field.zs.size):
-            if not field.mask[i, j]:
-                continue
-            quad, herm, det_dev = algebra.symspace_components(field.values[i, j], gamma_mat)
-            out["quadratic"] = max(out["quadratic"], quad)
-            out["hermiticity"] = max(out["hermiticity"], herm)
-            out["unit_det"] = max(out["unit_det"], det_dev)
-            out["symspace"] = max(out["symspace"], quad + herm + det_dev)
-    return out
+    quad, herm, det_dev = algebra.symspace_components(field.values[field.mask], gamma_mat)
+    parts = {"quadratic": quad, "hermiticity": herm, "unit_det": det_dev,
+             "symspace": quad + herm + det_dev}
+    return {key: float(np.fmax.reduce(v, initial=0.0)) for key, v in parts.items()}
 
 
 def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
@@ -223,21 +197,14 @@ def singular_locus(det_a: np.ndarray, rhos, zs, tol: float = 1e-12) -> list[Doma
     rhos = np.asarray(rhos, dtype=float)
     zs = np.asarray(zs, dtype=float)
     det_a = np.asarray(det_a, dtype=complex)
-    pts: list[DomainPoint] = []
-    small = np.abs(det_a) < tol
-    for i, j in zip(*np.nonzero(small)):
-        pts.append(DomainPoint(rho=float(rhos[i]), z=float(zs[j])))
-    re = det_a.real
-    finite = np.isfinite(re)
-    for i in range(det_a.shape[0] - 1):
-        for j in range(det_a.shape[1]):
-            if finite[i, j] and finite[i + 1, j] and re[i, j] * re[i + 1, j] < 0:
-                pts.append(DomainPoint(rho=float(0.5 * (rhos[i] + rhos[i + 1])), z=float(zs[j])))
-    for i in range(det_a.shape[0]):
-        for j in range(det_a.shape[1] - 1):
-            if finite[i, j] and finite[i, j + 1] and re[i, j] * re[i, j + 1] < 0:
-                pts.append(DomainPoint(rho=float(rhos[i]), z=float(0.5 * (zs[j] + zs[j + 1]))))
-    return pts
+    re = np.where(np.isfinite(det_a.real), det_a.real, math.nan)
+    small = np.nonzero(np.abs(det_a) < tol)
+    cross_r = np.nonzero(re[:-1] * re[1:] < 0)
+    cross_z = np.nonzero(re[:, :-1] * re[:, 1:] < 0)
+    rho = np.concatenate([rhos[small[0]], 0.5 * (rhos[cross_r[0]] + rhos[cross_r[0] + 1]),
+                          rhos[cross_z[0]]])
+    z = np.concatenate([zs[small[1]], zs[cross_r[1]], 0.5 * (zs[cross_z[1]] + zs[cross_z[1] + 1])])
+    return [DomainPoint(rho=r, z=v) for r, v in zip(rho.tolist(), z.tolist())]
 
 
 def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,

@@ -134,8 +134,8 @@ def _kerr_field_box(h: float):
     rho0, rho1, z0, z1 = 3.2, 5.2, -1.5, 1.5
     rhos = rho0 + h * np.arange(round((rho1 - rho0) / h) + 1)
     zs = z0 + h * np.arange(round((z1 - z0) / h) + 1)
-    rows = [[DomainPoint(rho=float(r), z=float(z)) for z in zs] for r in rhos]
-    results = dressing.dress_grid(cfg, rows, audit_chi=False)
+    rho, z = np.meshgrid(rhos, zs, indexing="ij")
+    results = dressing.dress(cfg, rho, z, audit_chi=False)
     return verification.FieldGrid.from_results(rhos, zs, results)
 
 

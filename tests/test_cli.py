@@ -1,7 +1,10 @@
+import csv
+import io
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from vesture import cli
@@ -199,12 +202,69 @@ def test_presets_leave_the_grid_unchanged(tmp_path):
     assert repr(grid) == before and grid.bl is None
 
 def test_kerr_preset_extracts_each_ernst_value_once(tmp_path, monkeypatch):
-    calls = []
+    # one stacked extraction over the 12 points
+    shapes = []
     ernst = cli.targets.ernst_g11
-    monkeypatch.setattr(cli.targets, "ernst_g11", lambda q: calls.append(1) or ernst(q))
+    monkeypatch.setattr(cli.targets, "ernst_g11", lambda q: shapes.append(q.shape) or ernst(q))
     code = cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "3",
                      "--theta-count", "4", "--out", str(tmp_path / "k.csv")])
-    assert code == cli.EXIT_OK and len(calls) == 12
+    assert code == cli.EXIT_OK and shapes == [(12, 2, 2)]
+
+def test_kerr_preset_on_an_axis_shorter_than_the_margin(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    code = cli.main(["kerr", "--m", "1", "--s", "1", "--r-count", "2", "--theta-count", "8",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK and len(out.read_text().splitlines()) == 1 + 16
+    assert "gate vacuous" not in capsys.readouterr().err
+
+def test_vacuous_gate_is_reported(tmp_path, capsys):
+    # every |det A| is below the singular threshold: all points are flagged
+    doc = minimal_config(tmp_path, tolerances={"singular_tol": 1e300})
+    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    assert capsys.readouterr().err == (
+        "dressed 12 points (12 singular); max gated constraint residual 0.000e+00; "
+        "gate vacuous: all 12 points singular or within 3 cells of the singular locus\n")
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1e308,
+               -1.7976931348623157e308, 1 / 3, 1.0, -2.5]
+
+def test_csv_rows_match_csv_writer(tmp_path):
+    rows = np.array(EDGE_VALUES).reshape(4, 3)
+    columns = ["a", "b", "c"]
+    cli._write_output(str(tmp_path / "o.csv"), "csv", columns, rows, {})
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows.tolist():
+        writer.writerow(f"{v:.17g}" for v in row)
+    assert (tmp_path / "o.csv").read_bytes() == expected.getvalue().encode()
+
+def test_json_output_matches_the_streaming_encoder(tmp_path):
+    rows = np.array(EDGE_VALUES).reshape(6, 2)
+    doc = {"meta": {"preset": "kerr", "m": 1.0}, "columns": ["a", "b"], "rows": rows.tolist()}
+    cli._write_output(str(tmp_path / "o.json"), "json", doc["columns"], rows, doc["meta"])
+    expected = io.StringIO()
+    json.dump(doc, expected)
+    assert (tmp_path / "o.json").read_text() == expected.getvalue() + "\n"
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_does_not_guess_the_signature_for_n4(tmp_path, capsys, fmt):
+    path = str(tmp_path / f"o22.{fmt}")
+    doc = minimal_config(tmp_path, target={"p": 2, "q": 2},
+                         solitons=[{"omega": [0.3, 1.1],
+                                    "v": [[1.0, 0.0], [0.3, 0.2], [0.5, 0.0], [0.2, -0.1]]}],
+                         grid={"coords": "weyl", "rho": [2.0, 3.0, 5], "z": [-0.5, 0.5, 5]})
+    doc["outputs"] = {"fields": ["q", "detA", "residuals"], "path": path, "format": fmt}
+    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    capsys.readouterr()
+    if fmt == "csv":
+        assert cli.main(["verify", path]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "4x4 q columns do not fix the signature: pass --p and --q\n"
+    else:  # the JSON meta carries the target
+        assert cli.main(["verify", path]) == cli.EXIT_OK
+    assert cli.main(["verify", path, "--p", "2", "--q", "2"]) == cli.EXIT_OK
+    assert "constraint residual" in capsys.readouterr().err
 
 def test_verify_rejects_missing_q(tmp_path):
     p = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,28 @@ def test_dress_grid_row_major():
     out = dressing.dress_grid(cfg, rows)
     assert len(out) == 2 and len(out[0]) == 3
     assert out[0][0].x == rows[0][0]
+
+
+def test_dressed_arrays_agree_with_the_point_view():
+    # tight tolerances flag points by det A, the condition cap and the chi audit
+    cfg = targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=0.1, condition_cap=30.0))
+    rhos, zs = np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)
+    rho, z = np.meshgrid(rhos, zs, indexing="ij")
+    dressed = dressing.dress(cfg, rho, z)
+    rows = [[DomainPoint(rho=float(r), z=float(zz)) for zz in zs] for r in rhos]
+    points = [p for row in dressing.dress_grid(cfg, rows) for p in row]
+    assert dressed.rho.tolist() == [p.x.rho for p in points]
+    assert dressed.singular.tolist() == [p.singular for p in points]
+    assert dressed.notes == {i: p.note for i, p in enumerate(points) if p.singular}
+    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system", "chi"}
+    for i, p in enumerate(points):
+        assert dressed.has_q[i] == (p.q is not None)
+        assert np.isnan(dressed.q[i]).all() == (p.q is None)
+        if p.q is not None:
+            assert np.array_equal(dressed.q[i], p.q)
+        assert np.isnan(dressed.det_a[i]) == math.isnan(p.det_a.real)
+        assert {k: math.isnan(v) for k, v in p.residuals.items()} == \
+            {k: bool(np.isnan(col[i])) for k, col in dressed.residuals.items()}
 
 
 def test_solve_residual_above_bound_flags_point_singular(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from vesture import algebra, dressing, seeds, targets, verification
 from vesture.dressing import SolitonConfig
-from vesture.errors import DomainError
+from vesture.errors import DomainError, SingularPointError
 
 from vesture.targets import SIG_11, SIG_21, BLParams
 
@@ -277,3 +277,47 @@ def test_cartan_embed():
         assert algebra.frobenius(q @ gt @ q @ gt - np.eye(3)) < 1e-12
         assert algebra.frobenius(q - q.conj().T) < 1e-12
         assert abs(np.linalg.det(q) - 1) < 1e-12
+
+
+def test_array_coordinates_and_oracle_round_as_single_points():
+    p = BLParams(m=1.1, s=0.7)
+    rs, ths = np.linspace(1.2, 9.0, 13), np.linspace(0.3, 2.8, 11)
+    x = targets.bl_to_weyl(rs[:, None], ths[None, :], p)
+    o = targets.kerr_oracle(1.1, 1.3, rs[:, None], ths[None, :])
+    for i, j in np.ndindex(x.rho.shape):
+        one = targets.bl_to_weyl(float(rs[i]), float(ths[j]), p)
+        assert (x.rho[i, j], x.z[i, j]) == (one.rho, one.z)
+        assert type(one.rho) is float
+        single = targets.kerr_oracle(1.1, 1.3, float(rs[i]), float(ths[j]))
+        assert (o.x[i, j], o.y[i, j]) == (single.x, single.y)
+    with pytest.raises(DomainError):
+        targets.bl_to_weyl(rs, np.full(rs.shape, math.pi), p)
+
+
+def test_stacked_ernst_extraction_matches_single_maps():
+    rng = np.random.default_rng(7)
+    res = [dressing.dress_point(targets.kerr_config(1.0, 1.0),
+                                targets.bl_to_weyl(2.0 + 3 * rng.random(), 0.3 + 2.5 * rng.random(),
+                                                   BLParams(m=1.0, s=1.0)))
+           for _ in range(6)]
+    # a map with q'_22 = 0 and one that is not finite give NaN in a stack
+    zero = np.zeros((2, 2))
+    with pytest.raises(SingularPointError):
+        targets.ernst_g11(zero)
+    q2 = np.array([r.q for r in res] + [zero, np.full((2, 2), np.nan)])
+    e2 = targets.ernst_g11(q2)
+    for k, q in enumerate(q2[:6]):
+        assert (e2.x[k], e2.y[k]) == (targets.ernst_g11(q).x, targets.ernst_g11(q).y)
+    assert np.isnan(e2.x[6:]).all() and np.isnan(e2.y[6:]).all()
+    zero3 = np.zeros((3, 3))
+    with pytest.raises(SingularPointError):
+        targets.ernst_g21(zero3)
+    q3 = np.array([targets.embed_g11_in_g21(r.q) for r in res]
+                  + [zero3, np.full((3, 3), np.nan)])
+    e3 = targets.ernst_g21(q3)
+    for k, q in enumerate(q3[:6]):
+        one = targets.ernst_g21(q)
+        assert (e3.E[k], e3.Phi[k], e3.x[k], e3.y[k], e3.consistency[k]) == \
+            (one.E, one.Phi, one.x, one.y, one.consistency)
+    for field in (e3.E, e3.Phi):
+        assert np.isnan(field[6:].real).all() and np.isnan(field[6:].imag).all()

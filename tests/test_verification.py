@@ -24,9 +24,8 @@ def kerr_field(box, h, m=1.0, s=1.0):
     rho0, rho1, z0, z1 = box
     rhos = rho0 + h * np.arange(round((rho1 - rho0) / h) + 1)
     zs = z0 + h * np.arange(round((z1 - z0) / h) + 1)
-    rows = [[DomainPoint(rho=float(r), z=float(z)) for z in zs] for r in rhos]
-    results = dressing.dress_grid(cfg, rows, audit_chi=False)
-    return FieldGrid.from_results(rhos, zs, results)
+    rho, z = np.meshgrid(rhos, zs, indexing="ij")
+    return FieldGrid.from_results(rhos, zs, dressing.dress(cfg, rho, z, audit_chi=False))
 
 
 def test_grid_validation():
@@ -197,3 +196,17 @@ def test_lambda_flow_residual_richardson():
     # deck-paired root satisfies the same identity
     r_out = verification.lambda_flow_residual(1j, x, 1e-3, outer_root=True)
     assert r_out <= 1e-5
+
+
+def test_exclusion_mask_is_the_chebyshev_dilation():
+    rng = np.random.default_rng(3)
+    for shape in np.ndindex(8, 8):
+        shape = (shape[0] + 1, shape[1] + 1)
+        locus = rng.random(shape) < 0.15
+        for margin in range(6):
+            expected = np.zeros(shape, dtype=bool)
+            for i, j in zip(*np.nonzero(locus)):
+                expected[max(0, i - margin):i + margin + 1,
+                         max(0, j - margin):j + margin + 1] = True
+            assert np.array_equal(verification.exclusion_mask(locus, margin), expected), \
+                (shape, margin)
