@@ -51,13 +51,6 @@ from .targets import (
     kn_oracle,
     su21_basis,
 )
-from .verification import (
-    FieldGrid,
-    constraint_scan,
-    convergence_order,
-    hodge_residual,
-    lambda_flow_residual,
-    singular_locus,
-)
+from .verification import FieldGrid, hodge_residual, lambda_flow_residual
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, spectral
+from . import spectral
 from .dressing import DressedGrid
 from .errors import ConfigError
 from .spectral import DomainPoint
@@ -158,24 +158,6 @@ def refinement_ratios(coarse: FieldGrid, fine: FieldGrid,
     return out[0], out[1]
 
 
-def convergence_order(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> float:
-    """log2 of the pooled median residual ratio; inf means exactly zero
-    residuals on both grids (constant fields)."""
-    r1, r2 = refinement_ratios(coarse, fine, margin)
-    if math.isinf(r1) and math.isinf(r2):
-        return math.inf
-    finite = [r for r in (r1, r2) if math.isfinite(r)]
-    return math.log2(float(np.median(finite)))
-
-
-def constraint_scan(field: FieldGrid, gamma_mat: np.ndarray) -> dict[str, float]:
-    """Maxima of the membership-residual components over non-singular points."""
-    quad, herm, det_dev = algebra.symspace_components(field.values[field.mask], gamma_mat)
-    parts = {"quadratic": quad, "hermiticity": herm, "unit_det": det_dev,
-             "symspace": quad + herm + det_dev}
-    return {key: float(np.fmax.reduce(v, initial=0.0)) for key, v in parts.items()}
-
-
 def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
     """Grid points on (or adjacent to a sign change of) the det A zero set."""
     det_a = np.asarray(det_a, dtype=complex)
@@ -190,21 +172,6 @@ def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
     mask[:, :-1] |= cross_z
     mask[:, 1:] |= cross_z
     return mask
-
-
-def singular_locus(det_a: np.ndarray, rhos, zs, tol: float = 1e-12) -> list[DomainPoint]:
-    """Points where |det A| < tol, plus midpoints of sign-change cells."""
-    rhos = np.asarray(rhos, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    det_a = np.asarray(det_a, dtype=complex)
-    re = np.where(np.isfinite(det_a.real), det_a.real, math.nan)
-    small = np.nonzero(np.abs(det_a) < tol)
-    cross_r = np.nonzero(re[:-1] * re[1:] < 0)
-    cross_z = np.nonzero(re[:, :-1] * re[:, 1:] < 0)
-    rho = np.concatenate([rhos[small[0]], 0.5 * (rhos[cross_r[0]] + rhos[cross_r[0] + 1]),
-                          rhos[cross_z[0]]])
-    z = np.concatenate([zs[small[1]], zs[cross_r[1]], 0.5 * (zs[cross_z[1]] + zs[cross_z[1] + 1])])
-    return [DomainPoint(rho=r, z=v) for r, v in zip(rho.tolist(), z.tolist())]
 
 
 def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from vesture import cli
+import test_acceptance as acceptance
+from vesture import algebra, cli, spectral, targets
 from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
@@ -76,17 +78,20 @@ def test_parse_config_rejects_oracle_field(tmp_path):
     with pytest.raises(ConfigError, match="oracle"):
         cli.parse_config(json.dumps(doc))
 
-def test_run_dress_writes_csv_and_passes_gate(tmp_path):
-    doc = minimal_config(tmp_path)
+def test_run_dress_writes_csv_and_passes_gate(tmp_path, capsys):
+    # a grid whose gate keeps points (64 of them)
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [1.0, 2.0, 8],
+                                         "z": [-0.5, 0.5, 8]})
     code = cli.run_dress(cli.parse_config(json.dumps(doc)))
     assert code == cli.EXIT_OK
+    assert "gate vacuous" not in capsys.readouterr().err
     lines = (tmp_path / "out.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header[:2] == ["rho", "z"]
     assert "q_re_11" in header and "detA_re" in header and "singular" in header
     assert "res_constraint" in header and "res_hodge1" in header
     assert header[-2:] == ["x", "y"]
-    assert len(lines) == 1 + 4 * 3
+    assert len(lines) == 1 + 8 * 8
     # machine-readable floats with 17 significant digits round-trip
     row = lines[1].split(",")
     assert float(row[0]) == 1.0
@@ -310,6 +315,25 @@ def test_dress_g21_config(tmp_path):
     assert "q_re_33" in header
     assert header[-4:] == ["E_re", "E_im", "Phi_re", "Phi_im"]
 
+def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
+    # tight tolerances flag or exclude every point of the Kerr (1, 1) grid, so
+    # no finite-difference residual is finite either
+    alpha, delta, _ = targets.kerr_params(1.0, 1.0)
+    doc = minimal_config(tmp_path, tolerances={"singular_tol": 0.1, "condition_cap": 30},
+                         solitons=[{"omega": [0.0, 1.0], "v": [[alpha, 0.0], [delta, 0.0]]}],
+                         grid={"coords": "weyl", "rho": [1.0, 2.0, 6], "z": [-1.0, 1.0, 6]})
+    doc["outputs"]["fields"] = ["q", "detA", "residuals"]
+    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["verify", str(tmp_path / "out.csv")]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "(36 rows near the singular locus excluded from the gate); gate vacuous: all 36 " \
+        "points singular or within 3 cells of the singular locus;" in err
+    assert "medians (no finite value, no finite value)" in err
+
 def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     doc = minimal_config(tmp_path)
     doc["grid"] = {"coords": "weyl", "rho": [1.0, 2.0, 6], "z": [-0.5, 0.5, 6]}
@@ -320,23 +344,31 @@ def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     assert "recomputed finite-difference residuals" in msg
     assert "max deviation from stored values 0.000e+00" in msg
 
-def test_selftest_detects_injected_sign_bug(monkeypatch):
-    # flip the sign of the second rational coefficient; the spectral
-    # identity suite must notice
-    from vesture import spectral
+# each fault, injected into the library, must fail the shared check under
+# both the selftest gate and the acceptance gate
+FAULTS = [
+    # flip the sign of the second rational coefficient
+    ("spectral-identities", spectral, "ab",
+     lambda ab: lambda lam, x: (ab(lam, x)[0], -ab(lam, x)[1]), acceptance.spectral_gate),
+    # sigma loses its sign flip
+    ("chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m, acceptance.chi_gate),
+    # move the Kerr vector's first component off the Kerr family
+    ("kerr-oracle", targets, "kerr_params",
+     lambda params: lambda m, s: (params(m, s)[0] * (1 + 1e-6), *params(m, s)[1:]),
+     acceptance.kerr_gate),
+]
 
-    orig = spectral.ab
-
-    def broken(lam, x):
-        a, b = orig(lam, x)
-        return a, -b
-
-    monkeypatch.setattr(cli.spectral, "ab", broken)
-    ok, _ = cli._suite_spectral()
-    assert not ok
+@pytest.mark.parametrize("suite, module, name, fault, acceptance_gate", FAULTS,
+                         ids=[f[0] for f in FAULTS])
+def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault,
+                                         acceptance_gate):
+    check, gate = next((c, g) for n, c, g in cli.SELFTEST_SUITES if n == suite)
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    broken = check()
+    assert not gate(broken)[0] and not acceptance_gate(broken)[0]
     monkeypatch.undo()
-    ok, _ = cli._suite_spectral()
-    assert ok
+    healthy = check()
+    assert gate(healthy)[0] and acceptance_gate(healthy)[0]
 
 @pytest.mark.parametrize("content, message", [
     ("", "empty file"),
