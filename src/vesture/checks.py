@@ -44,6 +44,12 @@ class Convergence(NamedTuple):
     constant_exact: bool  # a constant field's residuals are exactly zero
 
 
+def worst(values) -> float:
+    """The largest of ``values`` (numbers or arrays), 0.0 for none; NaN when
+    any value is NaN, so a NaN measurement fails every ``<=`` gate."""
+    return float(np.max(np.concatenate([np.zeros(0), *map(np.ravel, values)]), initial=0.0))
+
+
 def rel_err(value, ref) -> np.ndarray:
     """|value - ref| / |ref| (|value - ref| where ref = 0), |.| by hypot."""
     diff = np.subtract(value, ref)
@@ -63,8 +69,9 @@ class KNFamily(NamedTuple):
     ernst: targets.ErnstValue21
     oracle_e: np.ndarray
     oracle_phi: np.ndarray
-    error_e: float           # max relative errors against the closed form
-    error_phi: float         # 0 for an uncharged family
+    error_e: float           # max relative errors against the closed form at
+    error_phi: float         # the non-singular points; 0 for an uncharged family
+    singular: int            # points where the family or its Ernst values are singular
 
 
 def kn_family(bl: targets.BLParams, r: np.ndarray, theta: np.ndarray) -> KNFamily:
@@ -86,10 +93,9 @@ def kn_family(bl: targets.BLParams, r: np.ndarray, theta: np.ndarray) -> KNFamil
     singular = np.isnan(ext.x)
     q[singular] = complex(math.nan, math.nan)
     o_e, o_phi = np.array(oracle).T
-    error_e = float(np.fmax.reduce(rel_err(ext.E, o_e)[~singular], initial=0.0))
-    error_phi = float(np.fmax.reduce(rel_err(ext.Phi, o_phi)[~singular], initial=0.0)) \
-        if bl.e != 0 else 0.0
-    return KNFamily(q, ext, o_e, o_phi, error_e, error_phi)
+    error_e = worst([rel_err(ext.E, o_e)[~singular]])
+    error_phi = worst([rel_err(ext.Phi, o_phi)[~singular]]) if bl.e != 0 else 0.0
+    return KNFamily(q, ext, o_e, o_phi, error_e, error_phi, int(singular.sum()))
 
 
 def _bl_axes(m: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,25 +128,26 @@ def algebra_involutions(rng_seed: int, count: int) -> float:
     on ``count`` random matrices per target, and of SU(1,1) membership and
     tau-invariance on ``count`` random SU(1,1) elements."""
     rng = np.random.default_rng(rng_seed)
-    worst = 0.0
+    residuals = []
     for sig in (targets.SIG_11, targets.SIG_21):
         g = algebra.gamma(sig)
         for _ in range(count):
             m = rng.normal(size=(sig.n, sig.n)) + 1j * rng.normal(size=(sig.n, sig.n))
             m += 2 * np.eye(sig.n)
             scale = algebra.frobenius(m)
-            worst = max(worst, algebra.frobenius(algebra.tau(algebra.tau(m, g), g) - m) / scale)
-            worst = max(worst, algebra.frobenius(algebra.sigma(algebra.sigma(m, g), g) - m) / scale)
-            worst = max(worst, algebra.frobenius(
-                algebra.tau(algebra.sigma(m, g), g) - algebra.sigma(algebra.tau(m, g), g)) / scale)
+            residuals += [
+                algebra.frobenius(algebra.tau(algebra.tau(m, g), g) - m) / scale,
+                algebra.frobenius(algebra.sigma(algebra.sigma(m, g), g) - m) / scale,
+                algebra.frobenius(algebra.tau(algebra.sigma(m, g), g)
+                                  - algebra.sigma(algebra.tau(m, g), g)) / scale]
     g2 = algebra.gamma(targets.SIG_11)
     for _ in range(count):
         b = rng.normal() + 1j * rng.normal()
         a = math.sqrt(1 + abs(b) ** 2) * np.exp(1j * rng.normal())
         su11 = np.array([[a, b], [np.conj(b), np.conj(a)]])
-        worst = max(worst, algebra.group_residual(su11, g2))
-        worst = max(worst, algebra.frobenius(algebra.tau(su11, g2) - su11))
-    return worst
+        residuals += [algebra.group_residual(su11, g2),
+                      algebra.frobenius(algebra.tau(su11, g2) - su11)]
+    return worst(residuals)
 
 
 def _ab_duality_residual_fd(lam: complex, x: DomainPoint, h: float = 1e-6) -> float:
@@ -178,10 +185,10 @@ def spectral_identities(rng_seed: int, count: int) -> Spectral:
         a, b = spectral.ab(lam, x)
         t = spectral.deck(lam, x)
         at, bt = spectral.ab(t, x)
-        identity = max(abs(a * a + x.rho ** 2 * b * b - a), abs(at - (1 - a)), abs(bt + b),
-                       abs(spectral.varpi(t, x) - spectral.varpi(lam, x))
-                       / max(1.0, abs(spectral.varpi(lam, x))),
-                       spectral.ab_d_identity_residual(lam, x))
+        identity = worst([abs(a * a + x.rho ** 2 * b * b - a), abs(at - (1 - a)), abs(bt + b),
+                          abs(spectral.varpi(t, x) - spectral.varpi(lam, x))
+                          / max(1.0, abs(spectral.varpi(lam, x))),
+                          spectral.ab_d_identity_residual(lam, x)])
         pair = spectral.pole_pair(complex(rng.normal(), 0.3 + rng.random()), x)
         product = abs(pair.lambda_in * pair.lambda_out + x.rho ** 2) / max(1.0, x.rho ** 2)
         return identity, product, _ab_duality_residual_fd(lam, x)
@@ -203,18 +210,17 @@ def cartan_embedding(rng_seed: int, count: int) -> float:
     potential matrix, from q Gamma q Gamma = I, from Hermiticity and from
     unit determinant, over ``count`` random parameter draws."""
     rng = np.random.default_rng(rng_seed)
-    worst = 0.0
+    deviations = []
     gt = targets.GAMMA_TILDE
     for _ in range(count):
         mu, d, eta, th = rng.normal(size=4) * 0.6
         q = targets.cartan_embed_su21(mu, d, eta, th)
         phi = (eta + 1j * th) / math.sqrt(2.0)
         ernst = math.exp(2 * mu) + abs(phi) ** 2 + 1j * d
-        worst = max(worst, np.abs(q - targets.ptilde_matrix(ernst, phi)).max())
-        worst = max(worst, algebra.frobenius(q @ gt @ q @ gt - np.eye(3)))
-        worst = max(worst, algebra.frobenius(q - q.conj().T))
-        worst = max(worst, abs(np.linalg.det(q) - 1))
-    return float(worst)
+        deviations += [np.abs(q - targets.ptilde_matrix(ernst, phi)),
+                       algebra.frobenius(q @ gt @ q @ gt - np.eye(3)),
+                       algebra.frobenius(q - q.conj().T), abs(np.linalg.det(q) - 1)]
+    return worst(deviations)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +253,7 @@ def invariance(rng_seed: int, count: int) -> float:
         swapped = dressing.dress_point(cfg, x, swap=(True,) * n_sol, audit_chi=False)
         if alt.singular or swapped.singular:
             return None
-        return max(algebra.frobenius(base.q - alt.q), algebra.frobenius(base.q - swapped.q))
+        return worst([algebra.frobenius(base.q - alt.q), algebra.frobenius(base.q - swapped.q)])
 
     return float(_draws(count, draw).max())
 
@@ -263,7 +269,7 @@ def chi_audit(rng_seed: int, count: int) -> float:
         res = dressing.dress_point(cfg, x, audit_chi=True)
         if res.singular:
             return None
-        return max(res.residuals["chi_reality"], res.residuals["chi_involution"])
+        return worst([res.residuals["chi_reality"], res.residuals["chi_involution"]])
 
     return float(_draws(count, draw).max())
 
@@ -271,8 +277,8 @@ def chi_audit(rng_seed: int, count: int) -> float:
 def kerr_oracle(param_sets) -> KerrOracle:
     """The Kerr family (m, s) of each set dressed from the flat seed on the
     40x40 default Boyer-Lindquist grid against the closed form."""
-    error, slowest, singular = 0.0, 0.0, 0
-    constraints = dict.fromkeys(("quadratic", "hermiticity", "unit_det"), 0.0)
+    errors, slowest, singular = [], 0.0, 0
+    constraints = {key: [] for key in ("quadratic", "hermiticity", "unit_det")}
     for m, s in param_sets:
         r, theta = _bl_axes(m, 40)
         x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=m, s=s))
@@ -283,24 +289,28 @@ def kerr_oracle(param_sets) -> KerrOracle:
         singular += int(dressed.singular.sum())
         ox, oy = kerr_reference(m, s, r, theta)
         e = targets.ernst_g11(dressed.q)
-        err = np.concatenate([rel_err(e.x, ox)[keep], rel_err(e.y, oy)[keep]])
-        error = max(error, float(np.max(err, initial=0.0)))
-        for key in constraints:
-            constraints[key] = max(constraints[key],
-                                   float(np.max(dressed.residuals[key][keep], initial=0.0)))
-    return KerrOracle(error, **constraints, singular=singular, slowest=slowest)
+        errors += [rel_err(e.x, ox)[keep], rel_err(e.y, oy)[keep]]
+        for key, found in constraints.items():
+            found.append(dressed.residuals[key][keep])
+    return KerrOracle(worst(errors), **{key: worst(found) for key, found in constraints.items()},
+                      singular=singular, slowest=slowest)
 
 
-def kn_oracle(param_sets) -> list[float]:
-    """Max relative error of E and Phi of the closed-form family with the
-    Kerr-Newman identification against the Kerr-Newman potentials, for each
-    (m, e, s) set, on the 40x40 default Boyer-Lindquist grid."""
-    errors = []
+class KNOracle(NamedTuple):
+    error: float         # max relative error of E and Phi at the non-singular points
+    singular: int        # points where the family or its Ernst values are singular
+
+
+def kn_oracle(param_sets) -> list[KNOracle]:
+    """For each (m, e, s) set, the closed-form family with the Kerr-Newman
+    identification against the Kerr-Newman potentials on the 40x40 default
+    Boyer-Lindquist grid."""
+    results = []
     for m, e, s in param_sets:
         r, theta = _bl_axes(m, 40)
         fam = kn_family(targets.BLParams(m=m, s=s, e=e), np.repeat(r, 40), np.tile(theta, 40))
-        errors.append(max(fam.error_e, fam.error_phi))
-    return errors
+        results.append(KNOracle(worst([fam.error_e, fam.error_phi]), fam.singular))
+    return results
 
 
 def kerr_field(box: tuple[float, float, float, float], h: float) -> verification.FieldGrid:

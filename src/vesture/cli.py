@@ -400,7 +400,7 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",
     cols = _columns(targets.SIG_21, "boyer-lindquist", ("q", "ernst"),
                     ("oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"))
     _write_output(path, fmt, cols, table, meta)
-    worst = max(fam.error_e, fam.error_phi)
+    worst = checks.worst([fam.error_e, fam.error_phi])
     print(f"kerr-newman m={m} e={e} s={s}: max relative error {worst:.3e} "
           f"(E {fam.error_e:.3e}, Phi {fam.error_phi:.3e})", file=sys.stderr)
     return EXIT_OK if worst <= 1e-9 else EXIT_GATE
@@ -570,6 +570,12 @@ def _kerr_gate(r: checks.KerrOracle) -> tuple[bool, str]:
     return ok, f"max oracle error {r.error:.2e}, max constraint {constraint:.2e}"
 
 
+def _kn_gate(sets: list[checks.KNOracle]) -> tuple[bool, str]:
+    error, singular = checks.worst([r.error for r in sets]), sum(r.singular for r in sets)
+    return (error <= 1e-9 and singular == 0,
+            f"max oracle error {error:.2e}, {singular} singular points")
+
+
 def _convergence_gate(r: checks.Convergence) -> tuple[bool, str]:
     ok = 3.5 <= r.curvature <= 4.5 and 3.5 <= r.divergence <= 4.5 and r.constant_exact
     return ok, (f"ratios ({r.curvature:.3f}, {r.divergence:.3f}), "
@@ -591,8 +597,7 @@ SELFTEST_SUITES = (
     ("chi-audits", lambda: checks.chi_audit(606, 20),
      lambda worst: (worst <= 1e-9, f"max audit residual {worst:.2e} over 20 points")),
     ("kerr-oracle", lambda: checks.kerr_oracle(_KERR_SETS), _kerr_gate),
-    ("kn-oracle", lambda: checks.kn_oracle(_KN_SETS),
-     lambda errors: (max(errors) <= 1e-9, f"max oracle error {max(errors):.2e}")),
+    ("kn-oracle", lambda: checks.kn_oracle(_KN_SETS), _kn_gate),
     ("convergence-order", lambda: checks.convergence(_KERR_BOX, 0.1), _convergence_gate),
     ("flat-limit", lambda: checks.flat_limit(12),
      lambda worst: (worst <= 1e-12, f"max |(x,y)-(1,0)| {worst:.2e}")),

@@ -57,11 +57,14 @@ def test_criterion_01_kerr_end_to_end():
     assert _report(1, "kerr-end-to-end", *kerr_gate(_kerr()))
 
 
+def kn_gate(sets: list[checks.KNOracle]) -> tuple[bool, str]:
+    ok = checks.worst([r.error for r in sets]) <= 1e-9 and all(r.singular == 0 for r in sets)
+    return ok, "; ".join(f"(m={m},e={e},s={s}): {r.error:.3e}, {r.singular} singular points"
+                         for (m, e, s), r in zip(KN_SETS, sets))
+
+
 def test_criterion_02_kerr_newman_family():
-    errors = checks.kn_oracle(KN_SETS)
-    ok = max(errors) <= 1e-9
-    assert _report(2, "kerr-newman-family", ok, "; ".join(
-        f"(m={m},e={e},s={s}): {err:.3e}" for (m, e, s), err in zip(KN_SETS, errors)))
+    assert _report(2, "kerr-newman-family", *kn_gate(checks.kn_oracle(KN_SETS)))
 
 
 def test_criterion_03_flat_limit():

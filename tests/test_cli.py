@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import test_acceptance as acceptance
 from vesture import algebra, cli, spectral, targets
-from vesture.errors import ConfigError
+from vesture.errors import ConfigError, SingularPointError
 
 def minimal_config(tmp_path, **overrides):
     doc = {
@@ -344,22 +345,43 @@ def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     assert "recomputed finite-difference residuals" in msg
     assert "max deviation from stored values 0.000e+00" in msg
 
+def _nan_at_first_point(ernst):
+    def faulty(q):
+        e = ernst(q)
+        x = e.x.copy()
+        x.flat[0] = math.nan
+        return dataclasses.replace(e, x=x)
+    return faulty
+
+def _always_singular(family):
+    def faulty(*args):
+        raise SingularPointError("injected")
+    return faulty
+
 # each fault, injected into the library, must fail the shared check under
-# both the selftest gate and the acceptance gate
+# both the selftest gate and the acceptance gate: (id, suite, module, name,
+# fault, acceptance gate)
 FAULTS = [
     # flip the sign of the second rational coefficient
-    ("spectral-identities", spectral, "ab",
+    ("spectral-identities", "spectral-identities", spectral, "ab",
      lambda ab: lambda lam, x: (ab(lam, x)[0], -ab(lam, x)[1]), acceptance.spectral_gate),
     # sigma loses its sign flip
-    ("chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m, acceptance.chi_gate),
+    ("chi-audits", "chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m,
+     acceptance.chi_gate),
     # move the Kerr vector's first component off the Kerr family
-    ("kerr-oracle", targets, "kerr_params",
+    ("kerr-oracle", "kerr-oracle", targets, "kerr_params",
      lambda params: lambda m, s: (params(m, s)[0] * (1 + 1e-6), *params(m, s)[1:]),
      acceptance.kerr_gate),
+    # a NaN Ernst value at a regular point
+    ("kerr-oracle-nan", "kerr-oracle", targets, "ernst_g11", _nan_at_first_point,
+     acceptance.kerr_gate),
+    # the Kerr-Newman family singular everywhere, so no error is measured
+    ("kn-oracle-singular", "kn-oracle", targets, "g21_soliton_family", _always_singular,
+     acceptance.kn_gate),
 ]
 
-@pytest.mark.parametrize("suite, module, name, fault, acceptance_gate", FAULTS,
-                         ids=[f[0] for f in FAULTS])
+@pytest.mark.parametrize("suite, module, name, fault, acceptance_gate",
+                         [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
 def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault,
                                          acceptance_gate):
     check, gate = next((c, g) for n, c, g in cli.SELFTEST_SUITES if n == suite)
