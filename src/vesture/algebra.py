@@ -61,26 +61,36 @@ def frobenius(m: ComplexMatrix) -> float | np.ndarray:
 def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (..., n, n) stack and the 2-norm condition number of each.
 
-    A matrix whose condition is not finite or exceeds ``condition_cap`` is
-    refused: its slot holds the identity, and refusal() says why. The SVD
-    is taken only where the upper bound ||A||_F ||A^-1||_F >= cond(A) does
-    not clear the cap by a factor 10, so every refusal and every reported
-    condition near the cap is the SVD's; elsewhere the bound is returned.
+    The stack is inverted once, by LU on each matrix, and that inverse gives
+    the upper bound ||A||_F ||A^-1||_F >= cond(A). The SVD is taken only for
+    the matrices whose bound does not clear ``condition_cap`` by a factor
+    10, so every refusal and every reported condition near the cap is the
+    SVD's; elsewhere the bound is returned. A matrix whose condition is not
+    finite or exceeds the cap is refused: its slot holds the identity, and
+    refusal() says why. An exactly singular matrix makes the stack's LU
+    fail; then every condition is the SVD's and the stack, refused slots
+    replaced by the identity, is inverted again.
     """
     a = np.asarray(m, dtype=complex)
     flat = a.reshape((-1,) + a.shape[-2:])
+    eye = np.eye(a.shape[-1])
     with np.errstate(all="ignore"):
         try:
-            cond = frobenius(flat) * frobenius(np.linalg.inv(flat))
+            inv = np.linalg.inv(flat)
+            cond = frobenius(flat) * frobenius(inv)
         except np.linalg.LinAlgError:  # an exactly singular matrix in the stack
-            cond = np.full(len(flat), np.inf)
+            inv, cond = None, np.full(len(flat), np.inf)
     near = ~(10.0 * cond <= condition_cap)
-    try:
-        cond[near] = np.linalg.cond(flat[near])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
-        raise NumericError(f"condition estimate failed: {exc}") from exc
+    if near.any():
+        try:
+            cond[near] = np.linalg.cond(flat[near])
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
+            raise NumericError(f"condition estimate failed: {exc}") from exc
     refused = ~(cond <= condition_cap)
-    inv = np.linalg.inv(np.where(refused[:, None, None], np.eye(a.shape[-1]), flat))
+    if inv is None:
+        inv = np.linalg.inv(np.where(refused[:, None, None], eye, flat))
+    else:
+        inv[refused] = eye
     return inv.reshape(a.shape), cond.reshape(a.shape[:-2])
 
 

@@ -309,16 +309,16 @@ def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
          const: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam (or ``const``
     in place of I); returns chi (P, S, n, n) and the (P, S, 2N) mask of
-    values at a pole, where the term is left out."""
+    values at a pole, where chi has no value (the term's gap is taken as 1).
+    The sum over the poles is one matmul per point: the (S, 2N) weights
+    1/(lam - lam_k) times the residues as a (2N, n*n) matrix."""
     gap = lam[..., None] - lambdas[..., None, :]
     at_pole = np.abs(gap) < 1e-13 * np.maximum(np.maximum(1.0, np.abs(lam))[..., None],
                                                np.abs(lambdas)[..., None, :])
-    gap = np.where(at_pole, 1.0, gap)
-    const = np.eye(res.shape[-1], dtype=complex) if const is None else const[:, None]
-    chi = np.broadcast_to(const, lam.shape + res.shape[-2:])
-    for k in range(lambdas.shape[-1]):
-        chi = chi + res[:, None, k] / gap[..., k, None, None]
-    return chi, at_pole
+    n = res.shape[-1]
+    const = np.eye(n, dtype=complex) if const is None else const[:, None]
+    terms = (1.0 / np.where(at_pole, 1.0, gap)) @ res.reshape(res.shape[:-2] + (n * n,))
+    return const + terms.reshape(lam.shape + (n, n)), at_pole
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -361,8 +361,10 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
     the inverse, chi(deck).
     """
     samples = _audit_samples(lambdas, rho)
-    chi, pole_lam = _chi(samples, res, lambdas)
-    chi_conj, pole_conj = _chi(samples.conj(), res, lambdas)
+    s = samples.shape[1]
+    both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas)
+    chi, chi_conj = both[:, :s], both[:, s:]
+    pole_lam, pole_conj = pole_both[:, :s], pole_both[:, s:]
     inv_conj, cond = algebra.checked_inv(chi_conj.conj().swapaxes(-1, -2), condition_cap)
     # q sigma(chi) sigma(q0) at the deck images, from the residues of chi
     # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k

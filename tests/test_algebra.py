@@ -122,3 +122,40 @@ def test_as_matrix_validation():
         algebra.as_matrix(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(ConfigError):
         algebra.as_matrix(np.eye(3), n=2)
+
+
+def _rotated(s_min: float, seed: int) -> np.ndarray:
+    """A complex 3x3 matrix with singular values 1, 0.5 and s_min."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return u @ np.diag([1.0, 0.5, s_min]) @ v.conj().T
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["lu", "singular-fallback"])
+def test_checked_inv_inverts_each_matrix_once(monkeypatch, singular):
+    cap = 1e12
+    well = [_rotated(0.3, 1), _rotated(1e-3, 2)]
+    near = _rotated(3e-12, 3)       # cond ~3.3e11: the bound misses the cap by less than 10x
+    over = _rotated(1e-13, 4)       # cond ~1e13: refused
+    stack = well + [near, over]
+    if singular:  # LU of the stack raises; every condition is then the SVD's
+        stack.append(np.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]], dtype=complex))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stack[-1])
+    inv, cond = algebra.checked_inv(np.array(stack), cap)
+    refused = [False, False, False, True] + [True] * singular
+    for m, got, c, r in zip(stack, inv, cond, refused):
+        if r:
+            assert np.array_equal(got, np.eye(3))
+        else:
+            assert np.array_equal(got, np.linalg.inv(m))
+        if singular or r or m is near:
+            assert c == np.linalg.cond(m)
+        else:  # the Frobenius bound from the one inverse
+            assert c == algebra.frobenius(m) * algebra.frobenius(np.linalg.inv(m))
+    assert 1e11 < cond[2] <= cap < cond[3]
+    # no matrix near the cap: the SVD is never taken
+    monkeypatch.setattr(np.linalg, "cond", None)
+    assert np.array_equal(algebra.checked_inv(np.array(well), cap)[0],
+                          np.linalg.inv(np.array(well)))

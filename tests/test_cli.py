@@ -97,6 +97,20 @@ def test_run_dress_writes_csv_and_passes_gate(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[0]) == 1.0
 
+def test_dress_command_gates_every_point(tmp_path, capsys):
+    # minimal_config's soliton on a Weyl grid clear of the ring: all 36 points gated
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
+                                         "z": [-0.5, 0.5, 6]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert "gate vacuous" not in err
+    assert err.startswith("dressed 36 points (0 singular); max gated constraint residual ")
+    assert 0.0 < float(err.split()[-1]) <= 1e-12
+    _, excluded = cli.run_sweep(cli.parse_config(json.dumps(doc)))
+    assert excluded.shape == (6, 6) and not excluded.any()
+
 def test_run_dress_deterministic(tmp_path):
     doc = minimal_config(tmp_path)
     cli.run_dress(cli.parse_config(json.dumps(doc)))

@@ -8,6 +8,7 @@ from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
 from vesture.errors import ConfigError, DomainError, SeedError, SingularPointError
 from vesture.spectral import DomainPoint
+from test_equivalence import KERR_RING, SU21, TIGHT
 
 SIG11 = Signature(1, 1)
 G11 = algebra.gamma(SIG11)
@@ -307,6 +308,25 @@ def test_dressed_arrays_agree_with_the_point_view():
         assert np.isnan(dressed.det_a[i]) == math.isnan(p.det_a.real)
         assert {k: math.isnan(v) for k, v in p.residuals.items()} == \
             {k: bool(np.isnan(col[i])) for k, col in dressed.residuals.items()}
+
+
+@pytest.mark.parametrize("example", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
+def test_dressing_does_not_depend_on_the_batch_split(example):
+    # bit-identical output however the points are batched: the ring locus,
+    # branch points, and det A, condition and chi-audit flags
+    cfg, rows = example
+    rho = np.array([[x.rho for x in row] for row in rows]).ravel()
+    z = np.array([[x.z for x in row] for row in rows]).ravel()
+    whole = dressing.dress(cfg, rho, z)
+    half = len(rho) // 2
+    parts = [dressing.dress(cfg, rho[part], z[part])
+             for part in (slice(None, half), slice(half, None))]
+    for key in ("q", "has_q", "det_a", "singular"):
+        np.testing.assert_array_equal(getattr(whole, key),
+                                      np.concatenate([getattr(p, key) for p in parts]))
+    for key, col in whole.residuals.items():
+        np.testing.assert_array_equal(col, np.concatenate([p.residuals[key] for p in parts]))
+    assert whole.notes == {**parts[0].notes, **{i + half: note for i, note in parts[1].notes.items()}}
 
 
 def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
