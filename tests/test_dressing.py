@@ -315,8 +315,7 @@ def test_dressing_does_not_depend_on_the_batch_split(example):
     # bit-identical output however the points are batched: the ring locus,
     # branch points, and det A, condition and chi-audit flags
     cfg, rows = example
-    rho = np.array([[x.rho for x in row] for row in rows]).ravel()
-    z = np.array([[x.z for x in row] for row in rows]).ravel()
+    rho, z = np.array([(x.rho, x.z) for row in rows for x in row]).T
     whole = dressing.dress(cfg, rho, z)
     half = len(rho) // 2
     parts = [dressing.dress(cfg, rho[part], z[part])
@@ -326,7 +325,8 @@ def test_dressing_does_not_depend_on_the_batch_split(example):
                                       np.concatenate([getattr(p, key) for p in parts]))
     for key, col in whole.residuals.items():
         np.testing.assert_array_equal(col, np.concatenate([p.residuals[key] for p in parts]))
-    assert whole.notes == {**parts[0].notes, **{i + half: note for i, note in parts[1].notes.items()}}
+    second = {i + half: note for i, note in parts[1].notes.items()}
+    assert whole.notes == {**parts[0].notes, **second}
 
 
 def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
