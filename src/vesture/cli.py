@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -410,34 +411,51 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",
 # verify
 # ---------------------------------------------------------------------------
 
+def _check_widths(path: str, widths: list[int], columns: int) -> None:
+    """Refuse a table without data rows or with a row of the wrong width."""
+    for k, width in enumerate(widths):
+        if width != columns:
+            raise ConfigError(f"{path}: row {k + 1} has {width} cells for {columns} columns")
+    if not widths:
+        raise ConfigError(f"{path}: no data rows")
+
+
 def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
     """Columns, rows (one float array) and the stored signature (p, q) of
-    an output; (None, None) when it has none, as in a CSV."""
+    an output; (None, None) when it has none, as in a CSV.
+
+    A CSV body is parsed by one np.loadtxt call. It reads every cell the
+    %.17g writer emits, nan and inf included, and refuses spellings such
+    as 1_000 or quoted cells that float() or csv.reader would let through.
+    """
     stored = (None, None)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            head = fh.read(1)
-            fh.seek(0)
-            if head == "{":
-                doc = json.load(fh)
+            text = fh.read()
+            if text[:1] == "{":
+                doc = json.loads(text)
                 cols, raw = doc["columns"], doc["rows"]
                 target = doc.get("meta", {}).get("target")
                 stored = stored if target is None else (int(target["p"]), int(target["q"]))
+                rows = [[float(v) for v in row] for row in raw]
+                _check_widths(path, [len(row) for row in rows], len(cols))
+                table = np.array(rows, dtype=float)
             else:
-                reader = csv.reader(fh)
-                cols, raw = next(reader), list(reader)
-            rows = [[float(v) for v in row] for row in raw]
+                lines = text.split("\n")
+                if not lines[-1]:
+                    lines.pop()
+                cols, body = next(csv.reader(lines[:1])), lines[1:]
+                # a blank line is a row of 0 cells, as csv.reader reads it
+                _check_widths(path, [line.count(",") + 1 if line else 0 for line in body],
+                              len(cols))
+                table = np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
         except StopIteration:
             raise ConfigError(f"{path}: empty file") from None
         except KeyError as exc:
             raise ConfigError(f"{path}: JSON output has no {exc} entry") from None
         except (TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"{path}: not a table of numbers: {exc}") from None
-    for k, row in enumerate(rows):
-        if len(row) != len(cols):
-            raise ConfigError(f"{path}: row {k + 1} has {len(row)} cells "
-                              f"for {len(cols)} columns")
-    return list(cols), np.array(rows, dtype=float).reshape(len(rows), len(cols)), stored
+    return list(cols), table, stored
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -527,14 +545,15 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
 def _verify_hodge(data, idx, lattice, q, singular) -> None:
     """Recompute the finite-difference residuals when the stored lattice is
     uniform with at least 3 points per axis (FieldGrid and hodge_residual
-    refuse other lattices); report-only."""
+    refuse other lattices, and the refusal is reported); report-only."""
     rhos, zs, ids = lattice
     values = q[ids]
     mask = ~singular[ids] & np.all(np.isfinite(values.view(float)), axis=(-2, -1))
     try:
         grid = verification.FieldGrid(rhos=rhos, zs=zs, values=values, mask=mask)
         res1, res2 = verification.hodge_residual(grid)
-    except VestureError:
+    except VestureError as exc:
+        print(f"finite-difference residuals not recomputed: {exc}", file=sys.stderr)
         return
     worst = 0.0
     if "res_hodge1" in idx and "res_hodge2" in idx:
@@ -647,7 +666,10 @@ def _grid_from_args(args, m: float) -> GridSpec:
     return GridSpec(coords="boyer-lindquist", axis1=axis1, axis2=axis2)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    main() call; parse_args keeps no state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="vesture",
         description="Soliton dressing for axially symmetric harmonic maps; "
@@ -676,7 +698,11 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("selftest", help="run the built-in invariant suites")
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "dress":
             with open(args.config, "rb") as fh:

@@ -40,6 +40,8 @@ class FieldGrid:
         self.zs = np.asarray(self.zs, dtype=float)
         if self.rhos.ndim != 1 or self.zs.ndim != 1:
             raise ConfigError("grid axes must be one-dimensional")
+        if self.rhos.size == 0 or self.zs.size == 0:
+            raise ConfigError("grid axes must not be empty")
         if self.rhos.min() <= 0:
             raise ConfigError("grid must satisfy rho > 0")
         for axis in (self.rhos, self.zs):

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import test_acceptance as acceptance
 from vesture import algebra, cli, spectral, targets
@@ -414,9 +416,60 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
     ('{"rows": [[1.0, 0.0]]}', "JSON output has no 'columns' entry"),
     ('{"columns": ["rho", "z"], "rows": [[1.0, null]]}', "not a table of numbers"),
     ("\xff\xfe", "not a table of numbers"),
+    ("rho,z,q_re_11\n1.0,0.0,1.0\n\n1.0,0.5,1.0\n", "row 2 has 0 cells for 3 columns"),
+    ("rho,z,q_re_11,q_im_11,q_re_12,q_im_12,q_re_21,q_im_21,q_re_22,q_im_22\n",
+     "no data rows"),
+    # cells float() accepts but the %.17g writer never emits
+    ("rho,z,q_re_11\n1.0,0.0,1_000\n", "not a table of numbers"),
+    ("rho,z,q_re_11\n1.0,0.0,\uff11\n".encode("utf-8").decode("latin-1"),
+     "not a table of numbers"),
 ])
 def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"
     path.write_bytes(content.encode("latin-1"))
     assert cli.main(["verify", str(path)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
+
+_CELLS = st.one_of(st.floats(allow_nan=False), st.just(math.nan),
+                   st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]))
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=st.integers(1, 6).flatmap(lambda c: st.lists(
+    st.lists(_CELLS, min_size=c, max_size=c), min_size=1, max_size=6)))
+@example(table=[EDGE_VALUES])
+@example(table=[[v] for v in EDGE_VALUES])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_written_table_reads_back_bit_for_bit(tmp_path, fmt, table):
+    rows = np.array(table, dtype=float)
+    columns = [f"c{k}" for k in range(rows.shape[1])]
+    path = str(tmp_path / f"t.{fmt}")
+    cli._write_output(path, fmt, columns, rows, {})
+    cols, read, _ = cli._load_table(path)
+    assert cols == columns and read.shape == rows.shape
+    assert np.array_equal(read.view(np.uint64), rows.view(np.uint64))
+
+def test_verify_says_why_it_skips_finite_differences(tmp_path, capsys):
+    doc = minimal_config(tmp_path)
+    doc["grid"] = {"coords": "weyl", "rho": [1.0, 2.0, 2], "z": [-0.5, 0.5, 4]}
+    cli.run_dress(cli.parse_config(json.dumps(doc)))
+    capsys.readouterr()
+    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    assert capsys.readouterr().err.endswith(
+        "\nfinite-difference residuals not recomputed: "
+        "hodge residual needs at least 3 grid points per axis\n")
+
+def test_main_calls_share_one_parser_without_leaking_options(tmp_path):
+    assert cli._parser() is cli._parser()
+    small, default = tmp_path / "small.csv", tmp_path / "default.csv"
+    assert cli.main(["kerr", "--m", "1", "--s", "1", "--r-count", "3", "--theta-count", "3",
+                     "--out", str(small)]) == cli.EXIT_OK
+    assert cli.main(["kerr", "--m", "1", "--s", "1", "--out", str(default)]) == cli.EXIT_OK
+    assert len(small.read_text().splitlines()) == 1 + 3 * 3
+    assert len(default.read_text().splitlines()) == 1 + 40 * 40
+
+def test_main_help_exits_cleanly(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: vesture" in capsys.readouterr().out

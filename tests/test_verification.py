@@ -140,3 +140,10 @@ def test_exclusion_mask_is_the_chebyshev_dilation():
                          max(0, j - margin):j + margin + 1] = True
             assert np.array_equal(verification.exclusion_mask(locus, margin), expected), \
                 (shape, margin)
+
+@pytest.mark.parametrize("rhos, zs", [([], [0.0, 1.0]), ([1.0, 2.0], [])])
+def test_field_grid_rejects_an_empty_axis(rhos, zs):
+    shape = (len(rhos), len(zs))
+    with pytest.raises(ConfigError, match="must not be empty"):
+        FieldGrid(rhos=np.array(rhos), zs=np.array(zs),
+                  values=np.zeros(shape + (2, 2)), mask=np.ones(shape, bool))
