@@ -9,20 +9,12 @@ references and a finite-difference verification layer.
 from .algebra import ComplexMatrix, Signature, gamma, group_residual, sigma, symspace_residual, tau
 from .dressing import (
     DressedGrid,
-    DressedPoint,
     SolitonConfig,
     SpectralData,
     Tolerances,
-    build_system,
-    chi_at,
     dominance_check,
     dress,
-    dress_grid,
-    dress_point,
     normalize_det,
-    reconstruct_q,
-    solve_system,
-    spectral_data,
 )
 from .errors import (
     ConfigError,

@@ -242,16 +242,16 @@ def invariance(rng_seed: int, count: int) -> float:
             return None
         vectors = tuple(rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(n_sol))
         cfg = SolitonConfig(sig, poles, vectors, seeds.identity_seed(sig))
-        x = DomainPoint(rho=0.7 + 2.0 * rng.random(), z=rng.normal())
-        base = dressing.dress_point(cfg, x, audit_chi=False)
-        if base.singular:
+        x = 0.7 + 2.0 * rng.random(), rng.normal()
+        base = dressing.dress(cfg, *x, audit_chi=False)
+        if base.singular[0]:
             return None
         scales = tuple(complex(rng.normal(), rng.normal()) + 2.0 for _ in range(n_sol))
         scaled = SolitonConfig(sig, poles, tuple(c * v for c, v in zip(scales, vectors)),
                                seeds.identity_seed(sig))
-        alt = dressing.dress_point(scaled, x, audit_chi=False)
-        swapped = dressing.dress_point(cfg, x, swap=(True,) * n_sol, audit_chi=False)
-        if alt.singular or swapped.singular:
+        alt = dressing.dress(scaled, *x, audit_chi=False)
+        swapped = dressing.dress(cfg, *x, audit_chi=False, swap=(True,) * n_sol)
+        if alt.singular[0] or swapped.singular[0]:
             return None
         return worst([algebra.frobenius(base.q - alt.q), algebra.frobenius(base.q - swapped.q)])
 
@@ -265,9 +265,8 @@ def chi_audit(rng_seed: int, count: int) -> float:
     cfg = targets.kerr_config(1.0, 1.0)
 
     def draw():
-        x = DomainPoint(rho=0.5 + 4.5 * rng.random(), z=3.0 * rng.normal())
-        res = dressing.dress_point(cfg, x, audit_chi=True)
-        if res.singular:
+        res = dressing.dress(cfg, 0.5 + 4.5 * rng.random(), 3.0 * rng.normal())
+        if res.singular[0]:
             return None
         return worst([res.residuals["chi_reality"], res.residuals["chi_involution"]])
 

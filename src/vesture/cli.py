@@ -427,6 +427,7 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
     A CSV body is parsed by one np.loadtxt call. It reads every cell the
     %.17g writer emits, nan and inf included, and refuses spellings such
     as 1_000 or quoted cells that float() or csv.reader would let through.
+    A JSON row must be a list of JSON numbers: no strings or booleans.
     """
     stored = (None, None)
     with open(path, "r", encoding="utf-8") as fh:
@@ -437,9 +438,11 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
                 cols, raw = doc["columns"], doc["rows"]
                 target = doc.get("meta", {}).get("target")
                 stored = stored if target is None else (int(target["p"]), int(target["q"]))
-                rows = [[float(v) for v in row] for row in raw]
-                _check_widths(path, [len(row) for row in rows], len(cols))
-                table = np.array(rows, dtype=float)
+                for k, row in enumerate(raw):
+                    if type(row) is not list or any(type(v) not in (int, float) for v in row):
+                        raise ValueError(f"row {k + 1} is not a list of JSON numbers")
+                _check_widths(path, [len(row) for row in raw], len(cols))
+                table = np.array(raw, dtype=float)
             else:
                 lines = text.split("\n")
                 if not lines[-1]:
@@ -453,7 +456,7 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
             raise ConfigError(f"{path}: empty file") from None
         except KeyError as exc:
             raise ConfigError(f"{path}: JSON output has no {exc} entry") from None
-        except (TypeError, ValueError, AttributeError) as exc:
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"{path}: not a table of numbers: {exc}") from None
     return list(cols), table, stored
 
@@ -499,6 +502,9 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     if n * n != len(q_cols) or any(f"q_{part}_{c}" not in idx
                                    for c in cells for part in ("re", "im")):
         print("q columns do not form a square matrix", file=sys.stderr)
+        return EXIT_CONFIG
+    if n < 2:
+        print(f"{n}x{n} q data has no SU(p,q) target (n = p + q >= 2)", file=sys.stderr)
         return EXIT_CONFIG
     p, q_minus = stored[0] if p is None else p, stored[1] if q_minus is None else q_minus
     if n >= 4 and None in (p, q_minus):

@@ -13,10 +13,9 @@ P points (rho, z arrays) are dressed as one array pipeline into a
 DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
 chi audits at (P, 8) samples. For a constant seed the paired vectors,
 psi0^{-1}, the Gram numerators and B are computed once and broadcast; other
-seeds give them a leading P axis. A point that fails a check is flagged with
-the exception the single-point stages raise for it, the first in pipeline
-order, as its note. DressedPoints are a per-point view of that result, and
-the single-point functions below are batches of one.
+seeds give them a leading P axis. A point that fails a check is flagged, and
+its first failure in pipeline order becomes its note. A single point is a
+batch of one.
 """
 from __future__ import annotations
 
@@ -103,11 +102,9 @@ class SolitonConfig:
 
 @dataclass
 class SpectralData:
-    """Pole locations, paired vectors, seed evaluations.
-
-    At one point: lambdas (2N,), vs (2N, n), psi0 and psi0_inv (2N, n, n).
-    Inside the pipeline each carries a leading batch axis: P for lambdas;
-    P, or 1 for a constant seed, for the others.
+    """Pole locations, paired vectors, seed evaluations, each with a leading
+    batch axis: lambdas (P, 2N); vs (P, 2N, n), psi0 and psi0_inv
+    (P, 2N, n, n), with 1 in place of P for a constant seed.
     """
 
     lambdas: np.ndarray
@@ -120,8 +117,8 @@ class SpectralData:
 class DressedGrid:
     """P dressed points as (P, ...) arrays in input order: q is NaN where
     has_q is False, det A where the system was not built; residuals holds
-    one column per entry of a DressedPoint's record, and notes the reason
-    for each singular point, by index."""
+    one float column per name in _RESIDUALS, and notes the reason for each
+    singular point, by index."""
 
     rho: np.ndarray
     z: np.ndarray
@@ -133,22 +130,9 @@ class DressedGrid:
     notes: dict[int, str]
 
 
-@dataclass
-class DressedPoint:
-    """One dressed grid point: the map (None when singular), det A, the
-    membership/symmetry residual record, and the singular flag."""
-
-    x: DomainPoint
-    q: ComplexMatrix | None
-    det_a: complex
-    residuals: dict[str, float]
-    singular: bool
-    note: str = ""
-
-
 class _Failures:
-    """The first failure of each point, in pipeline order, as the exception
-    the single-point stages raise for it."""
+    """The first failure of each point, in pipeline order, as an exception
+    whose message is the point's note."""
 
     def __init__(self, size: int) -> None:
         self.ok = np.ones(size, dtype=bool)
@@ -161,10 +145,6 @@ class _Failures:
         for j in np.flatnonzero(np.broadcast_to(bad, at.shape) & self.ok[at]):
             self.ok[at[j]] = False
             self.error[at[j]] = make(j)
-
-    def raise_first(self) -> None:
-        if self.error[0] is not None:
-            raise self.error[0]
 
 
 def _pick(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -390,65 +370,6 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
     return reality.max(axis=-1, initial=0.0), involution.max(axis=-1, initial=0.0)
 
 
-# ---------------------------------------------------------------------------
-# the pipeline at one point: batches of one
-# ---------------------------------------------------------------------------
-
-def _one(sd: SpectralData) -> SpectralData:
-    return SpectralData(lambdas=sd.lambdas[None], vs=sd.vs[None], psi0=sd.psi0[None],
-                        psi0_inv=sd.psi0_inv[None])
-
-
-def spectral_data(cfg: SolitonConfig, x: DomainPoint,
-                  swap: tuple[bool, ...] | None = None) -> SpectralData:
-    """Assemble pole pairs, paired vectors, and seed matrices at one point.
-
-    The deck partner of (lam_k, v_k) is (−rho²/lam_k, q0 gamma v_k): the
-    seed's own deck-symmetry constant enters the vector pairing, reducing
-    to the plain gamma v_k for the trivial seed. ``swap`` optionally
-    relabels selected pole pairs, which leaves the dressed map invariant.
-    """
-    fails = _Failures(1)
-    sd, _ = _spectral(cfg, np.array([x.rho]), np.array([x.z]), swap, fails)
-    fails.raise_first()
-    return SpectralData(lambdas=sd.lambdas[0], vs=sd.vs[0], psi0=sd.psi0[0],
-                        psi0_inv=sd.psi0_inv[0])
-
-
-def build_system(sd: SpectralData, gamma_mat: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Entries of the 2N x 2N system A U* = B*.
-
-    a_kj = v_k* S_kj v_j / (lam_k - conj lam_j) with the seed coupling
-    S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}; b_k* = -v_k* psi0_k^{-1} gamma.
-    Returns (A, B) with B the n x 2N matrix whose columns are b_k.
-    """
-    fails = _Failures(1)
-    a, b_star = _system(_one(sd), gamma_mat, fails)
-    fails.raise_first()
-    return a[0], b_star[0].conj().T
-
-
-def solve_system(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
-    """Solve A U* = B* for the column vectors u_k; returns U (n x 2N).
-
-    Flags the point singular when |det A| drops below the singular
-    threshold and refuses the solve when the condition estimate exceeds
-    the cap or the solve residual its bound.
-    """
-    if a.shape[0] == 0:
-        return np.zeros((b.shape[0], 0), dtype=complex)
-    fails = _Failures(1)
-    u_star, _ = _solve(a[None], b.conj().T[None], tol or Tolerances(), fails)
-    fails.raise_first()
-    return u_star[0].conj().T
-
-
-def reconstruct_q(u: np.ndarray, sd: SpectralData, q0: ComplexMatrix) -> ComplexMatrix:
-    """Dressed map q = q0 - sum_k (1/lam_k) u_k v_k* psi0_k^{-1} q0."""
-    res = _residues(u[None], _one(sd))
-    return _reconstruct(res, sd.lambdas[None], q0.astype(complex)[None], _Failures(1))[0]
-
-
 def normalize_det(q: ComplexMatrix, tol: float = 1e-9) -> tuple[ComplexMatrix, bool]:
     """Rescale q by det(q)^{-1/n}.
 
@@ -460,33 +381,9 @@ def normalize_det(q: ComplexMatrix, tol: float = 1e-9) -> tuple[ComplexMatrix, b
     """
     fails = _Failures(1)
     out, warn = _normalize(np.asarray(q)[None], tol, fails)
-    fails.raise_first()
+    if not fails.ok[0]:
+        raise fails.error[0]
     return out[0], bool(warn[0])
-
-
-def chi_at(lam: complex, u: np.ndarray, sd: SpectralData) -> ComplexMatrix:
-    """Dressing matrix chi(lam) = I + sum_k u_k v_k* psi0_k^{-1} / (lam - lam_k)."""
-    chi, at_pole = _chi(np.full((1, 1), lam, dtype=complex), _residues(u[None], _one(sd)),
-                        sd.lambdas[None])
-    if at_pole.any():
-        k = int(np.argmax(at_pole))
-        raise DomainError(f"chi evaluated at its pole lam_{k} = {sd.lambdas[k]}")
-    return chi[0, 0]
-
-
-def chi_symmetry_residuals(u: np.ndarray, sd: SpectralData, q: ComplexMatrix,
-                           q0: ComplexMatrix, gamma_mat: ComplexMatrix,
-                           x: DomainPoint, condition_cap: float = 1e12) -> tuple[float, float]:
-    """Max reality / deck-involution residuals of chi over the fixed samples.
-
-    reality:    || tau(chi(conj lam)) - chi(lam) ||_F
-    involution: || chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) ||_F
-    """
-    fails = _Failures(1)
-    reality, involution = _audit(_residues(u[None], _one(sd)), sd.lambdas[None], q[None],
-                                 q0[None], gamma_mat, np.array([x.rho]), condition_cap, fails)
-    fails.raise_first()
-    return float(reality[0]), float(involution[0])
 
 
 def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
@@ -514,8 +411,9 @@ _RESIDUALS = ("quadratic", "hermiticity", "unit_det", "symspace", "chi_reality",
 def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
           swap: tuple[bool, ...] | None = None) -> DressedGrid:
     """Dress the points (rho, z), two arrays of one shape, in row-major order
-    as one batch; singular points become flagged data rather than failures.
-    Configuration errors still raise."""
+    as one batch (two numbers are a batch of one); singular points become
+    flagged data rather than failures. Configuration errors still raise.
+    ``swap`` relabels the selected pole pairs, which leaves q invariant."""
     rho, z = (np.asarray(v, dtype=float).ravel() for v in (rho, z))
     DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
     size, n_sol, tol, n = len(rho), cfg.n_solitons, cfg.tolerances, cfg.signature.n
@@ -553,32 +451,3 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
     notes = {int(i): str(fails.error[i]) if lost[i] else f"chi audit failed: {fails.error[i]}"
              for i in np.flatnonzero(~fails.ok)}
     return DressedGrid(rho, z, q, has_q, det_a, residuals, ~fails.ok, notes)
-
-
-def _view(dressed: DressedGrid, points: list[DomainPoint]) -> list[DressedPoint]:
-    """The per-point DressedPoint view of a dressed batch."""
-    records = zip(*(dressed.residuals[key].tolist() for key in _RESIDUALS))
-    columns = zip(points, dressed.has_q.tolist(), dressed.det_a.tolist(), records,
-                  dressed.singular.tolist())
-    return [DressedPoint(x=x, q=dressed.q[i] if has_q else None, det_a=d,
-                         residuals=dict(zip(_RESIDUALS, record)), singular=singular,
-                         note=dressed.notes.get(i, ""))
-            for i, (x, has_q, d, record, singular) in enumerate(columns)]
-
-
-def dress_point(cfg: SolitonConfig, x: DomainPoint,
-                swap: tuple[bool, ...] | None = None,
-                audit_chi: bool = True) -> DressedPoint:
-    """Run the full pipeline at one point, a batch of one; singular points
-    become flagged data rather than failures. Configuration errors still
-    raise."""
-    return _view(dress(cfg, [x.rho], [x.z], audit_chi, swap), [x])[0]
-
-
-def dress_grid(cfg: SolitonConfig, points: list[list[DomainPoint]],
-               audit_chi: bool = True) -> list[list[DressedPoint]]:
-    """Dress a grid of points (rows of DomainPoints) in row-major order, as
-    one batch."""
-    flat = [x for row in points for x in row]
-    view = iter(_view(dress(cfg, [x.rho for x in flat], [x.z for x in flat], audit_chi), flat))
-    return [[next(view) for _ in row] for row in points]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, dressing, seeds
+from . import algebra, seeds
 from .algebra import ComplexMatrix, Signature
 from .dressing import SolitonConfig, Tolerances
 from .errors import ConfigError, DomainError, SingularPointError
@@ -198,21 +198,18 @@ def from_tilde_rep(qt: ComplexMatrix) -> ComplexMatrix:
     return _U3.conj().T @ qt @ _U3
 
 
-def ernst_g21(q: ComplexMatrix, normalize: bool = False) -> ErnstValue21:
+def ernst_g21(q: ComplexMatrix) -> ErnstValue21:
     """Extract (E, Phi) from a 3x3 map given in the diagonal-metric picture,
     or from each map of a (..., 3, 3) stack.
 
     Third-row dictionary in the antidiagonal picture: x = 1 / Re(qt_33),
     Phi = i qt_32 / (sqrt2 qt_33), y = Re(qt_31 / qt_33). The extraction
-    uses entry ratios plus the unit-determinant normalization only, so a
-    pre-normalized input extracts identically; ``normalize`` applies the
-    determinant rescaling first to a single map that needs it. One map with
-    Re qt_33 = 0 raises; in a stack it, and a map that is not finite, gives
-    NaN.
+    uses entry ratios plus the unit-determinant normalization only, so a map
+    must have det q = 1 (dressing.normalize_det rescales one that has not).
+    One map with Re qt_33 = 0 raises; in a stack it, and a map that is not
+    finite, gives NaN.
     """
     q, single = _maps(q, 3)
-    if normalize:
-        q, _ = dressing.normalize_det(q)
     qt = to_tilde_rep(q)
     bad = qt[..., 2, 2].real == 0
     if single and bad:

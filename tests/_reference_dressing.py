@@ -17,7 +17,7 @@ import numpy as np
 
 from vesture import algebra, seeds, spectral
 from vesture.algebra import ComplexMatrix
-from vesture.dressing import DressedPoint, SolitonConfig, Tolerances
+from vesture.dressing import SolitonConfig, Tolerances
 from vesture.errors import ConfigError, DomainError, NumericError, SingularPointError
 from vesture.spectral import BRANCH_EXCLUSION, DomainPoint, PolePair
 
@@ -33,6 +33,19 @@ CHI_SAMPLES = (
 )
 
 SOLVE_RESIDUAL_REL = 1e-10
+
+
+@dataclass
+class DressedPoint:
+    """One dressed grid point: the map (None when singular), det A, the
+    membership/symmetry residual record, and the singular flag."""
+
+    x: DomainPoint
+    q: ComplexMatrix | None
+    det_a: complex
+    residuals: dict[str, float]
+    singular: bool
+    note: str = ""
 
 
 def _pole_pair(varpi0: complex, x: DomainPoint) -> PolePair:

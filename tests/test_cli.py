@@ -423,6 +423,15 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
     ("rho,z,q_re_11\n1.0,0.0,1_000\n", "not a table of numbers"),
     ("rho,z,q_re_11\n1.0,0.0,\uff11\n".encode("utf-8").decode("latin-1"),
      "not a table of numbers"),
+    # a 1x1 q has no SU(p,q) target, and no signature was given
+    ("rho,z,q_re_11,q_im_11\n1.0,0.0,1.0,0.0\n", "1x1 q data has no SU(p,q) target"),
+    # JSON cells float() accepts but the writer never emits: a row that is a
+    # string of ten digits for a 2x2 table, a numeric string, a boolean
+    (json.dumps({"columns": ["rho", "z"] + [f"q_{part}_{c}" for c in ("11", "12", "21", "22")
+                                            for part in ("re", "im")],
+                 "rows": ["1010000001"]}), "not a table of numbers"),
+    ('{"columns": ["rho", "z"], "rows": [["1.5", 0.0]]}', "not a table of numbers"),
+    ('{"columns": ["rho", "z"], "rows": [[true, 0.0]]}', "not a table of numbers"),
 ])
 def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"

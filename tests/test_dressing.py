@@ -1,14 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from vesture import algebra, dressing, seeds, spectral, targets
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
-from vesture.errors import ConfigError, DomainError, SeedError, SingularPointError
+from vesture.errors import ConfigError, SeedError, SingularPointError
 from vesture.spectral import DomainPoint
-from test_equivalence import KERR_RING, SU21, TIGHT
+from test_equivalence import KERR_RING, SU21, TIGHT, coords
 
 SIG11 = Signature(1, 1)
 G11 = algebra.gamma(SIG11)
@@ -20,6 +18,19 @@ def kerr_cfg(m=1.0, s=1.0):
 
 def bl_point(r, th, m=1.0, s=1.0):
     return targets.bl_to_weyl(r, th, targets.BLParams(m=m, s=s))
+
+
+def kernels(cfg, x):
+    """The batch kernels at the one point x: spectral data, A, B*, the
+    columns u_k of U and q before det normalisation, each with its batch
+    axis."""
+    fails = dressing._Failures(1)
+    sd, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
+    a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
+    u = dressing._solve(a, b_star, cfg.tolerances, fails)[0].conj().swapaxes(-1, -2)
+    q = dressing._reconstruct(dressing._residues(u, sd), sd.lambdas, q0, fails)
+    assert fails.ok[0], fails.error[0]
+    return sd, a, b_star, u, q
 
 
 def test_config_validation():
@@ -37,13 +48,14 @@ def test_config_validation():
 def test_spectral_data_invariants():
     cfg = kerr_cfg()
     x = DomainPoint(rho=1.0, z=1.0)
-    sd = dressing.spectral_data(cfg, x)
-    assert sd.lambdas.shape == (2,)
-    np.testing.assert_allclose(sd.lambdas[0] * sd.lambdas[1], -x.rho ** 2, atol=1e-13)
-    np.testing.assert_array_equal(sd.vs[1], G11 @ sd.vs[0])
-    np.testing.assert_array_equal(sd.psi0[0], np.eye(2))
+    sd = kernels(cfg, x)[0]
+    assert sd.lambdas.shape == (1, 2)
+    (l1, l2), vs = sd.lambdas[0], sd.vs[0]
+    np.testing.assert_allclose(l1 * l2, -x.rho ** 2, atol=1e-13)
+    np.testing.assert_array_equal(vs[1], G11 @ vs[0])
+    np.testing.assert_array_equal(sd.psi0[0, 0], np.eye(2))
     pair = spectral.pole_pair(1j, x)
-    np.testing.assert_allclose(sd.lambdas, [pair.lambda_in, pair.lambda_out], atol=1e-15)
+    np.testing.assert_allclose([l1, l2], [pair.lambda_in, pair.lambda_out], atol=1e-15)
 
 
 def test_build_system_identity_seed_structure():
@@ -53,18 +65,16 @@ def test_build_system_identity_seed_structure():
     cfg = SolitonConfig(SIG11, poles=(1j,),
                         vectors=(np.array([alpha, delta], dtype=complex),),
                         seed=seeds.identity_seed(SIG11))
-    x = bl_point(2.3, 1.1)
-    sd = dressing.spectral_data(cfg, x)
-    a, b = dressing.build_system(sd, G11)
+    sd, a, b_star, _, _ = kernels(cfg, bl_point(2.3, 1.1))
     aa = alpha ** 2 - delta ** 2
     bb = alpha ** 2 + delta ** 2
-    l1, l2 = sd.lambdas
+    l1, l2 = sd.lambdas[0]
     expect = np.array([
         [aa / (l1 - np.conj(l1)), bb / (l1 - np.conj(l2))],
         [bb / (l2 - np.conj(l1)), aa / (l2 - np.conj(l2))],
     ])
-    np.testing.assert_allclose(a, expect, rtol=1e-13)
-    np.testing.assert_allclose(b.conj().T, np.array([[-alpha, delta], [-alpha, -delta]]),
+    np.testing.assert_allclose(a[0], expect, rtol=1e-13)
+    np.testing.assert_allclose(b_star[0], np.array([[-alpha, delta], [-alpha, -delta]]),
                                rtol=1e-13)
     assert np.all(np.isfinite(a.view(float)))
 
@@ -79,15 +89,13 @@ def test_build_system_g21_structure():
     cfg = SolitonConfig(sig, poles=(1j,),
                         vectors=(np.array([al, be, ga], dtype=complex),),
                         seed=seeds.identity_seed(sig))
-    x = DomainPoint(rho=1.1, z=0.7)
-    sd = dressing.spectral_data(cfg, x)
-    a, b = dressing.build_system(sd, g3)
+    sd, a, b_star, _, _ = kernels(cfg, DomainPoint(rho=1.1, z=0.7))
     minus, plus = al ** 2 + be ** 2 - ga ** 2, al ** 2 + be ** 2 + ga ** 2
-    l1, l2 = sd.lambdas
+    (l1, l2), a = sd.lambdas[0], a[0]
     np.testing.assert_allclose(a[0, 0], minus / (l1 - np.conj(l1)), rtol=1e-13)
     np.testing.assert_allclose(a[1, 1], minus / (l2 - np.conj(l2)), rtol=1e-13)
     np.testing.assert_allclose(a[0, 1], plus / (l1 - np.conj(l2)), rtol=1e-13)
-    np.testing.assert_allclose(b.conj().T,
+    np.testing.assert_allclose(b_star[0],
                                np.array([[-al, -be, ga], [-al, -be, -ga]]), rtol=1e-13)
 
 
@@ -100,15 +108,16 @@ def test_constant_seed_coupling_and_pairing():
     v = np.array([0.8, 0.3j], dtype=complex)
     x = DomainPoint(rho=1.4, z=-0.2)
     cfg = SolitonConfig(SIG11, (0.5 + 1j,), (v,), seeds.constant_seed(q0, SIG11))
-    sd = dressing.spectral_data(cfg, x)
+    sd = kernels(cfg, x)[0]
+    psi0_inv, vs = sd.psi0_inv[0], sd.vs[0]
     for k in range(2):
         for j in range(2):
-            s_kj = sd.psi0_inv[k] @ G11 @ sd.psi0_inv[j].conj().T
+            s_kj = psi0_inv[k] @ G11 @ psi0_inv[j].conj().T
             np.testing.assert_allclose(s_kj, G11, atol=1e-14)
-    np.testing.assert_allclose(sd.vs[1], q0 @ G11 @ v, atol=1e-15)
+    np.testing.assert_allclose(vs[1], q0 @ G11 @ v, atol=1e-15)
     # paired diagonal bilinears coincide: (q0 G v)* G (q0 G v) = v* G v
-    d0 = sd.vs[0].conj() @ G11 @ sd.vs[0]
-    d1 = sd.vs[1].conj() @ G11 @ sd.vs[1]
+    d0 = vs[0].conj() @ G11 @ vs[0]
+    d1 = vs[1].conj() @ G11 @ vs[1]
     np.testing.assert_allclose(d0, d1, atol=1e-14)
 
 
@@ -117,10 +126,8 @@ def test_solve_matches_closed_form_kerr_solution():
     alpha, delta, _ = targets.kerr_params(m, s)
     cfg = kerr_cfg(m, s)
     r, th = 2.7, 0.9
-    x = bl_point(r, th, m, s)
-    sd = dressing.spectral_data(cfg, x)
-    a, b = dressing.build_system(sd, G11)
-    u = dressing.solve_system(a, b, cfg.tolerances)
+    _, a, b_star, u, _ = kernels(cfg, bl_point(r, th, m, s))
+    a, b_star, u = a[0], b_star[0], u[0]
     big_r, c = r - m, np.cos(th)
     aa, bb = alpha ** 2 - delta ** 2, alpha ** 2 + delta ** 2
     d = bb ** 2 / (4 * (big_r ** 2 + s ** 2)) - aa ** 2 / (4 * s ** 2 * np.sin(th) ** 2)
@@ -131,49 +138,51 @@ def test_solve_matches_closed_form_kerr_solution():
          delta * (-1j * aa / (s * (c - 1)) - bb / (big_r + 1j * s))]])
     np.testing.assert_allclose(u, u_closed, rtol=1e-11)
     np.testing.assert_allclose(np.linalg.det(a), d, rtol=1e-12)
-    resid = np.linalg.norm(a @ u.conj().T - b.conj().T)
-    assert resid <= 1e-10 * np.linalg.norm(b)
+    resid = np.linalg.norm(a @ u.conj().T - b_star)
+    assert resid <= 1e-10 * np.linalg.norm(b_star)
 
 
 def test_solve_system_singular_flag():
     a = np.array([[1e-7, 1.0], [1.0, 1e-7]], dtype=complex) * 1e-6
     a[1, 1] = a[0, 1] * a[1, 0] / a[0, 0]  # force det = 0 up to round-off
-    with pytest.raises(SingularPointError):
-        dressing.solve_system(a, np.eye(2, dtype=complex), Tolerances())
+    fails = dressing._Failures(1)
+    dressing._solve(a[None], np.eye(2, dtype=complex)[None], Tolerances(), fails)
+    assert isinstance(fails.error[0], SingularPointError)
 
 
 def test_reconstruct_empty_and_kerr_entries():
     # zero solitons: q = q0 exactly
     cfg0 = SolitonConfig(SIG11, poles=(), vectors=(), seed=seeds.identity_seed(SIG11))
-    res = dressing.dress_point(cfg0, DomainPoint(rho=1.0, z=0.0))
-    np.testing.assert_array_equal(res.q, np.eye(2))
-    assert res.residuals["symspace"] == 0.0
-    assert res.det_a == 1.0
+    res = dressing.dress(cfg0, 1.0, 0.0)
+    np.testing.assert_array_equal(res.q[0], np.eye(2))
+    assert res.residuals["symspace"][0] == 0.0
+    assert res.det_a[0] == 1.0
 
     # dressed entries match the closed forms
     m, s = 1.0, 1.0
     alpha, delta, _ = targets.kerr_params(m, s)
     r, th = 3.1, 1.2
-    res = dressing.dress_point(kerr_cfg(m, s), bl_point(r, th, m, s))
+    x = bl_point(r, th, m, s)
+    q = dressing.dress(kerr_cfg(m, s), x.rho, x.z).q[0]
     big_r, c = r - m, np.cos(th)
     aa, bb = alpha ** 2 - delta ** 2, alpha ** 2 + delta ** 2
     f = aa ** 2 * (big_r ** 2 + s ** 2) - bb ** 2 * s ** 2 * np.sin(th) ** 2
     q11 = 1 + 8 * alpha ** 2 * delta ** 2 * s ** 2 / f
     q12 = -4 * s * alpha * delta * (1j * aa * big_r - bb * s * c) / f
-    np.testing.assert_allclose(res.q[0, 0], q11, rtol=1e-11)
-    np.testing.assert_allclose(res.q[0, 1], q12, rtol=1e-11)
-    np.testing.assert_allclose(res.q[1, 0], np.conj(q12), rtol=1e-11)
+    np.testing.assert_allclose(q[0, 0], q11, rtol=1e-11)
+    np.testing.assert_allclose(q[0, 1], q12, rtol=1e-11)
+    np.testing.assert_allclose(q[1, 0], np.conj(q12), rtol=1e-11)
 
 
 def test_v_scaling_invariance():
     rng = np.random.default_rng(23)
     cfg = kerr_cfg()
     x = bl_point(2.4, 0.8)
-    base = dressing.dress_point(cfg, x)
+    base = dressing.dress(cfg, x.rho, x.z)
     c = complex(rng.normal(), rng.normal()) + 1.5
     scaled_cfg = SolitonConfig(SIG11, cfg.poles, (c * cfg.vectors[0],), cfg.seed)
-    scaled = dressing.dress_point(scaled_cfg, x)
-    assert algebra.frobenius(base.q - scaled.q) < 1e-10
+    scaled = dressing.dress(scaled_cfg, x.rho, x.z)
+    assert algebra.frobenius(base.q[0] - scaled.q[0]) < 1e-10
 
 
 def test_normalize_det_branches():
@@ -192,26 +201,24 @@ def test_normalize_det_branches():
 
 
 def test_kerr_determinant_already_one():
-    res = dressing.dress_point(kerr_cfg(), bl_point(2.9, 1.4))
-    assert res.residuals["unit_det"] <= 1e-9
-    assert res.residuals["det_branch_warning"] == 0.0
+    x = bl_point(2.9, 1.4)
+    res = dressing.dress(kerr_cfg(), x.rho, x.z)
+    assert res.residuals["unit_det"][0] <= 1e-9
+    assert res.residuals["det_branch_warning"][0] == 0.0
 
 
 def test_chi_properties():
     cfg = kerr_cfg()
-    x = bl_point(2.2, 1.0)
-    sd = dressing.spectral_data(cfg, x)
-    a, b = dressing.build_system(sd, G11)
-    u = dressing.solve_system(a, b, cfg.tolerances)
-    chi_far = dressing.chi_at(1e8, u, sd)
-    assert algebra.frobenius(chi_far - np.eye(2)) < 1e-6
-    q = dressing.reconstruct_q(u, sd, np.eye(2, dtype=complex))
-    np.testing.assert_allclose(dressing.chi_at(0.0, u, sd), q, atol=1e-12)
+    sd, _, _, u, q = kernels(cfg, bl_point(2.2, 1.0))
+    res = dressing._residues(u, sd)
+    # chi at infinity, at 0 and at its first pole
+    chi, at_pole = dressing._chi(np.array([[1e8, 0.0, sd.lambdas[0, 0]]]), res, sd.lambdas)
+    assert algebra.frobenius(chi[0, 0] - np.eye(2)) < 1e-6
+    np.testing.assert_allclose(chi[0, 1], q[0], atol=1e-12)
     for k in range(2):
-        rank_one = np.outer(u[:, k], sd.vs[k].conj())
+        rank_one = np.outer(u[0, :, k], sd.vs[0, k].conj())
         assert abs(np.linalg.det(rank_one)) < 1e-13
-    with pytest.raises(DomainError):
-        dressing.chi_at(sd.lambdas[0], u, sd)
+    assert at_pole[0].tolist() == [[False, False], [False, False], [True, False]]
 
 
 def test_dominance_check_examples():
@@ -223,18 +230,18 @@ def test_dominance_check_examples():
 
 def test_dress_point_singular_at_branch_point():
     cfg = kerr_cfg(1.0, 1.0)  # pole at i, branch point where (z-i)^2 + rho^2 = 0
-    res = dressing.dress_point(cfg, DomainPoint(rho=1.0, z=0.0))
-    assert res.singular
-    assert res.q is None
-    assert "branch point" in res.note
+    res = dressing.dress(cfg, 1.0, 0.0)
+    assert res.singular[0] and not res.has_q[0]
+    assert np.isnan(res.q).all()
+    assert "branch point" in res.notes[0]
 
 
 def test_dress_point_numeric_failure_flagged():
     cfg = SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
                         seeds.identity_seed(SIG11),
                         Tolerances(condition_cap=1.0))
-    res = dressing.dress_point(cfg, DomainPoint(rho=1.0, z=1.0))
-    assert res.singular and res.q is None
+    res = dressing.dress(cfg, 1.0, 1.0)
+    assert res.singular[0] and not res.has_q[0]
 
 
 def test_dress_point_with_nontrivial_constant_seed():
@@ -243,11 +250,10 @@ def test_dress_point_with_nontrivial_constant_seed():
                    [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
     cfg = SolitonConfig(SIG11, (0.4 + 0.9j,), (np.array([1.0, 0.2 - 0.1j]),),
                         seeds.constant_seed(q0, SIG11))
-    res = dressing.dress_point(cfg, DomainPoint(rho=1.2, z=0.3))
-    assert not res.singular
-    assert res.residuals["symspace"] <= 1e-9
-    assert res.residuals["chi_reality"] <= 1e-9
-    assert res.residuals["chi_involution"] <= 1e-9
+    res = dressing.dress(cfg, 1.2, 0.3)
+    assert not res.singular[0]
+    for key in ("symspace", "chi_reality", "chi_involution"):
+        assert res.residuals[key][0] <= 1e-9
 
 
 def test_multi_soliton_g21_constraints():
@@ -262,52 +268,29 @@ def test_multi_soliton_g21_constraints():
                  complex(rng.normal(), -0.4 - rng.random()))
         vectors = tuple(rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
         cfg = SolitonConfig(sig, poles, vectors, seed3)
-        x = DomainPoint(rho=0.8 + 2 * rng.random(), z=rng.normal())
-        res = dressing.dress_point(cfg, x)
-        if res.singular:
+        res = dressing.dress(cfg, 0.8 + 2 * rng.random(), rng.normal())
+        if res.singular[0]:
             continue
-        assert res.residuals["symspace"] <= 1e-8
-        assert res.residuals["chi_reality"] <= 1e-8
-        assert res.residuals["chi_involution"] <= 1e-8
+        for key in ("symspace", "chi_reality", "chi_involution"):
+            assert res.residuals[key][0] <= 1e-8
         checked += 1
 
 
 def test_spectral_data_swap_length_guard():
-    cfg = kerr_cfg()
     with pytest.raises(ConfigError):
-        dressing.spectral_data(cfg, DomainPoint(rho=1.0, z=1.0), swap=(True, False))
+        dressing.dress(kerr_cfg(), 1.0, 1.0, swap=(True, False))
 
 
-def test_dress_grid_row_major():
-    cfg = kerr_cfg()
-    rhos = [1.5, 2.0]
-    zs = [-0.5, 0.0, 0.5]
-    rows = [[DomainPoint(rho=r, z=z) for z in zs] for r in rhos]
-    out = dressing.dress_grid(cfg, rows)
-    assert len(out) == 2 and len(out[0]) == 3
-    assert out[0][0].x == rows[0][0]
-
-
-def test_dressed_arrays_agree_with_the_point_view():
-    # tight tolerances flag points by det A, the condition cap and the chi audit
-    cfg = targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=0.1, condition_cap=30.0))
-    rhos, zs = np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)
-    rho, z = np.meshgrid(rhos, zs, indexing="ij")
-    dressed = dressing.dress(cfg, rho, z)
-    rows = [[DomainPoint(rho=float(r), z=float(zz)) for zz in zs] for r in rhos]
-    points = [p for row in dressing.dress_grid(cfg, rows) for p in row]
-    assert dressed.rho.tolist() == [p.x.rho for p in points]
-    assert dressed.singular.tolist() == [p.singular for p in points]
-    assert dressed.notes == {i: p.note for i, p in enumerate(points) if p.singular}
-    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system", "chi"}
-    for i, p in enumerate(points):
-        assert dressed.has_q[i] == (p.q is not None)
-        assert np.isnan(dressed.q[i]).all() == (p.q is None)
-        if p.q is not None:
-            assert np.array_equal(dressed.q[i], p.q)
-        assert np.isnan(dressed.det_a[i]) == math.isnan(p.det_a.real)
-        assert {k: math.isnan(v) for k, v in p.residuals.items()} == \
-            {k: bool(np.isnan(col[i])) for k, col in dressed.residuals.items()}
+def test_an_empty_batch_has_the_arrays_of_one_point():
+    cfg = SU21[0]
+    empty, one = dressing.dress(cfg, [], []), dressing.dress(cfg, [1.0], [0.3])
+    assert empty.q.shape == (0, 3, 3) and empty.notes == {}
+    for key in ("rho", "z", "q", "has_q", "det_a", "singular"):
+        got, want = getattr(empty, key), getattr(one, key)
+        assert (got.shape, got.dtype) == ((0,) + want.shape[1:], want.dtype), key
+    assert list(empty.residuals) == list(one.residuals)
+    for key, col in empty.residuals.items():
+        assert col.shape == (0,) and col.dtype == one.residuals[key].dtype == float, key
 
 
 @pytest.mark.parametrize("example", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
@@ -315,7 +298,7 @@ def test_dressing_does_not_depend_on_the_batch_split(example):
     # bit-identical output however the points are batched: the ring locus,
     # branch points, and det A, condition and chi-audit flags
     cfg, rows = example
-    rho, z = np.array([(x.rho, x.z) for row in rows for x in row]).T
+    rho, z = coords(rows).reshape(2, -1)
     whole = dressing.dress(cfg, rho, z)
     half = len(rho) // 2
     parts = [dressing.dress(cfg, rho[part], z[part])
@@ -331,13 +314,12 @@ def test_dressing_does_not_depend_on_the_batch_split(example):
 
 def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
     cfg = kerr_cfg()
-    x = DomainPoint(rho=1.5, z=0.5)
-    assert not dressing.dress_point(cfg, x).singular
+    assert not dressing.dress(cfg, 1.5, 0.5).singular[0]
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
-    res = dressing.dress_point(cfg, x)
-    assert res.singular and res.q is None
-    assert res.note.startswith("solve residual")
+    res = dressing.dress(cfg, 1.5, 0.5)
+    assert res.singular[0] and not res.has_q[0]
+    assert res.notes[0].startswith("solve residual")
 
 
 def _boost11(t):
@@ -366,17 +348,16 @@ def _boost11(t):
      "chi audit failed: condition estimate", True),
 ])
 def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_q):
-    # a small grid: the branch point of the pole at i, and a regular point
-    rows = [[DomainPoint(rho=1.0, z=0.0)], [DomainPoint(rho=1.5, z=0.5)]]
-    out = dressing.dress_grid(make_cfg(), rows)
-    res = out[0][0] if prefix.startswith("branch") else out[1][0]
-    assert res.singular
-    assert res.note.startswith(prefix), res.note
-    assert (res.q is not None) == keeps_q
+    # two points: the branch point of the pole at i, and a regular point
+    out = dressing.dress(make_cfg(), [1.0, 1.5], [0.0, 0.5])
+    i = 0 if prefix.startswith("branch") else 1
+    assert out.singular[i]
+    assert out.notes[i].startswith(prefix), out.notes[i]
+    assert out.has_q[i] == np.isfinite(out.q[i]).all() == keeps_q
     if prefix.startswith("branch"):
-        assert not out[1][0].singular and out[1][0].note == ""
+        assert not out.singular[1] and 1 not in out.notes
     if prefix.startswith(("det A", "system")):
-        assert np.isfinite(res.det_a)
+        assert np.isfinite(out.det_a[i])
 
 
 def test_per_point_seed_dresses_like_the_constant_seed():
@@ -384,22 +365,21 @@ def test_per_point_seed_dresses_like_the_constant_seed():
     per_point = seeds.Seed(q0_eval=lambda x: q0, psi0_eval=lambda lam, x: q0,
                            signature=SIG11, constant=False)
     poles, vectors = (1j, 0.5 + 0.8j), (np.array([1.2, 0.4]), np.array([0.3, 1.0 + 0.2j]))
-    rows = [[DomainPoint(rho=r, z=z) for z in (-0.5, 0.0, 0.5, 1.0)] for r in (0.8, 1.0, 1.6)]
-    const = dressing.dress_grid(
-        SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rows)
-    varying = dressing.dress_grid(SolitonConfig(SIG11, poles, vectors, per_point), rows)
+    rho, z = np.meshgrid([0.8, 1.0, 1.6], [-0.5, 0.0, 0.5, 1.0], indexing="ij")
+    const = dressing.dress(
+        SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rho, z)
+    varying = dressing.dress(SolitonConfig(SIG11, poles, vectors, per_point), rho, z)
     # the branch points of both poles lie on the grid
-    assert sum(res.singular for row in const for res in row) == 2
-    for a, b in zip((r for row in const for r in row), (r for row in varying for r in row)):
-        assert (a.singular, a.note) == (b.singular, b.note)
-        if a.q is not None:
-            assert np.linalg.norm(a.q - b.q) <= 1e-13 * np.linalg.norm(a.q)
-            assert abs(a.det_a - b.det_a) <= 1e-13 * abs(a.det_a)
+    assert const.singular.sum() == 2
+    assert (const.singular.tolist(), const.notes) == (varying.singular.tolist(), varying.notes)
+    for i in np.flatnonzero(const.has_q):
+        a, b = const.q[i], varying.q[i]
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
+        assert abs(const.det_a[i] - varying.det_a[i]) <= 1e-13 * abs(const.det_a[i])
 
 
 def test_seed_marked_constant_that_varies_is_refused():
     q0 = _boost11(0.35)
-    rows = [[DomainPoint(rho=r, z=0.3) for r in (0.8, 1.6)]]
     varying_q0 = seeds.Seed(q0_eval=lambda x: q0 if x.rho < 1 else np.eye(2, dtype=complex),
                             psi0_eval=lambda lam, x: q0, signature=SIG11, constant=True)
     varying_psi0 = seeds.Seed(q0_eval=lambda x: q0,
@@ -407,4 +387,5 @@ def test_seed_marked_constant_that_varies_is_refused():
                               signature=SIG11, constant=True)
     for seed in (varying_q0, varying_psi0):
         with pytest.raises(SeedError, match="marked constant"):
-            dressing.dress_grid(SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seed), rows)
+            dressing.dress(SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seed),
+                           [0.8, 1.6], [0.3, 0.3])

@@ -1,4 +1,5 @@
-"""The batched dressing pipeline against the frozen per-point one.
+"""The batched dressing pipeline, dressing.dress, against the frozen
+per-point one.
 
 `_reference_dressing` is the point-by-point implementation the batched
 pipeline replaced. On every grid the two must flag the same points with
@@ -35,32 +36,38 @@ def weyl_rows(rhos, zs):
     return [[DomainPoint(rho=float(r), z=float(z)) for z in zs] for r in rhos]
 
 
+def coords(rows):
+    """rho and z of rows of DomainPoints, as two arrays of the rows' shape."""
+    return np.moveaxis(np.array([[(x.rho, x.z) for x in row] for row in rows]), -1, 0)
+
+
 def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
-    """Compare both pipelines point by point; returns the singular mask and
-    the gate-exclusion band of the reference."""
-    new = dressing.dress_grid(cfg, rows, audit_chi=audit_chi)
-    old = reference.dress_grid(cfg, rows, audit_chi=audit_chi)
-    singular = np.array([[p.singular for p in row] for row in old])
-    det_a = np.array([[p.det_a for p in row] for row in old])
+    """Compare both pipelines point by point, the rows dressed as one 2-D
+    batch in row-major order; returns the singular mask and the
+    gate-exclusion band of the reference."""
+    rho, z = coords(rows)
+    new = dressing.dress(cfg, rho, z, audit_chi=audit_chi)
+    old = [p for row in reference.dress_grid(cfg, rows, audit_chi=audit_chi) for p in row]
+    singular = np.array([p.singular for p in old]).reshape(rho.shape)
+    det_a = np.array([p.det_a for p in old]).reshape(rho.shape)
     band = _gate_exclusion(singular, det_a, cfg.tolerances.singular_tol)
-    for i, (row_old, row_new) in enumerate(zip(old, new)):
-        for j, (o, n) in enumerate(zip(row_old, row_new)):
-            assert n.x == o.x
-            assert (n.singular, n.note) == (o.singular, o.note), (i, j)
-            # what is missing (q, det A, residuals) is missing on both sides
-            assert (n.q is None) == (o.q is None)
-            assert math.isnan(n.det_a.real) == math.isnan(o.det_a.real)
-            assert {k: math.isnan(v) for k, v in n.residuals.items()} == \
-                {k: math.isnan(v) for k, v in o.residuals.items()}, (i, j)
-            if band[i, j]:
-                continue
-            if o.q is not None:
-                assert np.linalg.norm(n.q - o.q) <= 1e-13 * np.linalg.norm(o.q), (i, j)
-            if not math.isnan(o.det_a.real):
-                assert abs(n.det_a - o.det_a) <= 1e-13 * abs(o.det_a), (i, j)
-            for key, want in o.residuals.items():
-                got = n.residuals[key]
-                assert math.isnan(want) or abs(got - want) <= 1e-10, (i, j, key, got, want)
+    for k, (o, skip) in enumerate(zip(old, band.ravel())):
+        assert (new.rho[k], new.z[k]) == (o.x.rho, o.x.z)
+        assert (new.singular[k], new.notes.get(k, "")) == (o.singular, o.note), k
+        # what is missing (q, det A, residuals) is missing on both sides
+        assert new.has_q[k] == (o.q is not None)
+        assert np.isnan(new.det_a[k]) == math.isnan(o.det_a.real)
+        assert {key: bool(np.isnan(col[k])) for key, col in new.residuals.items()} == \
+            {key: math.isnan(v) for key, v in o.residuals.items()}, k
+        if skip:
+            continue
+        if o.q is not None:
+            assert np.linalg.norm(new.q[k] - o.q) <= 1e-13 * np.linalg.norm(o.q), k
+        if not math.isnan(o.det_a.real):
+            assert abs(new.det_a[k] - o.det_a) <= 1e-13 * abs(o.det_a), k
+        for key, want in o.residuals.items():
+            got = new.residuals[key][k]
+            assert math.isnan(want) or abs(got - want) <= 1e-10, (k, key, got, want)
     return singular, band
 
 
@@ -131,5 +138,6 @@ def test_reference_examples_cover_branch_points_and_the_locus():
     assert singular.sum() == 3
     singular, band = assert_equivalent(*KERR_RING)
     assert not singular.any() and band.any() and not band.all()
-    notes = {p.note.split(" ")[0] for row in dressing.dress_grid(*TIGHT) for p in row}
-    assert notes == {"", "det", "system", "chi"}
+    dressed = dressing.dress(TIGHT[0], *coords(TIGHT[1]))
+    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system", "chi"}
+    assert not dressed.singular.all()

@@ -12,6 +12,14 @@ from vesture.targets import SIG_11, SIG_21, BLParams
 G2 = algebra.gamma(SIG_11)
 G3 = algebra.gamma(SIG_21)
 
+
+def kerr_q(r, theta):
+    """The dressed Kerr (1, 1) map at Boyer-Lindquist (r, theta): one map,
+    or a stack for arrays."""
+    x = targets.bl_to_weyl(r, theta, BLParams(m=1.0, s=1.0))
+    q = dressing.dress(targets.kerr_config(1.0, 1.0), x.rho, x.z).q
+    return q if np.ndim(r) else q[0]
+
 def test_bl_to_weyl():
     p = BLParams(m=0.0, s=1.0)
     x = targets.bl_to_weyl(1.0, math.pi / 2, p)
@@ -25,9 +33,7 @@ def test_cayley_identity_and_reality():
     np.testing.assert_allclose(targets.cayley2(np.eye(2, dtype=complex)), np.eye(2),
                                atol=1e-15)
     # symmetric-space elements map to real matrices
-    res = dressing.dress_point(targets.kerr_config(1.0, 1.0),
-                               targets.bl_to_weyl(2.5, 1.0, BLParams(m=1.0, s=1.0)))
-    qp = targets.cayley2(res.q)
+    qp = targets.cayley2(kerr_q(2.5, 1.0))
     assert np.abs(qp.imag).max() < 1e-12
 
 def test_ernst_g11_roundtrip_and_identity():
@@ -57,11 +63,10 @@ def test_kerr_params_identities():
                                    rtol=1e-14)
 
 def test_kerr_pipeline_point():
-    res = dressing.dress_point(targets.kerr_config(1.0, 1.0),
-                               targets.bl_to_weyl(2.0, math.pi / 3, BLParams(m=1.0, s=1.0)))
-    e = targets.ernst_g11(res.q)
+    q = kerr_q(2.0, math.pi / 3)
+    e = targets.ernst_g11(q)
     np.testing.assert_allclose([e.x, e.y], [1.0 / 9.0, math.sqrt(2.0) / 4.5], rtol=1e-10)
-    assert algebra.symspace_residual(res.q, G2) <= 1e-9
+    assert algebra.symspace_residual(q, G2) <= 1e-9
 
 def test_basis_change_u3():
     u = targets.basis_change_u3()
@@ -82,10 +87,9 @@ def test_ernst_g21_identity_and_roundtrip():
     assert abs(ext.consistency) < 1e-12
 
 def test_ernst_g21_reduces_to_g11_on_embedded_block():
-    res = dressing.dress_point(targets.kerr_config(1.0, 1.0),
-                               targets.bl_to_weyl(2.8, 1.3, BLParams(m=1.0, s=1.0)))
-    e2 = targets.ernst_g11(res.q)
-    e3 = targets.ernst_g21(targets.embed_g11_in_g21(res.q))
+    q = kerr_q(2.8, 1.3)
+    e2 = targets.ernst_g11(q)
+    e3 = targets.ernst_g21(targets.embed_g11_in_g21(q))
     np.testing.assert_allclose([e3.x, e3.y], [e2.x, e2.y], rtol=1e-11)
     assert abs(e3.Phi) < 1e-13
 
@@ -93,7 +97,7 @@ def test_ernst_g21_scale_consistency():
     qt = targets.ptilde_matrix(1.2 + 0.4j, 0.2 + 0.1j)
     q = targets.from_tilde_rep(qt)
     a = targets.ernst_g21(q)
-    b = targets.ernst_g21(q, normalize=True)  # det is already 1
+    b = targets.ernst_g21(dressing.normalize_det(q)[0])  # det is already 1
     np.testing.assert_allclose([a.E, a.Phi], [b.E, b.Phi], atol=1e-13)
 
 def test_kn_oracle():
@@ -123,9 +127,7 @@ def test_g21_family_trivial_and_kerr_block():
     r, th = 2.9, 0.8
     q3 = targets.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"], fam["n2"],
                                     fam["n3"], fam["n4"], p, r, th)
-    res = dressing.dress_point(targets.kerr_config(1.0, 1.0),
-                               targets.bl_to_weyl(r, th, p))
-    np.testing.assert_allclose(q3, targets.embed_g11_in_g21(res.q), rtol=1e-9)
+    np.testing.assert_allclose(q3, targets.embed_g11_in_g21(kerr_q(r, th)), rtol=1e-9)
 
 def test_g21_family_matches_vector_dressing_at_realizable_params():
     # independent oracle: the actual 3x3 dressing pipeline with vectors
@@ -137,16 +139,17 @@ def test_g21_family_matches_vector_dressing_at_realizable_params():
         r = 2.0 + 6 * rng.random()
         th = 0.5 + 2.0 * rng.random()
         cfg = SolitonConfig(SIG_21, (1j * p.s,), (np.array([al, be, ga]),), seed3)
-        res = dressing.dress_point(cfg, targets.bl_to_weyl(r, th, p), audit_chi=False)
-        if res.singular:
+        x = targets.bl_to_weyl(r, th, p)
+        res = dressing.dress(cfg, x.rho, x.z, audit_chi=False)
+        if res.singular[0]:
             continue
         ag, bg = al * np.conj(ga), be * np.conj(ga)
         a_par = abs(al) ** 2 + abs(be) ** 2 - abs(ga) ** 2
         b_par = abs(al) ** 2 + abs(be) ** 2 + abs(ga) ** 2
         qf = targets.g21_soliton_family(a_par, b_par, ag.real, ag.imag, bg.real, bg.imag,
                                         p, r, th)
-        assert np.abs(res.q - qf).max() < 1e-10
-        assert algebra.symspace_residual(res.q, G3) < 1e-9
+        assert np.abs(res.q[0] - qf).max() < 1e-10
+        assert algebra.symspace_residual(res.q[0], G3) < 1e-9
 
 def _kn_vector(fam):
     """Soliton vector (alpha, c, delta) whose bilinears are the family's
@@ -212,17 +215,16 @@ def test_kn_family_matches_vector_dressing_pipeline():
         bl = BLParams(m=m, s=s, e=e)
         fam = targets.kn_family_params(bl)
         cfg = SolitonConfig(SIG_21, (1j * s,), (_kn_vector(fam),), seed3)
-        rs = np.linspace(m + 1.5, m + 10.0, 10)
-        ths = np.linspace(math.pi / 8, 7 * math.pi / 8, 10)
-        rows = [[targets.bl_to_weyl(float(r), float(th), bl) for th in ths] for r in rs]
-        results = dressing.dress_grid(cfg, rows, audit_chi=False)
-        for r, row in zip(rs, results):
-            for th, res in zip(ths, row):
-                assert not res.singular
-                ext = targets.ernst_g21(res.q, normalize=True)
-                o = targets.kn_oracle(m, e, fam["oracle_a"], float(r), float(th))
-                assert abs(ext.E - o.E) <= 1e-12 * abs(o.E)
-                assert abs(ext.Phi - o.Phi) <= 1e-12 * abs(o.Phi)
+        r, th = np.meshgrid(np.linspace(m + 1.5, m + 10.0, 10),
+                            np.linspace(math.pi / 8, 7 * math.pi / 8, 10), indexing="ij")
+        x = targets.bl_to_weyl(r, th, bl)
+        dressed = dressing.dress(cfg, x.rho, x.z, audit_chi=False)
+        assert not dressed.singular.any()
+        for q, r_k, th_k in zip(dressed.q, r.ravel().tolist(), th.ravel().tolist()):
+            ext = targets.ernst_g21(dressing.normalize_det(q)[0])
+            o = targets.kn_oracle(m, e, fam["oracle_a"], r_k, th_k)
+            assert abs(ext.E - o.E) <= 1e-12 * abs(o.E)
+            assert abs(ext.Phi - o.Phi) <= 1e-12 * abs(o.Phi)
 
 def test_su21_basis_membership_and_independence():
     basis = targets.su21_basis()
@@ -296,15 +298,12 @@ def test_array_coordinates_and_oracle_round_as_single_points():
 
 def test_stacked_ernst_extraction_matches_single_maps():
     rng = np.random.default_rng(7)
-    res = [dressing.dress_point(targets.kerr_config(1.0, 1.0),
-                                targets.bl_to_weyl(2.0 + 3 * rng.random(), 0.3 + 2.5 * rng.random(),
-                                                   BLParams(m=1.0, s=1.0)))
-           for _ in range(6)]
+    maps = kerr_q(2.0 + 3 * rng.random(6), 0.3 + 2.5 * rng.random(6))
     # a map with q'_22 = 0 and one that is not finite give NaN in a stack
     zero = np.zeros((2, 2))
     with pytest.raises(SingularPointError):
         targets.ernst_g11(zero)
-    q2 = np.array([r.q for r in res] + [zero, np.full((2, 2), np.nan)])
+    q2 = np.array([*maps, zero, np.full((2, 2), np.nan)])
     e2 = targets.ernst_g11(q2)
     for k, q in enumerate(q2[:6]):
         assert (e2.x[k], e2.y[k]) == (targets.ernst_g11(q).x, targets.ernst_g11(q).y)
@@ -312,7 +311,7 @@ def test_stacked_ernst_extraction_matches_single_maps():
     zero3 = np.zeros((3, 3))
     with pytest.raises(SingularPointError):
         targets.ernst_g21(zero3)
-    q3 = np.array([targets.embed_g11_in_g21(r.q) for r in res]
+    q3 = np.array([targets.embed_g11_in_g21(q) for q in maps]
                   + [zero3, np.full((3, 3), np.nan)])
     e3 = targets.ernst_g21(q3)
     for k, q in enumerate(q3[:6]):
