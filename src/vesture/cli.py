@@ -277,10 +277,11 @@ def _gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float
 
 
 def _max_constraint(dressed: DressedGrid, excluded: np.ndarray) -> float:
-    """Max membership-residual component over the points not excluded."""
+    """Max membership-residual component over the points not excluded; NaN
+    when any of them is NaN, so that it fails the gate."""
     keep = ~excluded.ravel()
-    parts = [dressed.residuals[key][keep] for key in ("quadratic", "hermiticity", "unit_det")]
-    return float(np.fmax.reduce(np.concatenate(parts), initial=0.0))
+    return checks.worst(dressed.residuals[key][keep]
+                        for key in ("quadratic", "hermiticity", "unit_det"))
 
 
 def _vacuous(excluded: np.ndarray) -> str:

@@ -11,11 +11,14 @@ and the deck involution into the ansatz.
 
 P points (rho, z arrays) are dressed as one array pipeline into a
 DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
-chi audits at (P, 8) samples. For a constant seed the paired vectors,
-psi0^{-1}, the Gram numerators and B are computed once and broadcast; other
-seeds give them a leading P axis. A point that fails a check is flagged, and
-its first failure in pipeline order becomes its note. A single point is a
-batch of one.
+chi audits at (P, 8) samples. The reality audit is the product residual
+||chi(conj lam)^* sigma(chi(lam)) - I||_F, which needs no inverse and
+bounds the condition of chi(conj lam); only the samples that bound cannot
+clear are inverted, to refuse those above the cap. For a constant seed
+the paired vectors, psi0^{-1}, the Gram numerators and B are computed once
+and broadcast; other seeds give them a leading P axis. A point that fails
+a check is flagged, and its first failure in pipeline order becomes its
+note. A single point is a batch of one.
 """
 from __future__ import annotations
 
@@ -141,6 +144,8 @@ class _Failures:
     def flag(self, bad, make, at=None) -> None:
         """Record make(j) for every j with bad[j] whose point (at[j], or j)
         has not failed yet."""
+        if not np.any(bad):
+            return
         at = np.arange(self.ok.size) if at is None else at
         for j in np.flatnonzero(np.broadcast_to(bad, at.shape) & self.ok[at]):
             self.ok[at[j]] = False
@@ -301,31 +306,51 @@ def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
     return const + terms.reshape(lam.shape + (n, n)), at_pole
 
 
-def _abs(z: np.ndarray) -> np.ndarray:
-    """|z| rounded as Python's abs() of a complex rounds it: numpy's
-    vectorised abs may differ in the last bit, and the audit-sample search
-    compares these distances against a threshold."""
-    return np.hypot(z.real, z.imag)
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of small matrices, as a sum over the inner
+    index of elementwise products: numpy's matmul makes one BLAS call per
+    2x2 or 3x3 matrix, several times slower on the audit's stacks."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
 
 def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Deterministic (P, S) samples keeping lam, conj(lam) and the deck image
     clear of the poles (and of their conjugates, where chi inverts): each
-    sample moves outward by 1.171 until clear, at most 60 times."""
-    scale = np.maximum(1.0, _abs(lambdas).max(axis=-1, initial=0.0))
-    gap = 1e-3 * scale[:, None]
+    sample moves outward by 1.171 until clear, at most 60 times.
+
+    A sample is clear when every probe-to-pole distance, rounded as np.hypot
+    rounds it, exceeds the gap. The pole set is closed under conjugation, so
+    conj(lam) is exactly as far from it as lam and needs no probe of its own.
+    Each probe meets all poles in one broadcast; the squared distance
+    decides every pair more than twice the gap apart, and hypot runs on the
+    others only. After the first pass only the points with a sample still
+    moving are revisited."""
+    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1, initial=0.0))
+    gap = 1e-3 * scale[:, None, None]
     samples = np.asarray(CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
-    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1).T[..., None]
+    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1)[:, None, :]
+    deck = -(rho * rho)[:, None]
     moving = np.ones(samples.shape, dtype=bool)
+    idx = np.arange(len(samples))
     for _ in range(60):
-        dist = np.full(samples.shape, math.inf)
-        for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
-            for pole in avoid:
-                dist = np.minimum(dist, _abs(probe - pole))
-        moving &= ~(dist > gap)
-        if not moving.any():
+        lam, poles, limit = samples[idx], avoid[idx], gap[idx]
+        close = np.zeros(lam.shape, dtype=bool)
+        for probe in (lam, deck[idx] / lam):
+            re = probe.real[..., None] - poles.real
+            im = probe.imag[..., None] - poles.imag
+            near = ~(re * re + im * im > 4.0 * limit * limit)
+            if near.any():
+                at = np.nonzero(near)
+                near[at] = ~(np.hypot(re[at], im[at]) > limit[at[0], 0, 0])
+                close |= near.any(axis=-1)
+        moving[idx] &= close
+        idx = idx[moving[idx].any(axis=-1)]
+        if not idx.size:
             break
-        samples = np.where(moving, samples * 1.171, samples)
+        samples[idx] = np.where(moving[idx], samples[idx] * 1.171, samples[idx])
     return samples
 
 
@@ -334,24 +359,35 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
            fails: _Failures, at=None) -> tuple[np.ndarray, np.ndarray]:
     """Max reality / deck-involution residuals of chi over the samples.
 
-    reality:    || tau(chi(conj lam)) - chi(lam) ||_F
+    reality:    || chi(conj lam)^* sigma(chi(lam)) - I ||_F
     involution: || chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) ||_F
-    A sample at a pole or a refused inverse fails the point: the first one
-    in sample order and, per sample, in the order chi(lam), chi(conj lam),
-    the inverse, chi(deck).
+    The reality residual r is the identity tau(chi(conj lam)) = chi(lam) in
+    product form, so it needs no inverse. Where r < 1 it also bounds the
+    condition of A = chi(conj lam)^*: cond(A) <= ||A||_F ||chi(lam)||_F / (1 - r).
+    A sample with r < 1/2 and ten times that bound within the cap is never
+    refused; the others (an exactly singular A has r >= 1) go through
+    algebra.checked_inv, whose SVD refuses A above the cap. A sample at a
+    pole or a refused A fails the point: the first one in sample order and,
+    per sample, in the order chi(lam), chi(conj lam), A, chi(deck).
     """
     samples = _audit_samples(lambdas, rho)
     s = samples.shape[1]
     both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas)
-    chi, chi_conj = both[:, :s], both[:, s:]
+    chi, adj = both[:, :s], both[:, s:].conj().swapaxes(-1, -2)
     pole_lam, pole_conj = pole_both[:, :s], pole_both[:, s:]
-    inv_conj, cond = algebra.checked_inv(chi_conj.conj().swapaxes(-1, -2), condition_cap)
+    reality = algebra.frobenius(_mul(adj, algebra.sigma(chi, gamma_mat)) - np.eye(chi.shape[-1]))
+    size = algebra.frobenius(both)  # ||A||_F = ||chi(conj lam)||_F
+    bound = 10.0 * size[:, s:] * size[:, :s]
+    unsure = ~((reality < 0.5) & (bound <= condition_cap * (1.0 - reality)))
+    cond = np.zeros(samples.shape)
+    if unsure.any():
+        cond[unsure] = algebra.checked_inv(adj[unsure], condition_cap)[1]
     # q sigma(chi) sigma(q0) at the deck images, from the residues of chi
     # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k
     left, right = q[:, None], algebra.sigma(q0, gamma_mat)[:, None]
     rhs, pole_deck = _chi(-(rho * rho)[:, None] / samples,
-                          left @ algebra.sigma(res, gamma_mat) @ right, lambdas,
-                          (left @ right)[:, 0])
+                          _mul(_mul(left, algebra.sigma(res, gamma_mat)), right), lambdas,
+                          _mul(left, right)[:, 0])
     poles = (pole_lam, pole_conj, None, pole_deck)
     steps = np.stack([pole_lam.any(-1), pole_conj.any(-1), ~(cond <= condition_cap),
                       pole_deck.any(-1)], axis=-1)
@@ -365,7 +401,6 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
         return DomainError(f"chi evaluated at its pole lam_{k} = {lambdas[i, k]}")
 
     fails.flag(steps.any(axis=-1), failure, at)
-    reality = algebra.frobenius(algebra.sigma(inv_conj, gamma_mat) - chi)
     involution = algebra.frobenius(chi - rhs)
     return reality.max(axis=-1, initial=0.0), involution.max(axis=-1, initial=0.0)
 

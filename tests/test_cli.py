@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance as acceptance
-from vesture import algebra, cli, spectral, targets
+from vesture import algebra, cli, dressing, spectral, targets
 from vesture.errors import ConfigError, SingularPointError
 
 def minimal_config(tmp_path, **overrides):
@@ -112,6 +112,26 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     assert 0.0 < float(err.split()[-1]) <= 1e-12
     _, excluded = cli.run_sweep(cli.parse_config(json.dumps(doc)))
     assert excluded.shape == (6, 6) and not excluded.any()
+
+@pytest.mark.parametrize("key", ["quadratic", "hermiticity", "unit_det"])
+def test_a_nan_gated_residual_fails_the_dress_gate(tmp_path, capsys, monkeypatch, key):
+    # a NaN fails the constraint gate as it fails every check
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
+                                         "z": [-0.5, 0.5, 6]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    dress = dressing.dress
+
+    def nan_at_one_point(*args, **kwargs):
+        out = dress(*args, **kwargs)
+        out.residuals[key][7] = math.nan
+        return out
+
+    monkeypatch.setattr(dressing, "dress", nan_at_one_point)
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_GATE
+    assert capsys.readouterr().err.startswith(
+        "dressed 36 points (0 singular); max gated constraint residual nan")
+
 
 def test_run_dress_deterministic(tmp_path):
     doc = minimal_config(tmp_path)

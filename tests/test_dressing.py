@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vesture import algebra, dressing, seeds, spectral, targets
 from vesture.algebra import Signature
@@ -389,3 +391,119 @@ def test_seed_marked_constant_that_varies_is_refused():
         with pytest.raises(SeedError, match="marked constant"):
             dressing.dress(SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seed),
                            [0.8, 1.6], [0.3, 0.3])
+
+
+def _rescanned_audit_samples(lambdas, rho):
+    """The audit-sample search as first written, frozen here: every sample is
+    rescanned on every pass, with one np.hypot per probe and pole."""
+    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1, initial=0.0))
+    gap = 1e-3 * scale[:, None]
+    samples = np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
+    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1).T[..., None]
+    moving = np.ones(samples.shape, dtype=bool)
+    for _ in range(60):
+        dist = np.full(samples.shape, np.inf)
+        for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
+            for pole in avoid:
+                d = probe - pole
+                dist = np.minimum(dist, np.hypot(d.real, d.imag))
+        moving &= ~(dist > gap)
+        if not moving.any():
+            break
+        samples = np.where(moving, samples * 1.171, samples)
+    return samples
+
+
+#: the first audit sample after k moves, for a pole small enough to leave
+#: the samples unscaled
+def _moved(sample: int, k: int) -> complex:
+    lam = np.asarray(dressing.CHI_SAMPLES)[sample]
+    for _ in range(k):
+        lam = lam * 1.171
+    return complex(lam)
+
+
+#: a pole whose distance from the first sample rounds to the gap 1e-3 exactly
+ONE_GAP = 0.3692877000010982 + 0.6192981248604171j
+
+
+@st.composite
+def _sample_problems(draw):
+    """Pole rows (P, 2N) and radii: free poles, poles on a sample, on its
+    conjugate or on its deck image after a few moves, and ONE_GAP."""
+    rows, rhos, width = [], [], 2 * draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        rho = draw(st.floats(0.05, 4.0))
+        row = []
+        for _ in range(width):
+            kind = draw(st.sampled_from(["free", "sample", "conj", "deck", "one-gap"]))
+            near = _moved(draw(st.integers(0, 7)), draw(st.integers(0, 4)))
+            if kind == "free":
+                pole = complex(draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0)))
+            elif kind == "one-gap":
+                pole = ONE_GAP
+            else:
+                pole = {"sample": near, "conj": near.conjugate(),
+                        "deck": -(rho * rho) / near}[kind]
+            row.append(pole)
+        rows.append(row)
+        rhos.append(rho)
+    return np.array(rows, dtype=complex), np.array(rhos)
+
+
+# ONE_GAP sits on the decision boundary; the other example makes the first
+# sample move four times and its conjugate and deck probes matter too
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_sample_problems())
+@example((np.array([[ONE_GAP, 2.0 + 2.0j]]), np.array([1.0])))
+@example((np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)],
+                    [1.0j, -1.0j, 0.5, 0.25]]), np.array([1.0, 0.3])))
+def test_audit_samples_match_the_full_rescan(problem):
+    lambdas, rho = problem
+    got = dressing._audit_samples(lambdas, rho)
+    want = _rescanned_audit_samples(lambdas, rho)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_audit_sample_edge_cases_are_exercised():
+    first = dressing.CHI_SAMPLES[0]
+    assert np.hypot((first - ONE_GAP).real, (first - ONE_GAP).imag) == 1e-3
+    # on the boundary the sample is not clear, so it moves once
+    lambdas = np.array([[ONE_GAP, 2.0 + 2.0j]])
+    assert dressing._audit_samples(lambdas, np.array([1.0]))[0, 0] == _moved(0, 1)
+    lambdas = np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)]])
+    assert dressing._audit_samples(lambdas, np.array([1.0]))[0, 0] == _moved(0, 4)
+
+
+@pytest.mark.parametrize("example", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
+def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, example):
+    # the reality residual needs no inverse; LU runs only where the
+    # inverse-free condition bound does not clear the cap by 10x
+    cfg, rows = example
+    cap, inverted, inside = cfg.tolerances.condition_cap, [], []
+    inv, audit = np.linalg.inv, dressing._audit
+
+    def counted_inv(m):
+        if inside:
+            inverted.extend(np.reshape(m, (-1,) + np.shape(m)[-2:]))
+        return inv(m)
+
+    def traced_audit(*args, **kwargs):
+        inside.append(True)
+        try:
+            return audit(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(dressing, "_audit", traced_audit)
+    out = dressing.dress(cfg, *coords(rows))
+    refusals = [note for note in out.notes.values() if note.startswith("chi audit failed: cond")]
+    if example is not TIGHT:
+        assert inverted == [] and refusals == []
+        return
+    audited = (out.has_q.sum()) * len(dressing.CHI_SAMPLES)
+    assert len(refusals) == 6 and len(refusals) <= len(inverted) < audited
+    for m in inverted:
+        assert 10.0 * algebra.frobenius(m) * algebra.frobenius(inv(m)) > cap * (1 - 1e-9)
