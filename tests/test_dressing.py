@@ -414,9 +414,8 @@ def _rescanned_audit_samples(lambdas, rho):
     return samples
 
 
-#: the first audit sample after k moves, for a pole small enough to leave
-#: the samples unscaled
 def _moved(sample: int, k: int) -> complex:
+    """An audit sample after k moves, where no pole rescales the samples."""
     lam = np.asarray(dressing.CHI_SAMPLES)[sample]
     for _ in range(k):
         lam = lam * 1.171
@@ -425,6 +424,12 @@ def _moved(sample: int, k: int) -> complex:
 
 #: a pole whose distance from the first sample rounds to the gap 1e-3 exactly
 ONE_GAP = 0.3692877000010982 + 0.6192981248604171j
+#: (poles, rho) with ONE_GAP on the decision boundary: the first sample moves once
+BOUNDARY = (np.array([[ONE_GAP, 2.0 + 2.0j]]), np.array([1.0]))
+#: poles on the first sample after 0-3 moves, reached by lam, its conjugate and
+#: its deck image: the first sample moves four times
+CHAIN = (np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)],
+                   [1.0j, -1.0j, 0.5, 0.25]]), np.array([1.0, 0.3]))
 
 
 @st.composite
@@ -451,13 +456,10 @@ def _sample_problems(draw):
     return np.array(rows, dtype=complex), np.array(rhos)
 
 
-# ONE_GAP sits on the decision boundary; the other example makes the first
-# sample move four times and its conjugate and deck probes matter too
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(_sample_problems())
-@example((np.array([[ONE_GAP, 2.0 + 2.0j]]), np.array([1.0])))
-@example((np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)],
-                    [1.0j, -1.0j, 0.5, 0.25]]), np.array([1.0, 0.3])))
+@example(BOUNDARY)
+@example(CHAIN)
 def test_audit_samples_match_the_full_rescan(problem):
     lambdas, rho = problem
     got = dressing._audit_samples(lambdas, rho)
@@ -469,18 +471,15 @@ def test_audit_samples_match_the_full_rescan(problem):
 def test_audit_sample_edge_cases_are_exercised():
     first = dressing.CHI_SAMPLES[0]
     assert np.hypot((first - ONE_GAP).real, (first - ONE_GAP).imag) == 1e-3
-    # on the boundary the sample is not clear, so it moves once
-    lambdas = np.array([[ONE_GAP, 2.0 + 2.0j]])
-    assert dressing._audit_samples(lambdas, np.array([1.0]))[0, 0] == _moved(0, 1)
-    lambdas = np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)]])
-    assert dressing._audit_samples(lambdas, np.array([1.0]))[0, 0] == _moved(0, 4)
+    assert dressing._audit_samples(*BOUNDARY)[0, 0] == _moved(0, 1)
+    assert dressing._audit_samples(*CHAIN)[0, 0] == _moved(0, 4)
 
 
-@pytest.mark.parametrize("example", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
-def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, example):
+@pytest.mark.parametrize("problem", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
+def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem):
     # the reality residual needs no inverse; LU runs only where the
     # inverse-free condition bound does not clear the cap by 10x
-    cfg, rows = example
+    cfg, rows = problem
     cap, inverted, inside = cfg.tolerances.condition_cap, [], []
     inv, audit = np.linalg.inv, dressing._audit
 
@@ -500,10 +499,10 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, example)
     monkeypatch.setattr(dressing, "_audit", traced_audit)
     out = dressing.dress(cfg, *coords(rows))
     refusals = [note for note in out.notes.values() if note.startswith("chi audit failed: cond")]
-    if example is not TIGHT:
+    if problem is not TIGHT:
         assert inverted == [] and refusals == []
         return
-    audited = (out.has_q.sum()) * len(dressing.CHI_SAMPLES)
+    audited = out.has_q.sum() * len(dressing.CHI_SAMPLES)
     assert len(refusals) == 6 and len(refusals) <= len(inverted) < audited
     for m in inverted:
         assert 10.0 * algebra.frobenius(m) * algebra.frobenius(inv(m)) > cap * (1 - 1e-9)
