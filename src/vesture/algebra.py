@@ -58,6 +58,19 @@ def frobenius(m: ComplexMatrix) -> float | np.ndarray:
     return np.linalg.norm(m, axis=(-2, -1))
 
 
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b over broadcast stacks of small (..., m, k) @ (..., k, n) matrices,
+    as a sum over k of elementwise products: numpy's matmul makes one BLAS
+    call per matrix, ~5x slower on a 1024-point 2x2 stack. The sum runs in
+    another order than BLAS, whose complex kernels also fuse multiply-adds,
+    so entries differ at rounding level; residuals and audits use it, while
+    q and det A keep matmul."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
+
+
 def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (..., n, n) stack and the 2-norm condition number of each.
 
@@ -144,7 +157,7 @@ def symspace_components(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> tuple:
     membership residual: ||m gamma m gamma - I||_F, ||m - m*||_F, |det m - 1|;
     one value per matrix of a (..., n, n) stack."""
     n = m.shape[-1]
-    quad = frobenius(m @ sigma(m, gamma_mat) - np.eye(n))
+    quad = frobenius(mul(m, sigma(m, gamma_mat)) - np.eye(n))
     herm = frobenius(m - m.conj().swapaxes(-1, -2))
     det_dev = np.abs(np.linalg.det(m) - 1.0)
     return quad, herm, det_dev

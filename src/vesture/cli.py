@@ -449,10 +449,22 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
                 if not lines[-1]:
                     lines.pop()
                 cols, body = next(csv.reader(lines[:1])), lines[1:]
-                # a blank line is a row of 0 cells, as csv.reader reads it
-                _check_widths(path, [line.count(",") + 1 if line else 0 for line in body],
-                              len(cols))
-                table = np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
+
+                def check_widths() -> None:
+                    # a blank line is a row of 0 cells, as csv.reader reads it
+                    _check_widths(path, [line.count(",") + 1 if line else 0 for line in body],
+                                  len(cols))
+                # the cells are counted only where np.loadtxt cannot tell: it
+                # warns on a body without data, and it skips blank lines
+                if not any(body):
+                    check_widths()
+                try:
+                    table = np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
+                except ValueError:
+                    check_widths()
+                    raise
+                if table.shape != (len(body), len(cols)):
+                    check_widths()
         except StopIteration:
             raise ConfigError(f"{path}: empty file") from None
         except KeyError as exc:

@@ -252,7 +252,7 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
         f"system condition {cond[i]:.3e} exceeds cap {tol.condition_cap:.3e}"))
     a = np.where(fails.ok[:, None, None], a, eye)
     u_star = np.linalg.solve(a, b_star)
-    resid = algebra.frobenius(a @ u_star - b_star)
+    resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
     fails.flag(resid > bound, lambda i: NumericError(
         f"solve residual {resid[i]:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||"))
@@ -304,16 +304,6 @@ def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
     const = np.eye(n, dtype=complex) if const is None else const[:, None]
     terms = (1.0 / np.where(at_pole, 1.0, gap)) @ res.reshape(res.shape[:-2] + (n * n,))
     return const + terms.reshape(lam.shape + (n, n)), at_pole
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b over broadcast stacks of small matrices, as a sum over the inner
-    index of elementwise products: numpy's matmul makes one BLAS call per
-    2x2 or 3x3 matrix, several times slower on the audit's stacks."""
-    out = a[..., :, :1] * b[..., :1, :]
-    for j in range(1, a.shape[-1]):
-        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
-    return out
 
 
 def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -375,7 +365,8 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
     both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas)
     chi, adj = both[:, :s], both[:, s:].conj().swapaxes(-1, -2)
     pole_lam, pole_conj = pole_both[:, :s], pole_both[:, s:]
-    reality = algebra.frobenius(_mul(adj, algebra.sigma(chi, gamma_mat)) - np.eye(chi.shape[-1]))
+    reality = algebra.frobenius(algebra.mul(adj, algebra.sigma(chi, gamma_mat))
+                                - np.eye(chi.shape[-1]))
     size = algebra.frobenius(both)  # ||A||_F = ||chi(conj lam)||_F
     bound = 10.0 * size[:, s:] * size[:, :s]
     unsure = ~((reality < 0.5) & (bound <= condition_cap * (1.0 - reality)))
@@ -386,8 +377,8 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
     # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k
     left, right = q[:, None], algebra.sigma(q0, gamma_mat)[:, None]
     rhs, pole_deck = _chi(-(rho * rho)[:, None] / samples,
-                          _mul(_mul(left, algebra.sigma(res, gamma_mat)), right), lambdas,
-                          _mul(left, right)[:, 0])
+                          algebra.mul(algebra.mul(left, algebra.sigma(res, gamma_mat)), right),
+                          lambdas, algebra.mul(left, right)[:, 0])
     poles = (pole_lam, pole_conj, None, pole_deck)
     steps = np.stack([pole_lam.any(-1), pole_conj.any(-1), ~(cond <= condition_cap),
                       pole_deck.any(-1)], axis=-1)

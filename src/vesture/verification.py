@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
+from . import algebra, spectral
 from .dressing import DressedGrid
 from .errors import ConfigError
 from .spectral import DomainPoint
@@ -92,13 +92,19 @@ def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
     if field.rhos.size < 3 or field.zs.size < 3:
         raise ConfigError("hodge residual needs at least 3 grid points per axis")
     hole = ~field.mask[..., None, None]
+    filled = np.where(hole, np.eye(field.values.shape[-1]), field.values)
+    try:
+        qinv = np.linalg.inv(filled)
+    except np.linalg.LinAlgError:  # an exactly singular q is a hole too
+        hole = hole | (np.linalg.det(filled) == 0)[..., None, None]
+        qinv = np.linalg.inv(np.where(hole, np.eye(filled.shape[-1]), filled))
     q = np.where(hole, np.nan, field.values)
-    qinv = np.where(hole, np.nan, np.linalg.inv(np.where(hole, np.eye(q.shape[-1]), q)))
+    qinv = np.where(hole, np.nan, qinv)
     h_rho, h_z = field.h_rho, field.h_z
-    w_rho = -np.matmul(_grad(q, h_rho, 0), qinv)
-    w_z = -np.matmul(_grad(q, h_z, 1), qinv)
+    w_rho = -algebra.mul(_grad(q, h_rho, 0), qinv)
+    w_z = -algebra.mul(_grad(q, h_z, 1), qinv)
     curl = (_grad(w_z, h_rho, 0) - _grad(w_rho, h_z, 1)
-            + np.matmul(w_rho, w_z) - np.matmul(w_z, w_rho))
+            + algebra.mul(w_rho, w_z) - algebra.mul(w_z, w_rho))
     rho_col = field.rhos[:, None, None, None]
     div = _grad(rho_col * w_rho, h_rho, 0) + rho_col * _grad(w_z, h_z, 1)
     res1 = np.linalg.norm(curl, axis=(-2, -1))

@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vesture import algebra
 from vesture.algebra import Signature
@@ -159,3 +162,42 @@ def test_checked_inv_inverts_each_matrix_once(monkeypatch, singular):
     monkeypatch.setattr(np.linalg, "cond", None)
     assert np.array_equal(algebra.checked_inv(np.array(well), cap)[0],
                           np.linalg.inv(np.array(well)))
+
+
+# entries whose products cannot underflow, so that the error stays relative to |a||b|
+_ENTRIES = {
+    float: st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+    complex: st.just(0j) | st.complex_numbers(min_magnitude=1e-6, max_magnitude=1e6,
+                                              allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def _products(draw, dtype):
+    """(a, b) of shapes (..., m, k) and (..., k, n), with 1 <= m, k, n <= 6
+    and broadcast leading axes: none (plain matrices), or up to two axes
+    of up to 3 matrices each, 0 making an empty stack."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    lead = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2, min_side=0,
+                                                      max_side=3))
+    a, b = (draw(hnp.arrays(dtype, shape, elements=_ENTRIES[dtype]))
+            for shape in (lead.input_shapes[0] + (m, k), lead.input_shapes[1] + (k, n)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_mul_matches_matmul(dtype, data):
+    a, b = data.draw(_products(dtype))
+    got, want = algebra.mul(a, b), np.matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if a.shape[-1] == 1:
+        # one rounded product per entry; BLAS's complex kernels fuse the
+        # multiply-add inside a complex product, so only real entries are
+        # matmul's bit for bit
+        assert np.array_equal(got, a * b)
+        if dtype is float:
+            assert np.array_equal(got, want)
+    bound = 4 * np.finfo(float).eps * np.matmul(np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - want) <= bound)

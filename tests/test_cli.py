@@ -439,6 +439,13 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
     ("rho,z,q_re_11\n1.0,0.0,1.0\n\n1.0,0.5,1.0\n", "row 2 has 0 cells for 3 columns"),
     ("rho,z,q_re_11,q_im_11,q_re_12,q_im_12,q_re_21,q_im_21,q_re_22,q_im_22\n",
      "no data rows"),
+    # the cell counts win over what np.loadtxt says, which skips blank
+    # lines and warns on input without data
+    ("rho,z,q_re_11\n1.0,0.0,abc\n1.0,0.5\n", "row 2 has 2 cells for 3 columns"),
+    ("rho,z,q_re_11\n1.0,0.0,1.0\n   \n", "row 2 has 1 cells for 3 columns"),
+    ("rho,z,q_re_11\n1.0,0.0\n1.0,0.5\n", "row 1 has 2 cells for 3 columns"),
+    ("rho,z,q_re_11\n\n", "row 1 has 0 cells for 3 columns"),
+    ("rho,z,q_re_11", "no data rows"),
     # cells float() accepts but the %.17g writer never emits
     ("rho,z,q_re_11\n1.0,0.0,1_000\n", "not a table of numbers"),
     ("rho,z,q_re_11\n1.0,0.0,\uff11\n".encode("utf-8").decode("latin-1"),
@@ -487,6 +494,19 @@ def test_verify_says_why_it_skips_finite_differences(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "\nfinite-difference residuals not recomputed: "
         "hodge residual needs at least 3 grid points per axis\n")
+
+def test_verify_treats_an_exactly_singular_q_as_a_hole(tmp_path, capsys):
+    # a 3x3 lattice of identity maps, one of them q = 0 but not marked singular
+    cols = ["rho", "z"] + [f"q_{part}_{c}" for c in ("11", "12", "21", "22")
+                           for part in ("re", "im")] + ["singular"]
+    rows = np.array([[rho, z, 1, 0, 0, 0, 0, 0, 1, 0, 0]
+                     for rho in (1.0, 1.5, 2.0) for z in (-0.5, 0.0, 0.5)], dtype=float)
+    rows[4, [2, 8]] = 0.0
+    path = str(tmp_path / "zero.csv")
+    cli._write_output(path, "csv", cols, rows, {})
+    assert cli.main(["verify", path]) == cli.EXIT_GATE
+    err = capsys.readouterr().err
+    assert "recomputed finite-difference residuals: medians" in err and "Traceback" not in err
 
 def test_main_calls_share_one_parser_without_leaking_options(tmp_path):
     assert cli._parser() is cli._parser()

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from vesture import checks, targets, verification
+from test_equivalence import SU21, coords
+from vesture import algebra, checks, cli, dressing, targets, verification
+from vesture.algebra import Signature
 from vesture.errors import ConfigError
 from vesture.spectral import DomainPoint
 from vesture.verification import FieldGrid
+
+EPS = np.finfo(float).eps
 
 
 def constant_field(n_r=7, n_z=9, q=None):
@@ -85,6 +89,72 @@ def test_holes_propagate_no_data():
     assert np.isnan(res1[2, 4]) and np.isnan(res1[4, 4])
     assert np.isnan(res1[3, 3]) and np.isnan(res1[3, 5])
     assert res1[0, 0] == 0.0  # far cells unaffected
+
+
+def test_an_exactly_singular_q_is_a_hole():
+    # q = 0 at a point not marked as a hole, beside a NaN hole: no
+    # LinAlgError or warning, and the residuals are those of the same
+    # field with that point a hole
+    singular, hole = constant_field(), constant_field()
+    for grid in (singular, hole):
+        grid.mask[1, 1], grid.values[1, 1] = False, np.nan
+    singular.values[3, 4] = 0.0
+    hole.mask[3, 4] = False
+    for got, want in zip(verification.hodge_residual(singular), verification.hodge_residual(hole)):
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[3, 4]) and got[6, 0] == 0.0
+
+
+def _hodge_matmul(field):
+    """hodge_residual with numpy's stacked matmul products, frozen as a
+    reference; also returns max ||W||_F."""
+    grad = verification._grad
+    hole = ~field.mask[..., None, None]
+    q = np.where(hole, np.nan, field.values)
+    qinv = np.where(hole, np.nan, np.linalg.inv(np.where(hole, np.eye(q.shape[-1]), q)))
+    w_rho = -np.matmul(grad(q, field.h_rho, 0), qinv)
+    w_z = -np.matmul(grad(q, field.h_z, 1), qinv)
+    curl = (grad(w_z, field.h_rho, 0) - grad(w_rho, field.h_z, 1)
+            + np.matmul(w_rho, w_z) - np.matmul(w_z, w_rho))
+    rho_col = field.rhos[:, None, None, None]
+    div = grad(rho_col * w_rho, field.h_rho, 0) + rho_col * grad(w_z, field.h_z, 1)
+    w_max = max(np.nanmax(np.linalg.norm(w, axis=(-2, -1))) for w in (w_rho, w_z))
+    return np.linalg.norm(curl, axis=(-2, -1)), np.linalg.norm(div, axis=(-2, -1)), w_max
+
+
+def _symspace_matmul(q, g):
+    """symspace_components with numpy's stacked matmul, frozen as a reference."""
+    norm = np.linalg.norm
+    return (norm(np.matmul(q, algebra.sigma(q, g)) - np.eye(q.shape[-1]), axis=(-2, -1)),
+            norm(q - q.conj().swapaxes(-1, -2), axis=(-2, -1)), np.abs(np.linalg.det(q) - 1.0))
+
+
+def _drift_field(name):
+    """The selftest's Kerr convergence box at both of its spacings, or
+    the dressed SU(2,1) example lattice (three branch points, so holes)."""
+    if name == "su21":
+        rho, z = coords(SU21[1])
+        return FieldGrid.from_results(rho[:, 0], z[0], dressing.dress(SU21[0], rho, z)), \
+            algebra.gamma(SU21[0].signature)
+    return checks.kerr_field(cli._KERR_BOX, float(name)), algebra.gamma(Signature(1, 1))
+
+
+@pytest.mark.parametrize("name", ["0.1", "0.05", "su21"])
+def test_diagnostics_drift_from_matmul_at_rounding_level(name):
+    field, g = _drift_field(name)
+    *want, w_max = _hodge_matmul(field)
+    # the products' rounding in W, O(eps ||W||), enters the residuals
+    # through one difference quotient (and the rho factor of the divergence)
+    bound = 8 * EPS * max(1.0, field.rhos.max()) * w_max / min(field.h_rho, field.h_z)
+    for got, ref in zip(verification.hodge_residual(field), want):
+        assert np.array_equal(np.isnan(got), np.isnan(ref)) and np.isfinite(ref).any()
+        assert np.nanmax(np.abs(got - ref)) <= bound
+    q = field.values[field.mask]
+    quad, *rest = algebra.symspace_components(q, g)
+    quad_ref, *rest_ref = _symspace_matmul(q, g)
+    # |q sigma(q)| <= ||q||_F^2 entrywise bounds the product's drift (test_mul_matches_matmul)
+    assert np.all(np.abs(quad - quad_ref) <= 4 * EPS * np.linalg.norm(q, axis=(-2, -1)) ** 2)
+    assert all(np.array_equal(got, ref) for got, ref in zip(rest, rest_ref))
 
 
 def test_hodge_on_analytically_embedded_field():
