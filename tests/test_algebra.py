@@ -194,8 +194,8 @@ def test_mul_matches_matmul(dtype, data):
     assert got.shape == want.shape and got.dtype == want.dtype
     if a.shape[-1] == 1:
         # one rounded product per entry; BLAS's complex kernels fuse the
-        # multiply-add inside a complex product, so only real entries are
-        # matmul's bit for bit
+        # multiply-add inside a complex product, so only real input gives
+        # matmul's bits
         assert np.array_equal(got, a * b)
         if dtype is float:
             assert np.array_equal(got, want)
