@@ -40,6 +40,7 @@ from .targets import (
     kerr_config,
     kerr_oracle,
     kerr_params,
+    kn_config,
     kn_oracle,
     su21_basis,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra, dressing, seeds, spectral, targets, verification
 from .dressing import SolitonConfig
-from .errors import NumericError, VestureError
+from .errors import NumericError
 from .spectral import DomainPoint
 
 
@@ -64,38 +64,18 @@ def kerr_reference(m: float, s: float, r, theta) -> tuple[np.ndarray, np.ndarray
     return o.x.ravel(), o.y.ravel()
 
 
-class KNFamily(NamedTuple):
-    q: np.ndarray            # (P, 3, 3) maps, NaN where the family is singular
-    ernst: targets.ErnstValue21
-    oracle_e: np.ndarray
-    oracle_phi: np.ndarray
-    error_e: float           # max relative errors against the closed form at
-    error_phi: float         # the non-singular points; 0 for an uncharged family
-    singular: int            # points where the family or its Ernst values are singular
+def kn_reference(m: float, e: float, s: float, r, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form Kerr-Newman potentials E, Phi of the (m, e, s) family on
+    the (r, theta) lattice of two axes, row-major."""
+    a = targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))["oracle_a"]
+    o = targets.kn_oracle(m, e, a, r[:, None], theta[None, :])
+    return o.E.ravel(), o.Phi.ravel()
 
 
-def kn_family(bl: targets.BLParams, r: np.ndarray, theta: np.ndarray) -> KNFamily:
-    """The closed-form one-soliton family with the Kerr-Newman identification
-    and the Kerr-Newman potentials at the points (r, theta), two flat arrays."""
-    fam = targets.kn_family_params(bl)
-    family = ("a_param", "b_param", "n1", "n2", "n3", "n4")
-    q = np.full((len(r), 3, 3), complex(math.nan, math.nan))
-    unit, oracle = q.copy(), []
-    for k, (r_k, th_k) in enumerate(zip(r.tolist(), theta.tolist())):
-        try:
-            q[k] = targets.g21_soliton_family(*(fam[key] for key in family), bl, r_k, th_k)
-            unit[k] = dressing.normalize_det(q[k])[0]
-        except VestureError:
-            pass
-        o = targets.kn_oracle(bl.m, bl.e, fam["oracle_a"], r_k, th_k)
-        oracle.append((o.E, o.Phi))
-    ext = targets.ernst_g21(unit)
-    singular = np.isnan(ext.x)
-    q[singular] = complex(math.nan, math.nan)
-    o_e, o_phi = np.array(oracle).T
-    error_e = worst([rel_err(ext.E, o_e)[~singular]])
-    error_phi = worst([rel_err(ext.Phi, o_phi)[~singular]]) if bl.e != 0 else 0.0
-    return KNFamily(q, ext, o_e, o_phi, error_e, error_phi, int(singular.sum()))
+def kn_error(ernst: targets.ErnstValue21, oracle_e, oracle_phi) -> np.ndarray:
+    """Per-point relative error of the dressed (E, Phi), the larger of the
+    two; NaN where either is NaN."""
+    return np.maximum(rel_err(ernst.E, oracle_e), rel_err(ernst.Phi, oracle_phi))
 
 
 def _bl_axes(m: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -297,18 +277,21 @@ def kerr_oracle(param_sets) -> KerrOracle:
 
 class KNOracle(NamedTuple):
     error: float         # max relative error of E and Phi at the non-singular points
-    singular: int        # points where the family or its Ernst values are singular
+    singular: int        # singular points of the dressing
 
 
 def kn_oracle(param_sets) -> list[KNOracle]:
-    """For each (m, e, s) set, the closed-form family with the Kerr-Newman
-    identification against the Kerr-Newman potentials on the 40x40 default
-    Boyer-Lindquist grid."""
+    """For each (m, e, s) set, the Kerr-Newman family dressed from the flat
+    (2,1) seed, chi audits included, on the 40x40 default Boyer-Lindquist
+    grid against the closed-form potentials."""
     results = []
     for m, e, s in param_sets:
         r, theta = _bl_axes(m, 40)
-        fam = kn_family(targets.BLParams(m=m, s=s, e=e), np.repeat(r, 40), np.tile(theta, 40))
-        results.append(KNOracle(worst([fam.error_e, fam.error_phi]), fam.singular))
+        x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=m, s=s, e=e))
+        dressed = dressing.dress(targets.kn_config(m, e, s), x.rho, x.z)
+        error = kn_error(targets.ernst_g21(dressed.q), *kn_reference(m, e, s, r, theta))
+        results.append(KNOracle(worst([error[~dressed.singular]]),
+                                int(dressed.singular.sum())))
     return results
 
 

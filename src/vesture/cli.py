@@ -233,26 +233,6 @@ def parse_config(text: bytes | str) -> RunConfig:
 # output assembly
 # ---------------------------------------------------------------------------
 
-def _columns(sig: Signature, coords: str, fields: tuple[str, ...],
-             oracle_columns: tuple[str, ...]) -> list[str]:
-    cols = ["rho", "z"]
-    if coords == "boyer-lindquist":
-        cols += ["r", "theta"]
-    if "q" in fields:
-        for i in range(1, sig.n + 1):
-            for j in range(1, sig.n + 1):
-                cols += [f"q_re_{i}{j}", f"q_im_{i}{j}"]
-    if "detA" in fields:
-        cols += ["detA_re", "detA_im"]
-    if "residuals" in fields:
-        cols += ["res_constraint", "res_hodge1", "res_hodge2"]
-    cols += ["singular"]
-    if "ernst" in fields:
-        cols += ["x", "y"] if (sig.p, sig.q_minus) == (1, 1) else \
-            ["E_re", "E_im", "Phi_re", "Phi_im"]
-    return cols + list(oracle_columns)
-
-
 def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
                   meta: dict) -> None:
     """Write a (P, len(columns)) table as CSV, 17 significant digits per
@@ -301,36 +281,41 @@ def run_sweep(cfg: RunConfig) -> tuple[DressedGrid, np.ndarray]:
     return dressed, excluded
 
 
-def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict,
-                 oracle_columns: tuple[str, ...] = (), oracle: tuple = ()):
+def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict, oracle: dict | None = None):
     """Write one row per dressed point: the requested fields, finite-difference
-    residuals on Weyl grids of at least 3x3 points, and the oracle columns.
-    Returns the Ernst values written (None without the ernst field)."""
-    sig = cfg.solitons.signature
+    residuals on Weyl grids of at least 3x3 points, and the oracle columns
+    (name: values). Returns the Ernst values written (None without the
+    ernst field)."""
+    n = cfg.solitons.signature.n
     a1, a2 = cfg.grid.axis_values()
-    cols = [dressed.rho, dressed.z]
+    table = {"rho": dressed.rho, "z": dressed.z}
     if cfg.grid.coords == "boyer-lindquist":
-        cols += [np.repeat(a1, len(a2)), np.tile(a2, len(a1))]
+        table.update(r=np.repeat(a1, len(a2)), theta=np.tile(a2, len(a1)))
     if "q" in cfg.fields:
-        cols.append(dressed.q.reshape(len(dressed.q), -1).view(float))
+        names = [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
+                 for part in ("re", "im")]
+        table.update(zip(names, dressed.q.reshape(len(dressed.q), -1).view(float).T))
     if "detA" in cfg.fields:
-        cols += [dressed.det_a.real, dressed.det_a.imag]
+        table.update(detA_re=dressed.det_a.real, detA_im=dressed.det_a.imag)
     if "residuals" in cfg.fields:
         hodge = np.full((2, len(a1) * len(a2)), math.nan)
         if cfg.grid.coords == "weyl" and len(a1) >= 3 and len(a2) >= 3:
             field = verification.FieldGrid.from_results(a1, a2, dressed)
             hodge = np.reshape(verification.hodge_residual(field), hodge.shape)
-        cols += [dressed.residuals["symspace"], *hodge]
-    cols.append(dressed.singular)
+        table.update(res_constraint=dressed.residuals["symspace"], res_hodge1=hodge[0],
+                     res_hodge2=hodge[1])
+    table["singular"] = dressed.singular
     ernst = None
-    if "ernst" in cfg.fields and sig.n == 2:
+    if "ernst" in cfg.fields and n == 2:
         ernst = targets.ernst_g11(dressed.q)
-        cols += [ernst.x, ernst.y]
+        table.update(x=ernst.x, y=ernst.y)
     elif "ernst" in cfg.fields:
         ernst = targets.ernst_g21(dressed.q)
-        cols += [ernst.E.real, ernst.E.imag, ernst.Phi.real, ernst.Phi.imag]
-    columns = _columns(sig, cfg.grid.coords, cfg.fields, oracle_columns)
-    _write_output(cfg.path, cfg.format, columns, np.column_stack(cols + list(oracle)), meta)
+        table.update(E_re=ernst.E.real, E_im=ernst.E.imag, Phi_re=ernst.Phi.real,
+                     Phi_im=ernst.Phi.imag)
+    table.update(oracle or {})
+    _write_output(cfg.path, cfg.format, list(table), np.column_stack(list(table.values())),
+                  meta)
     return ernst
 
 
@@ -350,62 +335,57 @@ def run_dress(cfg: RunConfig) -> int:
 # presets
 # ---------------------------------------------------------------------------
 
+def _run_preset(solitons: SolitonConfig, grid: GridSpec, path: str, fmt: str, meta: dict,
+                oracle: dict, error) -> int:
+    """Dress the closed-form family of ``meta`` (preset, m, [e,] s) on a
+    Boyer-Lindquist grid and write it with its oracle columns. The exit
+    gate holds error(ernst), the per-point relative error of the Ernst
+    values, to 1e-9 and the membership residual to the constraint
+    tolerance, both over the gated points; a NaN fails it."""
+    bl = targets.BLParams(m=meta["m"], s=meta["s"])
+    cfg = RunConfig(solitons=solitons, grid=replace(grid, bl=bl),
+                    fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
+    dressed, excluded = run_sweep(cfg)
+    ernst = _write_sweep(cfg, dressed, meta, oracle)
+    worst = float(np.max(error(ernst)[~excluded.ravel()], initial=0.0))
+    gate = _max_constraint(dressed, excluded)
+    label = " ".join([meta["preset"]] + [f"{k}={meta[k]}" for k in ("m", "e", "s") if k in meta])
+    print(f"{label}: max relative Ernst error {worst:.3e}; "
+          f"max gated constraint residual {gate:.3e}{_vacuous(excluded)}", file=sys.stderr)
+    ok = worst <= 1e-9 and gate <= solitons.tolerances.constraint_tol
+    return EXIT_OK if ok else EXIT_GATE
+
+
 def run_preset_kerr(m: float, s: float, grid: GridSpec, path: str = "-",
                     fmt: str = "csv") -> int:
     """Dress the flat seed into the Kerr family and diff against the
-    closed form; writes per-point output with oracle columns."""
+    closed form, the potential pair compared as one complex number (robust
+    where a single component passes through zero)."""
     if s <= 0 or m < 0:
         print("kerr preset needs s > 0 and m >= 0", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = RunConfig(solitons=targets.kerr_config(m, s),
-                    grid=replace(grid, bl=targets.BLParams(m=m, s=s)),
-                    fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
-    dressed, excluded = run_sweep(cfg)
     ox, oy = checks.kerr_reference(m, s, *grid.axis_values())
     meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
             "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
-    e = _write_sweep(cfg, dressed, meta, ("oracle_x", "oracle_y"), (ox, oy))
-    # compare the potential pair as one complex number, robust where a
-    # single component passes through zero; a NaN fails the gate
-    err = checks.rel_err(e.x + 1j * e.y, ox + 1j * oy)
-    worst = float(np.max(err[~excluded.ravel()], initial=0.0))
-    gate = _max_constraint(dressed, excluded)
-    print(f"kerr m={m} s={s}: max relative Ernst error {worst:.3e}; "
-          f"max gated constraint residual {gate:.3e}{_vacuous(excluded)}", file=sys.stderr)
-    ok = worst <= 1e-9 and gate <= cfg.solitons.tolerances.constraint_tol
-    return EXIT_OK if ok else EXIT_GATE
+    return _run_preset(targets.kerr_config(m, s), grid, path, fmt, meta,
+                       {"oracle_x": ox, "oracle_y": oy},
+                       lambda e: checks.rel_err(e.x + 1j * e.y, ox + 1j * oy))
 
 
 def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",
                   fmt: str = "csv") -> int:
-    """Closed-form Kerr-Newman family preset with oracle diff.
-
-    The family with the kn_family_params identification reproduces the
-    Kerr-Newman potentials at spin a = -sqrt(m^2 + s^2 + e^2) to rounding;
-    the summary reports the measured maximum and the exit code gates it
-    at 1e-9.
-    """
-    bl = targets.BLParams(m=m, s=s, e=e)
-    a1, a2 = grid.axis_values()
-    x = targets.bl_to_weyl(a1[:, None], a2[None, :], bl)
-    r, th = np.repeat(a1, len(a2)), np.tile(a2, len(a1))
-    fam = checks.kn_family(bl, r, th)
-    ext, singular = fam.ernst, np.isnan(fam.ernst.x)
-    table = np.column_stack([x.rho.ravel(), x.z.ravel(), r, th,
-                             fam.q.reshape(len(r), -1).view(float), singular,
-                             ext.E.real, ext.E.imag, ext.Phi.real, ext.Phi.imag,
-                             fam.oracle_e.real, fam.oracle_e.imag,
-                             fam.oracle_phi.real, fam.oracle_phi.imag])
+    """Dress the flat (2,1) seed into the Kerr-Newman family of
+    kn_family_params and diff E and Phi against the closed form at spin
+    a = -sqrt(m^2 + s^2 + e^2)."""
+    solitons = targets.kn_config(m, e, s)
+    o_e, o_phi = checks.kn_reference(m, e, s, *grid.axis_values())
     meta = {"preset": "kerr-newman", "m": m, "e": e, "s": s,
-            "oracle_a": targets.kn_family_params(bl)["oracle_a"],
+            "oracle_a": targets.kn_family_params(targets.BLParams(m, s, e))["oracle_a"],
             "target": {"p": 2, "q": 1}, "coords": "boyer-lindquist"}
-    cols = _columns(targets.SIG_21, "boyer-lindquist", ("q", "ernst"),
-                    ("oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"))
-    _write_output(path, fmt, cols, table, meta)
-    worst = checks.worst([fam.error_e, fam.error_phi])
-    print(f"kerr-newman m={m} e={e} s={s}: max relative error {worst:.3e} "
-          f"(E {fam.error_e:.3e}, Phi {fam.error_phi:.3e})", file=sys.stderr)
-    return EXIT_OK if worst <= 1e-9 else EXIT_GATE
+    oracle = {"oracle_E_re": o_e.real, "oracle_E_im": o_e.imag,
+              "oracle_Phi_re": o_phi.real, "oracle_Phi_im": o_phi.imag}
+    return _run_preset(solitons, grid, path, fmt, meta, oracle,
+                       lambda ernst: checks.kn_error(ernst, o_e, o_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +429,8 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
                 if not lines[-1]:
                     lines.pop()
                 cols, body = next(csv.reader(lines[:1])), lines[1:]
+                if not cols:
+                    raise ConfigError(f"{path}: no column names in the header")
 
                 def check_widths() -> None:
                     # a blank line is a row of 0 cells, as csv.reader reads it
@@ -703,7 +685,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, required=True)
     _add_grid_args(sp)
 
-    sp = sub.add_parser("kerr-newman", help="closed-form family preset with oracle diff")
+    sp = sub.add_parser("kerr-newman",
+                        help="Kerr-Newman preset: dress the flat (2,1) seed and diff the oracle")
     sp.add_argument("--m", type=float, required=True)
     sp.add_argument("--e", type=float, required=True)
     sp.add_argument("--s", type=float, required=True)

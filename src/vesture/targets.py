@@ -2,9 +2,10 @@
 
 Coordinate transforms, basis-change conjugations, Ernst-potential
 extraction, the Kerr / Kerr-Newman closed forms used as oracles, the
-su(2,1) structural test-bed (basis, commutators, solvable-subgroup
+one-soliton configurations that dress both families, the su(2,1)
+structural test-bed (basis, commutators, solvable-subgroup
 parametrization), and the closed-form one-soliton family on the 3x3
-target.
+target, a reference the tests hold the dressed Kerr-Newman maps against.
 """
 from __future__ import annotations
 
@@ -247,22 +248,23 @@ def ptilde_matrix(ernst: complex, phi: complex) -> ComplexMatrix:
     return m
 
 
-def kn_oracle(m: float, e: float, a: float, r: float, theta: float) -> ErnstValue21:
+def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
     """Closed-form Kerr-Newman potentials Phi = e/(r - i a cos theta),
-    E = 1 - 2m/(r - i a cos theta).
+    E = 1 - 2m/(r - i a cos theta); r and theta may be arrays, broadcast
+    against each other.
 
     The formulas do not depend on the sign of the charge term in the
     horizon function; that sign lives in the spin ``a``, which the caller
     picks (kn_family_params gives the one this target carries).
     """
-    den = r - 1j * a * math.cos(theta)
-    if den == 0:
+    den = np.asarray(r, dtype=float) - 1j * a * np.cos(theta)
+    if np.any(den == 0):
         raise DomainError("Kerr-Newman oracle denominator vanishes")
     ernst = 1.0 - 2.0 * m / den
     phi = e / den
-    x = ernst.real - abs(phi) ** 2
-    return ErnstValue21(E=complex(ernst), Phi=complex(phi), x=float(x),
-                        y=float(ernst.imag), consistency=0.0)
+    x = ernst.real - np.float_power(np.hypot(phi.real, phi.imag), 2)
+    return ErnstValue21(*_values(np.ndim(x) == 0, ernst, phi, x, ernst.imag,
+                                 np.zeros(np.shape(x))))
 
 
 def g21_soliton_family(a_param: float, b_param: float,
@@ -312,6 +314,24 @@ def kn_family_params(p: BLParams) -> dict[str, float]:
     b = math.sqrt(p.m * p.m + p.s * p.s + p.e * p.e)
     return {"a_param": p.s, "b_param": b, "n1": p.m / 2.0, "n2": 0.0,
             "n3": -p.e / 2.0, "n4": 0.0, "oracle_a": -b}
+
+
+def kn_config(m: float, e: float, s: float, tol: Tolerances | None = None) -> SolitonConfig:
+    """One-soliton configuration generating the Kerr-Newman family of
+    kn_family_params from the flat (2,1) seed: the vector
+    (alpha, c, delta) = (n1, n3, delta^2) / delta at pole i s, with
+    delta^2 = (b_param - s)/2 = (m^2 + e^2) / (2 (b_param + s)) taken in the
+    form that does not cancel. At m = e = 0, where delta = 0, it is the
+    limit (sqrt(s), 0, 0), which dresses the flat map."""
+    fam = kn_family_params(BLParams(m=m, s=s, e=e))
+    delta = math.sqrt((m * m + e * e) / (2.0 * (fam["b_param"] + s)))
+    if delta:
+        vector = np.array([fam["n1"] + 1j * fam["n2"], fam["n3"] + 1j * fam["n4"],
+                           delta * delta]) / delta
+    else:
+        vector = np.array([math.sqrt(s), 0.0, 0.0])
+    return SolitonConfig(signature=SIG_21, poles=(1j * s,), vectors=(vector,),
+                         seed=seeds.identity_seed(SIG_21), tolerances=tol or Tolerances())
 
 
 def embed_g11_in_g21(q2: ComplexMatrix) -> ComplexMatrix:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import test_acceptance as acceptance
 from vesture import algebra, cli, dressing, spectral, targets
-from vesture.errors import ConfigError, SingularPointError
+from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
     doc = {
@@ -205,20 +205,37 @@ def test_kn_preset_reports_known_gap(tmp_path, capsys):
     out = tmp_path / "kn.csv"
     code = cli.main(["kerr-newman", "--m", "1.0", "--e", "0.5", "--s", "1.0",
                      "--r-count", "6", "--theta-count", "6", "--out", str(out)])
-    # the family carries the Kerr-Newman potentials at spin
+    # the dressed family carries the Kerr-Newman potentials at spin
     # a = -sqrt(m^2 + s^2 + e^2); the preset reports the measured error
     assert code == cli.EXIT_OK
     msg = capsys.readouterr().err
-    worst = float(re.search(r"max relative error (\S+)", msg).group(1))
-    assert worst <= 1e-9
-    header = out.read_text().splitlines()[0].split(",")
-    assert "oracle_E_re" in header and "Phi_re" in header
+    worst = float(re.search(r"max relative Ernst error (\S+);", msg).group(1))
+    assert worst <= 1e-9 and "max gated constraint residual" in msg
+    # the columns of a dressed (2,1) sweep, and verify needs no --p/--q for
+    # the 3x3 q they store
+    cells = [f"{i}{j}" for i in range(1, 4) for j in range(1, 4)]
+    assert out.read_text().splitlines()[0].split(",") == (
+        ["rho", "z", "r", "theta"] + [f"q_{part}_{c}" for c in cells for part in ("re", "im")]
+        + ["detA_re", "detA_im", "res_constraint", "res_hodge1", "res_hodge2", "singular",
+           "E_re", "E_im", "Phi_re", "Phi_im",
+           "oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"])
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("verified 36 stored points")
+    assert float(re.search(r"max deviation from stored values (\S+)", err).group(1)) <= 1e-15
 
-def test_kn_preset_uncharged_matches_oracle(tmp_path):
-    out = tmp_path / "kn0.csv"
-    code = cli.main(["kerr-newman", "--m", "1.0", "--e", "0.0", "--s", "1.0",
-                     "--r-count", "6", "--theta-count", "6", "--out", str(out)])
+@pytest.mark.parametrize("m, e", [(1.0, 0.0), (0.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (-1.0, 0.0)])
+def test_kn_preset_corner_parameters(tmp_path, capsys, m, e):
+    # uncharged, flat (m = e = 0, dressed by the limit of the realizing
+    # vector), massless and negative-mass families all pass the gate
+    out = tmp_path / "kn.csv"
+    code = cli.main(["kerr-newman", "--m", str(m), "--e", str(e), "--s", "1", "--r-count", "6",
+                     "--theta-count", "6", "--out", str(out)])
     assert code == cli.EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert not rows[:, lines[0].split(",").index("singular")].any()
 
 @pytest.mark.parametrize("argv, message", [
     (["kerr", "--m", "1", "--s", "1", "--r-count", "0"],
@@ -389,11 +406,6 @@ def _nan_at_first_point(ernst):
         return dataclasses.replace(e, x=x)
     return faulty
 
-def _always_singular(family):
-    def faulty(*args):
-        raise SingularPointError("injected")
-    return faulty
-
 # each fault, injected into the library, must fail the shared check under
 # both the selftest gate and the acceptance gate: (id, suite, module, name,
 # fault, acceptance gate)
@@ -411,8 +423,10 @@ FAULTS = [
     # a NaN Ernst value at a regular point
     ("kerr-oracle-nan", "kerr-oracle", targets, "ernst_g11", _nan_at_first_point,
      acceptance.kerr_gate),
-    # the Kerr-Newman family singular everywhere, so no error is measured
-    ("kn-oracle-singular", "kn-oracle", targets, "g21_soliton_family", _always_singular,
+    # move the Kerr-Newman vector's first component off the family
+    ("kn-oracle", "kn-oracle", targets, "kn_config",
+     lambda config: lambda m, e, s: dataclasses.replace(
+         config(m, e, s), vectors=(config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],)),
      acceptance.kn_gate),
 ]
 
@@ -430,6 +444,7 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
 
 @pytest.mark.parametrize("content, message", [
     ("", "empty file"),
+    ("\n\n\n", "no column names in the header"),
     ("rho,z,q_re_11\n1.0,0.0,abc\n", "not a table of numbers"),
     ("rho,z,q_re_11\n1.0,0.0,1.0\n1.0,0.5\n", "row 2 has 2 cells for 3 columns"),
     ('{"columns": ["rho", "z"]}', "JSON output has no 'rows' entry"),

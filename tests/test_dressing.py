@@ -506,3 +506,25 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
     assert len(refusals) == 6 and len(refusals) <= len(inverted) < audited
     for m in inverted:
         assert 10.0 * algebra.frobenius(m) * algebra.frobenius(inv(m)) > cap * (1 - 1e-9)
+
+
+def test_kerr_newman_grid_moves_audit_samples_and_flags_nothing(monkeypatch):
+    # on this 40x40 grid of (m, e, s) = (1, 0.5, 1), theta within 0.1 of the
+    # axis, poles come close to some audit samples, so the sample search
+    # revisits the points it moved (43 of 12800 samples move; none on the
+    # acceptance grid, theta in [pi/8, 7pi/8])
+    found, search = [], dressing._audit_samples
+
+    def recorded(lambdas, rho):
+        scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1))
+        found.append((search(lambdas, rho),
+                      np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]))
+        return found[-1][0]
+
+    monkeypatch.setattr(dressing, "_audit_samples", recorded)
+    r, theta = np.linspace(2.5, 11.0, 40), np.linspace(0.1, np.pi - 0.1, 40)
+    x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=1.0, s=1.0, e=0.5))
+    out = dressing.dress(targets.kn_config(1.0, 0.5, 1.0), x.rho, x.z)
+    (samples, unmoved), = found
+    assert samples.shape == (1600, 8) and (samples != unmoved).sum() >= 1
+    assert not out.singular.any()

@@ -117,6 +117,19 @@ def test_kn_oracle():
     den = 3.0 - 1j * a * math.cos(1.1)
     np.testing.assert_allclose(v.Phi, e_ch / den, rtol=1e-14)
     np.testing.assert_allclose(v.E, 1 - 2 * m / den, rtol=1e-14)
+    # arrays broadcast and round as single points
+    rs, ths = np.linspace(0.5, 9.0, 13), np.linspace(0.3, 2.8, 11)
+    o = targets.kn_oracle(m, e_ch, a, rs[:, None], ths[None, :])
+    for i, j in np.ndindex(o.E.shape):
+        one = targets.kn_oracle(m, e_ch, a, float(rs[i]), float(ths[j]))
+        assert type(one.E) is complex and type(one.x) is float
+        assert (o.E[i, j], o.Phi[i, j], o.x[i, j], o.y[i, j], o.consistency[i, j]) == \
+            (one.E, one.Phi, one.x, one.y, one.consistency)
+    # a zero denominator, r = 0 on a non-rotating chart
+    with pytest.raises(DomainError):
+        targets.kn_oracle(m, e_ch, 0.0, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        targets.kn_oracle(m, e_ch, 0.0, np.array([1.0, 0.0]), np.array([1.0, 2.0]))
 
 def test_g21_family_trivial_and_kerr_block():
     p = BLParams(m=1.0, s=1.0)
@@ -150,14 +163,6 @@ def test_g21_family_matches_vector_dressing_at_realizable_params():
                                         p, r, th)
         assert np.abs(res.q[0] - qf).max() < 1e-10
         assert algebra.symspace_residual(res.q[0], G3) < 1e-9
-
-def _kn_vector(fam):
-    """Soliton vector (alpha, c, delta) whose bilinears are the family's
-    (n1 + i n2, n3 + i n4) = (alpha, c) * delta and whose
-    a_param = alpha^2 + c^2 - delta^2, b_param = alpha^2 + c^2 + delta^2."""
-    delta = math.sqrt((fam["b_param"] - fam["a_param"]) / 2)
-    return np.array([fam["n1"] + 1j * fam["n2"], fam["n3"] + 1j * fam["n4"],
-                     delta * delta], dtype=complex) / delta
 
 def test_kn_family_params_validation():
     for m, s, e in ((0.5, 0.5, 1.0), (1.0, 1.0, 0.5), (1.0, 0.5, 0.9)):
@@ -208,23 +213,44 @@ def test_kn_potentials_solve_field_equations_only_on_family_chart():
         assert div_em < 2.0
 
 def test_kn_family_matches_vector_dressing_pipeline():
-    # independent of the closed form: the 3x3 dressing pipeline with the
-    # vector realizing kn_family_params reproduces the Kerr-Newman oracle
-    seed3 = seeds.identity_seed(SIG_21)
+    # kn_config's vector, dressed by the pipeline, reproduces the closed-form
+    # family (q to 1e-12 relative) and the Kerr-Newman oracle (E, Phi)
     for m, e, s in KN_SETS:
         bl = BLParams(m=m, s=s, e=e)
         fam = targets.kn_family_params(bl)
-        cfg = SolitonConfig(SIG_21, (1j * s,), (_kn_vector(fam),), seed3)
-        r, th = np.meshgrid(np.linspace(m + 1.5, m + 10.0, 10),
-                            np.linspace(math.pi / 8, 7 * math.pi / 8, 10), indexing="ij")
-        x = targets.bl_to_weyl(r, th, bl)
-        dressed = dressing.dress(cfg, x.rho, x.z, audit_chi=False)
+        r, th = np.linspace(m + 1.5, m + 10.0, 10), np.linspace(math.pi / 8, 7 * math.pi / 8, 10)
+        x = targets.bl_to_weyl(r[:, None], th[None, :], bl)
+        dressed = dressing.dress(targets.kn_config(m, e, s), x.rho, x.z)
         assert not dressed.singular.any()
-        for q, r_k, th_k in zip(dressed.q, r.ravel().tolist(), th.ravel().tolist()):
-            ext = targets.ernst_g21(dressing.normalize_det(q)[0])
-            o = targets.kn_oracle(m, e, fam["oracle_a"], r_k, th_k)
-            assert abs(ext.E - o.E) <= 1e-12 * abs(o.E)
-            assert abs(ext.Phi - o.Phi) <= 1e-12 * abs(o.Phi)
+        rr, tt = np.meshgrid(r, th, indexing="ij")
+        for q, r_k, th_k in zip(dressed.q, rr.ravel().tolist(), tt.ravel().tolist()):
+            qf = targets.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"],
+                                            fam["n2"], fam["n3"], fam["n4"], bl, r_k, th_k)
+            assert algebra.frobenius(q - qf) <= 1e-12 * algebra.frobenius(qf)
+        ext = targets.ernst_g21(dressed.q)
+        o = targets.kn_oracle(m, e, fam["oracle_a"], rr.ravel(), tt.ravel())
+        assert np.all(np.abs(ext.E - o.E) <= 1e-12 * np.abs(o.E))
+        assert np.all(np.abs(ext.Phi - o.Phi) <= 1e-12 * np.abs(o.Phi))
+
+def test_kn_config_realizes_the_family_and_its_flat_limit():
+    for m, e, s in KN_SETS + ((0.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1e-7, 0.0, 1.0)):
+        fam = targets.kn_family_params(BLParams(m=m, s=s, e=e))
+        cfg = targets.kn_config(m, e, s)
+        (alpha, c, delta), = cfg.vectors
+        assert cfg.poles == (1j * s,) and cfg.signature == SIG_21
+        np.testing.assert_allclose([alpha * delta, c * delta], [fam["n1"], fam["n3"]],
+                                   rtol=1e-14, atol=1e-300)
+        np.testing.assert_allclose([abs(alpha) ** 2 + abs(c) ** 2 - abs(delta) ** 2,
+                                    abs(alpha) ** 2 + abs(c) ** 2 + abs(delta) ** 2],
+                                   [fam["a_param"], fam["b_param"]], rtol=1e-14)
+    flat = targets.kn_config(0.0, 0.0, 2.0)  # no division by delta = 0
+    np.testing.assert_array_equal(flat.vectors[0], [math.sqrt(2.0), 0, 0])
+    x = targets.bl_to_weyl(np.linspace(1.5, 10.0, 6)[:, None],
+                           np.linspace(0.4, 2.7, 6)[None, :], BLParams(m=0.0, s=2.0))
+    dressed = dressing.dress(flat, x.rho, x.z)
+    ext = targets.ernst_g21(dressed.q)
+    assert not dressed.singular.any()
+    assert np.abs(ext.E - 1).max() <= 1e-14 and np.abs(ext.Phi).max() == 0
 
 def test_su21_basis_membership_and_independence():
     basis = targets.su21_basis()
