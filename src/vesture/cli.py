@@ -380,7 +380,7 @@ def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",
     solitons = targets.kn_config(m, e, s)
     o_e, o_phi = checks.kn_reference(m, e, s, *grid.axis_values())
     meta = {"preset": "kerr-newman", "m": m, "e": e, "s": s,
-            "oracle_a": targets.kn_family_params(targets.BLParams(m, s, e))["oracle_a"],
+            "oracle_a": targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))["oracle_a"],
             "target": {"p": 2, "q": 1}, "coords": "boyer-lindquist"}
     oracle = {"oracle_E_re": o_e.real, "oracle_E_im": o_e.imag,
               "oracle_Phi_re": o_phi.real, "oracle_Phi_im": o_phi.imag}

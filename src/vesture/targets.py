@@ -316,7 +316,7 @@ def kn_family_params(p: BLParams) -> dict[str, float]:
             "n3": -p.e / 2.0, "n4": 0.0, "oracle_a": -b}
 
 
-def kn_config(m: float, e: float, s: float, tol: Tolerances | None = None) -> SolitonConfig:
+def kn_config(m: float, e: float, s: float) -> SolitonConfig:
     """One-soliton configuration generating the Kerr-Newman family of
     kn_family_params from the flat (2,1) seed: the vector
     (alpha, c, delta) = (n1, n3, delta^2) / delta at pole i s, with
@@ -331,7 +331,7 @@ def kn_config(m: float, e: float, s: float, tol: Tolerances | None = None) -> So
     else:
         vector = np.array([math.sqrt(s), 0.0, 0.0])
     return SolitonConfig(signature=SIG_21, poles=(1j * s,), vectors=(vector,),
-                         seed=seeds.identity_seed(SIG_21), tolerances=tol or Tolerances())
+                         seed=seeds.identity_seed(SIG_21))
 
 
 def embed_g11_in_g21(q2: ComplexMatrix) -> ComplexMatrix:
