@@ -14,6 +14,7 @@ from .dressing import (
     Tolerances,
     dominance_check,
     dress,
+    dressed_seed,
     normalize_det,
 )
 from .errors import (
@@ -24,7 +25,7 @@ from .errors import (
     SingularPointError,
     VestureError,
 )
-from .seeds import Seed, constant_seed, identity_seed, psi0_at
+from .seeds import Seed, constant_seed, identity_seed
 from .spectral import DomainPoint, PolePair, ab, deck, omega_forms, pole_pair, varpi
 from .targets import (
     BLParams,

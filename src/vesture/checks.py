@@ -30,7 +30,7 @@ class Spectral(NamedTuple):
 
 
 class KerrOracle(NamedTuple):
-    error: float         # max relative error of x and y at the non-singular points
+    error: float         # max kerr_error at the non-singular points
     quadratic: float     # max membership-residual components at the non-singular points
     hermiticity: float
     unit_det: float
@@ -70,6 +70,12 @@ def kn_reference(m: float, e: float, s: float, r, theta) -> tuple[np.ndarray, np
     a = targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))["oracle_a"]
     o = targets.kn_oracle(m, e, a, r[:, None], theta[None, :])
     return o.E.ravel(), o.Phi.ravel()
+
+
+def kerr_error(ernst: targets.ErnstValue11, oracle_x, oracle_y) -> np.ndarray:
+    """Per-point relative error of the dressed x + iy as one complex number,
+    robust where one component passes through zero; NaN where either is."""
+    return rel_err(ernst.x + 1j * ernst.y, oracle_x + 1j * oracle_y)
 
 
 def kn_error(ernst: targets.ErnstValue21, oracle_e, oracle_phi) -> np.ndarray:
@@ -266,9 +272,8 @@ def kerr_oracle(param_sets) -> KerrOracle:
         slowest = max(slowest, time.perf_counter() - t0)
         keep = ~dressed.singular
         singular += int(dressed.singular.sum())
-        ox, oy = kerr_reference(m, s, r, theta)
-        e = targets.ernst_g11(dressed.q)
-        errors += [rel_err(e.x, ox)[keep], rel_err(e.y, oy)[keep]]
+        error = kerr_error(targets.ernst_g11(dressed.q), *kerr_reference(m, s, r, theta))
+        errors.append(error[keep])
         for key, found in constraints.items():
             found.append(dressed.residuals[key][keep])
     return KerrOracle(worst(errors), **{key: worst(found) for key, found in constraints.items()},

@@ -358,18 +358,14 @@ def _run_preset(solitons: SolitonConfig, grid: GridSpec, path: str, fmt: str, me
 
 def run_preset_kerr(m: float, s: float, grid: GridSpec, path: str = "-",
                     fmt: str = "csv") -> int:
-    """Dress the flat seed into the Kerr family and diff against the
-    closed form, the potential pair compared as one complex number (robust
-    where a single component passes through zero)."""
-    if s <= 0 or m < 0:
-        print("kerr preset needs s > 0 and m >= 0", file=sys.stderr)
-        return EXIT_CONFIG
+    """Dress the flat seed into the Kerr family and diff (x, y) against the
+    closed form by checks.kerr_error."""
     ox, oy = checks.kerr_reference(m, s, *grid.axis_values())
     meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
             "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
     return _run_preset(targets.kerr_config(m, s), grid, path, fmt, meta,
                        {"oracle_x": ox, "oracle_y": oy},
-                       lambda e: checks.rel_err(e.x + 1j * e.y, ox + 1j * oy))
+                       lambda e: checks.kerr_error(e, ox, oy))
 
 
 def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",

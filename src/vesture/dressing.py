@@ -4,21 +4,22 @@ Given N prescribed pole positions (non-real surface coordinates), constant
 vectors, and a seed, each domain point yields a 2N x 2N linear system whose
 solution reconstructs the dressed map q and the rational dressing matrix
 chi(lam) = I + sum_k R_k / (lam - lam_k). Pole pairs are deck-related
-(lam_{N+k} = -rho^2 / lam_k) and vector pairs seed-and-metric-related
-(v_{N+k} = q0 gamma v_k, plain gamma v_k for the trivial seed), which
-builds the symmetry conditions chi(inf) = I, tau(chi(conj lam)) = chi(lam)
-and the deck involution into the ansatz.
+(lam_{N+k} = -rho^2 / lam_k) and vector pairs related by the seed's deck
+constant J and the metric (v_{N+k} = J gamma v_k; J = q0 for a constant
+seed), which builds the symmetry conditions chi(inf) = I,
+tau(chi(conj lam)) = chi(lam) and the deck involution into the ansatz.
 
 P points (rho, z arrays) are dressed as one array pipeline into a
 DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
 chi audits at (P, 8) samples. The reality audit is the product residual
 ||chi(conj lam)^* sigma(chi(lam)) - I||_F, which needs no inverse and
 bounds the condition of chi(conj lam); only the samples that bound cannot
-clear are inverted, to refuse those above the cap. For a constant seed
-the paired vectors, psi0^{-1}, the Gram numerators and B are computed once
-and broadcast; other seeds give them a leading P axis. A point that fails
-a check is flagged, and its first failure in pipeline order becomes its
-note. A single point is a batch of one.
+clear are inverted, to refuse those above the cap. The paired vectors
+are computed once per configuration; a seed evaluation that does not vary
+keeps a batch axis of length 1, so psi0^{-1}, the Gram numerators and B
+are computed once and broadcast. A point that fails a check is flagged,
+and its first failure in pipeline order becomes its note. A single point
+is a batch of one.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import algebra, seeds, spectral
+from . import algebra, spectral
 from .algebra import ComplexMatrix, Signature
 from .errors import ConfigError, DomainError, NumericError, SeedError, SingularPointError
 from .seeds import Seed
@@ -106,8 +107,8 @@ class SolitonConfig:
 @dataclass
 class SpectralData:
     """Pole locations, paired vectors, seed evaluations, each with a leading
-    batch axis: lambdas (P, 2N); vs (P, 2N, n), psi0 and psi0_inv
-    (P, 2N, n, n), with 1 in place of P for a constant seed.
+    batch axis: lambdas (P, 2N); vs (1, 2N, n); psi0 and psi0_inv
+    (P, 2N, n, n), with 1 in place of P where the seed does not vary.
     """
 
     lambdas: np.ndarray
@@ -152,34 +153,42 @@ class _Failures:
             self.error[at[j]] = make(j)
 
 
-def _pick(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows idx of a per-point array; a per-config array (length 1) as is."""
-    return arr[idx] if len(arr) > 1 else arr
+def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failures,
+                 at: np.ndarray, point) -> np.ndarray:
+    """A seed evaluation at the points ``at``, its non-finite matrices flagged
+    and replaced by I; SeedError unless each batch axis has its length in
+    ``batch`` or 1 and n x n matrices follow."""
+    a = np.asarray(value, dtype=complex)
+    if a.shape[len(batch):] != (n, n) or any(k not in (1, b) for k, b in zip(a.shape, batch)):
+        raise SeedError(f"seed {what} evaluation has shape {a.shape} for a batch of {batch}")
+    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
+               lambda j: SeedError(f"seed {what} is not finite at {point(at[j])!r}"), at)
+    return np.where(bad[..., None, None], np.eye(n), a)
 
 
 def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
               swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
     """Pole pairs, paired vectors and the seed at every point (coordinates
-    rho, z); returns the spectral data and q0. A constant seed is evaluated
-    once, at the first point, and its arrays keep a batch axis of length 1;
-    a second evaluation at the last point and pole must give the same
-    matrices. Any other seed is called at every point."""
+    rho, z); returns the spectral data and q0. Each seed evaluator is called
+    once, Psi0 at the points not flagged yet; a Psi0 above the condition cap
+    flags its point, and one that does not vary is inverted once."""
     n_sol, n = cfg.n_solitons, cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
-    size = len(rho)
+    size, eye = len(rho), np.eye(n, dtype=complex)
 
     def point(i: int) -> DomainPoint:
         return DomainPoint(rho=float(rho[i]), z=float(z[i]))
 
-    at = [point(0)] if cfg.seed.constant else [point(i) for i in range(size)]
-    q0 = np.array([algebra.as_matrix(cfg.seed.q0_eval(x), n) for x in at])
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
     fails.flag(branch.any(axis=-1), lambda i: SingularPointError(
         f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {point(i)!r}"))
+    q0 = np.broadcast_to(_seed_values(cfg.seed.q0(rho, z), (size,), n, "q0", fails,
+                                      np.arange(size), point), (size, n, n))
     g = algebra.gamma(cfg.signature)
     vecs = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
-    partners = (q0[:, None] @ (g @ vecs[..., None]))[..., 0]
+    partners = (algebra.as_matrix(cfg.seed.deck, n)[None, None] @ (g @ vecs[..., None]))[..., 0]
     own = np.broadcast_to(vecs, partners.shape)
     if swap is not None:
         flip = np.asarray(swap, dtype=bool)
@@ -188,22 +197,20 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
                          np.where(flip[:, None], own, partners))
     lambdas = np.concatenate([lam_in, lam_out], axis=-1)
     vs = np.concatenate([own, partners], axis=-2)
-    eye = np.eye(n, dtype=complex)
-    psi0 = np.array([[seeds.psi0_at(cfg.seed, lam, x) if cfg.seed.constant or fails.ok[p]
-                      else eye for lam in lambdas[p]]
-                     for p, x in enumerate(at)]).reshape(len(at), 2 * n_sol, n, n)
-    if cfg.seed.constant and not (
-            np.array_equal(cfg.seed.q0_eval(point(size - 1)), q0[0])
-            and all(np.array_equal(cfg.seed.psi0_eval(lam, point(size - 1)), psi0[0, 0])
-                    for lam in lambdas[-1, -1:])):
-        raise SeedError("seed marked constant varies with x or lam")
+    ok = np.flatnonzero(fails.ok)
+    psi0 = _seed_values(cfg.seed.psi0(lambdas[ok], rho[ok], z[ok]), (ok.size, 2 * n_sol), n,
+                        "Psi0", fails, ok, point)
+    if len(psi0) != 1:
+        psi0, at = np.broadcast_to(eye, (size,) + psi0.shape[1:]).copy(), psi0
+        psi0[ok] = at
     cap = cfg.tolerances.condition_cap
     psi0_inv, cond = algebra.checked_inv(psi0, cap)
     cond = np.broadcast_to(cond, (size, 2 * n_sol))
     refused = ~(cond <= cap)
     fails.flag(refused.any(axis=-1),
                lambda i: algebra.refusal(cond[i, np.argmax(refused[i])], cap))
-    return SpectralData(lambdas=lambdas, vs=vs, psi0=psi0, psi0_inv=psi0_inv), q0
+    psi0, psi0_inv = [np.broadcast_to(m, (len(psi0), 2 * n_sol, n, n)) for m in (psi0, psi0_inv)]
+    return SpectralData(lambdas, vs, psi0, psi0_inv), q0
 
 
 def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
@@ -217,7 +224,7 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     lambdas, vs, psi0_inv = sd.lambdas, sd.vs, sd.psi0_inv
     m = lambdas.shape[-1]
     coupled = psi0_inv.conj().swapaxes(-1, -2)
-    num = np.empty(vs.shape[:-2] + (m, m), dtype=complex)
+    num = np.empty(psi0_inv.shape[:1] + (m, m), dtype=complex)
     for k in range(m):
         s_k = (psi0_inv[:, k, None] @ gamma_mat) @ coupled
         num[:, k] = ((vs[:, k, None, None].conj() @ s_k) @ vs[..., None])[..., 0, 0]
@@ -272,7 +279,7 @@ def _reconstruct(res: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
     if np.any(zero & fails.ok[:, None]):
         raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
     lambdas = np.where(zero, 1.0, lambdas)
-    q = np.broadcast_to(q0, res.shape[:1] + q0.shape[1:])
+    q = q0
     for k in range(lambdas.shape[-1]):
         q = q - res[:, k] @ q0 / lambdas[:, k, None, None]
     return q
@@ -440,13 +447,14 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
     as one batch (two numbers are a batch of one); singular points become
     flagged data rather than failures. Configuration errors still raise.
     ``swap`` relabels the selected pole pairs, which leaves q invariant."""
+    return _dress(cfg, rho, z, audit_chi, swap)[0]
+
+
+def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
+    """dress, and the residues of chi and its poles at every point."""
     rho, z = (np.asarray(v, dtype=float).ravel() for v in (rho, z))
     DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
     size, n_sol, tol, n = len(rho), cfg.n_solitons, cfg.tolerances, cfg.signature.n
-    if size == 0:
-        none = np.zeros(0, dtype=bool)
-        return DressedGrid(rho, z, np.zeros((0, n, n), complex), none, rho.astype(complex),
-                           dict.fromkeys(_RESIDUALS, rho), none, {})
     g = algebra.gamma(cfg.signature)
     fails = _Failures(size)
     sd, q0 = _spectral(cfg, rho, z, swap, fails)
@@ -466,7 +474,7 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
     if audit_chi and n_sol:
         idx = np.flatnonzero(has_q)
         reality[idx], involution[idx] = _audit(
-            res[idx], sd.lambdas[idx], q[idx], _pick(q0, idx), g, rho[idx], tol.condition_cap,
+            res[idx], sd.lambdas[idx], q[idx], q0[idx], g, rho[idx], tol.condition_cap,
             fails, at=idx)
         reality[~fails.ok] = involution[~fails.ok] = math.nan
     lost = ~has_q
@@ -476,4 +484,19 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
     residuals["det_branch_warning"] = np.where(warn & has_q, 1.0, 0.0)
     notes = {int(i): str(fails.error[i]) if lost[i] else f"chi audit failed: {fails.error[i]}"
              for i in np.flatnonzero(~fails.ok)}
-    return DressedGrid(rho, z, q, has_q, det_a, residuals, ~fails.ok, notes)
+    return DressedGrid(rho, z, q, has_q, det_a, residuals, ~fails.ok, notes), res, sd.lambdas
+
+
+def dressed_seed(cfg: SolitonConfig) -> Seed:
+    """The seed of the finished dressing of ``cfg``: q0 is the dressed map,
+    Psi0 = chi Psi0_cfg, and J is that of cfg's seed. Each evaluation dresses
+    its points anew, without the chi audit; where that flags a point, or lam
+    is a pole of chi, the values are NaN, which the next dressing flags."""
+    def psi0(lam, rho, z):
+        grid, res, lambdas = _dress(cfg, rho, z, False, None)
+        chi, at_pole = _chi(lam, res, lambdas)
+        chi[at_pole.any(axis=-1) | grid.singular[:, None]] = complex(math.nan, math.nan)
+        return chi @ cfg.seed.psi0(lam, rho, z)
+
+    return Seed(q0=lambda rho, z: dress(cfg, rho, z, audit_chi=False).q, psi0=psi0,
+                deck=cfg.seed.deck, signature=cfg.signature)

@@ -146,14 +146,14 @@ def kerr_params(m: float, s: float) -> tuple[float, float, complex]:
     """Vector components (alpha, delta) and pole i*s realizing the Kerr
     family with mass m and spin a = sqrt(m^2 + s^2).
 
-    alpha = sqrt((s + sqrt(m^2+s^2))/2), delta = sqrt((-s + sqrt(m^2+s^2))/2);
+    alpha = sqrt((s + sqrt(m^2+s^2))/2), delta = sign(m) sqrt((-s + sqrt(m^2+s^2))/2);
     then alpha^2 - delta^2 = s, alpha^2 + delta^2 = sqrt(m^2+s^2) and
     alpha*delta = m/2.
     """
-    if m < 0 or s <= 0:
-        raise ConfigError(f"kerr parameters need m >= 0 and s > 0, got m={m}, s={s}")
+    if s <= 0:
+        raise ConfigError(f"kerr parameters need s > 0, got m={m}, s={s}")
     root = math.sqrt(m * m + s * s)
-    return math.sqrt(0.5 * (s + root)), math.sqrt(0.5 * (root - s)), 1j * s
+    return math.sqrt(0.5 * (s + root)), math.copysign(math.sqrt(0.5 * (root - s)), m), 1j * s
 
 
 def kerr_config(m: float, s: float, tol: Tolerances | None = None) -> SolitonConfig:

@@ -106,7 +106,7 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
     n = cfg.signature.n
     g = algebra.gamma(cfg.signature)
-    q0 = algebra.as_matrix(cfg.seed.q0_eval(x), n)
+    q0 = algebra.as_matrix(cfg.seed.q0(np.array([x.rho]), np.array([x.z]))[0], n)
     lambdas = np.zeros(2 * n_sol, dtype=complex)
     vs = np.zeros((2 * n_sol, n), dtype=complex)
     for k, (w, v) in enumerate(zip(cfg.poles, cfg.vectors)):
@@ -121,7 +121,7 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
     psi0 = np.zeros((2 * n_sol, n, n), dtype=complex)
     psi0_inv = np.zeros_like(psi0)
     for k in range(2 * n_sol):
-        m = seeds.psi0_at(cfg.seed, lambdas[k], x)
+        m = cfg.seed.psi0(np.array([[lambdas[k]]]), np.array([x.rho]), np.array([x.z]))[0, 0]
         psi0[k] = m
         psi0_inv[k] = _inv(m, cfg.tolerances.condition_cap)
     return SpectralData(lambdas=lambdas, vs=vs, psi0=psi0, psi0_inv=psi0_inv)
@@ -276,7 +276,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
     data rather than failures. Configuration errors still raise.
     """
     g = algebra.gamma(cfg.signature)
-    q0 = algebra.as_matrix(cfg.seed.q0_eval(x), cfg.signature.n)
+    q0 = algebra.as_matrix(cfg.seed.q0(np.array([x.rho]), np.array([x.z]))[0], cfg.signature.n)
     det_a: complex = complex("nan")
     try:
         sd = spectral_data(cfg, x, swap)

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import test_acceptance as acceptance
-from vesture import algebra, cli, dressing, spectral, targets
+from vesture import algebra, checks, cli, dressing, spectral, targets
 from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
@@ -200,6 +200,24 @@ def test_kerr_preset_flat_limit(tmp_path):
 def test_kerr_preset_rejects_bad_params(tmp_path):
     assert cli.main(["kerr", "--m", "1.0", "--s", "-1.0",
                      "--out", str(tmp_path / "x.csv")]) == cli.EXIT_CONFIG
+
+@pytest.mark.parametrize("m, s, bound", [(1.0, 1.0, 1e-14), (0.5, 2.0, 1e-14),
+                                         (2.0, 0.3, 1e-12), (-1.0, 1.0, 1e-14)])
+def test_kerr_check_and_preset_share_one_error(tmp_path, m, s, bound):
+    # selftest's kerr-oracle check reads checks.kerr_error, x + iy as one
+    # complex number, over the non-singular points of the preset's default
+    # 40x40 grid: 1.3e-13 on (2, 0.3), where x and y each relative to
+    # itself read 6.7e-12 next to the ergosurface. A negative mass dresses.
+    out = tmp_path / "k.csv"
+    assert cli.main(["kerr", "--m", str(m), "--s", str(s), "--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    col = {name: k for k, name in enumerate(lines[0].split(","))}
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    ernst = targets.ErnstValue11(rows[:, col["x"]], rows[:, col["y"]])
+    error = checks.kerr_error(ernst, rows[:, col["oracle_x"]], rows[:, col["oracle_y"]])
+    check = checks.kerr_oracle([(m, s)])
+    assert check.singular == 0 and not rows[:, col["singular"]].any()
+    assert check.error == error.max() <= bound
 
 def test_kn_preset_reports_known_gap(tmp_path, capsys):
     out = tmp_path / "kn.csv"

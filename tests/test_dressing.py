@@ -3,11 +3,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vesture import algebra, dressing, seeds, spectral, targets
+from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
-from vesture.errors import ConfigError, SeedError, SingularPointError
+from vesture.errors import ConfigError, SingularPointError
 from vesture.spectral import DomainPoint
+from vesture.cli import _gate_exclusion
 from test_equivalence import KERR_RING, SU21, TIGHT, coords
 
 SIG11 = Signature(1, 1)
@@ -363,34 +364,29 @@ def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_
 
 
 def test_per_point_seed_dresses_like_the_constant_seed():
+    # evaluators that return full (P, M) batch axes of one constant matrix
     q0 = _boost11(0.35)
-    per_point = seeds.Seed(q0_eval=lambda x: q0, psi0_eval=lambda lam, x: q0,
-                           signature=SIG11, constant=False)
+    calls = []
+
+    def psi0(lam, rho, z):
+        calls.append(lam.shape)
+        return np.broadcast_to(q0, lam.shape + q0.shape)
+
+    per_point = seeds.Seed(q0=lambda rho, z: np.broadcast_to(q0, rho.shape + q0.shape),
+                           psi0=psi0, deck=q0, signature=SIG11)
     poles, vectors = (1j, 0.5 + 0.8j), (np.array([1.2, 0.4]), np.array([0.3, 1.0 + 0.2j]))
     rho, z = np.meshgrid([0.8, 1.0, 1.6], [-0.5, 0.0, 0.5, 1.0], indexing="ij")
     const = dressing.dress(
         SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rho, z)
     varying = dressing.dress(SolitonConfig(SIG11, poles, vectors, per_point), rho, z)
-    # the branch points of both poles lie on the grid
-    assert const.singular.sum() == 2
+    # the branch points of both poles lie on the grid; Psi0 is called once,
+    # at the other points
+    assert const.singular.sum() == 2 and calls == [(10, 4)]
     assert (const.singular.tolist(), const.notes) == (varying.singular.tolist(), varying.notes)
     for i in np.flatnonzero(const.has_q):
         a, b = const.q[i], varying.q[i]
         assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
         assert abs(const.det_a[i] - varying.det_a[i]) <= 1e-13 * abs(const.det_a[i])
-
-
-def test_seed_marked_constant_that_varies_is_refused():
-    q0 = _boost11(0.35)
-    varying_q0 = seeds.Seed(q0_eval=lambda x: q0 if x.rho < 1 else np.eye(2, dtype=complex),
-                            psi0_eval=lambda lam, x: q0, signature=SIG11, constant=True)
-    varying_psi0 = seeds.Seed(q0_eval=lambda x: q0,
-                              psi0_eval=lambda lam, x: q0 * (1.0 + 0.0 * lam) if x.rho < 1 else 2 * q0,
-                              signature=SIG11, constant=True)
-    for seed in (varying_q0, varying_psi0):
-        with pytest.raises(SeedError, match="marked constant"):
-            dressing.dress(SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seed),
-                           [0.8, 1.6], [0.3, 0.3])
 
 
 def _rescanned_audit_samples(lambdas, rho):
@@ -528,3 +524,53 @@ def test_kerr_newman_grid_moves_audit_samples_and_flags_nothing(monkeypatch):
     (samples, unmoved), = found
     assert samples.shape == (1600, 8) and (samples != unmoved).sum() >= 1
     assert not out.singular.any()
+
+
+#: (signature, first vector, second vector) of the iterated dressings
+ITERATED = [(SIG11, [1.2, 0.4], [0.3, 1.0 + 0.2j]),
+            (Signature(2, 1), [1.0 + 0.1j, 0.3, 0.2], [0.2, 1.1, 0.5 + 0.1j])]
+
+
+def _two_ways(sig, v1, v2, rho, z):
+    """The two-soliton map (poles 0.4 + 1.2i, -0.7 + 0.8i) on the flat seed
+    dressed at once, and dressed one soliton at a time."""
+    flat = seeds.identity_seed(sig)
+    poles, vectors = (0.4 + 1.2j, -0.7 + 0.8j), (np.array(v1), np.array(v2))
+    once = dressing.dress(SolitonConfig(sig, poles, vectors, flat), rho, z)
+    first = dressing.dressed_seed(SolitonConfig(sig, poles[:1], vectors[:1], flat))
+    twice = dressing.dress(SolitonConfig(sig, poles[1:], vectors[1:], first), rho, z)
+    return once, twice
+
+
+@pytest.mark.parametrize("sig, v1, v2", ITERATED, ids=["g11", "g21"])
+def test_dressing_a_dressed_seed_composes(sig, v1, v2):
+    # the lattice holds the branch point of each pole, (1.2, 0.4) and
+    # (0.8, -0.7); its rho step misses the two ring points of the first
+    # (1,1) soliton on z = 0.4, rho = 0.96 and about 1.5
+    rho, z = np.meshgrid(np.linspace(0.8, 1.6, 19), np.linspace(-0.7, 0.5, 25), indexing="ij")
+    once, twice = _two_ways(sig, v1, v2, rho, z)
+    assert once.singular.sum() == 2
+    assert np.array_equal(once.singular, twice.singular)
+    gated = ~_gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape),
+                             Tolerances().singular_tol).ravel()
+    assert gated.sum() > 100
+    rel = (np.linalg.norm(once.q - twice.q, axis=(-2, -1))
+           / np.linalg.norm(once.q, axis=(-2, -1)))[gated]
+    assert rel.max() <= 1e-10
+    assert twice.residuals["symspace"][gated].max() <= 1e-9
+    for key in ("chi_reality", "chi_involution"):
+        assert twice.residuals[key][gated].max() <= 1e-6, key
+
+
+@pytest.mark.parametrize("sig, v1, v2", ITERATED, ids=["g11", "g21"])
+def test_dressed_seed_map_converges_second_order(sig, v1, v2):
+    # a box clear of both rings and of every branch point
+    def field(h):
+        rhos, zs = np.arange(2.0, 3.0 + h / 2, h), np.arange(-0.5, 0.5 + h / 2, h)
+        rho, z = np.meshgrid(rhos, zs, indexing="ij")
+        twice = _two_ways(sig, v1, v2, rho, z)[1]
+        assert not twice.singular.any()
+        return verification.FieldGrid.from_results(rhos, zs, twice)
+
+    for ratio in verification.refinement_ratios(field(0.1), field(0.05)):
+        assert 3.5 <= ratio <= 4.5

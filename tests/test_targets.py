@@ -55,12 +55,14 @@ def test_kerr_params_identities():
     a, d, pole = targets.kerr_params(0.0, 1.0)
     np.testing.assert_allclose([a, d], [1.0, 0.0], atol=1e-15)
     assert pole == 1j
-    for m, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3)):
+    for m, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3), (-1.0, 1.0), (-2.0, 0.3)):
         alpha, delta, _ = targets.kerr_params(m, s)
         np.testing.assert_allclose(alpha * delta, m / 2, rtol=1e-14)
         np.testing.assert_allclose(alpha ** 2 - delta ** 2, s, atol=1e-14)
         np.testing.assert_allclose(alpha ** 2 + delta ** 2, math.sqrt(m * m + s * s),
                                    rtol=1e-14)
+        # delta carries the sign of m
+        assert targets.kerr_params(-m, s) == (alpha, -delta, 1j * s)
 
 def test_kerr_pipeline_point():
     q = kerr_q(2.0, math.pi / 3)
