@@ -145,7 +145,7 @@ class _Failures:
     def flag(self, bad, make, at=None) -> None:
         """Record make(j) for every j with bad[j] whose point (at[j], or j)
         has not failed yet."""
-        if not np.any(bad):
+        if not bad.any():
             return
         at = np.arange(self.ok.size) if at is None else at
         for j in np.flatnonzero(np.broadcast_to(bad, at.shape) & self.ok[at]):
@@ -224,10 +224,8 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     lambdas, vs, psi0_inv = sd.lambdas, sd.vs, sd.psi0_inv
     m = lambdas.shape[-1]
     coupled = psi0_inv.conj().swapaxes(-1, -2)
-    num = np.empty(psi0_inv.shape[:1] + (m, m), dtype=complex)
-    for k in range(m):
-        s_k = (psi0_inv[:, k, None] @ gamma_mat) @ coupled
-        num[:, k] = ((vs[:, k, None, None].conj() @ s_k) @ vs[..., None])[..., 0, 0]
+    s = (psi0_inv @ gamma_mat)[:, :, None] @ coupled[:, None]
+    num = ((vs.conj()[:, :, None, None] @ s) @ vs[:, None, ..., None])[..., 0, 0]
     b_star = -((vs.conj()[..., None, :] @ psi0_inv)[..., 0, :] @ gamma_mat)
     denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
     size = np.abs(lambdas)
@@ -248,16 +246,27 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
     set of det A is the ring-singularity locus of the dressed map, reported
     rather than crossed), when the condition number exceeds the cap, and
     when the solve residual exceeds SOLVE_RESIDUAL_REL * ||B||.
+
+    The condition comes from det A first: A^-1 = adj A / det A and the
+    singular values of adj A are products of m - 1 of A's, so
+    cond(A) <= ||A||_F ||A^-1||_F <= ||A||_F^m / |det A|. A system whose
+    bound clears the cap by 10x is accepted as it stands; the others go
+    through algebra.checked_inv as one sub-stack, so every refusal and its
+    note is the SVD's. A bound that overflows is not a bound.
     """
-    eye = np.eye(a.shape[-1])
+    m, cap = a.shape[-1], tol.condition_cap
     det = np.linalg.det(a)
     fails.flag(np.abs(det) < tol.singular_tol, lambda i: SingularPointError(
         f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
-    a = np.where(fails.ok[:, None, None], a, eye)
-    cond = algebra.checked_inv(a, tol.condition_cap)[1]
-    fails.flag(~(cond <= tol.condition_cap), lambda i: NumericError(
-        f"system condition {cond[i]:.3e} exceeds cap {tol.condition_cap:.3e}"))
-    a = np.where(fails.ok[:, None, None], a, eye)
+    with np.errstate(over="ignore", invalid="ignore"):
+        size = 10.0 * algebra.frobenius(a) ** m
+        clear = (size < np.inf) & (size <= cap * np.abs(det))
+    unsure = np.flatnonzero(fails.ok & ~clear)
+    if unsure.size:
+        cond = algebra.checked_inv(a[unsure], cap)[1]
+        fails.flag(~(cond <= cap), lambda j: NumericError(
+            f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}"), unsure)
+    a = np.where(fails.ok[:, None, None], a, np.eye(m))
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
@@ -278,10 +287,10 @@ def _reconstruct(res: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
     zero = lambdas == 0
     if np.any(zero & fails.ok[:, None]):
         raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
-    lambdas = np.where(zero, 1.0, lambdas)
+    terms = res @ q0[:, None] / np.where(zero, 1.0, lambdas)[..., None, None]
     q = q0
     for k in range(lambdas.shape[-1]):
-        q = q - res[:, k] @ q0 / lambdas[:, k, None, None]
+        q = q - terms[:, k]
     return q
 
 
@@ -298,33 +307,41 @@ def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray,
 
 
 def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
-         const: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+         const: np.ndarray | None = None,
+         near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam (or ``const``
     in place of I); returns chi (P, S, n, n) and the (P, S, 2N) mask of
     values at a pole, where chi has no value (the term's gap is taken as 1).
-    The sum over the poles is one matmul per point: the (S, 2N) weights
-    1/(lam - lam_k) times the residues as a (2N, n*n) matrix."""
+    Only the values in the (P, S) mask ``near`` are tested for a pole; None
+    tests them all. The sum over the poles is one matmul per point: the
+    (S, 2N) weights 1/(lam - lam_k) times the residues as a (2N, n*n) matrix."""
     gap = lam[..., None] - lambdas[..., None, :]
-    at_pole = np.abs(gap) < 1e-13 * np.maximum(np.maximum(1.0, np.abs(lam))[..., None],
-                                               np.abs(lambdas)[..., None, :])
+    at_pole = np.zeros(gap.shape, dtype=bool)
+    near = np.ones(lam.shape, dtype=bool) if near is None else near
+    at = np.unravel_index(np.flatnonzero(near), near.shape)
+    if at[0].size:
+        limit = np.maximum(np.maximum(1.0, np.abs(lam[at]))[:, None], np.abs(lambdas[at[0]]))
+        at_pole[at] = np.abs(gap[at]) < 1e-13 * limit
     n = res.shape[-1]
     const = np.eye(n, dtype=complex) if const is None else const[:, None]
-    terms = (1.0 / np.where(at_pole, 1.0, gap)) @ res.reshape(res.shape[:-2] + (n * n,))
+    weights = 1.0 / (np.where(at_pole, 1.0, gap) if at_pole.any() else gap)
+    terms = weights @ res.reshape(res.shape[:-2] + (n * n,))
     return const + terms.reshape(lam.shape + (n, n)), at_pole
 
 
-def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (P, S) samples keeping lam, conj(lam) and the deck image
     clear of the poles (and of their conjugates, where chi inverts): each
-    sample moves outward by 1.171 until clear, at most 60 times.
+    sample moves outward by 1.171 until clear, at most 60 times. Returns the
+    samples and the (P, S) mask of those that never cleared.
 
     A sample is clear when every probe-to-pole distance, rounded as np.hypot
     rounds it, exceeds the gap. The pole set is closed under conjugation, so
     conj(lam) is exactly as far from it as lam and needs no probe of its own.
-    Each probe meets all poles in one broadcast; the squared distance
-    decides every pair more than twice the gap apart, and hypot runs on the
-    others only. After the first pass only the points with a sample still
-    moving are revisited."""
+    lam and its deck image meet all poles in one (P, 2S, 4N) broadcast per
+    pass; the squared distance decides every pair more than twice the gap
+    apart, and hypot runs on the others only. After the first pass only the
+    points with a sample still moving are revisited."""
     scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1, initial=0.0))
     gap = 1e-3 * scale[:, None, None]
     samples = np.asarray(CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
@@ -332,23 +349,31 @@ def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> np.ndarray:
     deck = -(rho * rho)[:, None]
     moving = np.ones(samples.shape, dtype=bool)
     idx = np.arange(len(samples))
+    s = samples.shape[1]
     for _ in range(60):
         lam, poles, limit = samples[idx], avoid[idx], gap[idx]
-        close = np.zeros(lam.shape, dtype=bool)
-        for probe in (lam, deck[idx] / lam):
-            re = probe.real[..., None] - poles.real
-            im = probe.imag[..., None] - poles.imag
-            near = ~(re * re + im * im > 4.0 * limit * limit)
-            if near.any():
-                at = np.nonzero(near)
-                near[at] = ~(np.hypot(re[at], im[at]) > limit[at[0], 0, 0])
-                close |= near.any(axis=-1)
-        moving[idx] &= close
+        probe = np.concatenate([lam, deck[idx] / lam], axis=-1)[..., None]
+        # the squared distances, formed in place to keep the passes in cache
+        re = probe.real - poles.real
+        im = probe.imag - poles.imag
+        re *= re
+        im *= im
+        re += im
+        near = ~(re > 4.0 * limit * limit)
+        if not near.any():  # every sample left is clear
+            moving[idx] = False
+            break
+        i, j, k = np.unravel_index(np.flatnonzero(near), near.shape)
+        d = probe[i, j, 0] - poles[i, 0, k]
+        hit = ~(np.hypot(d.real, d.imag) > limit[i, 0, 0])
+        close = np.zeros(probe.shape[:2], dtype=bool)
+        close[i[hit], j[hit]] = True
+        moving[idx] &= close[:, :s] | close[:, s:]
         idx = idx[moving[idx].any(axis=-1)]
         if not idx.size:
             break
         samples[idx] = np.where(moving[idx], samples[idx] * 1.171, samples[idx])
-    return samples
+    return samples, moving
 
 
 def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
@@ -366,39 +391,54 @@ def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
     algebra.checked_inv, whose SVD refuses A above the cap. A sample at a
     pole or a refused A fails the point: the first one in sample order and,
     per sample, in the order chi(lam), chi(conj lam), A, chi(deck).
+
+    Only the samples that never cleared are tested for a pole. A cleared
+    sample lam is more than 1e-3 * scale (scale = max(1, |lam_k|)) from
+    every pole and conjugate pole, and so are conj(lam) and -rho^2/lam,
+    while the at-pole threshold is 1e-13 * max(1, |mu|, |lam_k|) at a value
+    mu. Samples only move outward: after at most 60 moves
+    |lam| <= 1.171^60 * 3.1 * max(1, 0.3 scale) < 1e5 scale, and
+    |lam| >= 0.72 * max(1, 0.3 scale) with rho^2 = |lam_k lam_{N+k}| <= scale^2
+    bounds |rho^2 / lam| by 4.7 scale. The threshold stays below
+    1e-8 * scale, five orders under the clearance.
     """
-    samples = _audit_samples(lambdas, rho)
+    samples, stuck = _audit_samples(lambdas, rho)
     s = samples.shape[1]
-    both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas)
+    both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas,
+                           near=np.concatenate([stuck, stuck], axis=-1))
     chi, adj = both[:, :s], both[:, s:].conj().swapaxes(-1, -2)
-    pole_lam, pole_conj = pole_both[:, :s], pole_both[:, s:]
     reality = algebra.frobenius(algebra.mul(adj, algebra.sigma(chi, gamma_mat))
                                 - np.eye(chi.shape[-1]))
-    size = algebra.frobenius(both)  # ||A||_F = ||chi(conj lam)||_F
+    # ||A||_F = ||chi(conj lam)||_F; a bound away from the cap needs no exact rounding
+    flat = both.view(float).reshape(both.shape[:-2] + (2 * both.shape[-1] ** 2,))
+    size = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     bound = 10.0 * size[:, s:] * size[:, :s]
     unsure = ~((reality < 0.5) & (bound <= condition_cap * (1.0 - reality)))
     cond = np.zeros(samples.shape)
     if unsure.any():
         cond[unsure] = algebra.checked_inv(adj[unsure], condition_cap)[1]
     # q sigma(chi) sigma(q0) at the deck images, from the residues of chi
-    # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k
-    left, right = q[:, None], algebra.sigma(q0, gamma_mat)[:, None]
+    # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k,
+    # where q sigma(R_k) sigma(q0) = (q gamma) R_k (q0 gamma) as gamma^2 = I
+    flip = np.diagonal(gamma_mat).real
+    left, right = (q * flip)[:, None], (q0 * flip)[:, None]
     rhs, pole_deck = _chi(-(rho * rho)[:, None] / samples,
-                          algebra.mul(algebra.mul(left, algebra.sigma(res, gamma_mat)), right),
-                          lambdas, algebra.mul(left, right)[:, 0])
-    poles = (pole_lam, pole_conj, None, pole_deck)
-    steps = np.stack([pole_lam.any(-1), pole_conj.any(-1), ~(cond <= condition_cap),
-                      pole_deck.any(-1)], axis=-1)
-    steps = steps.reshape(samples.shape[0], 4 * samples.shape[1])
+                          algebra.mul(algebra.mul(left, res), right),
+                          lambdas, algebra.mul(left, right)[:, 0], near=stuck)
+    refused = ~(cond <= condition_cap)
+    if stuck.any() or refused.any():  # a cleared sample is at no pole
+        poles = (pole_both[:, :s], pole_both[:, s:], None, pole_deck)
+        steps = np.stack([poles[0].any(-1), poles[1].any(-1), refused, pole_deck.any(-1)],
+                         axis=-1).reshape(samples.shape[0], 4 * s)
 
-    def failure(i: int) -> Exception:
-        s, step = divmod(int(np.argmax(steps[i])), 4)
-        if step == 2:
-            return algebra.refusal(cond[i, s], condition_cap)
-        k = int(np.argmax(poles[step][i, s]))
-        return DomainError(f"chi evaluated at its pole lam_{k} = {lambdas[i, k]}")
+        def failure(i: int) -> Exception:
+            j, step = divmod(int(np.argmax(steps[i])), 4)
+            if step == 2:
+                return algebra.refusal(cond[i, j], condition_cap)
+            k = int(np.argmax(poles[step][i, j]))
+            return DomainError(f"chi evaluated at its pole lam_{k} = {lambdas[i, k]}")
 
-    fails.flag(steps.any(axis=-1), failure, at)
+        fails.flag(steps.any(axis=-1), failure, at)
     involution = algebra.frobenius(chi - rhs)
     return reality.max(axis=-1, initial=0.0), involution.max(axis=-1, initial=0.0)
 
@@ -489,14 +529,24 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
 
 def dressed_seed(cfg: SolitonConfig) -> Seed:
     """The seed of the finished dressing of ``cfg``: q0 is the dressed map,
-    Psi0 = chi Psi0_cfg, and J is that of cfg's seed. Each evaluation dresses
-    its points anew, without the chi audit; where that flags a point, or lam
-    is a pole of chi, the values are NaN, which the next dressing flags."""
+    Psi0 = chi Psi0_cfg, and J is that of cfg's seed. An evaluation dresses
+    its points without the chi audit, and one at the points of the last
+    dressing reuses it, so q0 and Psi0 at the same points dress them once;
+    where that flags a point, or lam is a pole of chi, the values are NaN,
+    which the next dressing flags."""
+    last: list = [None, None]
+
+    def dressed(rho, z) -> tuple:
+        key = tuple(np.asarray(v, dtype=float).tobytes() for v in (rho, z))
+        if last[0] != key:
+            last[:] = key, _dress(cfg, rho, z, False, None)
+        return last[1]
+
     def psi0(lam, rho, z):
-        grid, res, lambdas = _dress(cfg, rho, z, False, None)
+        grid, res, lambdas = dressed(rho, z)
         chi, at_pole = _chi(lam, res, lambdas)
         chi[at_pole.any(axis=-1) | grid.singular[:, None]] = complex(math.nan, math.nan)
         return chi @ cfg.seed.psi0(lam, rho, z)
 
-    return Seed(q0=lambda rho, z: dress(cfg, rho, z, audit_chi=False).q, psi0=psi0,
+    return Seed(q0=lambda rho, z: dressed(rho, z)[0].q.copy(), psi0=psi0,
                 deck=cfg.seed.deck, signature=cfg.signature)

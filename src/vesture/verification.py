@@ -75,12 +75,12 @@ def _grad(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Second-order gradient: central in the interior, one-sided on the
     boundary, assembled from value differences so that constant input
     yields exactly zero. NaN propagates to any stencil touching it."""
-    a = np.moveaxis(arr, axis, 0)
+    a = arr.swapaxes(axis, 0)
     out = np.empty_like(a)
     out[1:-1] = (a[2:] - a[:-2]) / (2.0 * h)
     out[0] = (4.0 * (a[1] - a[0]) - (a[2] - a[0])) / (2.0 * h)
     out[-1] = (4.0 * (a[-1] - a[-2]) - (a[-1] - a[-3])) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +107,7 @@ def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
             + algebra.mul(w_rho, w_z) - algebra.mul(w_z, w_rho))
     rho_col = field.rhos[:, None, None, None]
     div = _grad(rho_col * w_rho, h_rho, 0) + rho_col * _grad(w_z, h_z, 1)
-    res1 = np.linalg.norm(curl, axis=(-2, -1))
-    res2 = np.linalg.norm(div, axis=(-2, -1))
-    return res1, res2
+    return algebra.frobenius(curl), algebra.frobenius(div)
 
 
 def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:

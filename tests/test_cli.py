@@ -20,7 +20,7 @@ def minimal_config(tmp_path, **overrides):
         "target": {"p": 1, "q": 1},
         "seed": "identity",
         "solitons": [{"omega": [0.0, 1.0], "v": [[1.2, 0.0], [0.5, 0.0]]}],
-        "grid": {"coords": "weyl", "rho": [1.0, 2.0, 4], "z": [-0.5, 0.5, 3]},
+        "grid": {"coords": "weyl", "rho": [2.5, 3.5, 4], "z": [-0.5, 0.5, 3]},
         "outputs": {"fields": ["q", "detA", "residuals", "ernst"],
                     "path": str(tmp_path / "out.csv"), "format": "csv"},
     }
@@ -132,6 +132,13 @@ def test_a_nan_gated_residual_fails_the_dress_gate(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err.startswith(
         "dressed 36 points (0 singular); max gated constraint residual nan")
 
+
+def test_minimal_config_gates_every_point(tmp_path, capsys):
+    # the fixture's grid keeps clear of the branch point (rho, z) = (1, 0)
+    assert cli.run_dress(cli.parse_config(json.dumps(minimal_config(tmp_path)))) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("dressed 12 points (0 singular); max gated constraint residual ")
+    assert "gate vacuous" not in err and 0.0 < float(err.split()[-1]) <= 1e-12
 
 def test_run_dress_deterministic(tmp_path):
     doc = minimal_config(tmp_path)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
-from vesture.errors import ConfigError, SingularPointError
+from vesture.errors import ConfigError, NumericError, SingularPointError
 from vesture.spectral import DomainPoint
 from vesture.cli import _gate_exclusion
 from test_equivalence import KERR_RING, SU21, TIGHT, coords
@@ -151,6 +151,73 @@ def test_solve_system_singular_flag():
     fails = dressing._Failures(1)
     dressing._solve(a[None], np.eye(2, dtype=complex)[None], Tolerances(), fails)
     assert isinstance(fails.error[0], SingularPointError)
+
+
+def _solve_by_whole_stack(a, b_star, tol, fails):
+    """The solve as it was before det A bounded the condition, frozen as a
+    reference: algebra.checked_inv over the whole stack."""
+    eye = np.eye(a.shape[-1])
+    det = np.linalg.det(a)
+    fails.flag(np.abs(det) < tol.singular_tol, lambda i: SingularPointError(
+        f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
+    a = np.where(fails.ok[:, None, None], a, eye)
+    cond = algebra.checked_inv(a, tol.condition_cap)[1]
+    fails.flag(~(cond <= tol.condition_cap), lambda i: NumericError(
+        f"system condition {cond[i]:.3e} exceeds cap {tol.condition_cap:.3e}"))
+    a = np.where(fails.ok[:, None, None], a, eye)
+    u_star = np.linalg.solve(a, b_star)
+    resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
+    bound = dressing.SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
+    fails.flag(resid > bound, lambda i: NumericError(
+        f"solve residual {resid[i]:.3e} above {dressing.SOLVE_RESIDUAL_REL:.0e}*||B||"))
+    return u_star, det
+
+
+@st.composite
+def _systems(draw):
+    """(A, B*, tolerances): a (P, m, m) stack, m in {2, 4, 6}, of matrices
+    with a chosen 2-norm condition (up to 1e16) or a zero row, scaled as A
+    is when the vectors are rescaled by c; caps of 30 and 1e12."""
+    m, c = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([0.01, 1.0, 100.0]))
+    tol = Tolerances(singular_tol=draw(st.sampled_from([0.0, 1e-12])),
+                     condition_cap=draw(st.sampled_from([30.0, 1e12])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        u, _, vh = np.linalg.svd(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        cond = draw(st.sampled_from([1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e11, 1e12, 1e13, 1e16]))
+        a = (u * np.geomspace(1.0, 1.0 / cond, m)[rng.permutation(m)]) @ vh
+        if draw(st.booleans()) and draw(st.booleans()):
+            a[rng.integers(m)] = 0.0  # exactly singular
+        stack.append(c * c * a)
+    b_star = rng.normal(size=(len(stack), m, 2)) + 1j * rng.normal(size=(len(stack), m, 2))
+    return np.array(stack), b_star, tol
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_systems())
+def test_system_condition_from_det_a_flags_as_the_whole_stack_did(problem):
+    a, b_star, tol = problem
+    checked, inv = [], algebra.checked_inv
+
+    def recorded(m, cap):
+        checked.extend(m)
+        return inv(m, cap)
+
+    fails, want = dressing._Failures(len(a)), dressing._Failures(len(a))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "checked_inv", recorded)
+        got_u, got_det = dressing._solve(a, b_star, tol, fails)
+    want_u, want_det = _solve_by_whole_stack(a, b_star, tol, want)
+    assert np.array_equal(fails.ok, want.ok)
+    assert [str(e) for e in fails.error] == [str(e) for e in want.error]
+    assert np.array_equal(got_u.view(float), want_u.view(float))
+    assert np.array_equal(got_det.view(float), want_det.view(float))
+    # a system the det A bound accepted has its condition within the cap
+    passed = {m.tobytes() for m in checked}
+    for i in np.flatnonzero(np.abs(got_det) >= tol.singular_tol):
+        if a[i].tobytes() not in passed:
+            assert np.linalg.cond(a[i]) <= tol.condition_cap
 
 
 def test_reconstruct_empty_and_kerr_entries():
@@ -458,7 +525,7 @@ def _sample_problems(draw):
 @example(CHAIN)
 def test_audit_samples_match_the_full_rescan(problem):
     lambdas, rho = problem
-    got = dressing._audit_samples(lambdas, rho)
+    got, _ = dressing._audit_samples(lambdas, rho)
     want = _rescanned_audit_samples(lambdas, rho)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -467,8 +534,64 @@ def test_audit_samples_match_the_full_rescan(problem):
 def test_audit_sample_edge_cases_are_exercised():
     first = dressing.CHI_SAMPLES[0]
     assert np.hypot((first - ONE_GAP).real, (first - ONE_GAP).imag) == 1e-3
-    assert dressing._audit_samples(*BOUNDARY)[0, 0] == _moved(0, 1)
-    assert dressing._audit_samples(*CHAIN)[0, 0] == _moved(0, 4)
+    assert dressing._audit_samples(*BOUNDARY)[0][0, 0] == _moved(0, 1)
+    assert dressing._audit_samples(*CHAIN)[0][0, 0] == _moved(0, 4)
+
+
+def _stuck(scale: np.ndarray) -> np.ndarray:
+    """The (P, S) audit samples after all 60 moves, for the pole scales."""
+    lam = np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
+    for _ in range(60):
+        lam = lam * 1.171
+    return lam
+
+
+#: (poles, rho) one soliton at i dressed at rho = 3.7e-7, z = 0: the small pole
+#: lies within the gap of every deck image, so no sample ever clears
+NEAR_AXIS = (np.concatenate(spectral.pole_pairs((1j,), np.array([3.7e-7]), np.zeros(1))[:2],
+                            axis=-1), np.array([3.7e-7]))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_sample_problems())
+@example(BOUNDARY)
+@example(CHAIN)
+@example(NEAR_AXIS)
+def test_cleared_audit_samples_keep_the_gap_from_every_pole(problem):
+    # why _chi tests only the samples that never cleared for a pole
+    lambdas, rho = problem
+    samples, stuck = dressing._audit_samples(lambdas, rho)
+    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1))
+    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1)[:, None, :]
+    for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
+        d = probe[..., None] - avoid
+        gap = np.hypot(d.real, d.imag).min(axis=-1)
+        assert np.all((gap > 1e-3 * scale[:, None])[~stuck])
+    assert np.array_equal(samples[stuck], _stuck(scale)[stuck])
+
+
+def test_a_stuck_audit_sample_at_a_pole_fails_its_point(monkeypatch):
+    # one soliton at i next to the axis: every sample exhausts its 60 moves.
+    # From rho = 3.2e-7 to 4.2e-7 the last deck image lies within 1e-13 of
+    # the small pole lam_1 (a condition cap above the system's ~3e13 lets
+    # the audit run); at 5.2e-7 it does not
+    found, search = [], dressing._audit_samples
+
+    def recorded(lambdas, rho):
+        found.append(search(lambdas, rho))
+        return found[-1]
+
+    monkeypatch.setattr(dressing, "_audit_samples", recorded)
+    cfg = SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.5]),), seeds.identity_seed(SIG11),
+                        Tolerances(condition_cap=1e15))
+    rho = np.array([3.7e-7, 5.2e-7])
+    out = dressing.dress(cfg, rho, np.zeros(2))
+    (samples, stuck), = found
+    assert stuck.all()
+    assert np.array_equal(samples, _stuck(np.full(2, 2.0)))
+    small = spectral.pole_pairs((1j,), rho, np.zeros(2))[1][0, 0]
+    assert out.notes == {0: f"chi audit failed: chi evaluated at its pole lam_1 = {small}"}
+    assert out.has_q.all() and 0.0 < out.residuals["chi_involution"][1] < 1e-6
 
 
 @pytest.mark.parametrize("problem", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
@@ -521,7 +644,7 @@ def test_kerr_newman_grid_moves_audit_samples_and_flags_nothing(monkeypatch):
     r, theta = np.linspace(2.5, 11.0, 40), np.linspace(0.1, np.pi - 0.1, 40)
     x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=1.0, s=1.0, e=0.5))
     out = dressing.dress(targets.kn_config(1.0, 0.5, 1.0), x.rho, x.z)
-    (samples, unmoved), = found
+    ((samples, _), unmoved), = found
     assert samples.shape == (1600, 8) and (samples != unmoved).sum() >= 1
     assert not out.singular.any()
 
@@ -560,6 +683,27 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
     assert twice.residuals["symspace"][gated].max() <= 1e-9
     for key in ("chi_reality", "chi_involution"):
         assert twice.residuals[key][gated].max() <= 1e-6, key
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_dressing_the_kth_iterated_seed_runs_the_pipeline_k_times(monkeypatch, k):
+    # one soliton per level on a box with no flagged point: q0 and Psi0 of
+    # each dressed seed share one dressing of its points
+    poles = (0.4 + 1.2j, -0.7 + 0.8j, 0.2 + 1.6j, -0.3 + 0.5j)
+    vectors = [np.array(v) for v in ([1.2, 0.4], [0.3, 1.0 + 0.2j], [1.0, 0.2j], [0.5, 1.3])]
+    seed = seeds.identity_seed(SIG11)
+    for j in range(k - 1):
+        seed = dressing.dressed_seed(SolitonConfig(SIG11, poles[j:j + 1], vectors[j:j + 1], seed))
+    runs, run = [], dressing._dress
+
+    def counted(*args):
+        runs.append(args[0])
+        return run(*args)
+
+    monkeypatch.setattr(dressing, "_dress", counted)
+    rho, z = np.meshgrid(np.linspace(2.0, 3.0, 5), np.linspace(-0.5, 0.5, 5), indexing="ij")
+    out = dressing.dress(SolitonConfig(SIG11, poles[k - 1:k], vectors[k - 1:k], seed), rho, z)
+    assert not out.singular.any() and len(runs) == k
 
 
 @pytest.mark.parametrize("sig, v1, v2", ITERATED, ids=["g11", "g21"])
