@@ -15,7 +15,6 @@ from .dressing import (
     dominance_check,
     dress,
     dressed_seed,
-    normalize_det,
 )
 from .errors import (
     ConfigError,

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 config error, 2 numeric failure, 3 constraint-gate
 failure, 4 I/O failure. Singular grid points are data, not failures. Output
 is bit-identical across runs of the same config: fixed iteration order,
-fixed audit samples, no randomness or wall-clock inputs in the payload.
+no randomness or wall-clock inputs in the payload.
 """
 from __future__ import annotations
 

@@ -11,10 +11,8 @@ tau(chi(conj lam)) = chi(lam) and the deck involution into the ansatz.
 
 P points (rho, z arrays) are dressed as one array pipeline into a
 DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
-chi audits at (P, 8) samples. The reality audit is the product residual
-||chi(conj lam)^* sigma(chi(lam)) - I||_F, which needs no inverse and
-bounds the condition of chi(conj lam); only the samples that bound cannot
-clear are inverted, to refuse those above the cap. The paired vectors
+chi audits from chi's residues at its 2N poles and its value at infinity,
+which vanish iff the audited identities hold everywhere. The paired vectors
 are computed once per configuration; a seed evaluation that does not vary
 keeps a batch axis of length 1, so psi0^{-1}, the Gram numerators and B
 are computed once and broadcast. A point that fails a check is flagged,
@@ -33,18 +31,6 @@ from .algebra import ComplexMatrix, Signature
 from .errors import ConfigError, DomainError, NumericError, SeedError, SingularPointError
 from .seeds import Seed
 from .spectral import DomainPoint
-
-#: fixed deterministic lambda samples for the chi symmetry audits
-CHI_SAMPLES = (
-    0.37 + 0.62j,
-    -1.40 + 0.90j,
-    2.20 - 1.30j,
-    0.05 - 0.80j,
-    -0.66 - 0.45j,
-    1.70 + 2.50j,
-    -2.80 + 0.20j,
-    0.90 + 1.10j,
-)
 
 #: relative solve-residual bound enforced after the linear solve
 SOLVE_RESIDUAL_REL = 1e-10
@@ -306,157 +292,63 @@ def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray,
     return q * scale[..., None, None], ~real
 
 
-def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray,
-         const: np.ndarray | None = None,
-         near: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam (or ``const``
-    in place of I); returns chi (P, S, n, n) and the (P, S, 2N) mask of
-    values at a pole, where chi has no value (the term's gap is taken as 1).
-    Only the values in the (P, S) mask ``near`` are tested for a pole; None
-    tests them all. The sum over the poles is one matmul per point: the
-    (S, 2N) weights 1/(lam - lam_k) times the residues as a (2N, n*n) matrix."""
+def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam; returns chi
+    (P, S, n, n) and the (P, S, 2N) mask of values at a pole, where chi has
+    no value (the term's gap is taken as 1). The sum over the poles is one
+    matmul per point: the (S, 2N) weights 1/(lam - lam_k) times the residues
+    as a (2N, n*n) matrix."""
     gap = lam[..., None] - lambdas[..., None, :]
-    at_pole = np.zeros(gap.shape, dtype=bool)
-    near = np.ones(lam.shape, dtype=bool) if near is None else near
-    at = np.unravel_index(np.flatnonzero(near), near.shape)
-    if at[0].size:
-        limit = np.maximum(np.maximum(1.0, np.abs(lam[at]))[:, None], np.abs(lambdas[at[0]]))
-        at_pole[at] = np.abs(gap[at]) < 1e-13 * limit
+    limit = np.maximum(np.maximum(1.0, np.abs(lam))[..., None], np.abs(lambdas)[..., None, :])
+    at_pole = np.abs(gap) < 1e-13 * limit
     n = res.shape[-1]
-    const = np.eye(n, dtype=complex) if const is None else const[:, None]
     weights = 1.0 / (np.where(at_pole, 1.0, gap) if at_pole.any() else gap)
     terms = weights @ res.reshape(res.shape[:-2] + (n * n,))
-    return const + terms.reshape(lam.shape + (n, n)), at_pole
-
-
-def _audit_samples(lambdas: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (P, S) samples keeping lam, conj(lam) and the deck image
-    clear of the poles (and of their conjugates, where chi inverts): each
-    sample moves outward by 1.171 until clear, at most 60 times. Returns the
-    samples and the (P, S) mask of those that never cleared.
-
-    A sample is clear when every probe-to-pole distance, rounded as np.hypot
-    rounds it, exceeds the gap. The pole set is closed under conjugation, so
-    conj(lam) is exactly as far from it as lam and needs no probe of its own.
-    lam and its deck image meet all poles in one (P, 2S, 4N) broadcast per
-    pass; the squared distance decides every pair more than twice the gap
-    apart, and hypot runs on the others only. After the first pass only the
-    points with a sample still moving are revisited."""
-    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1, initial=0.0))
-    gap = 1e-3 * scale[:, None, None]
-    samples = np.asarray(CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
-    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1)[:, None, :]
-    deck = -(rho * rho)[:, None]
-    moving = np.ones(samples.shape, dtype=bool)
-    idx = np.arange(len(samples))
-    s = samples.shape[1]
-    for _ in range(60):
-        lam, poles, limit = samples[idx], avoid[idx], gap[idx]
-        probe = np.concatenate([lam, deck[idx] / lam], axis=-1)[..., None]
-        # the squared distances, formed in place to keep the passes in cache
-        re = probe.real - poles.real
-        im = probe.imag - poles.imag
-        re *= re
-        im *= im
-        re += im
-        near = ~(re > 4.0 * limit * limit)
-        if not near.any():  # every sample left is clear
-            moving[idx] = False
-            break
-        i, j, k = np.unravel_index(np.flatnonzero(near), near.shape)
-        d = probe[i, j, 0] - poles[i, 0, k]
-        hit = ~(np.hypot(d.real, d.imag) > limit[i, 0, 0])
-        close = np.zeros(probe.shape[:2], dtype=bool)
-        close[i[hit], j[hit]] = True
-        moving[idx] &= close[:, :s] | close[:, s:]
-        idx = idx[moving[idx].any(axis=-1)]
-        if not idx.size:
-            break
-        samples[idx] = np.where(moving[idx], samples[idx] * 1.171, samples[idx])
-    return samples, moving
+    return np.eye(n, dtype=complex) + terms.reshape(lam.shape + (n, n)), at_pole
 
 
 def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
-           gamma_mat: ComplexMatrix, rho: np.ndarray, condition_cap: float,
-           fails: _Failures, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Max reality / deck-involution residuals of chi over the samples.
+           gamma_mat: ComplexMatrix, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reality / deck-involution residuals of chi, from its residues.
 
-    reality:    || chi(conj lam)^* sigma(chi(lam)) - I ||_F
-    involution: || chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) ||_F
-    The reality residual r is the identity tau(chi(conj lam)) = chi(lam) in
-    product form, so it needs no inverse. Where r < 1 it also bounds the
-    condition of A = chi(conj lam)^*: cond(A) <= ||A||_F ||chi(lam)||_F / (1 - r).
-    A sample with r < 1/2 and ten times that bound within the cap is never
-    refused; the others (an exactly singular A has r >= 1) go through
-    algebra.checked_inv, whose SVD refuses A above the cap. A sample at a
-    pole or a refused A fails the point: the first one in sample order and,
-    per sample, in the order chi(lam), chi(conj lam), A, chi(deck).
-
-    Only the samples that never cleared are tested for a pole. A cleared
-    sample lam is more than 1e-3 * scale (scale = max(1, |lam_k|)) from
-    every pole and conjugate pole, and so are conj(lam) and -rho^2/lam,
-    while the at-pole threshold is 1e-13 * max(1, |mu|, |lam_k|) at a value
-    mu. Samples only move outward: after at most 60 moves
-    |lam| <= 1.171^60 * 3.1 * max(1, 0.3 scale) < 1e5 scale, and
-    |lam| >= 0.72 * max(1, 0.3 scale) with rho^2 = |lam_k lam_{N+k}| <= scale^2
-    bounds |rho^2 / lam| by 4.7 scale. The threshold stays below
-    1e-8 * scale, five orders under the clearance.
+    Both identities are rational in lam with simple poles at the lam_k and
+    their conjugates (_system flags a point where a lam_k meets a conj
+    lam_j), so each vanishes everywhere iff its value at infinity and its
+    residues do:
+    reality:    F(lam) = chi(conj lam)^* sigma(chi(lam)) - I is 0 at
+                infinity; its residue at lam_k is chi(conj lam_k)^* sigma(R_k),
+                and the one at conj lam_k is that residue's adjoint up to gamma.
+    involution: G(lam) = chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) is
+                I - q sigma(chi(0)) sigma(q0) at infinity; its residue at
+                lam_k is R_k - (lam_k^2/rho^2) q sigma(R_k') sigma(q0), where
+                lam_k' = -rho^2/lam_k is the deck partner of lam_k.
+    Where q sigma(q) = q0 sigma(q0) = I, which the symspace residual audits,
+    G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0), so one residue per deck
+    pair says all: the one with weight |lam_k^2/rho^2| <= 1, which does not
+    amplify rounding next to the axis as its partner's does. Each residue
+    is divided by 1 + ||R_k||_F; a residual is the largest term at a point.
     """
-    samples, stuck = _audit_samples(lambdas, rho)
-    s = samples.shape[1]
-    both, pole_both = _chi(np.concatenate([samples, samples.conj()], axis=-1), res, lambdas,
-                           near=np.concatenate([stuck, stuck], axis=-1))
-    chi, adj = both[:, :s], both[:, s:].conj().swapaxes(-1, -2)
-    reality = algebra.frobenius(algebra.mul(adj, algebra.sigma(chi, gamma_mat))
-                                - np.eye(chi.shape[-1]))
-    # ||A||_F = ||chi(conj lam)||_F; a bound away from the cap needs no exact rounding
-    flat = both.view(float).reshape(both.shape[:-2] + (2 * both.shape[-1] ** 2,))
-    size = np.sqrt(np.einsum("...i,...i->...", flat, flat))
-    bound = 10.0 * size[:, s:] * size[:, :s]
-    unsure = ~((reality < 0.5) & (bound <= condition_cap * (1.0 - reality)))
-    cond = np.zeros(samples.shape)
-    if unsure.any():
-        cond[unsure] = algebra.checked_inv(adj[unsure], condition_cap)[1]
-    # q sigma(chi) sigma(q0) at the deck images, from the residues of chi
-    # multiplied through once per point: q sigma(q0) + sum_k q sigma(R_k) sigma(q0) / gap_k,
-    # where q sigma(R_k) sigma(q0) = (q gamma) R_k (q0 gamma) as gamma^2 = I
+    half, n = lambdas.shape[-1] // 2, res.shape[-1]
+    size = 1.0 + algebra.frobenius(res)
     flip = np.diagonal(gamma_mat).real
+    adj = _chi(lambdas.conj(), res, lambdas)[0].conj().swapaxes(-1, -2)
+    reality = algebra.frobenius(algebra.mul(adj, algebra.sigma(res, gamma_mat))) / size
+    # q sigma(X) sigma(q0) = (q gamma) X (q0 gamma), as gamma^2 = I
     left, right = (q * flip)[:, None], (q0 * flip)[:, None]
-    rhs, pole_deck = _chi(-(rho * rho)[:, None] / samples,
-                          algebra.mul(algebra.mul(left, res), right),
-                          lambdas, algebra.mul(left, right)[:, 0], near=stuck)
-    refused = ~(cond <= condition_cap)
-    if stuck.any() or refused.any():  # a cleared sample is at no pole
-        poles = (pole_both[:, :s], pole_both[:, s:], None, pole_deck)
-        steps = np.stack([poles[0].any(-1), poles[1].any(-1), refused, pole_deck.any(-1)],
-                         axis=-1).reshape(samples.shape[0], 4 * s)
+    terms = (1.0 / lambdas)[:, None] @ res.reshape(res.shape[:2] + (n * n,))
+    chi0 = np.eye(n) - terms.reshape(left.shape)
+    infinity = algebra.frobenius(np.eye(n) - algebra.mul(algebra.mul(left, chi0), right))
+    weight = lambdas * lambdas / (rho * rho)[:, None]
+    inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
 
-        def failure(i: int) -> Exception:
-            j, step = divmod(int(np.argmax(steps[i])), 4)
-            if step == 2:
-                return algebra.refusal(cond[i, j], condition_cap)
-            k = int(np.argmax(poles[step][i, j]))
-            return DomainError(f"chi evaluated at its pole lam_{k} = {lambdas[i, k]}")
+    def audited(a: np.ndarray) -> np.ndarray:
+        """a at each deck pair's audited pole, the one with |weight| <= 1."""
+        return np.where(inner.reshape(inner.shape + (1,) * (a.ndim - 2)), a[:, :half], a[:, half:])
 
-        fails.flag(steps.any(axis=-1), failure, at)
-    involution = algebra.frobenius(chi - rhs)
-    return reality.max(axis=-1, initial=0.0), involution.max(axis=-1, initial=0.0)
-
-
-def normalize_det(q: ComplexMatrix, tol: float = 1e-9) -> tuple[ComplexMatrix, bool]:
-    """Rescale q by det(q)^{-1/n}.
-
-    Uses the real n-th root when det q is real positive (within ``tol``
-    relative imaginary part), which preserves Hermiticity exactly. A real
-    negative or genuinely complex determinant falls back to the principal
-    branch and returns a warning flag: the scaling is then a phase and may
-    break Hermiticity (reported, not hidden).
-    """
-    fails = _Failures(1)
-    out, warn = _normalize(np.asarray(q)[None], tol, fails)
-    if not fails.ok[0]:
-        raise fails.error[0]
-    return out[0], bool(warn[0])
+    mate = algebra.mul(algebra.mul(left, audited(np.roll(res, half, axis=1))), right)
+    involution = algebra.frobenius(audited(res) - audited(weight)[..., None, None] * mate)
+    involution = involution / audited(size)
+    return reality.max(axis=-1), np.maximum(infinity[:, 0], involution.max(axis=-1))
 
 
 def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
@@ -507,24 +399,21 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
         det_a[built] = det[built]
     res = _residues(u_star.conj().swapaxes(-1, -2), sd)
     q, warn = _normalize(_reconstruct(res, sd.lambdas, q0, fails), tol.constraint_tol, fails)
-    has_q = fails.ok.copy()
+    has_q = fails.ok
     quad, herm, det_dev = algebra.symspace_components(q, g)
     reality = np.full(size, 0.0 if n_sol == 0 else math.nan)
     involution = reality.copy()
     if audit_chi and n_sol:
         idx = np.flatnonzero(has_q)
-        reality[idx], involution[idx] = _audit(
-            res[idx], sd.lambdas[idx], q[idx], q0[idx], g, rho[idx], tol.condition_cap,
-            fails, at=idx)
-        reality[~fails.ok] = involution[~fails.ok] = math.nan
+        reality[idx], involution[idx] = _audit(res[idx], sd.lambdas[idx], q[idx], q0[idx], g,
+                                               rho[idx])
     lost = ~has_q
     q[lost] = complex(math.nan, math.nan)
     columns = (quad, herm, det_dev, quad + herm + det_dev, reality, involution)
     residuals = {key: np.where(lost, math.nan, col) for key, col in zip(_RESIDUALS, columns)}
     residuals["det_branch_warning"] = np.where(warn & has_q, 1.0, 0.0)
-    notes = {int(i): str(fails.error[i]) if lost[i] else f"chi audit failed: {fails.error[i]}"
-             for i in np.flatnonzero(~fails.ok)}
-    return DressedGrid(rho, z, q, has_q, det_a, residuals, ~fails.ok, notes), res, sd.lambdas
+    notes = {int(i): str(fails.error[i]) for i in np.flatnonzero(lost)}
+    return DressedGrid(rho, z, q, has_q, det_a, residuals, lost, notes), res, sd.lambdas
 
 
 def dressed_seed(cfg: SolitonConfig) -> Seed:

@@ -206,7 +206,7 @@ def ernst_g21(q: ComplexMatrix) -> ErnstValue21:
     Third-row dictionary in the antidiagonal picture: x = 1 / Re(qt_33),
     Phi = i qt_32 / (sqrt2 qt_33), y = Re(qt_31 / qt_33). The extraction
     uses entry ratios plus the unit-determinant normalization only, so a map
-    must have det q = 1 (dressing.normalize_det rescales one that has not).
+    must have det q = 1, as every map dressing.dress returns has.
     One map with Re qt_33 = 0 raises; in a stack it, and a map that is not
     finite, gives NaN.
     """

@@ -44,7 +44,7 @@ def kerr_gate(r: checks.KerrOracle) -> tuple[bool, str]:
 
 
 def chi_gate(worst: float) -> tuple[bool, str]:
-    return worst <= 1e-9, f"max residual over 20 points x 8 samples = {worst:.3e}"
+    return worst <= 1e-9, f"max residue-form residual over 20 points = {worst:.3e}"
 
 
 def spectral_gate(r: checks.Spectral) -> tuple[bool, str]:

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
@@ -256,18 +259,22 @@ def test_v_scaling_invariance():
 
 
 def test_normalize_det_branches():
-    q, warn = dressing.normalize_det(np.eye(2, dtype=complex))
+    def normalize(q):
+        fails = dressing._Failures(1)
+        out, warn = dressing._normalize(np.asarray(q, dtype=complex)[None], 1e-9, fails)
+        return out[0], bool(warn[0]), fails.error[0]
+
+    q, warn, error = normalize(np.eye(2))
     np.testing.assert_array_equal(q, np.eye(2))
-    assert not warn
-    q, warn = dressing.normalize_det(2 * np.eye(2, dtype=complex))
+    assert not warn and error is None
+    q, warn, _ = normalize(2 * np.eye(2))
     np.testing.assert_allclose(q, np.eye(2), rtol=1e-15)
     assert not warn
     # non-real determinant: principal branch with the warning flag
-    q, warn = dressing.normalize_det(np.diag([np.exp(0.3j), 1.0]))
+    q, warn, _ = normalize(np.diag([np.exp(0.3j), 1.0]))
     assert warn
     np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-14)
-    with pytest.raises(SingularPointError):
-        dressing.normalize_det(np.zeros((2, 2), dtype=complex))
+    assert isinstance(normalize(np.zeros((2, 2)))[2], SingularPointError)
 
 
 def test_kerr_determinant_already_one():
@@ -366,7 +373,7 @@ def test_an_empty_batch_has_the_arrays_of_one_point():
 @pytest.mark.parametrize("example", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
 def test_dressing_does_not_depend_on_the_batch_split(example):
     # bit-identical output however the points are batched: the ring locus,
-    # branch points, and det A, condition and chi-audit flags
+    # branch points, det A and condition flags, and the chi audits
     cfg, rows = example
     rho, z = coords(rows).reshape(2, -1)
     whole = dressing.dress(cfg, rho, z)
@@ -413,9 +420,6 @@ def _boost11(t):
     (lambda: SolitonConfig(SIG11, (1j, -1j), (np.array([1.2, 0.4]), np.array([0.3, 1.0])),
                            seeds.identity_seed(SIG11)),
      "coincident pole pair: lam_0 - conj(lam_1) ~ 0", False),
-    # cond(A) = 11 passes the cap, chi at some audit sample does not
-    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(condition_cap=50.0)),
-     "chi audit failed: condition estimate", True),
 ])
 def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_q):
     # two points: the branch point of the pole at i, and a regular point
@@ -456,197 +460,37 @@ def test_per_point_seed_dresses_like_the_constant_seed():
         assert abs(const.det_a[i] - varying.det_a[i]) <= 1e-13 * abs(const.det_a[i])
 
 
-def _rescanned_audit_samples(lambdas, rho):
-    """The audit-sample search as first written, frozen here: every sample is
-    rescanned on every pass, with one np.hypot per probe and pole."""
-    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1, initial=0.0))
-    gap = 1e-3 * scale[:, None]
-    samples = np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
-    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1).T[..., None]
-    moving = np.ones(samples.shape, dtype=bool)
-    for _ in range(60):
-        dist = np.full(samples.shape, np.inf)
-        for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
-            for pole in avoid:
-                d = probe - pole
-                dist = np.minimum(dist, np.hypot(d.real, d.imag))
-        moving &= ~(dist > gap)
-        if not moving.any():
-            break
-        samples = np.where(moving, samples * 1.171, samples)
-    return samples
-
-
-def _moved(sample: int, k: int) -> complex:
-    """An audit sample after k moves, where no pole rescales the samples."""
-    lam = np.asarray(dressing.CHI_SAMPLES)[sample]
-    for _ in range(k):
-        lam = lam * 1.171
-    return complex(lam)
-
-
-#: a pole whose distance from the first sample rounds to the gap 1e-3 exactly
-ONE_GAP = 0.3692877000010982 + 0.6192981248604171j
-#: (poles, rho) with ONE_GAP on the decision boundary: the first sample moves once
-BOUNDARY = (np.array([[ONE_GAP, 2.0 + 2.0j]]), np.array([1.0]))
-#: poles on the first sample after 0-3 moves, reached by lam, its conjugate and
-#: its deck image: the first sample moves four times
-CHAIN = (np.array([[_moved(0, 0), _moved(0, 1).conjugate(), _moved(0, 2), -1.0 / _moved(0, 3)],
-                   [1.0j, -1.0j, 0.5, 0.25]]), np.array([1.0, 0.3]))
-
-
-@st.composite
-def _sample_problems(draw):
-    """Pole rows (P, 2N) and radii: free poles, poles on a sample, on its
-    conjugate or on its deck image after a few moves, and ONE_GAP."""
-    rows, rhos, width = [], [], 2 * draw(st.integers(1, 3))
-    for _ in range(draw(st.integers(1, 3))):
-        rho = draw(st.floats(0.05, 4.0))
-        row = []
-        for _ in range(width):
-            kind = draw(st.sampled_from(["free", "sample", "conj", "deck", "one-gap"]))
-            near = _moved(draw(st.integers(0, 7)), draw(st.integers(0, 4)))
-            if kind == "free":
-                pole = complex(draw(st.floats(-6.0, 6.0)), draw(st.floats(-6.0, 6.0)))
-            elif kind == "one-gap":
-                pole = ONE_GAP
-            else:
-                pole = {"sample": near, "conj": near.conjugate(),
-                        "deck": -(rho * rho) / near}[kind]
-            row.append(pole)
-        rows.append(row)
-        rhos.append(rho)
-    return np.array(rows, dtype=complex), np.array(rhos)
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(_sample_problems())
-@example(BOUNDARY)
-@example(CHAIN)
-def test_audit_samples_match_the_full_rescan(problem):
-    lambdas, rho = problem
-    got, _ = dressing._audit_samples(lambdas, rho)
-    want = _rescanned_audit_samples(lambdas, rho)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_audit_sample_edge_cases_are_exercised():
-    first = dressing.CHI_SAMPLES[0]
-    assert np.hypot((first - ONE_GAP).real, (first - ONE_GAP).imag) == 1e-3
-    assert dressing._audit_samples(*BOUNDARY)[0][0, 0] == _moved(0, 1)
-    assert dressing._audit_samples(*CHAIN)[0][0, 0] == _moved(0, 4)
-
-
-def _stuck(scale: np.ndarray) -> np.ndarray:
-    """The (P, S) audit samples after all 60 moves, for the pole scales."""
-    lam = np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]
-    for _ in range(60):
-        lam = lam * 1.171
-    return lam
-
-
-#: (poles, rho) one soliton at i dressed at rho = 3.7e-7, z = 0: the small pole
-#: lies within the gap of every deck image, so no sample ever clears
-NEAR_AXIS = (np.concatenate(spectral.pole_pairs((1j,), np.array([3.7e-7]), np.zeros(1))[:2],
-                            axis=-1), np.array([3.7e-7]))
-
-
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(_sample_problems())
-@example(BOUNDARY)
-@example(CHAIN)
-@example(NEAR_AXIS)
-def test_cleared_audit_samples_keep_the_gap_from_every_pole(problem):
-    # why _chi tests only the samples that never cleared for a pole
-    lambdas, rho = problem
-    samples, stuck = dressing._audit_samples(lambdas, rho)
-    scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1))
-    avoid = np.concatenate([lambdas, lambdas.conj()], axis=-1)[:, None, :]
-    for probe in (samples, samples.conj(), -(rho * rho)[:, None] / samples):
-        d = probe[..., None] - avoid
-        gap = np.hypot(d.real, d.imag).min(axis=-1)
-        assert np.all((gap > 1e-3 * scale[:, None])[~stuck])
-    assert np.array_equal(samples[stuck], _stuck(scale)[stuck])
-
-
-def test_a_stuck_audit_sample_at_a_pole_fails_its_point(monkeypatch):
-    # one soliton at i next to the axis: every sample exhausts its 60 moves.
-    # From rho = 3.2e-7 to 4.2e-7 the last deck image lies within 1e-13 of
-    # the small pole lam_1 (a condition cap above the system's ~3e13 lets
-    # the audit run); at 5.2e-7 it does not
-    found, search = [], dressing._audit_samples
-
-    def recorded(lambdas, rho):
-        found.append(search(lambdas, rho))
-        return found[-1]
-
-    monkeypatch.setattr(dressing, "_audit_samples", recorded)
-    cfg = SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.5]),), seeds.identity_seed(SIG11),
-                        Tolerances(condition_cap=1e15))
-    rho = np.array([3.7e-7, 5.2e-7])
-    out = dressing.dress(cfg, rho, np.zeros(2))
-    (samples, stuck), = found
-    assert stuck.all()
-    assert np.array_equal(samples, _stuck(np.full(2, 2.0)))
-    small = spectral.pole_pairs((1j,), rho, np.zeros(2))[1][0, 0]
-    assert out.notes == {0: f"chi audit failed: chi evaluated at its pole lam_1 = {small}"}
-    assert out.has_q.all() and 0.0 < out.residuals["chi_involution"][1] < 1e-6
-
-
 @pytest.mark.parametrize("problem", [KERR_RING, SU21, TIGHT], ids=["kerr-ring", "su21", "tight"])
 def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem):
-    # the reality residual needs no inverse; LU runs only where the
-    # inverse-free condition bound does not clear the cap by 10x
+    # the residue form inverts nothing, so it has nothing to refuse: no
+    # inverse, condition estimate or solve runs inside the audit, and every
+    # point it audits keeps its map unflagged
     cfg, rows = problem
-    cap, inverted, inside = cfg.tolerances.condition_cap, [], []
-    inv, audit = np.linalg.inv, dressing._audit
+    calls, audited, inside, audit = [], [], [], dressing._audit
 
-    def counted_inv(m):
-        if inside:
-            inverted.extend(np.reshape(m, (-1,) + np.shape(m)[-2:]))
-        return inv(m)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def traced_audit(*args, **kwargs):
+    def traced_audit(*args):
+        audited.append(len(args[0]))
         inside.append(True)
         try:
-            return audit(*args, **kwargs)
+            return audit(*args)
         finally:
             inside.pop()
 
-    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    for name in ("inv", "cond", "svd", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(dressing, "_audit", traced_audit)
     out = dressing.dress(cfg, *coords(rows))
-    refusals = [note for note in out.notes.values() if note.startswith("chi audit failed: cond")]
-    if problem is not TIGHT:
-        assert inverted == [] and refusals == []
-        return
-    audited = out.has_q.sum() * len(dressing.CHI_SAMPLES)
-    assert len(refusals) == 6 and len(refusals) <= len(inverted) < audited
-    for m in inverted:
-        assert 10.0 * algebra.frobenius(m) * algebra.frobenius(inv(m)) > cap * (1 - 1e-9)
-
-
-def test_kerr_newman_grid_moves_audit_samples_and_flags_nothing(monkeypatch):
-    # on this 40x40 grid of (m, e, s) = (1, 0.5, 1), theta within 0.1 of the
-    # axis, poles come close to some audit samples, so the sample search
-    # revisits the points it moved (43 of 12800 samples move; none on the
-    # acceptance grid, theta in [pi/8, 7pi/8])
-    found, search = [], dressing._audit_samples
-
-    def recorded(lambdas, rho):
-        scale = np.maximum(1.0, np.hypot(lambdas.real, lambdas.imag).max(axis=-1))
-        found.append((search(lambdas, rho),
-                      np.asarray(dressing.CHI_SAMPLES) * np.maximum(1.0, 0.3 * scale)[:, None]))
-        return found[-1][0]
-
-    monkeypatch.setattr(dressing, "_audit_samples", recorded)
-    r, theta = np.linspace(2.5, 11.0, 40), np.linspace(0.1, np.pi - 0.1, 40)
-    x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=1.0, s=1.0, e=0.5))
-    out = dressing.dress(targets.kn_config(1.0, 0.5, 1.0), x.rho, x.z)
-    ((samples, _), unmoved), = found
-    assert samples.shape == (1600, 8) and (samples != unmoved).sum() >= 1
-    assert not out.singular.any()
+    assert calls == []
+    assert audited == [out.has_q.sum()] and out.has_q.any()
+    assert np.array_equal(out.singular, ~out.has_q)
+    assert np.isfinite(out.residuals["chi_involution"][out.has_q]).all()
 
 
 #: (signature, first vector, second vector) of the iterated dressings
@@ -718,3 +562,76 @@ def test_dressed_seed_map_converges_second_order(sig, v1, v2):
 
     for ratio in verification.refinement_ratios(field(0.1), field(0.05)):
         assert 3.5 <= ratio <= 4.5
+
+
+def _iterated():
+    """The second soliton of _two_ways on the dressed first, on a box clear
+    of both rings and of every branch point."""
+    sig, v1, v2 = ITERATED[0]
+    first = dressing.dressed_seed(SolitonConfig(sig, (0.4 + 1.2j,), (np.array(v1),),
+                                                seeds.identity_seed(sig)))
+    rho, z = np.meshgrid(np.linspace(2.0, 3.0, 6), np.linspace(-0.5, 0.5, 6), indexing="ij")
+    return SolitonConfig(sig, (-0.7 + 0.8j,), (np.array(v2),), first), rho, z
+
+
+@pytest.mark.parametrize("problem", [lambda: (KERR_RING[0], *coords(KERR_RING[1])),
+                                     lambda: (SU21[0], *coords(SU21[1])), _iterated],
+                         ids=["kerr-ring", "su21", "iterated"])
+def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
+    # F(s) = chi(conj s)^* sigma(chi(s)) - I and G(s) = chi(s) - q sigma(chi(-rho^2/s))
+    # sigma(q0) are their values at infinity plus their principal parts, so
+    # the audit's residuals bound them at every s, for the dressed chi and for
+    # one whose residues are perturbed. G's residue at the partner of an
+    # audited pole follows from G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0).
+    cfg, rho, z = problem()
+    grid, res, lambdas = dressing._dress(cfg, rho, z, True, None)
+    keep = grid.has_q
+    rho, z, q, res, lambdas = grid.rho[keep], grid.z[keep], grid.q[keep], res[keep], lambdas[keep]
+    q0 = np.broadcast_to(cfg.seed.q0(rho, z), q.shape)
+    g, half, norm = algebra.gamma(cfg.signature), cfg.n_solitons, algebra.frobenius
+    samples = np.array([reference._audit_samples(SimpleNamespace(lambdas=lam), DomainPoint(r, h))
+                        for lam, r, h in zip(lambdas, rho, z)])
+    dist = np.abs(samples[..., None] - lambdas[:, None])
+    dist_conj = np.abs(samples[..., None] - lambdas.conj()[:, None])
+    # each deck pair's audited pole, the one nearer 0, and its partner
+    own = np.arange(half) + np.where(np.abs(lambdas[:, :half]) <= np.abs(lambdas[:, half:]),
+                                     0, half)
+    dist_own, dist_mate = (np.take_along_axis(dist, k[:, None], axis=-1)
+                           for k in (own, (own + half) % (2 * half)))
+    # the partner residue is at most rho^2/|lam_k|^2 ||q|| ||q0|| times the audited one
+    amplify = ((rho * rho)[:, None] / np.abs(np.take_along_axis(lambdas, own, axis=1)) ** 2
+               * (norm(q) * norm(q0))[:, None])
+    # a perturbation of the residues with sum_k delta_k / lam_k = 0 leaves
+    # chi(0), and so G at infinity, as it was
+    delta = np.random.default_rng(7).normal(size=res.shape + (2,)).view(complex)[..., 0]
+    delta *= 1e-2 * (1.0 + norm(res))[..., None, None]
+    delta[:, 0] -= lambdas[:, 0, None, None] * (delta[:, 1:] / lambdas[:, 1:, None, None]).sum(1)
+    for chi_res in (res, res + delta):
+        reality, involution = dressing._audit(chi_res, lambdas, q, q0, g, rho)
+        chi = dressing._chi(samples, chi_res, lambdas)[0]
+        chi_conj = dressing._chi(samples.conj(), chi_res, lambdas)[0]
+        chi_deck = dressing._chi(-(rho * rho)[:, None] / samples, chi_res, lambdas)[0]
+        f = chi_conj.conj().swapaxes(-1, -2) @ algebra.sigma(chi, g) - np.eye(len(g))
+        rhs = q[:, None] @ algebra.sigma(chi_deck, g) @ algebra.sigma(q0, g)[:, None]
+        size = 1.0 + norm(chi_res)
+        f_bound = reality[:, None] * (size[:, None] * (1 / dist + 1 / dist_conj)).sum(axis=-1)
+        size_own = np.take_along_axis(size, own, axis=1)[:, None]
+        g_bound = involution[:, None] * (
+            1.0 + (size_own * (1 / dist_own + amplify[:, None] / dist_mate)).sum(axis=-1))
+        slack = 1e-12 * (1.0 + norm(chi_conj) * norm(chi) + norm(chi)
+                         + (norm(q) * norm(q0))[:, None] * norm(chi_deck))
+        assert np.all(norm(f) <= f_bound + slack)
+        assert np.all(norm(chi - rhs) <= g_bound + slack)
+
+
+def test_a_mispaired_deck_constant_fails_the_involution_audit():
+    # a boosted constant seed pairs the vectors by J = q0; given J = I, the
+    # deck partners are wrong and chi breaks the deck involution everywhere
+    right = seeds.constant_seed(_boost11(0.35), SIG11)
+    wrong = seeds.Seed(q0=right.q0, psi0=right.psi0, deck=np.eye(2), signature=SIG11)
+    rho, z = np.meshgrid([0.8, 1.5, 2.5], [-0.5, 0.3, 1.0], indexing="ij")
+    vectors = (np.array([1.0, 0.2 - 0.1j]),)
+    involution = [dressing.dress(SolitonConfig(SIG11, (0.4 + 0.9j,), vectors, seed),
+                                 rho, z).residuals["chi_involution"] for seed in (right, wrong)]
+    assert involution[0].max() <= 1e-13
+    assert involution[1].min() >= 1.0

@@ -3,9 +3,11 @@ per-point one.
 
 `_reference_dressing` is the point-by-point implementation the batched
 pipeline replaced. On every grid the two must flag the same points with
-the same notes; outside the gate-exclusion band (singular points and the
-det A locus, widened by 3 cells, where cond(A) amplifies rounding) q and
-det A must agree to 1e-13 relative and every residual-dict entry to 1e-10.
+the same notes, except where the reference refuses to invert chi at an
+audit sample, which the residue audit never does. Outside the
+gate-exclusion band (singular points and the det A locus, widened by 3
+cells, where cond(A) amplifies rounding) q and det A must agree to 1e-13
+relative and every residual-dict entry but the chi audits to 1e-10.
 """
 import math
 
@@ -53,12 +55,18 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
     band = _gate_exclusion(singular, det_a, cfg.tolerances.singular_tol)
     for k, (o, skip) in enumerate(zip(old, band.ravel())):
         assert (new.rho[k], new.z[k]) == (o.x.rho, o.x.z)
-        assert (new.singular[k], new.notes.get(k, "")) == (o.singular, o.note), k
+        # the reference inverts chi(conj lam) at its samples and refuses one
+        # above the cap; the residue audit inverts nothing, so such a point
+        # keeps its map unflagged, with both chi residuals
+        refused = o.note.startswith("chi audit failed: condition")
+        assert (new.singular[k], new.notes.get(k, "")) == \
+            ((False, "") if refused else (o.singular, o.note)), k
         # what is missing (q, det A, residuals) is missing on both sides
         assert new.has_q[k] == (o.q is not None)
         assert np.isnan(new.det_a[k]) == math.isnan(o.det_a.real)
         assert {key: bool(np.isnan(col[k])) for key, col in new.residuals.items()} == \
-            {key: math.isnan(v) for key, v in o.residuals.items()}, k
+            {key: math.isnan(v) and not (refused and key.startswith("chi"))
+             for key, v in o.residuals.items()}, k
         if skip:
             continue
         if o.q is not None:
@@ -67,7 +75,10 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
             assert abs(new.det_a[k] - o.det_a) <= 1e-13 * abs(o.det_a), k
         for key, want in o.residuals.items():
             got = new.residuals[key][k]
-            assert math.isnan(want) or abs(got - want) <= 1e-10, (k, key, got, want)
+            # the chi audits measure residues here and sampled values there;
+            # test_dressing holds the samples under the residue bound
+            if not key.startswith("chi"):
+                assert math.isnan(want) or abs(got - want) <= 1e-10, (k, key, got, want)
     return singular, band
 
 
@@ -114,7 +125,8 @@ SU21 = (SolitonConfig(SIG21, (1j, 0.7 + 0.6j, -0.8 + 1.4j),
                        np.array([0.5 + 0.1j, 0.1, 0.9])),
                       seeds.constant_seed(boosted(SIG21, 1.0), SIG21)),
         weyl_rows(np.linspace(0.6, 1.4, 3), np.linspace(-0.8, 0.7, 16)))
-# tightened tolerances: det A threshold, condition cap and chi-audit failures
+# tightened tolerances: det A threshold and condition cap failures; the
+# reference also refuses chi(conj lam) above the cap at its audit samples
 TIGHT = (targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=0.1, condition_cap=30.0)),
          weyl_rows(np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)))
 # no solitons: q = q0 at every point
@@ -139,5 +151,5 @@ def test_reference_examples_cover_branch_points_and_the_locus():
     singular, band = assert_equivalent(*KERR_RING)
     assert not singular.any() and band.any() and not band.all()
     dressed = dressing.dress(TIGHT[0], *coords(TIGHT[1]))
-    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system", "chi"}
+    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system"}
     assert not dressed.singular.all()

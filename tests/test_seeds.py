@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _reference_dressing as reference
 from vesture import algebra, dressing, seeds
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig
@@ -95,11 +96,11 @@ def _dressed(sig: Signature) -> seeds.Seed:
 
 
 def test_constant_seed_deck_symmetry():
-    # Psi0(deck(lam)) = q0 sigma(Psi0(lam)) J at the chi-audit samples, with
-    # J the seed's deck constant: sigma(q0)^{-1} = q0 for a constant seed,
-    # the identity for a map dressed from the flat seed
+    # Psi0(deck(lam)) = q0 sigma(Psi0(lam)) J at the reference's chi-audit
+    # samples, with J the seed's deck constant: sigma(q0)^{-1} = q0 for a
+    # constant seed, the identity for a map dressed from the flat seed
     rho, z = np.array([1.3, 2.0, 0.7]), np.array([0.2, -0.4, 1.1])
-    lam = np.broadcast_to(np.asarray(dressing.CHI_SAMPLES), (3, len(dressing.CHI_SAMPLES)))
+    lam = np.broadcast_to(np.asarray(reference.CHI_SAMPLES), (3, len(reference.CHI_SAMPLES)))
     boosted = seeds.constant_seed(hyperbolic_seed_matrix(0.4), SIG11)
     for seed in (seeds.identity_seed(SIG11), boosted, _dressed(SIG11), _dressed(SIG21)):
         g = algebra.gamma(seed.signature)
