@@ -65,10 +65,13 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For k <= 3, a sum over k of elementwise products: numpy's matmul makes
     one BLAS call per matrix, ~5x slower on a 1024-point 2x2 stack. The sum
     runs in another order than BLAS, whose complex kernels also fuse
-    multiply-adds, so entries differ at rounding level; residuals and audits
-    use it, while q and det A keep matmul. For k > 3 the sum costs k
-    elementwise passes over the stack and matmul wins (a (48, 6, 6) @
-    (48, 6, 3) stack: 53 us against 19 us), so the product is matmul's."""
+    multiply-adds, so entries differ at rounding level; residuals use it,
+    while q, det A and the products of chi's rank-one factors keep matmul,
+    as their outputs outgrow their inner dimension (a (45, 6, 3) @
+    (45, 3, 6) Gram stack: 16 us by matmul, 24 us as the sum). For k > 3
+    the sum costs k elementwise passes over the stack and matmul wins (a
+    (48, 6, 6) @ (48, 6, 3) stack: 53 us against 19 us), so the product is
+    matmul's."""
     if a.shape[-1] > 3:
         return np.matmul(a, b)
     out = a[..., :, :1] * b[..., :1, :]

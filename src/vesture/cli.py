@@ -264,6 +264,15 @@ def _max_constraint(dressed: DressedGrid, excluded: np.ndarray) -> float:
                         for key in ("quadratic", "hermiticity", "unit_det"))
 
 
+def _chi_summary(dressed: DressedGrid, excluded: np.ndarray) -> str:
+    """The summary's report of the largest gated chi audit residuals; no
+    gate reads them."""
+    keep = ~excluded.ravel()
+    reality, involution = (checks.worst([dressed.residuals[key][keep]])
+                           for key in ("chi_reality", "chi_involution"))
+    return f"; max gated chi residuals {reality:.3e} (reality), {involution:.3e} (involution)"
+
+
 def _vacuous(excluded: np.ndarray) -> str:
     """The summary's note when the exit gate is left with no point."""
     return (f"; gate vacuous: all {excluded.size} points singular or within 3 cells of the "
@@ -327,7 +336,8 @@ def run_dress(cfg: RunConfig) -> int:
                                 "coords": cfg.grid.coords})
     worst = _max_constraint(dressed, excluded)
     print(f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular); "
-          f"max gated constraint residual {worst:.3e}{_vacuous(excluded)}", file=sys.stderr)
+          f"max gated constraint residual {worst:.3e}{_chi_summary(dressed, excluded)}"
+          f"{_vacuous(excluded)}", file=sys.stderr)
     return EXIT_OK if worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
 
 
@@ -351,7 +361,8 @@ def _run_preset(solitons: SolitonConfig, grid: GridSpec, path: str, fmt: str, me
     gate = _max_constraint(dressed, excluded)
     label = " ".join([meta["preset"]] + [f"{k}={meta[k]}" for k in ("m", "e", "s") if k in meta])
     print(f"{label}: max relative Ernst error {worst:.3e}; "
-          f"max gated constraint residual {gate:.3e}{_vacuous(excluded)}", file=sys.stderr)
+          f"max gated constraint residual {gate:.3e}{_chi_summary(dressed, excluded)}"
+          f"{_vacuous(excluded)}", file=sys.stderr)
     ok = worst <= 1e-9 and gate <= solitons.tolerances.constraint_tol
     return EXIT_OK if ok else EXIT_GATE
 

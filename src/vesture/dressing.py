@@ -9,20 +9,19 @@ constant J and the metric (v_{N+k} = J gamma v_k; J = q0 for a constant
 seed), which builds the symmetry conditions chi(inf) = I,
 tau(chi(conj lam)) = chi(lam) and the deck involution into the ansatz.
 
-P points (rho, z arrays) are dressed as one array pipeline into a
-DressedGrid: pole pairs as (P, 2N) arrays, one (P, 2N, 2N) solve, and the
-chi audits from chi's residues at its 2N poles and its value at infinity,
-which vanish iff the audited identities hold everywhere. The paired vectors
-are computed once per configuration; a seed evaluation that does not vary
-keeps a batch axis of length 1, so psi0^{-1}, the Gram numerators and B
-are computed once and broadcast. A point that fails a check is flagged,
-and its first failure in pipeline order becomes its note. A single point
-is a batch of one.
+Each residue has rank one, R_k = u_k w_k: a column u_k from the solve times
+a row w_k = v_k* Psi0(lam_k)^{-1} (Belinski & Zakharov 1978). P points are
+dressed as one array pipeline on these factors, never on n x n residues,
+into a DressedGrid; a seed that does not vary keeps a batch axis of length
+1, so w is computed once. A point that fails a check is flagged, and its
+first failure in pipeline order becomes its note. A single point is a
+batch of one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -92,15 +91,13 @@ class SolitonConfig:
 
 @dataclass
 class SpectralData:
-    """Pole locations, paired vectors, seed evaluations, each with a leading
-    batch axis: lambdas (P, 2N); vs (1, 2N, n); psi0 and psi0_inv
-    (P, 2N, n, n), with 1 in place of P where the seed does not vary.
-    """
+    """Pole locations, paired vectors and the row factors of chi's residues:
+    lambdas (P, 2N); vs (2N, n), v_{N+k} = J gamma v_k; w (P, 2N, n), row k
+    v_k* Psi0(lam_k)^{-1}, with 1 in place of P where the seed does not vary."""
 
     lambdas: np.ndarray
     vs: np.ndarray
-    psi0: np.ndarray
-    psi0_inv: np.ndarray
+    w: np.ndarray
 
 
 @dataclass
@@ -133,70 +130,73 @@ class _Failures:
         has not failed yet."""
         if not bad.any():
             return
-        at = np.arange(self.ok.size) if at is None else at
-        for j in np.flatnonzero(np.broadcast_to(bad, at.shape) & self.ok[at]):
-            self.ok[at[j]] = False
-            self.error[at[j]] = make(j)
+        for j in np.flatnonzero(bad & (self.ok if at is None else self.ok[at])):
+            i = j if at is None else at[j]
+            self.ok[i] = False
+            self.error[i] = make(j)
 
 
 def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failures,
-                 at: np.ndarray, point) -> np.ndarray:
+                 at: np.ndarray, where) -> np.ndarray:
     """A seed evaluation at the points ``at``, its non-finite matrices flagged
     and replaced by I; SeedError unless each batch axis has its length in
     ``batch`` or 1 and n x n matrices follow."""
     a = np.asarray(value, dtype=complex)
     if a.shape[len(batch):] != (n, n) or any(k not in (1, b) for k, b in zip(a.shape, batch)):
         raise SeedError(f"seed {what} evaluation has shape {a.shape} for a batch of {batch}")
+    if np.isfinite(a).all():
+        return a
     bad = ~np.isfinite(a).all(axis=(-2, -1))
     fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
-               lambda j: SeedError(f"seed {what} is not finite at {point(at[j])!r}"), at)
+               lambda j: SeedError(f"seed {what} is not finite at {where(at[j])}"), at)
     return np.where(bad[..., None, None], np.eye(n), a)
 
 
 def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
               swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
-    """Pole pairs, paired vectors and the seed at every point (coordinates
-    rho, z); returns the spectral data and q0. Each seed evaluator is called
-    once, Psi0 at the points not flagged yet; a Psi0 above the condition cap
-    flags its point, and one that does not vary is inverted once."""
+    """Pole pairs, paired vectors and the row factors w_k = v_k* Psi0(lam_k)^{-1}
+    at every point (coordinates rho, z); returns the spectral data and q0,
+    each with a batch axis of length 1 where the seed does not vary. Each
+    seed evaluator is called once, Psi0 at the points not flagged yet; a
+    Psi0 above the condition cap flags its point."""
     n_sol, n = cfg.n_solitons, cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
-    size, eye = len(rho), np.eye(n, dtype=complex)
+    size = len(rho)
 
-    def point(i: int) -> DomainPoint:
-        return DomainPoint(rho=float(rho[i]), z=float(z[i]))
+    def where(i: int) -> str:  # the point's DomainPoint repr, without building one
+        return f"DomainPoint(rho={float(rho[i])!r}, z={float(z[i])!r})"
 
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
     fails.flag(branch.any(axis=-1), lambda i: SingularPointError(
-        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {point(i)!r}"))
-    q0 = np.broadcast_to(_seed_values(cfg.seed.q0(rho, z), (size,), n, "q0", fails,
-                                      np.arange(size), point), (size, n, n))
-    g = algebra.gamma(cfg.signature)
-    vecs = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
-    partners = (algebra.as_matrix(cfg.seed.deck, n)[None, None] @ (g @ vecs[..., None]))[..., 0]
-    own = np.broadcast_to(vecs, partners.shape)
+        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}"))
+    value = cfg.seed.q0(rho, z)
+    notes = cfg.seed.notes() if isinstance(cfg.seed, _DressedSeed) else {}
+    q0 = _seed_values(value, (size,), n, "q0", fails, np.arange(size), lambda i: where(i) + (
+        f": the seed's dressing flagged it: {notes[i]}" if i in notes else ""))
+    flip = np.diagonal(algebra.gamma(cfg.signature))
+    own = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
+    partners = (own * flip) @ algebra.as_matrix(cfg.seed.deck, n).T
     if swap is not None:
-        flip = np.asarray(swap, dtype=bool)
-        lam_in, lam_out = np.where(flip, lam_out, lam_in), np.where(flip, lam_in, lam_out)
-        own, partners = (np.where(flip[:, None], partners, own),
-                         np.where(flip[:, None], own, partners))
+        pair = np.asarray(swap, dtype=bool)
+        lam_in, lam_out = np.where(pair, lam_out, lam_in), np.where(pair, lam_in, lam_out)
+        own, partners = (np.where(pair[:, None], partners, own),
+                         np.where(pair[:, None], own, partners))
     lambdas = np.concatenate([lam_in, lam_out], axis=-1)
-    vs = np.concatenate([own, partners], axis=-2)
+    vs = np.concatenate([own, partners])
     ok = np.flatnonzero(fails.ok)
     psi0 = _seed_values(cfg.seed.psi0(lambdas[ok], rho[ok], z[ok]), (ok.size, 2 * n_sol), n,
-                        "Psi0", fails, ok, point)
-    if len(psi0) != 1:
-        psi0, at = np.broadcast_to(eye, (size,) + psi0.shape[1:]).copy(), psi0
-        psi0[ok] = at
+                        "Psi0", fails, ok, where)
     cap = cfg.tolerances.condition_cap
     psi0_inv, cond = algebra.checked_inv(psi0, cap)
-    cond = np.broadcast_to(cond, (size, 2 * n_sol))
     refused = ~(cond <= cap)
-    fails.flag(refused.any(axis=-1),
-               lambda i: algebra.refusal(cond[i, np.argmax(refused[i])], cap))
-    psi0, psi0_inv = [np.broadcast_to(m, (len(psi0), 2 * n_sol, n, n)) for m in (psi0, psi0_inv)]
-    return SpectralData(lambdas, vs, psi0, psi0_inv), q0
+    fails.flag(refused.any(axis=-1), lambda j: algebra.refusal(
+        cond[j % len(cond)][np.argmax(refused[j % len(cond)])], cap), ok)
+    w = (vs.conj()[:, None, :] @ psi0_inv)[..., 0, :]
+    if len(w) not in (1, size):
+        w, at = np.zeros((size,) + w.shape[1:], dtype=complex), w
+        w[ok] = at
+    return SpectralData(lambdas, vs, w), q0
 
 
 def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
@@ -204,15 +204,12 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     """A (P, 2N, 2N) and B* (P or 1, 2N, n); A is the identity at failed points.
 
     a_kj = v_k* S_kj v_j / (lam_k - conj lam_j) with the seed coupling
-    S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}; b_k* = -v_k* psi0_k^{-1} gamma.
-    The Gram numerators v_k* S_kj v_j and B* depend on the seed only.
+    S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}, that is w_k gamma w_j^* /
+    (lam_k - conj lam_j): one product (w gamma) w^*; and b_k* = -w_k gamma.
     """
-    lambdas, vs, psi0_inv = sd.lambdas, sd.vs, sd.psi0_inv
-    m = lambdas.shape[-1]
-    coupled = psi0_inv.conj().swapaxes(-1, -2)
-    s = (psi0_inv @ gamma_mat)[:, :, None] @ coupled[:, None]
-    num = ((vs.conj()[:, :, None, None] @ s) @ vs[:, None, ..., None])[..., 0, 0]
-    b_star = -((vs.conj()[..., None, :] @ psi0_inv)[..., 0, :] @ gamma_mat)
+    lambdas, m = sd.lambdas, sd.lambdas.shape[-1]
+    wg = sd.w * np.diagonal(gamma_mat)
+    num = wg @ sd.w.conj().swapaxes(-1, -2)
     denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
     size = np.abs(lambdas)
     scale = np.maximum(1.0, np.maximum(size[..., :, None], size[..., None, :]))
@@ -220,8 +217,8 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     fails.flag(coincident.any(axis=(-2, -1)), lambda i: SingularPointError(
         "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
             *divmod(int(np.argmax(coincident[i])), m))))
-    a = num / np.where(coincident, 1.0, denom)
-    return np.where(fails.ok[:, None, None], a, np.eye(m)), b_star
+    a = num / (np.where(coincident, 1.0, denom) if coincident.any() else denom)
+    return (a if fails.ok.all() else np.where(fails.ok[:, None, None], a, np.eye(m))), -wg
 
 
 def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
@@ -242,7 +239,8 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
     """
     m, cap = a.shape[-1], tol.condition_cap
     det = np.linalg.det(a)
-    fails.flag(np.abs(det) < tol.singular_tol, lambda i: SingularPointError(
+    small = np.abs(det) < tol.singular_tol
+    fails.flag(small, lambda i: SingularPointError(
         f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
     with np.errstate(over="ignore", invalid="ignore"):
         size = 10.0 * algebra.frobenius(a) ** m
@@ -252,7 +250,8 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
         cond = algebra.checked_inv(a[unsure], cap)[1]
         fails.flag(~(cond <= cap), lambda j: NumericError(
             f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}"), unsure)
-    a = np.where(fails.ok[:, None, None], a, np.eye(m))
+    if small.any() or unsure.size:
+        a = np.where(fails.ok[:, None, None], a, np.eye(m))
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
@@ -261,23 +260,14 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
     return u_star, det
 
 
-def _residues(u: np.ndarray, sd: SpectralData) -> np.ndarray:
-    """Residues u_k v_k* psi0_k^{-1} of chi at its poles, shape (P, 2N, n, n)."""
-    outer = u.swapaxes(-1, -2)[..., :, :, None] * sd.vs.conj()[..., :, None, :]
-    return outer @ sd.psi0_inv
-
-
-def _reconstruct(res: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
+def _reconstruct(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
                  fails: _Failures) -> np.ndarray:
-    """q = q0 - sum_k (1/lam_k) u_k v_k* psi0_k^{-1} q0 at every point."""
+    """q = q0 - sum_k (1/lam_k) u_k w_k q0 at every point, one product: the
+    rows u_k / lam_k, transposed, times the rows w_k q0."""
     zero = lambdas == 0
     if np.any(zero & fails.ok[:, None]):
         raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
-    terms = res @ q0[:, None] / np.where(zero, 1.0, lambdas)[..., None, None]
-    q = q0
-    for k in range(lambdas.shape[-1]):
-        q = q - terms[:, k]
-    return q
+    return q0 - (u / np.where(zero, 1.0, lambdas)[..., None]).swapaxes(-1, -2) @ (w @ q0)
 
 
 def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
@@ -286,69 +276,68 @@ def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray,
     d = np.linalg.det(q)
     zero = d == 0
     fails.flag(zero, lambda i: SingularPointError("determinant vanishes; cannot normalize"))
-    d = np.where(zero, 1.0, d)
+    d = np.where(zero, 1.0, d) if zero.any() else d
     real = (np.abs(d.imag) <= tol * np.abs(d)) & (d.real > 0)
-    scale = np.where(real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))
+    scale = d.real ** (-1.0 / n) if real.all() else np.where(
+        real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))
     return q * scale[..., None, None], ~real
 
 
-def _chi(lam: np.ndarray, res: np.ndarray, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chi = I + sum_k R_k / (lam - lam_k) at (P, S) values lam; returns chi
-    (P, S, n, n) and the (P, S, 2N) mask of values at a pole, where chi has
-    no value (the term's gap is taken as 1). The sum over the poles is one
-    matmul per point: the (S, 2N) weights 1/(lam - lam_k) times the residues
-    as a (2N, n*n) matrix."""
+def _chi(lam: np.ndarray, u: np.ndarray, w: np.ndarray,
+         lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chi = I + sum_k u_k w_k / (lam - lam_k) at (P, S) values lam; returns
+    chi (P, S, n, n) and the (P, S, 2N) mask of values at a pole, where chi
+    has no value (the term's gap is taken as 1). The sum over the poles is
+    one product: the rows u_k / (lam - lam_k), transposed, times the rows w_k."""
     gap = lam[..., None] - lambdas[..., None, :]
     limit = np.maximum(np.maximum(1.0, np.abs(lam))[..., None], np.abs(lambdas)[..., None, :])
     at_pole = np.abs(gap) < 1e-13 * limit
-    n = res.shape[-1]
     weights = 1.0 / (np.where(at_pole, 1.0, gap) if at_pole.any() else gap)
-    terms = weights @ res.reshape(res.shape[:-2] + (n * n,))
-    return np.eye(n, dtype=complex) + terms.reshape(lam.shape + (n, n)), at_pole
+    terms = (u.swapaxes(-1, -2)[:, None] * weights[..., None, :]) @ w[:, None]
+    return np.eye(u.shape[-1], dtype=complex) + terms, at_pole
 
 
-def _audit(res: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q0: np.ndarray,
-           gamma_mat: ComplexMatrix, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reality / deck-involution residuals of chi, from its residues.
+def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_raw: np.ndarray,
+           q0: np.ndarray, gamma_mat: ComplexMatrix,
+           rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reality / deck-involution residuals of chi, from its residues
+    R_k = u_k w_k (a column times a row) and its value at infinity: both
+    identities are rational in lam with simple poles at the lam_k and their
+    conjugates (_system flags a lam_k that meets a conj lam_j), so each
+    vanishes everywhere iff those do.
 
-    Both identities are rational in lam with simple poles at the lam_k and
-    their conjugates (_system flags a point where a lam_k meets a conj
-    lam_j), so each vanishes everywhere iff its value at infinity and its
-    residues do:
-    reality:    F(lam) = chi(conj lam)^* sigma(chi(lam)) - I is 0 at
-                infinity; its residue at lam_k is chi(conj lam_k)^* sigma(R_k),
-                and the one at conj lam_k is that residue's adjoint up to gamma.
-    involution: G(lam) = chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0) is
-                I - q sigma(chi(0)) sigma(q0) at infinity; its residue at
-                lam_k is R_k - (lam_k^2/rho^2) q sigma(R_k') sigma(q0), where
-                lam_k' = -rho^2/lam_k is the deck partner of lam_k.
-    Where q sigma(q) = q0 sigma(q0) = I, which the symspace residual audits,
-    G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0), so one residue per deck
-    pair says all: the one with weight |lam_k^2/rho^2| <= 1, which does not
-    amplify rounding next to the axis as its partner's does. Each residue
-    is divided by 1 + ||R_k||_F; a residual is the largest term at a point.
+    Reality, F(lam) = chi(conj lam)^* sigma(chi(lam)) - I, is 0 at infinity;
+    its residue at lam_k is the column chi(conj lam_k)^* gamma u_k = gamma u_k
+    + sum_j conj(w_j) (u_j^* gamma u_k) / (lam_k - conj lam_j) times the row
+    w_k gamma (at conj lam_k, its adjoint up to gamma). The deck involution,
+    G(lam) = chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0), is I - q sigma(q_raw)
+    at infinity, q_raw = chi(0) q0 the q of _reconstruct; its residue at lam_k,
+    u_k w_k - (lam_k^2/rho^2) (q gamma u_k')(w_k' q0 gamma) with k' the deck
+    partner of k, is formed before its norm: expanding the norm would cancel
+    a rounding-level residual away. Where q sigma(q) = q0 sigma(q0) = I,
+    G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0), so one residue per deck pair
+    says all: the one with |lam_k^2/rho^2| <= 1, which does not amplify
+    rounding next to the axis. Each residue is divided by 1 + ||R_k||_F =
+    1 + ||u_k|| ||w_k||; a residual is the largest term at a point.
     """
-    half, n = lambdas.shape[-1] // 2, res.shape[-1]
-    size = 1.0 + algebra.frobenius(res)
+    half, m, n = lambdas.shape[-1] // 2, lambdas.shape[-1], u.shape[-1]
     flip = np.diagonal(gamma_mat).real
-    adj = _chi(lambdas.conj(), res, lambdas)[0].conj().swapaxes(-1, -2)
-    reality = algebra.frobenius(algebra.mul(adj, algebra.sigma(res, gamma_mat))) / size
-    # q sigma(X) sigma(q0) = (q gamma) X (q0 gamma), as gamma^2 = I
-    left, right = (q * flip)[:, None], (q0 * flip)[:, None]
-    terms = (1.0 / lambdas)[:, None] @ res.reshape(res.shape[:2] + (n * n,))
-    chi0 = np.eye(n) - terms.reshape(left.shape)
-    infinity = algebra.frobenius(np.eye(n) - algebra.mul(algebra.mul(left, chi0), right))
+    w_len = algebra.frobenius(w[..., None])  # the lengths of vectors, as n x 1 matrices
+    size = 1.0 + algebra.frobenius(u[..., None]) * w_len
+    ug = u * flip
+    denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
+    gram = (ug @ u.conj().swapaxes(-1, -2)) / denom
+    reality = algebra.frobenius((ug + gram @ w.conj())[..., None]) * w_len / size
+    infinity = algebra.frobenius(np.eye(n) - algebra.mul(q, algebra.sigma(q_raw, gamma_mat)))
+    partner = np.arange(m) - half  # k + N or k - N, as an index from either end
+    mates = u[:, partner] @ (q * flip).swapaxes(-1, -2)
     weight = lambdas * lambdas / (rho * rho)[:, None]
+    residue = (u[..., :, None] * w[..., None, :] - weight[..., None, None] * mates[..., :, None]
+               * (w @ (q0 * flip))[:, partner, None, :])
+    involution = algebra.frobenius(residue) / size
     inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
-
-    def audited(a: np.ndarray) -> np.ndarray:
-        """a at each deck pair's audited pole, the one with |weight| <= 1."""
-        return np.where(inner.reshape(inner.shape + (1,) * (a.ndim - 2)), a[:, :half], a[:, half:])
-
-    mate = algebra.mul(algebra.mul(left, audited(np.roll(res, half, axis=1))), right)
-    involution = algebra.frobenius(audited(res) - audited(weight)[..., None, None] * mate)
-    involution = involution / audited(size)
-    return reality.max(axis=-1), np.maximum(infinity[:, 0], involution.max(axis=-1))
+    involution = np.where(inner, involution[:, :half], involution[:, half:])
+    return reality.max(axis=-1), np.maximum(infinity, involution.max(axis=-1))
 
 
 def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
@@ -383,7 +372,8 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
 
 
 def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
-    """dress, and the residues of chi and its poles at every point."""
+    """dress, and the factors u and w of chi's residues and its poles at every
+    point (w with a batch axis of length 1 where the seed does not vary)."""
     rho, z = (np.asarray(v, dtype=float).ravel() for v in (rho, z))
     DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
     size, n_sol, tol, n = len(rho), cfg.n_solitons, cfg.tolerances, cfg.signature.n
@@ -391,29 +381,36 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     fails = _Failures(size)
     sd, q0 = _spectral(cfg, rho, z, swap, fails)
     det_a = np.full(size, 1.0 if n_sol == 0 else math.nan, dtype=complex)
-    u_star = np.zeros((size, 0, n), dtype=complex)
+    u = np.zeros((size, 0, n), dtype=complex)
     if n_sol:
         a, b_star = _system(sd, g, fails)
         built = fails.ok.copy()
         u_star, det = _solve(a, b_star, tol, fails)
         det_a[built] = det[built]
-    res = _residues(u_star.conj().swapaxes(-1, -2), sd)
-    q, warn = _normalize(_reconstruct(res, sd.lambdas, q0, fails), tol.constraint_tol, fails)
+        u = u_star.conj()
+    q_raw = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
+    q, warn = _normalize(q_raw, tol.constraint_tol, fails)
     has_q = fails.ok
     quad, herm, det_dev = algebra.symspace_components(q, g)
     reality = np.full(size, 0.0 if n_sol == 0 else math.nan)
     involution = reality.copy()
     if audit_chi and n_sol:
-        idx = np.flatnonzero(has_q)
-        reality[idx], involution[idx] = _audit(res[idx], sd.lambdas[idx], q[idx], q0[idx], g,
-                                               rho[idx])
+        idx = slice(None) if has_q.all() else np.flatnonzero(has_q)
+        w, q0_at = (x if len(x) == 1 else x[idx] for x in (sd.w, q0))
+        reality[idx], involution[idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], q_raw[idx],
+                                               q0_at, g, rho[idx])
     lost = ~has_q
     q[lost] = complex(math.nan, math.nan)
     columns = (quad, herm, det_dev, quad + herm + det_dev, reality, involution)
     residuals = {key: np.where(lost, math.nan, col) for key, col in zip(_RESIDUALS, columns)}
     residuals["det_branch_warning"] = np.where(warn & has_q, 1.0, 0.0)
     notes = {int(i): str(fails.error[i]) for i in np.flatnonzero(lost)}
-    return DressedGrid(rho, z, q, has_q, det_a, residuals, lost, notes), res, sd.lambdas
+    return DressedGrid(rho, z, q, has_q, det_a, residuals, lost, notes), u, sd.w, sd.lambdas
+
+
+@dataclass(frozen=True)
+class _DressedSeed(Seed):
+    notes: Callable[[], dict[int, str]]  # its last dressing's notes, by point
 
 
 def dressed_seed(cfg: SolitonConfig) -> Seed:
@@ -422,7 +419,7 @@ def dressed_seed(cfg: SolitonConfig) -> Seed:
     its points without the chi audit, and one at the points of the last
     dressing reuses it, so q0 and Psi0 at the same points dress them once;
     where that flags a point, or lam is a pole of chi, the values are NaN,
-    which the next dressing flags."""
+    which the next dressing flags (with this dressing's note, if any)."""
     last: list = [None, None]
 
     def dressed(rho, z) -> tuple:
@@ -432,10 +429,11 @@ def dressed_seed(cfg: SolitonConfig) -> Seed:
         return last[1]
 
     def psi0(lam, rho, z):
-        grid, res, lambdas = dressed(rho, z)
-        chi, at_pole = _chi(lam, res, lambdas)
+        grid, u, w, lambdas = dressed(rho, z)
+        chi, at_pole = _chi(lam, u, w, lambdas)
         chi[at_pole.any(axis=-1) | grid.singular[:, None]] = complex(math.nan, math.nan)
         return chi @ cfg.seed.psi0(lam, rho, z)
 
-    return Seed(q0=lambda rho, z: dressed(rho, z)[0].q.copy(), psi0=psi0,
-                deck=cfg.seed.deck, signature=cfg.signature)
+    return _DressedSeed(q0=lambda rho, z: dressed(rho, z)[0].q.copy(), psi0=psi0,
+                        deck=cfg.seed.deck, signature=cfg.signature,
+                        notes=lambda: last[1][0].notes)

@@ -99,6 +99,10 @@ def test_run_dress_writes_csv_and_passes_gate(tmp_path, capsys):
     row = lines[1].split(",")
     assert float(row[0]) == 1.0
 
+def _reported(line: str, label: str) -> float:
+    """The number that follows ``label`` in a summary line."""
+    return float(re.search(re.escape(label) + r" (\S+?)[;\n]", line).group(1))
+
 def test_dress_command_gates_every_point(tmp_path, capsys):
     # minimal_config's soliton on a Weyl grid clear of the ring: all 36 points gated
     doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
@@ -109,7 +113,10 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "gate vacuous" not in err
     assert err.startswith("dressed 36 points (0 singular); max gated constraint residual ")
-    assert 0.0 < float(err.split()[-1]) <= 1e-12
+    assert 0.0 < _reported(err, "max gated constraint residual") <= 1e-12
+    # the chi audits are reported, not gated
+    chi = re.search(r"; max gated chi residuals (\S+) \(reality\), (\S+) \(involution\)\n$", err)
+    assert all(0.0 < float(v) <= 1e-12 for v in chi.groups())
     _, excluded = cli.run_sweep(cli.parse_config(json.dumps(doc)))
     assert excluded.shape == (6, 6) and not excluded.any()
 
@@ -138,7 +145,8 @@ def test_minimal_config_gates_every_point(tmp_path, capsys):
     assert cli.run_dress(cli.parse_config(json.dumps(minimal_config(tmp_path)))) == cli.EXIT_OK
     err = capsys.readouterr().err
     assert err.startswith("dressed 12 points (0 singular); max gated constraint residual ")
-    assert "gate vacuous" not in err and 0.0 < float(err.split()[-1]) <= 1e-12
+    assert "gate vacuous" not in err
+    assert 0.0 < _reported(err, "max gated constraint residual") <= 1e-12
 
 def test_run_dress_deterministic(tmp_path):
     doc = minimal_config(tmp_path)
@@ -307,7 +315,7 @@ def test_vacuous_gate_is_reported(tmp_path, capsys):
     assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
     assert capsys.readouterr().err == (
         "dressed 12 points (12 singular); max gated constraint residual 0.000e+00; "
-        "gate vacuous: all 12 points singular or within 3 cells of the singular locus\n")
+        "max gated chi residuals 0.000e+00 (reality), 0.000e+00 (involution); gate vacuous: all 12 points singular or within 3 cells of the singular locus\n")
 
 EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310, 1e308,
                -1.7976931348623157e308, 1 / 3, 1.0, -2.5]

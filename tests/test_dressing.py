@@ -28,13 +28,13 @@ def bl_point(r, th, m=1.0, s=1.0):
 
 def kernels(cfg, x):
     """The batch kernels at the one point x: spectral data, A, B*, the
-    columns u_k of U and q before det normalisation, each with its batch
-    axis."""
+    factors u_k of chi's residues as rows and q before det normalisation,
+    each with its batch axis."""
     fails = dressing._Failures(1)
     sd, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
     a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
-    u = dressing._solve(a, b_star, cfg.tolerances, fails)[0].conj().swapaxes(-1, -2)
-    q = dressing._reconstruct(dressing._residues(u, sd), sd.lambdas, q0, fails)
+    u = dressing._solve(a, b_star, cfg.tolerances, fails)[0].conj()
+    q = dressing._reconstruct(u, sd.w, sd.lambdas, q0, fails)
     assert fails.ok[0], fails.error[0]
     return sd, a, b_star, u, q
 
@@ -56,10 +56,11 @@ def test_spectral_data_invariants():
     x = DomainPoint(rho=1.0, z=1.0)
     sd = kernels(cfg, x)[0]
     assert sd.lambdas.shape == (1, 2)
-    (l1, l2), vs = sd.lambdas[0], sd.vs[0]
+    (l1, l2), vs = sd.lambdas[0], sd.vs
     np.testing.assert_allclose(l1 * l2, -x.rho ** 2, atol=1e-13)
     np.testing.assert_array_equal(vs[1], G11 @ vs[0])
-    np.testing.assert_array_equal(sd.psi0[0, 0], np.eye(2))
+    # the flat seed's Psi0 is I, so w_k = v_k*, once for every point
+    np.testing.assert_array_equal(sd.w, vs.conj()[None])
     pair = spectral.pole_pair(1j, x)
     np.testing.assert_allclose([l1, l2], [pair.lambda_in, pair.lambda_out], atol=1e-15)
 
@@ -106,8 +107,9 @@ def test_build_system_g21_structure():
 
 
 def test_constant_seed_coupling_and_pairing():
-    # any valid constant seed has coupling S_kj = Gamma, and the deck
-    # partner of v is q0 Gamma v (plain Gamma v for the trivial seed)
+    # any valid constant seed has coupling S_kj = Gamma, so the Gram
+    # numerators w_k Gamma w_j^* are v_k* Gamma v_j, and the deck partner of
+    # v is q0 Gamma v (plain Gamma v for the trivial seed)
     t = 0.45
     q0 = np.array([[np.cosh(2 * t), np.sinh(2 * t)],
                    [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
@@ -115,11 +117,8 @@ def test_constant_seed_coupling_and_pairing():
     x = DomainPoint(rho=1.4, z=-0.2)
     cfg = SolitonConfig(SIG11, (0.5 + 1j,), (v,), seeds.constant_seed(q0, SIG11))
     sd = kernels(cfg, x)[0]
-    psi0_inv, vs = sd.psi0_inv[0], sd.vs[0]
-    for k in range(2):
-        for j in range(2):
-            s_kj = psi0_inv[k] @ G11 @ psi0_inv[j].conj().T
-            np.testing.assert_allclose(s_kj, G11, atol=1e-14)
+    w, vs = sd.w[0], sd.vs
+    np.testing.assert_allclose(w @ G11 @ w.conj().T, vs.conj() @ G11 @ vs.T, atol=1e-14)
     np.testing.assert_allclose(vs[1], q0 @ G11 @ v, atol=1e-15)
     # paired diagonal bilinears coincide: (q0 G v)* G (q0 G v) = v* G v
     d0 = vs[0].conj() @ G11 @ vs[0]
@@ -142,9 +141,9 @@ def test_solve_matches_closed_form_kerr_solution():
          alpha * (-1j * aa / (s * (c - 1)) + bb / (big_r + 1j * s))],
         [delta * (-1j * aa / (s * (c + 1)) - bb / (big_r - 1j * s)),
          delta * (-1j * aa / (s * (c - 1)) - bb / (big_r + 1j * s))]])
-    np.testing.assert_allclose(u, u_closed, rtol=1e-11)
+    np.testing.assert_allclose(u.T, u_closed, rtol=1e-11)
     np.testing.assert_allclose(np.linalg.det(a), d, rtol=1e-12)
-    resid = np.linalg.norm(a @ u.conj().T - b_star)
+    resid = np.linalg.norm(a @ u.conj() - b_star)
     assert resid <= 1e-10 * np.linalg.norm(b_star)
 
 
@@ -287,13 +286,12 @@ def test_kerr_determinant_already_one():
 def test_chi_properties():
     cfg = kerr_cfg()
     sd, _, _, u, q = kernels(cfg, bl_point(2.2, 1.0))
-    res = dressing._residues(u, sd)
     # chi at infinity, at 0 and at its first pole
-    chi, at_pole = dressing._chi(np.array([[1e8, 0.0, sd.lambdas[0, 0]]]), res, sd.lambdas)
+    chi, at_pole = dressing._chi(np.array([[1e8, 0.0, sd.lambdas[0, 0]]]), u, sd.w, sd.lambdas)
     assert algebra.frobenius(chi[0, 0] - np.eye(2)) < 1e-6
     np.testing.assert_allclose(chi[0, 1], q[0], atol=1e-12)
     for k in range(2):
-        rank_one = np.outer(u[0, :, k], sd.vs[0, k].conj())
+        rank_one = np.outer(u[0, k], sd.w[0, k])
         assert abs(np.linalg.det(rank_one)) < 1e-13
     assert at_pole[0].tolist() == [[False, False], [False, False], [True, False]]
 
@@ -518,6 +516,11 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
     once, twice = _two_ways(sig, v1, v2, rho, z)
     assert once.singular.sum() == 2
     assert np.array_equal(once.singular, twice.singular)
+    # index 247, (1.2, 0.4), is the first pole's branch point: the seed's own
+    # dressing flags it, and the iterated dressing's note carries its reason
+    assert once.notes[247].startswith("branch point of varpi0=(0.4+1.2j)")
+    assert twice.notes[247].startswith("seed q0 is not finite at DomainPoint(rho=1.2")
+    assert twice.notes[247].endswith(": the seed's dressing flagged it: " + once.notes[247])
     gated = ~_gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape),
                              Tolerances().singular_tol).ravel()
     assert gated.sum() > 100
@@ -574,9 +577,19 @@ def _iterated():
     return SolitonConfig(sig, (-0.7 + 0.8j,), (np.array(v2),), first), rho, z
 
 
-@pytest.mark.parametrize("problem", [lambda: (KERR_RING[0], *coords(KERR_RING[1])),
-                                     lambda: (SU21[0], *coords(SU21[1])), _iterated],
-                         ids=["kerr-ring", "su21", "iterated"])
+AUDITED = [lambda: (KERR_RING[0], *coords(KERR_RING[1])), lambda: (SU21[0], *coords(SU21[1])),
+           _iterated]
+
+
+def _factors(cfg, rho, z):
+    """The dressed points with a map: the grid, u, w (batch 1 where the seed
+    does not vary) and the poles, as _dress gives them, at those points."""
+    grid, u, w, lambdas = dressing._dress(cfg, rho, z, True, None)
+    keep = grid.has_q
+    return grid, u[keep], w if len(w) == 1 else w[keep], lambdas[keep], keep
+
+
+@pytest.mark.parametrize("problem", AUDITED, ids=["kerr-ring", "su21", "iterated"])
 def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     # F(s) = chi(conj s)^* sigma(chi(s)) - I and G(s) = chi(s) - q sigma(chi(-rho^2/s))
     # sigma(q0) are their values at infinity plus their principal parts, so
@@ -584,9 +597,8 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     # one whose residues are perturbed. G's residue at the partner of an
     # audited pole follows from G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0).
     cfg, rho, z = problem()
-    grid, res, lambdas = dressing._dress(cfg, rho, z, True, None)
-    keep = grid.has_q
-    rho, z, q, res, lambdas = grid.rho[keep], grid.z[keep], grid.q[keep], res[keep], lambdas[keep]
+    grid, u, w, lambdas, keep = _factors(cfg, rho, z)
+    rho, z, q = grid.rho[keep], grid.z[keep], grid.q[keep]
     q0 = np.broadcast_to(cfg.seed.q0(rho, z), q.shape)
     g, half, norm = algebra.gamma(cfg.signature), cfg.n_solitons, algebra.frobenius
     samples = np.array([reference._audit_samples(SimpleNamespace(lambdas=lam), DomainPoint(r, h))
@@ -601,19 +613,21 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     # the partner residue is at most rho^2/|lam_k|^2 ||q|| ||q0|| times the audited one
     amplify = ((rho * rho)[:, None] / np.abs(np.take_along_axis(lambdas, own, axis=1)) ** 2
                * (norm(q) * norm(q0))[:, None])
-    # a perturbation of the residues with sum_k delta_k / lam_k = 0 leaves
-    # chi(0), and so G at infinity, as it was
-    delta = np.random.default_rng(7).normal(size=res.shape + (2,)).view(complex)[..., 0]
-    delta *= 1e-2 * (1.0 + norm(res))[..., None, None]
-    delta[:, 0] -= lambdas[:, 0, None, None] * (delta[:, 1:] / lambdas[:, 1:, None, None]).sum(1)
-    for chi_res in (res, res + delta):
-        reality, involution = dressing._audit(chi_res, lambdas, q, q0, g, rho)
-        chi = dressing._chi(samples, chi_res, lambdas)[0]
-        chi_conj = dressing._chi(samples.conj(), chi_res, lambdas)[0]
-        chi_deck = dressing._chi(-(rho * rho)[:, None] / samples, chi_res, lambdas)[0]
+    # mixing the rows w_k by M and the columns u_k / lam_k by M^-1 moves every
+    # residue but keeps chi(0) = I - sum_k u_k w_k / lam_k, and so G at infinity
+    mix = np.eye(2 * half) + 1e-2 * np.random.default_rng(7).normal(
+        size=(2 * half, 2 * half, 2)).view(complex)[..., 0]
+    mixed = (lambdas[..., None] * (np.linalg.inv(mix).T @ (u / lambdas[..., None])), mix @ w)
+    for fu, fw in ((u, w), mixed):
+        # chi(0) q0, the q before normalisation of these factors
+        q_raw = dressing._chi(np.zeros((len(q), 1)), fu, fw, lambdas)[0][:, 0] @ q0
+        reality, involution = dressing._audit(fu, fw, lambdas, q, q_raw, q0, g, rho)
+        chi = dressing._chi(samples, fu, fw, lambdas)[0]
+        chi_conj = dressing._chi(samples.conj(), fu, fw, lambdas)[0]
+        chi_deck = dressing._chi(-(rho * rho)[:, None] / samples, fu, fw, lambdas)[0]
         f = chi_conj.conj().swapaxes(-1, -2) @ algebra.sigma(chi, g) - np.eye(len(g))
         rhs = q[:, None] @ algebra.sigma(chi_deck, g) @ algebra.sigma(q0, g)[:, None]
-        size = 1.0 + norm(chi_res)
+        size = 1.0 + np.linalg.norm(fu, axis=-1) * np.linalg.norm(fw, axis=-1)
         f_bound = reality[:, None] * (size[:, None] * (1 / dist + 1 / dist_conj)).sum(axis=-1)
         size_own = np.take_along_axis(size, own, axis=1)[:, None]
         g_bound = involution[:, None] * (
@@ -622,6 +636,35 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
                          + (norm(q) * norm(q0))[:, None] * norm(chi_deck))
         assert np.all(norm(f) <= f_bound + slack)
         assert np.all(norm(chi - rhs) <= g_bound + slack)
+
+
+@pytest.mark.parametrize("problem", AUDITED, ids=["kerr-ring", "su21", "iterated"])
+def test_rank_one_factors_match_the_reference_residues_and_chi(problem):
+    # chi's residues are u_k w_k, a column times a row; the per-point
+    # reference forms them as matrices, u_k v_k* psi0_k^{-1}. Both, and chi at
+    # the reference's audit samples, agree at every point with a map
+    cfg, rho, z = problem()
+    grid, u, w, lambdas, keep = _factors(cfg, rho, z)
+    g, half = algebra.gamma(cfg.signature), cfg.n_solitons
+    worst = 0.0
+    for i, (r, h) in enumerate(zip(grid.rho[keep], grid.z[keep])):
+        sd = reference.spectral_data(cfg, DomainPoint(float(r), float(h)))
+        # the reference pairs the vectors by q0, which is J for a constant seed only
+        sd.vs[half:] = sd.vs[:half] @ (cfg.seed.deck @ g).T
+        u_ref = reference.solve_system(*reference.build_system(sd, g), cfg.tolerances)
+        np.testing.assert_array_equal(sd.lambdas, lambdas[i])
+        w_i = w[i:i + 1] if len(w) > 1 else w
+        mine = u[i][:, :, None] * w_i[0][:, None, :]
+        theirs = np.array([np.outer(u_ref[:, k], sd.vs[k].conj()) @ sd.psi0_inv[k]
+                           for k in range(2 * half)])
+        worst = max(worst, (np.linalg.norm(mine - theirs, axis=(-2, -1))
+                            / np.linalg.norm(theirs, axis=(-2, -1))).max())
+        samples = reference._audit_samples(sd, DomainPoint(float(r), float(h)))
+        chi = dressing._chi(np.array([samples]), u[i:i + 1], w_i, lambdas[i:i + 1])[0][0]
+        for s, got in zip(samples, chi):
+            want = reference.chi_at(s, u_ref, sd)
+            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
+    assert worst <= 1e-12, worst
 
 
 def test_a_mispaired_deck_constant_fails_the_involution_audit():
