@@ -91,12 +91,11 @@ class SolitonConfig:
 
 @dataclass
 class SpectralData:
-    """Pole locations, paired vectors and the row factors of chi's residues:
-    lambdas (P, 2N); vs (2N, n), v_{N+k} = J gamma v_k; w (P, 2N, n), row k
-    v_k* Psi0(lam_k)^{-1}, with 1 in place of P where the seed does not vary."""
+    """Pole locations and the row factors of chi's residues: lambdas (P, 2N);
+    w (P, 2N, n), row k v_k* Psi0(lam_k)^{-1} with the paired vectors
+    v_{N+k} = J gamma v_k, and 1 in place of P where the seed does not vary."""
 
     lambdas: np.ndarray
-    vs: np.ndarray
     w: np.ndarray
 
 
@@ -154,8 +153,8 @@ def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failu
 
 def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
               swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
-    """Pole pairs, paired vectors and the row factors w_k = v_k* Psi0(lam_k)^{-1}
-    at every point (coordinates rho, z); returns the spectral data and q0,
+    """Pole pairs and the row factors w_k = v_k* Psi0(lam_k)^{-1} of the paired
+    vectors at every point (coordinates rho, z); returns the spectral data and q0,
     each with a batch axis of length 1 where the seed does not vary. Each
     seed evaluator is called once, Psi0 at the points not flagged yet; a
     Psi0 above the condition cap flags its point."""
@@ -196,7 +195,7 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     if len(w) not in (1, size):
         w, at = np.zeros((size,) + w.shape[1:], dtype=complex), w
         w[ok] = at
-    return SpectralData(lambdas, vs, w), q0
+    return SpectralData(lambdas, w), q0
 
 
 def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
@@ -217,8 +216,8 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     fails.flag(coincident.any(axis=(-2, -1)), lambda i: SingularPointError(
         "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
             *divmod(int(np.argmax(coincident[i])), m))))
-    a = num / (np.where(coincident, 1.0, denom) if coincident.any() else denom)
-    return (a if fails.ok.all() else np.where(fails.ok[:, None, None], a, np.eye(m))), -wg
+    a = num / np.where(coincident, 1.0, denom)
+    return np.where(fails.ok[:, None, None], a, np.eye(m)), -wg
 
 
 def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
@@ -250,8 +249,7 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
         cond = algebra.checked_inv(a[unsure], cap)[1]
         fails.flag(~(cond <= cap), lambda j: NumericError(
             f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}"), unsure)
-    if small.any() or unsure.size:
-        a = np.where(fails.ok[:, None, None], a, np.eye(m))
+    a = np.where(fails.ok[:, None, None], a, np.eye(m))
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
@@ -276,7 +274,7 @@ def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray,
     d = np.linalg.det(q)
     zero = d == 0
     fails.flag(zero, lambda i: SingularPointError("determinant vanishes; cannot normalize"))
-    d = np.where(zero, 1.0, d) if zero.any() else d
+    d = np.where(zero, 1.0, d)
     real = (np.abs(d.imag) <= tol * np.abs(d)) & (d.real > 0)
     scale = d.real ** (-1.0 / n) if real.all() else np.where(
         real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))

@@ -56,11 +56,12 @@ def test_spectral_data_invariants():
     x = DomainPoint(rho=1.0, z=1.0)
     sd = kernels(cfg, x)[0]
     assert sd.lambdas.shape == (1, 2)
-    (l1, l2), vs = sd.lambdas[0], sd.vs
+    l1, l2 = sd.lambdas[0]
     np.testing.assert_allclose(l1 * l2, -x.rho ** 2, atol=1e-13)
-    np.testing.assert_array_equal(vs[1], G11 @ vs[0])
-    # the flat seed's Psi0 is I, so w_k = v_k*, once for every point
-    np.testing.assert_array_equal(sd.w, vs.conj()[None])
+    # the flat seed's Psi0 is I, so w_k = v_k*, once for every point, and
+    # the deck partner of v is Gamma v
+    v = cfg.vectors[0]
+    np.testing.assert_array_equal(sd.w, np.array([[v, G11 @ v]]).conj())
     pair = spectral.pole_pair(1j, x)
     np.testing.assert_allclose([l1, l2], [pair.lambda_in, pair.lambda_out], atol=1e-15)
 
@@ -117,9 +118,8 @@ def test_constant_seed_coupling_and_pairing():
     x = DomainPoint(rho=1.4, z=-0.2)
     cfg = SolitonConfig(SIG11, (0.5 + 1j,), (v,), seeds.constant_seed(q0, SIG11))
     sd = kernels(cfg, x)[0]
-    w, vs = sd.w[0], sd.vs
+    w, vs = sd.w[0], np.array([v, q0 @ G11 @ v])
     np.testing.assert_allclose(w @ G11 @ w.conj().T, vs.conj() @ G11 @ vs.T, atol=1e-14)
-    np.testing.assert_allclose(vs[1], q0 @ G11 @ v, atol=1e-15)
     # paired diagonal bilinears coincide: (q0 G v)* G (q0 G v) = v* G v
     d0 = vs[0].conj() @ G11 @ vs[0]
     d1 = vs[1].conj() @ G11 @ vs[1]

@@ -6,10 +6,12 @@ pipeline replaced. On every grid the two must flag the same points with
 the same notes, except where the reference refuses to invert chi at an
 audit sample, which the residue audit never does. Outside the
 gate-exclusion band (singular points and the det A locus, widened by 3
-cells, where cond(A) amplifies rounding) det A must agree to 1e-13
-relative, q to 1e-13 relative times the condition of its det
-normalisation, and every residual-dict entry but the chi audits to the
-bound that rounding and the difference in q allow (see assert_equivalent).
+cells, where cond(A) amplifies rounding) q and det A must agree to 1e-13
+relative, and every residual-dict entry but the chi audits to 1e-10 plus
+the rounding of a residual of q (see assert_equivalent). Two numbers are
+held to their conditioning where it is worse than that: det A next to a
+det A zero the lattice does not resolve, and the scalar det(q_raw)^(-1/n)
+that normalises q, whose rounding grows with ||q||_F^2.
 """
 import math
 
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import _reference_dressing as reference
-from vesture import dressing, seeds, targets
+from vesture import algebra, dressing, seeds, targets
 from vesture.algebra import Signature
 from vesture.cli import _gate_exclusion
 from vesture.dressing import SolitonConfig, Tolerances
@@ -44,6 +46,13 @@ def weyl_rows(rhos, zs):
 def coords(rows):
     """rho and z of rows of DomainPoints, as two arrays of the rows' shape."""
     return np.moveaxis(np.array([[(x.rho, x.z) for x in row] for row in rows]), -1, 0)
+
+
+def det_condition(cfg: SolitonConfig, x: DomainPoint) -> float:
+    """sum |A^-T| |A| for the reference's A at x: det A moves by at most this
+    times delta, relative, when each entry of A moves by delta relative."""
+    a = reference.build_system(reference.spectral_data(cfg, x), algebra.gamma(cfg.signature))[0]
+    return float(np.sum(np.abs(np.linalg.inv(a).T) * np.abs(a)))
 
 
 def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
@@ -72,42 +81,45 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
              for key, v in o.residuals.items()}, k
         if skip:
             continue
+        n = cfg.signature.n
         if not math.isnan(o.det_a.real):
-            assert abs(new.det_a[k] - o.det_a) <= 1e-13 * abs(o.det_a), k
+            # each side forms A's entries as sums of n products, within
+            # (n + 2) eps / 2 of their size; to first order det A then moves by
+            # at most that times det_condition, relative
+            gap = abs(new.det_a[k] - o.det_a)
+            if gap > 1e-13 * abs(o.det_a):
+                assert gap <= (n + 2) * EPS * det_condition(cfg, o.x) * abs(o.det_a), k
         if o.q is None:
             continue
-        n, size = len(o.q), np.linalg.norm(o.q)
-        moved = np.linalg.norm(new.q[k] - o.q)
-        # q = q_raw det(q_raw)^(-1/n) moves by dq_raw and by q (1/n) tr(q_raw^-1 dq_raw);
-        # as q^-1 = sigma(q) has the norm of q, the normalisation's relative
-        # condition number is 1 + ||q||_F^2 / n: 2 at q = I, where the bound is 1e-13
-        assert moved <= 5e-14 * (1 + size ** 2 / n) * size, (k, moved / size, size)
-        # each residual moves with q: ||q sigma(q) - I|| by at most
-        # (2 ||q|| + ||dq||) ||dq||, ||q - q*|| by 2 ||dq||, |det q - 1| by about
-        # ||adj q|| ||dq|| = ||q|| ||dq||. On one q the two pipelines differ in
-        # summation order only: each rounds a complex sum of n products within
-        # gamma_(n+2) = (n + 2) eps / 2 of sum |q_ik| |sigma(q)_kj|, whose
-        # Frobenius norm is at most ||q||_F^2, so the two differ by at most
-        # c eps ||q||_F^2 with c = n + 2; an LU determinant's backward error
-        # is of the same order
-        slack = 1e-10 + (n + 2) * EPS * size ** 2
-        moves = {"quadratic": (2 * size + moved) * moved, "hermiticity": 2 * moved,
-                 "unit_det": (size + moved) * moved}
-        bounds = {key: slack + move for key, move in moves.items()}
-        bounds["symspace"] = sum(bounds.values())
+        size = np.linalg.norm(o.q)
+        # q = q_raw det(q_raw)^(-1/n). q_raw agrees to rounding, but det(q_raw)
+        # is 1 in exact arithmetic and its rounding is amplified: q_raw + E with
+        # |E| <= eps |q_raw| moves det by |tr(q_raw^-1 E)| <= eps sum |q^-1|^T |q|
+        # relative, and as q^-1 = gamma q gamma, that sum is at most ||q||_F^2.
+        # So q is held to 1e-13 but for that one scalar, the scalar to its rounding.
+        scale = np.vdot(o.q, new.q[k]) / size ** 2
+        assert np.linalg.norm(new.q[k] - scale * o.q) <= 1e-13 * size, k
+        noise = (n + 2) * EPS * size ** 2
+        assert abs(scale - 1) <= 1e-13 + noise / n, (k, scale, size)
+        # on one q the two pipelines differ in summation order only: each
+        # rounds a complex sum of n products within gamma_(n+2) = (n + 2) eps / 2
+        # of sum |q_ik| |sigma(q)_kj|, whose Frobenius norm is at most ||q||_F^2,
+        # so the two differ by at most c eps ||q||_F^2 with c = n + 2 (an LU
+        # determinant's backward error is of the same order); symspace sums three
+        slack = 1e-10 + noise
+        bounds = {"quadratic": slack, "hermiticity": slack, "unit_det": slack,
+                  "symspace": 3 * slack}
+        # the branch warning reports rounding in det(q_raw), real and positive
+        # in exact arithmetic: below tol, neither side warns
+        warned = new.residuals["det_branch_warning"][k] + o.residuals["det_branch_warning"]
+        if noise < cfg.tolerances.constraint_tol:
+            assert new.residuals["det_branch_warning"][k] == \
+                o.residuals["det_branch_warning"], k
+        elif warned:  # a principal root's phase: q is not Hermitian on that side
+            del bounds["hermiticity"], bounds["symspace"]
         for key, bound in bounds.items():
             got, want = new.residuals[key][k], o.residuals[key]
             assert abs(got - want) <= bound, (k, key, got, want)
-        # the chi audits measure residues here and sampled values there;
-        # test_dressing holds the samples under the residue bound.
-        # det(q_raw) is real and positive in exact arithmetic, and the branch
-        # warning says that rounding took it out of |Im d| <= tol |d|; its
-        # relative rounding, by the same argument as for det q, is up to
-        # (n + 2) eps ||q||_F^2, and the move in q adds ||q|| ||dq||, so the
-        # two warnings agree wherever that cannot reach tol
-        if (n + 2) * EPS * size ** 2 + size * moved < cfg.tolerances.constraint_tol:
-            assert new.residuals["det_branch_warning"][k] == \
-                o.residuals["det_branch_warning"], k
     return singular, band
 
 
@@ -168,6 +180,12 @@ LARGE_Q = (SolitonConfig(SIG21, (1.0625 + 0.3125j, 1.25j, 1 + 1j),
                           np.array([-0.5625, -1.25, 0])), seeds.identity_seed(SIG21)),
            weyl_rows([0.5, 1.25, 2.0], [-2.0, -0.5, 1.0]))
 
+# det A = -4.45e-5 at (1, -0.375), a point next to a det A zero that no sign
+# change on the lattice shows, so outside the band: cond(A) = 3.8e5
+NEAR_LOCUS = (SolitonConfig(SIG21, (0.5j,), (np.array([0, 0.59375 + 0.859375j, 1.25 + 1.125j]),),
+                            seeds.constant_seed(boosted(SIG21, 0.35), SIG21)),
+              weyl_rows([1.0, 1.5, 2.0], [-1.375, -0.375, 0.625]))
+
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -177,6 +195,7 @@ LARGE_Q = (SolitonConfig(SIG21, (1.0625 + 0.3125j, 1.25j, 1 + 1j),
 @example(FLAT, True)
 @example(TIGHT, True)
 @example(LARGE_Q, False)
+@example(NEAR_LOCUS, False)
 def test_batched_pipeline_matches_per_point_reference(problem, audit_chi):
     assert_equivalent(*problem, audit_chi=audit_chi)
 
