@@ -1,23 +1,25 @@
-"""Numerical checks of the construction, shared by ``vesture selftest`` and
-the acceptance suite.
+"""Numerical checks of the construction, and the closed-form families that
+the ``kerr`` / ``kerr-newman`` presets and ``vesture selftest`` both dress.
 
 Each check takes its inputs (an rng seed and a count, a grid, or parameter
-sets) and returns the measured numbers; the pass/fail thresholds stay with
-the callers. A check that draws random items under a precondition draws
-until ``count`` of them meet it. Library functions are called through their
-modules (``spectral.ab``, not a local name), so a fault injected into one
-reaches every check that uses it.
+sets) and returns the measured numbers. The pass/fail thresholds live in one
+gate table, ``cli.SELFTEST_SUITES``, which the acceptance suite reads too. A
+check that draws random items under a precondition draws until ``count`` of
+them meet it. Library functions are called through their modules
+(``spectral.ab``, not a local name), so a fault injected into one reaches
+every check that uses it.
 """
 from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import algebra, dressing, seeds, spectral, targets, verification
-from .dressing import SolitonConfig
+from .dressing import DressedGrid, SolitonConfig
 from .errors import NumericError
 from .spectral import DomainPoint
 
@@ -29,13 +31,11 @@ class Spectral(NamedTuple):
     flow_ratio: float    # pole-flow residual ratio under h -> h/2
 
 
-class KerrOracle(NamedTuple):
-    error: float         # max kerr_error at the non-singular points
-    quadratic: float     # max membership-residual components at the non-singular points
-    hermiticity: float
-    unit_det: float
+class OracleReport(NamedTuple):
+    error: float         # max per-point Ernst error at the non-singular points
+    constraint: float    # max membership-residual component at the non-singular points
     singular: int        # singular points over all sweeps
-    slowest: float       # seconds of the slowest sweep's dressing
+    slowest: float       # seconds of the slowest sweep
 
 
 class Convergence(NamedTuple):
@@ -57,37 +57,34 @@ def rel_err(value, ref) -> np.ndarray:
     return np.hypot(diff.real, diff.imag) / np.where(scale == 0, 1.0, scale)
 
 
-def kerr_reference(m: float, s: float, r, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Kerr potentials x, y of the (m, s) family on the (r, theta)
-    lattice of two axes, row-major."""
-    o = targets.kerr_oracle(m, math.sqrt(m * m + s * s), r[:, None], theta[None, :])
-    return o.x.ravel(), o.y.ravel()
+def constraint(dressed: DressedGrid, keep: np.ndarray) -> float:
+    """Max membership-residual component over the points ``keep`` selects;
+    NaN when any of them is NaN."""
+    return worst(dressed.residuals[key][keep] for key in ("quadratic", "hermiticity", "unit_det"))
 
 
-def kn_reference(m: float, e: float, s: float, r, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form Kerr-Newman potentials E, Phi of the (m, e, s) family on
-    the (r, theta) lattice of two axes, row-major."""
-    a = targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))["oracle_a"]
-    o = targets.kn_oracle(m, e, a, r[:, None], theta[None, :])
-    return o.E.ravel(), o.Phi.ravel()
+def ernst(q: np.ndarray) -> targets.ErnstValue11 | targets.ErnstValue21:
+    """The Ernst potentials of a (P, n, n) stack of maps on the (1,1) or the
+    (2,1) target."""
+    return targets.ernst_g11(q) if q.shape[-1] == 2 else targets.ernst_g21(q)
 
 
-def kerr_error(ernst: targets.ErnstValue11, oracle_x, oracle_y) -> np.ndarray:
-    """Per-point relative error of the dressed x + iy as one complex number,
-    robust where one component passes through zero; NaN where either is."""
-    return rel_err(ernst.x + 1j * ernst.y, oracle_x + 1j * oracle_y)
+def ernst_columns(e: targets.ErnstValue11 | targets.ErnstValue21) -> dict[str, np.ndarray]:
+    """Ernst potentials at P points as payload columns."""
+    if isinstance(e, targets.ErnstValue11):
+        return {"x": e.x, "y": e.y}
+    return {"E_re": e.E.real, "E_im": e.E.imag, "Phi_re": e.Phi.real, "Phi_im": e.Phi.imag}
 
 
-def kn_error(ernst: targets.ErnstValue21, oracle_e, oracle_phi) -> np.ndarray:
-    """Per-point relative error of the dressed (E, Phi), the larger of the
-    two; NaN where either is NaN."""
-    return np.maximum(rel_err(ernst.E, oracle_e), rel_err(ernst.Phi, oracle_phi))
-
-
-def _bl_axes(m: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The presets' default window r in [m+1.5, m+10], theta in [pi/8, 7pi/8]."""
-    return (np.linspace(m + 1.5, m + 10.0, count),
-            np.linspace(math.pi / 8, 7 * math.pi / 8, count))
+def dress_lattice(cfg: SolitonConfig, x: DomainPoint) -> tuple[DressedGrid, np.ndarray]:
+    """Dress the lattice of Weyl coordinates x, two 2-D arrays, in row-major
+    order; returns the dressed arrays and the gate-exclusion mask over the
+    lattice."""
+    dressed = dressing.dress(cfg, x.rho, x.z)
+    excluded = verification.gate_exclusion(dressed.singular.reshape(x.rho.shape),
+                                           dressed.det_a.reshape(x.rho.shape),
+                                           cfg.tolerances.singular_tol)
+    return dressed, excluded
 
 
 def _draws(count: int, draw) -> np.ndarray:
@@ -259,45 +256,116 @@ def chi_audit(rng_seed: int, count: int) -> float:
     return float(_draws(count, draw).max())
 
 
-def kerr_oracle(param_sets) -> KerrOracle:
-    """The Kerr family (m, s) of each set dressed from the flat seed on the
-    40x40 default Boyer-Lindquist grid against the closed form."""
-    errors, slowest, singular = [], 0.0, 0
-    constraints = {key: [] for key in ("quadratic", "hermiticity", "unit_det")}
-    for m, s in param_sets:
-        r, theta = _bl_axes(m, 40)
-        x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=m, s=s))
+# ---------------------------------------------------------------------------
+# the closed-form families
+# ---------------------------------------------------------------------------
+
+def default_window(m: float, count: int = 40) -> tuple[tuple[float, float, int], ...]:
+    """The presets' default (min, max, count) axes: r in [m + 1.5, m + 10]
+    and theta in [pi/8, 7pi/8]."""
+    return (m + 1.5, m + 10.0, count), (math.pi / 8, 7 * math.pi / 8, count)
+
+
+class FamilySweep(NamedTuple):
+    solitons: SolitonConfig
+    dressed: DressedGrid
+    excluded: np.ndarray  # the gate-exclusion mask over the (r, theta) lattice
+    columns: dict[str, np.ndarray]  # the dressed Ernst potentials and the closed form
+    error: np.ndarray  # per-point relative error of the dressed potentials
+
+
+class Family:
+    """A closed-form family dressed from the flat seed by one soliton; its
+    dataclass fields are the parameters, in payload order. Each defines
+    config(), constants() (the meta entries after the parameters),
+    oracle(r, theta), the closed-form Ernst potentials (Ernst, Phys. Rev. 168
+    (1968) 1415) at points (r, theta), and error(ernst, oracle) per point."""
+
+    preset: ClassVar[str]
+
+    def chart(self) -> targets.BLParams:
+        return targets.BLParams(**vars(self))
+
+    def label(self) -> str:
+        return " ".join([self.preset] + [f"{k}={v}" for k, v in vars(self).items()])
+
+    def meta(self) -> dict:
+        """The payload meta entries of the family's preset."""
+        return {"preset": self.preset, **vars(self), **self.constants()}
+
+    def sweep(self, r: np.ndarray, theta: np.ndarray) -> FamilySweep:
+        """Dress the family on the row-major (r, theta) lattice of two axes."""
+        cfg = self.config()
+        x = targets.bl_to_weyl(r[:, None], theta[None, :], self.chart())
+        dressed, excluded = dress_lattice(cfg, x)
+        r_at, theta_at = np.meshgrid(r, theta, indexing="ij")
+        found, oracle = ernst(dressed.q), self.oracle(r_at.ravel(), theta_at.ravel())
+        columns = {**ernst_columns(found),
+                   **{"oracle_" + key: v for key, v in ernst_columns(oracle).items()}}
+        return FamilySweep(cfg, dressed, excluded, columns, self.error(found, oracle))
+
+
+@dataclass(frozen=True)
+class Kerr(Family):
+    """The Kerr family on SU(1,1): mass m, pole i s, spin a = sqrt(m^2 + s^2)."""
+
+    m: float
+    s: float
+    preset: ClassVar[str] = "kerr"
+
+    def config(self) -> SolitonConfig:
+        return targets.kerr_config(self.m, self.s)
+
+    def constants(self) -> dict[str, float]:
+        return {"spin": math.sqrt(self.m * self.m + self.s * self.s)}
+
+    def oracle(self, r: np.ndarray, theta: np.ndarray) -> targets.ErnstValue11:
+        return targets.kerr_oracle(self.m, self.constants()["spin"], r, theta)
+
+    def error(self, ernst: targets.ErnstValue11, oracle: targets.ErnstValue11) -> np.ndarray:
+        """The relative error of x + iy as one complex number, robust where
+        one component passes through zero; NaN where either is."""
+        return rel_err(ernst.x + 1j * ernst.y, oracle.x + 1j * oracle.y)
+
+
+@dataclass(frozen=True)
+class KerrNewman(Family):
+    """The Kerr-Newman family of targets.kn_family_params on SU(2,1): mass m,
+    charge e, pole i s, oracle spin a = -sqrt(m^2 + s^2 + e^2)."""
+
+    m: float
+    e: float
+    s: float
+    preset: ClassVar[str] = "kerr-newman"
+
+    def config(self) -> SolitonConfig:
+        return targets.kn_config(self.m, self.e, self.s)
+
+    def constants(self) -> dict[str, float]:
+        return {"oracle_a": targets.kn_family_params(self.chart())["oracle_a"]}
+
+    def oracle(self, r: np.ndarray, theta: np.ndarray) -> targets.ErnstValue21:
+        return targets.kn_oracle(self.m, self.e, self.constants()["oracle_a"], r, theta)
+
+    def error(self, ernst: targets.ErnstValue21, oracle: targets.ErnstValue21) -> np.ndarray:
+        """The larger relative error of E and Phi; NaN where either is NaN."""
+        return np.maximum(rel_err(ernst.E, oracle.E), rel_err(ernst.Phi, oracle.Phi))
+
+
+def oracle_report(family: type[Family], param_sets, count: int = 40) -> OracleReport:
+    """The member of ``family`` of each parameter set dressed on the count x
+    count default window, against the closed form."""
+    errors, constraints, singular, slowest = [], [], 0, 0.0
+    for params in param_sets:
+        member = family(*params)
         t0 = time.perf_counter()
-        dressed = dressing.dress(targets.kerr_config(m, s), x.rho, x.z, audit_chi=False)
+        found = member.sweep(*(np.linspace(*axis) for axis in default_window(member.m, count)))
         slowest = max(slowest, time.perf_counter() - t0)
-        keep = ~dressed.singular
-        singular += int(dressed.singular.sum())
-        error = kerr_error(targets.ernst_g11(dressed.q), *kerr_reference(m, s, r, theta))
-        errors.append(error[keep])
-        for key, found in constraints.items():
-            found.append(dressed.residuals[key][keep])
-    return KerrOracle(worst(errors), **{key: worst(found) for key, found in constraints.items()},
-                      singular=singular, slowest=slowest)
-
-
-class KNOracle(NamedTuple):
-    error: float         # max relative error of E and Phi at the non-singular points
-    singular: int        # singular points of the dressing
-
-
-def kn_oracle(param_sets) -> list[KNOracle]:
-    """For each (m, e, s) set, the Kerr-Newman family dressed from the flat
-    (2,1) seed, chi audits included, on the 40x40 default Boyer-Lindquist
-    grid against the closed-form potentials."""
-    results = []
-    for m, e, s in param_sets:
-        r, theta = _bl_axes(m, 40)
-        x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=m, s=s, e=e))
-        dressed = dressing.dress(targets.kn_config(m, e, s), x.rho, x.z)
-        error = kn_error(targets.ernst_g21(dressed.q), *kn_reference(m, e, s, r, theta))
-        results.append(KNOracle(worst([error[~dressed.singular]]),
-                                int(dressed.singular.sum())))
-    return results
+        keep = ~found.dressed.singular
+        errors.append(found.error[keep])
+        constraints.append(constraint(found.dressed, keep))
+        singular += int(found.dressed.singular.sum())
+    return OracleReport(worst(errors), worst(constraints), singular, slowest)
 
 
 def kerr_field(box: tuple[float, float, float, float], h: float) -> verification.FieldGrid:
@@ -320,13 +388,3 @@ def convergence(box: tuple[float, float, float, float], h: float) -> Convergence
         values=np.tile(np.eye(2, dtype=complex), (11, 11, 1, 1)), mask=np.ones((11, 11), bool))
     c1, c2 = verification.hodge_residual(const)
     return Convergence(r1, r2, bool(np.nanmax(c1) == 0.0 and np.nanmax(c2) == 0.0))
-
-
-def flat_limit(count: int) -> float:
-    """Max |(x, y) - (1, 0)| of the m = 0 Kerr dressing on the count x count
-    default Boyer-Lindquist grid."""
-    r, theta = _bl_axes(0.0, count)
-    x = targets.bl_to_weyl(r[:, None], theta[None, :], targets.BLParams(m=0.0, s=1.0))
-    e = targets.ernst_g11(dressing.dress(targets.kerr_config(0.0, 1.0), x.rho, x.z,
-                                         audit_chi=False).q)
-    return float(np.max(np.abs([e.x - 1.0, e.y])))

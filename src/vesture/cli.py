@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import algebra, checks, dressing, seeds, targets, verification
+from . import algebra, checks, seeds, targets, verification
 from .algebra import Signature
 from .dressing import DressedGrid, SolitonConfig, Tolerances
 from .errors import ConfigError, NumericError, VestureError
@@ -249,30 +250,6 @@ def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
             fh.write(text)
 
 
-def _gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float) -> np.ndarray:
-    """Mask of points excluded from exit gates: singular points and the
-    det A locus, widened by a 3-cell margin."""
-    locus = singular | verification.locus_mask(det_a, singular_tol)
-    return verification.exclusion_mask(locus, margin=3)
-
-
-def _max_constraint(dressed: DressedGrid, excluded: np.ndarray) -> float:
-    """Max membership-residual component over the points not excluded; NaN
-    when any of them is NaN, so that it fails the gate."""
-    keep = ~excluded.ravel()
-    return checks.worst(dressed.residuals[key][keep]
-                        for key in ("quadratic", "hermiticity", "unit_det"))
-
-
-def _chi_summary(dressed: DressedGrid, excluded: np.ndarray) -> str:
-    """The summary's report of the largest gated chi audit residuals; no
-    gate reads them."""
-    keep = ~excluded.ravel()
-    reality, involution = (checks.worst([dressed.residuals[key][keep]])
-                           for key in ("chi_reality", "chi_involution"))
-    return f"; max gated chi residuals {reality:.3e} (reality), {involution:.3e} (involution)"
-
-
 def _vacuous(excluded: np.ndarray) -> str:
     """The summary's note when the exit gate is left with no point."""
     return (f"; gate vacuous: all {excluded.size} points singular or within 3 cells of the "
@@ -282,20 +259,17 @@ def _vacuous(excluded: np.ndarray) -> str:
 def run_sweep(cfg: RunConfig) -> tuple[DressedGrid, np.ndarray]:
     """Dress the configured grid in row-major order; returns the dressed
     arrays and the gate-exclusion mask over the grid."""
-    x = cfg.grid.coordinates()
-    dressed = dressing.dress(cfg.solitons, x.rho, x.z)
-    excluded = _gate_exclusion(dressed.singular.reshape(x.rho.shape),
-                               dressed.det_a.reshape(x.rho.shape),
-                               cfg.solitons.tolerances.singular_tol)
-    return dressed, excluded
+    return checks.dress_lattice(cfg.solitons, cfg.grid.coordinates())
 
 
-def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict, oracle: dict | None = None):
-    """Write one row per dressed point: the requested fields, finite-difference
-    residuals on Weyl grids of at least 3x3 points, and the oracle columns
-    (name: values). Returns the Ernst values written (None without the
-    ernst field)."""
-    n = cfg.solitons.signature.n
+def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict,
+                 extra: dict[str, np.ndarray]) -> None:
+    """Write one row per dressed point: the requested fields but ernst,
+    finite-difference residuals on Weyl grids of at least 3x3 points, and
+    the ``extra`` columns (name: values); the payload meta is ``meta``,
+    then the target and the coordinates."""
+    sig = cfg.solitons.signature
+    n = sig.n
     a1, a2 = cfg.grid.axis_values()
     table = {"rho": dressed.rho, "z": dressed.z}
     if cfg.grid.coords == "boyer-lindquist":
@@ -314,85 +288,48 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict, oracle: dict 
         table.update(res_constraint=dressed.residuals["symspace"], res_hodge1=hodge[0],
                      res_hodge2=hodge[1])
     table["singular"] = dressed.singular
-    ernst = None
-    if "ernst" in cfg.fields and n == 2:
-        ernst = targets.ernst_g11(dressed.q)
-        table.update(x=ernst.x, y=ernst.y)
-    elif "ernst" in cfg.fields:
-        ernst = targets.ernst_g21(dressed.q)
-        table.update(E_re=ernst.E.real, E_im=ernst.E.imag, Phi_re=ernst.Phi.real,
-                     Phi_im=ernst.Phi.imag)
-    table.update(oracle or {})
+    table.update(extra)
+    meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus}, "coords": cfg.grid.coords}
     _write_output(cfg.path, cfg.format, list(table), np.column_stack(list(table.values())),
                   meta)
-    return ernst
+
+
+def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: str,
+             ok: bool = True) -> int:
+    """Print the summary line, ``head`` and the largest gated residuals, and
+    return the exit code: the gate holds the membership residual over the
+    gated points to the constraint tolerance, a NaN failing it, and needs
+    the caller's own gate ``ok``. The chi audits are reported, not gated."""
+    keep = ~excluded.ravel()
+    worst = checks.constraint(dressed, keep)
+    reality, involution = (checks.worst([dressed.residuals[key][keep]])
+                           for key in ("chi_reality", "chi_involution"))
+    print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
+          f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
+          file=sys.stderr)
+    return EXIT_OK if ok and worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
 
 
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
     dressed, excluded = run_sweep(cfg)
-    sig = cfg.solitons.signature
-    _write_sweep(cfg, dressed, {"target": {"p": sig.p, "q": sig.q_minus},
-                                "coords": cfg.grid.coords})
-    worst = _max_constraint(dressed, excluded)
-    print(f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular); "
-          f"max gated constraint residual {worst:.3e}{_chi_summary(dressed, excluded)}"
-          f"{_vacuous(excluded)}", file=sys.stderr)
-    return EXIT_OK if worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
+    _write_sweep(cfg, dressed, {},
+                 checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
+    return _summary(cfg, dressed, excluded,
+                    f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular)")
 
 
-# ---------------------------------------------------------------------------
-# presets
-# ---------------------------------------------------------------------------
-
-def _run_preset(solitons: SolitonConfig, grid: GridSpec, path: str, fmt: str, meta: dict,
-                oracle: dict, error) -> int:
-    """Dress the closed-form family of ``meta`` (preset, m, [e,] s) on a
-    Boyer-Lindquist grid and write it with its oracle columns. The exit
-    gate holds error(ernst), the per-point relative error of the Ernst
-    values, to 1e-9 and the membership residual to the constraint
-    tolerance, both over the gated points; a NaN fails it."""
-    bl = targets.BLParams(m=meta["m"], s=meta["s"])
-    cfg = RunConfig(solitons=solitons, grid=replace(grid, bl=bl),
+def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str = "csv") -> int:
+    """Dress a closed-form family on a Boyer-Lindquist grid and write it with
+    its Ernst and oracle columns. The exit gate also holds the per-point
+    Ernst error over the gated points to 1e-9."""
+    found = family.sweep(*grid.axis_values())
+    cfg = RunConfig(solitons=found.solitons, grid=replace(grid, bl=family.chart()),
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
-    dressed, excluded = run_sweep(cfg)
-    ernst = _write_sweep(cfg, dressed, meta, oracle)
-    worst = float(np.max(error(ernst)[~excluded.ravel()], initial=0.0))
-    gate = _max_constraint(dressed, excluded)
-    label = " ".join([meta["preset"]] + [f"{k}={meta[k]}" for k in ("m", "e", "s") if k in meta])
-    print(f"{label}: max relative Ernst error {worst:.3e}; "
-          f"max gated constraint residual {gate:.3e}{_chi_summary(dressed, excluded)}"
-          f"{_vacuous(excluded)}", file=sys.stderr)
-    ok = worst <= 1e-9 and gate <= solitons.tolerances.constraint_tol
-    return EXIT_OK if ok else EXIT_GATE
-
-
-def run_preset_kerr(m: float, s: float, grid: GridSpec, path: str = "-",
-                    fmt: str = "csv") -> int:
-    """Dress the flat seed into the Kerr family and diff (x, y) against the
-    closed form by checks.kerr_error."""
-    ox, oy = checks.kerr_reference(m, s, *grid.axis_values())
-    meta = {"preset": "kerr", "m": m, "s": s, "spin": math.sqrt(m * m + s * s),
-            "target": {"p": 1, "q": 1}, "coords": "boyer-lindquist"}
-    return _run_preset(targets.kerr_config(m, s), grid, path, fmt, meta,
-                       {"oracle_x": ox, "oracle_y": oy},
-                       lambda e: checks.kerr_error(e, ox, oy))
-
-
-def run_preset_kn(m: float, e: float, s: float, grid: GridSpec, path: str = "-",
-                  fmt: str = "csv") -> int:
-    """Dress the flat (2,1) seed into the Kerr-Newman family of
-    kn_family_params and diff E and Phi against the closed form at spin
-    a = -sqrt(m^2 + s^2 + e^2)."""
-    solitons = targets.kn_config(m, e, s)
-    o_e, o_phi = checks.kn_reference(m, e, s, *grid.axis_values())
-    meta = {"preset": "kerr-newman", "m": m, "e": e, "s": s,
-            "oracle_a": targets.kn_family_params(targets.BLParams(m=m, s=s, e=e))["oracle_a"],
-            "target": {"p": 2, "q": 1}, "coords": "boyer-lindquist"}
-    oracle = {"oracle_E_re": o_e.real, "oracle_E_im": o_e.imag,
-              "oracle_Phi_re": o_phi.real, "oracle_Phi_im": o_phi.imag}
-    return _run_preset(solitons, grid, path, fmt, meta, oracle,
-                       lambda ernst: checks.kn_error(ernst, o_e, o_phi))
+    _write_sweep(cfg, found.dressed, family.meta(), found.columns)
+    worst = float(np.max(found.error[~found.excluded.ravel()], initial=0.0))
+    return _summary(cfg, found.dressed, found.excluded,
+                    f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +465,7 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     if lattice is not None and "detA_re" in idx and "detA_im" in idx:
         ids = lattice[2]
         det_a = _complex(data[ids, idx["detA_re"]], data[ids, idx["detA_im"]])
-        excluded[ids[_gate_exclusion(singular[ids], det_a, 1e-12)]] = True
+        excluded[ids[verification.gate_exclusion(singular[ids], det_a, 1e-12)]] = True
     # membership residuals of every stored finite q; maxima skip NaN
     rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
     resid = algebra.symspace_residual(q[rows], g)
@@ -591,16 +528,16 @@ def _spectral_gate(r: checks.Spectral) -> tuple[bool, str]:
                 f"{r.duality_fd:.2e}, flow ratio {r.flow_ratio:.3f}")
 
 
-def _kerr_gate(r: checks.KerrOracle) -> tuple[bool, str]:
-    constraint = max(r.quadratic, r.hermiticity, r.unit_det)
-    ok = r.error <= 1e-9 and constraint <= 1e-9
-    return ok, f"max oracle error {r.error:.2e}, max constraint {constraint:.2e}"
-
-
-def _kn_gate(sets: list[checks.KNOracle]) -> tuple[bool, str]:
-    error, singular = checks.worst([r.error for r in sets]), sum(r.singular for r in sets)
-    return (error <= 1e-9 and singular == 0,
-            f"max oracle error {error:.2e}, {singular} singular points")
+def _oracle_gate(bound: float):
+    """The gate of a family's oracle report: the Ernst error within
+    ``bound`` and the membership residual within 1e-9 at the non-singular
+    points, and no singular point, so that a sweep with nothing to compare
+    fails it."""
+    def gate(r: checks.OracleReport) -> tuple[bool, str]:
+        ok = r.error <= bound and r.constraint <= 1e-9 and r.singular == 0
+        return ok, (f"max oracle error {r.error:.2e}, max constraint {r.constraint:.2e}, "
+                    f"{r.singular} singular points")
+    return gate
 
 
 def _convergence_gate(r: checks.Convergence) -> tuple[bool, str]:
@@ -610,7 +547,8 @@ def _convergence_gate(r: checks.Convergence) -> tuple[bool, str]:
 
 
 #: (suite, check, gate): the gate turns the check's measurement into
-#: (passed, detail)
+#: (passed, detail). Every pass/fail threshold of the checks is here; the
+#: acceptance suite runs the same gates on checks of its own sizes.
 SELFTEST_SUITES = (
     ("algebra-involutions", lambda: checks.algebra_involutions(101, 20),
      lambda worst: (worst <= 1e-12, f"max residual {worst:.2e}")),
@@ -623,11 +561,12 @@ SELFTEST_SUITES = (
      lambda worst: (worst <= 1e-10, f"max |q - q'| {worst:.2e}")),
     ("chi-audits", lambda: checks.chi_audit(606, 20),
      lambda worst: (worst <= 1e-9, f"max audit residual {worst:.2e} over 20 points")),
-    ("kerr-oracle", lambda: checks.kerr_oracle(_KERR_SETS), _kerr_gate),
-    ("kn-oracle", lambda: checks.kn_oracle(_KN_SETS), _kn_gate),
+    ("kerr-oracle", lambda: checks.oracle_report(checks.Kerr, _KERR_SETS), _oracle_gate(1e-9)),
+    ("kn-oracle", lambda: checks.oracle_report(checks.KerrNewman, _KN_SETS),
+     _oracle_gate(1e-9)),
     ("convergence-order", lambda: checks.convergence(_KERR_BOX, 0.1), _convergence_gate),
-    ("flat-limit", lambda: checks.flat_limit(12),
-     lambda worst: (worst <= 1e-12, f"max |(x,y)-(1,0)| {worst:.2e}")),
+    ("flat-limit", lambda: checks.oracle_report(checks.Kerr, [(0.0, 1.0)], 12),
+     _oracle_gate(1e-12)),
 )
 
 
@@ -650,25 +589,17 @@ def run_selftest() -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_grid_args(sp) -> None:
-    sp.add_argument("--r-min", type=float, default=None)
-    sp.add_argument("--r-max", type=float, default=None)
-    sp.add_argument("--r-count", type=int, default=40)
-    sp.add_argument("--theta-min", type=float, default=math.pi / 8)
-    sp.add_argument("--theta-max", type=float, default=7 * math.pi / 8)
-    sp.add_argument("--theta-count", type=int, default=40)
-    sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def _grid_from_args(args, m: float) -> GridSpec:
-    """The preset grid from the command line, under the rules of a config's
-    Boyer-Lindquist grid."""
-    r_min = args.r_min if args.r_min is not None else m + 1.5
-    r_max = args.r_max if args.r_max is not None else m + 10.0
+    """The preset grid from the command line, checks.default_window(m) where
+    an option is not given, under the rules of a config's Boyer-Lindquist
+    grid."""
+    given = [[args.r_min, args.r_max, args.r_count],
+             [args.theta_min, args.theta_max, args.theta_count]]
+    r, theta = ([d if v is None else v for v, d in zip(g, w)]
+                for g, w in zip(given, checks.default_window(m)))
     problems: list[str] = []
-    axis1 = _axis_triple((r_min, r_max, args.r_count), "r", problems)
-    axis2 = _theta_axis((args.theta_min, args.theta_max, args.theta_count), problems)
+    axis1 = _axis_triple(r, "r", problems)
+    axis2 = _theta_axis(theta, problems)
     if problems:
         raise ConfigError("; ".join(problems))
     return GridSpec(coords="boyer-lindquist", axis1=axis1, axis2=axis2)
@@ -687,17 +618,20 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dress", help="run a sweep from a JSON config")
     sp.add_argument("-c", "--config", required=True)
 
-    sp = sub.add_parser("kerr", help="Kerr preset: dress the flat seed and diff the oracle")
-    sp.add_argument("--m", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    _add_grid_args(sp)
-
-    sp = sub.add_parser("kerr-newman",
-                        help="Kerr-Newman preset: dress the flat (2,1) seed and diff the oracle")
-    sp.add_argument("--m", type=float, required=True)
-    sp.add_argument("--e", type=float, required=True)
-    sp.add_argument("--s", type=float, required=True)
-    _add_grid_args(sp)
+    for family in (checks.Kerr, checks.KerrNewman):
+        sp = sub.add_parser(family.preset,
+                            help=f"{family.preset} preset: dress the flat seed and diff the oracle")
+        sp.set_defaults(family=family)
+        for field in dataclasses.fields(family):
+            sp.add_argument(f"--{field.name}", type=float, required=True)
+        sp.add_argument("--r-min", type=float)
+        sp.add_argument("--r-max", type=float)
+        sp.add_argument("--r-count", type=int)
+        sp.add_argument("--theta-min", type=float)
+        sp.add_argument("--theta-max", type=float)
+        sp.add_argument("--theta-count", type=int)
+        sp.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("verify", help="recompute residuals from a stored output file")
     sp.add_argument("file")
@@ -717,12 +651,9 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config, "rb") as fh:
                 text = fh.read()
             return run_dress(parse_config(text))
-        if args.command == "kerr":
-            return run_preset_kerr(args.m, args.s, _grid_from_args(args, args.m),
-                                   args.out, args.format)
-        if args.command == "kerr-newman":
-            return run_preset_kn(args.m, args.e, args.s, _grid_from_args(args, args.m),
-                                 args.out, args.format)
+        if hasattr(args, "family"):
+            family = args.family(*(getattr(args, f.name) for f in dataclasses.fields(args.family)))
+            return run_preset(family, _grid_from_args(args, family.m), args.out, args.format)
         if args.command == "verify":
             return verify_file(args.file, args.p, args.q, args.constraint_tol)
         if args.command == "selftest":

@@ -136,9 +136,9 @@ class _Failures:
 
 
 def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failures,
-                 at: np.ndarray, where) -> np.ndarray:
-    """A seed evaluation at the points ``at``, its non-finite matrices flagged
-    and replaced by I; SeedError unless each batch axis has its length in
+                 where) -> np.ndarray:
+    """A seed evaluation at every point, its non-finite matrices flagged and
+    replaced by I; SeedError unless each batch axis has its length in
     ``batch`` or 1 and n x n matrices follow."""
     a = np.asarray(value, dtype=complex)
     if a.shape[len(batch):] != (n, n) or any(k not in (1, b) for k, b in zip(a.shape, batch)):
@@ -147,7 +147,7 @@ def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failu
         return a
     bad = ~np.isfinite(a).all(axis=(-2, -1))
     fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
-               lambda j: SeedError(f"seed {what} is not finite at {where(at[j])}"), at)
+               lambda i: SeedError(f"seed {what} is not finite at {where(i)}"))
     return np.where(bad[..., None, None], np.eye(n), a)
 
 
@@ -156,8 +156,8 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     """Pole pairs and the row factors w_k = v_k* Psi0(lam_k)^{-1} of the paired
     vectors at every point (coordinates rho, z); returns the spectral data and q0,
     each with a batch axis of length 1 where the seed does not vary. Each
-    seed evaluator is called once, Psi0 at the points not flagged yet; a
-    Psi0 above the condition cap flags its point."""
+    seed evaluator is called once, at every point, flagged or not; a Psi0
+    above the condition cap flags its point."""
     n_sol, n = cfg.n_solitons, cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
@@ -171,7 +171,7 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
         f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}"))
     value = cfg.seed.q0(rho, z)
     notes = cfg.seed.notes() if isinstance(cfg.seed, _DressedSeed) else {}
-    q0 = _seed_values(value, (size,), n, "q0", fails, np.arange(size), lambda i: where(i) + (
+    q0 = _seed_values(value, (size,), n, "q0", fails, lambda i: where(i) + (
         f": the seed's dressing flagged it: {notes[i]}" if i in notes else ""))
     flip = np.diagonal(algebra.gamma(cfg.signature))
     own = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
@@ -183,18 +183,14 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
                          np.where(pair[:, None], own, partners))
     lambdas = np.concatenate([lam_in, lam_out], axis=-1)
     vs = np.concatenate([own, partners])
-    ok = np.flatnonzero(fails.ok)
-    psi0 = _seed_values(cfg.seed.psi0(lambdas[ok], rho[ok], z[ok]), (ok.size, 2 * n_sol), n,
-                        "Psi0", fails, ok, where)
+    psi0 = _seed_values(cfg.seed.psi0(lambdas, rho, z), (size, 2 * n_sol), n, "Psi0", fails,
+                        where)
     cap = cfg.tolerances.condition_cap
     psi0_inv, cond = algebra.checked_inv(psi0, cap)
     refused = ~(cond <= cap)
-    fails.flag(refused.any(axis=-1), lambda j: algebra.refusal(
-        cond[j % len(cond)][np.argmax(refused[j % len(cond)])], cap), ok)
+    fails.flag(refused.any(axis=-1), lambda i: algebra.refusal(
+        cond[i % len(cond)][np.argmax(refused[i % len(cond)])], cap))
     w = (vs.conj()[:, None, :] @ psi0_inv)[..., 0, :]
-    if len(w) not in (1, size):
-        w, at = np.zeros((size,) + w.shape[1:], dtype=complex), w
-        w[ok] = at
     return SpectralData(lambdas, w), q0
 
 

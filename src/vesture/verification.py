@@ -180,6 +180,12 @@ def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
     return mask
 
 
+def gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float) -> np.ndarray:
+    """Mask of lattice points excluded from exit gates: singular points and
+    the det A locus, widened by a 3-cell margin."""
+    return exclusion_mask(singular | locus_mask(det_a, singular_tol), margin=3)
+
+
 def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,
                          outer_root: bool = False) -> float:
     """Residual of the pole-flow identity d(lam_k) + omega(lam_k(x), x) = 0.

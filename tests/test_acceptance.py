@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 01-09 run the checks of vesture.checks, which selftest shares, with
-their own seeds and sizes; the gates below are this suite's own. The Kerr
-sweep feeds two criteria and is cached at module level.
+Criteria 01-09 run the checks of vesture.checks with their own seeds and
+sizes, and judge them by the gates of ``vesture selftest``, looked up in
+cli.SELFTEST_SUITES by suite name; a criterion adds only its own extras.
+The Kerr sweep feeds two criteria and is cached at module level.
 """
 import math
 import os
@@ -14,13 +15,14 @@ from functools import lru_cache
 import numpy as np
 
 import vesture
-from vesture import algebra, checks, dressing, seeds
-from vesture.dressing import SolitonConfig
+from vesture import algebra, checks, cli, dressing, seeds
+from vesture.dressing import SolitonConfig, Tolerances
 from vesture.spectral import DomainPoint
 from vesture.targets import SIG_11
 from test_dressing import kernels
 
 G2 = algebra.gamma(SIG_11)
+GATES = {name: gate for name, _, gate in cli.SELFTEST_SUITES}
 
 KERR_SETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3))
 KN_SETS = ((1.0, 0.5, 1.0), (1.0, 0.9, 0.5))
@@ -33,52 +35,31 @@ def _report(num: int, name: str, ok: bool, detail: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _kerr() -> checks.KerrOracle:
-    return checks.kerr_oracle(KERR_SETS)
-
-
-def kerr_gate(r: checks.KerrOracle) -> tuple[bool, str]:
-    ok = r.error <= 1e-9 and r.slowest <= 5.0 and r.singular == 0
-    return ok, (f"max rel err {r.error:.3e}, slowest sweep {r.slowest:.2f}s, "
-                f"{r.singular} singular points")
-
-
-def chi_gate(worst: float) -> tuple[bool, str]:
-    return worst <= 1e-9, f"max residue-form residual over 20 points = {worst:.3e}"
-
-
-def spectral_gate(r: checks.Spectral) -> tuple[bool, str]:
-    ok = (r.identity <= 1e-12 and r.product <= 1e-12 and r.duality_fd <= 1e-6
-          and 3.5 <= r.flow_ratio <= 4.5)
-    return ok, (f"max identity {r.identity:.3e}, max product defect {r.product:.3e}, "
-                f"duality (finite diff) {r.duality_fd:.3e}, flow ratio {r.flow_ratio:.3f}")
+def _kerr() -> checks.OracleReport:
+    return checks.oracle_report(checks.Kerr, KERR_SETS)
 
 
 def test_criterion_01_kerr_end_to_end():
-    assert _report(1, "kerr-end-to-end", *kerr_gate(_kerr()))
-
-
-def kn_gate(sets: list[checks.KNOracle]) -> tuple[bool, str]:
-    ok = checks.worst([r.error for r in sets]) <= 1e-9 and all(r.singular == 0 for r in sets)
-    return ok, "; ".join(f"(m={m},e={e},s={s}): {r.error:.3e}, {r.singular} singular points"
-                         for (m, e, s), r in zip(KN_SETS, sets))
+    r = _kerr()
+    ok, detail = GATES["kerr-oracle"](r)
+    assert _report(1, "kerr-end-to-end", ok and r.slowest <= 5.0,
+                   f"{detail}, slowest sweep {r.slowest:.2f}s")
 
 
 def test_criterion_02_kerr_newman_family():
-    assert _report(2, "kerr-newman-family", *kn_gate(checks.kn_oracle(KN_SETS)))
+    report = checks.oracle_report(checks.KerrNewman, KN_SETS)
+    assert _report(2, "kerr-newman-family", *GATES["kn-oracle"](report))
 
 
 def test_criterion_03_flat_limit():
-    worst = checks.flat_limit(40)
-    assert _report(3, "flat-limit", worst <= 1e-12, f"max |(x,y)-(1,0)| = {worst:.3e}")
+    report = checks.oracle_report(checks.Kerr, [(0.0, 1.0)], 40)
+    assert _report(3, "flat-limit", *GATES["flat-limit"](report))
 
 
 def test_criterion_04_constraint_suite():
-    r = _kerr()
-    worst = {"quadratic": r.quadratic, "hermiticity": r.hermiticity, "unit_det": r.unit_det}
-    ok = all(v <= 1e-9 for v in worst.values())
-    assert _report(4, "constraint-suite", ok,
-                   ", ".join(f"{k} {v:.3e}" for k, v in worst.items()))
+    worst = _kerr().constraint
+    assert _report(4, "constraint-suite", worst <= Tolerances().constraint_tol,
+                   f"max constraint residual {worst:.3e} at the non-singular points")
 
 
 def _bl_of_weyl(rho: float, z: float, m=1.0, s=1.0):
@@ -93,33 +74,28 @@ def test_criterion_05_pde_residual_convergence():
         for z in BOX[2:]:
             r, th = _bl_of_weyl(rho, z)
             assert 4.0 <= r <= 8.0 and math.pi / 3 <= th <= 2 * math.pi / 3
-    r = checks.convergence(BOX, 0.1)
-    ok = 3.5 <= r.curvature <= 4.5 and 3.5 <= r.divergence <= 4.5 and r.constant_exact
-    assert _report(5, "pde-residual-convergence", ok,
-                   f"ratios ({r.curvature:.3f}, {r.divergence:.3f}), "
-                   f"constant residuals exactly zero: {r.constant_exact}")
+    assert _report(5, "pde-residual-convergence",
+                   *GATES["convergence-order"](checks.convergence(BOX, 0.1)))
 
 
 def test_criterion_06_chi_symmetry_audit():
-    assert _report(6, "chi-symmetry-audit", *chi_gate(checks.chi_audit(606, 20)))
+    assert _report(6, "chi-symmetry-audit", *GATES["chi-audits"](checks.chi_audit(606, 20)))
 
 
 def test_criterion_07_spectral_identities():
-    assert _report(7, "spectral-identities", *spectral_gate(checks.spectral_identities(707, 100)))
+    assert _report(7, "spectral-identities",
+                   *GATES["spectral-identities"](checks.spectral_identities(707, 100)))
 
 
 def test_criterion_08_algebraic_test_bed():
-    matched, total = checks.su21_commutators()
-    brackets_ok = matched == total == 28
-    worst = checks.cartan_embedding(808, 50)
-    assert _report(8, "algebraic-test-bed", brackets_ok and worst <= 1e-12,
-                   f"28/28 brackets: {brackets_ok}, max embed deviation {worst:.3e}")
+    brackets, brackets_detail = GATES["su21-commutators"](checks.su21_commutators())
+    embedding, embedding_detail = GATES["cartan-embedding"](checks.cartan_embedding(808, 50))
+    assert _report(8, "algebraic-test-bed", brackets and embedding,
+                   f"{brackets_detail}, {embedding_detail}")
 
 
 def test_criterion_09_invariance_properties():
-    worst = checks.invariance(909, 10)
-    assert _report(9, "invariance-properties", worst <= 1e-10,
-                   f"max |q - q'| over 10 configs = {worst:.3e}")
+    assert _report(9, "invariance-properties", *GATES["invariance"](checks.invariance(909, 10)))
 
 
 def test_criterion_10_dominance_at_infinity():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import test_acceptance as acceptance
 from vesture import algebra, checks, cli, dressing, spectral, targets
+from vesture.dressing import Tolerances
 from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
@@ -219,7 +219,7 @@ def test_kerr_preset_rejects_bad_params(tmp_path):
 @pytest.mark.parametrize("m, s, bound", [(1.0, 1.0, 1e-14), (0.5, 2.0, 1e-14),
                                          (2.0, 0.3, 1e-12), (-1.0, 1.0, 1e-14)])
 def test_kerr_check_and_preset_share_one_error(tmp_path, m, s, bound):
-    # selftest's kerr-oracle check reads checks.kerr_error, x + iy as one
+    # selftest's kerr-oracle check reads checks.Kerr's error, x + iy as one
     # complex number, over the non-singular points of the preset's default
     # 40x40 grid: 1.3e-13 on (2, 0.3), where x and y each relative to
     # itself read 6.7e-12 next to the ergosurface. A negative mass dresses.
@@ -229,8 +229,9 @@ def test_kerr_check_and_preset_share_one_error(tmp_path, m, s, bound):
     col = {name: k for k, name in enumerate(lines[0].split(","))}
     rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
     ernst = targets.ErnstValue11(rows[:, col["x"]], rows[:, col["y"]])
-    error = checks.kerr_error(ernst, rows[:, col["oracle_x"]], rows[:, col["oracle_y"]])
-    check = checks.kerr_oracle([(m, s)])
+    oracle = targets.ErnstValue11(rows[:, col["oracle_x"]], rows[:, col["oracle_y"]])
+    error = checks.Kerr(m, s).error(ernst, oracle)
+    check = checks.oracle_report(checks.Kerr, [(m, s)])
     assert check.singular == 0 and not rows[:, col["singular"]].any()
     assert check.error == error.max() <= bound
 
@@ -289,8 +290,9 @@ def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
 def test_presets_leave_the_grid_unchanged(tmp_path):
     grid = cli.GridSpec(coords="boyer-lindquist", axis1=(2.5, 6.0, 3), axis2=(0.5, 2.5, 3))
     before = repr(grid)
-    assert cli.run_preset_kerr(1.0, 1.0, grid, str(tmp_path / "k.csv")) == cli.EXIT_OK
-    assert cli.run_preset_kn(1.0, 0.5, 1.0, grid, str(tmp_path / "kn.csv")) == cli.EXIT_OK
+    assert cli.run_preset(checks.Kerr(1.0, 1.0), grid, str(tmp_path / "k.csv")) == cli.EXIT_OK
+    assert cli.run_preset(checks.KerrNewman(1.0, 0.5, 1.0), grid,
+                          str(tmp_path / "kn.csv")) == cli.EXIT_OK
     assert repr(grid) == before and grid.bl is None
 
 def test_kerr_preset_extracts_each_ernst_value_once(tmp_path, monkeypatch):
@@ -440,41 +442,43 @@ def _nan_at_first_point(ernst):
         return dataclasses.replace(e, x=x)
     return faulty
 
-# each fault, injected into the library, must fail the shared check under
-# both the selftest gate and the acceptance gate: (id, suite, module, name,
-# fault, acceptance gate)
+def _flag_every_point(config):
+    """A configuration whose singular threshold flags every point."""
+    def flagged(*params):
+        return dataclasses.replace(config(*params), tolerances=Tolerances(singular_tol=1e300))
+    return flagged
+
+# each fault, injected into the library, must fail the suite's gate, which
+# selftest and the acceptance suite share: (id, suite, module, name, fault)
 FAULTS = [
     # flip the sign of the second rational coefficient
     ("spectral-identities", "spectral-identities", spectral, "ab",
-     lambda ab: lambda lam, x: (ab(lam, x)[0], -ab(lam, x)[1]), acceptance.spectral_gate),
+     lambda ab: lambda lam, x: (ab(lam, x)[0], -ab(lam, x)[1])),
     # sigma loses its sign flip
-    ("chi-audits", "chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m,
-     acceptance.chi_gate),
+    ("chi-audits", "chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m),
     # move the Kerr vector's first component off the Kerr family
     ("kerr-oracle", "kerr-oracle", targets, "kerr_params",
-     lambda params: lambda m, s: (params(m, s)[0] * (1 + 1e-6), *params(m, s)[1:]),
-     acceptance.kerr_gate),
+     lambda params: lambda m, s: (params(m, s)[0] * (1 + 1e-6), *params(m, s)[1:])),
     # a NaN Ernst value at a regular point
-    ("kerr-oracle-nan", "kerr-oracle", targets, "ernst_g11", _nan_at_first_point,
-     acceptance.kerr_gate),
+    ("kerr-oracle-nan", "kerr-oracle", targets, "ernst_g11", _nan_at_first_point),
     # move the Kerr-Newman vector's first component off the family
     ("kn-oracle", "kn-oracle", targets, "kn_config",
      lambda config: lambda m, e, s: dataclasses.replace(
-         config(m, e, s), vectors=(config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],)),
-     acceptance.kn_gate),
+         config(m, e, s), vectors=(config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],))),
+    # every point singular: an oracle with nothing to compare passes no gate
+    ("kerr-oracle-singular", "kerr-oracle", targets, "kerr_config", _flag_every_point),
+    ("kn-oracle-singular", "kn-oracle", targets, "kn_config", _flag_every_point),
+    ("flat-limit-singular", "flat-limit", targets, "kerr_config", _flag_every_point),
 ]
 
-@pytest.mark.parametrize("suite, module, name, fault, acceptance_gate",
-                         [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
-def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault,
-                                         acceptance_gate):
+@pytest.mark.parametrize("suite, module, name, fault", [f[1:] for f in FAULTS],
+                         ids=[f[0] for f in FAULTS])
+def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault):
     check, gate = next((c, g) for n, c, g in cli.SELFTEST_SUITES if n == suite)
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
-    broken = check()
-    assert not gate(broken)[0] and not acceptance_gate(broken)[0]
+    assert not gate(check())[0]
     monkeypatch.undo()
-    healthy = check()
-    assert gate(healthy)[0] and acceptance_gate(healthy)[0]
+    assert gate(check())[0]
 
 @pytest.mark.parametrize("content, message", [
     ("", "empty file"),

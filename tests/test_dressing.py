@@ -11,7 +11,7 @@ from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig, Tolerances
 from vesture.errors import ConfigError, NumericError, SingularPointError
 from vesture.spectral import DomainPoint
-from vesture.cli import _gate_exclusion
+from vesture.verification import gate_exclusion
 from test_equivalence import KERR_RING, SU21, TIGHT, coords
 
 SIG11 = Signature(1, 1)
@@ -449,8 +449,8 @@ def test_per_point_seed_dresses_like_the_constant_seed():
         SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rho, z)
     varying = dressing.dress(SolitonConfig(SIG11, poles, vectors, per_point), rho, z)
     # the branch points of both poles lie on the grid; Psi0 is called once,
-    # at the other points
-    assert const.singular.sum() == 2 and calls == [(10, 4)]
+    # at every point
+    assert const.singular.sum() == 2 and calls == [(12, 4)]
     assert (const.singular.tolist(), const.notes) == (varying.singular.tolist(), varying.notes)
     for i in np.flatnonzero(const.has_q):
         a, b = const.q[i], varying.q[i]
@@ -521,8 +521,8 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
     assert once.notes[247].startswith("branch point of varpi0=(0.4+1.2j)")
     assert twice.notes[247].startswith("seed q0 is not finite at DomainPoint(rho=1.2")
     assert twice.notes[247].endswith(": the seed's dressing flagged it: " + once.notes[247])
-    gated = ~_gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape),
-                             Tolerances().singular_tol).ravel()
+    gated = ~gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape),
+                            Tolerances().singular_tol).ravel()
     assert gated.sum() > 100
     rel = (np.linalg.norm(once.q - twice.q, axis=(-2, -1))
            / np.linalg.norm(once.q, axis=(-2, -1)))[gated]
@@ -534,13 +534,11 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_dressing_the_kth_iterated_seed_runs_the_pipeline_k_times(monkeypatch, k):
-    # one soliton per level on a box with no flagged point: q0 and Psi0 of
-    # each dressed seed share one dressing of its points
+    # one soliton per level: q0 and Psi0 of each dressed seed share one
+    # dressing of its points, on a box with no flagged point and on one that
+    # holds (1.2, 0.4), the branch point of the first level's pole
     poles = (0.4 + 1.2j, -0.7 + 0.8j, 0.2 + 1.6j, -0.3 + 0.5j)
     vectors = [np.array(v) for v in ([1.2, 0.4], [0.3, 1.0 + 0.2j], [1.0, 0.2j], [0.5, 1.3])]
-    seed = seeds.identity_seed(SIG11)
-    for j in range(k - 1):
-        seed = dressing.dressed_seed(SolitonConfig(SIG11, poles[j:j + 1], vectors[j:j + 1], seed))
     runs, run = [], dressing._dress
 
     def counted(*args):
@@ -548,9 +546,16 @@ def test_dressing_the_kth_iterated_seed_runs_the_pipeline_k_times(monkeypatch, k
         return run(*args)
 
     monkeypatch.setattr(dressing, "_dress", counted)
-    rho, z = np.meshgrid(np.linspace(2.0, 3.0, 5), np.linspace(-0.5, 0.5, 5), indexing="ij")
-    out = dressing.dress(SolitonConfig(SIG11, poles[k - 1:k], vectors[k - 1:k], seed), rho, z)
-    assert not out.singular.any() and len(runs) == k
+    for (rho, z), flagged in ((np.meshgrid(np.linspace(2.0, 3.0, 5), np.linspace(-0.5, 0.5, 5),
+                                           indexing="ij"), 0),
+                              (np.meshgrid([1.0, 1.2, 1.4], [0.2, 0.4, 0.6], indexing="ij"), 1)):
+        seed = seeds.identity_seed(SIG11)
+        for j in range(k - 1):
+            seed = dressing.dressed_seed(
+                SolitonConfig(SIG11, poles[j:j + 1], vectors[j:j + 1], seed))
+        runs.clear()
+        out = dressing.dress(SolitonConfig(SIG11, poles[k - 1:k], vectors[k - 1:k], seed), rho, z)
+        assert out.singular.sum() == flagged and len(runs) == k
 
 
 @pytest.mark.parametrize("sig, v1, v2", ITERATED, ids=["g11", "g21"])
@@ -589,6 +594,27 @@ def _factors(cfg, rho, z):
     return grid, u[keep], w if len(w) == 1 else w[keep], lambdas[keep], keep
 
 
+def _explicit_audit(u, w, lambdas, q, q_raw, q0, g, rho):
+    """_audit's reality and involution residuals, formed on the n x n
+    residues R_k = u_k w_k: chi(conj lam_k)^* sigma(R_k) and R_k -
+    (lam_k^2/rho^2) q sigma(R_k') sigma(q0), each over 1 + ||R_k||_F, and
+    I - q sigma(q_raw) at infinity."""
+    n, half = len(g), lambdas.shape[-1] // 2
+    res = u[..., :, None] * w[..., None, :]
+    size = 1.0 + algebra.frobenius(res)
+    gap = lambdas[:, :, None] - lambdas.conj()[:, None, :]
+    chi_conj = np.eye(n) + np.einsum("pkj,pjab->pkab", 1 / gap, res.conj().swapaxes(-1, -2))
+    reality = algebra.frobenius(chi_conj @ algebra.sigma(res, g)) / size
+    partner = (np.arange(2 * half) + half) % (2 * half)
+    weight = lambdas * lambdas / (rho * rho)[:, None]
+    involution = algebra.frobenius(res - weight[..., None, None] * (
+        q[:, None] @ algebra.sigma(res[:, partner], g) @ algebra.sigma(q0, g)[:, None])) / size
+    inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
+    involution = np.where(inner, involution[:, :half], involution[:, half:]).max(axis=-1)
+    infinity = algebra.frobenius(np.eye(n) - q @ algebra.sigma(q_raw, g))
+    return reality.max(axis=-1), np.maximum(infinity, involution)
+
+
 @pytest.mark.parametrize("problem", AUDITED, ids=["kerr-ring", "su21", "iterated"])
 def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     # F(s) = chi(conj s)^* sigma(chi(s)) - I and G(s) = chi(s) - q sigma(chi(-rho^2/s))
@@ -618,10 +644,14 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     mix = np.eye(2 * half) + 1e-2 * np.random.default_rng(7).normal(
         size=(2 * half, 2 * half, 2)).view(complex)[..., 0]
     mixed = (lambdas[..., None] * (np.linalg.inv(mix).T @ (u / lambdas[..., None])), mix @ w)
-    for fu, fw in ((u, w), mixed):
+    for perturbed, (fu, fw) in enumerate(((u, w), mixed)):
         # chi(0) q0, the q before normalisation of these factors
         q_raw = dressing._chi(np.zeros((len(q), 1)), fu, fw, lambdas)[0][:, 0] @ q0
         reality, involution = dressing._audit(fu, fw, lambdas, q, q_raw, q0, g, rho)
+        if perturbed:  # residuals far above rounding: each is its residue formula
+            np.testing.assert_allclose(
+                (reality, involution),
+                _explicit_audit(fu, fw, lambdas, q, q_raw, q0, g, rho), rtol=1e-10)
         chi = dressing._chi(samples, fu, fw, lambdas)[0]
         chi_conj = dressing._chi(samples.conj(), fu, fw, lambdas)[0]
         chi_deck = dressing._chi(-(rho * rho)[:, None] / samples, fu, fw, lambdas)[0]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, targets
 from vesture.algebra import Signature
-from vesture.cli import _gate_exclusion
+from vesture.verification import gate_exclusion
 from vesture.dressing import SolitonConfig, Tolerances
 from vesture.spectral import DomainPoint
 
@@ -64,7 +64,7 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
     old = [p for row in reference.dress_grid(cfg, rows, audit_chi=audit_chi) for p in row]
     singular = np.array([p.singular for p in old]).reshape(rho.shape)
     det_a = np.array([p.det_a for p in old]).reshape(rho.shape)
-    band = _gate_exclusion(singular, det_a, cfg.tolerances.singular_tol)
+    band = gate_exclusion(singular, det_a, cfg.tolerances.singular_tol)
     for k, (o, skip) in enumerate(zip(old, band.ravel())):
         assert (new.rho[k], new.z[k]) == (o.x.rho, o.x.z)
         # the reference inverts chi(conj lam) at its samples and refuses one
