@@ -35,7 +35,6 @@ from .targets import (
     commutation_check,
     ernst_g11,
     ernst_g21,
-    g21_soliton_family,
     kerr_config,
     kerr_oracle,
     kerr_params,

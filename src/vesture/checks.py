@@ -76,13 +76,22 @@ def ernst_columns(e: targets.ErnstValue11 | targets.ErnstValue21) -> dict[str, n
     return {"E_re": e.E.real, "E_im": e.E.imag, "Phi_re": e.Phi.real, "Phi_im": e.Phi.imag}
 
 
-def dress_lattice(cfg: SolitonConfig, x: DomainPoint) -> tuple[DressedGrid, np.ndarray]:
-    """Dress the lattice of Weyl coordinates x, two 2-D arrays, in row-major
-    order; returns the dressed arrays and the gate-exclusion mask over the
-    lattice."""
-    dressed = dressing.dress(cfg, x.rho, x.z)
-    excluded = verification.gate_exclusion(dressed.singular.reshape(x.rho.shape),
-                                           dressed.det_a.reshape(x.rho.shape),
+def lattice(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """The points of the row-major lattice of two axes as one (2, len(a1),
+    len(a2)) array: the a1 value of each point, then its a2 value."""
+    out = np.empty((2, len(a1), len(a2)))
+    out[0], out[1] = a1[:, None], a2
+    return out
+
+
+def dress_lattice(cfg: SolitonConfig, rho: np.ndarray,
+                  z: np.ndarray) -> tuple[DressedGrid, np.ndarray]:
+    """Dress the lattice of Weyl coordinates (rho, z), two 2-D arrays, in
+    row-major order; returns the dressed arrays and the gate-exclusion mask
+    over the lattice."""
+    dressed = dressing.dress(cfg, rho, z)
+    excluded = verification.gate_exclusion(dressed.singular.reshape(rho.shape),
+                                           dressed.det_a.reshape(rho.shape),
                                            cfg.tolerances.singular_tol)
     return dressed, excluded
 
@@ -270,6 +279,7 @@ class FamilySweep(NamedTuple):
     solitons: SolitonConfig
     dressed: DressedGrid
     excluded: np.ndarray  # the gate-exclusion mask over the (r, theta) lattice
+    points: dict[str, np.ndarray]  # the r and theta of each point
     columns: dict[str, np.ndarray]  # the dressed Ernst potentials and the closed form
     error: np.ndarray  # per-point relative error of the dressed potentials
 
@@ -296,13 +306,14 @@ class Family:
     def sweep(self, r: np.ndarray, theta: np.ndarray) -> FamilySweep:
         """Dress the family on the row-major (r, theta) lattice of two axes."""
         cfg = self.config()
-        x = targets.bl_to_weyl(r[:, None], theta[None, :], self.chart())
-        dressed, excluded = dress_lattice(cfg, x)
-        r_at, theta_at = np.meshgrid(r, theta, indexing="ij")
-        found, oracle = ernst(dressed.q), self.oracle(r_at.ravel(), theta_at.ravel())
+        dressed, excluded = dress_lattice(
+            cfg, *targets.bl_chart(r[:, None], theta[None, :], self.chart()))
+        r_at, theta_at = lattice(r, theta).reshape(2, -1)
+        found, oracle = ernst(dressed.q), self.oracle(r_at, theta_at)
         columns = {**ernst_columns(found),
                    **{"oracle_" + key: v for key, v in ernst_columns(oracle).items()}}
-        return FamilySweep(cfg, dressed, excluded, columns, self.error(found, oracle))
+        return FamilySweep(cfg, dressed, excluded, {"r": r_at, "theta": theta_at}, columns,
+                           self.error(found, oracle))
 
 
 @dataclass(frozen=True)

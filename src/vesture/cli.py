@@ -15,15 +15,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import algebra, checks, seeds, targets, verification
 from .algebra import Signature
 from .dressing import DressedGrid, SolitonConfig, Tolerances
-from .errors import ConfigError, NumericError, VestureError
-from .spectral import DomainPoint
+from .errors import ConfigError, DomainError, NumericError, VestureError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -46,12 +45,12 @@ class GridSpec:
         a2 = np.linspace(self.axis2[0], self.axis2[1], self.axis2[2])
         return a1, a2
 
-    def coordinates(self) -> DomainPoint:
-        """The Weyl coordinates of the grid points, as (axis1, axis2) arrays."""
-        a1, a2 = self.axis_values()
+    def weyl(self, a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Weyl coordinates (rho, z) of the lattice of the axis values a1
+        and a2, as two 2-D arrays."""
         if self.coords == "weyl":
-            return DomainPoint(*np.meshgrid(a1, a2, indexing="ij"))
-        return targets.bl_to_weyl(a1[:, None], a2[None, :], self.bl)
+            return tuple(checks.lattice(a1, a2))
+        return targets.bl_chart(a1[:, None], a2[None, :], self.bl)
 
 
 @dataclass
@@ -168,7 +167,7 @@ def parse_config(text: bytes | str) -> RunConfig:
                       for c in (v_raw if isinstance(v_raw, list) else [])], dtype=complex)
         if v.size != sig.n:
             problems.append(f"solitons[{k}].v has length {v.size}, expected {sig.n}")
-        elif not np.any(v != 0):
+        elif not algebra.any_of(v != 0):
             problems.append(f"solitons[{k}].v is the zero vector")
         poles.append(w)
         vectors.append(v)
@@ -259,39 +258,43 @@ def _vacuous(excluded: np.ndarray) -> str:
 def run_sweep(cfg: RunConfig) -> tuple[DressedGrid, np.ndarray]:
     """Dress the configured grid in row-major order; returns the dressed
     arrays and the gate-exclusion mask over the grid."""
-    return checks.dress_lattice(cfg.solitons, cfg.grid.coordinates())
+    return checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
 
 
-def _write_sweep(cfg: RunConfig, dressed: DressedGrid, meta: dict,
+def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
+                 points: dict[str, np.ndarray], meta: dict,
                  extra: dict[str, np.ndarray]) -> None:
-    """Write one row per dressed point: the requested fields but ernst,
-    finite-difference residuals on Weyl grids of at least 3x3 points, and
-    the ``extra`` columns (name: values); the payload meta is ``meta``,
-    then the target and the coordinates."""
+    """Write one row per dressed point of the lattice of ``axes``: the
+    coordinates, the ``points`` columns (name: values), the requested fields
+    but ernst, finite-difference residuals on Weyl grids of at least 3x3
+    points, and the ``extra`` columns; the payload meta is ``meta``, then the
+    target and the coordinates. The rows are one array, a column each."""
     sig = cfg.solitons.signature
-    n = sig.n
-    a1, a2 = cfg.grid.axis_values()
-    table = {"rho": dressed.rho, "z": dressed.z}
-    if cfg.grid.coords == "boyer-lindquist":
-        table.update(r=np.repeat(a1, len(a2)), theta=np.tile(a2, len(a1)))
+    n, size = sig.n, len(dressed.q)
+    names, cols = ["rho", "z", *points], [dressed.rho, dressed.z, *points.values()]
     if "q" in cfg.fields:
-        names = [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
-                 for part in ("re", "im")]
-        table.update(zip(names, dressed.q.reshape(len(dressed.q), -1).view(float).T))
+        names += [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
+                  for part in ("re", "im")]
+        cols += list(dressed.q.reshape(size, -1).view(float).T)
     if "detA" in cfg.fields:
-        table.update(detA_re=dressed.det_a.real, detA_im=dressed.det_a.imag)
+        names += ["detA_re", "detA_im"]
+        cols += [dressed.det_a.real, dressed.det_a.imag]
     if "residuals" in cfg.fields:
-        hodge = np.full((2, len(a1) * len(a2)), math.nan)
+        a1, a2 = axes
+        hodge = np.full((2, size), math.nan)
         if cfg.grid.coords == "weyl" and len(a1) >= 3 and len(a2) >= 3:
             field = verification.FieldGrid.from_results(a1, a2, dressed)
             hodge = np.reshape(verification.hodge_residual(field), hodge.shape)
-        table.update(res_constraint=dressed.residuals["symspace"], res_hodge1=hodge[0],
-                     res_hodge2=hodge[1])
-    table["singular"] = dressed.singular
-    table.update(extra)
+        names += ["res_constraint", "res_hodge1", "res_hodge2"]
+        cols += [dressed.residuals["symspace"], *hodge]
+    names += ["singular", *extra]
+    cols += [dressed.singular, *extra.values()]
     meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus}, "coords": cfg.grid.coords}
-    _write_output(cfg.path, cfg.format, list(table), np.column_stack(list(table.values())),
-                  meta)
+    _write_output(cfg.path, cfg.format, names, np.array(cols).T, meta)
+
+
+#: the residuals the summary reports: the constraint components, then the chi audits
+_SUMMARY_RESIDUALS = ("quadratic", "hermiticity", "unit_det", "chi_reality", "chi_involution")
 
 
 def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: str,
@@ -299,11 +302,11 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
     """Print the summary line, ``head`` and the largest gated residuals, and
     return the exit code: the gate holds the membership residual over the
     gated points to the constraint tolerance, a NaN failing it, and needs
-    the caller's own gate ``ok``. The chi audits are reported, not gated."""
-    keep = ~excluded.ravel()
-    worst = checks.constraint(dressed, keep)
-    reality, involution = (checks.worst([dressed.residuals[key][keep]])
-                           for key in ("chi_reality", "chi_involution"))
+    the caller's own gate ``ok``. The chi audits are reported, not gated.
+    The maxima are one reduction over the gated columns; a NaN propagates."""
+    gated = np.array([dressed.residuals[key] for key in _SUMMARY_RESIDUALS])[:, ~excluded.ravel()]
+    peaks = np.max(gated, axis=1, initial=0.0)
+    worst, reality, involution = float(np.max(peaks[:3])), float(peaks[3]), float(peaks[4])
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
           f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
           file=sys.stderr)
@@ -312,8 +315,12 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
 
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
-    dressed, excluded = run_sweep(cfg)
-    _write_sweep(cfg, dressed, {},
+    axes = cfg.grid.axis_values()
+    dressed, excluded = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*axes))
+    points = {}
+    if cfg.grid.coords == "boyer-lindquist":
+        points = dict(zip(("r", "theta"), checks.lattice(*axes).reshape(2, -1)))
+    _write_sweep(cfg, dressed, axes, points, {},
                  checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
     return _summary(cfg, dressed, excluded,
                     f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular)")
@@ -323,10 +330,11 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     """Dress a closed-form family on a Boyer-Lindquist grid and write it with
     its Ernst and oracle columns. The exit gate also holds the per-point
     Ernst error over the gated points to 1e-9."""
-    found = family.sweep(*grid.axis_values())
-    cfg = RunConfig(solitons=found.solitons, grid=replace(grid, bl=family.chart()),
+    axes = grid.axis_values()
+    found = family.sweep(*axes)
+    cfg = RunConfig(solitons=found.solitons, grid=grid,
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
-    _write_sweep(cfg, found.dressed, family.meta(), found.columns)
+    _write_sweep(cfg, found.dressed, axes, found.points, family.meta(), found.columns)
     worst = float(np.max(found.error[~found.excluded.ravel()], initial=0.0))
     return _summary(cfg, found.dressed, found.excluded,
                     f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
@@ -658,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
             return verify_file(args.file, args.p, args.q, args.constraint_tol)
         if args.command == "selftest":
             return run_selftest()
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

@@ -73,7 +73,7 @@ class SolitonConfig:
             v = np.asarray(v, dtype=complex).reshape(-1)
             if v.size != self.signature.n:
                 problems.append(f"vector {k} has length {v.size}, expected {self.signature.n}")
-            elif not np.any(v != 0):
+            elif not algebra.any_of(v != 0):
                 problems.append(f"vector {k} is zero")
             v.setflags(write=False)
             vecs.append(v)
@@ -125,10 +125,13 @@ class _Failures:
         self.error: list[Exception | None] = [None] * size
 
     def flag(self, bad, make, at=None) -> None:
-        """Record make(j) for every j with bad[j] whose point (at[j], or j)
-        has not failed yet."""
-        if not bad.any():
+        """Record make(j) for every j with bad[j] (any of bad[j], when it is
+        an array) whose point (at[j], or j) has not failed yet; a bad of
+        length 1 stands for every point."""
+        if not algebra.any_of(bad):
             return
+        if bad.ndim > 1:
+            bad = bad.reshape(len(bad), -1).any(axis=-1)
         for j in np.flatnonzero(bad & (self.ok if at is None else self.ok[at])):
             i = j if at is None else at[j]
             self.ok[i] = False
@@ -141,14 +144,15 @@ def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failu
     replaced by I; SeedError unless each batch axis has its length in
     ``batch`` or 1 and n x n matrices follow."""
     a = np.asarray(value, dtype=complex)
-    if a.shape[len(batch):] != (n, n) or any(k not in (1, b) for k, b in zip(a.shape, batch)):
+    if a.shape[len(batch):] != (n, n) or [k for k, b in zip(a.shape, batch) if k not in (1, b)]:
         raise SeedError(f"seed {what} evaluation has shape {a.shape} for a batch of {batch}")
-    if np.isfinite(a).all():
+    finite = np.isfinite(a)
+    if algebra.all_of(finite):
         return a
-    bad = ~np.isfinite(a).all(axis=(-2, -1))
+    bad = ~finite.all(axis=(-2, -1))
     fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
                lambda i: SeedError(f"seed {what} is not finite at {where(i)}"))
-    return np.where(bad[..., None, None], np.eye(n), a)
+    return np.where(bad[..., None, None], algebra.identity(n), a)
 
 
 def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
@@ -158,7 +162,7 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     each with a batch axis of length 1 where the seed does not vary. Each
     seed evaluator is called once, at every point, flagged or not; a Psi0
     above the condition cap flags its point."""
-    n_sol, n = cfg.n_solitons, cfg.signature.n
+    n_sol, n = len(cfg.poles), cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
     size = len(rho)
@@ -167,15 +171,14 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
         return f"DomainPoint(rho={float(rho[i])!r}, z={float(z[i])!r})"
 
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
-    fails.flag(branch.any(axis=-1), lambda i: SingularPointError(
+    fails.flag(branch, lambda i: SingularPointError(
         f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}"))
     value = cfg.seed.q0(rho, z)
     notes = cfg.seed.notes() if isinstance(cfg.seed, _DressedSeed) else {}
     q0 = _seed_values(value, (size,), n, "q0", fails, lambda i: where(i) + (
         f": the seed's dressing flagged it: {notes[i]}" if i in notes else ""))
-    flip = np.diagonal(algebra.gamma(cfg.signature))
     own = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
-    partners = (own * flip) @ algebra.as_matrix(cfg.seed.deck, n).T
+    partners = (own * algebra.gamma(cfg.signature).diagonal()) @ cfg.seed.deck.T
     if swap is not None:
         pair = np.asarray(swap, dtype=bool)
         lam_in, lam_out = np.where(pair, lam_out, lam_in), np.where(pair, lam_in, lam_out)
@@ -188,9 +191,9 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     cap = cfg.tolerances.condition_cap
     psi0_inv, cond = algebra.checked_inv(psi0, cap)
     refused = ~(cond <= cap)
-    fails.flag(refused.any(axis=-1), lambda i: algebra.refusal(
+    fails.flag(refused, lambda i: algebra.refusal(
         cond[i % len(cond)][np.argmax(refused[i % len(cond)])], cap))
-    w = (vs.conj()[:, None, :] @ psi0_inv)[..., 0, :]
+    w = (np.conjugate(vs)[:, None, :] @ psi0_inv)[..., 0, :]
     return SpectralData(lambdas, w), q0
 
 
@@ -203,13 +206,13 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     (lam_k - conj lam_j): one product (w gamma) w^*; and b_k* = -w_k gamma.
     """
     lambdas, m = sd.lambdas, sd.lambdas.shape[-1]
-    wg = sd.w * np.diagonal(gamma_mat)
-    num = wg @ sd.w.conj().swapaxes(-1, -2)
-    denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
+    wg = sd.w * gamma_mat.diagonal()
+    num = wg @ np.conjugate(sd.w).swapaxes(-1, -2)
+    denom = lambdas[..., :, None] - np.conjugate(lambdas)[..., None, :]
     size = np.abs(lambdas)
     scale = np.maximum(1.0, np.maximum(size[..., :, None], size[..., None, :]))
     coincident = np.abs(denom) < 1e-13 * scale
-    fails.flag(coincident.any(axis=(-2, -1)), lambda i: SingularPointError(
+    fails.flag(coincident, lambda i: SingularPointError(
         "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
             *divmod(int(np.argmax(coincident[i])), m))))
     a = num / np.where(coincident, 1.0, denom)
@@ -240,7 +243,7 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
     with np.errstate(over="ignore", invalid="ignore"):
         size = 10.0 * algebra.frobenius(a) ** m
         clear = (size < np.inf) & (size <= cap * np.abs(det))
-    unsure = np.flatnonzero(fails.ok & ~clear)
+    unsure = (fails.ok & ~clear).nonzero()[0]
     if unsure.size:
         cond = algebra.checked_inv(a[unsure], cap)[1]
         fails.flag(~(cond <= cap), lambda j: NumericError(
@@ -259,9 +262,10 @@ def _reconstruct(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q0: np.ndarr
     """q = q0 - sum_k (1/lam_k) u_k w_k q0 at every point, one product: the
     rows u_k / lam_k, transposed, times the rows w_k q0."""
     zero = lambdas == 0
-    if np.any(zero & fails.ok[:, None]):
+    if algebra.any_of(zero & fails.ok[:, None]):
         raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
-    return q0 - (u / np.where(zero, 1.0, lambdas)[..., None]).swapaxes(-1, -2) @ (w @ q0)
+    return q0 - algebra.shared_mul((u / np.where(zero, 1.0, lambdas)[..., None]).swapaxes(-1, -2),
+                                   w @ q0)
 
 
 def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +276,7 @@ def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray,
     fails.flag(zero, lambda i: SingularPointError("determinant vanishes; cannot normalize"))
     d = np.where(zero, 1.0, d)
     real = (np.abs(d.imag) <= tol * np.abs(d)) & (d.real > 0)
-    scale = d.real ** (-1.0 / n) if real.all() else np.where(
+    scale = d.real ** (-1.0 / n) if algebra.all_of(real) else np.where(
         real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))
     return q * scale[..., None, None], ~real
 
@@ -288,7 +292,7 @@ def _chi(lam: np.ndarray, u: np.ndarray, w: np.ndarray,
     at_pole = np.abs(gap) < 1e-13 * limit
     weights = 1.0 / (np.where(at_pole, 1.0, gap) if at_pole.any() else gap)
     terms = (u.swapaxes(-1, -2)[:, None] * weights[..., None, :]) @ w[:, None]
-    return np.eye(u.shape[-1], dtype=complex) + terms, at_pole
+    return algebra.identity(u.shape[-1]) + terms, at_pole
 
 
 def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_raw: np.ndarray,
@@ -315,14 +319,16 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     1 + ||u_k|| ||w_k||; a residual is the largest term at a point.
     """
     half, m, n = lambdas.shape[-1] // 2, lambdas.shape[-1], u.shape[-1]
-    flip = np.diagonal(gamma_mat).real
+    flip = gamma_mat.diagonal().real
     w_len = algebra.frobenius(w[..., None])  # the lengths of vectors, as n x 1 matrices
     size = 1.0 + algebra.frobenius(u[..., None]) * w_len
     ug = u * flip
-    denom = lambdas[..., :, None] - lambdas.conj()[..., None, :]
-    gram = (ug @ u.conj().swapaxes(-1, -2)) / denom
-    reality = algebra.frobenius((ug + gram @ w.conj())[..., None]) * w_len / size
-    infinity = algebra.frobenius(np.eye(n) - algebra.mul(q, algebra.sigma(q_raw, gamma_mat)))
+    denom = lambdas[..., :, None] - np.conjugate(lambdas)[..., None, :]
+    gram = (ug @ np.conjugate(u).swapaxes(-1, -2)) / denom
+    column = ug + algebra.shared_mul(gram, np.conjugate(w))  # chi(conj lam_k)^* gamma u_k
+    reality = algebra.frobenius(column[..., None]) * w_len / size
+    infinity = algebra.frobenius(algebra.identity(n)
+                                 - algebra.mul(q, algebra.sigma(q_raw, gamma_mat)))
     partner = np.arange(m) - half  # k + N or k - N, as an index from either end
     mates = u[:, partner] @ (q * flip).swapaxes(-1, -2)
     weight = lambdas * lambdas / (rho * rho)[:, None]
@@ -331,7 +337,8 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     involution = algebra.frobenius(residue) / size
     inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
     involution = np.where(inner, involution[:, :half], involution[:, half:])
-    return reality.max(axis=-1), np.maximum(infinity, involution.max(axis=-1))
+    involution = np.maximum(infinity, np.maximum.reduce(involution, axis=-1))
+    return np.maximum.reduce(reality, axis=-1), involution
 
 
 def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
@@ -367,39 +374,42 @@ def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
 
 def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     """dress, and the factors u and w of chi's residues and its poles at every
-    point (w with a batch axis of length 1 where the seed does not vary)."""
-    rho, z = (np.asarray(v, dtype=float).ravel() for v in (rho, z))
+    point (w with a batch axis of length 1 where the seed does not vary).
+    The residuals are the rows of one (len(_RESIDUALS), P) table."""
+    rho, z = np.asarray(rho, dtype=float).ravel(), np.asarray(z, dtype=float).ravel()
     DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
-    size, n_sol, tol, n = len(rho), cfg.n_solitons, cfg.tolerances, cfg.signature.n
+    size, n_sol, tol = len(rho), len(cfg.poles), cfg.tolerances
     g = algebra.gamma(cfg.signature)
     fails = _Failures(size)
     sd, q0 = _spectral(cfg, rho, z, swap, fails)
-    det_a = np.full(size, 1.0 if n_sol == 0 else math.nan, dtype=complex)
-    u = np.zeros((size, 0, n), dtype=complex)
     if n_sol:
         a, b_star = _system(sd, g, fails)
         built = fails.ok.copy()
         u_star, det = _solve(a, b_star, tol, fails)
-        det_a[built] = det[built]
-        u = u_star.conj()
+        det_a = np.where(built, det, math.nan)
+        u = np.conjugate(u_star)
+    else:
+        det_a, u = np.ones(size, dtype=complex), np.zeros((size, 0, len(g)), dtype=complex)
     q_raw = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
     q, warn = _normalize(q_raw, tol.constraint_tol, fails)
     has_q = fails.ok
-    quad, herm, det_dev = algebra.symspace_components(q, g)
-    reality = np.full(size, 0.0 if n_sol == 0 else math.nan)
-    involution = reality.copy()
+    table = np.empty((len(_RESIDUALS), size))
+    table[:3] = algebra.symspace_components(q, g)
+    table[3] = table[0] + table[1] + table[2]
+    table[4:6] = 0.0 if n_sol == 0 else math.nan
     if audit_chi and n_sol:
-        idx = slice(None) if has_q.all() else np.flatnonzero(has_q)
-        w, q0_at = (x if len(x) == 1 else x[idx] for x in (sd.w, q0))
-        reality[idx], involution[idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], q_raw[idx],
-                                               q0_at, g, rho[idx])
+        idx = slice(None) if algebra.all_of(has_q) else has_q.nonzero()[0]
+        w = sd.w if sd.w.shape[0] == 1 else sd.w[idx]
+        q0_at = q0 if q0.shape[0] == 1 else q0[idx]
+        table[4:6, idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], q_raw[idx], q0_at, g,
+                                 rho[idx])
+    table[6] = warn & has_q
     lost = ~has_q
+    table[:6, lost] = math.nan
     q[lost] = complex(math.nan, math.nan)
-    columns = (quad, herm, det_dev, quad + herm + det_dev, reality, involution)
-    residuals = {key: np.where(lost, math.nan, col) for key, col in zip(_RESIDUALS, columns)}
-    residuals["det_branch_warning"] = np.where(warn & has_q, 1.0, 0.0)
-    notes = {int(i): str(fails.error[i]) for i in np.flatnonzero(lost)}
-    return DressedGrid(rho, z, q, has_q, det_a, residuals, lost, notes), u, sd.w, sd.lambdas
+    notes = {int(i): str(fails.error[i]) for i in lost.nonzero()[0]}
+    return (DressedGrid(rho, z, q, has_q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),
+            u, sd.w, sd.lambdas)
 
 
 @dataclass(frozen=True)

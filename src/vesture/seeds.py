@@ -8,6 +8,7 @@ a finished dressing into the next seed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,12 +24,15 @@ class Seed:
     """q0(rho, z) takes (P,) coordinate arrays and returns (P or 1, n, n);
     psi0(lam, rho, z) takes lam of shape (P, M) and returns (P or 1, M or 1,
     n, n), a batch axis of length 1 meaning no variation along it. ``deck``
-    is J."""
+    is J, checked on construction to be a finite n x n matrix."""
 
     q0: Callable[[np.ndarray, np.ndarray], np.ndarray]
     psi0: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     deck: ComplexMatrix
     signature: Signature
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "deck", algebra.as_matrix(self.deck, self.signature.n))
 
 
 def constant_seed(q0: ComplexMatrix, sig: Signature, tol: float = 1e-9) -> Seed:
@@ -46,6 +50,8 @@ def constant_seed(q0: ComplexMatrix, sig: Signature, tol: float = 1e-9) -> Seed:
                 deck=frozen, signature=sig)
 
 
+@functools.cache
 def identity_seed(sig: Signature) -> Seed:
-    """The trivial (flat) seed q0 = I."""
+    """The trivial (flat) seed q0 = I; built on first use for each
+    signature, as its values are read-only."""
     return constant_seed(np.eye(sig.n, dtype=complex), sig)

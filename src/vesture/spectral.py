@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .errors import ConfigError, DomainError, SingularPointError
 
 #: points closer than this to a branch point are flagged singular
@@ -29,8 +30,16 @@ class DomainPoint:
     z: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.all((self.rho > 0.0) & np.isfinite(self.rho) & np.isfinite(self.z)):
+        ok = (self.rho > 0.0) & np.isfinite(self.rho) & np.isfinite(self.z)
+        if algebra.all_of(ok):
+            return
+        if np.ndim(ok) == 0:
             raise DomainError(f"domain point needs rho > 0 and finite coords, got {self!r}")
+        # one line for a batch: its first bad point and the count
+        at = np.unravel_index(np.argmin(ok), np.shape(ok))
+        rho, z = (float(np.broadcast_to(v, np.shape(ok))[at]) for v in (self.rho, self.z))
+        raise DomainError(f"domain points need rho > 0 and finite coords, got rho={rho!r}, "
+                          f"z={z!r} and {np.size(ok) - np.count_nonzero(ok) - 1} more")
 
 
 @dataclass(frozen=True)

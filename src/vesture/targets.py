@@ -2,10 +2,9 @@
 
 Coordinate transforms, basis-change conjugations, Ernst-potential
 extraction, the Kerr / Kerr-Newman closed forms used as oracles, the
-one-soliton configurations that dress both families, the su(2,1)
+one-soliton configurations that dress both families, and the su(2,1)
 structural test-bed (basis, commutators, solvable-subgroup
-parametrization), and the closed-form one-soliton family on the 3x3
-target, a reference the tests hold the dressed Kerr-Newman maps against.
+parametrization).
 """
 from __future__ import annotations
 
@@ -26,6 +25,7 @@ SIG_21 = Signature(2, 1)
 
 #: Cayley conjugator mapping the 2x2 indefinite-unitary picture to SL(2,R)
 CAYLEY_Q2 = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
+_CAYLEY_Q2_H = CAYLEY_Q2.conj().T
 
 #: antidiagonal metric of the alternate 3x3 representation
 GAMMA_TILDE = np.array([[0, 0, -1j], [0, 1, 0], [1j, 0, 0]], dtype=complex)
@@ -65,21 +65,33 @@ class BLParams:
     e: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.m) and math.isfinite(self.s) and math.isfinite(self.e)):
+            raise ConfigError(f"Boyer-Lindquist parameters must be finite, got m={self.m}, "
+                              f"s={self.s}, e={self.e}")
         if not (self.s > 0):
             raise ConfigError(f"pole height s must be positive, got {self.s}")
 
 
-def bl_to_weyl(r, theta, p: BLParams) -> DomainPoint:
-    """Oblate-spheroidal to Weyl coordinates:
+def bl_chart(r, theta, p: BLParams) -> tuple:
+    """Oblate-spheroidal to Weyl coordinates as two arrays (rho, z):
     rho = sqrt((r-m)^2 + s^2) sin(theta), z = (r-m) cos(theta); r and theta
-    may be arrays, broadcast together. Squares are C pow, as Python's ** on
-    floats, so arrays and floats round alike."""
+    may be arrays, broadcast together. Only theta is checked; a chart that
+    overflows gives rho = inf, which dressing.dress refuses. Squares are C
+    pow, as Python's ** on floats, so arrays and floats round alike."""
     theta = np.asarray(theta, dtype=float)
-    if not np.all((0.0 < theta) & (theta < math.pi)):
+    if not algebra.all_of((0.0 < theta) & (theta < math.pi)):
         raise DomainError(f"theta must lie strictly between 0 and pi, got {theta}")
-    d = np.asarray(r, dtype=float) - p.m
-    rho = np.sqrt(np.float_power(d, 2) + np.float_power(p.s, 2)) * np.sin(theta)
-    return DomainPoint(*_values(np.ndim(rho) == 0, rho, d * np.cos(theta)))
+    with np.errstate(over="ignore"):
+        d = np.asarray(r, dtype=float) - p.m
+        rho = np.sqrt(np.float_power(d, 2) + np.float_power(p.s, 2)) * np.sin(theta)
+        return rho, d * np.cos(theta)
+
+
+def bl_to_weyl(r, theta, p: BLParams) -> DomainPoint:
+    """The points of bl_chart as a checked DomainPoint, of Python numbers
+    for a single point."""
+    rho, z = bl_chart(r, theta, p)
+    return DomainPoint(*_values(np.ndim(rho) == 0, rho, z))
 
 
 def _maps(q, n: int) -> tuple[np.ndarray, bool]:
@@ -102,7 +114,7 @@ def _values(single: bool, *arrays) -> list:
 def cayley2(q: ComplexMatrix) -> ComplexMatrix:
     """Conjugate a 2x2 matrix, or each of a (..., 2, 2) stack, into the
     SL(2,R) picture."""
-    return CAYLEY_Q2 @ _maps(q, 2)[0] @ CAYLEY_Q2.conj().T
+    return algebra.shared_mul(CAYLEY_Q2 @ _maps(q, 2)[0], _CAYLEY_Q2_H)
 
 
 def ernst_g11(q: ComplexMatrix) -> ErnstValue11:
@@ -187,16 +199,13 @@ def basis_change_u3() -> ComplexMatrix:
 
 
 _U3 = basis_change_u3()
+_U3_H = _U3.conj().T
 
 
 def to_tilde_rep(q: ComplexMatrix) -> ComplexMatrix:
     """Diagonal-metric picture -> antidiagonal-metric picture, of a matrix
     or of each matrix of a stack."""
-    return _U3 @ q @ _U3.conj().T
-
-
-def from_tilde_rep(qt: ComplexMatrix) -> ComplexMatrix:
-    return _U3.conj().T @ qt @ _U3
+    return algebra.shared_mul(_U3 @ q, _U3_H)
 
 
 def ernst_g21(q: ComplexMatrix) -> ErnstValue21:
@@ -267,38 +276,6 @@ def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
                                  np.zeros(np.shape(x))))
 
 
-def g21_soliton_family(a_param: float, b_param: float,
-                       n1: float, n2: float, n3: float, n4: float,
-                       p: BLParams, r: float, theta: float) -> ComplexMatrix:
-    """Closed-form one-soliton 3x3 map with the vector bilinears replaced
-    by free products: the pair (n1 + i n2, n3 + i n4) stands in for the
-    first two components paired against the third, with squared moduli
-    n1^2 + n2^2 and n3^2 + n4^2 on the diagonal.
-    """
-    s = p.s
-    big_r = r - p.m
-    c = math.cos(theta)
-    f = a_param ** 2 * (big_r ** 2 + s * s) - b_param ** 2 * s * s * math.sin(theta) ** 2
-    if f == 0:
-        raise SingularPointError("family evaluated on its singular locus F = 0")
-    ag = n1 + 1j * n2
-    bg = n3 + 1j * n4
-    aag = n1 * n1 + n2 * n2
-    bbg = n3 * n3 + n4 * n4
-    w = 1j * a_param * big_r - b_param * s * c
-    q = np.empty((3, 3), dtype=complex)
-    q[0, 0] = 1 + 8 * aag * s * s / f
-    q[0, 1] = 8 * ag * np.conj(bg) * s * s / f
-    q[0, 2] = -4 * s * ag * w / f
-    q[1, 1] = 1 + 8 * bbg * s * s / f
-    q[1, 2] = -4 * s * bg * w / f
-    q[2, 2] = 1 + 8 * (aag + bbg) * s * s / f
-    q[1, 0] = np.conj(q[0, 1])
-    q[2, 0] = np.conj(q[0, 2])
-    q[2, 1] = np.conj(q[1, 2])
-    return q
-
-
 def kn_family_params(p: BLParams) -> dict[str, float]:
     """Family parameters identified with the Kerr-Newman triple (m, s, e).
 
@@ -332,15 +309,6 @@ def kn_config(m: float, e: float, s: float) -> SolitonConfig:
         vector = np.array([math.sqrt(s), 0.0, 0.0])
     return SolitonConfig(signature=SIG_21, poles=(1j * s,), vectors=(vector,),
                          seed=seeds.identity_seed(SIG_21))
-
-
-def embed_g11_in_g21(q2: ComplexMatrix) -> ComplexMatrix:
-    """Totally geodesic embedding of the 2x2 target into the 3x3 one:
-    the 2x2 block occupies rows/columns (1, 3) around a middle identity."""
-    q2 = algebra.as_matrix(q2, 2)
-    out = np.eye(3, dtype=complex)
-    out[np.ix_([0, 2], [0, 2])] = q2
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Finite-difference certification of dressed fields.
 
 Works on rectangular Weyl-coordinate grids with uniform spacing per axis.
-The two field equations are checked in first-order form for the connection
-W = -(dq) q^{-1}: a curvature residual ||d_rho W_z - d_z W_rho + [W_rho, W_z]||
-and a divergence residual ||d_rho(rho W_rho) + d_z(rho W_z)||. Central
+Two residuals are formed for the connection W = -(dq) q^{-1}. The
+divergence residual ||d_rho(rho W_rho) + d_z(rho W_z)|| is the field
+equation: it vanishes iff q is harmonic. The curvature residual
+||d_rho W_z - d_z W_rho + [W_rho, W_z]|| vanishes identically for every
+smooth invertible q, as W is a pure gauge, so it measures only how
+consistently the stencils discretize a flat connection and cannot see a
+map that is not harmonic. Central
 second-order stencils are used in the interior and second-order one-sided
 stencils on the boundary; boundary values and a margin around the singular
 locus are excluded from pass/fail statistics. Stencils touching a singular
@@ -84,7 +88,8 @@ def _grad(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 
 def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point residuals of the two first-order field equations.
+    """Per-point curvature and divergence residuals; only the divergence
+    tests the field equation (see the module docstring).
 
     Returns (curvature, divergence) arrays of shape (n_rho, n_z); NaN marks
     points whose stencil touched a hole. Needs at least 3 points per axis.
@@ -119,13 +124,18 @@ def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:
 
 def exclusion_mask(locus: np.ndarray, margin: int = 3) -> np.ndarray:
     """Dilate a boolean locus mask by a Chebyshev radius (the 3h margin
-    rule): shifts along the rows, then along the columns."""
-    out = np.array(locus, dtype=bool)
-    for view in (out, out.T):
-        src = view.copy()
-        for k in range(1, margin + 1):
-            view[k:] |= src[:-k]
-            view[:-k] |= src[k:]
+    rule): the OR over a window of 2 margin + 1 cells along each axis of the
+    mask padded with margin empty cells. The window grows by doubling, each
+    step one OR per axis: margin 3 takes three steps (1 -> 2 -> 4 -> 7)."""
+    n1, n2 = np.shape(locus)
+    out = np.zeros((n1 + 2 * margin, n2 + 2 * margin), dtype=bool)
+    out[margin:margin + n1, margin:margin + n2] = locus
+    width = 1
+    while width < 2 * margin + 1:
+        k = min(width, 2 * margin + 1 - width)
+        out = out[:-k] | out[k:]
+        out = out[:, :-k] | out[:, k:]
+        width += k
     return out
 
 

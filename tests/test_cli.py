@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vesture import algebra, checks, cli, dressing, spectral, targets
+from vesture import algebra, checks, cli, dressing, spectral, targets, verification
 from vesture.dressing import Tolerances
 from vesture.errors import ConfigError
 
@@ -271,6 +271,8 @@ def test_kn_preset_corner_parameters(tmp_path, capsys, m, e):
     rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
     assert not rows[:, lines[0].split(",").index("singular")].any()
 
+SMALL_GRID = ["--r-min", "3", "--r-max", "5", "--r-count", "2", "--theta-count", "2"]
+
 @pytest.mark.parametrize("argv, message", [
     (["kerr", "--m", "1", "--s", "1", "--r-count", "0"],
      "grid.r needs count >= 1 and finite min <= max"),
@@ -280,6 +282,21 @@ def test_kn_preset_corner_parameters(tmp_path, capsys, m, e):
      "grid.theta must lie strictly inside (0, pi)"),
     (["kerr", "--m", "1", "--s", "1", "--r-min", "5", "--r-max", "2"],
      "grid.r needs count >= 1 and finite min <= max"),
+    # non-finite family parameters, and a chart that overflows, exit 1 with
+    # one line: no traceback and no numpy warning
+    (["kerr", "--m", "nan", "--s", "1", *SMALL_GRID],
+     "Boyer-Lindquist parameters must be finite, got m=nan, s=1.0, e=0.0"),
+    (["kerr", "--m", "inf", "--s", "1", *SMALL_GRID],
+     "Boyer-Lindquist parameters must be finite, got m=inf, s=1.0, e=0.0"),
+    (["kerr", "--m", "1", "--s", "inf", *SMALL_GRID],
+     "Boyer-Lindquist parameters must be finite, got m=1.0, s=inf, e=0.0"),
+    (["kerr", "--m", "1e200", "--s", "1", *SMALL_GRID],
+     "domain points need rho > 0 and finite coords, got rho=inf, z=-9.238795325112866e+199 "
+     "and 3 more"),
+    (["kerr-newman", "--m", "1", "--e", "nan", "--s", "1", *SMALL_GRID],
+     "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=nan"),
+    (["kerr-newman", "--m", "1", "--e", "inf", "--s", "1", *SMALL_GRID],
+     "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=inf"),
 ])
 def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -575,3 +592,70 @@ def test_main_help_exits_cleanly(capsys):
         cli.main(["--help"])
     assert exc.value.code == 0
     assert "usage: vesture" in capsys.readouterr().out
+
+def _payload(path) -> dict[str, np.ndarray]:
+    """The columns of a CSV or JSON output by name, as float arrays."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        names, rows = doc["columns"], doc["rows"]
+    else:
+        lines = text.splitlines()
+        names, rows = lines[0].split(","), [[float(c) for c in line.split(",")]
+                                            for line in lines[1:]]
+    return dict(zip(names, np.array(rows, dtype=float).T))
+
+def _sources(dressed, hodge, extra) -> dict[str, np.ndarray]:
+    """What each payload column names, taken from the dressed arrays: q_re_ij
+    and q_im_ij are q[:, i-1, j-1]."""
+    n = dressed.q.shape[-1]
+    out = {"rho": dressed.rho, "z": dressed.z}
+    for i in range(n):
+        for j in range(n):
+            out[f"q_re_{i + 1}{j + 1}"] = dressed.q[:, i, j].real
+            out[f"q_im_{i + 1}{j + 1}"] = dressed.q[:, i, j].imag
+    out.update(detA_re=dressed.det_a.real, detA_im=dressed.det_a.imag,
+               res_constraint=dressed.residuals["symspace"], res_hodge1=hodge[0],
+               res_hodge2=hodge[1], singular=dressed.singular.astype(float))
+    return {**out, **extra}
+
+def _assert_bitwise(payload, sources):
+    assert set(payload) == set(sources), set(payload) ^ set(sources)
+    for name, got in payload.items():
+        want = np.asarray(sources[name], dtype=float)
+        same = (got == want) & (np.signbit(got) == np.signbit(want))
+        assert np.all(same | (np.isnan(got) & np.isnan(want))), name
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_kerr_payload_column_holds_its_source(tmp_path, fmt):
+    # bit for bit, against the family's own sweep; a transposed q would move
+    # q_im_12 and q_im_21, which verify cannot see (q^T = conj q is also on
+    # the target)
+    family = checks.Kerr(1.0, 1.0)
+    grid = cli.GridSpec(coords="boyer-lindquist", axis1=(2.5, 6.0, 4), axis2=(0.5, 2.5, 3))
+    out = tmp_path / f"k.{fmt}"
+    assert cli.run_preset(family, grid, str(out), fmt) == cli.EXIT_OK
+    r, theta = grid.axis_values()
+    found = family.sweep(r, theta)
+    assert np.abs(found.dressed.q[:, 0, 1].imag).min() > 0
+    lattice = {"r": np.repeat(r, len(theta)), "theta": np.tile(theta, len(r))}
+    _assert_bitwise(_payload(out), _sources(found.dressed, np.full((2, 12), math.nan),
+                                            {**lattice, **found.columns}))
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
+    # an SU(2,1) Weyl lattice with the finite-difference and Ernst columns
+    out = tmp_path / f"d.{fmt}"
+    doc = minimal_config(tmp_path, target={"p": 2, "q": 1},
+                         solitons=[{"omega": [0.3, 1.1], "v": [[1.0, 0.1], [0.3, 0.0],
+                                                                [0.2, 0.1]]}],
+                         grid={"coords": "weyl", "rho": [1.5, 2.5, 4], "z": [-0.5, 0.5, 5]})
+    doc["outputs"].update(path=str(out), format=fmt)
+    cfg = cli.parse_config(json.dumps(doc))
+    assert cli.run_dress(cfg) == cli.EXIT_OK
+    dressed, _ = cli.run_sweep(cfg)
+    assert np.abs(dressed.q[:, 0, 1].imag).min() > 0
+    field = verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed)
+    hodge = np.reshape(verification.hodge_residual(field), (2, -1))
+    _assert_bitwise(_payload(out), _sources(dressed, hodge,
+                                            checks.ernst_columns(checks.ernst(dressed.q))))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _closed_forms as closed_forms
 from vesture import algebra, dressing, seeds, targets, verification
 from vesture.dressing import SolitonConfig
 from vesture.errors import DomainError, SingularPointError
@@ -83,7 +84,7 @@ def test_ernst_g21_identity_and_roundtrip():
     assert e.Phi == 0.0
     ref_e, ref_phi = 1.5 + 0.2j, 0.3 - 0.1j
     qt = targets.ptilde_matrix(ref_e, ref_phi)
-    ext = targets.ernst_g21(targets.from_tilde_rep(qt))
+    ext = targets.ernst_g21(closed_forms.from_tilde_rep(qt))
     np.testing.assert_allclose(ext.E, ref_e, atol=1e-12)
     np.testing.assert_allclose(ext.Phi, ref_phi, atol=1e-12)
     assert abs(ext.consistency) < 1e-12
@@ -91,13 +92,13 @@ def test_ernst_g21_identity_and_roundtrip():
 def test_ernst_g21_reduces_to_g11_on_embedded_block():
     q = kerr_q(2.8, 1.3)
     e2 = targets.ernst_g11(q)
-    e3 = targets.ernst_g21(targets.embed_g11_in_g21(q))
+    e3 = targets.ernst_g21(closed_forms.embed_g11_in_g21(q))
     np.testing.assert_allclose([e3.x, e3.y], [e2.x, e2.y], rtol=1e-11)
     assert abs(e3.Phi) < 1e-13
 
 def test_ernst_g21_scale_consistency():
     qt = targets.ptilde_matrix(1.2 + 0.4j, 0.2 + 0.1j)
-    q = targets.from_tilde_rep(qt)
+    q = closed_forms.from_tilde_rep(qt)
     a = targets.ernst_g21(q)
     # det is already 1
     b = targets.ernst_g21(dressing._normalize(q[None], 1e-9, dressing._Failures(1))[0][0])
@@ -136,14 +137,14 @@ def test_kn_oracle():
 
 def test_g21_family_trivial_and_kerr_block():
     p = BLParams(m=1.0, s=1.0)
-    q = targets.g21_soliton_family(1.0, 1.5, 0, 0, 0, 0, p, 3.0, 1.0)
+    q = closed_forms.g21_soliton_family(1.0, 1.5, 0, 0, 0, 0, p, 3.0, 1.0)
     np.testing.assert_array_equal(q, np.eye(3))
     # e = 0 identification reproduces the dressed Kerr block
     fam = targets.kn_family_params(BLParams(m=1.0, s=1.0, e=0.0))
     r, th = 2.9, 0.8
-    q3 = targets.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"], fam["n2"],
+    q3 = closed_forms.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"], fam["n2"],
                                     fam["n3"], fam["n4"], p, r, th)
-    np.testing.assert_allclose(q3, targets.embed_g11_in_g21(kerr_q(r, th)), rtol=1e-9)
+    np.testing.assert_allclose(q3, closed_forms.embed_g11_in_g21(kerr_q(r, th)), rtol=1e-9)
 
 def test_g21_family_matches_vector_dressing_at_realizable_params():
     # independent oracle: the actual 3x3 dressing pipeline with vectors
@@ -162,7 +163,7 @@ def test_g21_family_matches_vector_dressing_at_realizable_params():
         ag, bg = al * np.conj(ga), be * np.conj(ga)
         a_par = abs(al) ** 2 + abs(be) ** 2 - abs(ga) ** 2
         b_par = abs(al) ** 2 + abs(be) ** 2 + abs(ga) ** 2
-        qf = targets.g21_soliton_family(a_par, b_par, ag.real, ag.imag, bg.real, bg.imag,
+        qf = closed_forms.g21_soliton_family(a_par, b_par, ag.real, ag.imag, bg.real, bg.imag,
                                         p, r, th)
         assert np.abs(res.q[0] - qf).max() < 1e-10
         assert algebra.symspace_residual(res.q[0], G3) < 1e-9
@@ -198,7 +199,7 @@ def _kn_potential_field(m, e, s, a, h):
     for i, rho in enumerate(rhos):
         for j, z in enumerate(zs):
             o = targets.kn_oracle(m, e, a, *_bl_of_weyl(float(rho), float(z), m, s))
-            values[i, j] = targets.from_tilde_rep(targets.ptilde_matrix(o.E, o.Phi))
+            values[i, j] = closed_forms.from_tilde_rep(targets.ptilde_matrix(o.E, o.Phi))
     return verification.FieldGrid(rhos, zs, values, np.ones(values.shape[:2], bool))
 
 def test_kn_potentials_solve_field_equations_only_on_family_chart():
@@ -227,7 +228,7 @@ def test_kn_family_matches_vector_dressing_pipeline():
         assert not dressed.singular.any()
         rr, tt = np.meshgrid(r, th, indexing="ij")
         for q, r_k, th_k in zip(dressed.q, rr.ravel().tolist(), tt.ravel().tolist()):
-            qf = targets.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"],
+            qf = closed_forms.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"],
                                             fam["n2"], fam["n3"], fam["n4"], bl, r_k, th_k)
             assert algebra.frobenius(q - qf) <= 1e-12 * algebra.frobenius(qf)
         ext = targets.ernst_g21(dressed.q)
@@ -340,7 +341,7 @@ def test_stacked_ernst_extraction_matches_single_maps():
     zero3 = np.zeros((3, 3))
     with pytest.raises(SingularPointError):
         targets.ernst_g21(zero3)
-    q3 = np.array([targets.embed_g11_in_g21(q) for q in maps]
+    q3 = np.array([closed_forms.embed_g11_in_g21(q) for q in maps]
                   + [zero3, np.full((3, 3), np.nan)])
     e3 = targets.ernst_g21(q3)
     for k, q in enumerate(q3[:6]):

@@ -181,6 +181,38 @@ def test_hodge_on_analytically_embedded_field():
     assert 3.5 <= r2 <= 4.5
 
 
+def _abelian_field(f, h):
+    """q = [[cosh f, sinh f], [sinh f, cosh f]] on the Weyl box [1, 2] x
+    [-0.5, 0.5] with spacing h: a map into the (1,1) target for any f,
+    harmonic iff f solves the axisymmetric Laplace equation."""
+    rhos = 1.0 + h * np.arange(round(1.0 / h) + 1)
+    zs = -0.5 + h * np.arange(round(1.0 / h) + 1)
+    v = f(*np.meshgrid(rhos, zs, indexing="ij"))
+    values = np.empty(v.shape + (2, 2), dtype=complex)
+    values[..., 0, 0] = values[..., 1, 1] = np.cosh(v)
+    values[..., 0, 1] = values[..., 1, 0] = np.sinh(v)
+    return FieldGrid(rhos=rhos, zs=zs, values=values, mask=np.ones(v.shape, bool))
+
+
+def test_the_curvature_residual_cannot_see_a_non_harmonic_map():
+    # W = -(dq) q^-1 is flat for every smooth invertible q: on the abelian
+    # map of f = 0.3 (rho^2 + z), which is not harmonic, the curvature
+    # residual stays at rounding level. The divergence residual is the field
+    # equation: it reads O(1) and does not fall under refinement, where the
+    # harmonic f = 0.3 log(rho) converges at second order
+    def not_harmonic(rho, z):
+        return 0.3 * (rho * rho + z)
+
+    coarse, fine = _abelian_field(not_harmonic, 0.1), _abelian_field(not_harmonic, 0.05)
+    curvature, divergence = verification.hodge_residual(coarse)
+    inner = verification.interior_mask(curvature.shape)
+    assert curvature.max() <= 1e-13
+    assert 2.0 <= np.median(divergence[inner]) <= 3.0
+    assert 0.9 <= verification.refinement_ratios(coarse, fine)[1] <= 1.1
+    harmonic = [_abelian_field(lambda rho, z: 0.3 * np.log(rho), h) for h in (0.1, 0.05)]
+    assert 3.5 <= verification.refinement_ratios(*harmonic)[1] <= 4.5
+
+
 def _bl_of_weyl_point(rho, z, m=1.0, s=1.0):
     c2 = s * s - rho * rho - z * z
     u = 0.5 * (-c2 + math.sqrt(c2 * c2 + 4 * z * z * s * s))
