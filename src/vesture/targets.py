@@ -148,7 +148,7 @@ def kerr_oracle(m: float, a: float, r, theta) -> ErnstValue11:
     theta may be arrays, broadcast against each other."""
     c = np.cos(theta)
     den = r * r + a * a * c * c
-    if np.any(den == 0):
+    if algebra.any_of(den == 0):
         raise DomainError("Kerr oracle denominator vanishes")
     x = (r * r - 2.0 * m * r + a * a * c * c) / den
     return ErnstValue11(*_values(np.ndim(x) == 0, x, 2.0 * m * a * c / den))
@@ -267,7 +267,7 @@ def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
     picks (kn_family_params gives the one this target carries).
     """
     den = np.asarray(r, dtype=float) - 1j * a * np.cos(theta)
-    if np.any(den == 0):
+    if algebra.any_of(den == 0):
         raise DomainError("Kerr-Newman oracle denominator vanishes")
     ernst = 1.0 - 2.0 * m / den
     phi = e / den
