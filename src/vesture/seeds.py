@@ -44,6 +44,11 @@ def constant_seed(q0: ComplexMatrix, sig: Signature, tol: float = 1e-9) -> Seed:
     resid = algebra.symspace_residual(q0, algebra.gamma(sig))
     if resid > tol:
         raise SeedError(f"constant seed violates the membership constraints (residual {resid:.3e})")
+    return _constant(q0, sig)
+
+
+def _constant(q0: ComplexMatrix, sig: Signature) -> Seed:
+    """The constant seed of a q0 that lies in the symmetric space."""
     frozen = q0.copy()
     frozen.setflags(write=False)
     return Seed(q0=lambda rho, z: frozen[None], psi0=lambda lam, rho, z: frozen[None, None],
@@ -53,5 +58,6 @@ def constant_seed(q0: ComplexMatrix, sig: Signature, tol: float = 1e-9) -> Seed:
 @functools.cache
 def identity_seed(sig: Signature) -> Seed:
     """The trivial (flat) seed q0 = I; built on first use for each
-    signature, as its values are read-only."""
-    return constant_seed(np.eye(sig.n, dtype=complex), sig)
+    signature, as its values are read-only. I lies in the symmetric space
+    exactly, so it takes no membership check."""
+    return _constant(np.eye(sig.n, dtype=complex), sig)
