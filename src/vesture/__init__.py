@@ -24,12 +24,12 @@ from .errors import (
     VestureError,
 )
 from .seeds import Seed, constant_seed, identity_seed
-from .spectral import DomainPoint, PolePair, ab, deck, omega_forms, pole_pair, varpi
+from .spectral import DomainPoint, ab, deck, omega_forms, pole_pairs, varpi
 from .targets import (
     BLParams,
     ErnstValue11,
     ErnstValue21,
-    bl_to_weyl,
+    bl_chart,
     cartan_embed_su21,
     cayley2,
     commutation_check,

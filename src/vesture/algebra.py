@@ -158,24 +158,25 @@ def refusal(cond: float, condition_cap: float) -> NumericError:
 
 
 def inv(m: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
-    """Inverse via LU with a condition estimate; refuses ill-conditioned input.
-
-    Raises NumericError when the matrix is singular or its estimated
-    2-norm condition number exceeds ``condition_cap``.
-    """
+    """Inverse of a matrix, or of each matrix of a (..., n, n) stack, via LU
+    with a condition estimate. Raises NumericError, the refusal of the first
+    refused matrix, when a matrix is singular or its estimated 2-norm
+    condition number exceeds ``condition_cap``."""
     out, cond = checked_inv(m, condition_cap)
-    if not cond <= condition_cap:
-        raise refusal(cond, condition_cap)
+    refused = ~(cond <= condition_cap)
+    if any_of(refused):
+        raise refusal(cond.flat[np.argmax(refused)], condition_cap)
     return out
 
 
 def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
-    """Conjugate-linear involution g -> gamma (g*)^{-1} gamma.
+    """Conjugate-linear involution g -> gamma (g*)^{-1} gamma, applied to a
+    matrix or to each matrix of a (..., n, n) stack.
 
     Its fixed-point set is SU(p,q) (together with det = 1). Involutive on
     invertible input; singular input raises NumericError.
     """
-    return gamma_mat @ inv(m.conj().T, condition_cap) @ gamma_mat
+    return gamma_mat @ inv(np.conjugate(m).swapaxes(-1, -2), condition_cap) @ gamma_mat
 
 
 def sigma(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:
@@ -189,10 +190,11 @@ def sigma(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:
     return m * (d[:, None] * d[None, :])
 
 
-def group_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float:
-    """||m* gamma m - gamma||_F + |det m - 1|; zero iff m is in SU(p,q)."""
-    metric = frobenius(m.conj().T @ gamma_mat @ m - gamma_mat)
-    return metric + abs(np.linalg.det(m) - 1.0)
+def group_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float | np.ndarray:
+    """||m* gamma m - gamma||_F + |det m - 1| of a matrix, or of each matrix
+    of a (..., n, n) stack; zero iff m is in SU(p,q)."""
+    metric = frobenius(np.conjugate(m).swapaxes(-1, -2) @ gamma_mat @ m - gamma_mat)
+    return metric + np.abs(np.linalg.det(m) - 1.0)
 
 
 def symspace_components(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> tuple:

@@ -4,10 +4,10 @@ the ``kerr`` / ``kerr-newman`` presets and ``vesture selftest`` both dress.
 Each check takes its inputs (an rng seed and a count, a grid, or parameter
 sets) and returns the measured numbers. The pass/fail thresholds live in one
 gate table, ``cli.SELFTEST_SUITES``, which the acceptance suite reads too. A
-check that draws random items under a precondition draws until ``count`` of
-them meet it. Library functions are called through their modules
-(``spectral.ab``, not a local name), so a fault injected into one reaches
-every check that uses it.
+check that draws random items under a precondition draws twice ``count`` and
+keeps the first ``count`` that meet it. Library functions are called through
+their modules (``spectral.ab``, not a local name), so a fault injected into
+one reaches every check that uses it.
 """
 from __future__ import annotations
 
@@ -96,19 +96,13 @@ def dress_lattice(cfg: SolitonConfig, rho: np.ndarray,
     return dressed, excluded
 
 
-def _draws(count: int, draw) -> np.ndarray:
-    """The first ``count`` results of draw() that are not None, the draws
-    whose precondition held, as rows; 100 draws per item at most."""
-    items = []
-    for _ in range(100 * count):
-        if len(items) == count:
-            break
-        item = draw()
-        if item is not None:
-            items.append(item)
-    if len(items) < count:
-        raise NumericError(f"only {len(items)} of {count} draws met their precondition")
-    return np.array(items, dtype=float).reshape(count, -1)
+def _first(count: int, ok) -> np.ndarray:
+    """The indices of the first ``count`` of a batch of draws whose
+    precondition ``ok`` holds."""
+    keep = np.flatnonzero(ok)[:count]
+    if len(keep) < count:
+        raise NumericError(f"only {len(keep)} of {count} draws met their precondition")
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -118,77 +112,83 @@ def _draws(count: int, draw) -> np.ndarray:
 def algebra_involutions(rng_seed: int, count: int) -> float:
     """Max relative residual of tau^2 = sigma^2 = 1 and tau sigma = sigma tau
     on ``count`` random matrices per target, and of SU(1,1) membership and
-    tau-invariance on ``count`` random SU(1,1) elements."""
+    tau-invariance on ``count`` random SU(1,1) elements; each set is drawn
+    and evaluated as one stack."""
     rng = np.random.default_rng(rng_seed)
     residuals = []
     for sig in (targets.SIG_11, targets.SIG_21):
         g = algebra.gamma(sig)
-        for _ in range(count):
-            m = rng.normal(size=(sig.n, sig.n)) + 1j * rng.normal(size=(sig.n, sig.n))
-            m += 2 * np.eye(sig.n)
-            scale = algebra.frobenius(m)
-            residuals += [
-                algebra.frobenius(algebra.tau(algebra.tau(m, g), g) - m) / scale,
-                algebra.frobenius(algebra.sigma(algebra.sigma(m, g), g) - m) / scale,
-                algebra.frobenius(algebra.tau(algebra.sigma(m, g), g)
-                                  - algebra.sigma(algebra.tau(m, g), g)) / scale]
+        shape = (count, sig.n, sig.n)
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape) + 2 * np.eye(sig.n)
+        scale = algebra.frobenius(m)
+        residuals += [
+            algebra.frobenius(algebra.tau(algebra.tau(m, g), g) - m) / scale,
+            algebra.frobenius(algebra.sigma(algebra.sigma(m, g), g) - m) / scale,
+            algebra.frobenius(algebra.tau(algebra.sigma(m, g), g)
+                              - algebra.sigma(algebra.tau(m, g), g)) / scale]
     g2 = algebra.gamma(targets.SIG_11)
-    for _ in range(count):
-        b = rng.normal() + 1j * rng.normal()
-        a = math.sqrt(1 + abs(b) ** 2) * np.exp(1j * rng.normal())
-        su11 = np.array([[a, b], [np.conj(b), np.conj(a)]])
-        residuals += [algebra.group_residual(su11, g2),
-                      algebra.frobenius(algebra.tau(su11, g2) - su11)]
+    b = rng.normal(size=count) + 1j * rng.normal(size=count)
+    a = np.sqrt(1 + np.abs(b) ** 2) * np.exp(1j * rng.normal(size=count))
+    su11 = np.moveaxis(np.array([[a, b], [np.conj(b), np.conj(a)]]), -1, 0)
+    residuals += [algebra.group_residual(su11, g2),
+                  algebra.frobenius(algebra.tau(su11, g2) - su11)]
     return worst(residuals)
 
 
-def _ab_duality_residual_fd(lam: complex, x: DomainPoint, h: float = 1e-6) -> float:
-    """Duality identity Da = rho * (dual of Db) with the coefficient partials
-    taken by central differences of the live ab implementation (independent
-    of the closed-form partials, so it catches implementation drift). The
-    step keeps the O(h^2) error well below 1e-6 down to |lam^2 + rho^2| = 1e-3
-    at rho = 0.2."""
-    def ab_at(l, rho, z):
-        return spectral.ab(l, DomainPoint(rho, z))
+def _relative(*terms) -> np.ndarray:
+    """|t_1 + ... + t_k| / (|t_1| + ... + |t_k|), the residual of an identity
+    t_1 + ... + t_k = 0 relative to the size of its terms."""
+    return np.abs(sum(terms)) / sum(map(np.abs, terms))
 
-    da_r, db_r = [(p - q) / (2 * h) for p, q in
-                  zip(ab_at(lam, x.rho + h, x.z), ab_at(lam, x.rho - h, x.z))]
-    da_z, db_z = [(p - q) / (2 * h) for p, q in
-                  zip(ab_at(lam, x.rho, x.z + h), ab_at(lam, x.rho, x.z - h))]
-    da_l, db_l = [(p - q) / (2 * h) for p, q in
-                  zip(ab_at(lam + h, x.rho, x.z), ab_at(lam - h, x.rho, x.z))]
+
+def _ab_duality_residual_fd(lam, x: DomainPoint, h: float = 1e-6):
+    """Duality identity Da = rho * (dual of Db) at each point of a batch, with
+    the coefficient partials taken by central differences of the live ab
+    implementation (independent of the closed-form partials, so it catches
+    implementation drift). The residual is relative to the sum of the
+    moduli of its four terms, or to 1 where that sum is smaller: the terms
+    vanish like lam^2 as lam -> 0, while the differences' rounding, about
+    eps |a| / h, does not. Next to a pole +-i rho, at a distance d from lam,
+    it reads about 1e-12 / (rho d); the draws keep rho d above ~5e-4."""
+    # the six stencil points (rho +- h, z +- h, lam +- h) as one batch
+    step = np.kron(np.eye(3), [[h], [-h]])[..., None]
+    a, b = spectral.ab(lam + step[:, 2], DomainPoint(x.rho + step[:, 0], x.z + step[:, 1]))
+    (da_r, da_z, da_l), (db_r, db_z, db_l) = [(f[0::2] - f[1::2]) / (2 * h) for f in (a, b)]
     om_r, om_z = spectral.omega_forms(lam, x)
     d_rho_a, d_z_a = da_r - om_r * da_l, da_z - om_z * da_l
     d_rho_b, d_z_b = db_r - om_r * db_l, db_z - om_z * db_l
-    return abs(d_rho_a + x.rho * d_z_b) + abs(d_z_a - x.rho * d_rho_b)
+    scale = abs(d_rho_a) + abs(x.rho * d_z_b) + abs(d_z_a) + abs(x.rho * d_rho_b)
+    return (abs(d_rho_a + x.rho * d_z_b) + abs(d_z_a - x.rho * d_rho_b)) / np.maximum(1.0, scale)
 
 
 def spectral_identities(rng_seed: int, count: int) -> Spectral:
     """The surface identities at ``count`` random (x, lam) draws clear of
-    lam = 0 and of the poles lam = +-i rho, each with a random pole pair;
-    and the pole-flow residual ratio at x = (1, 1)."""
+    lam = 0 and of the poles lam = +-i rho, each with a random pole pair,
+    drawn and evaluated as one batch; and the pole-flow residual ratio at
+    x = (1, 1). Each identity residual is relative to the size of its terms
+    (see spectral.ab_d_identity_residual and _ab_duality_residual_fd), as
+    the terms grow without bound next to the poles."""
     rng = np.random.default_rng(rng_seed)
-
-    def draw():
-        x = DomainPoint(rho=0.2 + 2.8 * rng.random(), z=2.0 * rng.normal())
-        lam = complex(rng.normal(), rng.normal())
-        if abs(lam) < 1e-2 or abs(lam * lam + x.rho ** 2) < 1e-3:
-            return None
-        a, b = spectral.ab(lam, x)
-        t = spectral.deck(lam, x)
-        at, bt = spectral.ab(t, x)
-        identity = worst([abs(a * a + x.rho ** 2 * b * b - a), abs(at - (1 - a)), abs(bt + b),
-                          abs(spectral.varpi(t, x) - spectral.varpi(lam, x))
-                          / max(1.0, abs(spectral.varpi(lam, x))),
-                          spectral.ab_d_identity_residual(lam, x)])
-        pair = spectral.pole_pair(complex(rng.normal(), 0.3 + rng.random()), x)
-        product = abs(pair.lambda_in * pair.lambda_out + x.rho ** 2) / max(1.0, x.rho ** 2)
-        return identity, product, _ab_duality_residual_fd(lam, x)
-
-    identity, product, duality_fd = _draws(count, draw).max(axis=0)
+    size = 2 * count
+    rho, z = 0.2 + 2.8 * rng.random(size), 2.0 * rng.normal(size=size)
+    lam = rng.normal(size=size) + 1j * rng.normal(size=size)
+    varpi0 = rng.normal(size=size) + 1j * (0.3 + rng.random(size))
+    keep = _first(count, (np.abs(lam) >= 1e-2) & (np.abs(lam * lam + rho * rho) >= 1e-3))
+    x, lam = DomainPoint(rho[keep], z[keep]), lam[keep]
+    a, b = spectral.ab(lam, x)
+    t = spectral.deck(lam, x)
+    at, bt = spectral.ab(t, x)
+    w = spectral.varpi(lam, x)
+    identity = worst([_relative(a * a, x.rho ** 2 * b * b, -a), _relative(at, -1.0, a),
+                      _relative(bt, b),
+                      np.abs(spectral.varpi(t, x) - w) / np.maximum(1.0, np.abs(w)),
+                      spectral.ab_d_identity_residual(lam, x)])
+    lam_in, lam_out, _ = spectral.pole_pairs(varpi0[keep, None], x.rho, x.z)
+    rho2 = x.rho[:, None] ** 2
+    product = worst([np.abs(lam_in * lam_out + rho2) / np.maximum(1.0, rho2)])
     r1 = verification.lambda_flow_residual(1j, DomainPoint(1.0, 1.0), 1e-3)
     r2 = verification.lambda_flow_residual(1j, DomainPoint(1.0, 1.0), 5e-4)
-    return Spectral(float(identity), float(product), float(duality_fd), r1 / r2)
+    return Spectral(identity, product, worst([_ab_duality_residual_fd(lam, x)]), float(r1 / r2))
 
 
 def su21_commutators() -> tuple[int, int]:
@@ -247,22 +247,19 @@ def invariance(rng_seed: int, count: int) -> float:
             return None
         return worst([algebra.frobenius(base.q - alt.q), algebra.frobenius(base.q - swapped.q)])
 
-    return float(_draws(count, draw).max())
+    found = [draw() for _ in range(2 * count)]
+    return worst([found[k] for k in _first(count, [f is not None for f in found])])
 
 
 def chi_audit(rng_seed: int, count: int) -> float:
     """Max reality / deck-involution audit residual of the Kerr (1, 1)
-    dressing matrix over ``count`` random regular points."""
+    dressing matrix at the first ``count`` regular points of a batch of
+    random points, dressed in one call."""
     rng = np.random.default_rng(rng_seed)
-    cfg = targets.kerr_config(1.0, 1.0)
-
-    def draw():
-        res = dressing.dress(cfg, 0.5 + 4.5 * rng.random(), 3.0 * rng.normal())
-        if res.singular[0]:
-            return None
-        return worst([res.residuals["chi_reality"], res.residuals["chi_involution"]])
-
-    return float(_draws(count, draw).max())
+    res = dressing.dress(targets.kerr_config(1.0, 1.0), 0.5 + 4.5 * rng.random(2 * count),
+                         3.0 * rng.normal(size=2 * count))
+    keep = _first(count, ~res.singular)
+    return worst([res.residuals["chi_reality"][keep], res.residuals["chi_involution"][keep]])
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +382,7 @@ def kerr_field(box: tuple[float, float, float, float], h: float) -> verification
     rho0, rho1, z0, z1 = box
     rhos = np.linspace(rho0, rho1, round((rho1 - rho0) / h) + 1)
     zs = np.linspace(z0, z1, round((z1 - z0) / h) + 1)
-    rho, z = np.meshgrid(rhos, zs, indexing="ij")
-    dressed = dressing.dress(targets.kerr_config(1.0, 1.0), rho, z, audit_chi=False)
+    dressed = dressing.dress(targets.kerr_config(1.0, 1.0), *lattice(rhos, zs), audit_chi=False)
     return verification.FieldGrid.from_results(rhos, zs, dressed)
 
 

@@ -41,9 +41,7 @@ class GridSpec:
     bl: targets.BLParams | None = None
 
     def axis_values(self) -> tuple[np.ndarray, np.ndarray]:
-        a1 = np.linspace(self.axis1[0], self.axis1[1], self.axis1[2])
-        a2 = np.linspace(self.axis2[0], self.axis2[1], self.axis2[2])
-        return a1, a2
+        return np.linspace(*self.axis1), np.linspace(*self.axis2)
 
     def weyl(self, a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The Weyl coordinates (rho, z) of the lattice of the axis values a1
@@ -82,6 +80,8 @@ def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int
         return (0.0, 1.0, 2)
     if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         problems.append(f"grid.{name} needs count >= 1 and finite min <= max")
+    elif count > 1 and lo == hi:
+        problems.append(f"grid.{name} has {count} points but min = max = {lo!r}")
     return (lo, hi, count)
 
 
@@ -255,12 +255,6 @@ def _vacuous(excluded: np.ndarray) -> str:
             "singular locus") if excluded.all() else ""
 
 
-def run_sweep(cfg: RunConfig) -> tuple[DressedGrid, np.ndarray]:
-    """Dress the configured grid in row-major order; returns the dressed
-    arrays and the gate-exclusion mask over the grid."""
-    return checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
-
-
 def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
                  points: dict[str, np.ndarray], meta: dict,
                  extra: dict[str, np.ndarray]) -> None:
@@ -431,7 +425,7 @@ def _read_lattice(data: np.ndarray, idx: dict[str, int]):
 
 
 def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
-                constraint_tol: float = 1e-9) -> int:
+                constraint_tol: float = Tolerances().constraint_tol) -> int:
     """Recompute membership residuals from the stored q of an output file.
 
     The signature is p, q_minus when given, else the one a JSON output
@@ -473,7 +467,8 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     if lattice is not None and "detA_re" in idx and "detA_im" in idx:
         ids = lattice[2]
         det_a = _complex(data[ids, idx["detA_re"]], data[ids, idx["detA_im"]])
-        excluded[ids[verification.gate_exclusion(singular[ids], det_a, 1e-12)]] = True
+        excluded[ids[verification.gate_exclusion(singular[ids], det_a,
+                                                 Tolerances().singular_tol)]] = True
     # membership residuals of every stored finite q; maxima skip NaN
     rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
     resid = algebra.symspace_residual(q[rows], g)
@@ -645,7 +640,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--constraint-tol", type=float, default=1e-9)
+    sp.add_argument("--constraint-tol", type=float,
+                    default=Tolerances().constraint_tol)
 
     sub.add_parser("selftest", help="run the built-in invariant suites")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .errors import ConfigError, DomainError, SingularPointError
+from .errors import DomainError
 
 #: points closer than this to a branch point are flagged singular
 BRANCH_EXCLUSION = 1e-12
@@ -33,35 +33,23 @@ class DomainPoint:
         ok = (self.rho > 0.0) & np.isfinite(self.rho) & np.isfinite(self.z)
         if algebra.all_of(ok):
             return
-        if np.ndim(ok) == 0:
-            raise DomainError(f"domain point needs rho > 0 and finite coords, got {self!r}")
-        # one line for a batch: its first bad point and the count
+        # one line for a batch, a single point too: its first bad point and the count
         at = np.unravel_index(np.argmin(ok), np.shape(ok))
         rho, z = (float(np.broadcast_to(v, np.shape(ok))[at]) for v in (self.rho, self.z))
         raise DomainError(f"domain points need rho > 0 and finite coords, got rho={rho!r}, "
                           f"z={z!r} and {np.size(ok) - np.count_nonzero(ok) - 1} more")
 
 
-@dataclass(frozen=True)
-class PolePair:
-    """The two roots over one surface coordinate; lambda_in is the
-    quadratic-formula minus branch, lambda_out the plus branch, and
-    lambda_in * lambda_out = -rho^2."""
-
-    lambda_in: complex
-    lambda_out: complex
-
-
-def varpi(lam: complex, x: DomainPoint) -> complex:
+def varpi(lam, x: DomainPoint):
     """Surface coordinate rho^2/(2 lam) + z - lam/2; deck-invariant."""
-    if lam == 0:
+    if algebra.any_of(lam == 0):
         raise DomainError("varpi is undefined at lam = 0")
     return x.rho * x.rho / (2.0 * lam) + x.z - lam / 2.0
 
 
-def deck(lam: complex, x: DomainPoint) -> complex:
+def deck(lam, x: DomainPoint):
     """Sheet-swapping involution lam -> -rho^2 / lam."""
-    if lam == 0:
+    if algebra.any_of(lam == 0):
         raise DomainError("deck map is undefined at lam = 0")
     return -x.rho * x.rho / lam
 
@@ -70,9 +58,12 @@ def pole_pairs(varpi0s, rho, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pole pairs of N surface coordinates at a batch of points.
 
     ``rho`` and ``z`` have shape (P,); returns (lambda_in, lambda_out,
-    branch), each of shape (P, N): c = z - varpi0, disc = c^2 + rho^2,
+    branch), each of shape (P, N), or (P, 1) for a (P, 1) ``varpi0s`` of one
+    coordinate per point: c = z - varpi0, disc = c^2 + rho^2,
     lambda_in = c - sqrt(disc) (principal root), lambda_out = c + sqrt(disc),
     and ``branch`` marks points within BRANCH_EXCLUSION of a branch point.
+    The labels are continuous wherever the principal branch is; the dressed
+    map is invariant under relabeling a pair, so they are a determinism choice.
     """
     rho = np.asarray(rho, dtype=float)[..., None]
     c = np.asarray(z, dtype=float)[..., None] - np.asarray(varpi0s, dtype=complex)
@@ -86,56 +77,37 @@ def pole_pairs(varpi0s, rho, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c - root, c + root, np.abs(disc) < BRANCH_EXCLUSION
 
 
-def pole_pair(varpi0: complex, x: DomainPoint) -> PolePair:
-    """Roots of lam^2 - 2 lam (z - varpi0) - rho^2 over a non-real varpi0.
-
-    Labels use the smooth quadratic-formula branch (principal square root):
-    lambda_in = (z - varpi0) - sqrt((z - varpi0)^2 + rho^2), lambda_out the
-    conjugate-branch partner. The labels are continuous wherever the
-    principal branch is; the dressed solution is invariant under the paired
-    relabeling, so labeling is a determinism choice, not physics. A batch
-    of one of pole_pairs.
-    """
-    w0 = complex(varpi0)
-    if w0.imag == 0.0:
-        raise ConfigError(f"pole position must be non-real, got {w0}")
-    lam_in, lam_out, branch = pole_pairs([w0], [x.rho], [x.z])
-    if branch[0, 0]:
-        raise SingularPointError(f"branch point of varpi0={w0} at {x!r}")
-    return PolePair(lambda_in=complex(lam_in[0, 0]), lambda_out=complex(lam_out[0, 0]))
-
-
-def ab(lam: complex, x: DomainPoint) -> tuple[complex, complex]:
+def ab(lam, x: DomainPoint):
     """The rational pair a = rho^2/(lam^2 + rho^2), b = lam/(lam^2 + rho^2).
 
     Satisfies a(0) = 1, b(0) = 0 and the algebraic constraint
     a^2 + rho^2 b^2 - a = 0 identically; simple poles at lam = +-i rho.
     """
     den = lam * lam + x.rho * x.rho
-    if den == 0:
-        raise DomainError(f"a, b have a pole at lam = +-i*rho (lam={lam}, rho={x.rho})")
+    if algebra.any_of(den == 0):
+        raise DomainError("a, b have a pole at lam = +-i*rho")
     return x.rho * x.rho / den, lam / den
 
 
-def omega_forms(lam: complex, x: DomainPoint) -> tuple[complex, complex]:
+def omega_forms(lam, x: DomainPoint):
     """Connection components (omega_rho, omega_z) of D_mu = d_mu - omega_mu d_lam.
 
     Closed forms from differentiating the surface coordinate:
     omega_rho = -2 rho lam / (lam^2 + rho^2), omega_z = -2 lam^2 / (lam^2 + rho^2).
     """
-    if lam == 0:
+    if algebra.any_of(lam == 0):
         raise DomainError("omega is defined away from lam = 0")
     den = lam * lam + x.rho * x.rho
-    if den == 0:
-        raise DomainError(f"omega has a pole at lam = +-i*rho (lam={lam}, rho={x.rho})")
+    if algebra.any_of(den == 0):
+        raise DomainError("omega has a pole at lam = +-i*rho")
     return -2.0 * x.rho * lam / den, -2.0 * lam * lam / den
 
 
-def ab_partials(lam: complex, x: DomainPoint):
+def ab_partials(lam, x: DomainPoint):
     """Closed-form partial derivatives of a and b wrt (rho, z, lam)."""
     rho = x.rho
     den = lam * lam + rho * rho
-    if den == 0:
+    if algebra.any_of(den == 0):
         raise DomainError("a, b partials undefined on the pole set lam = +-i*rho")
     d2 = den * den
     da = (2.0 * rho * lam * lam / d2, 0.0, -2.0 * lam * rho * rho / d2)
@@ -143,12 +115,14 @@ def ab_partials(lam: complex, x: DomainPoint):
     return da, db
 
 
-def ab_d_identity_residual(lam: complex, x: DomainPoint) -> float:
-    """Residual of the duality identity Da = rho * (hodge dual of Db).
+def ab_d_identity_residual(lam, x: DomainPoint):
+    """Relative residual of the duality identity Da = rho * (hodge dual of Db).
 
-    Componentwise: |D_rho a + rho D_z b| + |D_z a - rho D_rho b|, with
-    D_mu f = d_mu f - omega_mu d_lam f assembled from closed-form partials.
-    Vanishes identically for the fixed (a, b) pair.
+    Componentwise: |D_rho a + rho D_z b| + |D_z a - rho D_rho b| over the
+    sum of the moduli of those four terms, with D_mu f = d_mu f - omega_mu
+    d_lam f assembled from closed-form partials. Vanishes identically for
+    the fixed (a, b) pair; D_z a = -4 lam^3 rho^2 / (lam^2 + rho^2)^3 keeps
+    the sum positive wherever omega is defined.
     """
     om_r, om_z = omega_forms(lam, x)
     (da_r, da_z, da_l), (db_r, db_z, db_l) = ab_partials(lam, x)
@@ -156,4 +130,5 @@ def ab_d_identity_residual(lam: complex, x: DomainPoint) -> float:
     d_z_a = da_z - om_z * da_l
     d_rho_b = db_r - om_r * db_l
     d_z_b = db_z - om_z * db_l
-    return abs(d_rho_a + x.rho * d_z_b) + abs(d_z_a - x.rho * d_rho_b)
+    scale = abs(d_rho_a) + abs(x.rho * d_z_b) + abs(d_z_a) + abs(x.rho * d_rho_b)
+    return (abs(d_rho_a + x.rho * d_z_b) + abs(d_z_a - x.rho * d_rho_b)) / scale

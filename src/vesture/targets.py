@@ -18,7 +18,6 @@ from . import algebra, seeds
 from .algebra import ComplexMatrix, Signature
 from .dressing import SolitonConfig, Tolerances
 from .errors import ConfigError, DomainError, SingularPointError
-from .spectral import DomainPoint
 
 SIG_11 = Signature(1, 1)
 SIG_21 = Signature(2, 1)
@@ -34,10 +33,10 @@ GAMMA_TILDE = np.array([[0, 0, -1j], [0, 1, 0], [1j, 0, 0]], dtype=complex)
 @dataclass(frozen=True)
 class ErnstValue11:
     """Real Ernst pair: x the Killing-field norm, y the twist potential;
-    (P,) arrays for a stack of points."""
+    arrays of the points' shape (0-d for one point)."""
 
-    x: float
-    y: float
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,15 @@ class ErnstValue21:
     """Complex Ernst pair (E, Phi) with the real parts reported alongside.
 
     E = x + |Phi|^2 + i y; ``consistency`` is the extraction self-check
-    Im(qt_31 / qt_33) + |Phi|^2, reported rather than enforced. (P,) arrays
-    for a stack of points.
+    Im(qt_31 / qt_33) + |Phi|^2, reported rather than enforced. Arrays of
+    the points' shape (0-d for one point).
     """
 
-    E: complex
-    Phi: complex
-    x: float
-    y: float
-    consistency: float
+    E: np.ndarray
+    Phi: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    consistency: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,26 +86,6 @@ def bl_chart(r, theta, p: BLParams) -> tuple:
         return rho, d * np.cos(theta)
 
 
-def bl_to_weyl(r, theta, p: BLParams) -> DomainPoint:
-    """The points of bl_chart as a checked DomainPoint, of Python numbers
-    for a single point."""
-    rho, z = bl_chart(r, theta, p)
-    return DomainPoint(*_values(np.ndim(rho) == 0, rho, z))
-
-
-def _maps(q, n: int) -> tuple[np.ndarray, bool]:
-    """q as an n x n matrix (checked finite) or a (..., n, n) stack (which
-    may hold non-finite maps), and whether it is one matrix."""
-    if np.ndim(q) == 2:
-        return algebra.as_matrix(q, n), True
-    return np.asarray(q, dtype=complex), False
-
-
-def _values(single: bool, *arrays) -> list:
-    """Python scalars for a single point, else the arrays."""
-    return [a.item() for a in arrays] if single else list(arrays)
-
-
 # ---------------------------------------------------------------------------
 # G_{1,1}: Ernst potential via the Cayley transform
 # ---------------------------------------------------------------------------
@@ -114,24 +93,19 @@ def _values(single: bool, *arrays) -> list:
 def cayley2(q: ComplexMatrix) -> ComplexMatrix:
     """Conjugate a 2x2 matrix, or each of a (..., 2, 2) stack, into the
     SL(2,R) picture."""
-    return algebra.shared_mul(CAYLEY_Q2 @ _maps(q, 2)[0], _CAYLEY_Q2_H)
+    return algebra.shared_mul(CAYLEY_Q2 @ np.asarray(q, dtype=complex), _CAYLEY_Q2_H)
 
 
 def ernst_g11(q: ComplexMatrix) -> ErnstValue11:
     """Extract (x, y) from a dressed 2x2 map, or from each map of a
     (..., 2, 2) stack: x = 1/q'_22, y = q'_12/q'_22 in the Cayley picture.
-    One map with q'_22 = 0 raises; in a stack it, and a map that is not
-    finite, gives NaN."""
-    q, single = _maps(q, 2)
+    A map with q'_22 = 0, or one that is not finite, gives NaN."""
     qp = cayley2(q)
-    bad = qp[..., 1, 1] == 0
-    if single and bad:
-        raise SingularPointError("Ernst extraction singular: q'_22 = 0")
-    bad |= ~np.isfinite(q).all(axis=(-2, -1))
+    bad = (qp[..., 1, 1] == 0) | ~np.isfinite(q).all(axis=(-2, -1))
     q22 = np.where(bad, 1.0, qp[..., 1, 1])
     x = np.where(bad, math.nan, (1.0 / q22).real)
     y = np.where(bad, math.nan, (qp[..., 0, 1] / q22).real)
-    return ErnstValue11(*_values(single, x, y))
+    return ErnstValue11(x, y)
 
 
 def ernst_embed_g11(x: float, y: float) -> ComplexMatrix:
@@ -150,8 +124,7 @@ def kerr_oracle(m: float, a: float, r, theta) -> ErnstValue11:
     den = r * r + a * a * c * c
     if algebra.any_of(den == 0):
         raise DomainError("Kerr oracle denominator vanishes")
-    x = (r * r - 2.0 * m * r + a * a * c * c) / den
-    return ErnstValue11(*_values(np.ndim(x) == 0, x, 2.0 * m * a * c / den))
+    return ErnstValue11((r * r - 2.0 * m * r + a * a * c * c) / den, 2.0 * m * a * c / den)
 
 
 def kerr_params(m: float, s: float) -> tuple[float, float, complex]:
@@ -216,23 +189,17 @@ def ernst_g21(q: ComplexMatrix) -> ErnstValue21:
     Phi = i qt_32 / (sqrt2 qt_33), y = Re(qt_31 / qt_33). The extraction
     uses entry ratios plus the unit-determinant normalization only, so a map
     must have det q = 1, as every map dressing.dress returns has.
-    One map with Re qt_33 = 0 raises; in a stack it, and a map that is not
-    finite, gives NaN.
+    A map with Re qt_33 = 0, or one that is not finite, gives NaN.
     """
-    q, single = _maps(q, 3)
     qt = to_tilde_rep(q)
-    bad = qt[..., 2, 2].real == 0
-    if single and bad:
-        raise SingularPointError("Ernst extraction singular: qt_33 ~ 0")
-    bad |= ~np.isfinite(q).all(axis=(-2, -1))
+    bad = (qt[..., 2, 2].real == 0) | ~np.isfinite(q).all(axis=(-2, -1))
     q33 = np.where(bad, 1.0, qt[..., 2, 2])
     x = np.where(bad, math.nan, 1.0 / q33.real)
     nan = complex(math.nan, math.nan)
     phi = np.where(bad, nan, 1j * qt[..., 2, 1] / (math.sqrt(2.0) * q33))
     ratio = np.where(bad, nan, qt[..., 2, 0] / q33)
     phi2 = np.float_power(np.hypot(phi.real, phi.imag), 2)
-    return ErnstValue21(*_values(single, x + phi2 + 1j * ratio.real, phi, x, ratio.real,
-                                 ratio.imag + phi2))
+    return ErnstValue21(x + phi2 + 1j * ratio.real, phi, x, ratio.real, ratio.imag + phi2)
 
 
 def ptilde_matrix(ernst: complex, phi: complex) -> ComplexMatrix:
@@ -272,8 +239,7 @@ def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
     ernst = 1.0 - 2.0 * m / den
     phi = e / den
     x = ernst.real - np.float_power(np.hypot(phi.real, phi.imag), 2)
-    return ErnstValue21(*_values(np.ndim(x) == 0, ernst, phi, x, ernst.imag,
-                                 np.zeros(np.shape(x))))
+    return ErnstValue21(ernst, phi, x, ernst.imag, np.zeros(np.shape(x)))
 
 
 def kn_family_params(p: BLParams) -> dict[str, float]:
@@ -289,6 +255,9 @@ def kn_family_params(p: BLParams) -> dict[str, float]:
     alpha = m/(2 delta), c = -e/(2 delta) at pole i s.
     """
     b = math.sqrt(p.m * p.m + p.s * p.s + p.e * p.e)
+    if not math.isfinite(b):
+        raise ConfigError(f"Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m={p.m}, "
+                          f"s={p.s}, e={p.e}")
     return {"a_param": p.s, "b_param": b, "n1": p.m / 2.0, "n2": 0.0,
             "n3": -p.e / 2.0, "n4": 0.0, "oracle_a": -b}
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra, spectral
 from .dressing import DressedGrid
-from .errors import ConfigError
+from .errors import ConfigError, SingularPointError
 from .spectral import DomainPoint
 
 
@@ -179,10 +179,9 @@ def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
     det_a = np.asarray(det_a, dtype=complex)
     mask = np.abs(det_a) < tol
     mask |= ~np.isfinite(det_a.real)
-    re = det_a.real
-    with np.errstate(invalid="ignore"):
-        cross_r = (re[:-1, :] * re[1:, :]) < 0
-        cross_z = (re[:, :-1] * re[:, 1:]) < 0
+    sign = np.sign(det_a.real)  # a product of signs cannot overflow as one of values can
+    cross_r = sign[:-1, :] * sign[1:, :] < 0
+    cross_z = sign[:, :-1] * sign[:, 1:] < 0
     mask[:-1, :] |= cross_r
     mask[1:, :] |= cross_r
     mask[:, :-1] |= cross_z
@@ -201,15 +200,17 @@ def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,
     """Residual of the pole-flow identity d(lam_k) + omega(lam_k(x), x) = 0.
 
     The gradient of the tracked root is taken by central differences with
-    step h; the identity holds for either member of the pole pair
-    (``outer_root`` selects the deck partner). O(h^2) for smooth branches.
+    step h, from the pole pairs at x and its four stencil points; the
+    identity holds for either member of the pole pair (``outer_root``
+    selects the deck partner). O(h^2) for smooth branches; a stencil that
+    meets a branch point raises SingularPointError.
     """
-    def root(p: DomainPoint) -> complex:
-        pair = spectral.pole_pair(varpi0, p)
-        return pair.lambda_out if outer_root else pair.lambda_in
-
-    lam = root(x)
-    d_rho = (root(DomainPoint(x.rho + h, x.z)) - root(DomainPoint(x.rho - h, x.z))) / (2 * h)
-    d_z = (root(DomainPoint(x.rho, x.z + h)) - root(DomainPoint(x.rho, x.z - h))) / (2 * h)
-    om_rho, om_z = spectral.omega_forms(lam, x)
+    stencil = DomainPoint(x.rho + np.array([0.0, h, -h, 0.0, 0.0]),
+                          x.z + np.array([0.0, 0.0, 0.0, h, -h]))
+    lam_in, lam_out, branch = spectral.pole_pairs([varpi0], stencil.rho, stencil.z)
+    if algebra.any_of(branch):
+        raise SingularPointError(f"branch point of varpi0={varpi0} on the stencil at {x!r}")
+    lam = (lam_out if outer_root else lam_in)[:, 0]
+    d_rho, d_z = (lam[1::2] - lam[2::2]) / (2 * h)
+    om_rho, om_z = spectral.omega_forms(lam[0], x)
     return abs(d_rho + om_rho) + abs(d_z + om_z)

@@ -19,7 +19,7 @@ from vesture import algebra, seeds, spectral
 from vesture.algebra import ComplexMatrix
 from vesture.dressing import SolitonConfig, Tolerances
 from vesture.errors import ConfigError, DomainError, NumericError, SingularPointError
-from vesture.spectral import BRANCH_EXCLUSION, DomainPoint, PolePair
+from vesture.spectral import BRANCH_EXCLUSION, DomainPoint
 
 CHI_SAMPLES = (
     0.37 + 0.62j,
@@ -46,6 +46,15 @@ class DressedPoint:
     residuals: dict[str, float]
     singular: bool
     note: str = ""
+
+
+@dataclass(frozen=True)
+class PolePair:
+    """The two roots over one surface coordinate (the library's scalar pole
+    pair container, kept here as the reference used it)."""
+
+    lambda_in: complex
+    lambda_out: complex
 
 
 def _pole_pair(varpi0: complex, x: DomainPoint) -> PolePair:

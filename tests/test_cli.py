@@ -117,7 +117,8 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     # the chi audits are reported, not gated
     chi = re.search(r"; max gated chi residuals (\S+) \(reality\), (\S+) \(involution\)\n$", err)
     assert all(0.0 < float(v) <= 1e-12 for v in chi.groups())
-    _, excluded = cli.run_sweep(cli.parse_config(json.dumps(doc)))
+    cfg = cli.parse_config(json.dumps(doc))
+    _, excluded = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
     assert excluded.shape == (6, 6) and not excluded.any()
 
 @pytest.mark.parametrize("key", ["quadratic", "hermiticity", "unit_det"])
@@ -297,6 +298,13 @@ SMALL_GRID = ["--r-min", "3", "--r-max", "5", "--r-count", "2", "--theta-count",
      "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=nan"),
     (["kerr-newman", "--m", "1", "--e", "inf", "--s", "1", *SMALL_GRID],
      "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=inf"),
+    # huge finite parameters: a default window that no longer resolves, and a
+    # charge whose square overflows
+    (["kerr", "--m", "1e150", "--s", "1", "--r-count", "3", "--theta-count", "3"],
+     "grid.r has 3 points but min = max = 1e+150"),
+    (["kerr-newman", "--m", "1", "--e", "1e200", "--s", "1", "--r-count", "3",
+      "--theta-count", "3"],
+     "Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m=1.0, s=1.0, e=1e+200"),
 ])
 def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -471,6 +479,9 @@ FAULTS = [
     # flip the sign of the second rational coefficient
     ("spectral-identities", "spectral-identities", spectral, "ab",
      lambda ab: lambda lam, x: (ab(lam, x)[0], -ab(lam, x)[1])),
+    # a relative error of 1e-9 in the connection
+    ("spectral-identities-omega", "spectral-identities", spectral, "omega_forms",
+     lambda omega: lambda lam, x: tuple(v * (1 + 1e-9) for v in omega(lam, x))),
     # sigma loses its sign flip
     ("chi-audits", "chi-audits", algebra, "sigma", lambda sigma: lambda m, g: m),
     # move the Kerr vector's first component off the Kerr family
@@ -653,7 +664,7 @@ def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
     doc["outputs"].update(path=str(out), format=fmt)
     cfg = cli.parse_config(json.dumps(doc))
     assert cli.run_dress(cfg) == cli.EXIT_OK
-    dressed, _ = cli.run_sweep(cfg)
+    dressed, _ = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
     assert np.abs(dressed.q[:, 0, 1].imag).min() > 0
     field = verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed)
     hodge = np.reshape(verification.hodge_residual(field), (2, -1))

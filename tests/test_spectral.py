@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from vesture import spectral
-from vesture.errors import ConfigError, DomainError, SingularPointError
+from vesture import checks, cli, spectral
+from vesture.errors import DomainError
 from vesture.spectral import DomainPoint
 
 
@@ -47,49 +47,46 @@ def test_deck_involution_and_fixed_point():
 
 
 def test_pole_pair_example_and_vieta():
-    x = DomainPoint(rho=1.0, z=1.0)
-    pair = spectral.pole_pair(1j, x)
-    np.testing.assert_allclose(pair.lambda_in, -0.27202 - 0.21385j, atol=5e-6)
-    np.testing.assert_allclose(pair.lambda_out, 2.27202 - 1.78615j, atol=5e-6)
-    np.testing.assert_allclose(pair.lambda_in * pair.lambda_out, -1.0, atol=1e-14)
-    assert abs(pair.lambda_in) < 1.0 < abs(pair.lambda_out)
+    lam_in, lam_out, branch = spectral.pole_pairs([1j], [1.0], [1.0])
+    assert lam_in.shape == lam_out.shape == branch.shape == (1, 1) and not branch[0, 0]
+    np.testing.assert_allclose(lam_in[0, 0], -0.27202 - 0.21385j, atol=5e-6)
+    np.testing.assert_allclose(lam_out[0, 0], 2.27202 - 1.78615j, atol=5e-6)
+    np.testing.assert_allclose(lam_in[0, 0] * lam_out[0, 0], -1.0, atol=1e-14)
+    assert abs(lam_in[0, 0]) < 1.0 < abs(lam_out[0, 0])
 
 
 def test_pole_pair_against_polynomial_roots():
+    # one surface coordinate per point: a (P, 1) varpi0s gives (P, 1) pairs
     rng = np.random.default_rng(9)
-    for _ in range(25):
-        x = DomainPoint(rho=0.2 + 3 * rng.random(), z=2 * rng.normal())
-        w0 = complex(rng.normal(), (0.2 + rng.random()) * (1 if rng.random() < 0.5 else -1))
-        pair = spectral.pole_pair(w0, x)
-        got = sorted([pair.lambda_in, pair.lambda_out], key=lambda c: (c.real, c.imag))
-        want = sorted(np.roots([1.0, -2.0 * (x.z - w0), -x.rho ** 2]),
+    rho, z = 0.2 + 3 * rng.random(25), 2 * rng.normal(size=25)
+    w0 = rng.normal(size=25) + 1j * (0.2 + rng.random(25)) * np.where(rng.random(25) < 0.5, 1, -1)
+    lam_in, lam_out, _ = spectral.pole_pairs(w0[:, None], rho, z)
+    for k in range(25):
+        got = sorted([lam_in[k, 0], lam_out[k, 0]], key=lambda c: (c.real, c.imag))
+        want = sorted(np.roots([1.0, -2.0 * (z[k] - w0[k]), -rho[k] ** 2]),
                       key=lambda c: (c.real, c.imag))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(pair.lambda_in * pair.lambda_out, -x.rho ** 2, rtol=1e-12)
+    np.testing.assert_allclose(lam_in * lam_out, -rho[:, None] ** 2, rtol=1e-12)
 
 
 def test_pole_pair_boyer_lindquist_root_set():
     m, s = 1.0, 1.0
-    for r, th in [(2.0, 0.7), (3.5, 2.2), (5.0, np.pi / 2)]:
-        rho = np.sqrt((r - m) ** 2 + s ** 2) * np.sin(th)
-        z = (r - m) * np.cos(th)
-        pair = spectral.pole_pair(1j * s, DomainPoint(rho=rho, z=z))
-        expect = {
-            complex((r - m) - 1j * s) * (np.cos(th) + 1),
-            complex((r - m) + 1j * s) * (np.cos(th) - 1),
-        }
-        got = [pair.lambda_in, pair.lambda_out]
-        for g in got:
+    r, th = np.array([2.0, 3.5, 5.0]), np.array([0.7, 2.2, np.pi / 2])
+    rho = np.sqrt((r - m) ** 2 + s ** 2) * np.sin(th)
+    z = (r - m) * np.cos(th)
+    lam_in, lam_out, _ = spectral.pole_pairs([1j * s], rho, z)
+    for k in range(3):
+        expect = [((r[k] - m) - 1j * s) * (np.cos(th[k]) + 1),
+                  ((r[k] - m) + 1j * s) * (np.cos(th[k]) - 1)]
+        for g in (lam_in[k, 0], lam_out[k, 0]):
             assert min(abs(g - e) for e in expect) < 1e-12
 
 
-def test_pole_pair_errors():
-    x = DomainPoint(rho=1.0, z=0.0)
-    with pytest.raises(ConfigError):
-        spectral.pole_pair(2.0, x)  # real pole position
-    # branch point: (z - w0)^2 + rho^2 = 0 at w0 = z + i*rho
-    with pytest.raises(SingularPointError):
-        spectral.pole_pair(0.0 + 1.0j, x)
+def test_pole_pairs_flag_branch_points():
+    # branch point: (z - w0)^2 + rho^2 = 0 at w0 = z + i*rho; a pair there
+    # is flagged, not raised, and real poles are refused by SolitonConfig
+    _, _, branch = spectral.pole_pairs([1j, 1j + 1e-3], [1.0, 1.0], [0.0, 0.0])
+    assert branch.tolist() == [[True, False], [True, False]]
 
 
 def test_ab_values_and_constraints():
@@ -163,3 +160,13 @@ def test_d_identity_residual_vanishes():
         if abs(lam * lam + x.rho ** 2) < 1e-4 or abs(lam) < 1e-3:
             continue
         assert spectral.ab_d_identity_residual(lam, x) < 1e-12
+
+
+def test_spectral_identities_gate_holds_for_every_seed():
+    # each residual is relative to the size of its terms, which grow without
+    # bound next to the poles lam = +-i rho; absolute residuals failed the
+    # gate on some draws there, so whether it passed depended on the seed
+    gate = next(g for name, _, g in cli.SELFTEST_SUITES if name == "spectral-identities")
+    failing = [seed for seed in range(200, 300)
+               if not gate(checks.spectral_identities(seed, 100))[0]]
+    assert failing == []

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import _closed_forms as closed_forms
-from vesture import algebra, dressing, seeds, targets, verification
+from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.dressing import SolitonConfig
-from vesture.errors import DomainError, SingularPointError
+from vesture.errors import DomainError, NumericError
+from vesture.spectral import DomainPoint
 
 from vesture.targets import SIG_11, SIG_21, BLParams
 
@@ -17,18 +19,18 @@ G3 = algebra.gamma(SIG_21)
 def kerr_q(r, theta):
     """The dressed Kerr (1, 1) map at Boyer-Lindquist (r, theta): one map,
     or a stack for arrays."""
-    x = targets.bl_to_weyl(r, theta, BLParams(m=1.0, s=1.0))
-    q = dressing.dress(targets.kerr_config(1.0, 1.0), x.rho, x.z).q
+    rho, z = targets.bl_chart(r, theta, BLParams(m=1.0, s=1.0))
+    q = dressing.dress(targets.kerr_config(1.0, 1.0), rho, z).q
     return q if np.ndim(r) else q[0]
 
-def test_bl_to_weyl():
+def test_bl_chart():
     p = BLParams(m=0.0, s=1.0)
-    x = targets.bl_to_weyl(1.0, math.pi / 2, p)
-    np.testing.assert_allclose([x.rho, x.z], [math.sqrt(2.0), 0.0], atol=1e-15)
+    np.testing.assert_allclose(targets.bl_chart(1.0, math.pi / 2, p), [math.sqrt(2.0), 0.0],
+                               atol=1e-15)
     with pytest.raises(DomainError):
-        targets.bl_to_weyl(2.0, 0.0, p)
+        targets.bl_chart(2.0, 0.0, p)
     with pytest.raises(DomainError):
-        targets.bl_to_weyl(2.0, math.pi, p)
+        targets.bl_chart(2.0, math.pi, p)
 
 def test_cayley_identity_and_reality():
     np.testing.assert_allclose(targets.cayley2(np.eye(2, dtype=complex)), np.eye(2),
@@ -121,12 +123,12 @@ def test_kn_oracle():
     den = 3.0 - 1j * a * math.cos(1.1)
     np.testing.assert_allclose(v.Phi, e_ch / den, rtol=1e-14)
     np.testing.assert_allclose(v.E, 1 - 2 * m / den, rtol=1e-14)
-    # arrays broadcast and round as single points
+    # arrays broadcast, and round as single points (0-d)
     rs, ths = np.linspace(0.5, 9.0, 13), np.linspace(0.3, 2.8, 11)
     o = targets.kn_oracle(m, e_ch, a, rs[:, None], ths[None, :])
     for i, j in np.ndindex(o.E.shape):
         one = targets.kn_oracle(m, e_ch, a, float(rs[i]), float(ths[j]))
-        assert type(one.E) is complex and type(one.x) is float
+        assert np.shape(one.E) == np.shape(one.consistency) == ()
         assert (o.E[i, j], o.Phi[i, j], o.x[i, j], o.y[i, j], o.consistency[i, j]) == \
             (one.E, one.Phi, one.x, one.y, one.consistency)
     # a zero denominator, r = 0 on a non-rotating chart
@@ -156,8 +158,7 @@ def test_g21_family_matches_vector_dressing_at_realizable_params():
         r = 2.0 + 6 * rng.random()
         th = 0.5 + 2.0 * rng.random()
         cfg = SolitonConfig(SIG_21, (1j * p.s,), (np.array([al, be, ga]),), seed3)
-        x = targets.bl_to_weyl(r, th, p)
-        res = dressing.dress(cfg, x.rho, x.z, audit_chi=False)
+        res = dressing.dress(cfg, *targets.bl_chart(r, th, p), audit_chi=False)
         if res.singular[0]:
             continue
         ag, bg = al * np.conj(ga), be * np.conj(ga)
@@ -223,8 +224,8 @@ def test_kn_family_matches_vector_dressing_pipeline():
         bl = BLParams(m=m, s=s, e=e)
         fam = targets.kn_family_params(bl)
         r, th = np.linspace(m + 1.5, m + 10.0, 10), np.linspace(math.pi / 8, 7 * math.pi / 8, 10)
-        x = targets.bl_to_weyl(r[:, None], th[None, :], bl)
-        dressed = dressing.dress(targets.kn_config(m, e, s), x.rho, x.z)
+        dressed = dressing.dress(targets.kn_config(m, e, s),
+                                 *targets.bl_chart(r[:, None], th[None, :], bl))
         assert not dressed.singular.any()
         rr, tt = np.meshgrid(r, th, indexing="ij")
         for q, r_k, th_k in zip(dressed.q, rr.ravel().tolist(), tt.ravel().tolist()):
@@ -249,9 +250,9 @@ def test_kn_config_realizes_the_family_and_its_flat_limit():
                                    [fam["a_param"], fam["b_param"]], rtol=1e-14)
     flat = targets.kn_config(0.0, 0.0, 2.0)  # no division by delta = 0
     np.testing.assert_array_equal(flat.vectors[0], [math.sqrt(2.0), 0, 0])
-    x = targets.bl_to_weyl(np.linspace(1.5, 10.0, 6)[:, None],
-                           np.linspace(0.4, 2.7, 6)[None, :], BLParams(m=0.0, s=2.0))
-    dressed = dressing.dress(flat, x.rho, x.z)
+    dressed = dressing.dress(flat, *targets.bl_chart(np.linspace(1.5, 10.0, 6)[:, None],
+                                                     np.linspace(0.4, 2.7, 6)[None, :],
+                                                     BLParams(m=0.0, s=2.0)))
     ext = targets.ernst_g21(dressed.q)
     assert not dressed.singular.any()
     assert np.abs(ext.E - 1).max() <= 1e-14 and np.abs(ext.Phi).max() == 0
@@ -311,42 +312,74 @@ def test_cartan_embed():
         assert abs(np.linalg.det(q) - 1) < 1e-12
 
 
+def _rows(out) -> np.ndarray:
+    """A function's value, or its tuple or Ernst record of values, as one
+    array with the values last and the points first."""
+    if isinstance(out, (targets.ErnstValue11, targets.ErnstValue21)):
+        out = dataclasses.astuple(out)
+    if isinstance(out, tuple):
+        out = np.stack(np.broadcast_arrays(*out), axis=-1)
+    return np.asarray(out)
+
+
 def test_array_coordinates_and_oracle_round_as_single_points():
+    # a row of a stack equals the same point as a batch of one, bitwise: the
+    # chart and the oracles at 0-d points, the spectral functions at batches
+    # of length 1 (numpy's scalar complex arithmetic rounds unlike its loops)
     p = BLParams(m=1.1, s=0.7)
     rs, ths = np.linspace(1.2, 9.0, 13), np.linspace(0.3, 2.8, 11)
-    x = targets.bl_to_weyl(rs[:, None], ths[None, :], p)
+    rho, z = targets.bl_chart(rs[:, None], ths[None, :], p)
     o = targets.kerr_oracle(1.1, 1.3, rs[:, None], ths[None, :])
-    for i, j in np.ndindex(x.rho.shape):
-        one = targets.bl_to_weyl(float(rs[i]), float(ths[j]), p)
-        assert (x.rho[i, j], x.z[i, j]) == (one.rho, one.z)
-        assert type(one.rho) is float
+    for i, j in np.ndindex(rho.shape):
+        assert (rho[i, j], z[i, j]) == targets.bl_chart(float(rs[i]), float(ths[j]), p)
         single = targets.kerr_oracle(1.1, 1.3, float(rs[i]), float(ths[j]))
         assert (o.x[i, j], o.y[i, j]) == (single.x, single.y)
     with pytest.raises(DomainError):
-        targets.bl_to_weyl(rs, np.full(rs.shape, math.pi), p)
+        targets.bl_chart(rs, np.full(rs.shape, math.pi), p)
+    rng = np.random.default_rng(11)
+    x = DomainPoint(rho.ravel(), z.ravel())
+    lam = rng.normal(size=rho.size) + 1j * rng.normal(size=rho.size)
+    for f in (spectral.varpi, spectral.deck, spectral.ab, spectral.omega_forms,
+              lambda l, x: sum(spectral.ab_partials(l, x), ()),
+              spectral.ab_d_identity_residual):
+        stack = _rows(f(lam, x))
+        for k in range(rho.size):
+            one = _rows(f(lam[k:k + 1], DomainPoint(x.rho[k:k + 1], x.z[k:k + 1])))
+            assert one.shape[0] == 1 and stack[k].tobytes() == one[0].tobytes()
+    # a refusal anywhere in the batch is the single point's refusal
+    for f in (spectral.varpi, spectral.deck, spectral.omega_forms):
+        with pytest.raises(DomainError):
+            f(np.array([1.0, 0.0]), DomainPoint(np.ones(2), np.zeros(2)))
+    for f in (spectral.ab, spectral.omega_forms, spectral.ab_partials,
+              spectral.ab_d_identity_residual):
+        with pytest.raises(DomainError):
+            f(np.array([1.0, 1.3j]), DomainPoint(np.full(2, 1.3), np.zeros(2)))
 
 
 def test_stacked_ernst_extraction_matches_single_maps():
+    # a row of a stack equals the same map alone, bitwise, for every map
+    # function; a map with q'_22 = 0 (Re qt_33 = 0), or one that is not
+    # finite, gives NaN alone and in a stack
     rng = np.random.default_rng(7)
     maps = kerr_q(2.0 + 3 * rng.random(6), 0.3 + 2.5 * rng.random(6))
-    # a map with q'_22 = 0 and one that is not finite give NaN in a stack
-    zero = np.zeros((2, 2))
-    with pytest.raises(SingularPointError):
-        targets.ernst_g11(zero)
-    q2 = np.array([*maps, zero, np.full((2, 2), np.nan)])
-    e2 = targets.ernst_g11(q2)
-    for k, q in enumerate(q2[:6]):
-        assert (e2.x[k], e2.y[k]) == (targets.ernst_g11(q).x, targets.ernst_g11(q).y)
-    assert np.isnan(e2.x[6:]).all() and np.isnan(e2.y[6:]).all()
-    zero3 = np.zeros((3, 3))
-    with pytest.raises(SingularPointError):
-        targets.ernst_g21(zero3)
-    q3 = np.array([closed_forms.embed_g11_in_g21(q) for q in maps]
-                  + [zero3, np.full((3, 3), np.nan)])
-    e3 = targets.ernst_g21(q3)
-    for k, q in enumerate(q3[:6]):
-        one = targets.ernst_g21(q)
-        assert (e3.E[k], e3.Phi[k], e3.x[k], e3.y[k], e3.consistency[k]) == \
-            (one.E, one.Phi, one.x, one.y, one.consistency)
-    for field in (e3.E, e3.Phi):
-        assert np.isnan(field[6:].real).all() and np.isnan(field[6:].imag).all()
+    maps3 = np.array([closed_forms.embed_g11_in_g21(q) for q in maps])
+    for f, stack in ((targets.cayley2, maps), (targets.ernst_g11, maps),
+                     (targets.ernst_g21, maps3), (algebra.inv, maps), (algebra.inv, maps3),
+                     (lambda q: algebra.tau(q, G2), maps), (lambda q: algebra.tau(q, G3), maps3),
+                     (lambda q: algebra.group_residual(q, G2), maps),
+                     (lambda q: algebra.group_residual(q, G3), maps3)):
+        out = _rows(f(stack))
+        for k, q in enumerate(stack):
+            assert out[k].tobytes() == _rows(f(q)).tobytes()
+    for extract, n, regular in ((targets.ernst_g11, 2, maps), (targets.ernst_g21, 3, maps3)):
+        bad = [np.zeros((n, n)), np.full((n, n), np.nan)]
+        for q in bad:
+            assert np.isnan(_rows(extract(q))).all()
+        out = _rows(extract(np.array([*regular, *bad])))
+        assert out[:6].tobytes() == _rows(extract(regular)).tobytes()
+        assert np.isnan(out[6:]).all()
+    # inv refuses a stack with the refusal of its first refused matrix
+    with pytest.raises(NumericError, match="numerically singular"):
+        algebra.inv(np.array([maps[0], np.zeros((2, 2)), np.diag([1.0, 1e-13])]))
+    with pytest.raises(NumericError, match="exceeds cap"):
+        algebra.inv(np.array([maps[0], np.diag([1.0, 1e-13]), np.zeros((2, 2))]))

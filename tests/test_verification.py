@@ -6,7 +6,7 @@ import pytest
 from test_equivalence import SU21, coords
 from vesture import algebra, checks, cli, dressing, targets, verification
 from vesture.algebra import Signature
-from vesture.errors import ConfigError
+from vesture.errors import ConfigError, SingularPointError
 from vesture.spectral import DomainPoint
 from vesture.verification import FieldGrid
 
@@ -228,6 +228,27 @@ def test_lambda_flow_residual_richardson():
     # deck-paired root satisfies the same identity
     r_out = verification.lambda_flow_residual(1j, x, 1e-3, outer_root=True)
     assert r_out <= 1e-5
+    # a stencil point on the branch point z + i rho = varpi0 is refused
+    with pytest.raises(SingularPointError):
+        verification.lambda_flow_residual(1j, DomainPoint(rho=1.0, z=1e-3), 1e-3)
+
+
+def test_locus_mask_sign_changes_cannot_overflow():
+    # det A values whose products overflow or underflow: the mask marks
+    # both ends of every strict sign change along either axis, NaN and
+    # zero ends excepted, as the comparisons below do, and warns of nothing
+    rng = np.random.default_rng(13)
+    values = [1e300, -1e300, 1e-200, -1e-200, 2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
+    for shape in ((1, 1), (1, 5), (5, 1), (4, 6), (7, 3)):
+        re = rng.choice(values, size=shape)
+        expected = (np.abs(re) < 1e-12) | ~np.isfinite(re)
+        for axis in (0, 1):
+            a, b = (np.moveaxis(re, axis, 0)[k] for k in (slice(None, -1), slice(1, None)))
+            cross = ((a < 0) & (b > 0)) | ((a > 0) & (b < 0))
+            view = np.moveaxis(expected, axis, 0)
+            view[:-1] |= cross
+            view[1:] |= cross
+        assert np.array_equal(verification.locus_mask(re + 0j, 1e-12), expected)
 
 
 def test_exclusion_mask_is_the_chebyshev_dilation():
