@@ -82,6 +82,8 @@ def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int
         problems.append(f"grid.{name} needs count >= 1 and finite min <= max")
     elif count > 1 and lo == hi:
         problems.append(f"grid.{name} has {count} points but min = max = {lo!r}")
+    elif not math.isfinite(hi - lo):
+        problems.append(f"grid.{name} spans max - min = {hi - lo!r}, which overflows")
     return (lo, hi, count)
 
 
@@ -469,16 +471,19 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
         det_a = _complex(data[ids, idx["detA_re"]], data[ids, idx["detA_im"]])
         excluded[ids[verification.gate_exclusion(singular[ids], det_a,
                                                  Tolerances().singular_tol)]] = True
-    # membership residuals of every stored finite q; maxima skip NaN
+    # membership residuals of every stored finite q, gated by the largest
+    # component as the sweep is; res_constraint stores their sum. Maxima skip NaN
     rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
-    resid = algebra.symspace_residual(q[rows], g)
+    parts = np.array(algebra.symspace_components(q[rows], g))
+    resid = np.max(parts, axis=0)
     worst_all = float(np.fmax.reduce(resid, initial=0.0))
     worst_gated = float(np.fmax.reduce(resid[~excluded[rows]], initial=0.0))
     worst_diff = 0.0
     if "res_constraint" in idx:
         stored = data[rows, idx["res_constraint"]]
         finite = np.isfinite(stored)
-        worst_diff = float(np.fmax.reduce(np.abs(resid - stored)[finite], initial=0.0))
+        worst_diff = float(np.fmax.reduce(np.abs(parts.sum(axis=0) - stored)[finite],
+                                          initial=0.0))
     checked = int(rows.sum())
     note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
         if excluded.any() else ""

@@ -8,6 +8,8 @@ chi(lam) = I + sum_k R_k / (lam - lam_k). Pole pairs are deck-related
 constant J and the metric (v_{N+k} = J gamma v_k; J = q0 for a constant
 seed), which builds the symmetry conditions chi(inf) = I,
 tau(chi(conj lam)) = chi(lam) and the deck involution into the ansatz.
+So q = chi(0) q0 lies on the symmetric space, det q = 1 included, in exact
+arithmetic: it is returned as it is, and its residuals measure its rounding.
 
 Each residue has rank one, R_k = u_k w_k: a column u_k from the solve times
 a row w_k = v_k* Psi0(lam_k)^{-1} (Belinski & Zakharov 1978). P points are
@@ -259,26 +261,14 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
 
 def _reconstruct(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q0: np.ndarray,
                  fails: _Failures) -> np.ndarray:
-    """q = q0 - sum_k (1/lam_k) u_k w_k q0 at every point, one product: the
-    rows u_k / lam_k, transposed, times the rows w_k q0."""
+    """q = chi(0) q0 = q0 - sum_k (1/lam_k) u_k w_k q0 at every point, one
+    product: the rows u_k / lam_k, transposed, times the rows w_k q0. det q
+    = det chi(0) det q0 = 1 in exact arithmetic; unit_det audits it."""
     zero = lambdas == 0
     if algebra.any_of(zero & fails.ok[:, None]):
         raise DomainError("pole at lam = 0 cannot be inverted in the reconstruction")
     return q0 - algebra.shared_mul((u / np.where(zero, 1.0, lambdas)[..., None]).swapaxes(-1, -2),
                                    w @ q0)
-
-
-def _normalize(q: np.ndarray, tol: float, fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
-    """Rescale each q by det(q)^{-1/n}; returns q and the branch-warning mask."""
-    n = q.shape[-1]
-    d = np.linalg.det(q)
-    zero = d == 0
-    fails.flag(zero, lambda i: SingularPointError("determinant vanishes; cannot normalize"))
-    d = np.where(zero, 1.0, d)
-    real = (np.abs(d.imag) <= tol * np.abs(d)) & (d.real > 0)
-    scale = d.real ** (-1.0 / n) if algebra.all_of(real) else np.where(
-        real, np.where(real, d.real, 1.0) ** (-1.0 / n), d ** (-1.0 / n))
-    return q * scale[..., None, None], ~real
 
 
 def _chi(lam: np.ndarray, u: np.ndarray, w: np.ndarray,
@@ -295,8 +285,8 @@ def _chi(lam: np.ndarray, u: np.ndarray, w: np.ndarray,
     return algebra.identity(u.shape[-1]) + terms, at_pole
 
 
-def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_raw: np.ndarray,
-           q0: np.ndarray, gamma_mat: ComplexMatrix,
+def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray,
+           quadratic: np.ndarray, q0: np.ndarray, gamma_mat: ComplexMatrix,
            rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reality / deck-involution residuals of chi, from its residues
     R_k = u_k w_k (a column times a row) and its value at infinity: both
@@ -308,8 +298,9 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     its residue at lam_k is the column chi(conj lam_k)^* gamma u_k = gamma u_k
     + sum_j conj(w_j) (u_j^* gamma u_k) / (lam_k - conj lam_j) times the row
     w_k gamma (at conj lam_k, its adjoint up to gamma). The deck involution,
-    G(lam) = chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0), is I - q sigma(q_raw)
-    at infinity, q_raw = chi(0) q0 the q of _reconstruct; its residue at lam_k,
+    G(lam) = chi(lam) - q sigma(chi(-rho^2/lam)) sigma(q0), is I - q sigma(q)
+    at infinity, as q = chi(0) q0: the norm of that is the ``quadratic``
+    membership residual, which the caller passes in. Its residue at lam_k,
     u_k w_k - (lam_k^2/rho^2) (q gamma u_k')(w_k' q0 gamma) with k' the deck
     partner of k, is formed before its norm: expanding the norm would cancel
     a rounding-level residual away. Where q sigma(q) = q0 sigma(q0) = I,
@@ -318,7 +309,7 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     rounding next to the axis. Each residue is divided by 1 + ||R_k||_F =
     1 + ||u_k|| ||w_k||; a residual is the largest term at a point.
     """
-    half, m, n = lambdas.shape[-1] // 2, lambdas.shape[-1], u.shape[-1]
+    half, m = lambdas.shape[-1] // 2, lambdas.shape[-1]
     flip = gamma_mat.diagonal().real
     w_len = algebra.frobenius(w[..., None])  # the lengths of vectors, as n x 1 matrices
     size = 1.0 + algebra.frobenius(u[..., None]) * w_len
@@ -327,8 +318,6 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     gram = (ug @ np.conjugate(u).swapaxes(-1, -2)) / denom
     column = ug + algebra.shared_mul(gram, np.conjugate(w))  # chi(conj lam_k)^* gamma u_k
     reality = algebra.frobenius(column[..., None]) * w_len / size
-    infinity = algebra.frobenius(algebra.identity(n)
-                                 - algebra.mul(q, algebra.sigma(q_raw, gamma_mat)))
     partner = np.arange(m) - half  # k + N or k - N, as an index from either end
     mates = u[:, partner] @ (q * flip).swapaxes(-1, -2)
     weight = lambdas * lambdas / (rho * rho)[:, None]
@@ -337,7 +326,7 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray, q_r
     involution = algebra.frobenius(residue) / size
     inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
     involution = np.where(inner, involution[:, :half], involution[:, half:])
-    involution = np.maximum(infinity, np.maximum.reduce(involution, axis=-1))
+    involution = np.maximum(quadratic, np.maximum.reduce(involution, axis=-1))
     return np.maximum.reduce(reality, axis=-1), involution
 
 
@@ -360,7 +349,7 @@ def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
 
 #: the residual record of a dressed point, in order
 _RESIDUALS = ("quadratic", "hermiticity", "unit_det", "symspace", "chi_reality",
-              "chi_involution", "det_branch_warning")
+              "chi_involution")
 
 
 def dress(cfg: SolitonConfig, rho, z, audit_chi: bool = True,
@@ -390,8 +379,7 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
         u = np.conjugate(u_star)
     else:
         det_a, u = np.ones(size, dtype=complex), np.zeros((size, 0, len(g)), dtype=complex)
-    q_raw = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
-    q, warn = _normalize(q_raw, tol.constraint_tol, fails)
+    q = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
     has_q = fails.ok
     table = np.empty((len(_RESIDUALS), size))
     table[:3] = algebra.symspace_components(q, g)
@@ -401,11 +389,10 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
         idx = slice(None) if algebra.all_of(has_q) else has_q.nonzero()[0]
         w = sd.w if sd.w.shape[0] == 1 else sd.w[idx]
         q0_at = q0 if q0.shape[0] == 1 else q0[idx]
-        table[4:6, idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], q_raw[idx], q0_at, g,
+        table[4:6, idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], table[0, idx], q0_at, g,
                                  rho[idx])
-    table[6] = warn & has_q
     lost = ~has_q
-    table[:6, lost] = math.nan
+    table[:, lost] = math.nan
     q[lost] = complex(math.nan, math.nan)
     notes = {int(i): str(fails.error[i]) for i in lost.nonzero()[0]}
     return (DressedGrid(rho, z, q, has_q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),

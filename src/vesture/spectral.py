@@ -59,20 +59,25 @@ def pole_pairs(varpi0s, rho, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``rho`` and ``z`` have shape (P,); returns (lambda_in, lambda_out,
     branch), each of shape (P, N), or (P, 1) for a (P, 1) ``varpi0s`` of one
-    coordinate per point: c = z - varpi0, disc = c^2 + rho^2,
-    lambda_in = c - sqrt(disc) (principal root), lambda_out = c + sqrt(disc),
+    coordinate per point: c = z - varpi0, disc = c^2 + rho^2 (DomainError if
+    it overflows), lambda_in = c - sqrt(disc) (principal root), lambda_out = c + sqrt(disc),
     and ``branch`` marks points within BRANCH_EXCLUSION of a branch point.
     The labels are continuous wherever the principal branch is; the dressed
     map is invariant under relabeling a pair, so they are a determinism choice.
     """
-    rho = np.asarray(rho, dtype=float)[..., None]
-    c = np.asarray(z, dtype=float)[..., None] - np.asarray(varpi0s, dtype=complex)
+    rho, z = np.asarray(rho, dtype=float)[..., None], np.asarray(z, dtype=float)[..., None]
+    c = z - np.asarray(varpi0s, dtype=complex)
     # c^2 from separately rounded real products, as scalar complex arithmetic
     # does it (an array complex multiply may fuse them); the + 0.0 puts a
     # negative real disc on the upper side of the cut, as c*c + rho^2 does
     disc = np.empty(c.shape, dtype=complex)
-    disc.real = c.real * c.real - c.imag * c.imag + rho * rho
-    disc.imag = c.real * c.imag + c.imag * c.real + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc.real = c.real * c.real - c.imag * c.imag + rho * rho
+        disc.imag = c.real * c.imag + c.imag * c.real + 0.0
+    if not algebra.all_of(np.isfinite(disc)):  # a coordinate too large to square
+        at = np.unravel_index(np.argmin(np.isfinite(disc)), disc.shape)[:-1] + (0,)
+        raise DomainError(f"pole pairs overflow: c^2 + rho^2 is not finite at "
+                          f"rho={float(rho[at])!r}, z={float(z[at])!r}")
     root = np.sqrt(disc)
     return c - root, c + root, np.abs(disc) < BRANCH_EXCLUSION
 

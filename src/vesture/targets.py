@@ -188,7 +188,8 @@ def ernst_g21(q: ComplexMatrix) -> ErnstValue21:
     Third-row dictionary in the antidiagonal picture: x = 1 / Re(qt_33),
     Phi = i qt_32 / (sqrt2 qt_33), y = Re(qt_31 / qt_33). The extraction
     uses entry ratios plus the unit-determinant normalization only, so a map
-    must have det q = 1, as every map dressing.dress returns has.
+    must have det q = 1. A map dressing.dress returns has it to rounding:
+    |det q - 1| is its unit_det residual.
     A map with Re qt_33 = 0, or one that is not finite, gives NaN.
     """
     qt = to_tilde_rep(q)

@@ -66,13 +66,20 @@ def test_parse_config_collects_all_violations(tmp_path):
      "solitons[0]: unknown keys 'w'"),
     ({"grid": {"coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
                "params": {"m": 1.0, "s": 1.0, "a": 1.4}}}, "grid.params: unknown keys 'a'"),
+    # lattices that overflow: an axis whose span does not fit a float, and
+    # coordinates whose pole-pair discriminant c^2 + rho^2 does not, which
+    # the dress refuses as a domain error
+    ({"grid": {"coords": "weyl", "rho": [1.0, 2.0, 3], "z": [-1e308, 1e308, 3]}},
+     "grid.z spans max - min = inf, which overflows"),
+    ({"grid": {"coords": "weyl", "rho": [1e-300, 1.7e308, 3], "z": [-0.5, 0.5, 3]}},
+     "pole pairs overflow: c^2 + rho^2 is not finite at rho=8.5e+307, z=-0.5"),
 ])
 def test_parse_config_bad_section_is_a_violation(tmp_path, capsys, overrides, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(minimal_config(tmp_path, **overrides)))
     assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("invalid config:") and message in err
+    # the one violation parse_config finds, or the dress's one-line refusal
+    assert capsys.readouterr().err in (f"invalid config:\n  - {message}\n", message + "\n")
     assert not (tmp_path / "out.csv").exists()
 
 def test_parse_config_rejects_oracle_field(tmp_path):
@@ -258,6 +265,34 @@ def test_kn_preset_reports_known_gap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("verified 36 stored points")
     assert float(re.search(r"max deviation from stored values (\S+)", err).group(1)) <= 1e-15
+
+#: the SU(2,1) config the CI workflow dresses: three solitons on a 9x9 Weyl lattice
+CI_SU21 = {"target": {"p": 2, "q": 1}, "seed": "identity",
+           "solitons": [{"omega": [0.0, 1.0], "v": [[1.0, 0.1], [0.3, 0.0], [0.2, 0.1]]},
+                        {"omega": [0.7, 0.6], "v": [[0.2, 0.0], [1.1, 0.2], [0.3, 0.0]]},
+                        {"omega": [-0.8, 1.4], "v": [[0.5, 0.1], [0.1, 0.0], [0.9, 0.0]]}],
+           "grid": {"coords": "weyl", "rho": [2.0, 4.0, 9], "z": [-2.0, 2.0, 9]}}
+
+@pytest.mark.parametrize("argv, out", [
+    (["kerr", "--m", "1", "--s", "1", "--out", "k.csv"], "k.csv"),
+    (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1", "--format", "json",
+      "--out", "kn.json"], "kn.json"),
+    (["dress", "-c", "su21.json"], "su21-out.json"),
+], ids=["kerr", "kerr-newman", "su21"])
+def test_verify_gates_the_dress_summarys_residual(tmp_path, capsys, monkeypatch, argv, out):
+    # verify recomputes the largest membership component over the gated
+    # points, as the sweep's summary does, to the last printed digit
+    monkeypatch.chdir(tmp_path)
+    doc = {**CI_SU21, "outputs": {"fields": ["q", "detA", "residuals", "ernst"],
+                                  "path": "su21-out.json", "format": "json"}}
+    (tmp_path / "su21.json").write_text(json.dumps(doc))
+    assert cli.main(argv) == cli.EXIT_OK
+    dressed = re.search(r"max gated constraint residual (\S+);", capsys.readouterr().err)
+    assert cli.main(["verify", out]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert re.search(r"max recomputed constraint residual (\S+) gated", err).group(1) \
+        == dressed.group(1)
+    assert float(re.search(r"max deviation from stored values (\S+)", err).group(1)) == 0.0
 
 @pytest.mark.parametrize("m, e", [(1.0, 0.0), (0.0, 0.0), (0.0, 0.5), (-1.0, 0.5), (-1.0, 0.0)])
 def test_kn_preset_corner_parameters(tmp_path, capsys, m, e):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _exact_dressing as exact_dressing
 import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
@@ -12,7 +13,7 @@ from vesture.dressing import SolitonConfig, Tolerances
 from vesture.errors import ConfigError, NumericError, SingularPointError
 from vesture.spectral import DomainPoint
 from vesture.verification import gate_exclusion
-from test_equivalence import KERR_RING, SU21, TIGHT, coords
+from test_equivalence import KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, coords
 
 SIG11 = Signature(1, 1)
 G11 = algebra.gamma(SIG11)
@@ -28,8 +29,7 @@ def bl_point(r, th, m=1.0, s=1.0):
 
 def kernels(cfg, x):
     """The batch kernels at the one point x: spectral data, A, B*, the
-    factors u_k of chi's residues as rows and q before det normalisation,
-    each with its batch axis."""
+    factors u_k of chi's residues as rows and q, each with its batch axis."""
     fails = dressing._Failures(1)
     sd, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
     a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
@@ -257,30 +257,38 @@ def test_v_scaling_invariance():
     assert algebra.frobenius(base.q[0] - scaled.q[0]) < 1e-10
 
 
-def test_normalize_det_branches():
-    def normalize(q):
-        fails = dressing._Failures(1)
-        out, warn = dressing._normalize(np.asarray(q, dtype=complex)[None], 1e-9, fails)
-        return out[0], bool(warn[0]), fails.error[0]
-
-    q, warn, error = normalize(np.eye(2))
-    np.testing.assert_array_equal(q, np.eye(2))
-    assert not warn and error is None
-    q, warn, _ = normalize(2 * np.eye(2))
-    np.testing.assert_allclose(q, np.eye(2), rtol=1e-15)
-    assert not warn
-    # non-real determinant: principal branch with the warning flag
-    q, warn, _ = normalize(np.diag([np.exp(0.3j), 1.0]))
-    assert warn
-    np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-14)
-    assert isinstance(normalize(np.zeros((2, 2)))[2], SingularPointError)
-
-
 def test_kerr_determinant_already_one():
     x = bl_point(2.9, 1.4)
     res = dressing.dress(kerr_cfg(), x.rho, x.z)
     assert res.residuals["unit_det"][0] <= 1e-9
-    assert res.residuals["det_branch_warning"][0] == 0.0
+
+
+@pytest.mark.parametrize("problem, point, bound", [
+    (LARGE_Q, (0.5, -2.0), 1e-11),  # ||q||_F^2 = 2.3e7
+    (NEAR_LOCUS, (1.0, -0.375), 1e-9),  # cond(A) = 3.8e5, next to a det A zero
+], ids=["large-q", "near-locus"])
+def test_q_is_close_to_its_50_digit_value(problem, point, bound):
+    # the forward error of q against the same dressing evaluated in 50-digit
+    # arithmetic from the same float inputs; a q rescaled by its computed
+    # det^(-1/n) adds that det's rounding, up to eps ||q||_F^2 relative
+    # (1.7e-10 and 1.7e-6 here)
+    exact = exact_dressing.dressed_q(problem[0], *point)
+    got = dressing.dress(problem[0], *point).q[0]
+    assert np.linalg.norm(got - exact) <= bound * np.linalg.norm(exact)
+
+
+def test_unit_det_audits_the_reconstructed_determinant(monkeypatch):
+    # a q off the symmetric space by a factor 1 + 1e-6 reads det q - 1 = n 1e-6
+    rho, z = np.meshgrid([1.5, 2.5], [-0.5, 0.5])
+    cfg = SU21[0]
+    clean = dressing.dress(cfg, rho, z)
+    reconstruct = dressing._reconstruct
+    monkeypatch.setattr(dressing, "_reconstruct",
+                        lambda *args: reconstruct(*args) * (1.0 + 1e-6))
+    scaled = dressing.dress(cfg, rho, z)
+    assert clean.has_q.all() and scaled.has_q.all()
+    assert clean.residuals["unit_det"].max() <= 1e-12
+    np.testing.assert_allclose(scaled.residuals["unit_det"], 3e-6, rtol=1e-5)
 
 
 def test_chi_properties():
@@ -594,11 +602,11 @@ def _factors(cfg, rho, z):
     return grid, u[keep], w if len(w) == 1 else w[keep], lambdas[keep], keep
 
 
-def _explicit_audit(u, w, lambdas, q, q_raw, q0, g, rho):
+def _explicit_audit(u, w, lambdas, q, q0, g, rho):
     """_audit's reality and involution residuals, formed on the n x n
     residues R_k = u_k w_k: chi(conj lam_k)^* sigma(R_k) and R_k -
     (lam_k^2/rho^2) q sigma(R_k') sigma(q0), each over 1 + ||R_k||_F, and
-    I - q sigma(q_raw) at infinity."""
+    I - q sigma(q) at infinity."""
     n, half = len(g), lambdas.shape[-1] // 2
     res = u[..., :, None] * w[..., None, :]
     size = 1.0 + algebra.frobenius(res)
@@ -611,7 +619,7 @@ def _explicit_audit(u, w, lambdas, q, q_raw, q0, g, rho):
         q[:, None] @ algebra.sigma(res[:, partner], g) @ algebra.sigma(q0, g)[:, None])) / size
     inner = np.abs(weight[:, :half]) <= np.abs(weight[:, half:])
     involution = np.where(inner, involution[:, :half], involution[:, half:]).max(axis=-1)
-    infinity = algebra.frobenius(np.eye(n) - q @ algebra.sigma(q_raw, g))
+    infinity = algebra.frobenius(np.eye(n) - q @ algebra.sigma(q, g))
     return reality.max(axis=-1), np.maximum(infinity, involution)
 
 
@@ -624,7 +632,8 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     # audited pole follows from G(-rho^2/lam) = -q sigma(G(lam)) sigma(q0).
     cfg, rho, z = problem()
     grid, u, w, lambdas, keep = _factors(cfg, rho, z)
-    rho, z, q = grid.rho[keep], grid.z[keep], grid.q[keep]
+    rho, z, q, quadratic = grid.rho[keep], grid.z[keep], grid.q[keep], \
+        grid.residuals["quadratic"][keep]
     q0 = np.broadcast_to(cfg.seed.q0(rho, z), q.shape)
     g, half, norm = algebra.gamma(cfg.signature), cfg.n_solitons, algebra.frobenius
     samples = np.array([reference._audit_samples(SimpleNamespace(lambdas=lam), DomainPoint(r, h))
@@ -645,13 +654,11 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
         size=(2 * half, 2 * half, 2)).view(complex)[..., 0]
     mixed = (lambdas[..., None] * (np.linalg.inv(mix).T @ (u / lambdas[..., None])), mix @ w)
     for perturbed, (fu, fw) in enumerate(((u, w), mixed)):
-        # chi(0) q0, the q before normalisation of these factors
-        q_raw = dressing._chi(np.zeros((len(q), 1)), fu, fw, lambdas)[0][:, 0] @ q0
-        reality, involution = dressing._audit(fu, fw, lambdas, q, q_raw, q0, g, rho)
+        reality, involution = dressing._audit(fu, fw, lambdas, q, quadratic, q0, g, rho)
         if perturbed:  # residuals far above rounding: each is its residue formula
             np.testing.assert_allclose(
                 (reality, involution),
-                _explicit_audit(fu, fw, lambdas, q, q_raw, q0, g, rho), rtol=1e-10)
+                _explicit_audit(fu, fw, lambdas, q, q0, g, rho), rtol=1e-10)
         chi = dressing._chi(samples, fu, fw, lambdas)[0]
         chi_conj = dressing._chi(samples.conj(), fu, fw, lambdas)[0]
         chi_deck = dressing._chi(-(rho * rho)[:, None] / samples, fu, fw, lambdas)[0]

@@ -11,7 +11,7 @@ relative, and every residual-dict entry but the chi audits to 1e-10 plus
 the rounding of a residual of q (see assert_equivalent). Two numbers are
 held to their conditioning where it is worse than that: det A next to a
 det A zero the lattice does not resolve, and the scalar det(q_raw)^(-1/n)
-that normalises q, whose rounding grows with ||q||_F^2.
+by which the reference normalises q, whose rounding grows with ||q||_F^2.
 """
 import math
 
@@ -76,9 +76,10 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
         # what is missing (q, det A, residuals) is missing on both sides
         assert new.has_q[k] == (o.q is not None)
         assert np.isnan(new.det_a[k]) == math.isnan(o.det_a.real)
+        # the reference's det_branch_warning entry flags its own normaliser
         assert {key: bool(np.isnan(col[k])) for key, col in new.residuals.items()} == \
             {key: math.isnan(v) and not (refused and key.startswith("chi"))
-             for key, v in o.residuals.items()}, k
+             for key, v in o.residuals.items() if key != "det_branch_warning"}, k
         if skip:
             continue
         n = cfg.signature.n
@@ -92,8 +93,9 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
         if o.q is None:
             continue
         size = np.linalg.norm(o.q)
-        # q = q_raw det(q_raw)^(-1/n). q_raw agrees to rounding, but det(q_raw)
-        # is 1 in exact arithmetic and its rounding is amplified: q_raw + E with
+        # the reference returns q_raw det(q_raw)^(-1/n), the pipeline q_raw. They
+        # agree to rounding but for that scalar: det(q_raw) is 1 in exact
+        # arithmetic and its rounding is amplified: q_raw + E with
         # |E| <= eps |q_raw| moves det by |tr(q_raw^-1 E)| <= eps sum |q^-1|^T |q|
         # relative, and as q^-1 = gamma q gamma, that sum is at most ||q||_F^2.
         # So q is held to 1e-13 but for that one scalar, the scalar to its rounding.
@@ -109,13 +111,10 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
         slack = 1e-10 + noise
         bounds = {"quadratic": slack, "hermiticity": slack, "unit_det": slack,
                   "symspace": 3 * slack}
-        # the branch warning reports rounding in det(q_raw), real and positive
-        # in exact arithmetic: below tol, neither side warns
-        warned = new.residuals["det_branch_warning"][k] + o.residuals["det_branch_warning"]
-        if noise < cfg.tolerances.constraint_tol:
-            assert new.residuals["det_branch_warning"][k] == \
-                o.residuals["det_branch_warning"], k
-        elif warned:  # a principal root's phase: q is not Hermitian on that side
+        # the reference's branch warning reports rounding in det(q_raw), real
+        # and positive in exact arithmetic; where it fires, its q carries a
+        # principal root's phase and is not Hermitian
+        if o.residuals["det_branch_warning"]:
             del bounds["hermiticity"], bounds["symspace"]
         for key, bound in bounds.items():
             got, want = new.residuals[key][k], o.residuals[key]
