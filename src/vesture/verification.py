@@ -1,17 +1,15 @@
 """Finite-difference certification of dressed fields.
 
 Works on rectangular Weyl-coordinate grids with uniform spacing per axis.
-Two residuals are formed for the connection W = -(dq) q^{-1}. The
-divergence residual ||d_rho(rho W_rho) + d_z(rho W_z)|| is the field
-equation: it vanishes iff q is harmonic. The curvature residual
-||d_rho W_z - d_z W_rho + [W_rho, W_z]|| vanishes identically for every
-smooth invertible q, as W is a pure gauge, so it measures only how
-consistently the stencils discretize a flat connection and cannot see a
-map that is not harmonic. Central
-second-order stencils are used in the interior and second-order one-sided
-stencils on the boundary; boundary values and a margin around the singular
-locus are excluded from pass/fail statistics. Stencils touching a singular
-hole yield no data (NaN), never zero.
+The residual is the divergence ||d_rho(rho W_rho) + d_z(rho W_z)|| of the
+connection W = -(dq) q^{-1}: the field equation, which vanishes iff q is
+harmonic. The curvature of W is not formed: it vanishes identically for
+every smooth invertible q, as W is a pure gauge, so it cannot see a map
+that is not harmonic. Central second-order stencils are used in the
+interior and second-order one-sided stencils on the boundary; boundary
+values and a margin around the singular locus are excluded from pass/fail
+statistics. Stencils touching a singular hole yield no data (NaN), never
+zero.
 """
 from __future__ import annotations
 
@@ -87,12 +85,12 @@ def _grad(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out.swapaxes(0, axis)
 
 
-def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point curvature and divergence residuals; only the divergence
-    tests the field equation (see the module docstring).
+def hodge_residual(field: FieldGrid) -> np.ndarray:
+    """Per-point divergence residual, the field equation (see the module
+    docstring).
 
-    Returns (curvature, divergence) arrays of shape (n_rho, n_z); NaN marks
-    points whose stencil touched a hole. Needs at least 3 points per axis.
+    Returns an array of shape (n_rho, n_z); NaN marks points whose stencil
+    touched a hole. Needs at least 3 points per axis.
     """
     if field.rhos.size < 3 or field.zs.size < 3:
         raise ConfigError("hodge residual needs at least 3 grid points per axis")
@@ -108,11 +106,9 @@ def hodge_residual(field: FieldGrid) -> tuple[np.ndarray, np.ndarray]:
     h_rho, h_z = field.h_rho, field.h_z
     w_rho = -algebra.mul(_grad(q, h_rho, 0), qinv)
     w_z = -algebra.mul(_grad(q, h_z, 1), qinv)
-    curl = (_grad(w_z, h_rho, 0) - _grad(w_rho, h_z, 1)
-            + algebra.mul(w_rho, w_z) - algebra.mul(w_z, w_rho))
     rho_col = field.rhos[:, None, None, None]
     div = _grad(rho_col * w_rho, h_rho, 0) + rho_col * _grad(w_z, h_z, 1)
-    return algebra.frobenius(curl), algebra.frobenius(div)
+    return algebra.frobenius(div)
 
 
 def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:
@@ -139,12 +135,11 @@ def exclusion_mask(locus: np.ndarray, margin: int = 3) -> np.ndarray:
     return out
 
 
-def refinement_ratios(coarse: FieldGrid, fine: FieldGrid,
-                      margin: int = 2) -> tuple[float, float]:
-    """Median residual ratios (curvature, divergence) under h -> h/2.
+def refinement_ratios(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> float:
+    """Median divergence-residual ratio under h -> h/2.
 
     The fine grid must be the 2x refinement of the coarse grid over the
-    same region; ratios are taken at coarse interior points where both
+    same region; the ratio is taken at coarse interior points where both
     residuals are finite. Exactly-zero residual pairs (constant fields)
     yield math.inf.
     """
@@ -153,25 +148,18 @@ def refinement_ratios(coarse: FieldGrid, fine: FieldGrid,
     if (abs(fine.rhos[::2] - coarse.rhos).max() > 1e-9 * coarse.h_rho
             or abs(fine.zs[::2] - coarse.zs).max() > 1e-9 * coarse.h_z):
         raise ConfigError("grids are not nested over the same region")
-    res_c = hodge_residual(coarse)
-    res_f = hodge_residual(fine)
-    out = []
-    inner = interior_mask((coarse.rhos.size, coarse.zs.size), margin)
-    for rc, rf in zip(res_c, res_f):
-        rf_at_coarse = rf[::2, ::2]
-        valid = inner & np.isfinite(rc) & np.isfinite(rf_at_coarse)
-        num = rc[valid]
-        den = rf_at_coarse[valid]
-        if num.size == 0:
-            raise ConfigError("no interior points with data to compare")
-        if np.all(num == 0) and np.all(den == 0):
-            out.append(math.inf)
-            continue
-        pos = den > 0
-        if not np.any(pos):
-            raise ConfigError("fine-grid residuals vanish where coarse ones do not")
-        out.append(float(np.median(num[pos] / den[pos])))
-    return out[0], out[1]
+    rc = hodge_residual(coarse)
+    rf = hodge_residual(fine)[::2, ::2]
+    valid = interior_mask(rc.shape, margin) & np.isfinite(rc) & np.isfinite(rf)
+    num, den = rc[valid], rf[valid]
+    if num.size == 0:
+        raise ConfigError("no interior points with data to compare")
+    if np.all(num == 0) and np.all(den == 0):
+        return math.inf
+    pos = den > 0
+    if not np.any(pos):
+        raise ConfigError("fine-grid residuals vanish where coarse ones do not")
+    return float(np.median(num[pos] / den[pos]))
 
 
 def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:

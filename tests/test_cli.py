@@ -99,7 +99,7 @@ def test_run_dress_writes_csv_and_passes_gate(tmp_path, capsys):
     header = lines[0].split(",")
     assert header[:2] == ["rho", "z"]
     assert "q_re_11" in header and "detA_re" in header and "singular" in header
-    assert "res_constraint" in header and "res_hodge1" in header
+    assert "res_constraint" in header and "res_hodge2" in header
     assert header[-2:] == ["x", "y"]
     assert len(lines) == 1 + 8 * 8
     # machine-readable floats with 17 significant digits round-trip
@@ -258,7 +258,7 @@ def test_kn_preset_reports_known_gap(tmp_path, capsys):
     cells = [f"{i}{j}" for i in range(1, 4) for j in range(1, 4)]
     assert out.read_text().splitlines()[0].split(",") == (
         ["rho", "z", "r", "theta"] + [f"q_{part}_{c}" for c in cells for part in ("re", "im")]
-        + ["detA_re", "detA_im", "res_constraint", "res_hodge1", "res_hodge2", "singular",
+        + ["detA_re", "detA_im", "res_constraint", "res_hodge2", "singular",
            "E_re", "E_im", "Phi_re", "Phi_im",
            "oracle_E_re", "oracle_E_im", "oracle_Phi_re", "oracle_Phi_im"])
     assert cli.main(["verify", str(out)]) == cli.EXIT_OK
@@ -482,7 +482,7 @@ def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
     assert "RuntimeWarning" not in err
     assert "(36 rows near the singular locus excluded from the gate); gate vacuous: all 36 " \
         "points singular or within 3 cells of the singular locus;" in err
-    assert "medians (no finite value, no finite value)" in err
+    assert "recomputed finite-difference residuals: no finite value;" in err
 
 def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     doc = minimal_config(tmp_path)
@@ -493,6 +493,45 @@ def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     msg = capsys.readouterr().err
     assert "recomputed finite-difference residuals" in msg
     assert "max deviation from stored values 0.000e+00" in msg
+
+def _curvature(field) -> np.ndarray:
+    """||d_rho W_z - d_z W_rho + [W_rho, W_z]|| of W = -(dq) q^-1, the
+    curvature residual that Weyl payloads stored as res_hodge1 before the
+    column was dropped (it vanishes for every smooth map)."""
+    grad, hole = verification._grad, ~field.mask[..., None, None]
+    q = np.where(hole, np.nan, field.values)
+    qinv = np.where(hole, np.nan, np.linalg.inv(np.where(hole, np.eye(q.shape[-1]), q)))
+    w_rho, w_z = -grad(q, field.h_rho, 0) @ qinv, -grad(q, field.h_z, 1) @ qinv
+    curl = grad(w_z, field.h_rho, 0) - grad(w_rho, field.h_z, 1) + w_rho @ w_z - w_z @ w_rho
+    return np.linalg.norm(curl, axis=(-2, -1)).ravel()
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_reads_a_payload_with_the_dropped_curvature_column(tmp_path, capsys, fmt):
+    # columns are looked up by name: a Weyl payload with a res_hodge1
+    # column before res_hodge2, as older files carry it, verifies as the
+    # same payload without it does
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [1.0, 2.0, 6],
+                                         "z": [-0.5, 0.5, 6]})
+    new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+    doc["outputs"].update(path=str(new), format=fmt)
+    cfg = cli.parse_config(json.dumps(doc))
+    assert cli.run_dress(cfg) == cli.EXIT_OK
+    dressed, _ = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
+    curvature = _curvature(verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed))
+    columns, rows, _ = cli._load_table(str(new))
+    meta = json.loads(new.read_text())["meta"] if fmt == "json" else {}
+    k = columns.index("res_hodge2")
+    cli._write_output(str(old), fmt, columns[:k] + ["res_hodge1"] + columns[k:],
+                      np.insert(rows, k, curvature, axis=1), meta)
+    capsys.readouterr()
+    assert cli.main(["verify", str(new)]) == cli.EXIT_OK
+    want = capsys.readouterr().err
+    assert cli.main(["verify", str(old)]) == cli.EXIT_OK
+    got = capsys.readouterr().err
+    assert got == want
+    assert got.startswith("verified 36 stored points: max recomputed constraint residual ")
+    assert re.search(r"\nrecomputed finite-difference residuals: median \S+; "
+                     r"max deviation from stored values 0\.000e\+00\n$", got)
 
 def _nan_at_first_point(ernst):
     def faulty(q):
@@ -611,6 +650,18 @@ def test_verify_says_why_it_skips_finite_differences(tmp_path, capsys):
         "\nfinite-difference residuals not recomputed: "
         "hodge residual needs at least 3 grid points per axis\n")
 
+def test_verify_says_why_a_boyer_lindquist_payload_has_no_finite_differences(tmp_path, capsys):
+    # the (rho, z) points of an (r, theta) lattice are not a (rho, z) lattice
+    out = tmp_path / "kerr.csv"
+    assert cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "4",
+                     "--theta-count", "3", "--out", str(out)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("verified 12 stored points")
+    assert err.endswith("\nfinite-difference residuals not recomputed: the stored (rho, z) "
+                        "points do not form a rectangular lattice\n")
+
 def test_verify_treats_an_exactly_singular_q_as_a_hole(tmp_path, capsys):
     # a 3x3 lattice of identity maps, one of them q = 0 but not marked singular
     cols = ["rho", "z"] + [f"q_{part}_{c}" for c in ("11", "12", "21", "22")
@@ -622,7 +673,7 @@ def test_verify_treats_an_exactly_singular_q_as_a_hole(tmp_path, capsys):
     cli._write_output(path, "csv", cols, rows, {})
     assert cli.main(["verify", path]) == cli.EXIT_GATE
     err = capsys.readouterr().err
-    assert "recomputed finite-difference residuals: medians" in err and "Traceback" not in err
+    assert "recomputed finite-difference residuals: median" in err and "Traceback" not in err
 
 def test_main_calls_share_one_parser_without_leaking_options(tmp_path):
     assert cli._parser() is cli._parser()
@@ -661,8 +712,8 @@ def _sources(dressed, hodge, extra) -> dict[str, np.ndarray]:
             out[f"q_re_{i + 1}{j + 1}"] = dressed.q[:, i, j].real
             out[f"q_im_{i + 1}{j + 1}"] = dressed.q[:, i, j].imag
     out.update(detA_re=dressed.det_a.real, detA_im=dressed.det_a.imag,
-               res_constraint=dressed.residuals["symspace"], res_hodge1=hodge[0],
-               res_hodge2=hodge[1], singular=dressed.singular.astype(float))
+               res_constraint=dressed.residuals["symspace"], res_hodge2=hodge,
+               singular=dressed.singular.astype(float))
     return {**out, **extra}
 
 def _assert_bitwise(payload, sources):
@@ -685,7 +736,7 @@ def test_every_kerr_payload_column_holds_its_source(tmp_path, fmt):
     found = family.sweep(r, theta)
     assert np.abs(found.dressed.q[:, 0, 1].imag).min() > 0
     lattice = {"r": np.repeat(r, len(theta)), "theta": np.tile(theta, len(r))}
-    _assert_bitwise(_payload(out), _sources(found.dressed, np.full((2, 12), math.nan),
+    _assert_bitwise(_payload(out), _sources(found.dressed, np.full(12, math.nan),
                                             {**lattice, **found.columns}))
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -702,6 +753,6 @@ def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
     dressed, _ = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
     assert np.abs(dressed.q[:, 0, 1].imag).min() > 0
     field = verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed)
-    hodge = np.reshape(verification.hodge_residual(field), (2, -1))
+    hodge = verification.hodge_residual(field).ravel()
     _assert_bitwise(_payload(out), _sources(dressed, hodge,
                                             checks.ernst_columns(checks.ernst(dressed.q))))

@@ -210,10 +210,10 @@ def test_kn_potentials_solve_field_equations_only_on_family_chart():
     for m, e, s in KN_SETS:
         a = targets.kn_family_params(BLParams(m=m, s=s, e=e))["oracle_a"]
         a_em = -math.sqrt(m * m + s * s - e * e)
-        _, div = verification.refinement_ratios(_kn_potential_field(m, e, s, a, 0.1),
-                                                _kn_potential_field(m, e, s, a, 0.05))
-        _, div_em = verification.refinement_ratios(_kn_potential_field(m, e, s, a_em, 0.1),
-                                                   _kn_potential_field(m, e, s, a_em, 0.05))
+        div = verification.refinement_ratios(_kn_potential_field(m, e, s, a, 0.1),
+                                             _kn_potential_field(m, e, s, a, 0.05))
+        div_em = verification.refinement_ratios(_kn_potential_field(m, e, s, a_em, 0.1),
+                                                _kn_potential_field(m, e, s, a_em, 0.05))
         assert 3.5 <= div <= 4.5
         assert div_em < 2.0
 
