@@ -83,18 +83,6 @@ def lattice(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return out
 
 
-def dress_lattice(cfg: SolitonConfig, rho: np.ndarray,
-                  z: np.ndarray) -> tuple[DressedGrid, np.ndarray]:
-    """Dress the lattice of Weyl coordinates (rho, z), two 2-D arrays, in
-    row-major order; returns the dressed arrays and the gate-exclusion mask
-    over the lattice."""
-    dressed = dressing.dress(cfg, rho, z)
-    excluded = verification.gate_exclusion(dressed.singular.reshape(rho.shape),
-                                           dressed.det_a.reshape(rho.shape),
-                                           cfg.tolerances.singular_tol)
-    return dressed, excluded
-
-
 def _first(count: int, ok) -> np.ndarray:
     """The indices of the first ``count`` of a batch of draws whose
     precondition ``ok`` holds."""
@@ -274,7 +262,6 @@ def default_window(m: float, count: int = 40) -> tuple[tuple[float, float, int],
 class FamilySweep(NamedTuple):
     solitons: SolitonConfig
     dressed: DressedGrid
-    excluded: np.ndarray  # the gate-exclusion mask over the (r, theta) lattice
     points: dict[str, np.ndarray]  # the r and theta of each point
     columns: dict[str, np.ndarray]  # the dressed Ernst potentials and the closed form
     error: np.ndarray  # per-point relative error of the dressed potentials
@@ -302,13 +289,12 @@ class Family:
     def sweep(self, r: np.ndarray, theta: np.ndarray) -> FamilySweep:
         """Dress the family on the row-major (r, theta) lattice of two axes."""
         cfg = self.config()
-        dressed, excluded = dress_lattice(
-            cfg, *targets.bl_chart(r[:, None], theta[None, :], self.chart()))
+        dressed = dressing.dress(cfg, *targets.bl_chart(r[:, None], theta[None, :], self.chart()))
         r_at, theta_at = lattice(r, theta).reshape(2, -1)
         found, oracle = ernst(dressed.q), self.oracle(r_at, theta_at)
         columns = {**ernst_columns(found),
                    **{"oracle_" + key: v for key, v in ernst_columns(oracle).items()}}
-        return FamilySweep(cfg, dressed, excluded, {"r": r_at, "theta": theta_at}, columns,
+        return FamilySweep(cfg, dressed, {"r": r_at, "theta": theta_at}, columns,
                            self.error(found, oracle))
 
 
@@ -382,7 +368,9 @@ def kerr_field(box: tuple[float, float, float, float], h: float) -> verification
     rhos = np.linspace(rho0, rho1, round((rho1 - rho0) / h) + 1)
     zs = np.linspace(z0, z1, round((z1 - z0) / h) + 1)
     dressed = dressing.dress(targets.kerr_config(1.0, 1.0), *lattice(rhos, zs), audit_chi=False)
-    return verification.FieldGrid.from_results(rhos, zs, dressed)
+    shape = (len(rhos), len(zs))
+    return verification.FieldGrid(rhos, zs, dressed.q.reshape(shape + dressed.q.shape[1:]),
+                                  ~dressed.singular.reshape(shape))
 
 
 def convergence(box: tuple[float, float, float, float], h: float) -> Convergence:

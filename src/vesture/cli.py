@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, checks, seeds, targets, verification
+from . import algebra, checks, dressing, seeds, targets, verification
 from .algebra import Signature
 from .dressing import DressedGrid, SolitonConfig, Tolerances
 from .errors import ConfigError, DomainError, NumericError, VestureError
@@ -259,14 +259,17 @@ def _vacuous(excluded: np.ndarray) -> str:
 
 def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
                  points: dict[str, np.ndarray], meta: dict,
-                 extra: dict[str, np.ndarray]) -> None:
+                 extra: dict[str, np.ndarray]) -> np.ndarray:
     """Write one row per dressed point of the lattice of ``axes``: the
     coordinates, the ``points`` columns (name: values), the requested fields
-    but ernst, the finite-difference residual on Weyl grids of at least 3x3
-    points, and the ``extra`` columns; the payload meta is ``meta``, then the
-    target and the coordinates. The rows are one array, a column each."""
+    but ernst, with verification.audit's finite-difference residual, and the
+    ``extra`` columns, as one array; the payload meta is ``meta``, then the
+    target and the coordinates. Returns audit's gate-exclusion mask."""
     sig = cfg.solitons.signature
     n, size = sig.n, len(dressed.q)
+    excluded, hodge, _ = verification.audit(
+        axes, dressed.q, dressed.singular, dressed.det_a, cfg.solitons.tolerances.singular_tol,
+        cfg.grid.coords == "weyl")
     names, cols = ["rho", "z", *points], [dressed.rho, dressed.z, *points.values()]
     if "q" in cfg.fields:
         names += [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
@@ -276,21 +279,13 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
         names += ["detA_re", "detA_im"]
         cols += [dressed.det_a.real, dressed.det_a.imag]
     if "residuals" in cfg.fields:
-        a1, a2 = axes
-        hodge = np.full(size, math.nan)
-        if cfg.grid.coords == "weyl" and len(a1) >= 3 and len(a2) >= 3:
-            field = verification.FieldGrid.from_results(a1, a2, dressed)
-            hodge = verification.hodge_residual(field).ravel()
         names += ["res_constraint", "res_hodge2"]
         cols += [dressed.residuals["symspace"], hodge]
     names += ["singular", *extra]
     cols += [dressed.singular, *extra.values()]
     meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus}, "coords": cfg.grid.coords}
     _write_output(cfg.path, cfg.format, names, np.array(cols).T, meta)
-
-
-#: the residuals the summary reports: the constraint components, then the chi audits
-_SUMMARY_RESIDUALS = ("quadratic", "hermiticity", "unit_det", "chi_reality", "chi_involution")
+    return excluded
 
 
 def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: str,
@@ -298,11 +293,11 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
     """Print the summary line, ``head`` and the largest gated residuals, and
     return the exit code: the gate holds the membership residual over the
     gated points to the constraint tolerance, a NaN failing it, and needs
-    the caller's own gate ``ok``. The chi audits are reported, not gated.
-    The maxima are one reduction over the gated columns; a NaN propagates."""
-    gated = np.array([dressed.residuals[key] for key in _SUMMARY_RESIDUALS])[:, ~excluded.ravel()]
-    peaks = np.max(gated, axis=1, initial=0.0)
-    worst, reality, involution = float(np.max(peaks[:3])), float(peaks[3]), float(peaks[4])
+    the caller's own gate ``ok``. The chi audits are reported, not gated."""
+    keep = ~excluded
+    worst = checks.constraint(dressed, keep)
+    reality, involution = (checks.worst([dressed.residuals[key][keep]])
+                           for key in ("chi_reality", "chi_involution"))
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
           f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
           file=sys.stderr)
@@ -312,12 +307,13 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
     axes = cfg.grid.axis_values()
-    dressed, excluded = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*axes))
+    dressed = dressing.dress(cfg.solitons, *cfg.grid.weyl(*axes))
     points = {}
     if cfg.grid.coords == "boyer-lindquist":
         points = dict(zip(("r", "theta"), checks.lattice(*axes).reshape(2, -1)))
-    _write_sweep(cfg, dressed, axes, points, {},
-                 checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
+    excluded = _write_sweep(
+        cfg, dressed, axes, points, {},
+        checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
     return _summary(cfg, dressed, excluded,
                     f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular)")
 
@@ -330,9 +326,9 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     found = family.sweep(*axes)
     cfg = RunConfig(solitons=found.solitons, grid=grid,
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
-    _write_sweep(cfg, found.dressed, axes, found.points, family.meta(), found.columns)
-    worst = float(np.max(found.error[~found.excluded.ravel()], initial=0.0))
-    return _summary(cfg, found.dressed, found.excluded,
+    excluded = _write_sweep(cfg, found.dressed, axes, found.points, family.meta(), found.columns)
+    worst = checks.worst([found.error[~excluded]])
+    return _summary(cfg, found.dressed, excluded,
                     f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
 
 
@@ -410,29 +406,15 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _read_lattice(data: np.ndarray, idx: dict[str, int]):
-    """(rhos, zs, ids) when the stored points form a complete rectangular
-    (rho, z) lattice, ids[i, j] being the row at (rhos[i], zs[j]); else None."""
-    if "rho" not in idx or "z" not in idx:
-        return None
-    rho, z = data[:, idx["rho"]], data[:, idx["z"]]
-    rhos, zs = np.unique(rho), np.unique(z)
-    if rhos.size * zs.size != len(data):
-        return None
-    ids = np.full((rhos.size, zs.size), -1)
-    ids[np.searchsorted(rhos, rho), np.searchsorted(zs, z)] = np.arange(len(data))
-    if np.any(ids < 0):
-        return None
-    return rhos, zs, ids
-
-
 def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
                 constraint_tol: float = Tolerances().constraint_tol) -> int:
     """Recompute membership residuals from the stored q of an output file.
 
     The signature is p, q_minus when given, else the one a JSON output
     stores. A CSV with n <= 3 needs neither: (n-1, 1) and (1, n-1) give the
-    same residuals.
+    same residuals. The stored rows, in any order, are put onto their
+    (r, theta) lattice when the file has those columns, else their (rho, z)
+    one, and gated there as the sweep gated them (verification.audit).
     """
     cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
@@ -458,68 +440,53 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
         print(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data",
               file=sys.stderr)
         return EXIT_CONFIG
-    g = algebra.gamma(sig)
+    coords = ("r", "theta") if "r" in idx and "theta" in idx else ("rho", "z")
+    lattice = verification.lattice_order(*(data[:, idx[c]] for c in coords)) \
+        if all(c in idx for c in coords) else None
+    if lattice is not None:
+        data = data[lattice[1]]
     q = _complex(data[:, [idx[f"q_re_{c}"] for c in cells]],
                  data[:, [idx[f"q_im_{c}"] for c in cells]]).reshape(-1, n, n)
     singular = data[:, idx["singular"]] >= 0.5 if "singular" in idx \
         else np.zeros(len(data), dtype=bool)
-    lattice = _read_lattice(data, idx)
-    # the sweep's own exit-gate exclusion, applied to the stored lattice
-    excluded = np.zeros(len(data), dtype=bool)
-    if lattice is not None and "detA_re" in idx and "detA_im" in idx:
-        ids = lattice[2]
-        det_a = _complex(data[ids, idx["detA_re"]], data[ids, idx["detA_im"]])
-        excluded[ids[verification.gate_exclusion(singular[ids], det_a,
-                                                 Tolerances().singular_tol)]] = True
+    det_a = _complex(data[:, idx["detA_re"]], data[:, idx["detA_im"]]) \
+        if "detA_re" in idx and "detA_im" in idx else None
+    excluded, hodge = np.zeros(len(data), dtype=bool), None
+    why = f"the stored ({coords[0]}, {coords[1]}) points do not form a rectangular lattice"
+    if lattice is not None:
+        excluded, hodge, why = verification.audit(lattice[0], q, singular, det_a,
+                                                  Tolerances().singular_tol, coords == ("rho", "z"))
     # membership residuals of every stored finite q, gated by the largest
-    # component as the sweep is; res_constraint stores their sum. Maxima skip NaN
+    # component as the sweep is; res_constraint stores their sum
     rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
-    parts = np.array(algebra.symspace_components(q[rows], g))
+    parts = np.array(algebra.symspace_components(q[rows], algebra.gamma(sig)))
     resid = np.max(parts, axis=0)
-    worst_all = float(np.fmax.reduce(resid, initial=0.0))
-    worst_gated = float(np.fmax.reduce(resid[~excluded[rows]], initial=0.0))
+    worst_gated = checks.worst([resid[~excluded[rows]]])
     worst_diff = 0.0
     if "res_constraint" in idx:
         stored = data[rows, idx["res_constraint"]]
         finite = np.isfinite(stored)
         worst_diff = float(np.fmax.reduce(np.abs(parts.sum(axis=0) - stored)[finite],
                                           initial=0.0))
-    checked = int(rows.sum())
     note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
         if excluded.any() else ""
-    print(f"verified {checked} stored points: max recomputed constraint residual "
-          f"{worst_gated:.3e} gated / {worst_all:.3e} overall{note}{_vacuous(excluded | ~rows)}; "
-          f"max deviation from stored values {worst_diff:.3e}", file=sys.stderr)
-    _verify_hodge(data, idx, lattice, q, singular)
+    print(f"verified {rows.sum()} stored points: max recomputed constraint residual "
+          f"{worst_gated:.3e} gated / {checks.worst([resid]):.3e} overall{note}"
+          f"{_vacuous(excluded | ~rows)}; max deviation from stored values {worst_diff:.3e}",
+          file=sys.stderr)
+    if why:
+        print(f"finite-difference residuals not recomputed: {why}", file=sys.stderr)
+    else:
+        worst = 0.0
+        if "res_hodge2" in idx:
+            diff = np.abs(hodge - data[:, idx["res_hodge2"]])
+            worst = np.max(diff, where=np.isfinite(diff), initial=0.0)
+        # the median over the finite residuals of the gated points only
+        gated = hodge[~excluded & np.isfinite(hodge)]
+        median = f"median {np.median(gated):.3e}" if gated.size else "no finite value"
+        print(f"recomputed finite-difference residuals: {median}; "
+              f"max deviation from stored values {worst:.3e}", file=sys.stderr)
     return EXIT_OK if worst_gated <= constraint_tol else EXIT_GATE
-
-
-def _verify_hodge(data, idx, lattice, q, singular) -> None:
-    """Recompute the finite-difference residual when the stored points form
-    a uniform (rho, z) lattice with at least 3 points per axis (FieldGrid and
-    hodge_residual refuse other lattices); report-only, and a skip says why."""
-    if lattice is None:
-        print("finite-difference residuals not recomputed: the stored (rho, z) points do "
-              "not form a rectangular lattice", file=sys.stderr)
-        return
-    rhos, zs, ids = lattice
-    values = q[ids]
-    mask = ~singular[ids] & np.all(np.isfinite(values.view(float)), axis=(-2, -1))
-    try:
-        grid = verification.FieldGrid(rhos=rhos, zs=zs, values=values, mask=mask)
-        res = verification.hodge_residual(grid)
-    except VestureError as exc:
-        print(f"finite-difference residuals not recomputed: {exc}", file=sys.stderr)
-        return
-    worst = 0.0
-    if "res_hodge2" in idx:
-        diff = np.abs(res - data[ids, idx["res_hodge2"]])
-        worst = np.max(diff, where=np.isfinite(diff), initial=0.0)
-    # the median over the finite residuals only: every stencil may touch a hole
-    finite = res[np.isfinite(res)]
-    median = f"median {np.median(finite):.3e}" if finite.size else "no finite value"
-    print(f"recomputed finite-difference residuals: {median}; "
-          f"max deviation from stored values {worst:.3e}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ that is not harmonic. Central second-order stencils are used in the
 interior and second-order one-sided stencils on the boundary; boundary
 values and a margin around the singular locus are excluded from pass/fail
 statistics. Stencils touching a singular hole yield no data (NaN), never
-zero.
+zero. ``audit`` forms a lattice's exit gate and residual, for sweep and verify.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, spectral
-from .dressing import DressedGrid
 from .errors import ConfigError, SingularPointError
 from .spectral import DomainPoint
 
@@ -63,14 +62,6 @@ class FieldGrid:
     @property
     def h_z(self) -> float:
         return float(self.zs[1] - self.zs[0])
-
-    @classmethod
-    def from_results(cls, rhos, zs, results: DressedGrid) -> "FieldGrid":
-        """The maps of a lattice dressed in row-major order; its singular
-        points are the holes."""
-        shape = (np.size(rhos), np.size(zs))
-        return cls(rhos=rhos, zs=zs, values=results.q.reshape(shape + results.q.shape[1:]),
-                   mask=~results.singular.reshape(shape))
 
 
 def _grad(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -177,10 +168,53 @@ def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
     return mask
 
 
-def gate_exclusion(singular: np.ndarray, det_a: np.ndarray, singular_tol: float) -> np.ndarray:
+def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None,
+                   singular_tol: float) -> np.ndarray:
     """Mask of lattice points excluded from exit gates: singular points and
-    the det A locus, widened by a 3-cell margin."""
-    return exclusion_mask(singular | locus_mask(det_a, singular_tol), margin=3)
+    the det A locus (the singular points alone when det_a is None), widened
+    by a 3-cell margin."""
+    locus = singular if det_a is None else singular | locus_mask(det_a, singular_tol)
+    return exclusion_mask(locus, margin=3)
+
+
+def lattice_order(a1: np.ndarray, a2: np.ndarray):
+    """((axis1, axis2), order) when the points (a1[k], a2[k]) form a complete
+    rectangular lattice in any order of the rows, the axes sorted and
+    order[i * len(axis2) + j] the row at (axis1[i], axis2[j]); else None."""
+    axis1, axis2 = np.unique(a1), np.unique(a2)
+    if axis1.size * axis2.size != a1.size:
+        return None
+    ids = np.full((axis1.size, axis2.size), -1)
+    ids[np.searchsorted(axis1, a1), np.searchsorted(axis2, a2)] = np.arange(a1.size)
+    if np.any(ids < 0):
+        return None
+    return (axis1, axis2), ids.ravel()
+
+
+def audit(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarray,
+          det_a: np.ndarray | None, singular_tol: float,
+          weyl: bool) -> tuple[np.ndarray, np.ndarray, str]:
+    """The exit gate and the field equation on the row-major lattice of two
+    axes, from the (P, n, n) maps, singular flags and det A values (or None,
+    see gate_exclusion) of its P points.
+
+    Returns the gate-exclusion mask; the divergence residual when ``weyl``
+    says the axes are (rho, z), a singular or non-finite q being a hole, NaN
+    where it is not formed; and why it was not formed, or "" when it was.
+    """
+    shape = (len(axes[0]), len(axes[1]))
+    excluded = gate_exclusion(singular.reshape(shape),
+                              None if det_a is None else det_a.reshape(shape),
+                              singular_tol).ravel()
+    if not weyl:
+        return (excluded, np.full(len(q), math.nan),
+                "the points form an (r, theta) lattice, not a (rho, z) one")
+    holes = singular | ~np.all(np.isfinite(q), axis=(-2, -1))
+    try:
+        field = FieldGrid(*axes, values=q.reshape(shape + q.shape[1:]), mask=~holes.reshape(shape))
+        return excluded, hodge_residual(field).ravel(), ""
+    except ConfigError as exc:
+        return excluded, np.full(len(q), math.nan), str(exc)
 
 
 def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,

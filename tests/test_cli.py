@@ -110,6 +110,15 @@ def _reported(line: str, label: str) -> float:
     """The number that follows ``label`` in a summary line."""
     return float(re.search(re.escape(label) + r" (\S+?)[;\n]", line).group(1))
 
+def _dressed_field(cfg) -> tuple[dressing.DressedGrid, verification.FieldGrid]:
+    """The dressed arrays of a Weyl config's lattice, and its maps as a
+    FieldGrid whose holes are the singular points."""
+    rhos, zs = cfg.grid.axis_values()
+    dressed = dressing.dress(cfg.solitons, *cfg.grid.weyl(rhos, zs))
+    shape = (len(rhos), len(zs))
+    return dressed, verification.FieldGrid(rhos, zs, dressed.q.reshape(shape + dressed.q.shape[1:]),
+                                           ~dressed.singular.reshape(shape))
+
 def test_dress_command_gates_every_point(tmp_path, capsys):
     # minimal_config's soliton on a Weyl grid clear of the ring: all 36 points gated
     doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
@@ -125,8 +134,10 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     chi = re.search(r"; max gated chi residuals (\S+) \(reality\), (\S+) \(involution\)\n$", err)
     assert all(0.0 < float(v) <= 1e-12 for v in chi.groups())
     cfg = cli.parse_config(json.dumps(doc))
-    _, excluded = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
-    assert excluded.shape == (6, 6) and not excluded.any()
+    dressed, _ = _dressed_field(cfg)
+    excluded, _, why = verification.audit(cfg.grid.axis_values(), dressed.q, dressed.singular,
+                                          dressed.det_a, Tolerances().singular_tol, True)
+    assert excluded.shape == (36,) and not excluded.any() and why == ""
 
 @pytest.mark.parametrize("key", ["quadratic", "hermiticity", "unit_det"])
 def test_a_nan_gated_residual_fails_the_dress_gate(tmp_path, capsys, monkeypatch, key):
@@ -273,12 +284,25 @@ CI_SU21 = {"target": {"p": 2, "q": 1}, "seed": "identity",
                         {"omega": [-0.8, 1.4], "v": [[0.5, 0.1], [0.1, 0.0], [0.9, 0.0]]}],
            "grid": {"coords": "weyl", "rho": [2.0, 4.0, 9], "z": [-2.0, 2.0, 9]}}
 
+#: a Boyer-Lindquist window across the Kerr(1, 1) ring: the gate excludes 204 of 900 points
+KERR_RING = ["kerr", "--m", "1", "--s", "1", "--r-min", "1.5", "--r-max", "4", "--r-count", "30",
+             "--theta-count", "30", "--out", "kring.csv"]
+
+#: the CI workflow's Kerr(1, 1) lattice in Weyl coordinates across the ring
+CI_WEYL = {"target": {"p": 1, "q": 1}, "seed": "identity",
+           "solitons": [{"omega": [0.0, 1.0], "v": [[1.09868411346781, 0.0],
+                                                    [0.4550898605622274, 0.0]]}],
+           "grid": {"coords": "weyl", "rho": [0.7, 2.1, 32], "z": [-0.7, 0.7, 32]},
+           "outputs": {"fields": ["q", "detA", "residuals"], "path": "weyl.csv",
+                       "format": "csv"}}
+
 @pytest.mark.parametrize("argv, out", [
     (["kerr", "--m", "1", "--s", "1", "--out", "k.csv"], "k.csv"),
     (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1", "--format", "json",
       "--out", "kn.json"], "kn.json"),
     (["dress", "-c", "su21.json"], "su21-out.json"),
-], ids=["kerr", "kerr-newman", "su21"])
+    (KERR_RING, "kring.csv"),
+], ids=["kerr", "kerr-newman", "su21", "kerr-ring"])
 def test_verify_gates_the_dress_summarys_residual(tmp_path, capsys, monkeypatch, argv, out):
     # verify recomputes the largest membership component over the gated
     # points, as the sweep's summary does, to the last printed digit
@@ -509,15 +533,15 @@ def _curvature(field) -> np.ndarray:
 def test_verify_reads_a_payload_with_the_dropped_curvature_column(tmp_path, capsys, fmt):
     # columns are looked up by name: a Weyl payload with a res_hodge1
     # column before res_hodge2, as older files carry it, verifies as the
-    # same payload without it does
-    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [1.0, 2.0, 6],
+    # same payload without it does; the grid gates every point, so the
+    # finite-difference median is formed
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
                                          "z": [-0.5, 0.5, 6]})
     new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
     doc["outputs"].update(path=str(new), format=fmt)
     cfg = cli.parse_config(json.dumps(doc))
     assert cli.run_dress(cfg) == cli.EXIT_OK
-    dressed, _ = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
-    curvature = _curvature(verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed))
+    curvature = _curvature(_dressed_field(cfg)[1])
     columns, rows, _ = cli._load_table(str(new))
     meta = json.loads(new.read_text())["meta"] if fmt == "json" else {}
     k = columns.index("res_hodge2")
@@ -651,7 +675,8 @@ def test_verify_says_why_it_skips_finite_differences(tmp_path, capsys):
         "hodge residual needs at least 3 grid points per axis\n")
 
 def test_verify_says_why_a_boyer_lindquist_payload_has_no_finite_differences(tmp_path, capsys):
-    # the (rho, z) points of an (r, theta) lattice are not a (rho, z) lattice
+    # the rows are read onto their (r, theta) lattice, where no (rho, z)
+    # stencil is formed
     out = tmp_path / "kerr.csv"
     assert cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "4",
                      "--theta-count", "3", "--out", str(out)]) == cli.EXIT_OK
@@ -659,8 +684,56 @@ def test_verify_says_why_a_boyer_lindquist_payload_has_no_finite_differences(tmp
     assert cli.main(["verify", str(out)]) == cli.EXIT_OK
     err = capsys.readouterr().err
     assert err.startswith("verified 12 stored points")
-    assert err.endswith("\nfinite-difference residuals not recomputed: the stored (rho, z) "
-                        "points do not form a rectangular lattice\n")
+    assert err.endswith("\nfinite-difference residuals not recomputed: the points form an "
+                        "(r, theta) lattice, not a (rho, z) one\n")
+
+def test_verify_takes_the_finite_difference_median_over_the_gated_points(tmp_path, capsys,
+                                                                          monkeypatch):
+    # on CI's Weyl lattice the 614 gated points read a median of 1.458; over
+    # every finite point, the rows next to the ring included, it is 6.941
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", "weyl.csv"]) == cli.EXIT_OK
+    assert capsys.readouterr().err.endswith(
+        " (410 rows near the singular locus excluded from the gate); max deviation from stored "
+        "values 0.000e+00\nrecomputed finite-difference residuals: median 1.458e+00; "
+        "max deviation from stored values 0.000e+00\n")
+
+@pytest.mark.parametrize("argv, out", [(KERR_RING, "kring.csv"),
+                                       (["dress", "-c", "weyl.json"], "weyl.csv")],
+                         ids=["kerr-ring", "weyl"])
+def test_verify_reads_the_rows_in_any_order(tmp_path, capsys, monkeypatch, argv, out):
+    # the rows are put onto their lattice by their coordinates, not by
+    # position: reversed and shuffled, they verify as written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", out]) == cli.EXIT_OK
+    want = capsys.readouterr().err
+    assert "excluded from the gate" in want
+    columns, rows, _ = cli._load_table(out)
+    for order in (rows[::-1], rows[np.random.default_rng(0).permutation(len(rows))]):
+        cli._write_output("moved.csv", "csv", columns, order, {})
+        assert cli.main(["verify", "moved.csv"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == want
+
+def test_verify_without_det_a_excludes_the_singular_margin(tmp_path, capsys):
+    # with no det A columns the file fixes only part of the sweep's gate: the
+    # flagged branch point (rho, z) = (1, 0) and its 3-cell margin, 7x7 points
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [0.25, 3.25, 13],
+                                         "z": [-1.0, 1.0, 11]})
+    doc["outputs"]["fields"] = ["q", "residuals"]
+    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    err = capsys.readouterr().err
+    gated, overall = map(float, re.search(r"residual (\S+) gated / (\S+) overall \(49 rows near "
+                                          r"the singular locus excluded from the gate\);",
+                                          err).groups())
+    assert err.startswith("verified 142 stored points: ") and gated <= 1e-13 < overall
 
 def test_verify_treats_an_exactly_singular_q_as_a_hole(tmp_path, capsys):
     # a 3x3 lattice of identity maps, one of them q = 0 but not marked singular
@@ -750,9 +823,8 @@ def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
     doc["outputs"].update(path=str(out), format=fmt)
     cfg = cli.parse_config(json.dumps(doc))
     assert cli.run_dress(cfg) == cli.EXIT_OK
-    dressed, _ = checks.dress_lattice(cfg.solitons, *cfg.grid.weyl(*cfg.grid.axis_values()))
+    dressed, field = _dressed_field(cfg)
     assert np.abs(dressed.q[:, 0, 1].imag).min() > 0
-    field = verification.FieldGrid.from_results(*cfg.grid.axis_values(), dressed)
     hodge = verification.hodge_residual(field).ravel()
     _assert_bitwise(_payload(out), _sources(dressed, hodge,
                                             checks.ernst_columns(checks.ernst(dressed.q))))

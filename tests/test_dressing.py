@@ -574,7 +574,8 @@ def test_dressed_seed_map_converges_second_order(sig, v1, v2):
         rho, z = np.meshgrid(rhos, zs, indexing="ij")
         twice = _two_ways(sig, v1, v2, rho, z)[1]
         assert not twice.singular.any()
-        return verification.FieldGrid.from_results(rhos, zs, twice)
+        return verification.FieldGrid(rhos, zs, twice.q.reshape(rho.shape + twice.q.shape[1:]),
+                                      ~twice.singular.reshape(rho.shape))
 
     assert 3.5 <= verification.refinement_ratios(field(0.1), field(0.05)) <= 4.5
 

@@ -125,8 +125,9 @@ def _drift_field(name):
     the dressed SU(2,1) example lattice (three branch points, so holes)."""
     if name == "su21":
         rho, z = coords(SU21[1])
-        return FieldGrid.from_results(rho[:, 0], z[0], dressing.dress(SU21[0], rho, z)), \
-            algebra.gamma(SU21[0].signature)
+        dressed = dressing.dress(SU21[0], rho, z)
+        return FieldGrid(rho[:, 0], z[0], dressed.q.reshape(rho.shape + (3, 3)),
+                         ~dressed.singular.reshape(rho.shape)), algebra.gamma(SU21[0].signature)
     return checks.kerr_field(cli._KERR_BOX, float(name)), algebra.gamma(Signature(1, 1))
 
 
