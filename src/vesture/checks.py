@@ -1,5 +1,7 @@
-"""Numerical checks of the construction, and the closed-form families that
-the ``kerr`` / ``kerr-newman`` presets and ``vesture selftest`` both dress.
+"""Numerical checks of the construction, the closed-form families that the
+``kerr`` / ``kerr-newman`` presets and ``vesture selftest`` both dress, and
+the one lattice sweep (``sweep``) that ``dress``, the presets and selftest
+share.
 
 Each check takes its inputs (an rng seed and a count, a grid, or parameter
 sets) and returns the measured numbers. The pass/fail thresholds live in one
@@ -75,12 +77,17 @@ def ernst_columns(e: targets.ErnstValue11 | targets.ErnstValue21) -> dict[str, n
     return {"E_re": e.E.real, "E_im": e.E.imag, "Phi_re": e.Phi.real, "Phi_im": e.Phi.imag}
 
 
-def lattice(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    """The points of the row-major lattice of two axes as one (2, len(a1),
-    len(a2)) array: the a1 value of each point, then its a2 value."""
-    out = np.empty((2, len(a1), len(a2)))
-    out[0], out[1] = a1[:, None], a2
-    return out
+def sweep(cfg: SolitonConfig, axes: tuple[np.ndarray, np.ndarray],
+          chart: targets.BLParams | None = None) -> tuple[DressedGrid, dict[str, np.ndarray]]:
+    """Dress the row-major lattice of two axes: (rho, z) when ``chart`` is
+    None, else (r, theta) through targets.bl_chart. Returns the dressed
+    points and their r and theta columns ({} on a Weyl lattice)."""
+    points = np.empty((2, len(axes[0]), len(axes[1])))  # the a1, then the a2 of each point
+    points[0], points[1] = axes[0][:, None], axes[1]
+    if chart is None:
+        return dressing.dress(cfg, *points), {}
+    dressed = dressing.dress(cfg, *targets.bl_chart(axes[0][:, None], axes[1][None, :], chart))
+    return dressed, dict(zip(("r", "theta"), points.reshape(2, -1)))
 
 
 def _first(count: int, ok) -> np.ndarray:
@@ -259,14 +266,6 @@ def default_window(m: float, count: int = 40) -> tuple[tuple[float, float, int],
     return (m + 1.5, m + 10.0, count), (math.pi / 8, 7 * math.pi / 8, count)
 
 
-class FamilySweep(NamedTuple):
-    solitons: SolitonConfig
-    dressed: DressedGrid
-    points: dict[str, np.ndarray]  # the r and theta of each point
-    columns: dict[str, np.ndarray]  # the dressed Ernst potentials and the closed form
-    error: np.ndarray  # per-point relative error of the dressed potentials
-
-
 class Family:
     """A closed-form family dressed from the flat seed by one soliton; its
     dataclass fields are the parameters, in payload order. Each defines
@@ -286,16 +285,15 @@ class Family:
         """The payload meta entries of the family's preset."""
         return {"preset": self.preset, **vars(self), **self.constants()}
 
-    def sweep(self, r: np.ndarray, theta: np.ndarray) -> FamilySweep:
-        """Dress the family on the row-major (r, theta) lattice of two axes."""
-        cfg = self.config()
-        dressed = dressing.dress(cfg, *targets.bl_chart(r[:, None], theta[None, :], self.chart()))
-        r_at, theta_at = lattice(r, theta).reshape(2, -1)
-        found, oracle = ernst(dressed.q), self.oracle(r_at, theta_at)
+    def compare(self, q: np.ndarray,
+                points: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """The Ernst potentials of the (P, n, n) maps q and the closed form at
+        their ``points`` (r and theta columns) as payload columns, and the
+        per-point relative error of the first."""
+        found, oracle = ernst(q), self.oracle(points["r"], points["theta"])
         columns = {**ernst_columns(found),
                    **{"oracle_" + key: v for key, v in ernst_columns(oracle).items()}}
-        return FamilySweep(cfg, dressed, {"r": r_at, "theta": theta_at}, columns,
-                           self.error(found, oracle))
+        return columns, self.error(found, oracle)
 
 
 @dataclass(frozen=True)
@@ -352,12 +350,14 @@ def oracle_report(family: type[Family], param_sets, count: int = 40) -> OracleRe
     for params in param_sets:
         member = family(*params)
         t0 = time.perf_counter()
-        found = member.sweep(*(np.linspace(*axis) for axis in default_window(member.m, count)))
+        axes = tuple(np.linspace(*axis) for axis in default_window(member.m, count))
+        dressed, points = sweep(member.config(), axes, member.chart())
+        _, error = member.compare(dressed.q, points)
         slowest = max(slowest, time.perf_counter() - t0)
-        keep = ~found.dressed.singular
-        errors.append(found.error[keep])
-        constraints.append(constraint(found.dressed, keep))
-        singular += int(found.dressed.singular.sum())
+        keep = ~dressed.singular
+        errors.append(error[keep])
+        constraints.append(constraint(dressed, keep))
+        singular += int(dressed.singular.sum())
     return OracleReport(worst(errors), worst(constraints), singular, slowest)
 
 
@@ -365,11 +365,11 @@ def kerr_field(box: tuple[float, float, float, float], h: float) -> verification
     """The Kerr (1, 1) map dressed on the Weyl box (rho0, rho1, z0, z1) with
     spacing h."""
     rho0, rho1, z0, z1 = box
-    rhos = np.linspace(rho0, rho1, round((rho1 - rho0) / h) + 1)
-    zs = np.linspace(z0, z1, round((z1 - z0) / h) + 1)
-    dressed = dressing.dress(targets.kerr_config(1.0, 1.0), *lattice(rhos, zs), audit_chi=False)
-    shape = (len(rhos), len(zs))
-    return verification.FieldGrid(rhos, zs, dressed.q.reshape(shape + dressed.q.shape[1:]),
+    axes = (np.linspace(rho0, rho1, round((rho1 - rho0) / h) + 1),
+            np.linspace(z0, z1, round((z1 - z0) / h) + 1))
+    dressed, _ = sweep(targets.kerr_config(1.0, 1.0), axes)
+    shape = tuple(map(len, axes))
+    return verification.FieldGrid(*axes, dressed.q.reshape(shape + dressed.q.shape[1:]),
                                   ~dressed.singular.reshape(shape))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra, checks, dressing, seeds, targets, verification
+from . import algebra, checks, seeds, targets, verification
 from .algebra import Signature
 from .dressing import DressedGrid, SolitonConfig, Tolerances
 from .errors import ConfigError, DomainError, NumericError, VestureError
@@ -35,20 +35,12 @@ _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA", "oracle")
 
 @dataclass
 class GridSpec:
-    coords: str                       # "weyl" | "boyer-lindquist"
     axis1: tuple[float, float, int]   # rho or r
     axis2: tuple[float, float, int]   # z or theta
-    bl: targets.BLParams | None = None
+    bl: targets.BLParams | None = None  # the (r, theta) chart; None: a (rho, z) grid
 
     def axis_values(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linspace(*self.axis1), np.linspace(*self.axis2)
-
-    def weyl(self, a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Weyl coordinates (rho, z) of the lattice of the axis values a1
-        and a2, as two 2-D arrays."""
-        if self.coords == "weyl":
-            return tuple(checks.lattice(a1, a2))
-        return targets.bl_chart(a1[:, None], a2[None, :], self.bl)
 
 
 @dataclass
@@ -186,12 +178,9 @@ def parse_config(text: bytes | str) -> RunConfig:
     elif coords == "boyer-lindquist":
         axis1 = _axis_triple(grid_doc.get("r"), "r", problems)
         axis2 = _theta_axis(grid_doc.get("theta"), problems)
-        params = _section(grid_doc.get("params", {}), "grid.params", ("m", "s", "e"),
-                          problems) or {}
+        params = _section(grid_doc.get("params", {}), "grid.params", ("m", "s"), problems) or {}
         try:
-            bl = targets.BLParams(m=float(params.get("m", 0.0)),
-                                  s=float(params.get("s", 0.0)),
-                                  e=float(params.get("e", 0.0)))
+            bl = targets.BLParams(m=float(params.get("m", 0.0)), s=float(params.get("s", 0.0)))
         except (ConfigError, TypeError, ValueError) as exc:
             problems.append(f"grid.params: {exc}")
     else:
@@ -224,7 +213,7 @@ def parse_config(text: bytes | str) -> RunConfig:
             solitons = SolitonConfig(signature=sig, poles=tuple(poles),
                                      vectors=tuple(vectors), seed=seed, tolerances=tol)
             return RunConfig(solitons=solitons,
-                             grid=GridSpec(coords=coords, axis1=axis1, axis2=axis2, bl=bl),
+                             grid=GridSpec(axis1, axis2, bl),
                              fields=fields, path=path, format=fmt)
         except ConfigError as exc:
             problems.append(str(exc))
@@ -269,7 +258,7 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
     n, size = sig.n, len(dressed.q)
     excluded, hodge, _ = verification.audit(
         axes, dressed.q, dressed.singular, dressed.det_a, cfg.solitons.tolerances.singular_tol,
-        cfg.grid.coords == "weyl")
+        cfg.grid.bl is None)
     names, cols = ["rho", "z", *points], [dressed.rho, dressed.z, *points.values()]
     if "q" in cfg.fields:
         names += [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
@@ -283,7 +272,8 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
         cols += [dressed.residuals["symspace"], hodge]
     names += ["singular", *extra]
     cols += [dressed.singular, *extra.values()]
-    meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus}, "coords": cfg.grid.coords}
+    meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus},
+            "coords": "weyl" if cfg.grid.bl is None else "boyer-lindquist"}
     _write_output(cfg.path, cfg.format, names, np.array(cols).T, meta)
     return excluded
 
@@ -307,10 +297,7 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
 def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
     axes = cfg.grid.axis_values()
-    dressed = dressing.dress(cfg.solitons, *cfg.grid.weyl(*axes))
-    points = {}
-    if cfg.grid.coords == "boyer-lindquist":
-        points = dict(zip(("r", "theta"), checks.lattice(*axes).reshape(2, -1)))
+    dressed, points = checks.sweep(cfg.solitons, axes, cfg.grid.bl)
     excluded = _write_sweep(
         cfg, dressed, axes, points, {},
         checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
@@ -319,16 +306,18 @@ def run_dress(cfg: RunConfig) -> int:
 
 
 def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str = "csv") -> int:
-    """Dress a closed-form family on a Boyer-Lindquist grid and write it with
-    its Ernst and oracle columns. The exit gate also holds the per-point
-    Ernst error over the gated points to 1e-9."""
-    axes = grid.axis_values()
-    found = family.sweep(*axes)
-    cfg = RunConfig(solitons=found.solitons, grid=grid,
+    """Dress a closed-form family on a Boyer-Lindquist grid, one carrying
+    the family's chart, and write it with its Ernst and oracle columns. The
+    exit gate also holds the per-point Ernst error over the gated points to
+    1e-9."""
+    cfg = RunConfig(solitons=family.config(), grid=grid,
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
-    excluded = _write_sweep(cfg, found.dressed, axes, found.points, family.meta(), found.columns)
-    worst = checks.worst([found.error[~excluded]])
-    return _summary(cfg, found.dressed, excluded,
+    axes = grid.axis_values()
+    dressed, points = checks.sweep(cfg.solitons, axes, grid.bl)
+    columns, error = family.compare(dressed.q, points)
+    excluded = _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
+    worst = checks.worst([error[~excluded]])
+    return _summary(cfg, dressed, excluded,
                     f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
 
 
@@ -565,20 +554,20 @@ def run_selftest() -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _grid_from_args(args, m: float) -> GridSpec:
-    """The preset grid from the command line, checks.default_window(m) where
-    an option is not given, under the rules of a config's Boyer-Lindquist
-    grid."""
+def _grid_from_args(args, family: checks.Family) -> GridSpec:
+    """The preset grid from the command line on the family's chart,
+    checks.default_window(family.m) where an option is not given, under the
+    rules of a config's Boyer-Lindquist grid."""
     given = [[args.r_min, args.r_max, args.r_count],
              [args.theta_min, args.theta_max, args.theta_count]]
     r, theta = ([d if v is None else v for v, d in zip(g, w)]
-                for g, w in zip(given, checks.default_window(m)))
+                for g, w in zip(given, checks.default_window(family.m)))
     problems: list[str] = []
     axis1 = _axis_triple(r, "r", problems)
     axis2 = _theta_axis(theta, problems)
     if problems:
         raise ConfigError("; ".join(problems))
-    return GridSpec(coords="boyer-lindquist", axis1=axis1, axis2=axis2)
+    return GridSpec(axis1, axis2, family.chart())
 
 
 @functools.cache
@@ -630,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_dress(parse_config(text))
         if hasattr(args, "family"):
             family = args.family(*(getattr(args, f.name) for f in dataclasses.fields(args.family)))
-            return run_preset(family, _grid_from_args(args, family.m), args.out, args.format)
+            return run_preset(family, _grid_from_args(args, family), args.out, args.format)
         if args.command == "verify":
             return verify_file(args.file, args.p, args.q, args.constraint_tol)
         if args.command == "selftest":

@@ -103,15 +103,14 @@ class SpectralData:
 
 @dataclass
 class DressedGrid:
-    """P dressed points as (P, ...) arrays in input order: q is NaN where
-    has_q is False, det A where the system was not built; residuals holds
+    """P dressed points as (P, ...) arrays in input order: q is NaN at the
+    singular points, det A where the system was not built; residuals holds
     one float column per name in _RESIDUALS, and notes the reason for each
     singular point, by index."""
 
     rho: np.ndarray
     z: np.ndarray
     q: np.ndarray
-    has_q: np.ndarray
     det_a: np.ndarray
     residuals: dict[str, np.ndarray]
     singular: np.ndarray
@@ -380,22 +379,21 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     else:
         det_a, u = np.ones(size, dtype=complex), np.zeros((size, 0, len(g)), dtype=complex)
     q = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
-    has_q = fails.ok
+    lost = ~fails.ok
     table = np.empty((len(_RESIDUALS), size))
     table[:3] = algebra.symspace_components(q, g)
     table[3] = table[0] + table[1] + table[2]
     table[4:6] = 0.0 if n_sol == 0 else math.nan
     if audit_chi and n_sol:
-        idx = slice(None) if algebra.all_of(has_q) else has_q.nonzero()[0]
+        idx = slice(None) if algebra.all_of(fails.ok) else fails.ok.nonzero()[0]
         w = sd.w if sd.w.shape[0] == 1 else sd.w[idx]
         q0_at = q0 if q0.shape[0] == 1 else q0[idx]
         table[4:6, idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], table[0, idx], q0_at, g,
                                  rho[idx])
-    lost = ~has_q
     table[:, lost] = math.nan
     q[lost] = complex(math.nan, math.nan)
     notes = {int(i): str(fails.error[i]) for i in lost.nonzero()[0]}
-    return (DressedGrid(rho, z, q, has_q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),
+    return (DressedGrid(rho, z, q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),
             u, sd.w, sd.lambdas)
 
 

@@ -31,7 +31,12 @@ def test_parse_config_valid(tmp_path):
     cfg = cli.parse_config(json.dumps(minimal_config(tmp_path)))
     assert cfg.solitons.signature.n == 2
     assert cfg.solitons.n_solitons == 1
-    assert cfg.grid.coords == "weyl"
+    # a grid without a chart is a (rho, z) one
+    assert cfg.grid == cli.GridSpec((2.5, 3.5, 4), (-0.5, 0.5, 3), None)
+    bl = cli.parse_config(json.dumps(minimal_config(tmp_path, grid={
+        "coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
+        "params": {"m": 1.0, "s": 2.0}})))
+    assert bl.grid == cli.GridSpec((2.5, 5.0, 4), (0.5, 2.5, 4), targets.BLParams(m=1.0, s=2.0))
 
 def test_parse_config_malformed_json():
     with pytest.raises(ConfigError, match="malformed JSON"):
@@ -73,6 +78,9 @@ def test_parse_config_collects_all_violations(tmp_path):
      "grid.z spans max - min = inf, which overflows"),
     ({"grid": {"coords": "weyl", "rho": [1e-300, 1.7e308, 3], "z": [-0.5, 0.5, 3]}},
      "pole pairs overflow: c^2 + rho^2 is not finite at rho=8.5e+307, z=-0.5"),
+    # the chart reads m and s only
+    ({"grid": {"coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
+               "params": {"m": 1.0, "s": 1.0, "e": 0.7}}}, "grid.params: unknown keys 'e'"),
 ])
 def test_parse_config_bad_section_is_a_violation(tmp_path, capsys, overrides, message):
     path = tmp_path / "config.json"
@@ -111,10 +119,11 @@ def _reported(line: str, label: str) -> float:
     return float(re.search(re.escape(label) + r" (\S+?)[;\n]", line).group(1))
 
 def _dressed_field(cfg) -> tuple[dressing.DressedGrid, verification.FieldGrid]:
-    """The dressed arrays of a Weyl config's lattice, and its maps as a
-    FieldGrid whose holes are the singular points."""
+    """The dressed arrays of a Weyl config's row-major lattice, dressed here
+    without the sweep, and its maps as a FieldGrid whose holes are the
+    singular points."""
     rhos, zs = cfg.grid.axis_values()
-    dressed = dressing.dress(cfg.solitons, *cfg.grid.weyl(rhos, zs))
+    dressed = dressing.dress(cfg.solitons, np.repeat(rhos, len(zs)), np.tile(zs, len(rhos)))
     shape = (len(rhos), len(zs))
     return dressed, verification.FieldGrid(rhos, zs, dressed.q.reshape(shape + dressed.q.shape[1:]),
                                            ~dressed.singular.reshape(shape))
@@ -135,6 +144,7 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     assert all(0.0 < float(v) <= 1e-12 for v in chi.groups())
     cfg = cli.parse_config(json.dumps(doc))
     dressed, _ = _dressed_field(cfg)
+    assert cfg.grid.bl is None
     excluded, _, why = verification.audit(cfg.grid.axis_values(), dressed.q, dressed.singular,
                                           dressed.det_a, Tolerances().singular_tol, True)
     assert excluded.shape == (36,) and not excluded.any() and why == ""
@@ -372,12 +382,13 @@ def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 def test_presets_leave_the_grid_unchanged(tmp_path):
-    grid = cli.GridSpec(coords="boyer-lindquist", axis1=(2.5, 6.0, 3), axis2=(0.5, 2.5, 3))
+    # one grid on the (m, s) = (1, 1) chart serves both families
+    grid = cli.GridSpec((2.5, 6.0, 3), (0.5, 2.5, 3), targets.BLParams(m=1.0, s=1.0))
     before = repr(grid)
     assert cli.run_preset(checks.Kerr(1.0, 1.0), grid, str(tmp_path / "k.csv")) == cli.EXIT_OK
     assert cli.run_preset(checks.KerrNewman(1.0, 0.5, 1.0), grid,
                           str(tmp_path / "kn.csv")) == cli.EXIT_OK
-    assert repr(grid) == before and grid.bl is None
+    assert repr(grid) == before
 
 def test_kerr_preset_extracts_each_ernst_value_once(tmp_path, monkeypatch):
     # one stacked extraction over the 12 points
@@ -802,15 +813,19 @@ def test_every_kerr_payload_column_holds_its_source(tmp_path, fmt):
     # q_im_12 and q_im_21, which verify cannot see (q^T = conj q is also on
     # the target)
     family = checks.Kerr(1.0, 1.0)
-    grid = cli.GridSpec(coords="boyer-lindquist", axis1=(2.5, 6.0, 4), axis2=(0.5, 2.5, 3))
+    grid = cli.GridSpec((2.5, 6.0, 4), (0.5, 2.5, 3), family.chart())
     out = tmp_path / f"k.{fmt}"
     assert cli.run_preset(family, grid, str(out), fmt) == cli.EXIT_OK
-    r, theta = grid.axis_values()
-    found = family.sweep(r, theta)
-    assert np.abs(found.dressed.q[:, 0, 1].imag).min() > 0
-    lattice = {"r": np.repeat(r, len(theta)), "theta": np.tile(theta, len(r))}
-    _assert_bitwise(_payload(out), _sources(found.dressed, np.full(12, math.nan),
-                                            {**lattice, **found.columns}))
+    # the sources are dressed here, on the chart of the (r, theta) lattice
+    r, theta = np.linspace(2.5, 6.0, 4), np.linspace(0.5, 2.5, 3)
+    dressed = dressing.dress(family.config(),
+                             *targets.bl_chart(r[:, None], theta[None, :], family.chart()))
+    assert np.abs(dressed.q[:, 0, 1].imag).min() > 0
+    r, theta = np.repeat(r, 3), np.tile(theta, 4)
+    found, oracle = checks.ernst(dressed.q), family.oracle(r, theta)
+    columns = {"r": r, "theta": theta, "x": found.x, "y": found.y,
+               "oracle_x": oracle.x, "oracle_y": oracle.y}
+    _assert_bitwise(_payload(out), _sources(dressed, np.full(12, math.nan), columns))
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
@@ -828,3 +843,29 @@ def test_every_dress_payload_column_holds_its_source(tmp_path, fmt):
     hodge = verification.hodge_residual(field).ravel()
     _assert_bitwise(_payload(out), _sources(dressed, hodge,
                                             checks.ernst_columns(checks.ernst(dressed.q))))
+
+@pytest.mark.parametrize("argv, target, vector, shared", [
+    (["kerr", "--m", "1", "--s", "1"], {"p": 1, "q": 1}, targets.kerr_params(1.0, 1.0)[:2], 19),
+    (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1", "--format", "json"],
+     {"p": 2, "q": 1}, targets.kn_config(1.0, 0.5, 1.0).vectors[0], 31),
+], ids=["kerr", "kerr-newman"])
+def test_a_preset_writes_what_its_boyer_lindquist_dress_writes(tmp_path, argv, target, vector,
+                                                               shared):
+    # the preset and a dress config of its vector at pole i on its default
+    # window agree bit for bit in every column they share: all but the oracle's
+    fmt = "json" if "json" in argv else "csv"
+    preset, dressed = tmp_path / f"preset.{fmt}", tmp_path / f"dress.{fmt}"
+    assert cli.main(argv + ["--out", str(preset)]) == cli.EXIT_OK
+    doc = {"target": target, "seed": "identity",
+           "solitons": [{"omega": [0.0, 1.0],
+                         "v": [[complex(c).real, complex(c).imag] for c in vector]}],
+           "grid": {"coords": "boyer-lindquist", "r": [2.5, 11.0, 40],
+                    "theta": [math.pi / 8, 7 * math.pi / 8, 40], "params": {"m": 1.0, "s": 1.0}},
+           "outputs": {"fields": ["q", "detA", "residuals", "ernst"], "path": str(dressed),
+                       "format": fmt}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    assert cli.main(["dress", "-c", str(tmp_path / "config.json")]) == cli.EXIT_OK
+    got, want = _payload(dressed), _payload(preset)
+    assert len(got) == shared and {k for k in want if k not in got} == \
+        {k for k in want if k.startswith("oracle_")}
+    _assert_bitwise(got, {k: want[k] for k in got})

@@ -286,7 +286,7 @@ def test_unit_det_audits_the_reconstructed_determinant(monkeypatch):
     monkeypatch.setattr(dressing, "_reconstruct",
                         lambda *args: reconstruct(*args) * (1.0 + 1e-6))
     scaled = dressing.dress(cfg, rho, z)
-    assert clean.has_q.all() and scaled.has_q.all()
+    assert not clean.singular.any() and not scaled.singular.any()
     assert clean.residuals["unit_det"].max() <= 1e-12
     np.testing.assert_allclose(scaled.residuals["unit_det"], 3e-6, rtol=1e-5)
 
@@ -314,8 +314,7 @@ def test_dominance_check_examples():
 def test_dress_point_singular_at_branch_point():
     cfg = kerr_cfg(1.0, 1.0)  # pole at i, branch point where (z-i)^2 + rho^2 = 0
     res = dressing.dress(cfg, 1.0, 0.0)
-    assert res.singular[0] and not res.has_q[0]
-    assert np.isnan(res.q).all()
+    assert res.singular[0] and np.isnan(res.q).all()
     assert "branch point" in res.notes[0]
 
 
@@ -324,7 +323,7 @@ def test_dress_point_numeric_failure_flagged():
                         seeds.identity_seed(SIG11),
                         Tolerances(condition_cap=1.0))
     res = dressing.dress(cfg, 1.0, 1.0)
-    assert res.singular[0] and not res.has_q[0]
+    assert res.singular[0] and np.isnan(res.q[0]).all()
 
 
 def test_dress_point_with_nontrivial_constant_seed():
@@ -368,7 +367,7 @@ def test_an_empty_batch_has_the_arrays_of_one_point():
     cfg = SU21[0]
     empty, one = dressing.dress(cfg, [], []), dressing.dress(cfg, [1.0], [0.3])
     assert empty.q.shape == (0, 3, 3) and empty.notes == {}
-    for key in ("rho", "z", "q", "has_q", "det_a", "singular"):
+    for key in ("rho", "z", "q", "det_a", "singular"):
         got, want = getattr(empty, key), getattr(one, key)
         assert (got.shape, got.dtype) == ((0,) + want.shape[1:], want.dtype), key
     assert list(empty.residuals) == list(one.residuals)
@@ -386,7 +385,7 @@ def test_dressing_does_not_depend_on_the_batch_split(example):
     half = len(rho) // 2
     parts = [dressing.dress(cfg, rho[part], z[part])
              for part in (slice(None, half), slice(half, None))]
-    for key in ("q", "has_q", "det_a", "singular"):
+    for key in ("q", "det_a", "singular"):
         np.testing.assert_array_equal(getattr(whole, key),
                                       np.concatenate([getattr(p, key) for p in parts]))
     for key, col in whole.residuals.items():
@@ -401,7 +400,7 @@ def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-6))
     res = dressing.dress(cfg, 1.5, 0.5)
-    assert res.singular[0] and not res.has_q[0]
+    assert res.singular[0] and np.isnan(res.q[0]).all()
     assert res.notes[0].startswith("solve residual")
 
 
@@ -433,7 +432,7 @@ def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_
     i = 0 if prefix.startswith("branch") else 1
     assert out.singular[i]
     assert out.notes[i].startswith(prefix), out.notes[i]
-    assert out.has_q[i] == np.isfinite(out.q[i]).all() == keeps_q
+    assert np.isfinite(out.q[i]).all() == keeps_q
     if prefix.startswith("branch"):
         assert not out.singular[1] and 1 not in out.notes
     if prefix.startswith(("det A", "system")):
@@ -460,7 +459,7 @@ def test_per_point_seed_dresses_like_the_constant_seed():
     # at every point
     assert const.singular.sum() == 2 and calls == [(12, 4)]
     assert (const.singular.tolist(), const.notes) == (varying.singular.tolist(), varying.notes)
-    for i in np.flatnonzero(const.has_q):
+    for i in np.flatnonzero(~const.singular):
         a, b = const.q[i], varying.q[i]
         assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
         assert abs(const.det_a[i] - varying.det_a[i]) <= 1e-13 * abs(const.det_a[i])
@@ -494,9 +493,8 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
     monkeypatch.setattr(dressing, "_audit", traced_audit)
     out = dressing.dress(cfg, *coords(rows))
     assert calls == []
-    assert audited == [out.has_q.sum()] and out.has_q.any()
-    assert np.array_equal(out.singular, ~out.has_q)
-    assert np.isfinite(out.residuals["chi_involution"][out.has_q]).all()
+    assert audited == [(~out.singular).sum()] and not out.singular.all()
+    assert np.isfinite(out.residuals["chi_involution"][~out.singular]).all()
 
 
 #: (signature, first vector, second vector) of the iterated dressings
@@ -598,7 +596,7 @@ def _factors(cfg, rho, z):
     """The dressed points with a map: the grid, u, w (batch 1 where the seed
     does not vary) and the poles, as _dress gives them, at those points."""
     grid, u, w, lambdas = dressing._dress(cfg, rho, z, True, None)
-    keep = grid.has_q
+    keep = ~grid.singular
     return grid, u[keep], w if len(w) == 1 else w[keep], lambdas[keep], keep
 
 

@@ -74,7 +74,7 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
         assert (new.singular[k], new.notes.get(k, "")) == \
             ((False, "") if refused else (o.singular, o.note)), k
         # what is missing (q, det A, residuals) is missing on both sides
-        assert new.has_q[k] == (o.q is not None)
+        assert (not new.singular[k]) == (o.q is not None)
         assert np.isnan(new.det_a[k]) == math.isnan(o.det_a.real)
         # the reference's det_branch_warning entry flags its own normaliser
         assert {key: bool(np.isnan(col[k])) for key, col in new.residuals.items()} == \
