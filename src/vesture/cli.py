@@ -256,15 +256,14 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
     target and the coordinates. Returns audit's gate-exclusion mask."""
     sig = cfg.solitons.signature
     n, size = sig.n, len(dressed.q)
-    excluded, hodge, _ = verification.audit(
-        axes, dressed.q, dressed.singular, dressed.det_a, cfg.solitons.tolerances.singular_tol,
-        cfg.grid.bl is None)
+    excluded, hodge, _ = verification.audit(axes, dressed.q, dressed.singular, dressed.det_a,
+                                            cfg.grid.bl is None)
     names, cols = ["rho", "z", *points], [dressed.rho, dressed.z, *points.values()]
     if "q" in cfg.fields:
         names += [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
                   for part in ("re", "im")]
         cols += list(dressed.q.reshape(size, -1).view(float).T)
-    if "detA" in cfg.fields:
+    if "q" in cfg.fields or "detA" in cfg.fields:  # the gate's input goes with q
         names += ["detA_re", "detA_im"]
         cols += [dressed.det_a.real, dressed.det_a.imag]
     if "residuals" in cfg.fields:
@@ -403,7 +402,8 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     stores. A CSV with n <= 3 needs neither: (n-1, 1) and (1, n-1) give the
     same residuals. The stored rows, in any order, are put onto their
     (r, theta) lattice when the file has those columns, else their (rho, z)
-    one, and gated there as the sweep gated them (verification.audit).
+    one, and gated there as the sweep gated them (verification.audit); one
+    without det A, not written by dress, on its singular flags alone.
     """
     cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
@@ -444,7 +444,7 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     why = f"the stored ({coords[0]}, {coords[1]}) points do not form a rectangular lattice"
     if lattice is not None:
         excluded, hodge, why = verification.audit(lattice[0], q, singular, det_a,
-                                                  Tolerances().singular_tol, coords == ("rho", "z"))
+                                                  coords == ("rho", "z"))
     # membership residuals of every stored finite q, gated by the largest
     # component as the sweep is; res_constraint stores their sum
     rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import algebra, seeds
 from .algebra import ComplexMatrix, Signature
-from .dressing import SolitonConfig, Tolerances
+from .dressing import SolitonConfig
 from .errors import ConfigError, DomainError, SingularPointError
 
 SIG_11 = Signature(1, 1)
@@ -141,7 +141,7 @@ def kerr_params(m: float, s: float) -> tuple[float, float, complex]:
     return math.sqrt(0.5 * (s + root)), math.copysign(math.sqrt(0.5 * (root - s)), m), 1j * s
 
 
-def kerr_config(m: float, s: float, tol: Tolerances | None = None) -> SolitonConfig:
+def kerr_config(m: float, s: float) -> SolitonConfig:
     """One-soliton configuration generating the Kerr family from the flat seed."""
     alpha, delta, pole = kerr_params(m, s)
     return SolitonConfig(
@@ -149,7 +149,6 @@ def kerr_config(m: float, s: float, tol: Tolerances | None = None) -> SolitonCon
         poles=(pole,),
         vectors=(np.array([alpha, delta], dtype=complex),),
         seed=seeds.identity_seed(SIG_11),
-        tolerances=tol or Tolerances(),
     )
 
 

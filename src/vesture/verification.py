@@ -9,7 +9,8 @@ that is not harmonic. Central second-order stencils are used in the
 interior and second-order one-sided stencils on the boundary; boundary
 values and a margin around the singular locus are excluded from pass/fail
 statistics. Stencils touching a singular hole yield no data (NaN), never
-zero. ``audit`` forms a lattice's exit gate and residual, for sweep and verify.
+zero. ``audit`` gives sweep and verify the exit gate of an (r, theta) or
+(rho, z) lattice, from its singular flags and det A signs, and the residual.
 """
 from __future__ import annotations
 
@@ -153,27 +154,21 @@ def refinement_ratios(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> fl
     return float(np.median(num[pos] / den[pos]))
 
 
-def locus_mask(det_a: np.ndarray, tol: float) -> np.ndarray:
-    """Grid points on (or adjacent to a sign change of) the det A zero set."""
-    det_a = np.asarray(det_a, dtype=complex)
-    mask = np.abs(det_a) < tol
-    mask |= ~np.isfinite(det_a.real)
-    sign = np.sign(det_a.real)  # a product of signs cannot overflow as one of values can
-    cross_r = sign[:-1, :] * sign[1:, :] < 0
-    cross_z = sign[:, :-1] * sign[:, 1:] < 0
-    mask[:-1, :] |= cross_r
-    mask[1:, :] |= cross_r
-    mask[:, :-1] |= cross_z
-    mask[:, 1:] |= cross_z
-    return mask
-
-
-def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None,
-                   singular_tol: float) -> np.ndarray:
-    """Mask of lattice points excluded from exit gates: singular points and
-    the det A locus (the singular points alone when det_a is None), widened
-    by a 3-cell margin."""
-    locus = singular if det_a is None else singular | locus_mask(det_a, singular_tol)
+def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray:
+    """Mask of lattice points excluded from exit gates: the singular points
+    and both ends of each sign change of Re det A along either axis (the
+    singular points alone when det_a is None), widened by a 3-cell margin.
+    The dress flags every |det A| below its threshold and every non-finite
+    det A, so this takes no tolerance."""
+    locus = np.array(singular, dtype=bool)
+    if det_a is not None:
+        sign = np.sign(np.real(det_a))  # a product of signs cannot overflow as one of values can
+        cross_r = sign[:-1, :] * sign[1:, :] < 0
+        cross_z = sign[:, :-1] * sign[:, 1:] < 0
+        locus[:-1, :] |= cross_r
+        locus[1:, :] |= cross_r
+        locus[:, :-1] |= cross_z
+        locus[:, 1:] |= cross_z
     return exclusion_mask(locus, margin=3)
 
 
@@ -192,8 +187,7 @@ def lattice_order(a1: np.ndarray, a2: np.ndarray):
 
 
 def audit(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarray,
-          det_a: np.ndarray | None, singular_tol: float,
-          weyl: bool) -> tuple[np.ndarray, np.ndarray, str]:
+          det_a: np.ndarray | None, weyl: bool) -> tuple[np.ndarray, np.ndarray, str]:
     """The exit gate and the field equation on the row-major lattice of two
     axes, from the (P, n, n) maps, singular flags and det A values (or None,
     see gate_exclusion) of its P points.
@@ -204,8 +198,7 @@ def audit(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarr
     """
     shape = (len(axes[0]), len(axes[1]))
     excluded = gate_exclusion(singular.reshape(shape),
-                              None if det_a is None else det_a.reshape(shape),
-                              singular_tol).ravel()
+                              None if det_a is None else det_a.reshape(shape)).ravel()
     if not weyl:
         return (excluded, np.full(len(q), math.nan),
                 "the points form an (r, theta) lattice, not a (rho, z) one")

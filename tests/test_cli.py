@@ -146,7 +146,7 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     dressed, _ = _dressed_field(cfg)
     assert cfg.grid.bl is None
     excluded, _, why = verification.audit(cfg.grid.axis_values(), dressed.q, dressed.singular,
-                                          dressed.det_a, Tolerances().singular_tol, True)
+                                          dressed.det_a, True)
     assert excluded.shape == (36,) and not excluded.any() and why == ""
 
 @pytest.mark.parametrize("key", ["quadratic", "hermiticity", "unit_det"])
@@ -712,6 +712,34 @@ def test_verify_takes_the_finite_difference_median_over_the_gated_points(tmp_pat
         "values 0.000e+00\nrecomputed finite-difference residuals: median 1.458e+00; "
         "max deviation from stored values 0.000e+00\n")
 
+@pytest.mark.parametrize("fields", [["q", "detA", "residuals"], ["q", "residuals"]],
+                         ids=["detA", "no-detA"])
+def test_dress_and_verify_gate_the_same_points(tmp_path, capsys, monkeypatch, fields):
+    # q brings det A into the payload, so verify reads every input of the
+    # gate that dress passed and gates the same 614 of 1024 points
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps({**CI_WEYL, "outputs": {
+        **CI_WEYL["outputs"], "fields": fields}}))
+    assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
+    assert _reported(capsys.readouterr().err, "max gated constraint residual") == 3.283e-14
+    assert "detA_re,detA_im" in (tmp_path / "weyl.csv").read_text().split("\n", 1)[0]
+    assert cli.main(["verify", "weyl.csv"]) == cli.EXIT_OK
+    assert re.search(r"constraint residual (\S+) gated / \S+ overall \(410 rows near the "
+                     r"singular locus excluded", capsys.readouterr().err).group(1) == "3.283e-14"
+
+def test_verify_constraint_tol_sets_the_gate(tmp_path, capsys, monkeypatch):
+    # the gated maximum of CI's Weyl payload is 3.283e-14: the default
+    # tolerance passes it and 1e-15 fails it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["verify", "weyl.csv"]) == cli.EXIT_OK
+    want = capsys.readouterr().err
+    assert cli.main(["verify", "weyl.csv", "--constraint-tol", "1e-15"]) == cli.EXIT_GATE
+    assert capsys.readouterr().err == want
+    assert cli.main(["verify", "weyl.csv", "--constraint-tol", "1e-13"]) == cli.EXIT_OK
+
 @pytest.mark.parametrize("argv, out", [(KERR_RING, "kring.csv"),
                                        (["dress", "-c", "weyl.json"], "weyl.csv")],
                          ids=["kerr-ring", "weyl"])
@@ -732,13 +760,19 @@ def test_verify_reads_the_rows_in_any_order(tmp_path, capsys, monkeypatch, argv,
         assert capsys.readouterr().err == want
 
 def test_verify_without_det_a_excludes_the_singular_margin(tmp_path, capsys):
-    # with no det A columns the file fixes only part of the sweep's gate: the
-    # flagged branch point (rho, z) = (1, 0) and its 3-cell margin, 7x7 points
+    # a file without det A columns, as one not written by dress, fixes only
+    # part of the sweep's gate: the flagged branch point (rho, z) = (1, 0) and
+    # its 3-cell margin, 7x7 points
     doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [0.25, 3.25, 13],
                                          "z": [-1.0, 1.0, 11]})
     doc["outputs"]["fields"] = ["q", "residuals"]
     assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
     capsys.readouterr()
+    columns, rows, _ = cli._load_table(str(tmp_path / "out.csv"))
+    keep = [k for k, name in enumerate(columns) if not name.startswith("detA_")]
+    assert len(keep) == len(columns) - 2
+    cli._write_output(str(tmp_path / "out.csv"), "csv", [columns[k] for k in keep],
+                      rows[:, keep], {})
     assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
     err = capsys.readouterr().err
     gated, overall = map(float, re.search(r"residual (\S+) gated / (\S+) overall \(49 rows near "

@@ -1,8 +1,9 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _exact_dressing as exact_dressing
@@ -222,6 +223,49 @@ def test_system_condition_from_det_a_flags_as_the_whole_stack_did(problem):
             assert np.linalg.cond(a[i]) <= tol.condition_cap
 
 
+@st.composite
+def _flag_problems(draw):
+    """(config, rho, z): N <= 3 solitons of a target with n <= 4 on a small
+    Weyl lattice, a pole possibly on a lattice point's branch point or the
+    conjugate of the one before; singular_tol in {1e-30, 1e-12, 0.1, 10},
+    condition cap 30 or 1e12."""
+    sig = Signature(*draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)])))
+    rhos = np.linspace(draw(st.floats(0.3, 1.0)), draw(st.floats(1.5, 3.0)),
+                       draw(st.integers(2, 5)))
+    zs = np.linspace(draw(st.floats(-2.0, -0.5)), draw(st.floats(0.5, 2.0)),
+                     draw(st.integers(2, 5)))
+    coord, poles = st.floats(-1.5, 1.5), []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["free", "branch", "conjugate"]))
+        if kind == "branch":
+            pole = complex(draw(st.sampled_from(list(zs))), draw(st.sampled_from(list(rhos))))
+        elif kind == "conjugate" and poles:
+            pole = poles[-1].conjugate()
+        else:
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            pole = complex(draw(coord), sign * draw(st.floats(0.3, 1.5)))
+        if pole not in poles:
+            poles.append(pole)
+    vectors = [np.array([complex(draw(coord), draw(coord)) for _ in range(sig.n)])
+               for _ in poles]
+    assume(all(np.linalg.norm(v) > 0.2 for v in vectors))
+    tol = Tolerances(singular_tol=draw(st.sampled_from([1e-30, 1e-12, 0.1, 10.0])),
+                     condition_cap=draw(st.sampled_from([30.0, 1e12])))
+    rho, z = np.meshgrid(rhos, zs, indexing="ij")
+    return SolitonConfig(sig, tuple(poles), tuple(vectors), seeds.identity_seed(sig), tol), rho, z
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_flag_problems())
+def test_a_det_a_below_the_threshold_or_not_finite_is_flagged(problem):
+    # the lattice gate reads the flags and the sign of det A alone: a point
+    # the threshold or a non-finite det A would catch must already be flagged
+    cfg, rho, z = problem
+    dressed = dressing.dress(cfg, rho, z)
+    caught = (np.abs(dressed.det_a) < cfg.tolerances.singular_tol) | ~np.isfinite(dressed.det_a)
+    assert np.all(dressed.singular[caught])
+
+
 def test_reconstruct_empty_and_kerr_entries():
     # zero solitons: q = q0 exactly
     cfg0 = SolitonConfig(SIG11, poles=(), vectors=(), seed=seeds.identity_seed(SIG11))
@@ -412,9 +456,9 @@ def _boost11(t):
 @pytest.mark.parametrize("make_cfg, prefix, keeps_q", [
     # rho = 1, z = 0 is the branch point of the pole at i
     (lambda: kerr_cfg(), "branch point of varpi0=1j", False),
-    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=10.0)),
+    (lambda: dataclasses.replace(kerr_cfg(), tolerances=Tolerances(singular_tol=10.0)),
      "det A = ", False),
-    (lambda: targets.kerr_config(1.0, 1.0, Tolerances(condition_cap=2.0)),
+    (lambda: dataclasses.replace(kerr_cfg(), tolerances=Tolerances(condition_cap=2.0)),
      "system condition ", False),
     # cond(psi0) = e^1.4 for the boosted seed
     (lambda: SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
@@ -527,8 +571,7 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
     assert once.notes[247].startswith("branch point of varpi0=(0.4+1.2j)")
     assert twice.notes[247].startswith("seed q0 is not finite at DomainPoint(rho=1.2")
     assert twice.notes[247].endswith(": the seed's dressing flagged it: " + once.notes[247])
-    gated = ~gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape),
-                            Tolerances().singular_tol).ravel()
+    gated = ~gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape)).ravel()
     assert gated.sum() > 100
     rel = (np.linalg.norm(once.q - twice.q, axis=(-2, -1))
            / np.linalg.norm(once.q, axis=(-2, -1)))[gated]

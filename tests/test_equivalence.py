@@ -13,6 +13,7 @@ held to their conditioning where it is worse than that: det A next to a
 det A zero the lattice does not resolve, and the scalar det(q_raw)^(-1/n)
 by which the reference normalises q, whose rounding grows with ||q||_F^2.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -64,7 +65,7 @@ def assert_equivalent(cfg: SolitonConfig, rows, audit_chi: bool = True):
     old = [p for row in reference.dress_grid(cfg, rows, audit_chi=audit_chi) for p in row]
     singular = np.array([p.singular for p in old]).reshape(rho.shape)
     det_a = np.array([p.det_a for p in old]).reshape(rho.shape)
-    band = gate_exclusion(singular, det_a, cfg.tolerances.singular_tol)
+    band = gate_exclusion(singular, det_a)
     for k, (o, skip) in enumerate(zip(old, band.ravel())):
         assert (new.rho[k], new.z[k]) == (o.x.rho, o.x.z)
         # the reference inverts chi(conj lam) at its samples and refuses one
@@ -167,7 +168,8 @@ SU21 = (SolitonConfig(SIG21, (1j, 0.7 + 0.6j, -0.8 + 1.4j),
         weyl_rows(np.linspace(0.6, 1.4, 3), np.linspace(-0.8, 0.7, 16)))
 # tightened tolerances: det A threshold and condition cap failures; the
 # reference also refuses chi(conj lam) above the cap at its audit samples
-TIGHT = (targets.kerr_config(1.0, 1.0, Tolerances(singular_tol=0.1, condition_cap=30.0)),
+TIGHT = (dataclasses.replace(targets.kerr_config(1.0, 1.0),
+                             tolerances=Tolerances(singular_tol=0.1, condition_cap=30.0)),
          weyl_rows(np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)))
 # no solitons: q = q0 at every point
 FLAT = (SolitonConfig(SIG21, (), (), seeds.constant_seed(boosted(SIG21, 0.35), SIG21)),

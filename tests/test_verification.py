@@ -220,22 +220,29 @@ def test_lambda_flow_residual_richardson():
         verification.lambda_flow_residual(1j, DomainPoint(rho=1.0, z=1e-3), 1e-3)
 
 
-def test_locus_mask_sign_changes_cannot_overflow():
-    # det A values whose products overflow or underflow: the mask marks
-    # both ends of every strict sign change along either axis, NaN and
-    # zero ends excepted, as the comparisons below do, and warns of nothing
+def test_locus_mask_sign_changes_cannot_overflow(monkeypatch):
+    # det A values whose products overflow or underflow: the gate's locus
+    # (taken before its margin) is the singular points and both ends of every
+    # strict sign change along either axis, NaN and zero ends excepted, as the
+    # comparisons below do, and it warns of nothing
+    monkeypatch.setattr(verification, "exclusion_mask", lambda locus, margin: locus)
     rng = np.random.default_rng(13)
     values = [1e300, -1e300, 1e-200, -1e-200, 2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
     for shape in ((1, 1), (1, 5), (5, 1), (4, 6), (7, 3)):
         re = rng.choice(values, size=shape)
-        expected = (np.abs(re) < 1e-12) | ~np.isfinite(re)
+        singular = rng.random(shape) < 0.2
+        expected = singular.copy()
         for axis in (0, 1):
             a, b = (np.moveaxis(re, axis, 0)[k] for k in (slice(None, -1), slice(1, None)))
             cross = ((a < 0) & (b > 0)) | ((a > 0) & (b < 0))
             view = np.moveaxis(expected, axis, 0)
             view[:-1] |= cross
             view[1:] |= cross
-        assert np.array_equal(verification.locus_mask(re + 0j, 1e-12), expected)
+        flags = singular.copy()
+        assert np.array_equal(verification.gate_exclusion(singular, re + 0j), expected)
+        # the flags are left as they were; without det A they are the locus
+        assert np.array_equal(singular, flags)
+        assert np.array_equal(verification.gate_exclusion(singular, None), flags)
 
 
 def test_exclusion_mask_is_the_chebyshev_dilation():
