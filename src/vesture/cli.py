@@ -1,9 +1,10 @@
 """Batch front end: config-driven sweeps, presets, verification, selftest.
 
-Exit codes: 0 success, 1 config error, 2 numeric failure, 3 constraint-gate
-failure, 4 I/O failure. Singular grid points are data, not failures. Output
-is bit-identical across runs of the same config: fixed iteration order,
-no randomness or wall-clock inputs in the payload.
+Exit codes: 0 success, 1 config or command-line usage error, 2 numeric
+failure, 3 constraint-gate failure (in verify, a non-finite stored q at a
+gated point included), 4 I/O failure. Singular grid points are data, not
+failures. Output is bit-identical across runs of the same config: fixed
+iteration order, no randomness or wall-clock inputs in the payload.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_GATE = 3
 EXIT_IO = 4
+CONSTRAINT_TOL = Tolerances().constraint_tol  # the one exit gate of dress, presets and verify
 
 _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA", "oracle")
 
@@ -106,8 +108,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _section(doc, "config", ("target", "seed", "solitons", "grid", "outputs",
-                             "tolerances"), problems)
+    _section(doc, "config", ("target", "seed", "solitons", "grid", "outputs"), problems)
 
     sig = Signature(1, 1)
     tgt = _section(doc.get("target", {}), "target", ("p", "q"), problems)
@@ -116,17 +117,6 @@ def parse_config(text: bytes | str) -> RunConfig:
             sig = Signature(int(tgt.get("p", 0)), int(tgt.get("q", 0)))
         except (ConfigError, TypeError, ValueError) as exc:
             problems.append(f"target: {exc}")
-
-    tol_keys = ("constraint_tol", "singular_tol", "condition_cap")
-    tol_doc = _section(doc.get("tolerances", {}), "tolerances", tol_keys, problems) or {}
-    tol_values = {}
-    for key in tol_keys:
-        if key in tol_doc:
-            try:
-                tol_values[key] = float(tol_doc[key])
-            except (TypeError, ValueError):
-                problems.append(f"tolerances.{key} must be a number")
-    tol = Tolerances(**tol_values)
 
     seed_doc = doc.get("seed", "identity")
     seed = None
@@ -137,7 +127,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         try:
             rows = [[_complex_pair(cell, "seed.matrix entry", problems)
                      for cell in row] for row in seed_doc["matrix"]]
-            seed = seeds.constant_seed(np.array(rows, dtype=complex), sig, tol.constraint_tol)
+            seed = seeds.constant_seed(np.array(rows, dtype=complex), sig, CONSTRAINT_TOL)
         except (VestureError, TypeError, ValueError) as exc:
             problems.append(f"seed: {exc}")
     else:
@@ -211,7 +201,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     if not problems:
         try:
             solitons = SolitonConfig(signature=sig, poles=tuple(poles),
-                                     vectors=tuple(vectors), seed=seed, tolerances=tol)
+                                     vectors=tuple(vectors), seed=seed)
             return RunConfig(solitons=solitons,
                              grid=GridSpec(axis1, axis2, bl),
                              fields=fields, path=path, format=fmt)
@@ -277,12 +267,11 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
     return excluded
 
 
-def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: str,
-             ok: bool = True) -> int:
+def _summary(dressed: DressedGrid, excluded: np.ndarray, head: str, ok: bool = True) -> int:
     """Print the summary line, ``head`` and the largest gated residuals, and
     return the exit code: the gate holds the membership residual over the
-    gated points to the constraint tolerance, a NaN failing it, and needs
-    the caller's own gate ``ok``. The chi audits are reported, not gated."""
+    gated points to CONSTRAINT_TOL, a NaN failing it, and needs the
+    caller's own gate ``ok``. The chi audits are reported, not gated."""
     keep = ~excluded
     worst = checks.constraint(dressed, keep)
     reality, involution = (checks.worst([dressed.residuals[key][keep]])
@@ -290,7 +279,7 @@ def _summary(cfg: RunConfig, dressed: DressedGrid, excluded: np.ndarray, head: s
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
           f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
           file=sys.stderr)
-    return EXIT_OK if ok and worst <= cfg.solitons.tolerances.constraint_tol else EXIT_GATE
+    return EXIT_OK if ok and worst <= CONSTRAINT_TOL else EXIT_GATE
 
 
 def run_dress(cfg: RunConfig) -> int:
@@ -300,7 +289,7 @@ def run_dress(cfg: RunConfig) -> int:
     excluded = _write_sweep(
         cfg, dressed, axes, points, {},
         checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
-    return _summary(cfg, dressed, excluded,
+    return _summary(dressed, excluded,
                     f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular)")
 
 
@@ -316,7 +305,7 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     columns, error = family.compare(dressed.q, points)
     excluded = _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
     worst = checks.worst([error[~excluded]])
-    return _summary(cfg, dressed, excluded,
+    return _summary(dressed, excluded,
                     f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
 
 
@@ -394,8 +383,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
-                constraint_tol: float = Tolerances().constraint_tol) -> int:
+def verify_file(path: str, p: int | None = None, q_minus: int | None = None) -> int:
     """Recompute membership residuals from the stored q of an output file.
 
     The signature is p, q_minus when given, else the one a JSON output
@@ -445,23 +433,24 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
     if lattice is not None:
         excluded, hodge, why = verification.audit(lattice[0], q, singular, det_a,
                                                   coords == ("rho", "z"))
-    # membership residuals of every stored finite q, gated by the largest
-    # component as the sweep is; res_constraint stores their sum
-    rows = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
-    parts = np.array(algebra.symspace_components(q[rows], algebra.gamma(sig)))
-    resid = np.max(parts, axis=0)
-    worst_gated = checks.worst([resid[~excluded[rows]]])
+    # membership residuals of every stored non-singular q, gated by the
+    # largest component as the sweep is; a non-finite q reads NaN, which
+    # fails the gate as in the sweep; res_constraint stores their sum
+    finite = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
+    parts = np.array(algebra.symspace_components(q[finite], algebra.gamma(sig)))
+    resid = np.full(len(q), math.nan)
+    resid[finite] = np.max(parts, axis=0)
+    worst_gated = checks.worst([resid[~(singular | excluded)]])
     worst_diff = 0.0
     if "res_constraint" in idx:
-        stored = data[rows, idx["res_constraint"]]
-        finite = np.isfinite(stored)
-        worst_diff = float(np.fmax.reduce(np.abs(parts.sum(axis=0) - stored)[finite],
-                                          initial=0.0))
+        stored = data[finite, idx["res_constraint"]]
+        diff = np.abs(parts.sum(axis=0) - stored)[np.isfinite(stored)]
+        worst_diff = float(np.fmax.reduce(diff, initial=0.0))
     note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
         if excluded.any() else ""
-    print(f"verified {rows.sum()} stored points: max recomputed constraint residual "
-          f"{worst_gated:.3e} gated / {checks.worst([resid]):.3e} overall{note}"
-          f"{_vacuous(excluded | ~rows)}; max deviation from stored values {worst_diff:.3e}",
+    print(f"verified {(~singular).sum()} stored points: max recomputed constraint residual "
+          f"{worst_gated:.3e} gated / {checks.worst([resid[~singular]]):.3e} overall{note}"
+          f"{_vacuous(excluded | singular)}; max deviation from stored values {worst_diff:.3e}",
           file=sys.stderr)
     if why:
         print(f"finite-difference residuals not recomputed: {why}", file=sys.stderr)
@@ -475,7 +464,7 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None,
         median = f"median {np.median(gated):.3e}" if gated.size else "no finite value"
         print(f"recomputed finite-difference residuals: {median}; "
               f"max deviation from stored values {worst:.3e}", file=sys.stderr)
-    return EXIT_OK if worst_gated <= constraint_tol else EXIT_GATE
+    return EXIT_OK if worst_gated <= CONSTRAINT_TOL else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -602,8 +591,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--constraint-tol", type=float,
-                    default=Tolerances().constraint_tol)
 
     sub.add_parser("selftest", help="run the built-in invariant suites")
 
@@ -611,8 +598,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "dress":
             with open(args.config, "rb") as fh:
                 text = fh.read()
@@ -621,9 +608,13 @@ def main(argv: list[str] | None = None) -> int:
             family = args.family(*(getattr(args, f.name) for f in dataclasses.fields(args.family)))
             return run_preset(family, _grid_from_args(args, family), args.out, args.format)
         if args.command == "verify":
-            return verify_file(args.file, args.p, args.q, args.constraint_tol)
+            return verify_file(args.file, args.p, args.q)
         if args.command == "selftest":
             return run_selftest()
+    except SystemExit as exc:  # a usage error, whose message argparse printed
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_CONFIG
     except (ConfigError, DomainError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

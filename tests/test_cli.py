@@ -59,10 +59,10 @@ def test_parse_config_collects_all_violations(tmp_path):
 @pytest.mark.parametrize("overrides, message", [
     ({"solitons": [1]}, "solitons[0] must be a JSON object"),
     ({"target": [1, 1]}, "target must be a JSON object"),
-    ({"tolerances": {"constraint_tol": "x"}}, "tolerances.constraint_tol must be a number"),
+    # the gate thresholds are fixed: a tolerances section is refused
+    ({"tolerances": {"constraint_tol": "x"}}, "config: unknown keys 'tolerances'"),
     ({"continuity_tracking": True}, "config: unknown keys 'continuity_tracking'"),
-    ({"tolerances": {"iterative_refinement": True}},
-     "tolerances: unknown keys 'iterative_refinement'"),
+    ({"tolerances": {"iterative_refinement": True}}, "config: unknown keys 'tolerances'"),
     ({"target": {"p": 1, "q": 1, "r": 0}}, "target: unknown keys 'r'"),
     ({"grid": {"coords": "weyl", "rho": [1.0, 2.0, 4], "z": [-0.5, 0.5, 3], "step": 1}},
      "grid: unknown keys 'step'"),
@@ -406,10 +406,16 @@ def test_kerr_preset_on_an_axis_shorter_than_the_margin(tmp_path, capsys):
     assert code == cli.EXIT_OK and len(out.read_text().splitlines()) == 1 + 16
     assert "gate vacuous" not in capsys.readouterr().err
 
+def _with_tolerances(cfg: cli.RunConfig, **tolerances) -> cli.RunConfig:
+    """cfg whose dress runs at the given library tolerances, which no config sets."""
+    return dataclasses.replace(cfg, solitons=dataclasses.replace(
+        cfg.solitons, tolerances=Tolerances(**tolerances)))
+
 def test_vacuous_gate_is_reported(tmp_path, capsys):
     # every |det A| is below the singular threshold: all points are flagged
-    doc = minimal_config(tmp_path, tolerances={"singular_tol": 1e300})
-    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    cfg = _with_tolerances(cli.parse_config(json.dumps(minimal_config(tmp_path))),
+                           singular_tol=1e300)
+    assert cli.run_dress(cfg) == cli.EXIT_OK
     assert capsys.readouterr().err == (
         "dressed 12 points (12 singular); max gated constraint residual 0.000e+00; "
         "max gated chi residuals 0.000e+00 (reality), 0.000e+00 (involution); gate vacuous: all 12 points singular or within 3 cells of the singular locus\n")
@@ -504,11 +510,13 @@ def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
     # det A threshold flags a band across the grid four cells wide, so no
     # finite-difference residual is finite either
     alpha, delta, _ = targets.kerr_params(1.0, 1.0)
-    doc = minimal_config(tmp_path, tolerances={"singular_tol": 0.2, "condition_cap": 30},
+    doc = minimal_config(tmp_path,
                          solitons=[{"omega": [0.0, 1.0], "v": [[alpha, 0.0], [delta, 0.0]]}],
                          grid={"coords": "weyl", "rho": [1.0, 2.0, 6], "z": [-1.0, 1.0, 6]})
     doc["outputs"]["fields"] = ["q", "detA", "residuals"]
-    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    cfg = _with_tolerances(cli.parse_config(json.dumps(doc)), singular_tol=0.2,
+                           condition_cap=30)
+    assert cli.run_dress(cfg) == cli.EXIT_OK
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -727,18 +735,72 @@ def test_dress_and_verify_gate_the_same_points(tmp_path, capsys, monkeypatch, fi
     assert re.search(r"constraint residual (\S+) gated / \S+ overall \(410 rows near the "
                      r"singular locus excluded", capsys.readouterr().err).group(1) == "3.283e-14"
 
-def test_verify_constraint_tol_sets_the_gate(tmp_path, capsys, monkeypatch):
-    # the gated maximum of CI's Weyl payload is 3.283e-14: the default
-    # tolerance passes it and 1e-15 fails it
+def _scaled_q(reconstruct):
+    """A fault that moves q off the symmetric space by a factor 1 + 1e-6."""
+    return lambda *args: reconstruct(*args) * (1 + 1e-6)
+
+@pytest.mark.parametrize("argv, out, fault, code", [
+    (["dress", "-c", "weyl.json"], "weyl.csv", None, cli.EXIT_OK),
+    (["dress", "-c", "su21.json"], "su21-out.json", None, cli.EXIT_OK),
+    (["kerr", "--m", "1", "--s", "1", "--out", "k.csv"], "k.csv", None, cli.EXIT_OK),
+    (["dress", "-c", "weyl.json"], "weyl.csv", _scaled_q, cli.EXIT_GATE),
+], ids=["weyl", "su21", "kerr", "weyl-scaled-q"])
+def test_verify_reaches_the_exit_code_of_the_dress(tmp_path, capsys, monkeypatch, argv, out,
+                                                   fault, code):
+    # the gate threshold is fixed and the lattice gate reads only payload
+    # columns, so verify decides a payload as the run that wrote it did; the
+    # fault acts in the dress only, and verify reads its q from the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    (tmp_path / "su21.json").write_text(json.dumps({**CI_SU21, "outputs": {
+        "fields": ["q", "detA", "residuals", "ernst"], "path": "su21-out.json",
+        "format": "json"}}))
+    with monkeypatch.context() as patch:
+        if fault is not None:
+            patch.setattr(dressing, "_reconstruct", fault(dressing._reconstruct))
+        assert cli.main(argv) == code
+    dressed = re.search(r"max gated constraint residual (\S+);", capsys.readouterr().err)
+    assert cli.main(["verify", out]) == code
+    assert re.search(r"max recomputed constraint residual (\S+) gated",
+                     capsys.readouterr().err).group(1) == dressed.group(1)
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_verify_fails_a_non_finite_q_at_a_gated_point(tmp_path, capsys, monkeypatch, value):
+    # the sweep gives a non-finite q a NaN residual, which fails its gate;
+    # verify does too at a gated, non-singular row (row 2 of CI's Weyl
+    # payload), and still leaves a row out of the gate where it is excluded
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
     assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
-    capsys.readouterr()
-    assert cli.main(["verify", "weyl.csv"]) == cli.EXIT_OK
-    want = capsys.readouterr().err
-    assert cli.main(["verify", "weyl.csv", "--constraint-tol", "1e-15"]) == cli.EXIT_GATE
-    assert capsys.readouterr().err == want
-    assert cli.main(["verify", "weyl.csv", "--constraint-tol", "1e-13"]) == cli.EXIT_OK
+    columns, rows, _ = cli._load_table("weyl.csv")
+    det_a = rows[:, columns.index("detA_re")] + 1j * rows[:, columns.index("detA_im")]
+    singular = rows[:, columns.index("singular")].astype(bool)
+    excluded = verification.gate_exclusion(singular.reshape(32, 32),
+                                           det_a.reshape(32, 32)).ravel()
+    assert not (excluded[2] or singular[2])
+    for row, code, gated in ((2, cli.EXIT_GATE, "nan"),
+                             (int(np.argmax(excluded)), cli.EXIT_OK, "3.283e-14")):
+        edited = rows.copy()
+        edited[row, columns.index("q_re_11")] = value
+        cli._write_output("edited.csv", "csv", columns, edited, {})
+        capsys.readouterr()
+        assert cli.main(["verify", "edited.csv"]) == code
+        assert re.search(r"max recomputed constraint residual (\S+) gated",
+                         capsys.readouterr().err).group(1) == gated
+
+@pytest.mark.parametrize("argv", [
+    ["kerr", "--m", "x", "--s", "1"],
+    ["kerr", "--m", "1"],
+    ["verify", "k.csv", "--bogus"],
+    ["verify", "k.csv", "--constraint-tol", "1e-9"],
+], ids=["not-a-number", "missing-option", "unknown-option", "constraint-tol"])
+def test_usage_errors_exit_as_config_errors(capsys, argv):
+    # argparse's usage message goes to stderr, and the exit code is 1, not
+    # argparse's 2, which the exit-code contract gives to numeric failures
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: vesture ") and " error: " in captured.err
+    assert captured.out == ""
 
 @pytest.mark.parametrize("argv, out", [(KERR_RING, "kring.csv"),
                                        (["dress", "-c", "weyl.json"], "weyl.csv")],
