@@ -10,7 +10,6 @@ from .algebra import ComplexMatrix, Signature, gamma, group_residual, sigma, sym
 from .dressing import (
     DressedGrid,
     SolitonConfig,
-    Tolerances,
     dominance_check,
     dress,
     dressed_seed,

@@ -6,8 +6,9 @@ pseudo-unitary structure: the indefinite metric ``gamma``, the involutions
 the Cartan-embedded symmetric space ("Hermitian, unit determinant, and
 q*gamma*q*gamma = I").
 
-All residuals are returned as numbers, never booleans; thresholds live with
-the caller. The Frobenius norm is used throughout.
+All residuals are returned as numbers, never booleans; the thresholds shared
+by seeds, dressing and cli are the constants below, read at call time. The
+Frobenius norm is used throughout.
 """
 from __future__ import annotations
 
@@ -20,6 +21,11 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 ComplexMatrix = np.ndarray  # square, complex128
+
+#: the membership gate: the largest symmetric-space residual of a seed or a gated point
+CONSTRAINT_TOL = 1e-9
+#: the largest 2-norm condition number of a matrix that checked_inv inverts
+CONDITION_CAP = 1e12
 
 #: a.any() and a.all() over every axis as one C call; the methods pass
 #: through numpy's Python layer, which is most of their cost on small arrays
@@ -113,12 +119,12 @@ def shared_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows.reshape(a.shape[:-1] + b.shape[-1:])
 
 
-def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+def checked_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a (..., n, n) stack and the 2-norm condition number of each.
 
     The stack is inverted once, by LU on each matrix, and that inverse gives
     the upper bound ||A||_F ||A^-1||_F >= cond(A). The SVD is taken only for
-    the matrices whose bound does not clear ``condition_cap`` by a factor
+    the matrices whose bound does not clear CONDITION_CAP by a factor
     10, so every refusal and every reported condition near the cap is the
     SVD's; elsewhere the bound is returned. A matrix whose condition is not
     finite or exceeds the cap is refused: its slot holds the identity, and
@@ -134,14 +140,14 @@ def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray,
             cond = frobenius(flat) * frobenius(inv)
         except np.linalg.LinAlgError:  # an exactly singular matrix in the stack
             inv, cond = None, np.full(len(flat), np.inf)
-    clear = 10.0 * cond <= condition_cap
+    clear = 10.0 * cond <= CONDITION_CAP
     if not all_of(clear):  # a refusal needs a bound that does not clear the cap
         near = ~clear
         try:
             cond[near] = np.linalg.cond(flat[near])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - cond rarely fails
             raise NumericError(f"condition estimate failed: {exc}") from exc
-        refused = ~(cond <= condition_cap)
+        refused = ~(cond <= CONDITION_CAP)
         eye = np.eye(a.shape[-1])
         if inv is None:
             inv = np.linalg.inv(np.where(refused[:, None, None], eye, flat))
@@ -150,33 +156,33 @@ def checked_inv(m: np.ndarray, condition_cap: float = 1e12) -> tuple[np.ndarray,
     return inv.reshape(a.shape), cond.reshape(a.shape[:-2])
 
 
-def refusal(cond: float, condition_cap: float) -> NumericError:
+def refusal(cond: float) -> NumericError:
     """The error for a matrix that checked_inv refused."""
     if not np.isfinite(cond):
         return NumericError("matrix is numerically singular")
-    return NumericError(f"condition estimate {cond:.3e} exceeds cap {condition_cap:.3e}")
+    return NumericError(f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.3e}")
 
 
-def inv(m: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
+def inv(m: ComplexMatrix) -> ComplexMatrix:
     """Inverse of a matrix, or of each matrix of a (..., n, n) stack, via LU
     with a condition estimate. Raises NumericError, the refusal of the first
     refused matrix, when a matrix is singular or its estimated 2-norm
-    condition number exceeds ``condition_cap``."""
-    out, cond = checked_inv(m, condition_cap)
-    refused = ~(cond <= condition_cap)
+    condition number exceeds CONDITION_CAP."""
+    out, cond = checked_inv(m)
+    refused = ~(cond <= CONDITION_CAP)
     if any_of(refused):
-        raise refusal(cond.flat[np.argmax(refused)], condition_cap)
+        raise refusal(cond.flat[np.argmax(refused)])
     return out
 
 
-def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
+def tau(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:
     """Conjugate-linear involution g -> gamma (g*)^{-1} gamma, applied to a
     matrix or to each matrix of a (..., n, n) stack.
 
     Its fixed-point set is SU(p,q) (together with det = 1). Involutive on
     invertible input; singular input raises NumericError.
     """
-    return gamma_mat @ inv(np.conjugate(m).swapaxes(-1, -2), condition_cap) @ gamma_mat
+    return gamma_mat @ inv(np.conjugate(m).swapaxes(-1, -2)) @ gamma_mat
 
 
 def sigma(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> ComplexMatrix:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra, checks, seeds, targets, verification
 from .algebra import Signature
-from .dressing import DressedGrid, SolitonConfig, Tolerances
+from .dressing import DressedGrid, SolitonConfig
 from .errors import ConfigError, DomainError, NumericError, VestureError
 
 EXIT_OK = 0
@@ -30,7 +30,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 EXIT_GATE = 3
 EXIT_IO = 4
-CONSTRAINT_TOL = Tolerances().constraint_tol  # the one exit gate of dress, presets and verify
+#: the per-point relative Ernst error that the presets' gate and the oracle suites allow
+ERNST_TOL = 1e-9
 
 _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA", "oracle")
 
@@ -127,7 +128,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         try:
             rows = [[_complex_pair(cell, "seed.matrix entry", problems)
                      for cell in row] for row in seed_doc["matrix"]]
-            seed = seeds.constant_seed(np.array(rows, dtype=complex), sig, CONSTRAINT_TOL)
+            seed = seeds.constant_seed(np.array(rows, dtype=complex), sig)
         except (VestureError, TypeError, ValueError) as exc:
             problems.append(f"seed: {exc}")
     else:
@@ -232,8 +233,8 @@ def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
 
 def _vacuous(excluded: np.ndarray) -> str:
     """The summary's note when the exit gate is left with no point."""
-    return (f"; gate vacuous: all {excluded.size} points singular or within 3 cells of the "
-            "singular locus") if excluded.all() else ""
+    return (f"; gate vacuous: all {excluded.size} points singular or within "
+            f"{verification.GATE_MARGIN} cells of the singular locus") if excluded.all() else ""
 
 
 def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
@@ -270,7 +271,7 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
 def _summary(dressed: DressedGrid, excluded: np.ndarray, head: str, ok: bool = True) -> int:
     """Print the summary line, ``head`` and the largest gated residuals, and
     return the exit code: the gate holds the membership residual over the
-    gated points to CONSTRAINT_TOL, a NaN failing it, and needs the
+    gated points to algebra.CONSTRAINT_TOL, a NaN failing it, and needs the
     caller's own gate ``ok``. The chi audits are reported, not gated."""
     keep = ~excluded
     worst = checks.constraint(dressed, keep)
@@ -279,7 +280,7 @@ def _summary(dressed: DressedGrid, excluded: np.ndarray, head: str, ok: bool = T
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
           f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
           file=sys.stderr)
-    return EXIT_OK if ok and worst <= CONSTRAINT_TOL else EXIT_GATE
+    return EXIT_OK if ok and worst <= algebra.CONSTRAINT_TOL else EXIT_GATE
 
 
 def run_dress(cfg: RunConfig) -> int:
@@ -297,7 +298,7 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     """Dress a closed-form family on a Boyer-Lindquist grid, one carrying
     the family's chart, and write it with its Ernst and oracle columns. The
     exit gate also holds the per-point Ernst error over the gated points to
-    1e-9."""
+    ERNST_TOL."""
     cfg = RunConfig(solitons=family.config(), grid=grid,
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
     axes = grid.axis_values()
@@ -306,7 +307,7 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     excluded = _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
     worst = checks.worst([error[~excluded]])
     return _summary(dressed, excluded,
-                    f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= 1e-9)
+                    f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= ERNST_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +330,9 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
     A CSV body is parsed by one np.loadtxt call. It reads every cell the
     %.17g writer emits, nan and inf included, and refuses spellings such
     as 1_000 or quoted cells that float() or csv.reader would let through.
-    A JSON row must be a list of JSON numbers: no strings or booleans.
+    A JSON row must be a list of JSON numbers: no strings or booleans, the
+    columns a list of strings and a stored target a pair of JSON integers.
+    A column name may appear once.
     """
     stored = (None, None)
     with open(path, "r", encoding="utf-8") as fh:
@@ -338,8 +341,13 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
             if text[:1] == "{":
                 doc = json.loads(text)
                 cols, raw = doc["columns"], doc["rows"]
+                if type(cols) is not list or any(type(c) is not str for c in cols):
+                    raise ValueError("columns is not a list of strings")
                 target = doc.get("meta", {}).get("target")
-                stored = stored if target is None else (int(target["p"]), int(target["q"]))
+                if target is not None:
+                    stored = target["p"], target["q"]
+                    if any(type(v) is not int for v in stored):
+                        raise ConfigError(f"{path}: stored target {target} is not two integers")
                 for k, row in enumerate(raw):
                     if type(row) is not list or any(type(v) not in (int, float) for v in row):
                         raise ValueError(f"row {k + 1} is not a list of JSON numbers")
@@ -368,6 +376,9 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
                     raise
                 if table.shape != (len(body), len(cols)):
                     check_widths()
+            repeated = sorted({c for c in cols if cols.count(c) > 1})
+            if repeated:
+                raise ConfigError(f"{path}: repeated column names {', '.join(repeated)}")
         except StopIteration:
             raise ConfigError(f"{path}: empty file") from None
         except KeyError as exc:
@@ -464,7 +475,7 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None) -> 
         median = f"median {np.median(gated):.3e}" if gated.size else "no finite value"
         print(f"recomputed finite-difference residuals: {median}; "
               f"max deviation from stored values {worst:.3e}", file=sys.stderr)
-    return EXIT_OK if worst_gated <= CONSTRAINT_TOL else EXIT_GATE
+    return EXIT_OK if worst_gated <= algebra.CONSTRAINT_TOL else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +496,11 @@ def _spectral_gate(r: checks.Spectral) -> tuple[bool, str]:
 
 def _oracle_gate(bound: float):
     """The gate of a family's oracle report: the Ernst error within
-    ``bound`` and the membership residual within 1e-9 at the non-singular
-    points, and no singular point, so that a sweep with nothing to compare
-    fails it."""
+    ``bound`` and the membership residual within algebra.CONSTRAINT_TOL at
+    the non-singular points, and no singular point, so that a sweep with
+    nothing to compare fails it."""
     def gate(r: checks.OracleReport) -> tuple[bool, str]:
-        ok = r.error <= bound and r.constraint <= 1e-9 and r.singular == 0
+        ok = r.error <= bound and r.constraint <= algebra.CONSTRAINT_TOL and r.singular == 0
         return ok, (f"max oracle error {r.error:.2e}, max constraint {r.constraint:.2e}, "
                     f"{r.singular} singular points")
     return gate
@@ -515,9 +526,10 @@ SELFTEST_SUITES = (
      lambda worst: (worst <= 1e-10, f"max |q - q'| {worst:.2e}")),
     ("chi-audits", lambda: checks.chi_audit(606, 20),
      lambda worst: (worst <= 1e-9, f"max audit residual {worst:.2e} over 20 points")),
-    ("kerr-oracle", lambda: checks.oracle_report(checks.Kerr, _KERR_SETS), _oracle_gate(1e-9)),
+    ("kerr-oracle", lambda: checks.oracle_report(checks.Kerr, _KERR_SETS),
+     _oracle_gate(ERNST_TOL)),
     ("kn-oracle", lambda: checks.oracle_report(checks.KerrNewman, _KN_SETS),
-     _oracle_gate(1e-9)),
+     _oracle_gate(ERNST_TOL)),
     ("convergence-order", lambda: checks.convergence(_KERR_BOX, 0.1), _convergence_gate),
     ("flat-limit", lambda: checks.oracle_report(checks.Kerr, [(0.0, 1.0)], 12),
      _oracle_gate(1e-12)),

@@ -22,7 +22,7 @@ batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,36 +35,32 @@ from .spectral import DomainPoint
 
 #: relative solve-residual bound enforced after the linear solve
 SOLVE_RESIDUAL_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    constraint_tol: float = 1e-9
-    singular_tol: float = 1e-12
-    condition_cap: float = 1e12
+#: |det A| below which a point is flagged singular
+SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SolitonConfig:
     """Full description of one dressing problem.
 
-    poles: N distinct non-real surface coordinates (upper half plane by
-    convention, but only non-reality is required).
-    vectors: N nonzero constant vectors of length n.
+    poles: N distinct finite non-real surface coordinates (upper half plane
+    by convention, but only non-reality is required).
+    vectors: N nonzero finite constant vectors of length n.
     """
 
     signature: Signature
     poles: tuple[complex, ...]
     vectors: tuple[np.ndarray, ...]
     seed: Seed
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
         problems = []
         if len(self.poles) != len(self.vectors):
             problems.append(f"{len(self.poles)} poles but {len(self.vectors)} vectors")
         for k, w in enumerate(self.poles):
-            if complex(w).imag == 0.0:
+            if not np.isfinite(complex(w)):
+                problems.append(f"pole {k} is not finite ({w})")
+            elif complex(w).imag == 0.0:
                 problems.append(f"pole {k} is real ({w}); real poles are not supported")
         for k, w in enumerate(self.poles):
             for j in range(k + 1, len(self.poles)):
@@ -75,6 +71,8 @@ class SolitonConfig:
             v = np.asarray(v, dtype=complex).reshape(-1)
             if v.size != self.signature.n:
                 problems.append(f"vector {k} has length {v.size}, expected {self.signature.n}")
+            elif not algebra.all_of(np.isfinite(v)):
+                problems.append(f"vector {k} has non-finite entries")
             elif not algebra.any_of(v != 0):
                 problems.append(f"vector {k} is zero")
             v.setflags(write=False)
@@ -189,11 +187,10 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     vs = np.concatenate([own, partners])
     psi0 = _seed_values(cfg.seed.psi0(lambdas, rho, z), (size, 2 * n_sol), n, "Psi0", fails,
                         where)
-    cap = cfg.tolerances.condition_cap
-    psi0_inv, cond = algebra.checked_inv(psi0, cap)
-    refused = ~(cond <= cap)
+    psi0_inv, cond = algebra.checked_inv(psi0)
+    refused = ~(cond <= algebra.CONDITION_CAP)
     fails.flag(refused, lambda i: algebra.refusal(
-        cond[i % len(cond)][np.argmax(refused[i % len(cond)])], cap))
+        cond[i % len(cond)][np.argmax(refused[i % len(cond)])]))
     w = (np.conjugate(vs)[:, None, :] @ psi0_inv)[..., 0, :]
     return SpectralData(lambdas, w), q0
 
@@ -220,14 +217,13 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     return np.where(fails.ok[:, None, None], a, np.eye(m)), -wg
 
 
-def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
-           fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
+def _solve(a: np.ndarray, b_star: np.ndarray, fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
     """Solve A U* = B* at every point; returns U* and det A.
 
-    Flags a point when |det A| drops below the singular threshold (the zero
-    set of det A is the ring-singularity locus of the dressed map, reported
-    rather than crossed), when the condition number exceeds the cap, and
-    when the solve residual exceeds SOLVE_RESIDUAL_REL * ||B||.
+    Flags a point when |det A| drops below SINGULAR_TOL (the zero set of
+    det A is the ring-singularity locus of the dressed map, reported rather
+    than crossed), when the condition number exceeds algebra.CONDITION_CAP,
+    and when the solve residual exceeds SOLVE_RESIDUAL_REL * ||B||.
 
     The condition comes from det A first: A^-1 = adj A / det A and the
     singular values of adj A are products of m - 1 of A's, so
@@ -236,9 +232,9 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
     through algebra.checked_inv as one sub-stack, so every refusal and its
     note is the SVD's. A bound that overflows is not a bound.
     """
-    m, cap = a.shape[-1], tol.condition_cap
+    m, cap = a.shape[-1], algebra.CONDITION_CAP
     det = np.linalg.det(a)
-    small = np.abs(det) < tol.singular_tol
+    small = np.abs(det) < SINGULAR_TOL
     fails.flag(small, lambda i: SingularPointError(
         f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +242,7 @@ def _solve(a: np.ndarray, b_star: np.ndarray, tol: Tolerances,
         clear = (size < np.inf) & (size <= cap * np.abs(det))
     unsure = (fails.ok & ~clear).nonzero()[0]
     if unsure.size:
-        cond = algebra.checked_inv(a[unsure], cap)[1]
+        cond = algebra.checked_inv(a[unsure])[1]
         fails.flag(~(cond <= cap), lambda j: NumericError(
             f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}"), unsure)
     a = np.where(fails.ok[:, None, None], a, np.eye(m))
@@ -366,14 +362,14 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     The residuals are the rows of one (len(_RESIDUALS), P) table."""
     rho, z = np.asarray(rho, dtype=float).ravel(), np.asarray(z, dtype=float).ravel()
     DomainPoint(rho=rho, z=z)  # raises DomainError unless rho > 0 and all are finite
-    size, n_sol, tol = len(rho), len(cfg.poles), cfg.tolerances
+    size, n_sol = len(rho), len(cfg.poles)
     g = algebra.gamma(cfg.signature)
     fails = _Failures(size)
     sd, q0 = _spectral(cfg, rho, z, swap, fails)
     if n_sol:
         a, b_star = _system(sd, g, fails)
         built = fails.ok.copy()
-        u_star, det = _solve(a, b_star, tol, fails)
+        u_star, det = _solve(a, b_star, fails)
         det_a = np.where(built, det, math.nan)
         u = np.conjugate(u_star)
     else:

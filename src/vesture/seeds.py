@@ -35,14 +35,14 @@ class Seed:
         object.__setattr__(self, "deck", algebra.as_matrix(self.deck, self.signature.n))
 
 
-def constant_seed(q0: ComplexMatrix, sig: Signature, tol: float = 1e-9) -> Seed:
+def constant_seed(q0: ComplexMatrix, sig: Signature) -> Seed:
     """Seed with q0 and Psi0 both identically equal to a constant matrix,
     which must lie in the Cartan-embedded symmetric space (Hermitian, det 1,
-    q gamma q gamma = I) to within ``tol``; there sigma(q0)^{-1} = q0, so
-    the deck constant J is q0 itself."""
+    q gamma q gamma = I) to within algebra.CONSTRAINT_TOL; there
+    sigma(q0)^{-1} = q0, so the deck constant J is q0 itself."""
     q0 = algebra.as_matrix(q0, sig.n)
     resid = algebra.symspace_residual(q0, algebra.gamma(sig))
-    if resid > tol:
+    if resid > algebra.CONSTRAINT_TOL:
         raise SeedError(f"constant seed violates the membership constraints (residual {resid:.3e})")
     return _constant(q0, sig)
 

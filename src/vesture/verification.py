@@ -23,6 +23,9 @@ from . import algebra, spectral
 from .errors import ConfigError, SingularPointError
 from .spectral import DomainPoint
 
+#: the cells by which gate_exclusion widens the singular locus
+GATE_MARGIN = 3
+
 
 @dataclass
 class FieldGrid:
@@ -110,7 +113,7 @@ def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:
     return m
 
 
-def exclusion_mask(locus: np.ndarray, margin: int = 3) -> np.ndarray:
+def exclusion_mask(locus: np.ndarray, margin: int) -> np.ndarray:
     """Dilate a boolean locus mask by a Chebyshev radius (the 3h margin
     rule): the OR over a window of 2 margin + 1 cells along each axis of the
     mask padded with margin empty cells. The window grows by doubling, each
@@ -157,7 +160,7 @@ def refinement_ratios(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> fl
 def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray:
     """Mask of lattice points excluded from exit gates: the singular points
     and both ends of each sign change of Re det A along either axis (the
-    singular points alone when det_a is None), widened by a 3-cell margin.
+    singular points alone when det_a is None), widened by GATE_MARGIN cells.
     The dress flags every |det A| below its threshold and every non-finite
     det A, so this takes no tolerance."""
     locus = np.array(singular, dtype=bool)
@@ -169,7 +172,7 @@ def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray
         locus[1:, :] |= cross_r
         locus[:, :-1] |= cross_z
         locus[:, 1:] |= cross_z
-    return exclusion_mask(locus, margin=3)
+    return exclusion_mask(locus, margin=GATE_MARGIN)
 
 
 def lattice_order(a1: np.ndarray, a2: np.ndarray):

@@ -5,7 +5,8 @@ before the grid became one array pipeline, kept as it was (together with
 the scalar pole pair, Frobenius norm, checked inverse and membership
 residuals it called) so that the equivalence tests compare the batched
 pipeline against an independent reference. Do not edit it to follow the
-library.
+library; it reads the library's threshold constants at call time, so a
+test that patches one moves both pipelines.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vesture import algebra, seeds, spectral
+from vesture import algebra, dressing, seeds, spectral
 from vesture.algebra import ComplexMatrix
-from vesture.dressing import SolitonConfig, Tolerances
+from vesture.dressing import SolitonConfig
 from vesture.errors import ConfigError, DomainError, NumericError, SingularPointError
 from vesture.spectral import BRANCH_EXCLUSION, DomainPoint
 
@@ -73,8 +74,8 @@ def _frobenius(m: ComplexMatrix) -> float:
     return float(np.linalg.norm(m, "fro"))
 
 
-def _inv(m: ComplexMatrix, condition_cap: float = 1e12) -> ComplexMatrix:
-    a = np.asarray(m, dtype=complex)
+def _inv(m: ComplexMatrix) -> ComplexMatrix:
+    a, condition_cap = np.asarray(m, dtype=complex), algebra.CONDITION_CAP
     cond = np.linalg.cond(a)
     if not np.isfinite(cond):
         raise NumericError("matrix is numerically singular")
@@ -132,7 +133,7 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
     for k in range(2 * n_sol):
         m = cfg.seed.psi0(np.array([[lambdas[k]]]), np.array([x.rho]), np.array([x.z]))[0, 0]
         psi0[k] = m
-        psi0_inv[k] = _inv(m, cfg.tolerances.condition_cap)
+        psi0_inv[k] = _inv(m)
     return SpectralData(lambdas=lambdas, vs=vs, psi0=psi0, psi0_inv=psi0_inv)
 
 
@@ -161,7 +162,7 @@ def build_system(sd: SpectralData, gamma_mat: ComplexMatrix) -> tuple[np.ndarray
     return a, b_star.conj().T
 
 
-def solve_system(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def solve_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A U* = B* for the column vectors u_k; returns U (n x 2N).
 
     Flags the point singular when |det A| drops below the singular
@@ -169,16 +170,16 @@ def solve_system(a: np.ndarray, b: np.ndarray, tol: Tolerances | None = None) ->
     dressed map, reported rather than crossed) and refuses the solve when
     the condition estimate exceeds the cap.
     """
-    tol = tol or Tolerances()
+    singular_tol, condition_cap = dressing.SINGULAR_TOL, algebra.CONDITION_CAP
     m = a.shape[0]
     if m == 0:
         return np.zeros((b.shape[0], 0), dtype=complex)
     det_a = complex(np.linalg.det(a))
-    if abs(det_a) < tol.singular_tol:
+    if abs(det_a) < singular_tol:
         raise SingularPointError(f"det A = {det_a:.3e} below singular threshold", det_a=det_a)
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > tol.condition_cap:
-        raise NumericError(f"system condition {cond:.3e} exceeds cap {tol.condition_cap:.3e}")
+    if not np.isfinite(cond) or cond > condition_cap:
+        raise NumericError(f"system condition {cond:.3e} exceeds cap {condition_cap:.3e}")
     b_star = b.conj().T
     u_star = np.linalg.solve(a, b_star)
     resid = np.linalg.norm(a @ u_star - b_star)
@@ -252,7 +253,7 @@ def _audit_samples(sd: SpectralData, x: DomainPoint) -> list[complex]:
 
 def chi_symmetry_residuals(u: np.ndarray, sd: SpectralData, q: ComplexMatrix,
                            q0: ComplexMatrix, gamma_mat: ComplexMatrix,
-                           x: DomainPoint, condition_cap: float = 1e12) -> tuple[float, float]:
+                           x: DomainPoint) -> tuple[float, float]:
     """Max reality / deck-involution residuals of chi over the fixed samples.
 
     reality:    || tau(chi(conj lam)) - chi(lam) ||_F
@@ -263,7 +264,7 @@ def chi_symmetry_residuals(u: np.ndarray, sd: SpectralData, q: ComplexMatrix,
     for lam in _audit_samples(sd, x):
         chi = chi_at(lam, u, sd)
         chi_conj = chi_at(np.conj(lam), u, sd)
-        tau_chi = gamma_mat @ _inv(chi_conj.conj().T, condition_cap) @ gamma_mat
+        tau_chi = gamma_mat @ _inv(chi_conj.conj().T) @ gamma_mat
         reality = max(reality, _frobenius(tau_chi - chi))
         chi_deck = chi_at(spectral.deck(lam, x), u, sd)
         rhs = q @ (gamma_mat @ chi_deck @ gamma_mat) @ (gamma_mat @ q0 @ gamma_mat)
@@ -294,9 +295,9 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
             det_a = complex(np.linalg.det(a))
         else:
             det_a = 1.0
-        u = solve_system(a, b, cfg.tolerances)
+        u = solve_system(a, b)
         q_raw = reconstruct_q(u, sd, q0)
-        q, warn = normalize_det(q_raw, cfg.tolerances.constraint_tol)
+        q, warn = normalize_det(q_raw, algebra.CONSTRAINT_TOL)
     except (SingularPointError, NumericError) as exc:
         if isinstance(exc, SingularPointError) and exc.det_a is not None:
             det_a = exc.det_a
@@ -314,8 +315,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
     }
     if audit_chi and cfg.n_solitons > 0:
         try:
-            reality, involution = chi_symmetry_residuals(
-                u, sd, q, q0, g, x, cfg.tolerances.condition_cap)
+            reality, involution = chi_symmetry_residuals(u, sd, q, q0, g, x)
             residuals["chi_reality"] = reality
             residuals["chi_involution"] = involution
         except (NumericError, DomainError) as exc:

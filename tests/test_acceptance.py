@@ -16,7 +16,7 @@ import numpy as np
 
 import vesture
 from vesture import algebra, checks, cli, dressing, seeds
-from vesture.dressing import SolitonConfig, Tolerances
+from vesture.dressing import SolitonConfig
 from vesture.spectral import DomainPoint
 from vesture.targets import SIG_11
 from test_dressing import kernels
@@ -58,7 +58,7 @@ def test_criterion_03_flat_limit():
 
 def test_criterion_04_constraint_suite():
     worst = _kerr().constraint
-    assert _report(4, "constraint-suite", worst <= Tolerances().constraint_tol,
+    assert _report(4, "constraint-suite", worst <= algebra.CONSTRAINT_TOL,
                    f"max constraint residual {worst:.3e} at the non-singular points")
 
 

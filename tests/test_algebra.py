@@ -110,12 +110,15 @@ def test_symspace_residual_values():
     assert algebra.symspace_residual(herm, g) > 0.1
 
 
-def test_inv_condition_cap():
+def test_inv_condition_cap(monkeypatch):
     m = np.diag([1.0, 1e-13]).astype(complex)
-    with pytest.raises(NumericError):
-        algebra.inv(m, condition_cap=1e12)
+    with pytest.raises(NumericError, match="exceeds cap 1.000e[+]12"):
+        algebra.inv(m)
     out = algebra.inv(np.diag([2.0, 4.0]).astype(complex))
     np.testing.assert_allclose(out, np.diag([0.5, 0.25]))
+    # the cap is read at call time
+    monkeypatch.setattr(algebra, "CONDITION_CAP", 1e14)
+    np.testing.assert_allclose(algebra.inv(m), np.diag([1.0, 1e13]))
 
 
 def test_as_matrix_validation():
@@ -137,7 +140,7 @@ def _rotated(s_min: float, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("singular", [False, True], ids=["lu", "singular-fallback"])
 def test_checked_inv_inverts_each_matrix_once(monkeypatch, singular):
-    cap = 1e12
+    cap = algebra.CONDITION_CAP
     well = [_rotated(0.3, 1), _rotated(1e-3, 2)]
     near = _rotated(3e-12, 3)       # cond ~3.3e11: the bound misses the cap by less than 10x
     over = _rotated(1e-13, 4)       # cond ~1e13: refused
@@ -146,7 +149,7 @@ def test_checked_inv_inverts_each_matrix_once(monkeypatch, singular):
         stack.append(np.array([[1, 2, 0], [2, 4, 0], [0, 0, 1]], dtype=complex))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(stack[-1])
-    inv, cond = algebra.checked_inv(np.array(stack), cap)
+    inv, cond = algebra.checked_inv(np.array(stack))
     refused = [False, False, False, True] + [True] * singular
     for m, got, c, r in zip(stack, inv, cond, refused):
         if r:
@@ -160,7 +163,7 @@ def test_checked_inv_inverts_each_matrix_once(monkeypatch, singular):
     assert 1e11 < cond[2] <= cap < cond[3]
     # no matrix near the cap: the SVD is never taken
     monkeypatch.setattr(np.linalg, "cond", None)
-    assert np.array_equal(algebra.checked_inv(np.array(well), cap)[0],
+    assert np.array_equal(algebra.checked_inv(np.array(well))[0],
                           np.linalg.inv(np.array(well)))
 
 

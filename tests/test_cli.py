@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vesture import algebra, checks, cli, dressing, spectral, targets, verification
-from vesture.dressing import Tolerances
 from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
@@ -360,9 +359,8 @@ SMALL_GRID = ["--r-min", "3", "--r-max", "5", "--r-count", "2", "--theta-count",
      "Boyer-Lindquist parameters must be finite, got m=inf, s=1.0, e=0.0"),
     (["kerr", "--m", "1", "--s", "inf", *SMALL_GRID],
      "Boyer-Lindquist parameters must be finite, got m=1.0, s=inf, e=0.0"),
-    (["kerr", "--m", "1e200", "--s", "1", *SMALL_GRID],
-     "domain points need rho > 0 and finite coords, got rho=inf, z=-9.238795325112866e+199 "
-     "and 3 more"),
+    # m^2 overflows, so the Kerr vector does: the config refuses it
+    (["kerr", "--m", "1e200", "--s", "1", *SMALL_GRID], "vector 0 has non-finite entries"),
     (["kerr-newman", "--m", "1", "--e", "nan", "--s", "1", *SMALL_GRID],
      "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=nan"),
     (["kerr-newman", "--m", "1", "--e", "inf", "--s", "1", *SMALL_GRID],
@@ -406,15 +404,10 @@ def test_kerr_preset_on_an_axis_shorter_than_the_margin(tmp_path, capsys):
     assert code == cli.EXIT_OK and len(out.read_text().splitlines()) == 1 + 16
     assert "gate vacuous" not in capsys.readouterr().err
 
-def _with_tolerances(cfg: cli.RunConfig, **tolerances) -> cli.RunConfig:
-    """cfg whose dress runs at the given library tolerances, which no config sets."""
-    return dataclasses.replace(cfg, solitons=dataclasses.replace(
-        cfg.solitons, tolerances=Tolerances(**tolerances)))
-
-def test_vacuous_gate_is_reported(tmp_path, capsys):
+def test_vacuous_gate_is_reported(tmp_path, capsys, monkeypatch):
     # every |det A| is below the singular threshold: all points are flagged
-    cfg = _with_tolerances(cli.parse_config(json.dumps(minimal_config(tmp_path))),
-                           singular_tol=1e300)
+    cfg = cli.parse_config(json.dumps(minimal_config(tmp_path)))
+    monkeypatch.setattr(dressing, "SINGULAR_TOL", 1e300)
     assert cli.run_dress(cfg) == cli.EXIT_OK
     assert capsys.readouterr().err == (
         "dressed 12 points (12 singular); max gated constraint residual 0.000e+00; "
@@ -479,6 +472,66 @@ def test_verify_detects_corruption(tmp_path):
     out.write_text("\n".join(lines) + "\n")
     assert cli.verify_file(str(out)) == cli.EXIT_GATE
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_refuses_a_repeated_column(tmp_path, capsys, fmt):
+    # a corrupted q fails the gate; with a second, all-ones singular column,
+    # which marks every row singular where the last of two names wins, the
+    # payload is refused instead
+    out = tmp_path / f"kerr.{fmt}"
+    code = cli.main(["kerr", "--m", "1", "--s", "1", "--format", fmt, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    cols, rows, _ = cli._load_table(str(out))
+    meta = json.loads(out.read_text())["meta"] if fmt == "json" else {}
+    rows[8, cols.index("q_re_11")] *= 1.001
+    cli._write_output(str(out), fmt, cols, rows, meta)
+    assert cli.main(["verify", str(out)]) == cli.EXIT_GATE
+    cli._write_output(str(out), fmt, cols + ["singular"],
+                      np.column_stack([rows, np.ones(len(rows))]), meta)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"{out}: repeated column names singular\n"
+
+@pytest.mark.parametrize("target", [{"p": 1.7, "q": 1}, {"p": True, "q": 1}, {"p": 1, "q": "1"}])
+def test_verify_refuses_a_stored_target_that_is_not_two_integers(tmp_path, capsys, target):
+    out = tmp_path / "kerr.json"
+    assert cli.main(["kerr", "--m", "1", "--s", "1", "--r-count", "4", "--theta-count", "4",
+                     "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    doc = json.loads(out.read_text())
+    doc["meta"]["target"] = target
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"{out}: stored target {target} is not two integers\n"
+
+@pytest.mark.parametrize("soliton, message", [
+    ({"omega": [math.nan, 1.0], "v": [[1.2, 0.0], [0.5, 0.0]]}, "pole 0 is not finite ((nan+1j))"),
+    ({"omega": [0.0, math.inf], "v": [[1.2, 0.0], [0.5, 0.0]]}, "pole 0 is not finite (infj)"),
+    ({"omega": [0.0, 1.0], "v": [[math.nan, 0.0], [0.4, 0.0]]}, "vector 0 has non-finite entries"),
+    ({"omega": [0.0, 1.0], "v": [[1.2, 0.0], [0.5, -math.inf]]},
+     "vector 0 has non-finite entries"),
+])
+def test_a_non_finite_pole_or_vector_is_a_config_error(tmp_path, capsys, soliton, message):
+    # json.loads reads NaN and Infinity; the config refuses them before any
+    # point is dressed, so no numpy warning is raised (filterwarnings = error)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(tmp_path, solitons=[soliton])))
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid config:\n  - {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+def test_one_membership_constant_gates_the_seed_the_dress_and_verify(tmp_path, monkeypatch):
+    # the thresholds are read at call time, so one patch reaches every gate
+    boosted = [[[math.cosh(0.7), 0.0], [math.sinh(0.7), 0.0]],
+               [[math.sinh(0.7), 0.0], [math.cosh(0.7), 0.0]]]
+    doc = minimal_config(tmp_path, seed={"matrix": boosted})
+    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+    cfg = cli.parse_config(json.dumps(minimal_config(tmp_path)))
+    monkeypatch.setattr(algebra, "CONSTRAINT_TOL", 0.0)
+    with pytest.raises(ConfigError, match="constant seed violates the membership constraints"):
+        cli.parse_config(json.dumps(doc))
+    assert cli.run_dress(cfg) == cli.EXIT_GATE
+    assert cli.main(["verify", str(tmp_path / "out.csv")]) == cli.EXIT_GATE
+
 def test_json_output_roundtrip(tmp_path):
     out = tmp_path / "kerr.json"
     code = cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "5",
@@ -506,7 +559,7 @@ def test_dress_g21_config(tmp_path):
     assert header[-4:] == ["E_re", "E_im", "Phi_re", "Phi_im"]
 
 def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
-    # tight tolerances flag or exclude every point of the Kerr (1, 1) grid; the
+    # tight thresholds flag or exclude every point of the Kerr (1, 1) grid; the
     # det A threshold flags a band across the grid four cells wide, so no
     # finite-difference residual is finite either
     alpha, delta, _ = targets.kerr_params(1.0, 1.0)
@@ -514,9 +567,10 @@ def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
                          solitons=[{"omega": [0.0, 1.0], "v": [[alpha, 0.0], [delta, 0.0]]}],
                          grid={"coords": "weyl", "rho": [1.0, 2.0, 6], "z": [-1.0, 1.0, 6]})
     doc["outputs"]["fields"] = ["q", "detA", "residuals"]
-    cfg = _with_tolerances(cli.parse_config(json.dumps(doc)), singular_tol=0.2,
-                           condition_cap=30)
-    assert cli.run_dress(cfg) == cli.EXIT_OK
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dressing, "SINGULAR_TOL", 0.2)
+        patch.setattr(algebra, "CONDITION_CAP", 30)
+        assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -584,12 +638,6 @@ def _nan_at_first_point(ernst):
         return dataclasses.replace(e, x=x)
     return faulty
 
-def _flag_every_point(config):
-    """A configuration whose singular threshold flags every point."""
-    def flagged(*params):
-        return dataclasses.replace(config(*params), tolerances=Tolerances(singular_tol=1e300))
-    return flagged
-
 # each fault, injected into the library, must fail the suite's gate, which
 # selftest and the acceptance suite share: (id, suite, module, name, fault)
 FAULTS = [
@@ -611,9 +659,9 @@ FAULTS = [
      lambda config: lambda m, e, s: dataclasses.replace(
          config(m, e, s), vectors=(config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],))),
     # every point singular: an oracle with nothing to compare passes no gate
-    ("kerr-oracle-singular", "kerr-oracle", targets, "kerr_config", _flag_every_point),
-    ("kn-oracle-singular", "kn-oracle", targets, "kn_config", _flag_every_point),
-    ("flat-limit-singular", "flat-limit", targets, "kerr_config", _flag_every_point),
+    ("kerr-oracle-singular", "kerr-oracle", dressing, "SINGULAR_TOL", lambda tol: 1e300),
+    ("kn-oracle-singular", "kn-oracle", dressing, "SINGULAR_TOL", lambda tol: 1e300),
+    ("flat-limit-singular", "flat-limit", dressing, "SINGULAR_TOL", lambda tol: 1e300),
 ]
 
 @pytest.mark.parametrize("suite, module, name, fault", [f[1:] for f in FAULTS],
@@ -657,6 +705,9 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
                  "rows": ["1010000001"]}), "not a table of numbers"),
     ('{"columns": ["rho", "z"], "rows": [["1.5", 0.0]]}', "not a table of numbers"),
     ('{"columns": ["rho", "z"], "rows": [[true, 0.0]]}', "not a table of numbers"),
+    # column names that are not strings
+    ('{"columns": [1, 2], "rows": [[1.0, 0.0]]}', "columns is not a list of strings"),
+    ('{"columns": "rho", "rows": [[1.0, 0.0, 0.0]]}', "columns is not a list of strings"),
 ])
 def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"

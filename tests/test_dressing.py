@@ -1,4 +1,3 @@
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,11 +9,11 @@ import _exact_dressing as exact_dressing
 import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
-from vesture.dressing import SolitonConfig, Tolerances
+from vesture.dressing import SolitonConfig
 from vesture.errors import ConfigError, NumericError, SingularPointError
 from vesture.spectral import DomainPoint
 from vesture.verification import gate_exclusion
-from test_equivalence import KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, coords
+from test_equivalence import KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, coords, thresholds
 
 SIG11 = Signature(1, 1)
 G11 = algebra.gamma(SIG11)
@@ -34,7 +33,7 @@ def kernels(cfg, x):
     fails = dressing._Failures(1)
     sd, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
     a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
-    u = dressing._solve(a, b_star, cfg.tolerances, fails)[0].conj()
+    u = dressing._solve(a, b_star, fails)[0].conj()
     q = dressing._reconstruct(u, sd.w, sd.lambdas, q0, fails)
     assert fails.ok[0], fails.error[0]
     return sd, a, b_star, u, q
@@ -152,21 +151,21 @@ def test_solve_system_singular_flag():
     a = np.array([[1e-7, 1.0], [1.0, 1e-7]], dtype=complex) * 1e-6
     a[1, 1] = a[0, 1] * a[1, 0] / a[0, 0]  # force det = 0 up to round-off
     fails = dressing._Failures(1)
-    dressing._solve(a[None], np.eye(2, dtype=complex)[None], Tolerances(), fails)
+    dressing._solve(a[None], np.eye(2, dtype=complex)[None], fails)
     assert isinstance(fails.error[0], SingularPointError)
 
 
-def _solve_by_whole_stack(a, b_star, tol, fails):
+def _solve_by_whole_stack(a, b_star, fails):
     """The solve as it was before det A bounded the condition, frozen as a
     reference: algebra.checked_inv over the whole stack."""
-    eye = np.eye(a.shape[-1])
+    eye, cap = np.eye(a.shape[-1]), algebra.CONDITION_CAP
     det = np.linalg.det(a)
-    fails.flag(np.abs(det) < tol.singular_tol, lambda i: SingularPointError(
+    fails.flag(np.abs(det) < dressing.SINGULAR_TOL, lambda i: SingularPointError(
         f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
     a = np.where(fails.ok[:, None, None], a, eye)
-    cond = algebra.checked_inv(a, tol.condition_cap)[1]
-    fails.flag(~(cond <= tol.condition_cap), lambda i: NumericError(
-        f"system condition {cond[i]:.3e} exceeds cap {tol.condition_cap:.3e}"))
+    cond = algebra.checked_inv(a)[1]
+    fails.flag(~(cond <= cap), lambda i: NumericError(
+        f"system condition {cond[i]:.3e} exceeds cap {cap:.3e}"))
     a = np.where(fails.ok[:, None, None], a, eye)
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
@@ -178,12 +177,12 @@ def _solve_by_whole_stack(a, b_star, tol, fails):
 
 @st.composite
 def _systems(draw):
-    """(A, B*, tolerances): a (P, m, m) stack, m in {2, 4, 6}, of matrices
-    with a chosen 2-norm condition (up to 1e16) or a zero row, scaled as A
-    is when the vectors are rescaled by c; caps of 30 and 1e12."""
+    """(A, B*, singular_tol, cap): a (P, m, m) stack, m in {2, 4, 6}, of
+    matrices with a chosen 2-norm condition (up to 1e16) or a zero row,
+    scaled as A is when the vectors are rescaled by c; the |det A| flag 0
+    or 1e-12 and the condition cap 30 or 1e12 to dress it at."""
     m, c = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([0.01, 1.0, 100.0]))
-    tol = Tolerances(singular_tol=draw(st.sampled_from([0.0, 1e-12])),
-                     condition_cap=draw(st.sampled_from([30.0, 1e12])))
+    limits = draw(st.sampled_from([0.0, 1e-12])), draw(st.sampled_from([30.0, 1e12]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     stack = []
     for _ in range(draw(st.integers(1, 6))):
@@ -194,41 +193,42 @@ def _systems(draw):
             a[rng.integers(m)] = 0.0  # exactly singular
         stack.append(c * c * a)
     b_star = rng.normal(size=(len(stack), m, 2)) + 1j * rng.normal(size=(len(stack), m, 2))
-    return np.array(stack), b_star, tol
+    return np.array(stack), b_star, *limits
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_systems())
 def test_system_condition_from_det_a_flags_as_the_whole_stack_did(problem):
-    a, b_star, tol = problem
+    a, b_star, singular_tol, cap = problem
     checked, inv = [], algebra.checked_inv
 
-    def recorded(m, cap):
+    def recorded(m):
         checked.extend(m)
-        return inv(m, cap)
+        return inv(m)
 
     fails, want = dressing._Failures(len(a)), dressing._Failures(len(a))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "checked_inv", recorded)
-        got_u, got_det = dressing._solve(a, b_star, tol, fails)
-    want_u, want_det = _solve_by_whole_stack(a, b_star, tol, want)
+    with thresholds(singular_tol, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(algebra, "checked_inv", recorded)
+            got_u, got_det = dressing._solve(a, b_star, fails)
+        want_u, want_det = _solve_by_whole_stack(a, b_star, want)
     assert np.array_equal(fails.ok, want.ok)
     assert [str(e) for e in fails.error] == [str(e) for e in want.error]
     assert np.array_equal(got_u.view(float), want_u.view(float))
     assert np.array_equal(got_det.view(float), want_det.view(float))
     # a system the det A bound accepted has its condition within the cap
     passed = {m.tobytes() for m in checked}
-    for i in np.flatnonzero(np.abs(got_det) >= tol.singular_tol):
+    for i in np.flatnonzero(np.abs(got_det) >= singular_tol):
         if a[i].tobytes() not in passed:
-            assert np.linalg.cond(a[i]) <= tol.condition_cap
+            assert np.linalg.cond(a[i]) <= cap
 
 
 @st.composite
 def _flag_problems(draw):
-    """(config, rho, z): N <= 3 solitons of a target with n <= 4 on a small
-    Weyl lattice, a pole possibly on a lattice point's branch point or the
-    conjugate of the one before; singular_tol in {1e-30, 1e-12, 0.1, 10},
-    condition cap 30 or 1e12."""
+    """(config, rho, z, singular_tol, cap): N <= 3 solitons of a target with
+    n <= 4 on a small Weyl lattice, a pole possibly on a lattice point's
+    branch point or the conjugate of the one before; the |det A| flag in
+    {1e-30, 1e-12, 0.1, 10} and the condition cap 30 or 1e12 to dress at."""
     sig = Signature(*draw(st.sampled_from([(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (1, 3)])))
     rhos = np.linspace(draw(st.floats(0.3, 1.0)), draw(st.floats(1.5, 3.0)),
                        draw(st.integers(2, 5)))
@@ -249,10 +249,11 @@ def _flag_problems(draw):
     vectors = [np.array([complex(draw(coord), draw(coord)) for _ in range(sig.n)])
                for _ in poles]
     assume(all(np.linalg.norm(v) > 0.2 for v in vectors))
-    tol = Tolerances(singular_tol=draw(st.sampled_from([1e-30, 1e-12, 0.1, 10.0])),
-                     condition_cap=draw(st.sampled_from([30.0, 1e12])))
+    singular_tol = draw(st.sampled_from([1e-30, 1e-12, 0.1, 10.0]))
+    cap = draw(st.sampled_from([30.0, 1e12]))
     rho, z = np.meshgrid(rhos, zs, indexing="ij")
-    return SolitonConfig(sig, tuple(poles), tuple(vectors), seeds.identity_seed(sig), tol), rho, z
+    return (SolitonConfig(sig, tuple(poles), tuple(vectors), seeds.identity_seed(sig)), rho, z,
+            singular_tol, cap)
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -260,9 +261,10 @@ def _flag_problems(draw):
 def test_a_det_a_below_the_threshold_or_not_finite_is_flagged(problem):
     # the lattice gate reads the flags and the sign of det A alone: a point
     # the threshold or a non-finite det A would catch must already be flagged
-    cfg, rho, z = problem
-    dressed = dressing.dress(cfg, rho, z)
-    caught = (np.abs(dressed.det_a) < cfg.tolerances.singular_tol) | ~np.isfinite(dressed.det_a)
+    cfg, rho, z, singular_tol, cap = problem
+    with thresholds(singular_tol, cap):
+        dressed = dressing.dress(cfg, rho, z)
+    caught = (np.abs(dressed.det_a) < singular_tol) | ~np.isfinite(dressed.det_a)
     assert np.all(dressed.singular[caught])
 
 
@@ -362,10 +364,9 @@ def test_dress_point_singular_at_branch_point():
     assert "branch point" in res.notes[0]
 
 
-def test_dress_point_numeric_failure_flagged():
-    cfg = SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
-                        seeds.identity_seed(SIG11),
-                        Tolerances(condition_cap=1.0))
+def test_dress_point_numeric_failure_flagged(monkeypatch):
+    cfg = SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),), seeds.identity_seed(SIG11))
+    monkeypatch.setattr(algebra, "CONDITION_CAP", 1.0)
     res = dressing.dress(cfg, 1.0, 1.0)
     assert res.singular[0] and np.isnan(res.q[0]).all()
 
@@ -423,12 +424,13 @@ def test_an_empty_batch_has_the_arrays_of_one_point():
 def test_dressing_does_not_depend_on_the_batch_split(example):
     # bit-identical output however the points are batched: the ring locus,
     # branch points, det A and condition flags, and the chi audits
-    cfg, rows = example
+    cfg, rows, *limits = example
     rho, z = coords(rows).reshape(2, -1)
-    whole = dressing.dress(cfg, rho, z)
     half = len(rho) // 2
-    parts = [dressing.dress(cfg, rho[part], z[part])
-             for part in (slice(None, half), slice(half, None))]
+    with thresholds(*limits):
+        whole = dressing.dress(cfg, rho, z)
+        parts = [dressing.dress(cfg, rho[part], z[part])
+                 for part in (slice(None, half), slice(half, None))]
     for key in ("q", "det_a", "singular"):
         np.testing.assert_array_equal(getattr(whole, key),
                                       np.concatenate([getattr(p, key) for p in parts]))
@@ -455,24 +457,24 @@ def _boost11(t):
 
 @pytest.mark.parametrize("make_cfg, prefix, keeps_q", [
     # rho = 1, z = 0 is the branch point of the pole at i
-    (lambda: kerr_cfg(), "branch point of varpi0=1j", False),
-    (lambda: dataclasses.replace(kerr_cfg(), tolerances=Tolerances(singular_tol=10.0)),
-     "det A = ", False),
-    (lambda: dataclasses.replace(kerr_cfg(), tolerances=Tolerances(condition_cap=2.0)),
-     "system condition ", False),
+    (lambda: (kerr_cfg(), {}), "branch point of varpi0=1j", False),
+    (lambda: (kerr_cfg(), {"singular_tol": 10.0}), "det A = ", False),
+    (lambda: (kerr_cfg(), {"cap": 2.0}), "system condition ", False),
     # cond(psi0) = e^1.4 for the boosted seed
-    (lambda: SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
-                           seeds.constant_seed(_boost11(0.35), SIG11),
-                           Tolerances(condition_cap=2.0)),
+    (lambda: (SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
+                            seeds.constant_seed(_boost11(0.35), SIG11)), {"cap": 2.0}),
      "condition estimate 4.055e+00 exceeds cap", False),
     # conjugate poles: lam_0 = conj(lam_1) at every point
-    (lambda: SolitonConfig(SIG11, (1j, -1j), (np.array([1.2, 0.4]), np.array([0.3, 1.0])),
-                           seeds.identity_seed(SIG11)),
+    (lambda: (SolitonConfig(SIG11, (1j, -1j), (np.array([1.2, 0.4]), np.array([0.3, 1.0])),
+                            seeds.identity_seed(SIG11)), {}),
      "coincident pole pair: lam_0 - conj(lam_1) ~ 0", False),
 ])
 def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_q):
-    # two points: the branch point of the pole at i, and a regular point
-    out = dressing.dress(make_cfg(), [1.0, 1.5], [0.0, 0.5])
+    # two points: the branch point of the pole at i, and a regular point;
+    # make_cfg gives the config and the thresholds it is dressed at
+    cfg, limits = make_cfg()
+    with thresholds(**limits):
+        out = dressing.dress(cfg, [1.0, 1.5], [0.0, 0.5])
     i = 0 if prefix.startswith("branch") else 1
     assert out.singular[i]
     assert out.notes[i].startswith(prefix), out.notes[i]
@@ -514,7 +516,7 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
     # the residue form inverts nothing, so it has nothing to refuse: no
     # inverse, condition estimate or solve runs inside the audit, and every
     # point it audits keeps its map unflagged
-    cfg, rows = problem
+    cfg, rows, *limits = problem
     calls, audited, inside, audit = [], [], [], dressing._audit
 
     def counted(name, fn):
@@ -535,7 +537,8 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
     for name in ("inv", "cond", "svd", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(dressing, "_audit", traced_audit)
-    out = dressing.dress(cfg, *coords(rows))
+    with thresholds(*limits):
+        out = dressing.dress(cfg, *coords(rows))
     assert calls == []
     assert audited == [(~out.singular).sum()] and not out.singular.all()
     assert np.isfinite(out.residuals["chi_involution"][~out.singular]).all()
@@ -729,7 +732,7 @@ def test_rank_one_factors_match_the_reference_residues_and_chi(problem):
         sd = reference.spectral_data(cfg, DomainPoint(float(r), float(h)))
         # the reference pairs the vectors by q0, which is J for a constant seed only
         sd.vs[half:] = sd.vs[:half] @ (cfg.seed.deck @ g).T
-        u_ref = reference.solve_system(*reference.build_system(sd, g), cfg.tolerances)
+        u_ref = reference.solve_system(*reference.build_system(sd, g))
         np.testing.assert_array_equal(sd.lambdas, lambdas[i])
         w_i = w[i:i + 1] if len(w) > 1 else w
         mine = u[i][:, :, None] * w_i[0][:, None, :]

@@ -13,10 +13,11 @@ held to their conditioning where it is worse than that: det A next to a
 det A zero the lattice does not resolve, and the scalar det(q_raw)^(-1/n)
 by which the reference normalises q, whose rounding grows with ||q||_F^2.
 """
-import dataclasses
+import contextlib
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, targets
 from vesture.algebra import Signature
 from vesture.verification import gate_exclusion
-from vesture.dressing import SolitonConfig, Tolerances
+from vesture.dressing import SolitonConfig
 from vesture.spectral import DomainPoint
 
 SIG11, SIG21 = Signature(1, 1), Signature(2, 1)
@@ -38,6 +39,19 @@ def boosted(sig: Signature, t: float) -> np.ndarray:
                          [math.sinh(2 * t), math.cosh(2 * t)]], dtype=complex)
     ch, sh = math.cosh(t), math.sinh(t) / math.sqrt(2.0)
     return np.array([[ch, 0, sh * (1 + 1j)], [0, 1, 0], [sh * (1 - 1j), 0, ch]])
+
+
+@contextlib.contextmanager
+def thresholds(singular_tol: float | None = None, cap: float | None = None):
+    """Dress at another |det A| flag and condition cap, where given. The
+    pipeline and the frozen reference read the same library constants, so
+    one patch moves both."""
+    with pytest.MonkeyPatch.context() as patch:
+        if singular_tol is not None:
+            patch.setattr(dressing, "SINGULAR_TOL", singular_tol)
+        if cap is not None:
+            patch.setattr(algebra, "CONDITION_CAP", cap)
+        yield
 
 
 def weyl_rows(rhos, zs):
@@ -166,11 +180,11 @@ SU21 = (SolitonConfig(SIG21, (1j, 0.7 + 0.6j, -0.8 + 1.4j),
                        np.array([0.5 + 0.1j, 0.1, 0.9])),
                       seeds.constant_seed(boosted(SIG21, 1.0), SIG21)),
         weyl_rows(np.linspace(0.6, 1.4, 3), np.linspace(-0.8, 0.7, 16)))
-# tightened tolerances: det A threshold and condition cap failures; the
-# reference also refuses chi(conj lam) above the cap at its audit samples
-TIGHT = (dataclasses.replace(targets.kerr_config(1.0, 1.0),
-                             tolerances=Tolerances(singular_tol=0.1, condition_cap=30.0)),
-         weyl_rows(np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)))
+# tightened thresholds, dressed at a |det A| flag of 0.1 and a condition cap
+# of 30 (its last two entries): det A threshold and condition cap failures;
+# the reference also refuses chi(conj lam) above the cap at its audit samples
+TIGHT = (targets.kerr_config(1.0, 1.0),
+         weyl_rows(np.linspace(0.25, 2.5, 6), np.linspace(-1.0, 1.5, 6)), 0.1, 30.0)
 # no solitons: q = q0 at every point
 FLAT = (SolitonConfig(SIG21, (), (), seeds.constant_seed(boosted(SIG21, 0.35), SIG21)),
         weyl_rows(np.linspace(0.5, 2.0, 3), np.linspace(-1.0, 1.0, 4)))
@@ -198,7 +212,9 @@ NEAR_LOCUS = (SolitonConfig(SIG21, (0.5j,), (np.array([0, 0.59375 + 0.859375j, 1
 @example(LARGE_Q, False)
 @example(NEAR_LOCUS, False)
 def test_batched_pipeline_matches_per_point_reference(problem, audit_chi):
-    assert_equivalent(*problem, audit_chi=audit_chi)
+    cfg, rows, *limits = problem
+    with thresholds(*limits):
+        assert_equivalent(cfg, rows, audit_chi=audit_chi)
 
 
 def test_reference_examples_cover_branch_points_and_the_locus():
@@ -206,6 +222,7 @@ def test_reference_examples_cover_branch_points_and_the_locus():
     assert singular.sum() == 3
     singular, band = assert_equivalent(*KERR_RING)
     assert not singular.any() and band.any() and not band.all()
-    dressed = dressing.dress(TIGHT[0], *coords(TIGHT[1]))
+    with thresholds(*TIGHT[2:]):
+        dressed = dressing.dress(TIGHT[0], *coords(TIGHT[1]))
     assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system"}
     assert not dressed.singular.all()
