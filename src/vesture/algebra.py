@@ -49,12 +49,12 @@ class Signature:
         return self.p + self.q_minus
 
 
-def as_matrix(m, n: int | None = None) -> ComplexMatrix:
-    """Coerce to a finite square complex matrix (of size n when given)."""
+def as_matrix(m, n: int) -> ComplexMatrix:
+    """Coerce to a finite n x n complex matrix."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {a.shape}")
-    if n is not None and a.shape[0] != n:
+    if a.shape[0] != n:
         raise ConfigError(f"expected a {n}x{n} matrix, got {a.shape[0]}x{a.shape[0]}")
     if not all_of(np.isfinite(a.view(float))):
         raise ConfigError("matrix has non-finite entries")
@@ -156,22 +156,22 @@ def checked_inv(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv.reshape(a.shape), cond.reshape(a.shape[:-2])
 
 
-def refusal(cond: float) -> NumericError:
-    """The error for a matrix that checked_inv refused."""
+def refusal(cond: float) -> str:
+    """Why checked_inv refused a matrix of condition ``cond``."""
     if not np.isfinite(cond):
-        return NumericError("matrix is numerically singular")
-    return NumericError(f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.3e}")
+        return "matrix is numerically singular"
+    return f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.3e}"
 
 
 def inv(m: ComplexMatrix) -> ComplexMatrix:
     """Inverse of a matrix, or of each matrix of a (..., n, n) stack, via LU
-    with a condition estimate. Raises NumericError, the refusal of the first
-    refused matrix, when a matrix is singular or its estimated 2-norm
+    with a condition estimate. Raises NumericError with the refusal of the
+    first refused matrix when a matrix is singular or its estimated 2-norm
     condition number exceeds CONDITION_CAP."""
     out, cond = checked_inv(m)
     refused = ~(cond <= CONDITION_CAP)
     if any_of(refused):
-        raise refusal(cond.flat[np.argmax(refused)])
+        raise NumericError(refusal(cond.flat[np.argmax(refused)]))
     return out
 
 

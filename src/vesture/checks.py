@@ -135,15 +135,16 @@ def _relative(*terms) -> np.ndarray:
     return np.abs(sum(terms)) / sum(map(np.abs, terms))
 
 
-def _ab_duality_residual_fd(lam, x: DomainPoint, h: float = 1e-6):
+def _ab_duality_residual_fd(lam, x: DomainPoint):
     """Duality identity Da = rho * (dual of Db) at each point of a batch, with
-    the coefficient partials taken by central differences of the live ab
-    implementation (independent of the closed-form partials, so it catches
+    the coefficient partials taken by central differences (step h) of the live
+    ab implementation (independent of the closed-form partials, so it catches
     implementation drift). The residual is relative to the sum of the
     moduli of its four terms, or to 1 where that sum is smaller: the terms
     vanish like lam^2 as lam -> 0, while the differences' rounding, about
     eps |a| / h, does not. Next to a pole +-i rho, at a distance d from lam,
     it reads about 1e-12 / (rho d); the draws keep rho d above ~5e-4."""
+    h = 1e-6
     # the six stencil points (rho +- h, z +- h, lam +- h) as one batch
     step = np.kron(np.eye(3), [[h], [-h]])[..., None]
     a, b = spectral.ab(lam + step[:, 2], DomainPoint(x.rho + step[:, 0], x.z + step[:, 1]))
@@ -276,7 +277,7 @@ class Family:
     preset: ClassVar[str]
 
     def chart(self) -> targets.BLParams:
-        return targets.BLParams(**vars(self))
+        return targets.BLParams(self.m, self.s)
 
     def label(self) -> str:
         return " ".join([self.preset] + [f"{k}={v}" for k, v in vars(self).items()])
@@ -321,7 +322,7 @@ class Kerr(Family):
 
 @dataclass(frozen=True)
 class KerrNewman(Family):
-    """The Kerr-Newman family of targets.kn_family_params on SU(2,1): mass m,
+    """The Kerr-Newman family of targets.kn_b_param on SU(2,1): mass m,
     charge e, pole i s, oracle spin a = -sqrt(m^2 + s^2 + e^2)."""
 
     m: float
@@ -333,7 +334,7 @@ class KerrNewman(Family):
         return targets.kn_config(self.m, self.e, self.s)
 
     def constants(self) -> dict[str, float]:
-        return {"oracle_a": targets.kn_family_params(self.chart())["oracle_a"]}
+        return {"oracle_a": -targets.kn_b_param(self.m, self.e, self.s)}
 
     def oracle(self, r: np.ndarray, theta: np.ndarray) -> targets.ErnstValue21:
         return targets.kn_oracle(self.m, self.e, self.constants()["oracle_a"], r, theta)
@@ -374,9 +375,10 @@ def kerr_field(box: tuple[float, float, float, float], h: float) -> verification
 
 
 def convergence(box: tuple[float, float, float, float], h: float) -> Convergence:
-    """Refinement ratio of the Kerr field-equation residual on ``box``
-    under h -> h/2, and whether a constant field's residual vanishes exactly."""
-    ratio = verification.refinement_ratios(kerr_field(box, h), kerr_field(box, h / 2))
+    """Refinement ratio of the Kerr field-equation residual on ``box`` under
+    h -> h/2, from one lattice at h/2, and whether a constant field's
+    residual vanishes exactly."""
+    ratio = verification.refinement_ratios(kerr_field(box, h / 2))
     const = verification.FieldGrid(
         rhos=np.linspace(1.0, 2.0, 11), zs=np.linspace(-1.0, 1.0, 11),
         values=np.tile(np.eye(2, dtype=complex), (11, 11, 1, 1)), mask=np.ones((11, 11), bool))

@@ -331,7 +331,8 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
     %.17g writer emits, nan and inf included, and refuses spellings such
     as 1_000 or quoted cells that float() or csv.reader would let through.
     A JSON row must be a list of JSON numbers: no strings or booleans, the
-    columns a list of strings and a stored target a pair of JSON integers.
+    columns a list of strings, the meta an object and a stored target an
+    object of two JSON integers p and q.
     A column name may appear once.
     """
     stored = (None, None)
@@ -343,8 +344,14 @@ def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
                 cols, raw = doc["columns"], doc["rows"]
                 if type(cols) is not list or any(type(c) is not str for c in cols):
                     raise ValueError("columns is not a list of strings")
-                target = doc.get("meta", {}).get("target")
+                meta = doc.get("meta", {})
+                if type(meta) is not dict:
+                    raise ConfigError(f"{path}: meta is not a JSON object")
+                target = meta.get("target")
                 if target is not None:
+                    if type(target) is not dict or not {"p", "q"} <= target.keys():
+                        raise ConfigError(f"{path}: meta.target {target} is not an object "
+                                          "with entries p and q")
                     stored = target["p"], target["q"]
                     if any(type(v) is not int for v in stored):
                         raise ConfigError(f"{path}: stored target {target} is not two integers")

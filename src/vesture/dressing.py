@@ -29,7 +29,7 @@ import numpy as np
 
 from . import algebra, spectral
 from .algebra import ComplexMatrix, Signature
-from .errors import ConfigError, DomainError, NumericError, SeedError, SingularPointError
+from .errors import ConfigError, DomainError, SeedError
 from .seeds import Seed
 from .spectral import DomainPoint
 
@@ -37,6 +37,9 @@ from .spectral import DomainPoint
 SOLVE_RESIDUAL_REL = 1e-10
 #: |det A| below which a point is flagged singular
 SINGULAR_TOL = 1e-12
+#: two poles, or a value and a pole, coincide where their gap is below this
+#: times the largest of 1 and their moduli (_coincide)
+POLE_GAP = 1e-13
 
 
 @dataclass(frozen=True)
@@ -116,17 +119,16 @@ class DressedGrid:
 
 
 class _Failures:
-    """The first failure of each point, in pipeline order, as an exception
-    whose message is the point's note."""
+    """The first failure of each point, in pipeline order: its note."""
 
     def __init__(self, size: int) -> None:
         self.ok = np.ones(size, dtype=bool)
-        self.error: list[Exception | None] = [None] * size
+        self.note: list[str | None] = [None] * size
 
     def flag(self, bad, make, at=None) -> None:
-        """Record make(j) for every j with bad[j] (any of bad[j], when it is
-        an array) whose point (at[j], or j) has not failed yet; a bad of
-        length 1 stands for every point."""
+        """Record the note make(j) for every j with bad[j] (any of bad[j],
+        when it is an array) whose point (at[j], or j) has not failed yet; a
+        bad of length 1 stands for every point."""
         if not algebra.any_of(bad):
             return
         if bad.ndim > 1:
@@ -134,7 +136,7 @@ class _Failures:
         for j in np.flatnonzero(bad & (self.ok if at is None else self.ok[at])):
             i = j if at is None else at[j]
             self.ok[i] = False
-            self.error[i] = make(j)
+            self.note[i] = make(j)
 
 
 def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failures,
@@ -150,7 +152,7 @@ def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failu
         return a
     bad = ~finite.all(axis=(-2, -1))
     fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
-               lambda i: SeedError(f"seed {what} is not finite at {where(i)}"))
+               lambda i: f"seed {what} is not finite at {where(i)}")
     return np.where(bad[..., None, None], algebra.identity(n), a)
 
 
@@ -170,8 +172,8 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
         return f"DomainPoint(rho={float(rho[i])!r}, z={float(z[i])!r})"
 
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
-    fails.flag(branch, lambda i: SingularPointError(
-        f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}"))
+    fails.flag(branch, lambda i:
+               f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}")
     value = cfg.seed.q0(rho, z)
     notes = cfg.seed.notes() if isinstance(cfg.seed, _DressedSeed) else {}
     q0 = _seed_values(value, (size,), n, "q0", fails, lambda i: where(i) + (
@@ -195,6 +197,12 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     return SpectralData(lambdas, w), q0
 
 
+def _coincide(gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where a and b, whose difference (or a - conj b) is ``gap``, coincide:
+    |gap| < POLE_GAP max(1, |a|, |b|), elementwise."""
+    return np.abs(gap) < POLE_GAP * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
 def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
             fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
     """A (P, 2N, 2N) and B* (P or 1, 2N, n); A is the identity at failed points.
@@ -207,12 +215,9 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     wg = sd.w * gamma_mat.diagonal()
     num = wg @ np.conjugate(sd.w).swapaxes(-1, -2)
     denom = lambdas[..., :, None] - np.conjugate(lambdas)[..., None, :]
-    size = np.abs(lambdas)
-    scale = np.maximum(1.0, np.maximum(size[..., :, None], size[..., None, :]))
-    coincident = np.abs(denom) < 1e-13 * scale
-    fails.flag(coincident, lambda i: SingularPointError(
-        "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
-            *divmod(int(np.argmax(coincident[i])), m))))
+    coincident = _coincide(denom, lambdas[..., :, None], lambdas[..., None, :])
+    fails.flag(coincident, lambda i: "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
+        *divmod(int(np.argmax(coincident[i])), m)))
     a = num / np.where(coincident, 1.0, denom)
     return np.where(fails.ok[:, None, None], a, np.eye(m)), -wg
 
@@ -235,22 +240,21 @@ def _solve(a: np.ndarray, b_star: np.ndarray, fails: _Failures) -> tuple[np.ndar
     m, cap = a.shape[-1], algebra.CONDITION_CAP
     det = np.linalg.det(a)
     small = np.abs(det) < SINGULAR_TOL
-    fails.flag(small, lambda i: SingularPointError(
-        f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
+    fails.flag(small, lambda i: f"det A = {complex(det[i]):.3e} below singular threshold")
     with np.errstate(over="ignore", invalid="ignore"):
         size = 10.0 * algebra.frobenius(a) ** m
         clear = (size < np.inf) & (size <= cap * np.abs(det))
     unsure = (fails.ok & ~clear).nonzero()[0]
     if unsure.size:
         cond = algebra.checked_inv(a[unsure])[1]
-        fails.flag(~(cond <= cap), lambda j: NumericError(
-            f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}"), unsure)
+        fails.flag(~(cond <= cap),
+                   lambda j: f"system condition {cond[j]:.3e} exceeds cap {cap:.3e}", unsure)
     a = np.where(fails.ok[:, None, None], a, np.eye(m))
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
-    fails.flag(resid > bound, lambda i: NumericError(
-        f"solve residual {resid[i]:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||"))
+    fails.flag(resid > bound, lambda i:
+               f"solve residual {resid[i]:.3e} above {SOLVE_RESIDUAL_REL:.0e}*||B||")
     return u_star, det
 
 
@@ -273,8 +277,7 @@ def _chi(lam: np.ndarray, u: np.ndarray, w: np.ndarray,
     has no value (the term's gap is taken as 1). The sum over the poles is
     one product: the rows u_k / (lam - lam_k), transposed, times the rows w_k."""
     gap = lam[..., None] - lambdas[..., None, :]
-    limit = np.maximum(np.maximum(1.0, np.abs(lam))[..., None], np.abs(lambdas)[..., None, :])
-    at_pole = np.abs(gap) < 1e-13 * limit
+    at_pole = _coincide(gap, lam[..., None], lambdas[..., None, :])
     weights = 1.0 / (np.where(at_pole, 1.0, gap) if at_pole.any() else gap)
     terms = (u.swapaxes(-1, -2)[:, None] * weights[..., None, :]) @ w[:, None]
     return algebra.identity(u.shape[-1]) + terms, at_pole
@@ -388,7 +391,7 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
                                  rho[idx])
     table[:, lost] = math.nan
     q[lost] = complex(math.nan, math.nan)
-    notes = {int(i): str(fails.error[i]) for i in lost.nonzero()[0]}
+    notes = {int(i): fails.note[i] for i in lost.nonzero()[0]}
     return (DressedGrid(rho, z, q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),
             u, sd.w, sd.lambdas)
 

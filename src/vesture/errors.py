@@ -2,9 +2,8 @@
 
 The CLI maps these onto its exit-code contract: config errors exit 1,
 numeric failures exit 2, constraint-gate failures exit 3, I/O exit 4.
-Singular points inside a grid sweep are data, not errors; dressing
-converts the singular/numeric exceptions raised by its stages into a
-per-point flag.
+Singular points inside a grid sweep are data, not errors: dressing
+flags each one and keeps the reason as its note, raising nothing.
 """
 
 
@@ -27,10 +26,6 @@ class DomainError(VestureError):
 class SingularPointError(VestureError):
     """Evaluation hit a genuine singular locus (branch point, det A ~ 0,
     coincident pole pair, singular extraction)."""
-
-    def __init__(self, message: str, det_a: complex | None = None):
-        super().__init__(message)
-        self.det_a = det_a
 
 
 class NumericError(VestureError):

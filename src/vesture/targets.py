@@ -57,16 +57,15 @@ class ErnstValue21:
 
 @dataclass(frozen=True)
 class BLParams:
-    """Boyer-Lindquist family parameters: mass m, pole height s, charge e."""
+    """Boyer-Lindquist chart parameters: mass m and pole height s."""
 
     m: float
     s: float
-    e: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.s) and math.isfinite(self.e)):
+        if not (math.isfinite(self.m) and math.isfinite(self.s)):
             raise ConfigError(f"Boyer-Lindquist parameters must be finite, got m={self.m}, "
-                              f"s={self.s}, e={self.e}")
+                              f"s={self.s}")
         if not (self.s > 0):
             raise ConfigError(f"pole height s must be positive, got {self.s}")
 
@@ -138,6 +137,8 @@ def kerr_params(m: float, s: float) -> tuple[float, float, complex]:
     if s <= 0:
         raise ConfigError(f"kerr parameters need s > 0, got m={m}, s={s}")
     root = math.sqrt(m * m + s * s)
+    if not math.isfinite(root):
+        raise ConfigError(f"Kerr parameters need m^2 + s^2 finite, got m={m}, s={s}")
     return math.sqrt(0.5 * (s + root)), math.copysign(math.sqrt(0.5 * (root - s)), m), 1j * s
 
 
@@ -231,7 +232,7 @@ def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
 
     The formulas do not depend on the sign of the charge term in the
     horizon function; that sign lives in the spin ``a``, which the caller
-    picks (kn_family_params gives the one this target carries).
+    picks (-kn_b_param gives the one this target carries).
     """
     den = np.asarray(r, dtype=float) - 1j * a * np.cos(theta)
     if algebra.any_of(den == 0):
@@ -242,38 +243,36 @@ def kn_oracle(m: float, e: float, a: float, r, theta) -> ErnstValue21:
     return ErnstValue21(ernst, phi, x, ernst.imag, np.zeros(np.shape(x)))
 
 
-def kn_family_params(p: BLParams) -> dict[str, float]:
-    """Family parameters identified with the Kerr-Newman triple (m, s, e).
+def kn_b_param(m: float, e: float, s: float) -> float:
+    """b_param = sqrt(m^2 + s^2 + e^2) of the family identified with the
+    Kerr-Newman triple (m, e, s).
 
-    b_param = sqrt(m^2 + s^2 + e^2), so the oracle spin a = -b_param puts
-    the potentials on the chart Delta = r^2 - 2mr + a^2 - e^2 with
-    s^2 = a^2 - e^2 - m^2 (b_param is kept positive; at e = 0 the sign of
-    a reproduces the Kerr oracle's twist sign). This is the sign for which
-    the Kerr-Newman potentials solve this target's field equations, and
-    the one a soliton vector realizes: n1^2 + n3^2 = (b_param^2 - s^2)/4,
-    met by (alpha, c, delta) with delta = sqrt((b_param - s)/2),
-    alpha = m/(2 delta), c = -e/(2 delta) at pole i s.
+    The oracle spin a = -b_param puts the potentials on the chart
+    Delta = r^2 - 2mr + a^2 - e^2 with s^2 = a^2 - e^2 - m^2 (b_param is
+    kept positive; at e = 0 the sign of a reproduces the Kerr oracle's twist
+    sign). This is the sign for which the Kerr-Newman potentials solve this
+    target's field equations, and the one a soliton vector realizes:
+    n1^2 + n3^2 = (b_param^2 - s^2)/4 with n1 = m/2 and n3 = -e/2, met by
+    (alpha, c, delta) with delta = sqrt((b_param - s)/2), alpha = m/(2 delta),
+    c = -e/(2 delta) at pole i s.
     """
-    b = math.sqrt(p.m * p.m + p.s * p.s + p.e * p.e)
+    b = math.sqrt(m * m + s * s + e * e)
     if not math.isfinite(b):
-        raise ConfigError(f"Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m={p.m}, "
-                          f"s={p.s}, e={p.e}")
-    return {"a_param": p.s, "b_param": b, "n1": p.m / 2.0, "n2": 0.0,
-            "n3": -p.e / 2.0, "n4": 0.0, "oracle_a": -b}
+        raise ConfigError(f"Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m={m}, "
+                          f"s={s}, e={e}")
+    return b
 
 
 def kn_config(m: float, e: float, s: float) -> SolitonConfig:
     """One-soliton configuration generating the Kerr-Newman family of
-    kn_family_params from the flat (2,1) seed: the vector
+    kn_b_param from the flat (2,1) seed: the vector
     (alpha, c, delta) = (n1, n3, delta^2) / delta at pole i s, with
     delta^2 = (b_param - s)/2 = (m^2 + e^2) / (2 (b_param + s)) taken in the
     form that does not cancel. At m = e = 0, where delta = 0, it is the
     limit (sqrt(s), 0, 0), which dresses the flat map."""
-    fam = kn_family_params(BLParams(m=m, s=s, e=e))
-    delta = math.sqrt((m * m + e * e) / (2.0 * (fam["b_param"] + s)))
+    delta = math.sqrt((m * m + e * e) / (2.0 * (kn_b_param(m, e, s) + s)))
     if delta:
-        vector = np.array([fam["n1"] + 1j * fam["n2"], fam["n3"] + 1j * fam["n4"],
-                           delta * delta]) / delta
+        vector = np.array([m / 2.0, -e / 2.0, delta * delta], dtype=complex) / delta
     else:
         vector = np.array([math.sqrt(s), 0.0, 0.0])
     return SolitonConfig(signature=SIG_21, poles=(1j * s,), vectors=(vector,),
@@ -319,9 +318,9 @@ COMMUTATION_TABLE: dict[tuple[int, int], dict[int, float]] = {
 }
 
 
-def commutation_check(atol: float = 1e-13) -> dict[tuple[int, int], bool]:
+def commutation_check() -> dict[tuple[int, int], bool]:
     """Compare all 28 pairwise brackets of the basis against the stored
-    structure constants, entrywise."""
+    structure constants, entrywise to 1e-13."""
     basis = su21_basis()
     report: dict[tuple[int, int], bool] = {}
     for (i, j), coeffs in COMMUTATION_TABLE.items():
@@ -329,7 +328,7 @@ def commutation_check(atol: float = 1e-13) -> dict[tuple[int, int], bool]:
         rhs = np.zeros((3, 3), dtype=complex)
         for k, ck in coeffs.items():
             rhs += ck * basis[k - 1]
-        report[(i, j)] = bool(np.max(np.abs(lhs - rhs)) <= atol)
+        report[(i, j)] = bool(np.max(np.abs(lhs - rhs)) <= 1e-13)
     return report
 
 

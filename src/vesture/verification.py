@@ -106,18 +106,19 @@ def hodge_residual(field: FieldGrid) -> np.ndarray:
     return algebra.frobenius(div)
 
 
-def interior_mask(shape: tuple[int, int], margin: int = 2) -> np.ndarray:
-    """True on points at least ``margin`` cells away from the grid boundary."""
+def interior_mask(shape: tuple[int, int]) -> np.ndarray:
+    """True on points at least 2 cells away from the grid boundary."""
     m = np.zeros(shape, dtype=bool)
-    m[margin:shape[0] - margin, margin:shape[1] - margin] = True
+    m[2:shape[0] - 2, 2:shape[1] - 2] = True
     return m
 
 
-def exclusion_mask(locus: np.ndarray, margin: int) -> np.ndarray:
-    """Dilate a boolean locus mask by a Chebyshev radius (the 3h margin
-    rule): the OR over a window of 2 margin + 1 cells along each axis of the
-    mask padded with margin empty cells. The window grows by doubling, each
-    step one OR per axis: margin 3 takes three steps (1 -> 2 -> 4 -> 7)."""
+def exclusion_mask(locus: np.ndarray) -> np.ndarray:
+    """Dilate a boolean locus mask by the Chebyshev radius margin = GATE_MARGIN:
+    the OR over a window of 2 margin + 1 cells along each axis of the mask
+    padded with margin empty cells. The window grows by doubling, each step
+    one OR per axis: margin 3 takes three steps (1 -> 2 -> 4 -> 7)."""
+    margin = GATE_MARGIN
     n1, n2 = np.shape(locus)
     out = np.zeros((n1 + 2 * margin, n2 + 2 * margin), dtype=bool)
     out[margin:margin + n1, margin:margin + n2] = locus
@@ -130,22 +131,18 @@ def exclusion_mask(locus: np.ndarray, margin: int) -> np.ndarray:
     return out
 
 
-def refinement_ratios(coarse: FieldGrid, fine: FieldGrid, margin: int = 2) -> float:
+def refinement_ratios(fine: FieldGrid) -> float:
     """Median divergence-residual ratio under h -> h/2.
 
-    The fine grid must be the 2x refinement of the coarse grid over the
-    same region; the ratio is taken at coarse interior points where both
-    residuals are finite. Exactly-zero residual pairs (constant fields)
-    yield math.inf.
+    The coarse grid is the every-other-point sublattice of ``fine``, so one
+    stored lattice gives both; the ratio is taken at coarse interior points
+    where both residuals are finite. Exactly-zero residual pairs (constant
+    fields) yield math.inf.
     """
-    if fine.rhos.size != 2 * coarse.rhos.size - 1 or fine.zs.size != 2 * coarse.zs.size - 1:
-        raise ConfigError("fine grid is not the 2x refinement of the coarse grid")
-    if (abs(fine.rhos[::2] - coarse.rhos).max() > 1e-9 * coarse.h_rho
-            or abs(fine.zs[::2] - coarse.zs).max() > 1e-9 * coarse.h_z):
-        raise ConfigError("grids are not nested over the same region")
+    coarse = FieldGrid(fine.rhos[::2], fine.zs[::2], fine.values[::2, ::2], fine.mask[::2, ::2])
     rc = hodge_residual(coarse)
     rf = hodge_residual(fine)[::2, ::2]
-    valid = interior_mask(rc.shape, margin) & np.isfinite(rc) & np.isfinite(rf)
+    valid = interior_mask(rc.shape) & np.isfinite(rc) & np.isfinite(rf)
     num, den = rc[valid], rf[valid]
     if num.size == 0:
         raise ConfigError("no interior points with data to compare")
@@ -172,7 +169,7 @@ def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray
         locus[1:, :] |= cross_r
         locus[:, :-1] |= cross_z
         locus[:, 1:] |= cross_z
-    return exclusion_mask(locus, margin=GATE_MARGIN)
+    return exclusion_mask(locus)
 
 
 def lattice_order(a1: np.ndarray, a2: np.ndarray):
@@ -213,22 +210,21 @@ def audit(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarr
         return excluded, np.full(len(q), math.nan), str(exc)
 
 
-def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float,
-                         outer_root: bool = False) -> float:
-    """Residual of the pole-flow identity d(lam_k) + omega(lam_k(x), x) = 0.
+def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float) -> float:
+    """Residual of the pole-flow identity d(lam_k) + omega(lam_k(x), x) = 0,
+    the larger of those of the two roots of the pole pair, as the identity
+    holds for either.
 
-    The gradient of the tracked root is taken by central differences with
-    step h, from the pole pairs at x and its four stencil points; the
-    identity holds for either member of the pole pair (``outer_root``
-    selects the deck partner). O(h^2) for smooth branches; a stencil that
-    meets a branch point raises SingularPointError.
+    The gradient of each root is taken by central differences with step h,
+    from the pole pairs at x and its four stencil points. O(h^2) for smooth
+    branches; a stencil that meets a branch point raises SingularPointError.
     """
     stencil = DomainPoint(x.rho + np.array([0.0, h, -h, 0.0, 0.0]),
                           x.z + np.array([0.0, 0.0, 0.0, h, -h]))
     lam_in, lam_out, branch = spectral.pole_pairs([varpi0], stencil.rho, stencil.z)
     if algebra.any_of(branch):
         raise SingularPointError(f"branch point of varpi0={varpi0} on the stencil at {x!r}")
-    lam = (lam_out if outer_root else lam_in)[:, 0]
+    lam = np.concatenate([lam_in, lam_out], axis=-1)
     d_rho, d_z = (lam[1::2] - lam[2::2]) / (2 * h)
     om_rho, om_z = spectral.omega_forms(lam[0], x)
-    return abs(d_rho + om_rho) + abs(d_z + om_z)
+    return float(np.max(abs(d_rho + om_rho) + abs(d_z + om_z)))

@@ -1,14 +1,14 @@
 """Closed forms that only the tests use: the inverse basis change of the 3x3
 target, the embedding of the 2x2 target into it, and the closed-form
 one-soliton family on the 3x3 target that the dressed Kerr-Newman maps are
-held against."""
+held against, with its parameters at a Kerr-Newman triple."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from vesture import algebra
+from vesture import algebra, targets
 from vesture.algebra import ComplexMatrix
 from vesture.errors import SingularPointError
 from vesture.targets import BLParams, basis_change_u3
@@ -29,6 +29,16 @@ def embed_g11_in_g21(q2: ComplexMatrix) -> ComplexMatrix:
     out = np.eye(3, dtype=complex)
     out[np.ix_([0, 2], [0, 2])] = q2
     return out
+
+
+def kn_family_params(m: float, e: float, s: float) -> dict[str, float]:
+    """The parameters of g21_soliton_family identified with the Kerr-Newman
+    triple (m, e, s) (see targets.kn_b_param): a_param = s, b_param, the
+    bilinears n1 = m/2, n2 = 0, n3 = -e/2, n4 = 0, and the oracle spin
+    oracle_a = -b_param."""
+    b = targets.kn_b_param(m, e, s)
+    return {"a_param": s, "b_param": b, "n1": m / 2.0, "n2": 0.0,
+            "n3": -e / 2.0, "n4": 0.0, "oracle_a": -b}
 
 
 def g21_soliton_family(a_param: float, b_param: float,

@@ -6,7 +6,8 @@ the scalar pole pair, Frobenius norm, checked inverse and membership
 residuals it called) so that the equivalence tests compare the batched
 pipeline against an independent reference. Do not edit it to follow the
 library; it reads the library's threshold constants at call time, so a
-test that patches one moves both pipelines.
+test that patches one moves both pipelines. The library's singular-point
+error carries no det A, so the reference raises its own subclass that does.
 """
 from __future__ import annotations
 
@@ -34,6 +35,15 @@ CHI_SAMPLES = (
 )
 
 SOLVE_RESIDUAL_REL = 1e-10
+
+
+class SingularDetA(SingularPointError):
+    """The singular-point error of a |det A| below the threshold, carrying
+    det A, as the reference's solve raised it."""
+
+    def __init__(self, message: str, det_a: complex):
+        super().__init__(message)
+        self.det_a = det_a
 
 
 @dataclass
@@ -176,7 +186,7 @@ def solve_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros((b.shape[0], 0), dtype=complex)
     det_a = complex(np.linalg.det(a))
     if abs(det_a) < singular_tol:
-        raise SingularPointError(f"det A = {det_a:.3e} below singular threshold", det_a=det_a)
+        raise SingularDetA(f"det A = {det_a:.3e} below singular threshold", det_a=det_a)
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > condition_cap:
         raise NumericError(f"system condition {cond:.3e} exceeds cap {condition_cap:.3e}")
@@ -299,7 +309,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
         q_raw = reconstruct_q(u, sd, q0)
         q, warn = normalize_det(q_raw, algebra.CONSTRAINT_TOL)
     except (SingularPointError, NumericError) as exc:
-        if isinstance(exc, SingularPointError) and exc.det_a is not None:
+        if isinstance(exc, SingularDetA):
             det_a = exc.det_a
         return DressedPoint(x=x, q=None, det_a=det_a,
                             residuals=dict(_NAN_RESIDUALS), singular=True, note=str(exc))

@@ -123,9 +123,9 @@ def test_inv_condition_cap(monkeypatch):
 
 def test_as_matrix_validation():
     with pytest.raises(ConfigError):
-        algebra.as_matrix(np.zeros((2, 3)))
+        algebra.as_matrix(np.zeros((2, 3)), 2)
     with pytest.raises(ConfigError):
-        algebra.as_matrix(np.array([[np.nan, 0], [0, 1]]))
+        algebra.as_matrix(np.array([[np.nan, 0], [0, 1]]), 2)
     with pytest.raises(ConfigError):
         algebra.as_matrix(np.eye(3), n=2)
 

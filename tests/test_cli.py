@@ -354,17 +354,19 @@ SMALL_GRID = ["--r-min", "3", "--r-max", "5", "--r-count", "2", "--theta-count",
     # non-finite family parameters, and a chart that overflows, exit 1 with
     # one line: no traceback and no numpy warning
     (["kerr", "--m", "nan", "--s", "1", *SMALL_GRID],
-     "Boyer-Lindquist parameters must be finite, got m=nan, s=1.0, e=0.0"),
+     "Boyer-Lindquist parameters must be finite, got m=nan, s=1.0"),
     (["kerr", "--m", "inf", "--s", "1", *SMALL_GRID],
-     "Boyer-Lindquist parameters must be finite, got m=inf, s=1.0, e=0.0"),
+     "Boyer-Lindquist parameters must be finite, got m=inf, s=1.0"),
     (["kerr", "--m", "1", "--s", "inf", *SMALL_GRID],
-     "Boyer-Lindquist parameters must be finite, got m=1.0, s=inf, e=0.0"),
-    # m^2 overflows, so the Kerr vector does: the config refuses it
-    (["kerr", "--m", "1e200", "--s", "1", *SMALL_GRID], "vector 0 has non-finite entries"),
+     "Boyer-Lindquist parameters must be finite, got m=1.0, s=inf"),
+    # m^2 overflows: the family refuses it, as Kerr-Newman refuses e^2
+    (["kerr", "--m", "1e200", "--s", "1", *SMALL_GRID],
+     "Kerr parameters need m^2 + s^2 finite, got m=1e+200, s=1.0"),
+    # the charge is no chart parameter: the family refuses a non-finite one
     (["kerr-newman", "--m", "1", "--e", "nan", "--s", "1", *SMALL_GRID],
-     "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=nan"),
+     "Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m=1.0, s=1.0, e=nan"),
     (["kerr-newman", "--m", "1", "--e", "inf", "--s", "1", *SMALL_GRID],
-     "Boyer-Lindquist parameters must be finite, got m=1.0, s=1.0, e=inf"),
+     "Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m=1.0, s=1.0, e=inf"),
     # huge finite parameters: a default window that no longer resolves, and a
     # charge whose square overflows
     (["kerr", "--m", "1e150", "--s", "1", "--r-count", "3", "--theta-count", "3"],
@@ -708,6 +710,13 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
     # column names that are not strings
     ('{"columns": [1, 2], "rows": [[1.0, 0.0]]}', "columns is not a list of strings"),
     ('{"columns": "rho", "rows": [[1.0, 0.0, 0.0]]}', "columns is not a list of strings"),
+    # a meta or a stored target that is not an object, or a target without q
+    ('{"columns": ["rho", "z"], "rows": [[1.0, 2.0]], "meta": []}',
+     "meta is not a JSON object"),
+    ('{"columns": ["rho", "z"], "rows": [[1.0, 2.0]], "meta": {"target": [2, 1]}}',
+     "meta.target [2, 1] is not an object with entries p and q"),
+    ('{"columns": ["rho", "z"], "rows": [[1.0, 2.0]], "meta": {"target": {"p": 2}}}',
+     "meta.target {'p': 2} is not an object with entries p and q"),
 ])
 def test_verify_rejects_unreadable_file(tmp_path, capsys, content, message):
     path = tmp_path / "bad.csv"

@@ -10,7 +10,7 @@ import _reference_dressing as reference
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig
-from vesture.errors import ConfigError, NumericError, SingularPointError
+from vesture.errors import ConfigError
 from vesture.spectral import DomainPoint
 from vesture.verification import gate_exclusion
 from test_equivalence import KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, coords, thresholds
@@ -35,7 +35,7 @@ def kernels(cfg, x):
     a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
     u = dressing._solve(a, b_star, fails)[0].conj()
     q = dressing._reconstruct(u, sd.w, sd.lambdas, q0, fails)
-    assert fails.ok[0], fails.error[0]
+    assert fails.ok[0], fails.note[0]
     return sd, a, b_star, u, q
 
 
@@ -152,7 +152,8 @@ def test_solve_system_singular_flag():
     a[1, 1] = a[0, 1] * a[1, 0] / a[0, 0]  # force det = 0 up to round-off
     fails = dressing._Failures(1)
     dressing._solve(a[None], np.eye(2, dtype=complex)[None], fails)
-    assert isinstance(fails.error[0], SingularPointError)
+    assert fails.note[0].startswith("det A = ")
+    assert fails.note[0].endswith(" below singular threshold")
 
 
 def _solve_by_whole_stack(a, b_star, fails):
@@ -160,18 +161,17 @@ def _solve_by_whole_stack(a, b_star, fails):
     reference: algebra.checked_inv over the whole stack."""
     eye, cap = np.eye(a.shape[-1]), algebra.CONDITION_CAP
     det = np.linalg.det(a)
-    fails.flag(np.abs(det) < dressing.SINGULAR_TOL, lambda i: SingularPointError(
-        f"det A = {complex(det[i]):.3e} below singular threshold", det_a=complex(det[i])))
+    fails.flag(np.abs(det) < dressing.SINGULAR_TOL,
+               lambda i: f"det A = {complex(det[i]):.3e} below singular threshold")
     a = np.where(fails.ok[:, None, None], a, eye)
     cond = algebra.checked_inv(a)[1]
-    fails.flag(~(cond <= cap), lambda i: NumericError(
-        f"system condition {cond[i]:.3e} exceeds cap {cap:.3e}"))
+    fails.flag(~(cond <= cap), lambda i: f"system condition {cond[i]:.3e} exceeds cap {cap:.3e}")
     a = np.where(fails.ok[:, None, None], a, eye)
     u_star = np.linalg.solve(a, b_star)
     resid = algebra.frobenius(algebra.mul(a, u_star) - b_star)
     bound = dressing.SOLVE_RESIDUAL_REL * np.maximum(algebra.frobenius(b_star), 1e-300)
-    fails.flag(resid > bound, lambda i: NumericError(
-        f"solve residual {resid[i]:.3e} above {dressing.SOLVE_RESIDUAL_REL:.0e}*||B||"))
+    fails.flag(resid > bound, lambda i:
+               f"solve residual {resid[i]:.3e} above {dressing.SOLVE_RESIDUAL_REL:.0e}*||B||")
     return u_star, det
 
 
@@ -213,7 +213,7 @@ def test_system_condition_from_det_a_flags_as_the_whole_stack_did(problem):
             got_u, got_det = dressing._solve(a, b_star, fails)
         want_u, want_det = _solve_by_whole_stack(a, b_star, want)
     assert np.array_equal(fails.ok, want.ok)
-    assert [str(e) for e in fails.error] == [str(e) for e in want.error]
+    assert fails.note == want.note
     assert np.array_equal(got_u.view(float), want_u.view(float))
     assert np.array_equal(got_det.view(float), want_det.view(float))
     # a system the det A bound accepted has its condition within the cap
@@ -621,7 +621,7 @@ def test_dressed_seed_map_converges_second_order(sig, v1, v2):
         return verification.FieldGrid(rhos, zs, twice.q.reshape(rho.shape + twice.q.shape[1:]),
                                       ~twice.singular.reshape(rho.shape))
 
-    assert 3.5 <= verification.refinement_ratios(field(0.1), field(0.05)) <= 4.5
+    assert 3.5 <= verification.refinement_ratios(field(0.05)) <= 4.5
 
 
 def _iterated():

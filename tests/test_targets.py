@@ -142,7 +142,7 @@ def test_g21_family_trivial_and_kerr_block():
     q = closed_forms.g21_soliton_family(1.0, 1.5, 0, 0, 0, 0, p, 3.0, 1.0)
     np.testing.assert_array_equal(q, np.eye(3))
     # e = 0 identification reproduces the dressed Kerr block
-    fam = targets.kn_family_params(BLParams(m=1.0, s=1.0, e=0.0))
+    fam = closed_forms.kn_family_params(1.0, 0.0, 1.0)
     r, th = 2.9, 0.8
     q3 = closed_forms.g21_soliton_family(fam["a_param"], fam["b_param"], fam["n1"], fam["n2"],
                                     fam["n3"], fam["n4"], p, r, th)
@@ -171,13 +171,13 @@ def test_g21_family_matches_vector_dressing_at_realizable_params():
 
 def test_kn_family_params_validation():
     for m, s, e in ((0.5, 0.5, 1.0), (1.0, 1.0, 0.5), (1.0, 0.5, 0.9)):
-        fam = targets.kn_family_params(BLParams(m=m, s=s, e=e))
+        fam = closed_forms.kn_family_params(m, e, s)
         np.testing.assert_allclose(fam["b_param"] ** 2, m * m + s * s + e * e, rtol=1e-14)
         # realizability: n1^2 + n2^2 + n3^2 + n4^2 = (b^2 - a^2)/4
         np.testing.assert_allclose(
             fam["n1"] ** 2 + fam["n2"] ** 2 + fam["n3"] ** 2 + fam["n4"] ** 2,
             (fam["b_param"] ** 2 - fam["a_param"] ** 2) / 4, rtol=1e-14)
-    fam = targets.kn_family_params(BLParams(m=1.0, s=1.0, e=0.5))
+    fam = closed_forms.kn_family_params(1.0, 0.5, 1.0)
     assert fam["b_param"] > 0
     assert fam["oracle_a"] == -fam["b_param"]
     np.testing.assert_allclose(fam["n1"], 0.5)
@@ -208,12 +208,10 @@ def test_kn_potentials_solve_field_equations_only_on_family_chart():
     # and quarters under h -> h/2; on the Einstein-Maxwell chart
     # a^2 = m^2 + s^2 - e^2 it stalls near 1 (a genuine residual)
     for m, e, s in KN_SETS:
-        a = targets.kn_family_params(BLParams(m=m, s=s, e=e))["oracle_a"]
+        a = -targets.kn_b_param(m, e, s)
         a_em = -math.sqrt(m * m + s * s - e * e)
-        div = verification.refinement_ratios(_kn_potential_field(m, e, s, a, 0.1),
-                                             _kn_potential_field(m, e, s, a, 0.05))
-        div_em = verification.refinement_ratios(_kn_potential_field(m, e, s, a_em, 0.1),
-                                                _kn_potential_field(m, e, s, a_em, 0.05))
+        div = verification.refinement_ratios(_kn_potential_field(m, e, s, a, 0.05))
+        div_em = verification.refinement_ratios(_kn_potential_field(m, e, s, a_em, 0.05))
         assert 3.5 <= div <= 4.5
         assert div_em < 2.0
 
@@ -221,8 +219,8 @@ def test_kn_family_matches_vector_dressing_pipeline():
     # kn_config's vector, dressed by the pipeline, reproduces the closed-form
     # family (q to 1e-12 relative) and the Kerr-Newman oracle (E, Phi)
     for m, e, s in KN_SETS:
-        bl = BLParams(m=m, s=s, e=e)
-        fam = targets.kn_family_params(bl)
+        bl = BLParams(m=m, s=s)
+        fam = closed_forms.kn_family_params(m, e, s)
         r, th = np.linspace(m + 1.5, m + 10.0, 10), np.linspace(math.pi / 8, 7 * math.pi / 8, 10)
         dressed = dressing.dress(targets.kn_config(m, e, s),
                                  *targets.bl_chart(r[:, None], th[None, :], bl))
@@ -239,7 +237,7 @@ def test_kn_family_matches_vector_dressing_pipeline():
 
 def test_kn_config_realizes_the_family_and_its_flat_limit():
     for m, e, s in KN_SETS + ((0.0, 0.5, 1.0), (-1.0, 0.5, 1.0), (1e-7, 0.0, 1.0)):
-        fam = targets.kn_family_params(BLParams(m=m, s=s, e=e))
+        fam = closed_forms.kn_family_params(m, e, s)
         cfg = targets.kn_config(m, e, s)
         (alpha, c, delta), = cfg.vectors
         assert cfg.poles == (1j * s,) and cfg.signature == SIG_21

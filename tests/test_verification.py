@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from test_equivalence import SU21, coords
-from vesture import algebra, checks, cli, dressing, targets, verification
+from vesture import algebra, checks, cli, dressing, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.errors import ConfigError, SingularPointError
 from vesture.spectral import DomainPoint
@@ -42,35 +42,53 @@ def test_hodge_needs_three_points_per_axis():
 
 def test_kerr_residuals_converge_second_order():
     box = (3.2, 5.2, -1.5, 1.5)
-    coarse = checks.kerr_field(box, 0.1)
     fine = checks.kerr_field(box, 0.05)
-    assert 3.5 <= verification.refinement_ratios(coarse, fine) <= 4.5
+    assert 3.5 <= verification.refinement_ratios(fine) <= 4.5
+
+
+def test_the_coarse_grid_is_the_every_other_point_sublattice():
+    # the ratio of one lattice is the ratio of its sublattice dressed on its
+    # own against it: the sublattice's points and maps are the coarse ones
+    box = (3.2, 5.2, -1.5, 1.5)
+    coarse, fine = checks.kerr_field(box, 0.1), checks.kerr_field(box, 0.05)
+    assert np.array_equal(fine.values[::2, ::2], coarse.values)
+    rc = verification.hodge_residual(coarse)
+    rf = verification.hodge_residual(fine)[::2, ::2]
+    interior = verification.interior_mask(rc.shape)
+    assert verification.refinement_ratios(fine) == float(np.median(rc[interior] / rf[interior]))
+
+
+def test_convergence_dresses_one_lattice(monkeypatch):
+    # the coarse grid is the sublattice of the one dressed at h/2
+    calls, dress = [], dressing.dress
+    monkeypatch.setattr(dressing, "dress", lambda *args: calls.append(1) or dress(*args))
+    assert 3.5 <= checks.convergence(cli._KERR_BOX, 0.1).divergence <= 4.5
+    assert len(calls) == 1
 
 
 def test_convergence_order_exact_for_constant():
-    coarse = constant_field(n_r=7, n_z=7)
-    fine = constant_field(n_r=13, n_z=13)
-    assert verification.refinement_ratios(coarse, fine) == math.inf
+    assert verification.refinement_ratios(constant_field(n_r=13, n_z=13)) == math.inf
+
+
+@pytest.mark.parametrize("n_r, n_z", [(4, 9), (9, 4)])
+def test_refinement_needs_three_sublattice_points_per_axis(n_r, n_z):
+    # a fine axis of 4 points leaves 2 in the sublattice, too few for a stencil
+    with pytest.raises(ConfigError, match="at least 3 grid points per axis"):
+        verification.refinement_ratios(constant_field(n_r=n_r, n_z=n_z))
 
 
 def test_perturbed_field_fails_to_converge():
     # model error dominates: residuals stay bounded away from zero
     box = (3.2, 4.4, -0.6, 0.6)
     rng = np.random.default_rng(31)
-
-    def perturb(grid):
-        noise = rng.normal(size=grid.values.shape) * 1e-3
-        noise = (noise + np.swapaxes(noise, -1, -2).conj()) / 2
-        return FieldGrid(rhos=grid.rhos, zs=grid.zs,
-                         values=grid.values + noise, mask=grid.mask)
-
-    coarse = perturb(checks.kerr_field(box, 0.1))
-    fine = perturb(checks.kerr_field(box, 0.05))
-    res_c = verification.hodge_residual(coarse)
-    res_f = verification.hodge_residual(fine)
-    assert np.nanmedian(res_c[verification.interior_mask(res_c.shape)]) > 1e-3
-    assert np.nanmedian(res_f[verification.interior_mask(res_f.shape)]) > 1e-3
-    assert verification.refinement_ratios(coarse, fine) < 2.0  # far from the second-order 4
+    fine = checks.kerr_field(box, 0.05)
+    noise = rng.normal(size=fine.values.shape) * 1e-3
+    fine.values = fine.values + (noise + np.swapaxes(noise, -1, -2).conj()) / 2
+    coarse = FieldGrid(fine.rhos[::2], fine.zs[::2], fine.values[::2, ::2], fine.mask[::2, ::2])
+    for grid in (coarse, fine):
+        res = verification.hodge_residual(grid)
+        assert np.nanmedian(res[verification.interior_mask(res.shape)]) > 1e-3
+    assert verification.refinement_ratios(fine) < 2.0  # far from the second-order 4
 
 
 def test_holes_propagate_no_data():
@@ -168,7 +186,7 @@ def test_hodge_on_analytically_embedded_field():
         return FieldGrid(rhos=rhos, zs=zs, values=values,
                          mask=np.ones((rhos.size, zs.size), bool))
 
-    assert 3.5 <= verification.refinement_ratios(field(0.1), field(0.05)) <= 4.5
+    assert 3.5 <= verification.refinement_ratios(field(0.05)) <= 4.5
 
 
 def _abelian_field(f, h):
@@ -195,9 +213,9 @@ def test_the_divergence_residual_sees_a_non_harmonic_map():
     coarse, fine = _abelian_field(not_harmonic, 0.1), _abelian_field(not_harmonic, 0.05)
     divergence = verification.hodge_residual(coarse)
     assert 2.0 <= np.median(divergence[verification.interior_mask(divergence.shape)]) <= 3.0
-    assert 0.9 <= verification.refinement_ratios(coarse, fine) <= 1.1
-    harmonic = [_abelian_field(lambda rho, z: 0.3 * np.log(rho), h) for h in (0.1, 0.05)]
-    assert 3.5 <= verification.refinement_ratios(*harmonic) <= 4.5
+    assert 0.9 <= verification.refinement_ratios(fine) <= 1.1
+    harmonic = _abelian_field(lambda rho, z: 0.3 * np.log(rho), 0.05)
+    assert 3.5 <= verification.refinement_ratios(harmonic) <= 4.5
 
 
 def _bl_of_weyl_point(rho, z, m=1.0, s=1.0):
@@ -212,12 +230,23 @@ def test_lambda_flow_residual_richardson():
     assert r1 <= 1e-5
     r2 = verification.lambda_flow_residual(1j, x, 5e-4)
     assert 3.5 <= r1 / r2 <= 4.5
-    # deck-paired root satisfies the same identity
-    r_out = verification.lambda_flow_residual(1j, x, 1e-3, outer_root=True)
-    assert r_out <= 1e-5
     # a stencil point on the branch point z + i rho = varpi0 is refused
     with pytest.raises(SingularPointError):
         verification.lambda_flow_residual(1j, DomainPoint(rho=1.0, z=1e-3), 1e-3)
+
+
+def test_lambda_flow_residual_checks_the_outer_root(monkeypatch):
+    # a fault in the deck partner lambda_out alone, at the stencil's centre,
+    # breaks the identity for that root only: the residual sees it
+    pole_pairs = spectral.pole_pairs
+
+    def moved(varpi0, rho, z):
+        lam_in, lam_out, branch = pole_pairs(varpi0, rho, z)
+        lam_out[0] += 1e-3
+        return lam_in, lam_out, branch
+
+    monkeypatch.setattr(spectral, "pole_pairs", moved)
+    assert verification.lambda_flow_residual(1j, DomainPoint(rho=1.0, z=1.0), 1e-3) > 1e-4
 
 
 def test_locus_mask_sign_changes_cannot_overflow(monkeypatch):
@@ -225,7 +254,7 @@ def test_locus_mask_sign_changes_cannot_overflow(monkeypatch):
     # (taken before its margin) is the singular points and both ends of every
     # strict sign change along either axis, NaN and zero ends excepted, as the
     # comparisons below do, and it warns of nothing
-    monkeypatch.setattr(verification, "exclusion_mask", lambda locus, margin: locus)
+    monkeypatch.setattr(verification, "exclusion_mask", lambda locus: locus)
     rng = np.random.default_rng(13)
     values = [1e300, -1e300, 1e-200, -1e-200, 2.0, -2.0, 0.0, -0.0, np.nan, np.inf, -np.inf]
     for shape in ((1, 1), (1, 5), (5, 1), (4, 6), (7, 3)):
@@ -245,17 +274,19 @@ def test_locus_mask_sign_changes_cannot_overflow(monkeypatch):
         assert np.array_equal(verification.gate_exclusion(singular, None), flags)
 
 
-def test_exclusion_mask_is_the_chebyshev_dilation():
+def test_exclusion_mask_is_the_chebyshev_dilation(monkeypatch):
+    # the radius is GATE_MARGIN, read at call time
     rng = np.random.default_rng(3)
     for shape in np.ndindex(8, 8):
         shape = (shape[0] + 1, shape[1] + 1)
         locus = rng.random(shape) < 0.15
         for margin in range(6):
+            monkeypatch.setattr(verification, "GATE_MARGIN", margin)
             expected = np.zeros(shape, dtype=bool)
             for i, j in zip(*np.nonzero(locus)):
                 expected[max(0, i - margin):i + margin + 1,
                          max(0, j - margin):j + margin + 1] = True
-            assert np.array_equal(verification.exclusion_mask(locus, margin), expected), \
+            assert np.array_equal(verification.exclusion_mask(locus), expected), \
                 (shape, margin)
 
 @pytest.mark.parametrize("rhos, zs", [([], [0.0, 1.0]), ([1.0, 2.0], [])])
