@@ -33,14 +33,14 @@ EXIT_IO = 4
 #: the per-point relative Ernst error that the presets' gate and the oracle suites allow
 ERNST_TOL = 1e-9
 
-_ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA", "oracle")
+_ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA")
 
 
 @dataclass
 class GridSpec:
     axis1: tuple[float, float, int]   # rho or r
     axis2: tuple[float, float, int]   # z or theta
-    bl: targets.BLParams | None = None  # the (r, theta) chart; None: a (rho, z) grid
+    bl: targets.BLParams | None  # the (r, theta) chart; None: a (rho, z) grid
 
     def axis_values(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linspace(*self.axis1), np.linspace(*self.axis2)
@@ -50,9 +50,9 @@ class GridSpec:
 class RunConfig:
     solitons: SolitonConfig
     grid: GridSpec
-    fields: tuple[str, ...] = ("q", "detA", "residuals")
-    path: str = "-"
-    format: str = "csv"
+    fields: tuple[str, ...]
+    path: str
+    format: str
 
 
 def _section(raw, where: str, keys: tuple[str, ...], problems: list[str]) -> dict | None:
@@ -188,8 +188,6 @@ def parse_config(text: bytes | str) -> RunConfig:
     for f in fields:
         if f not in _ALLOWED_FIELDS:
             problems.append(f"outputs.fields: unknown field {f!r}")
-    if "oracle" in fields:
-        problems.append("oracle output is only available in the kerr/kerr-newman presets")
     if "ernst" in fields and (sig.p, sig.q_minus) not in ((1, 1), (2, 1)):
         problems.append("ernst output is only defined for targets (1,1) and (2,1)")
     path = out_doc.get("path", "-")
@@ -198,6 +196,10 @@ def parse_config(text: bytes | str) -> RunConfig:
     fmt = out_doc.get("format", "csv")
     if fmt not in ("csv", "json"):
         problems.append(f'outputs.format must be "csv" or "json", got {fmt!r}')
+    elif fmt == "csv" and (sig.p, sig.q_minus) not in ((1, 1), (2, 1)):
+        # a CSV stores no target, and verify reads its n x n q as (n-1, 1)
+        problems.append(f'outputs.format "csv" stores no target: write the ({sig.p},{sig.q_minus}) '
+                        'target as "json"')
 
     if not problems:
         try:
@@ -401,15 +403,16 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_file(path: str, p: int | None = None, q_minus: int | None = None) -> int:
+def verify_file(path: str) -> int:
     """Recompute membership residuals from the stored q of an output file.
 
-    The signature is p, q_minus when given, else the one a JSON output
-    stores. A CSV with n <= 3 needs neither: (n-1, 1) and (1, n-1) give the
-    same residuals. The stored rows, in any order, are put onto their
-    (r, theta) lattice when the file has those columns, else their (rho, z)
-    one, and gated there as the sweep gated them (verification.audit); one
-    without det A, not written by dress, on its singular flags alone.
+    The signature is the one a JSON output stores. A file without one, as a
+    CSV, is read as (n-1, 1) when n <= 3, the targets a config writes as
+    CSV, and refused otherwise. The stored rows, in any order, are put onto
+    their (r, theta) lattice when the file has those columns, else their
+    (rho, z) one, and gated there as the sweep gated them
+    (verification.audit); one without det A, not written by dress, on its
+    singular flags alone.
     """
     cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
@@ -426,11 +429,11 @@ def verify_file(path: str, p: int | None = None, q_minus: int | None = None) -> 
     if n < 2:
         print(f"{n}x{n} q data has no SU(p,q) target (n = p + q >= 2)", file=sys.stderr)
         return EXIT_CONFIG
-    p, q_minus = stored[0] if p is None else p, stored[1] if q_minus is None else q_minus
-    if n >= 4 and None in (p, q_minus):
-        print(f"{n}x{n} q columns do not fix the signature: pass --p and --q", file=sys.stderr)
+    if stored[0] is None and n >= 4:
+        print(f"{n}x{n} q columns do not fix the signature: write the payload as JSON, "
+              "which stores the target", file=sys.stderr)
         return EXIT_CONFIG
-    sig = Signature(n - 1 if p is None else p, 1 if q_minus is None else q_minus)
+    sig = Signature(*stored) if stored[0] is not None else Signature(n - 1, 1)
     if sig.n != n:
         print(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data",
               file=sys.stderr)
@@ -608,8 +611,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="recompute residuals from a stored output file")
     sp.add_argument("file")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--q", type=int, default=None)
 
     sub.add_parser("selftest", help="run the built-in invariant suites")
 
@@ -627,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             family = args.family(*(getattr(args, f.name) for f in dataclasses.fields(args.family)))
             return run_preset(family, _grid_from_args(args, family), args.out, args.format)
         if args.command == "verify":
-            return verify_file(args.file, args.p, args.q)
+            return verify_file(args.file)
         if args.command == "selftest":
             return run_selftest()
     except SystemExit as exc:  # a usage error, whose message argparse printed

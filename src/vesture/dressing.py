@@ -87,10 +87,6 @@ class SolitonConfig:
         object.__setattr__(self, "vectors", tuple(vecs))
         object.__setattr__(self, "poles", tuple(complex(w) for w in self.poles))
 
-    @property
-    def n_solitons(self) -> int:
-        return len(self.poles)
-
 
 @dataclass
 class SpectralData:
@@ -326,19 +322,6 @@ def _audit(u: np.ndarray, w: np.ndarray, lambdas: np.ndarray, q: np.ndarray,
     involution = np.where(inner, involution[:, :half], involution[:, half:])
     involution = np.maximum(quadratic, np.maximum.reduce(involution, axis=-1))
     return np.maximum.reduce(reality, axis=-1), involution
-
-
-def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
-    """Strict diagonal-dominance condition on the input vectors.
-
-    True iff sum_{j != k} |v_k* gamma v_j| < |v_k* gamma v_k| / 2 for every
-    k, the sum running over the N input vectors only (the deck-paired
-    columns decay at infinity and need no condition).
-    """
-    vecs = np.array(vectors, dtype=complex).reshape(len(vectors), len(gamma_mat))
-    gram = np.abs(vecs.conj() @ gamma_mat @ vecs.T)
-    off = np.where(np.eye(len(vecs), dtype=bool), 0.0, gram).sum(axis=-1)
-    return bool(np.all(off < 0.5 * np.diagonal(gram)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Closed forms that only the tests use: the inverse basis change of the 3x3
-target, the embedding of the 2x2 target into it, and the closed-form
+target, the embedding of the 2x2 target into it, the closed-form
 one-soliton family on the 3x3 target that the dressed Kerr-Newman maps are
-held against, with its parameters at a Kerr-Newman triple."""
+held against, with its parameters at a Kerr-Newman triple, and the paper's
+dominance condition at infinity on the input vectors."""
 from __future__ import annotations
 
 import math
@@ -71,3 +72,16 @@ def g21_soliton_family(a_param: float, b_param: float,
     q[2, 0] = np.conj(q[0, 2])
     q[2, 1] = np.conj(q[1, 2])
     return q
+
+
+def dominance_check(vectors, gamma_mat: ComplexMatrix) -> bool:
+    """Strict diagonal-dominance condition on the input vectors.
+
+    True iff sum_{j != k} |v_k* gamma v_j| < |v_k* gamma v_k| / 2 for every
+    k, the sum running over the N input vectors only (the deck-paired
+    columns decay at infinity and need no condition).
+    """
+    vecs = np.array(vectors, dtype=complex).reshape(len(vectors), len(gamma_mat))
+    gram = np.abs(vecs.conj() @ gamma_mat @ vecs.T)
+    off = np.where(np.eye(len(vecs), dtype=bool), 0.0, gram).sum(axis=-1)
+    return bool(np.all(off < 0.5 * np.diagonal(gram)))

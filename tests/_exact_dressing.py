@@ -18,7 +18,7 @@ def dressed_q(cfg: SolitonConfig, rho: float, z: float) -> np.ndarray:
     """q at the point (rho, z) of a dressing whose seed is constant (Psi0 =
     q0 = J), rounded to complex128 from its 50-digit value."""
     with mpmath.workdps(DIGITS):
-        n, half = cfg.signature.n, cfg.n_solitons
+        n, half = cfg.signature.n, len(cfg.poles)
         flip = algebra.gamma(cfg.signature).diagonal().real.tolist()
         q0 = mpmath.matrix(cfg.seed.q0(np.array([rho]), np.array([z]))[0].tolist())
         deck = mpmath.matrix(cfg.seed.deck.tolist())

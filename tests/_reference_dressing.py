@@ -121,7 +121,7 @@ def spectral_data(cfg: SolitonConfig, x: DomainPoint,
     to the plain gamma v_k for the trivial seed. ``swap`` optionally
     relabels selected pole pairs, which leaves the dressed map invariant.
     """
-    n_sol = cfg.n_solitons
+    n_sol = len(cfg.poles)
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
     n = cfg.signature.n
@@ -323,7 +323,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
         "chi_involution": math.nan,
         "det_branch_warning": 1.0 if warn else 0.0,
     }
-    if audit_chi and cfg.n_solitons > 0:
+    if audit_chi and len(cfg.poles) > 0:
         try:
             reality, involution = chi_symmetry_residuals(u, sd, q, q0, g, x)
             residuals["chi_reality"] = reality
@@ -331,7 +331,7 @@ def dress_point(cfg: SolitonConfig, x: DomainPoint,
         except (NumericError, DomainError) as exc:
             return DressedPoint(x=x, q=q, det_a=det_a, residuals=residuals,
                                 singular=True, note=f"chi audit failed: {exc}")
-    elif cfg.n_solitons == 0:
+    elif len(cfg.poles) == 0:
         residuals["chi_reality"] = 0.0
         residuals["chi_involution"] = 0.0
     return DressedPoint(x=x, q=q, det_a=det_a, residuals=residuals, singular=False)

@@ -29,7 +29,7 @@ def minimal_config(tmp_path, **overrides):
 def test_parse_config_valid(tmp_path):
     cfg = cli.parse_config(json.dumps(minimal_config(tmp_path)))
     assert cfg.solitons.signature.n == 2
-    assert cfg.solitons.n_solitons == 1
+    assert len(cfg.solitons.poles) == 1
     # a grid without a chart is a (rho, z) one
     assert cfg.grid == cli.GridSpec((2.5, 3.5, 4), (-0.5, 0.5, 3), None)
     bl = cli.parse_config(json.dumps(minimal_config(tmp_path, grid={
@@ -439,22 +439,90 @@ def test_json_output_matches_the_streaming_encoder(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_does_not_guess_the_signature_for_n4(tmp_path, capsys, fmt):
-    path = str(tmp_path / f"o22.{fmt}")
+    # a 4x4 q fixes no signature: a JSON payload stores its target, and a
+    # config refuses to write one as CSV; verify takes no signature option
+    path = str(tmp_path / "o22.json")
     doc = minimal_config(tmp_path, target={"p": 2, "q": 2},
                          solitons=[{"omega": [0.3, 1.1],
                                     "v": [[1.0, 0.0], [0.3, 0.2], [0.5, 0.0], [0.2, -0.1]]}],
                          grid={"coords": "weyl", "rho": [2.0, 3.0, 5], "z": [-0.5, 0.5, 5]})
     doc["outputs"] = {"fields": ["q", "detA", "residuals"], "path": path, "format": fmt}
-    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
-    capsys.readouterr()
     if fmt == "csv":
+        with pytest.raises(ConfigError) as err:
+            cli.parse_config(json.dumps(doc))
+        assert str(err.value) == ('invalid config:\n  - outputs.format "csv" stores no target: '
+                                  'write the (2,2) target as "json"')
+        # the same rows as a CSV written by other means
+        doc["outputs"]["format"] = "json"
+        assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+        cols, rows, _ = cli._load_table(path)
+        path = str(tmp_path / "o22.csv")
+        cli._write_output(path, "csv", cols, rows, {})
+        capsys.readouterr()
         assert cli.main(["verify", path]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == \
-            "4x4 q columns do not fix the signature: pass --p and --q\n"
-    else:  # the JSON meta carries the target
+        assert capsys.readouterr().err == ("4x4 q columns do not fix the signature: write the "
+                                           "payload as JSON, which stores the target\n")
+    else:
+        assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
         assert cli.main(["verify", path]) == cli.EXIT_OK
-    assert cli.main(["verify", path, "--p", "2", "--q", "2"]) == cli.EXIT_OK
-    assert "constraint residual" in capsys.readouterr().err
+        assert "constraint residual" in capsys.readouterr().err
+        assert cli.main(["verify", path, "--p", "2", "--q", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: vesture ")
+        assert err.endswith("error: unrecognized arguments: --p 2 --q 2\n")
+
+def _vectors(n: int, count: int) -> list[list[list[float]]]:
+    """count generic length-n vectors as [re, im] pairs."""
+    return [[[1.0 + 0.2 * k - 0.1 * i, 0.05 * (i + k) * (-1) ** i] for i in range(n)]
+            for k in range(count)]
+
+_GATED = re.compile(r"max (?:gated|recomputed) constraint residual ([^;\s]+)")
+
+@pytest.mark.parametrize("target, fmt", [
+    ((1, 1), "json"), ((2, 1), "json"), ((1, 2), "json"), ((2, 2), "json"), ((3, 2), "json"),
+    ((1, 1), "csv"), ((2, 1), "csv"),
+])
+def test_every_payload_verifies_from_its_file_alone(tmp_path, capsys, target, fmt):
+    # with no option, verify reaches the exit code and the gated maximum of
+    # the dress that wrote the payload
+    p, q = target
+    path = tmp_path / f"out.{fmt}"
+    doc = minimal_config(tmp_path, target={"p": p, "q": q},
+                         solitons=[{"omega": w, "v": v}
+                                   for w, v in zip([[0.0, 1.0], [0.4, 1.3]], _vectors(p + q, 2))],
+                         grid={"coords": "weyl", "rho": [1.5, 2.5, 6], "z": [-0.5, 0.5, 6]})
+    doc["outputs"] = {"fields": ["q", "residuals"], "path": str(path), "format": fmt}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code = cli.main(["dress", "-c", str(config)])
+    dressed = _GATED.findall(capsys.readouterr().err)
+    assert cli.main(["verify", str(path)]) == code
+    verified = _GATED.findall(capsys.readouterr().err)
+    assert len(dressed) == len(verified) == 1 and dressed == verified
+
+# the fields leave out ernst, which only (1,1) and (2,1) have
+@pytest.mark.parametrize("target, outputs, message", [
+    # verify reads a CSV's 3x3 q as (2,1), whose metric is not -1 times
+    # that of (1,2), so a (1,2) payload is written as JSON too
+    ((1, 2), {"fields": ["q"]}, 'outputs.format "csv" stores no target: '
+                                'write the (1,2) target as "json"'),
+    ((2, 2), {"fields": ["q"]}, 'outputs.format "csv" stores no target: '
+                                'write the (2,2) target as "json"'),
+    ((3, 2), {"fields": ["q"]}, 'outputs.format "csv" stores no target: '
+                                'write the (3,2) target as "json"'),
+    # the oracle columns are the presets' own; to a config it is no field
+    ((1, 1), {"fields": ["q", "oracle"]}, "outputs.fields: unknown field 'oracle'"),
+])
+def test_a_payload_verify_could_not_read_is_refused(tmp_path, capsys, target, outputs, message):
+    p, q = target
+    doc = minimal_config(tmp_path, target={"p": p, "q": q},
+                         solitons=[{"omega": [0.0, 1.0], "v": _vectors(p + q, 1)[0]}])
+    doc["outputs"].update(outputs)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["dress", "-c", str(config)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid config:\n  - {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 def test_verify_rejects_missing_q(tmp_path):
     p = tmp_path / "bad.csv"
@@ -698,7 +766,7 @@ def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault
     ("rho,z,q_re_11\n1.0,0.0,1_000\n", "not a table of numbers"),
     ("rho,z,q_re_11\n1.0,0.0,\uff11\n".encode("utf-8").decode("latin-1"),
      "not a table of numbers"),
-    # a 1x1 q has no SU(p,q) target, and no signature was given
+    # a 1x1 q has no SU(p,q) target
     ("rho,z,q_re_11,q_im_11\n1.0,0.0,1.0,0.0\n", "1x1 q data has no SU(p,q) target"),
     # JSON cells float() accepts but the writer never emits: a row that is a
     # string of ten digits for a 2x2 table, a numeric string, a boolean
