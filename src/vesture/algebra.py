@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +32,25 @@ any_of = functools.partial(np.logical_or.reduce, axis=None)
 all_of = functools.partial(np.logical_and.reduce, axis=None)
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Target signature (p, q) of SU(p, q); n = p + q."""
+    """Target signature (p, q) of SU(p, q); n = p + q. Equal signatures hash
+    alike, so one keys the per-signature caches."""
 
-    p: int
-    q_minus: int
+    __slots__ = ("p", "q_minus")
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q_minus < 1:
-            raise ConfigError(f"signature needs p >= 1 and q >= 1, got ({self.p}, {self.q_minus})")
+    def __init__(self, p: int, q_minus: int) -> None:
+        if p < 1 or q_minus < 1:
+            raise ConfigError(f"signature needs p >= 1 and q >= 1, got ({p}, {q_minus})")
+        self.p, self.q_minus = p, q_minus
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Signature and (self.p, self.q_minus) == (other.p, other.q_minus)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q_minus))
+
+    def __repr__(self) -> str:
+        return f"Signature(p={self.p}, q_minus={self.q_minus})"
 
     @property
     def n(self) -> int:

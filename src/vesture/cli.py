@@ -1,43 +1,35 @@
-"""Batch front end: config-driven sweeps, presets, verification, selftest.
+"""Batch front end: config-driven sweeps and presets; the ``verify`` and
+``selftest`` commands live in modules of their own, which main() imports
+only for those commands.
 
-Exit codes: 0 success, 1 config or command-line usage error, 2 numeric
-failure, 3 constraint-gate failure (in verify, a non-finite stored q at a
-gated point included), 4 I/O failure. Singular grid points are data, not
-failures. Output is bit-identical across runs of the same config: fixed
-iteration order, no randomness or wall-clock inputs in the payload.
+Exit codes (vesture.errors): 0 success, 1 config or command-line usage
+error, 2 numeric failure, 3 constraint-gate failure (in verify, a
+non-finite stored q at a gated point included), 4 I/O failure. Singular
+grid points are data, not failures. Output is bit-identical across runs of
+the same config: fixed iteration order, no randomness or wall-clock inputs
+in the payload.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
 import json
 import math
 import sys
-import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import algebra, checks, seeds, targets, verification
 from .algebra import Signature
 from .dressing import DressedGrid, SolitonConfig
-from .errors import ConfigError, DomainError, NumericError, VestureError
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_NUMERIC = 2
-EXIT_GATE = 3
-EXIT_IO = 4
-#: the per-point relative Ernst error that the presets' gate and the oracle suites allow
-ERNST_TOL = 1e-9
+from .errors import (EXIT_CONFIG, EXIT_GATE, EXIT_IO, EXIT_NUMERIC, EXIT_OK, ConfigError,
+                     DomainError, NumericError, VestureError)
 
 _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA")
 
 
-@dataclass
-class GridSpec:
+class GridSpec(NamedTuple):
     axis1: tuple[float, float, int]   # rho or r
     axis2: tuple[float, float, int]   # z or theta
     bl: targets.BLParams | None  # the (r, theta) chart; None: a (rho, z) grid
@@ -46,13 +38,13 @@ class GridSpec:
         return np.linspace(*self.axis1), np.linspace(*self.axis2)
 
 
-@dataclass
 class RunConfig:
-    solitons: SolitonConfig
-    grid: GridSpec
-    fields: tuple[str, ...]
-    path: str
-    format: str
+    __slots__ = ("solitons", "grid", "fields", "path", "format")
+
+    def __init__(self, solitons: SolitonConfig, grid: GridSpec, fields: tuple[str, ...],
+                 path: str, format: str) -> None:
+        self.solitons, self.grid, self.fields, self.path, self.format = (
+            solitons, grid, fields, path, format)
 
 
 def _section(raw, where: str, keys: tuple[str, ...], problems: list[str]) -> dict | None:
@@ -233,12 +225,6 @@ def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
             fh.write(text)
 
 
-def _vacuous(excluded: np.ndarray) -> str:
-    """The summary's note when the exit gate is left with no point."""
-    return (f"; gate vacuous: all {excluded.size} points singular or within "
-            f"{verification.GATE_MARGIN} cells of the singular locus") if excluded.all() else ""
-
-
 def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
                  points: dict[str, np.ndarray], meta: dict,
                  extra: dict[str, np.ndarray]) -> np.ndarray:
@@ -280,7 +266,7 @@ def _summary(dressed: DressedGrid, excluded: np.ndarray, head: str, ok: bool = T
     reality, involution = (checks.worst([dressed.residuals[key][keep]])
                            for key in ("chi_reality", "chi_involution"))
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
-          f"{reality:.3e} (reality), {involution:.3e} (involution){_vacuous(excluded)}",
+          f"{reality:.3e} (reality), {involution:.3e} (involution){verification.vacuous(excluded)}",
           file=sys.stderr)
     return EXIT_OK if ok and worst <= algebra.CONSTRAINT_TOL else EXIT_GATE
 
@@ -300,7 +286,7 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     """Dress a closed-form family on a Boyer-Lindquist grid, one carrying
     the family's chart, and write it with its Ernst and oracle columns. The
     exit gate also holds the per-point Ernst error over the gated points to
-    ERNST_TOL."""
+    checks.ERNST_TOL."""
     cfg = RunConfig(solitons=family.config(), grid=grid,
                     fields=("q", "detA", "residuals", "ernst"), path=path, format=fmt)
     axes = grid.axis_values()
@@ -309,256 +295,8 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     excluded = _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
     worst = checks.worst([error[~excluded]])
     return _summary(dressed, excluded,
-                    f"{family.label()}: max relative Ernst error {worst:.3e}", worst <= ERNST_TOL)
-
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
-
-def _check_widths(path: str, widths: list[int], columns: int) -> None:
-    """Refuse a table without data rows or with a row of the wrong width."""
-    for k, width in enumerate(widths):
-        if width != columns:
-            raise ConfigError(f"{path}: row {k + 1} has {width} cells for {columns} columns")
-    if not widths:
-        raise ConfigError(f"{path}: no data rows")
-
-
-def _load_table(path: str) -> tuple[list[str], np.ndarray, tuple]:
-    """Columns, rows (one float array) and the stored signature (p, q) of
-    an output; (None, None) when it has none, as in a CSV.
-
-    A CSV body is parsed by one np.loadtxt call. It reads every cell the
-    %.17g writer emits, nan and inf included, and refuses spellings such
-    as 1_000 or quoted cells that float() or csv.reader would let through.
-    A JSON row must be a list of JSON numbers: no strings or booleans, the
-    columns a list of strings, the meta an object and a stored target an
-    object of two JSON integers p and q.
-    A column name may appear once.
-    """
-    stored = (None, None)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-            if text[:1] == "{":
-                doc = json.loads(text)
-                cols, raw = doc["columns"], doc["rows"]
-                if type(cols) is not list or any(type(c) is not str for c in cols):
-                    raise ValueError("columns is not a list of strings")
-                meta = doc.get("meta", {})
-                if type(meta) is not dict:
-                    raise ConfigError(f"{path}: meta is not a JSON object")
-                target = meta.get("target")
-                if target is not None:
-                    if type(target) is not dict or not {"p", "q"} <= target.keys():
-                        raise ConfigError(f"{path}: meta.target {target} is not an object "
-                                          "with entries p and q")
-                    stored = target["p"], target["q"]
-                    if any(type(v) is not int for v in stored):
-                        raise ConfigError(f"{path}: stored target {target} is not two integers")
-                for k, row in enumerate(raw):
-                    if type(row) is not list or any(type(v) not in (int, float) for v in row):
-                        raise ValueError(f"row {k + 1} is not a list of JSON numbers")
-                _check_widths(path, [len(row) for row in raw], len(cols))
-                table = np.array(raw, dtype=float)
-            else:
-                lines = text.split("\n")
-                if not lines[-1]:
-                    lines.pop()
-                cols, body = next(csv.reader(lines[:1])), lines[1:]
-                if not cols:
-                    raise ConfigError(f"{path}: no column names in the header")
-
-                def check_widths() -> None:
-                    # a blank line is a row of 0 cells, as csv.reader reads it
-                    _check_widths(path, [line.count(",") + 1 if line else 0 for line in body],
-                                  len(cols))
-                # the cells are counted only where np.loadtxt cannot tell: it
-                # warns on a body without data, and it skips blank lines
-                if not any(body):
-                    check_widths()
-                try:
-                    table = np.loadtxt(body, delimiter=",", dtype=float, ndmin=2, comments=None)
-                except ValueError:
-                    check_widths()
-                    raise
-                if table.shape != (len(body), len(cols)):
-                    check_widths()
-            repeated = sorted({c for c in cols if cols.count(c) > 1})
-            if repeated:
-                raise ConfigError(f"{path}: repeated column names {', '.join(repeated)}")
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        except KeyError as exc:
-            raise ConfigError(f"{path}: JSON output has no {exc} entry") from None
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ConfigError(f"{path}: not a table of numbers: {exc}") from None
-    return list(cols), table, stored
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-def verify_file(path: str) -> int:
-    """Recompute membership residuals from the stored q of an output file.
-
-    The signature is the one a JSON output stores. A file without one, as a
-    CSV, is read as (n-1, 1) when n <= 3, the targets a config writes as
-    CSV, and refused otherwise. The stored rows, in any order, are put onto
-    their (r, theta) lattice when the file has those columns, else their
-    (rho, z) one, and gated there as the sweep gated them
-    (verification.audit); one without det A, not written by dress, on its
-    singular flags alone.
-    """
-    cols, data, stored = _load_table(path)
-    q_cols = sorted(c for c in cols if c.startswith("q_re_"))
-    if not q_cols:
-        print("file has no q columns to verify", file=sys.stderr)
-        return EXIT_CONFIG
-    n = int(math.isqrt(len(q_cols)))
-    idx = {c: k for k, c in enumerate(cols)}
-    cells = [f"{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-    if n * n != len(q_cols) or any(f"q_{part}_{c}" not in idx
-                                   for c in cells for part in ("re", "im")):
-        print("q columns do not form a square matrix", file=sys.stderr)
-        return EXIT_CONFIG
-    if n < 2:
-        print(f"{n}x{n} q data has no SU(p,q) target (n = p + q >= 2)", file=sys.stderr)
-        return EXIT_CONFIG
-    if stored[0] is None and n >= 4:
-        print(f"{n}x{n} q columns do not fix the signature: write the payload as JSON, "
-              "which stores the target", file=sys.stderr)
-        return EXIT_CONFIG
-    sig = Signature(*stored) if stored[0] is not None else Signature(n - 1, 1)
-    if sig.n != n:
-        print(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    coords = ("r", "theta") if "r" in idx and "theta" in idx else ("rho", "z")
-    lattice = verification.lattice_order(*(data[:, idx[c]] for c in coords)) \
-        if all(c in idx for c in coords) else None
-    if lattice is not None:
-        data = data[lattice[1]]
-    q = _complex(data[:, [idx[f"q_re_{c}"] for c in cells]],
-                 data[:, [idx[f"q_im_{c}"] for c in cells]]).reshape(-1, n, n)
-    singular = data[:, idx["singular"]] >= 0.5 if "singular" in idx \
-        else np.zeros(len(data), dtype=bool)
-    det_a = _complex(data[:, idx["detA_re"]], data[:, idx["detA_im"]]) \
-        if "detA_re" in idx and "detA_im" in idx else None
-    excluded, hodge = np.zeros(len(data), dtype=bool), None
-    why = f"the stored ({coords[0]}, {coords[1]}) points do not form a rectangular lattice"
-    if lattice is not None:
-        excluded, hodge, why = verification.audit(lattice[0], q, singular, det_a,
-                                                  coords == ("rho", "z"))
-    # membership residuals of every stored non-singular q, gated by the
-    # largest component as the sweep is; a non-finite q reads NaN, which
-    # fails the gate as in the sweep; res_constraint stores their sum
-    finite = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
-    parts = np.array(algebra.symspace_components(q[finite], algebra.gamma(sig)))
-    resid = np.full(len(q), math.nan)
-    resid[finite] = np.max(parts, axis=0)
-    worst_gated = checks.worst([resid[~(singular | excluded)]])
-    worst_diff = 0.0
-    if "res_constraint" in idx:
-        stored = data[finite, idx["res_constraint"]]
-        diff = np.abs(parts.sum(axis=0) - stored)[np.isfinite(stored)]
-        worst_diff = float(np.fmax.reduce(diff, initial=0.0))
-    note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
-        if excluded.any() else ""
-    print(f"verified {(~singular).sum()} stored points: max recomputed constraint residual "
-          f"{worst_gated:.3e} gated / {checks.worst([resid[~singular]]):.3e} overall{note}"
-          f"{_vacuous(excluded | singular)}; max deviation from stored values {worst_diff:.3e}",
-          file=sys.stderr)
-    if why:
-        print(f"finite-difference residuals not recomputed: {why}", file=sys.stderr)
-    else:
-        worst = 0.0
-        if "res_hodge2" in idx:
-            diff = np.abs(hodge - data[:, idx["res_hodge2"]])
-            worst = np.max(diff, where=np.isfinite(diff), initial=0.0)
-        # the median over the finite residuals of the gated points only
-        gated = hodge[~excluded & np.isfinite(hodge)]
-        median = f"median {np.median(gated):.3e}" if gated.size else "no finite value"
-        print(f"recomputed finite-difference residuals: {median}; "
-              f"max deviation from stored values {worst:.3e}", file=sys.stderr)
-    return EXIT_OK if worst_gated <= algebra.CONSTRAINT_TOL else EXIT_GATE
-
-
-# ---------------------------------------------------------------------------
-# selftest
-# ---------------------------------------------------------------------------
-
-_KERR_SETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3))
-_KN_SETS = ((1.0, 0.5, 1.0), (1.0, 0.9, 0.5))
-_KERR_BOX = (3.2, 5.2, -1.5, 1.5)
-
-
-def _spectral_gate(r: checks.Spectral) -> tuple[bool, str]:
-    identity = max(r.identity, r.product)
-    ok = identity <= 1e-12 and r.duality_fd <= 1e-6 and 3.5 <= r.flow_ratio <= 4.5
-    return ok, (f"max identity residual {identity:.2e}, duality (finite diff) "
-                f"{r.duality_fd:.2e}, flow ratio {r.flow_ratio:.3f}")
-
-
-def _oracle_gate(bound: float):
-    """The gate of a family's oracle report: the Ernst error within
-    ``bound`` and the membership residual within algebra.CONSTRAINT_TOL at
-    the non-singular points, and no singular point, so that a sweep with
-    nothing to compare fails it."""
-    def gate(r: checks.OracleReport) -> tuple[bool, str]:
-        ok = r.error <= bound and r.constraint <= algebra.CONSTRAINT_TOL and r.singular == 0
-        return ok, (f"max oracle error {r.error:.2e}, max constraint {r.constraint:.2e}, "
-                    f"{r.singular} singular points")
-    return gate
-
-
-def _convergence_gate(r: checks.Convergence) -> tuple[bool, str]:
-    ok = 3.5 <= r.divergence <= 4.5 and r.constant_exact
-    return ok, f"divergence ratio {r.divergence:.3f}, constant field exact: {r.constant_exact}"
-
-
-#: (suite, check, gate): the gate turns the check's measurement into
-#: (passed, detail). Every pass/fail threshold of the checks is here; the
-#: acceptance suite runs the same gates on checks of its own sizes.
-SELFTEST_SUITES = (
-    ("algebra-involutions", lambda: checks.algebra_involutions(101, 20),
-     lambda worst: (worst <= 1e-12, f"max residual {worst:.2e}")),
-    ("spectral-identities", lambda: checks.spectral_identities(202, 100), _spectral_gate),
-    ("su21-commutators", checks.su21_commutators,
-     lambda r: (r[0] == r[1] == 28, f"{r[0]}/{r[1]} brackets match")),
-    ("cartan-embedding", lambda: checks.cartan_embedding(404, 50),
-     lambda worst: (worst <= 1e-12, f"max deviation {worst:.2e}")),
-    ("invariance", lambda: checks.invariance(505, 10),
-     lambda worst: (worst <= 1e-10, f"max |q - q'| {worst:.2e}")),
-    ("chi-audits", lambda: checks.chi_audit(606, 20),
-     lambda worst: (worst <= 1e-9, f"max audit residual {worst:.2e} over 20 points")),
-    ("kerr-oracle", lambda: checks.oracle_report(checks.Kerr, _KERR_SETS),
-     _oracle_gate(ERNST_TOL)),
-    ("kn-oracle", lambda: checks.oracle_report(checks.KerrNewman, _KN_SETS),
-     _oracle_gate(ERNST_TOL)),
-    ("convergence-order", lambda: checks.convergence(_KERR_BOX, 0.1), _convergence_gate),
-    ("flat-limit", lambda: checks.oracle_report(checks.Kerr, [(0.0, 1.0)], 12),
-     _oracle_gate(1e-12)),
-)
-
-
-def run_selftest() -> int:
-    t0 = time.perf_counter()
-    all_ok = True
-    print(f"{'suite':<22} {'status':<6} detail")
-    for name, check, gate in SELFTEST_SUITES:
-        t1 = time.perf_counter()
-        ok, detail = gate(check())
-        all_ok &= ok
-        print(f"{name:<22} {'PASS' if ok else 'FAIL':<6} {detail} "
-              f"[{time.perf_counter() - t1:.2f}s]")
-    print(f"total {time.perf_counter() - t0:.2f}s: "
-          f"{'all suites passed' if all_ok else 'FAILURES present'}")
-    return EXIT_OK if all_ok else EXIT_CONFIG
+                    f"{family.label()}: max relative Ernst error {worst:.3e}",
+                    worst <= checks.ERNST_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +336,8 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(family.preset,
                             help=f"{family.preset} preset: dress the flat seed and diff the oracle")
         sp.set_defaults(family=family)
-        for field in dataclasses.fields(family):
-            sp.add_argument(f"--{field.name}", type=float, required=True)
+        for name in family.params:
+            sp.add_argument(f"--{name}", type=float, required=True)
         sp.add_argument("--r-min", type=float)
         sp.add_argument("--r-max", type=float)
         sp.add_argument("--r-count", type=int)
@@ -625,11 +363,13 @@ def main(argv: list[str] | None = None) -> int:
                 text = fh.read()
             return run_dress(parse_config(text))
         if hasattr(args, "family"):
-            family = args.family(*(getattr(args, f.name) for f in dataclasses.fields(args.family)))
+            family = args.family(*(getattr(args, name) for name in args.family.params))
             return run_preset(family, _grid_from_args(args, family), args.out, args.format)
         if args.command == "verify":
+            from .verify import verify_file
             return verify_file(args.file)
         if args.command == "selftest":
+            from .selftest import run_selftest
             return run_selftest()
     except SystemExit as exc:  # a usage error, whose message argparse printed
         if exc.code == 0:  # --help

@@ -22,7 +22,6 @@ batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,7 +41,6 @@ SINGULAR_TOL = 1e-12
 POLE_GAP = 1e-13
 
 
-@dataclass(frozen=True)
 class SolitonConfig:
     """Full description of one dressing problem.
 
@@ -51,67 +49,65 @@ class SolitonConfig:
     vectors: N nonzero finite constant vectors of length n.
     """
 
-    signature: Signature
-    poles: tuple[complex, ...]
-    vectors: tuple[np.ndarray, ...]
-    seed: Seed
+    __slots__ = ("signature", "poles", "vectors", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(self, signature: Signature, poles: tuple[complex, ...],
+                 vectors: tuple[np.ndarray, ...], seed: Seed) -> None:
         problems = []
-        if len(self.poles) != len(self.vectors):
-            problems.append(f"{len(self.poles)} poles but {len(self.vectors)} vectors")
-        for k, w in enumerate(self.poles):
+        if len(poles) != len(vectors):
+            problems.append(f"{len(poles)} poles but {len(vectors)} vectors")
+        for k, w in enumerate(poles):
             if not np.isfinite(complex(w)):
                 problems.append(f"pole {k} is not finite ({w})")
             elif complex(w).imag == 0.0:
                 problems.append(f"pole {k} is real ({w}); real poles are not supported")
-        for k, w in enumerate(self.poles):
-            for j in range(k + 1, len(self.poles)):
-                if self.poles[j] == w:
+        for k, w in enumerate(poles):
+            for j in range(k + 1, len(poles)):
+                if poles[j] == w:
                     problems.append(f"poles {k} and {j} coincide ({w})")
         vecs = []
-        for k, v in enumerate(self.vectors):
+        for k, v in enumerate(vectors):
             v = np.asarray(v, dtype=complex).reshape(-1)
-            if v.size != self.signature.n:
-                problems.append(f"vector {k} has length {v.size}, expected {self.signature.n}")
+            if v.size != signature.n:
+                problems.append(f"vector {k} has length {v.size}, expected {signature.n}")
             elif not algebra.all_of(np.isfinite(v)):
                 problems.append(f"vector {k} has non-finite entries")
             elif not algebra.any_of(v != 0):
                 problems.append(f"vector {k} is zero")
             v.setflags(write=False)
             vecs.append(v)
-        if self.seed.signature != self.signature:
+        if seed.signature != signature:
             problems.append("seed signature does not match the target signature")
         if problems:
             raise ConfigError("; ".join(problems))
-        object.__setattr__(self, "vectors", tuple(vecs))
-        object.__setattr__(self, "poles", tuple(complex(w) for w in self.poles))
+        self.signature, self.seed = signature, seed
+        self.poles, self.vectors = tuple(complex(w) for w in poles), tuple(vecs)
 
 
-@dataclass
 class SpectralData:
     """Pole locations and the row factors of chi's residues: lambdas (P, 2N);
     w (P, 2N, n), row k v_k* Psi0(lam_k)^{-1} with the paired vectors
     v_{N+k} = J gamma v_k, and 1 in place of P where the seed does not vary."""
 
-    lambdas: np.ndarray
-    w: np.ndarray
+    __slots__ = ("lambdas", "w")
+
+    def __init__(self, lambdas: np.ndarray, w: np.ndarray) -> None:
+        self.lambdas, self.w = lambdas, w
 
 
-@dataclass
 class DressedGrid:
     """P dressed points as (P, ...) arrays in input order: q is NaN at the
     singular points, det A where the system was not built; residuals holds
     one float column per name in _RESIDUALS, and notes the reason for each
     singular point, by index."""
 
-    rho: np.ndarray
-    z: np.ndarray
-    q: np.ndarray
-    det_a: np.ndarray
-    residuals: dict[str, np.ndarray]
-    singular: np.ndarray
-    notes: dict[int, str]
+    __slots__ = ("rho", "z", "q", "det_a", "residuals", "singular", "notes")
+
+    def __init__(self, rho: np.ndarray, z: np.ndarray, q: np.ndarray, det_a: np.ndarray,
+                 residuals: dict[str, np.ndarray], singular: np.ndarray,
+                 notes: dict[int, str]) -> None:
+        self.rho, self.z, self.q, self.det_a = rho, z, q, det_a
+        self.residuals, self.singular, self.notes = residuals, singular, notes
 
 
 class _Failures:
@@ -222,9 +218,10 @@ def _solve(a: np.ndarray, b_star: np.ndarray, fails: _Failures) -> tuple[np.ndar
     """Solve A U* = B* at every point; returns U* and det A.
 
     Flags a point when |det A| drops below SINGULAR_TOL (the zero set of
-    det A is the ring-singularity locus of the dressed map, reported rather
-    than crossed), when the condition number exceeds algebra.CONDITION_CAP,
-    and when the solve residual exceeds SOLVE_RESIDUAL_REL * ||B||.
+    det A is the Ernst x = 0 surface, the ergosurface on Kerr, where q
+    diverges like 1/x; reported rather than crossed), when the condition
+    number exceeds algebra.CONDITION_CAP, and when the solve residual
+    exceeds SOLVE_RESIDUAL_REL * ||B||.
 
     The condition comes from det A first: A^-1 = adj A / det A and the
     singular values of adj A are products of m - 1 of A's, so
@@ -379,9 +376,13 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
             u, sd.w, sd.lambdas)
 
 
-@dataclass(frozen=True)
 class _DressedSeed(Seed):
-    notes: Callable[[], dict[int, str]]  # its last dressing's notes, by point
+    __slots__ = ("notes",)
+
+    def __init__(self, q0, psi0, deck: ComplexMatrix, signature: Signature,
+                 notes: Callable[[], dict[int, str]]) -> None:
+        super().__init__(q0, psi0, deck, signature)
+        self.notes = notes  # its last dressing's notes, by point
 
 
 def dressed_seed(cfg: SolitonConfig) -> Seed:

@@ -1,10 +1,16 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy and exit codes shared across the package.
 
-The CLI maps these onto its exit-code contract: config errors exit 1,
+The commands map these onto their exit-code contract: config errors exit 1,
 numeric failures exit 2, constraint-gate failures exit 3, I/O exit 4.
 Singular points inside a grid sweep are data, not errors: dressing
 flags each one and keeps the reason as its note, raising nothing.
 """
+
+EXIT_OK = 0
+EXIT_CONFIG = 1
+EXIT_NUMERIC = 2
+EXIT_GATE = 3
+EXIT_IO = 4
 
 
 class VestureError(Exception):

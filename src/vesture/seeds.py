@@ -9,7 +9,6 @@ a finished dressing into the next seed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,20 +18,19 @@ from .algebra import ComplexMatrix, Signature
 from .errors import SeedError
 
 
-@dataclass(frozen=True)
 class Seed:
     """q0(rho, z) takes (P,) coordinate arrays and returns (P or 1, n, n);
     psi0(lam, rho, z) takes lam of shape (P, M) and returns (P or 1, M or 1,
     n, n), a batch axis of length 1 meaning no variation along it. ``deck``
     is J, checked on construction to be a finite n x n matrix."""
 
-    q0: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    psi0: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    deck: ComplexMatrix
-    signature: Signature
+    __slots__ = ("q0", "psi0", "deck", "signature")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deck", algebra.as_matrix(self.deck, self.signature.n))
+    def __init__(self, q0: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 psi0: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+                 deck: ComplexMatrix, signature: Signature) -> None:
+        self.q0, self.psi0, self.signature = q0, psi0, signature
+        self.deck = algebra.as_matrix(deck, signature.n)
 
 
 def constant_seed(q0: ComplexMatrix, sig: Signature) -> Seed:

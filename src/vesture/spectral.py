@@ -10,8 +10,6 @@ lam = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import algebra
@@ -21,23 +19,25 @@ from .errors import DomainError
 BRANCH_EXCLUSION = 1e-12
 
 
-@dataclass(frozen=True)
 class DomainPoint:
     """Weyl half-plane point, or a batch of points as arrays of one shape;
     rho is strictly positive (axis excluded)."""
 
-    rho: float | np.ndarray
-    z: float | np.ndarray
+    __slots__ = ("rho", "z")
 
-    def __post_init__(self) -> None:
-        ok = (self.rho > 0.0) & np.isfinite(self.rho) & np.isfinite(self.z)
+    def __init__(self, rho: float | np.ndarray, z: float | np.ndarray) -> None:
+        self.rho, self.z = rho, z
+        ok = (rho > 0.0) & np.isfinite(rho) & np.isfinite(z)
         if algebra.all_of(ok):
             return
         # one line for a batch, a single point too: its first bad point and the count
         at = np.unravel_index(np.argmin(ok), np.shape(ok))
-        rho, z = (float(np.broadcast_to(v, np.shape(ok))[at]) for v in (self.rho, self.z))
+        rho, z = (float(np.broadcast_to(v, np.shape(ok))[at]) for v in (rho, z))
         raise DomainError(f"domain points need rho > 0 and finite coords, got rho={rho!r}, "
                           f"z={z!r} and {np.size(ok) - np.count_nonzero(ok) - 1} more")
+
+    def __repr__(self) -> str:
+        return f"DomainPoint(rho={self.rho!r}, z={self.z!r})"
 
 
 def varpi(lam, x: DomainPoint):

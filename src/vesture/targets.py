@@ -8,9 +8,8 @@ parametrization).
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +29,7 @@ _CAYLEY_Q2_H = CAYLEY_Q2.conj().T
 GAMMA_TILDE = np.array([[0, 0, -1j], [0, 1, 0], [1j, 0, 0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class ErnstValue11:
+class ErnstValue11(NamedTuple):
     """Real Ernst pair: x the Killing-field norm, y the twist potential;
     arrays of the points' shape (0-d for one point)."""
 
@@ -39,8 +37,7 @@ class ErnstValue11:
     y: np.ndarray
 
 
-@dataclass(frozen=True)
-class ErnstValue21:
+class ErnstValue21(NamedTuple):
     """Complex Ernst pair (E, Phi) with the real parts reported alongside.
 
     E = x + |Phi|^2 + i y; ``consistency`` is the extraction self-check
@@ -55,19 +52,23 @@ class ErnstValue21:
     consistency: np.ndarray
 
 
-@dataclass(frozen=True)
 class BLParams:
     """Boyer-Lindquist chart parameters: mass m and pole height s."""
 
-    m: float
-    s: float
+    __slots__ = ("m", "s")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.m) and math.isfinite(self.s)):
-            raise ConfigError(f"Boyer-Lindquist parameters must be finite, got m={self.m}, "
-                              f"s={self.s}")
-        if not (self.s > 0):
-            raise ConfigError(f"pole height s must be positive, got {self.s}")
+    def __init__(self, m: float, s: float) -> None:
+        if not (math.isfinite(m) and math.isfinite(s)):
+            raise ConfigError(f"Boyer-Lindquist parameters must be finite, got m={m}, s={s}")
+        if not (s > 0):
+            raise ConfigError(f"pole height s must be positive, got {s}")
+        self.m, self.s = m, s
+
+    def __eq__(self, other) -> bool:
+        return type(other) is BLParams and (self.m, self.s) == (other.m, other.s)
+
+    def __repr__(self) -> str:
+        return f"BLParams(m={self.m!r}, s={self.s!r})"
 
 
 def bl_chart(r, theta, p: BLParams) -> tuple:
@@ -343,6 +344,6 @@ def cartan_embed_su21(mu: float, delta: float, eta: float, theta: float) -> Comp
     n = np.array([[1, w, delta + 0.5j * abs(w) ** 2],
                   [0, 1, 1j * np.conj(w)],
                   [0, 0, 1]], dtype=complex)
-    a = np.diag([cmath.exp(mu), 1.0, cmath.exp(-mu)])
+    a = np.diag([math.exp(mu), 1.0, math.exp(-mu)])
     g = n @ a
     return g @ g.conj().T

@@ -15,7 +15,6 @@ zero. ``audit`` gives sweep and verify the exit gate of an (r, theta) or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .spectral import DomainPoint
 GATE_MARGIN = 3
 
 
-@dataclass
 class FieldGrid:
     """Per-point q values on a rectangular (rho, z) lattice.
 
@@ -35,28 +33,27 @@ class FieldGrid:
     singular holes.
     """
 
-    rhos: np.ndarray
-    zs: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray
+    __slots__ = ("rhos", "zs", "values", "mask")
 
-    def __post_init__(self) -> None:
-        self.rhos = np.asarray(self.rhos, dtype=float)
-        self.zs = np.asarray(self.zs, dtype=float)
-        if self.rhos.ndim != 1 or self.zs.ndim != 1:
+    def __init__(self, rhos: np.ndarray, zs: np.ndarray, values: np.ndarray,
+                 mask: np.ndarray) -> None:
+        self.rhos = rhos = np.asarray(rhos, dtype=float)
+        self.zs = zs = np.asarray(zs, dtype=float)
+        self.values, self.mask = values, mask
+        if rhos.ndim != 1 or zs.ndim != 1:
             raise ConfigError("grid axes must be one-dimensional")
-        if self.rhos.size == 0 or self.zs.size == 0:
+        if rhos.size == 0 or zs.size == 0:
             raise ConfigError("grid axes must not be empty")
-        if self.rhos.min() <= 0:
+        if rhos.min() <= 0:
             raise ConfigError("grid must satisfy rho > 0")
-        for axis in (self.rhos, self.zs):
+        for axis in (rhos, zs):
             if axis.size >= 2:
                 d = np.diff(axis)
                 if d.min() <= 0 or (d.max() - d.min()) > 1e-9 * d.max():
                     raise ConfigError("grid spacing must be uniform and increasing per axis")
-        if self.values.shape[:2] != (self.rhos.size, self.zs.size):
+        if values.shape[:2] != (rhos.size, zs.size):
             raise ConfigError("values shape does not match the grid axes")
-        if self.mask.shape != self.values.shape[:2]:
+        if mask.shape != values.shape[:2]:
             raise ConfigError("mask shape does not match the grid axes")
 
     @property
@@ -170,6 +167,12 @@ def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray
         locus[:, :-1] |= cross_z
         locus[:, 1:] |= cross_z
     return exclusion_mask(locus)
+
+
+def vacuous(excluded: np.ndarray) -> str:
+    """The summary's note when the exit gate is left with no point."""
+    return (f"; gate vacuous: all {excluded.size} points singular or within "
+            f"{GATE_MARGIN} cells of the singular locus") if excluded.all() else ""
 
 
 def lattice_order(a1: np.ndarray, a2: np.ndarray):

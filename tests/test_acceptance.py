@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Criteria 01-09 run the checks of vesture.checks with their own seeds and
-sizes, and judge them by the gates of ``vesture selftest``, looked up in
-cli.SELFTEST_SUITES by suite name; a criterion adds only its own extras.
+Criteria 01-09 run the checks of vesture.selftest with their own seeds
+and sizes, and judge them by the gates of ``vesture selftest``, looked up
+in selftest.SELFTEST_SUITES by suite name; a criterion adds only its own
+extras.
 The Kerr sweep feeds two criteria and is cached at module level.
 """
 import math
@@ -16,14 +17,14 @@ import numpy as np
 
 import _closed_forms as closed_forms
 import vesture
-from vesture import algebra, checks, cli, seeds
+from vesture import algebra, checks, seeds, selftest
 from vesture.dressing import SolitonConfig
 from vesture.spectral import DomainPoint
 from vesture.targets import SIG_11
 from test_dressing import kernels
 
 G2 = algebra.gamma(SIG_11)
-GATES = {name: gate for name, _, gate in cli.SELFTEST_SUITES}
+GATES = {name: gate for name, _, gate in selftest.SELFTEST_SUITES}
 
 KERR_SETS = ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3))
 KN_SETS = ((1.0, 0.5, 1.0), (1.0, 0.9, 0.5))
@@ -36,8 +37,8 @@ def _report(num: int, name: str, ok: bool, detail: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _kerr() -> checks.OracleReport:
-    return checks.oracle_report(checks.Kerr, KERR_SETS)
+def _kerr() -> selftest.OracleReport:
+    return selftest.oracle_report(checks.Kerr, KERR_SETS)
 
 
 def test_criterion_01_kerr_end_to_end():
@@ -48,12 +49,12 @@ def test_criterion_01_kerr_end_to_end():
 
 
 def test_criterion_02_kerr_newman_family():
-    report = checks.oracle_report(checks.KerrNewman, KN_SETS)
+    report = selftest.oracle_report(checks.KerrNewman, KN_SETS)
     assert _report(2, "kerr-newman-family", *GATES["kn-oracle"](report))
 
 
 def test_criterion_03_flat_limit():
-    report = checks.oracle_report(checks.Kerr, [(0.0, 1.0)], 40)
+    report = selftest.oracle_report(checks.Kerr, [(0.0, 1.0)], 40)
     assert _report(3, "flat-limit", *GATES["flat-limit"](report))
 
 
@@ -76,27 +77,27 @@ def test_criterion_05_pde_residual_convergence():
             r, th = _bl_of_weyl(rho, z)
             assert 4.0 <= r <= 8.0 and math.pi / 3 <= th <= 2 * math.pi / 3
     assert _report(5, "pde-residual-convergence",
-                   *GATES["convergence-order"](checks.convergence(BOX, 0.1)))
+                   *GATES["convergence-order"](selftest.convergence(BOX, 0.1)))
 
 
 def test_criterion_06_chi_symmetry_audit():
-    assert _report(6, "chi-symmetry-audit", *GATES["chi-audits"](checks.chi_audit(606, 20)))
+    assert _report(6, "chi-symmetry-audit", *GATES["chi-audits"](selftest.chi_audit(606, 20)))
 
 
 def test_criterion_07_spectral_identities():
     assert _report(7, "spectral-identities",
-                   *GATES["spectral-identities"](checks.spectral_identities(707, 100)))
+                   *GATES["spectral-identities"](selftest.spectral_identities(707, 100)))
 
 
 def test_criterion_08_algebraic_test_bed():
-    brackets, brackets_detail = GATES["su21-commutators"](checks.su21_commutators())
-    embedding, embedding_detail = GATES["cartan-embedding"](checks.cartan_embedding(808, 50))
+    brackets, brackets_detail = GATES["su21-commutators"](selftest.su21_commutators())
+    embedding, embedding_detail = GATES["cartan-embedding"](selftest.cartan_embedding(808, 50))
     assert _report(8, "algebraic-test-bed", brackets and embedding,
                    f"{brackets_detail}, {embedding_detail}")
 
 
 def test_criterion_09_invariance_properties():
-    assert _report(9, "invariance-properties", *GATES["invariance"](checks.invariance(909, 10)))
+    assert _report(9, "invariance-properties", *GATES["invariance"](selftest.invariance(909, 10)))
 
 
 def test_criterion_10_dominance_at_infinity():

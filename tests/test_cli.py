@@ -1,9 +1,11 @@
 import csv
-import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from vesture import algebra, checks, cli, dressing, spectral, targets, verification
+from vesture import (algebra, checks, cli, dressing, selftest, spectral, targets, verification,
+                     verify)
 from vesture.errors import ConfigError
 
 def minimal_config(tmp_path, **overrides):
@@ -207,7 +210,7 @@ def test_run_dress_ring_crossing_reports_and_exits_zero(tmp_path):
     code = cli.run_dress(cli.parse_config(json.dumps(doc)))
     assert code == cli.EXIT_OK
     # and verify applies the same locus-margin gate to the stored file
-    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    assert verify.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
 
 def test_bl_grid_config(tmp_path):
     doc = minimal_config(tmp_path)
@@ -259,7 +262,7 @@ def test_kerr_check_and_preset_share_one_error(tmp_path, m, s, bound):
     ernst = targets.ErnstValue11(rows[:, col["x"]], rows[:, col["y"]])
     oracle = targets.ErnstValue11(rows[:, col["oracle_x"]], rows[:, col["oracle_y"]])
     error = checks.Kerr(m, s).error(ernst, oracle)
-    check = checks.oracle_report(checks.Kerr, [(m, s)])
+    check = selftest.oracle_report(checks.Kerr, [(m, s)])
     assert check.singular == 0 and not rows[:, col["singular"]].any()
     assert check.error == error.max() <= bound
 
@@ -390,6 +393,86 @@ def test_presets_leave_the_grid_unchanged(tmp_path):
                           str(tmp_path / "kn.csv")) == cli.EXIT_OK
     assert repr(grid) == before
 
+@pytest.mark.parametrize("argv, r_min", [
+    (["kerr", "--m", "1", "--s", "1"], "0.2"),
+    (["kerr", "--m", "1", "--s", "1"], "1"),
+    (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1"], "0.2"),
+    (["dress", "-c", "bl.json"], "0.2"),
+], ids=["kerr", "kerr-from-m", "kerr-newman", "config"])
+def test_a_window_reaching_r_equal_m_is_refused(tmp_path, capsys, monkeypatch, argv, r_min):
+    # the chart sends (r, theta) and (2m - r, pi - theta) to one Weyl point,
+    # which has one dressed map, that of r > m: on the Kerr window from
+    # r = 0.2, 480 rows with r < 1 missed the closed form by up to 1.94
+    # relative, and on a 9x9 one from r = m the 4 rows at r = m with
+    # theta < pi/2 by up to 1.99, outside the gate, so that run exited 0
+    monkeypatch.chdir(tmp_path)
+    doc = minimal_config(tmp_path, grid={
+        "coords": "boyer-lindquist", "r": [0.2, 3.0, 40], "theta": [0.4, 2.7, 40],
+        "params": {"m": 1.0, "s": 1.0}})
+    (tmp_path / "bl.json").write_text(json.dumps(doc))
+    window = [] if argv[0] == "dress" else [  # the config writes out.csv
+        "--r-min", r_min, "--r-max", "3", "--r-count", "40", "--theta-count", "40",
+        "--out", "out.csv"]
+    assert cli.main(argv + window) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"grid.r reaches {float(r_min)!r}, not above m = 1.0, where the Boyer-Lindquist chart "
+        "folds: (r, theta) and (2m - r, pi - theta) are one Weyl point\n")
+    assert not (tmp_path / "out.csv").exists()
+
+def test_a_window_from_just_above_r_equal_m_matches_the_closed_form(tmp_path):
+    # every row, gated or not, next to the fold included
+    out = tmp_path / "k.csv"
+    assert cli.main(["kerr", "--m", "1", "--s", "1", "--r-min", "1.0000001", "--r-max", "3",
+                     "--r-count", "30", "--theta-count", "30", "--out", str(out)]) == cli.EXIT_OK
+    lines = out.read_text().splitlines()
+    col = {name: k for k, name in enumerate(lines[0].split(","))}
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    error = checks.Kerr(1.0, 1.0).error(
+        targets.ErnstValue11(rows[:, col["x"]], rows[:, col["y"]]),
+        targets.ErnstValue11(rows[:, col["oracle_x"]], rows[:, col["oracle_y"]]))
+    assert not rows[:, col["singular"]].any() and error.max() <= 1e-13
+
+def _fresh_process(args: list[str], cwd) -> subprocess.CompletedProcess:
+    """Python run with ``args`` in a fresh interpreter that imports this
+    vesture package, installed or not."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+@pytest.mark.parametrize("argv", [
+    ["kerr", "--m", "1", "--s", "1", "--r-count", "4", "--theta-count", "4"],
+    ["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1", "--r-count", "4",
+     "--theta-count", "4"],
+    ["dress", "-c", "config.json"],
+], ids=["kerr", "kerr-newman", "dress"])
+def test_a_sweep_command_imports_no_code_it_does_not_run(tmp_path, argv):
+    # a sweep compiles neither verify's reader nor selftest, and imports
+    # neither csv nor dataclasses (counted past what numpy, argparse and
+    # json import themselves)
+    (tmp_path / "config.json").write_text(json.dumps(minimal_config(tmp_path)))
+    code = ("import argparse, json, sys, numpy; before = set(sys.modules); "
+            "import vesture.cli as cli; rc = cli.main(sys.argv[1:]); "
+            "print(rc, [m for m in ('dataclasses', 'csv', 'vesture.verify', 'vesture.selftest') "
+            "if m in set(sys.modules) - before])")
+    out = [] if argv[0] == "dress" else ["--out", "out.csv"]  # the config writes out.csv
+    run = _fresh_process(["-c", code, *argv, *out], tmp_path)
+    assert run.stdout.splitlines()[-1] == "0 []", run.stderr
+
+@pytest.mark.parametrize("argv", [["verify", "out.csv"], ["selftest"]], ids=["verify", "selftest"])
+def test_verify_and_selftest_run_as_python_m_with_one_cli_module(tmp_path, argv):
+    # run as `python -m vesture.cli`, the command's module is imported on
+    # demand and does not import vesture.cli, which would compile cli a
+    # second time next to __main__
+    assert cli.main(["kerr", "--m", "1", "--s", "1", "--r-count", "4", "--theta-count", "4",
+                     "--out", str(tmp_path / "out.csv")]) == cli.EXIT_OK
+    code = ("import runpy, sys\n"
+            "try:\n    runpy.run_module('vesture.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n    print(exc.code, 'vesture.cli' in sys.modules)")
+    run = _fresh_process(["-c", code, *argv], tmp_path)
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+
 def test_kerr_preset_extracts_each_ernst_value_once(tmp_path, monkeypatch):
     # one stacked extraction over the 12 points
     shapes = []
@@ -455,7 +538,7 @@ def test_verify_does_not_guess_the_signature_for_n4(tmp_path, capsys, fmt):
         # the same rows as a CSV written by other means
         doc["outputs"]["format"] = "json"
         assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
-        cols, rows, _ = cli._load_table(path)
+        cols, rows, _ = verify._load_table(path)
         path = str(tmp_path / "o22.csv")
         cli._write_output(path, "csv", cols, rows, {})
         capsys.readouterr()
@@ -527,7 +610,7 @@ def test_a_payload_verify_could_not_read_is_refused(tmp_path, capsys, target, ou
 def test_verify_rejects_missing_q(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("rho,z\n1.0,0.0\n")
-    assert cli.verify_file(str(p)) == cli.EXIT_CONFIG
+    assert verify.verify_file(str(p)) == cli.EXIT_CONFIG
 
 def test_verify_detects_corruption(tmp_path):
     out = tmp_path / "kerr.csv"
@@ -540,7 +623,7 @@ def test_verify_detects_corruption(tmp_path):
     row[qi] = str(float(row[qi]) + 0.1)
     lines[1] = ",".join(row)
     out.write_text("\n".join(lines) + "\n")
-    assert cli.verify_file(str(out)) == cli.EXIT_GATE
+    assert verify.verify_file(str(out)) == cli.EXIT_GATE
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verify_refuses_a_repeated_column(tmp_path, capsys, fmt):
@@ -550,7 +633,7 @@ def test_verify_refuses_a_repeated_column(tmp_path, capsys, fmt):
     out = tmp_path / f"kerr.{fmt}"
     code = cli.main(["kerr", "--m", "1", "--s", "1", "--format", fmt, "--out", str(out)])
     assert code == cli.EXIT_OK
-    cols, rows, _ = cli._load_table(str(out))
+    cols, rows, _ = verify._load_table(str(out))
     meta = json.loads(out.read_text())["meta"] if fmt == "json" else {}
     rows[8, cols.index("q_re_11")] *= 1.001
     cli._write_output(str(out), fmt, cols, rows, meta)
@@ -607,7 +690,7 @@ def test_json_output_roundtrip(tmp_path):
     code = cli.main(["kerr", "--m", "1.0", "--s", "1.0", "--r-count", "5",
                      "--theta-count", "5", "--out", str(out), "--format", "json"])
     assert code == cli.EXIT_OK
-    assert cli.verify_file(str(out)) == cli.EXIT_OK
+    assert verify.verify_file(str(out)) == cli.EXIT_OK
     meta = json.loads(out.read_text())["meta"]
     assert meta["preset"] == "kerr" and meta["spin"] == math.sqrt(2.0)
 
@@ -656,7 +739,7 @@ def test_verify_recomputes_hodge_on_weyl_grid(tmp_path, capsys):
     doc["grid"] = {"coords": "weyl", "rho": [1.0, 2.0, 6], "z": [-0.5, 0.5, 6]}
     cli.run_dress(cli.parse_config(json.dumps(doc)))
     capsys.readouterr()
-    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    assert verify.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
     msg = capsys.readouterr().err
     assert "recomputed finite-difference residuals" in msg
     assert "max deviation from stored values 0.000e+00" in msg
@@ -685,7 +768,7 @@ def test_verify_reads_a_payload_with_the_dropped_curvature_column(tmp_path, caps
     cfg = cli.parse_config(json.dumps(doc))
     assert cli.run_dress(cfg) == cli.EXIT_OK
     curvature = _curvature(_dressed_field(cfg)[1])
-    columns, rows, _ = cli._load_table(str(new))
+    columns, rows, _ = verify._load_table(str(new))
     meta = json.loads(new.read_text())["meta"] if fmt == "json" else {}
     k = columns.index("res_hodge2")
     cli._write_output(str(old), fmt, columns[:k] + ["res_hodge1"] + columns[k:],
@@ -705,8 +788,11 @@ def _nan_at_first_point(ernst):
         e = ernst(q)
         x = e.x.copy()
         x.flat[0] = math.nan
-        return dataclasses.replace(e, x=x)
+        return e._replace(x=x)
     return faulty
+
+def _with_vectors(cfg, vectors):
+    return dressing.SolitonConfig(cfg.signature, cfg.poles, vectors, cfg.seed)
 
 # each fault, injected into the library, must fail the suite's gate, which
 # selftest and the acceptance suite share: (id, suite, module, name, fault)
@@ -726,8 +812,8 @@ FAULTS = [
     ("kerr-oracle-nan", "kerr-oracle", targets, "ernst_g11", _nan_at_first_point),
     # move the Kerr-Newman vector's first component off the family
     ("kn-oracle", "kn-oracle", targets, "kn_config",
-     lambda config: lambda m, e, s: dataclasses.replace(
-         config(m, e, s), vectors=(config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],))),
+     lambda config: lambda m, e, s: _with_vectors(
+         config(m, e, s), (config(m, e, s).vectors[0] * [1 + 1e-6, 1, 1],))),
     # every point singular: an oracle with nothing to compare passes no gate
     ("kerr-oracle-singular", "kerr-oracle", dressing, "SINGULAR_TOL", lambda tol: 1e300),
     ("kn-oracle-singular", "kn-oracle", dressing, "SINGULAR_TOL", lambda tol: 1e300),
@@ -737,7 +823,7 @@ FAULTS = [
 @pytest.mark.parametrize("suite, module, name, fault", [f[1:] for f in FAULTS],
                          ids=[f[0] for f in FAULTS])
 def test_injected_fault_fails_both_gates(monkeypatch, suite, module, name, fault):
-    check, gate = next((c, g) for n, c, g in cli.SELFTEST_SUITES if n == suite)
+    check, gate = next((c, g) for n, c, g in selftest.SELFTEST_SUITES if n == suite)
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     assert not gate(check())[0]
     monkeypatch.undo()
@@ -807,7 +893,7 @@ def test_written_table_reads_back_bit_for_bit(tmp_path, fmt, table):
     columns = [f"c{k}" for k in range(rows.shape[1])]
     path = str(tmp_path / f"t.{fmt}")
     cli._write_output(path, fmt, columns, rows, {})
-    cols, read, _ = cli._load_table(path)
+    cols, read, _ = verify._load_table(path)
     assert cols == columns and read.shape == rows.shape
     assert np.array_equal(read.view(np.uint64), rows.view(np.uint64))
 
@@ -816,7 +902,7 @@ def test_verify_says_why_it_skips_finite_differences(tmp_path, capsys):
     doc["grid"] = {"coords": "weyl", "rho": [1.0, 2.0, 2], "z": [-0.5, 0.5, 4]}
     cli.run_dress(cli.parse_config(json.dumps(doc)))
     capsys.readouterr()
-    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    assert verify.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
     assert capsys.readouterr().err.endswith(
         "\nfinite-difference residuals not recomputed: "
         "hodge residual needs at least 3 grid points per axis\n")
@@ -900,7 +986,7 @@ def test_verify_fails_a_non_finite_q_at_a_gated_point(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
     assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
-    columns, rows, _ = cli._load_table("weyl.csv")
+    columns, rows, _ = verify._load_table("weyl.csv")
     det_a = rows[:, columns.index("detA_re")] + 1j * rows[:, columns.index("detA_im")]
     singular = rows[:, columns.index("singular")].astype(bool)
     excluded = verification.gate_exclusion(singular.reshape(32, 32),
@@ -943,7 +1029,7 @@ def test_verify_reads_the_rows_in_any_order(tmp_path, capsys, monkeypatch, argv,
     assert cli.main(["verify", out]) == cli.EXIT_OK
     want = capsys.readouterr().err
     assert "excluded from the gate" in want
-    columns, rows, _ = cli._load_table(out)
+    columns, rows, _ = verify._load_table(out)
     for order in (rows[::-1], rows[np.random.default_rng(0).permutation(len(rows))]):
         cli._write_output("moved.csv", "csv", columns, order, {})
         assert cli.main(["verify", "moved.csv"]) == cli.EXIT_OK
@@ -958,12 +1044,12 @@ def test_verify_without_det_a_excludes_the_singular_margin(tmp_path, capsys):
     doc["outputs"]["fields"] = ["q", "residuals"]
     assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
     capsys.readouterr()
-    columns, rows, _ = cli._load_table(str(tmp_path / "out.csv"))
+    columns, rows, _ = verify._load_table(str(tmp_path / "out.csv"))
     keep = [k for k, name in enumerate(columns) if not name.startswith("detA_")]
     assert len(keep) == len(columns) - 2
     cli._write_output(str(tmp_path / "out.csv"), "csv", [columns[k] for k in keep],
                       rows[:, keep], {})
-    assert cli.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
+    assert verify.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
     err = capsys.readouterr().err
     gated, overall = map(float, re.search(r"residual (\S+) gated / (\S+) overall \(49 rows near "
                                           r"the singular locus excluded from the gate\);",

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from vesture import checks, cli, spectral
+from vesture import selftest, spectral
 from vesture.errors import DomainError
 from vesture.spectral import DomainPoint
 
@@ -166,7 +166,7 @@ def test_spectral_identities_gate_holds_for_every_seed():
     # each residual is relative to the size of its terms, which grow without
     # bound next to the poles lam = +-i rho; absolute residuals failed the
     # gate on some draws there, so whether it passed depended on the seed
-    gate = next(g for name, _, g in cli.SELFTEST_SUITES if name == "spectral-identities")
+    gate = next(g for name, _, g in selftest.SELFTEST_SUITES if name == "spectral-identities")
     failing = [seed for seed in range(200, 300)
-               if not gate(checks.spectral_identities(seed, 100))[0]]
+               if not gate(selftest.spectral_identities(seed, 100))[0]]
     assert failing == []

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -255,6 +254,28 @@ def test_kn_config_realizes_the_family_and_its_flat_limit():
     assert not dressed.singular.any()
     assert np.abs(ext.E - 1).max() <= 1e-14 and np.abs(ext.Phi).max() == 0
 
+
+@pytest.mark.parametrize("m, e, s", [(1.0, 0.0, 1.0), (1.0, 0.5, 1.0), (1.0, 0.9, 0.5)],
+                         ids=["kerr", "kn-0.5", "kn-0.9"])
+def test_det_a_changes_sign_where_the_ernst_x_does(m, e, s):
+    # the det A = 0 locus is the Ernst x = 0 surface, not the ring: on Kerr
+    # x = f = Re E, whose zero set r^2 - 2mr + a^2 cos^2 theta = 0 is the
+    # ergosurface; on Kerr-Newman x = Re E - |Phi|^2, zero where
+    # r^2 - 2mr - e^2 + a^2 cos^2 theta is, with a^2 = m^2 + s^2 + e^2 and
+    # e^2 entering with the sign of kn_b_param's chart. The window reaches
+    # r = 0.2 < m, where the chart folds; x's numerator is even under the
+    # fold (r, theta) -> (2m - r, pi - theta), so the sign holds there too.
+    r, theta = np.linspace(0.2, 3.0, 281), np.linspace(0.05, math.pi - 0.05, 181)
+    cfg = targets.kerr_config(m, s) if e == 0 else targets.kn_config(m, e, s)
+    dressed = dressing.dress(cfg, *targets.bl_chart(r[:, None], theta[None, :], BLParams(m, s)),
+                             audit_chi=False)
+    cos2 = np.cos(theta) ** 2
+    x = (r[:, None] ** 2 - 2 * m * r[:, None] - e * e + (m * m + s * s + e * e) * cos2).ravel()
+    keep = ~dressed.singular
+    assert keep.sum() >= x.size - 4  # the branch point r = m, theta = pi/2, or a point on x = 0
+    assert (x[keep] < 0).sum() > 1000 and (x[keep] > 0).sum() > 1000
+    np.testing.assert_array_equal(np.sign(dressed.det_a.real[keep]), -np.sign(x[keep]))
+
 def test_su21_basis_membership_and_independence():
     basis = targets.su21_basis()
     gt = targets.GAMMA_TILDE
@@ -313,8 +334,6 @@ def test_cartan_embed():
 def _rows(out) -> np.ndarray:
     """A function's value, or its tuple or Ernst record of values, as one
     array with the values last and the points first."""
-    if isinstance(out, (targets.ErnstValue11, targets.ErnstValue21)):
-        out = dataclasses.astuple(out)
     if isinstance(out, tuple):
         out = np.stack(np.broadcast_arrays(*out), axis=-1)
     return np.asarray(out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from test_equivalence import SU21, coords
-from vesture import algebra, checks, cli, dressing, spectral, targets, verification
+from vesture import algebra, dressing, selftest, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.errors import ConfigError, SingularPointError
 from vesture.spectral import DomainPoint
@@ -42,7 +42,7 @@ def test_hodge_needs_three_points_per_axis():
 
 def test_kerr_residuals_converge_second_order():
     box = (3.2, 5.2, -1.5, 1.5)
-    fine = checks.kerr_field(box, 0.05)
+    fine = selftest.kerr_field(box, 0.05)
     assert 3.5 <= verification.refinement_ratios(fine) <= 4.5
 
 
@@ -50,7 +50,7 @@ def test_the_coarse_grid_is_the_every_other_point_sublattice():
     # the ratio of one lattice is the ratio of its sublattice dressed on its
     # own against it: the sublattice's points and maps are the coarse ones
     box = (3.2, 5.2, -1.5, 1.5)
-    coarse, fine = checks.kerr_field(box, 0.1), checks.kerr_field(box, 0.05)
+    coarse, fine = selftest.kerr_field(box, 0.1), selftest.kerr_field(box, 0.05)
     assert np.array_equal(fine.values[::2, ::2], coarse.values)
     rc = verification.hodge_residual(coarse)
     rf = verification.hodge_residual(fine)[::2, ::2]
@@ -62,7 +62,7 @@ def test_convergence_dresses_one_lattice(monkeypatch):
     # the coarse grid is the sublattice of the one dressed at h/2
     calls, dress = [], dressing.dress
     monkeypatch.setattr(dressing, "dress", lambda *args: calls.append(1) or dress(*args))
-    assert 3.5 <= checks.convergence(cli._KERR_BOX, 0.1).divergence <= 4.5
+    assert 3.5 <= selftest.convergence(selftest._KERR_BOX, 0.1).divergence <= 4.5
     assert len(calls) == 1
 
 
@@ -81,7 +81,7 @@ def test_perturbed_field_fails_to_converge():
     # model error dominates: residuals stay bounded away from zero
     box = (3.2, 4.4, -0.6, 0.6)
     rng = np.random.default_rng(31)
-    fine = checks.kerr_field(box, 0.05)
+    fine = selftest.kerr_field(box, 0.05)
     noise = rng.normal(size=fine.values.shape) * 1e-3
     fine.values = fine.values + (noise + np.swapaxes(noise, -1, -2).conj()) / 2
     coarse = FieldGrid(fine.rhos[::2], fine.zs[::2], fine.values[::2, ::2], fine.mask[::2, ::2])
@@ -146,7 +146,7 @@ def _drift_field(name):
         dressed = dressing.dress(SU21[0], rho, z)
         return FieldGrid(rho[:, 0], z[0], dressed.q.reshape(rho.shape + (3, 3)),
                          ~dressed.singular.reshape(rho.shape)), algebra.gamma(SU21[0].signature)
-    return checks.kerr_field(cli._KERR_BOX, float(name)), algebra.gamma(Signature(1, 1))
+    return selftest.kerr_field(selftest._KERR_BOX, float(name)), algebra.gamma(Signature(1, 1))
 
 
 @pytest.mark.parametrize("name", ["0.1", "0.05", "su21"])
