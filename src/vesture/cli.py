@@ -27,6 +27,9 @@ from .errors import (EXIT_CONFIG, EXIT_GATE, EXIT_IO, EXIT_NUMERIC, EXIT_OK, Con
                      DomainError, NumericError, VestureError)
 
 _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA")
+#: stands in for a malformed axis, whose violation is reported; no later
+#: check refuses it, so that violation is the only line it adds
+_NO_AXIS = (1.0, 1.0, 1)
 
 
 class GridSpec(NamedTuple):
@@ -59,12 +62,25 @@ def _section(raw, where: str, keys: tuple[str, ...], problems: list[str]) -> dic
     return raw
 
 
+def _json_number(raw, where: str, problems: list[str], integer: bool = False):
+    """raw when it is a JSON number, or a JSON integer if ``integer`` (no
+    bool, string or 4.0); else None, and a violation naming ``where``."""
+    if type(raw) is int or (type(raw) is float and not integer):
+        return raw
+    kind = "integer" if integer else "number"
+    problems.append(f"{where} must be a JSON {kind}, got {json.dumps(raw)}")
+    return None
+
+
 def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int]:
-    try:
-        lo, hi, count = float(raw[0]), float(raw[1]), int(raw[2])
-    except (TypeError, ValueError, IndexError, KeyError):
+    if type(raw) is not list or len(raw) != 3:
         problems.append(f"grid.{name} must be [min, max, count]")
-        return (0.0, 1.0, 2)
+        return _NO_AXIS
+    lo, hi, count = (_json_number(v, f"grid.{name}[{i}]", problems, i == 2)
+                     for i, v in enumerate(raw))
+    if None in (lo, hi, count):
+        return _NO_AXIS
+    lo, hi = float(lo), float(hi)
     if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         problems.append(f"grid.{name} needs count >= 1 and finite min <= max")
     elif count > 1 and lo == hi:
@@ -81,12 +97,14 @@ def _theta_axis(raw, problems: list[str]) -> tuple[float, float, int]:
     return axis
 
 
-def _complex_pair(raw, what: str, problems: list[str]) -> complex:
-    try:
-        return complex(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError, IndexError, KeyError):
+def _complex_pair(raw, what: str, problems: list[str]) -> complex | None:
+    """raw as a complex number when it is a [re, im] pair of JSON numbers;
+    else None, and a violation naming ``what``."""
+    if type(raw) is not list or len(raw) != 2:
         problems.append(f"{what} must be a [re, im] pair")
-        return 0j
+        return None
+    re, im = (_json_number(v, f"{what}[{i}]", problems) for i, v in enumerate(raw))
+    return None if re is None or im is None else complex(float(re), float(im))
 
 
 def parse_config(text: bytes | str) -> RunConfig:
@@ -106,9 +124,10 @@ def parse_config(text: bytes | str) -> RunConfig:
     sig = Signature(1, 1)
     tgt = _section(doc.get("target", {}), "target", ("p", "q"), problems)
     if tgt is not None:
+        p, q = (_json_number(tgt.get(k, 0), f"target.{k}", problems, True) for k in "pq")
         try:
-            sig = Signature(int(tgt.get("p", 0)), int(tgt.get("q", 0)))
-        except (ConfigError, TypeError, ValueError) as exc:
+            sig = Signature(p, q) if None not in (p, q) else sig
+        except ConfigError as exc:
             problems.append(f"target: {exc}")
 
     seed_doc = doc.get("seed", "identity")
@@ -118,9 +137,10 @@ def parse_config(text: bytes | str) -> RunConfig:
     elif isinstance(seed_doc, dict) and "matrix" in seed_doc:
         _section(seed_doc, "seed", ("matrix",), problems)
         try:
-            rows = [[_complex_pair(cell, "seed.matrix entry", problems)
-                     for cell in row] for row in seed_doc["matrix"]]
-            seed = seeds.constant_seed(np.array(rows, dtype=complex), sig)
+            rows = [[_complex_pair(cell, f"seed.matrix[{i}][{j}]", problems)
+                     for j, cell in enumerate(row)] for i, row in enumerate(seed_doc["matrix"])]
+            if not any(None in row for row in rows):
+                seed = seeds.constant_seed(np.array(rows, dtype=complex), sig)
         except (VestureError, TypeError, ValueError) as exc:
             problems.append(f"seed: {exc}")
     else:
@@ -137,11 +157,14 @@ def parse_config(text: bytes | str) -> RunConfig:
         if item is None:
             continue
         w = _complex_pair(item.get("omega", None), f"solitons[{k}].omega", problems)
-        if w.imag == 0:
+        if w is not None and w.imag == 0:
             problems.append(f"solitons[{k}]: real pole not supported (omega = {w})")
         v_raw = item.get("v", [])
-        v = np.array([_complex_pair(c, f"solitons[{k}].v entry", problems)
-                      for c in (v_raw if isinstance(v_raw, list) else [])], dtype=complex)
+        v = [_complex_pair(c, f"solitons[{k}].v[{i}]", problems)
+             for i, c in enumerate(v_raw if isinstance(v_raw, list) else [])]
+        if w is None or None in v:
+            continue
+        v = np.array(v, dtype=complex)
         if v.size != sig.n:
             problems.append(f"solitons[{k}].v has length {v.size}, expected {sig.n}")
         elif not algebra.any_of(v != 0):
@@ -162,13 +185,14 @@ def parse_config(text: bytes | str) -> RunConfig:
         axis1 = _axis_triple(grid_doc.get("r"), "r", problems)
         axis2 = _theta_axis(grid_doc.get("theta"), problems)
         params = _section(grid_doc.get("params", {}), "grid.params", ("m", "s"), problems) or {}
+        m, s = (_json_number(params.get(k, 0.0), f"grid.params.{k}", problems) for k in "ms")
         try:
-            bl = targets.BLParams(m=float(params.get("m", 0.0)), s=float(params.get("s", 0.0)))
-        except (ConfigError, TypeError, ValueError) as exc:
+            bl = targets.BLParams(m=float(m), s=float(s)) if None not in (m, s) else None
+        except ConfigError as exc:
             problems.append(f"grid.params: {exc}")
     else:
         problems.append(f'grid.coords must be "weyl" or "boyer-lindquist", got {coords!r}')
-        axis1 = axis2 = (0.0, 1.0, 2)
+        axis1 = axis2 = _NO_AXIS
 
     out_doc = _section(doc.get("outputs", {}), "outputs", ("fields", "path", "format"),
                        problems) or {}

@@ -22,7 +22,6 @@ batch of one.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -84,17 +83,6 @@ class SolitonConfig:
         self.poles, self.vectors = tuple(complex(w) for w in poles), tuple(vecs)
 
 
-class SpectralData:
-    """Pole locations and the row factors of chi's residues: lambdas (P, 2N);
-    w (P, 2N, n), row k v_k* Psi0(lam_k)^{-1} with the paired vectors
-    v_{N+k} = J gamma v_k, and 1 in place of P where the seed does not vary."""
-
-    __slots__ = ("lambdas", "w")
-
-    def __init__(self, lambdas: np.ndarray, w: np.ndarray) -> None:
-        self.lambdas, self.w = lambdas, w
-
-
 class DressedGrid:
     """P dressed points as (P, ...) arrays in input order: q is NaN at the
     singular points, det A where the system was not built; residuals holds
@@ -131,30 +119,30 @@ class _Failures:
             self.note[i] = make(j)
 
 
-def _seed_values(value, batch: tuple[int, ...], n: int, what: str, fails: _Failures,
+def _seed_values(value, batch: tuple[int, ...], n: int, fails: _Failures,
                  where) -> np.ndarray:
-    """A seed evaluation at every point, its non-finite matrices flagged and
+    """A seed's Psi0 at every point, its non-finite matrices flagged and
     replaced by I; SeedError unless each batch axis has its length in
     ``batch`` or 1 and n x n matrices follow."""
     a = np.asarray(value, dtype=complex)
     if a.shape[len(batch):] != (n, n) or [k for k, b in zip(a.shape, batch) if k not in (1, b)]:
-        raise SeedError(f"seed {what} evaluation has shape {a.shape} for a batch of {batch}")
+        raise SeedError(f"seed Psi0 evaluation has shape {a.shape} for a batch of {batch}")
     finite = np.isfinite(a)
     if algebra.all_of(finite):
         return a
     bad = ~finite.all(axis=(-2, -1))
     fails.flag(bad.any(axis=tuple(range(1, bad.ndim))),
-               lambda i: f"seed {what} is not finite at {where(i)}")
+               lambda i: f"seed Psi0 is not finite at {where(i)}")
     return np.where(bad[..., None, None], algebra.identity(n), a)
 
 
 def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
-              swap, fails: _Failures) -> tuple[SpectralData, np.ndarray]:
-    """Pole pairs and the row factors w_k = v_k* Psi0(lam_k)^{-1} of the paired
-    vectors at every point (coordinates rho, z); returns the spectral data and q0,
-    each with a batch axis of length 1 where the seed does not vary. Each
-    seed evaluator is called once, at every point, flagged or not; a Psi0
-    above the condition cap flags its point."""
+              swap, fails: _Failures) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The poles (P, 2N), the rows w_k = v_k* Psi0(lam_k)^{-1} (P, 2N, n) of the
+    vectors v_k and v_{N+k} = J gamma v_k, and q0 = Psi0(0) at the points (rho,
+    z), w and q0 with a batch axis of length 1 where the seed does not vary.
+    The seed is evaluated once, at lam = 0 and the poles of every point,
+    flagged or not; a Psi0 at a pole above the condition cap flags its point."""
     n_sol, n = len(cfg.poles), cfg.signature.n
     if swap is not None and len(swap) != n_sol:
         raise ConfigError(f"swap has {len(swap)} flags for {n_sol} pole pairs")
@@ -166,10 +154,6 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
     lam_in, lam_out, branch = spectral.pole_pairs(cfg.poles, rho, z)
     fails.flag(branch, lambda i:
                f"branch point of varpi0={cfg.poles[np.argmax(branch[i])]} at {where(i)}")
-    value = cfg.seed.q0(rho, z)
-    notes = cfg.seed.notes() if isinstance(cfg.seed, _DressedSeed) else {}
-    q0 = _seed_values(value, (size,), n, "q0", fails, lambda i: where(i) + (
-        f": the seed's dressing flagged it: {notes[i]}" if i in notes else ""))
     own = np.array(cfg.vectors, dtype=complex).reshape(n_sol, n)
     partners = (own * algebra.gamma(cfg.signature).diagonal()) @ cfg.seed.deck.T
     if swap is not None:
@@ -179,14 +163,16 @@ def _spectral(cfg: SolitonConfig, rho: np.ndarray, z: np.ndarray,
                          np.where(pair[:, None], own, partners))
     lambdas = np.concatenate([lam_in, lam_out], axis=-1)
     vs = np.concatenate([own, partners])
-    psi0 = _seed_values(cfg.seed.psi0(lambdas, rho, z), (size, 2 * n_sol), n, "Psi0", fails,
-                        where)
+    value, notes = cfg.seed.psi0(np.concatenate([np.zeros((size, 1)), lambdas], axis=-1), rho, z)
+    psi0 = _seed_values(value, (size, 2 * n_sol + 1), n, fails,
+                        lambda i: where(i) + (f": {notes[i]}" if i in notes else ""))
+    q0, psi0 = psi0[:, 0], psi0[:, 1:] if psi0.shape[1] > 1 or not n_sol else psi0
     psi0_inv, cond = algebra.checked_inv(psi0)
     refused = ~(cond <= algebra.CONDITION_CAP)
     fails.flag(refused, lambda i: algebra.refusal(
         cond[i % len(cond)][np.argmax(refused[i % len(cond)])]))
     w = (np.conjugate(vs)[:, None, :] @ psi0_inv)[..., 0, :]
-    return SpectralData(lambdas, w), q0
+    return lambdas, w, q0
 
 
 def _coincide(gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,7 +181,7 @@ def _coincide(gap: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(gap) < POLE_GAP * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
+def _system(lambdas: np.ndarray, w: np.ndarray, gamma_mat: ComplexMatrix,
             fails: _Failures) -> tuple[np.ndarray, np.ndarray]:
     """A (P, 2N, 2N) and B* (P or 1, 2N, n); A is the identity at failed points.
 
@@ -203,9 +189,9 @@ def _system(sd: SpectralData, gamma_mat: ComplexMatrix,
     S_kj = psi0_k^{-1} gamma (psi0_j^*)^{-1}, that is w_k gamma w_j^* /
     (lam_k - conj lam_j): one product (w gamma) w^*; and b_k* = -w_k gamma.
     """
-    lambdas, m = sd.lambdas, sd.lambdas.shape[-1]
-    wg = sd.w * gamma_mat.diagonal()
-    num = wg @ np.conjugate(sd.w).swapaxes(-1, -2)
+    m = lambdas.shape[-1]
+    wg = w * gamma_mat.diagonal()
+    num = wg @ np.conjugate(w).swapaxes(-1, -2)
     denom = lambdas[..., :, None] - np.conjugate(lambdas)[..., None, :]
     coincident = _coincide(denom, lambdas[..., :, None], lambdas[..., None, :])
     fails.flag(coincident, lambda i: "coincident pole pair: lam_{} - conj(lam_{}) ~ 0".format(
@@ -348,16 +334,16 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     size, n_sol = len(rho), len(cfg.poles)
     g = algebra.gamma(cfg.signature)
     fails = _Failures(size)
-    sd, q0 = _spectral(cfg, rho, z, swap, fails)
+    lambdas, w, q0 = _spectral(cfg, rho, z, swap, fails)
     if n_sol:
-        a, b_star = _system(sd, g, fails)
+        a, b_star = _system(lambdas, w, g, fails)
         built = fails.ok.copy()
         u_star, det = _solve(a, b_star, fails)
         det_a = np.where(built, det, math.nan)
         u = np.conjugate(u_star)
     else:
         det_a, u = np.ones(size, dtype=complex), np.zeros((size, 0, len(g)), dtype=complex)
-    q = _reconstruct(u, sd.w, sd.lambdas, q0, fails)
+    q = _reconstruct(u, w, lambdas, q0, fails)
     lost = ~fails.ok
     table = np.empty((len(_RESIDUALS), size))
     table[:3] = algebra.symspace_components(q, g)
@@ -365,47 +351,35 @@ def _dress(cfg: SolitonConfig, rho, z, audit_chi: bool, swap) -> tuple:
     table[4:6] = 0.0 if n_sol == 0 else math.nan
     if audit_chi and n_sol:
         idx = slice(None) if algebra.all_of(fails.ok) else fails.ok.nonzero()[0]
-        w = sd.w if sd.w.shape[0] == 1 else sd.w[idx]
+        w_at = w if w.shape[0] == 1 else w[idx]
         q0_at = q0 if q0.shape[0] == 1 else q0[idx]
-        table[4:6, idx] = _audit(u[idx], w, sd.lambdas[idx], q[idx], table[0, idx], q0_at, g,
+        table[4:6, idx] = _audit(u[idx], w_at, lambdas[idx], q[idx], table[0, idx], q0_at, g,
                                  rho[idx])
     table[:, lost] = math.nan
     q[lost] = complex(math.nan, math.nan)
     notes = {int(i): fails.note[i] for i in lost.nonzero()[0]}
     return (DressedGrid(rho, z, q, det_a, dict(zip(_RESIDUALS, table)), lost, notes),
-            u, sd.w, sd.lambdas)
-
-
-class _DressedSeed(Seed):
-    __slots__ = ("notes",)
-
-    def __init__(self, q0, psi0, deck: ComplexMatrix, signature: Signature,
-                 notes: Callable[[], dict[int, str]]) -> None:
-        super().__init__(q0, psi0, deck, signature)
-        self.notes = notes  # its last dressing's notes, by point
+            u, w, lambdas)
 
 
 def dressed_seed(cfg: SolitonConfig) -> Seed:
-    """The seed of the finished dressing of ``cfg``: q0 is the dressed map,
-    Psi0 = chi Psi0_cfg, and J is that of cfg's seed. An evaluation dresses
-    its points without the chi audit, and one at the points of the last
-    dressing reuses it, so q0 and Psi0 at the same points dress them once;
-    where that flags a point, or lam is a pole of chi, the values are NaN,
-    which the next dressing flags (with this dressing's note, if any)."""
+    """The seed of the finished dressing of ``cfg``: Psi0 = chi Psi0_cfg,
+    so q0 = chi(0) q0_cfg is the dressed map, and J is that of cfg's seed.
+    An evaluation dresses its points without the chi audit, and one at the
+    points of the last dressing reuses it, so the next level's Psi0_cfg at
+    the same points dresses them once; where that flags a point, or lam is
+    a pole of chi, the values are NaN, which the next dressing flags (with
+    this dressing's note, if any)."""
     last: list = [None, None]
 
-    def dressed(rho, z) -> tuple:
+    def psi0(lam, rho, z) -> tuple:
         key = tuple(np.asarray(v, dtype=float).tobytes() for v in (rho, z))
         if last[0] != key:
             last[:] = key, _dress(cfg, rho, z, False, None)
-        return last[1]
-
-    def psi0(lam, rho, z):
-        grid, u, w, lambdas = dressed(rho, z)
+        grid, u, w, lambdas = last[1]
         chi, at_pole = _chi(lam, u, w, lambdas)
         chi[at_pole.any(axis=-1) | grid.singular[:, None]] = complex(math.nan, math.nan)
-        return chi @ cfg.seed.psi0(lam, rho, z)
+        return (chi @ cfg.seed.psi0(lam, rho, z)[0],
+                {i: f"the seed's dressing flagged it: {note}" for i, note in grid.notes.items()})
 
-    return _DressedSeed(q0=lambda rho, z: dressed(rho, z)[0].q.copy(), psi0=psi0,
-                        deck=cfg.seed.deck, signature=cfg.signature,
-                        notes=lambda: last[1][0].notes)
+    return Seed(psi0, cfg.seed.deck, cfg.signature)

@@ -20,7 +20,8 @@ def dressed_q(cfg: SolitonConfig, rho: float, z: float) -> np.ndarray:
     with mpmath.workdps(DIGITS):
         n, half = cfg.signature.n, len(cfg.poles)
         flip = algebra.gamma(cfg.signature).diagonal().real.tolist()
-        q0 = mpmath.matrix(cfg.seed.q0(np.array([rho]), np.array([z]))[0].tolist())
+        q0 = mpmath.matrix(
+            cfg.seed.psi0(np.zeros((1, 1)), np.array([rho]), np.array([z]))[0][0, 0].tolist())
         deck = mpmath.matrix(cfg.seed.deck.tolist())
         # the pole pairs: c -+ sqrt(c^2 + rho^2) with c = z - varpi0
         cs = [mpmath.mpf(z) - mpmath.mpc(w) for w in cfg.poles]

@@ -39,6 +39,13 @@ def test_parse_config_valid(tmp_path):
         "coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
         "params": {"m": 1.0, "s": 2.0}})))
     assert bl.grid == cli.GridSpec((2.5, 5.0, 4), (0.5, 2.5, 4), targets.BLParams(m=1.0, s=2.0))
+    # a JSON integer is a number: integer spellings parse as the float ones
+    ints = cli.parse_config(json.dumps(minimal_config(
+        tmp_path, grid={"coords": "weyl", "rho": [2, 3, 4], "z": [-1, 1, 3]},
+        solitons=[{"omega": [0, 1], "v": [[1, 0], [0.5, 0]]}])))
+    assert ints.grid == cli.GridSpec((2.0, 3.0, 4), (-1.0, 1.0, 3), None)
+    assert ints.solitons.poles == (1j,)
+    np.testing.assert_array_equal(ints.solitons.vectors[0], [1.0, 0.5])
 
 def test_parse_config_malformed_json():
     with pytest.raises(ConfigError, match="malformed JSON"):
@@ -90,6 +97,46 @@ def test_parse_config_bad_section_is_a_violation(tmp_path, capsys, overrides, me
     assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
     # the one violation parse_config finds, or the dress's one-line refusal
     assert capsys.readouterr().err in (f"invalid config:\n  - {message}\n", message + "\n")
+    assert not (tmp_path / "out.csv").exists()
+
+_BL_GRID = {"coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5, 4],
+            "params": {"m": 1.0, "s": 1.0}}
+
+@pytest.mark.parametrize("overrides, message", [
+    # a count, p and q are JSON integers: not a float, however round, nor a bool
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4.9], "z": [-0.5, 0.5, 3]}},
+     "grid.rho[2] must be a JSON integer, got 4.9"),
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4.0], "z": [-0.5, 0.5, 3]}},
+     "grid.rho[2] must be a JSON integer, got 4.0"),
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, True], "z": [-0.5, 0.5, 3]}},
+     "grid.rho[2] must be a JSON integer, got true"),
+    ({"target": {"p": 1.9, "q": 1}}, "target.p must be a JSON integer, got 1.9"),
+    ({"target": {"p": True, "q": 1}}, "target.p must be a JSON integer, got true"),
+    ({"target": {"p": 1, "q": "1"}}, 'target.q must be a JSON integer, got "1"'),
+    # every other number is a JSON number, not a string or a bool
+    ({"grid": {"coords": "weyl", "rho": [0.7, "2.1", 4], "z": [-0.5, 0.5, 3]}},
+     'grid.rho[1] must be a JSON number, got "2.1"'),
+    ({"grid": {**_BL_GRID, "params": {"m": "1", "s": 1.0}}},
+     'grid.params.m must be a JSON number, got "1"'),
+    ({"solitons": [{"omega": [0.0, 1.0], "v": [[1.2, False], [0.5, 0.0]]}]},
+     "solitons[0].v[0][1] must be a JSON number, got false"),
+    ({"seed": {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["1", 0.0]]]}},
+     'seed.matrix[1][1][0] must be a JSON number, got "1"'),
+    # a pair has exactly two entries and an axis exactly three
+    ({"solitons": [{"omega": [0, 1, 5], "v": [[1.2, 0.0], [0.5, 0.0]]}]},
+     "solitons[0].omega must be a [re, im] pair"),
+    ({"solitons": [{"omega": [0.0, 1.0], "v": [[1.0, 0.0, 7.0], [0.5, 0.0]]}]},
+     "solitons[0].v[0] must be a [re, im] pair"),
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4, 5], "z": [-0.5, 0.5, 3]}},
+     "grid.rho must be [min, max, count]"),
+    ({"grid": {**_BL_GRID, "theta": [0.5, 2.5]}}, "grid.theta must be [min, max, count]"),
+])
+def test_parse_config_refuses_a_malformed_number_with_one_line(tmp_path, capsys, overrides,
+                                                                message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal_config(tmp_path, **overrides)))
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"invalid config:\n  - {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
 def test_parse_config_rejects_oracle_field(tmp_path):

@@ -29,15 +29,16 @@ def bl_point(r, th, m=1.0, s=1.0):
 
 
 def kernels(cfg, x):
-    """The batch kernels at the one point x: spectral data, A, B*, the
-    factors u_k of chi's residues as rows and q, each with its batch axis."""
+    """The batch kernels at the one point x: the poles and rows w_k as a
+    namespace, A, B*, the factors u_k of chi's residues as rows and q, each
+    with its batch axis."""
     fails = dressing._Failures(1)
-    sd, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
-    a, b_star = dressing._system(sd, algebra.gamma(cfg.signature), fails)
+    lambdas, w, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
+    a, b_star = dressing._system(lambdas, w, algebra.gamma(cfg.signature), fails)
     u = dressing._solve(a, b_star, fails)[0].conj()
-    q = dressing._reconstruct(u, sd.w, sd.lambdas, q0, fails)
+    q = dressing._reconstruct(u, w, lambdas, q0, fails)
     assert fails.ok[0], fails.note[0]
-    return sd, a, b_star, u, q
+    return SimpleNamespace(lambdas=lambdas, w=w), a, b_star, u, q
 
 
 def test_config_validation():
@@ -507,18 +508,17 @@ def test_per_point_seed_dresses_like_the_constant_seed():
 
     def psi0(lam, rho, z):
         calls.append(lam.shape)
-        return np.broadcast_to(q0, lam.shape + q0.shape)
+        return np.broadcast_to(q0, lam.shape + q0.shape), {}
 
-    per_point = seeds.Seed(q0=lambda rho, z: np.broadcast_to(q0, rho.shape + q0.shape),
-                           psi0=psi0, deck=q0, signature=SIG11)
+    per_point = seeds.Seed(psi0, q0, SIG11)
     poles, vectors = (1j, 0.5 + 0.8j), (np.array([1.2, 0.4]), np.array([0.3, 1.0 + 0.2j]))
     rho, z = np.meshgrid([0.8, 1.0, 1.6], [-0.5, 0.0, 0.5, 1.0], indexing="ij")
     const = dressing.dress(
         SolitonConfig(SIG11, poles, vectors, seeds.constant_seed(q0, SIG11)), rho, z)
     varying = dressing.dress(SolitonConfig(SIG11, poles, vectors, per_point), rho, z)
     # the branch points of both poles lie on the grid; Psi0 is called once,
-    # at every point
-    assert const.singular.sum() == 2 and calls == [(12, 4)]
+    # at lam = 0 and the four poles of every point
+    assert const.singular.sum() == 2 and calls == [(12, 5)]
     assert (const.singular.tolist(), const.notes) == (varying.singular.tolist(), varying.notes)
     for i in np.flatnonzero(~const.singular):
         a, b = const.q[i], varying.q[i]
@@ -587,7 +587,7 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
     # index 247, (1.2, 0.4), is the first pole's branch point: the seed's own
     # dressing flags it, and the iterated dressing's note carries its reason
     assert once.notes[247].startswith("branch point of varpi0=(0.4+1.2j)")
-    assert twice.notes[247].startswith("seed q0 is not finite at DomainPoint(rho=1.2")
+    assert twice.notes[247].startswith("seed Psi0 is not finite at DomainPoint(rho=1.2")
     assert twice.notes[247].endswith(": the seed's dressing flagged it: " + once.notes[247])
     gated = ~gate_exclusion(once.singular.reshape(rho.shape), once.det_a.reshape(rho.shape)).ravel()
     assert gated.sum() > 100
@@ -601,8 +601,8 @@ def test_dressing_a_dressed_seed_composes(sig, v1, v2):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_dressing_the_kth_iterated_seed_runs_the_pipeline_k_times(monkeypatch, k):
-    # one soliton per level: q0 and Psi0 of each dressed seed share one
-    # dressing of its points, on a box with no flagged point and on one that
+    # one soliton per level: each dressed seed's Psi0 and the Psi0 of the
+    # seed under it share one dressing of its points, on a box with no flagged point and on one that
     # holds (1.2, 0.4), the branch point of the first level's pole
     poles = (0.4 + 1.2j, -0.7 + 0.8j, 0.2 + 1.6j, -0.3 + 0.5j)
     vectors = [np.array(v) for v in ([1.2, 0.4], [0.3, 1.0 + 0.2j], [1.0, 0.2j], [0.5, 1.3])]
@@ -693,7 +693,7 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
     grid, u, w, lambdas, keep = _factors(cfg, rho, z)
     rho, z, q, quadratic = grid.rho[keep], grid.z[keep], grid.q[keep], \
         grid.residuals["quadratic"][keep]
-    q0 = np.broadcast_to(cfg.seed.q0(rho, z), q.shape)
+    q0 = np.broadcast_to(cfg.seed.psi0(np.zeros((len(rho), 1)), rho, z)[0][:, 0], q.shape)
     g, half, norm = algebra.gamma(cfg.signature), len(cfg.poles), algebra.frobenius
     samples = np.array([reference._audit_samples(SimpleNamespace(lambdas=lam), DomainPoint(r, h))
                         for lam, r, h in zip(lambdas, rho, z)])
@@ -767,7 +767,7 @@ def test_a_mispaired_deck_constant_fails_the_involution_audit():
     # a boosted constant seed pairs the vectors by J = q0; given J = I, the
     # deck partners are wrong and chi breaks the deck involution everywhere
     right = seeds.constant_seed(_boost11(0.35), SIG11)
-    wrong = seeds.Seed(q0=right.q0, psi0=right.psi0, deck=np.eye(2), signature=SIG11)
+    wrong = seeds.Seed(right.psi0, np.eye(2), SIG11)
     rho, z = np.meshgrid([0.8, 1.5, 2.5], [-0.5, 0.3, 1.0], indexing="ij")
     vectors = (np.array([1.0, 0.2 - 0.1j]),)
     involution = [dressing.dress(SolitonConfig(SIG11, (0.4 + 0.9j,), vectors, seed),

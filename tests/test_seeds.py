@@ -18,22 +18,27 @@ def hyperbolic_seed_matrix(t: float = 0.3) -> np.ndarray:
                      [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
 
 
+def _q0(seed: seeds.Seed, rho: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """q0 = Psi0(0) at the points (rho, z), with its batch axis."""
+    return seed.psi0(np.zeros((len(rho), 1)), rho, z)[0][:, 0]
+
+
 def test_identity_seeds():
     for sig in (SIG11, SIG21):
         seed = seeds.identity_seed(sig)
-        np.testing.assert_array_equal(seed.q0(RHO, Z), np.eye(sig.n)[None])
-        np.testing.assert_array_equal(seed.psi0(np.array([[0.3 + 1j]]), RHO, Z),
-                                      np.eye(sig.n)[None, None])
+        values, notes = seed.psi0(np.array([[0.0, 0.3 + 1j]]), RHO, Z)
+        np.testing.assert_array_equal(values, np.eye(sig.n)[None, None])
+        assert notes == {}
         np.testing.assert_array_equal(seed.deck, np.eye(sig.n))
 
 
 def test_constant_seed_accepts_valid_matrix():
     q0 = hyperbolic_seed_matrix()
     seed = seeds.constant_seed(q0, SIG11)
-    np.testing.assert_array_equal(seed.q0(RHO, Z)[0], q0)
+    np.testing.assert_array_equal(_q0(seed, RHO, Z)[0], q0)
     # one matrix for every lambda and point: both batch axes have length 1
     lam = np.array([[0.0, 1.2 - 0.4j, 100.0], [1j, 2.0, -3.0]])
-    psi0 = seed.psi0(lam, np.array([1.0, 2.0]), np.array([0.5, -0.5]))
+    psi0 = seed.psi0(lam, np.array([1.0, 2.0]), np.array([0.5, -0.5]))[0]
     assert psi0.shape == (1, 1, 2, 2)
     np.testing.assert_array_equal(psi0[0, 0], q0)
     np.testing.assert_array_equal(seed.deck, q0)
@@ -47,25 +52,19 @@ def test_constant_seed_rejects_nonmember():
         seeds.constant_seed(np.array([[1.0, 0.3], [0.1, 1.0]], dtype=complex), SIG11)
 
 
-def test_psi0_initial_condition_matches_q0():
-    seed = seeds.constant_seed(hyperbolic_seed_matrix(0.5), SIG11)
-    np.testing.assert_array_equal(seed.psi0(np.zeros((1, 1)), RHO, Z)[0], seed.q0(RHO, Z))
-
-
 def _varying(q0=None, psi0=None) -> seeds.Seed:
-    """The identity seed with full batch axes, its q0 or Psi0 replaced at
-    the points with rho > 1."""
+    """The identity seed with full batch axes, its value at lam = 0 (q0) or
+    at the other lam (Psi0 at the poles) replaced at the points with rho > 1."""
     eye = np.eye(2, dtype=complex)
 
-    def at(value, rho, shape):
-        out = np.broadcast_to(eye, shape).copy()
-        if value is not None:
-            out[rho > 1] = value
-        return out
+    def at(lam, rho, z):
+        out = np.broadcast_to(eye, lam.shape + (2, 2)).copy()
+        for value, columns in ((q0, lam == 0), (psi0, lam != 0)):
+            if value is not None:
+                out[(rho > 1)[:, None] & columns] = value
+        return out, {}
 
-    return seeds.Seed(q0=lambda rho, z: at(q0, rho, (len(rho), 2, 2)),
-                      psi0=lambda lam, rho, z: at(psi0, rho, lam.shape + (2, 2)),
-                      deck=eye, signature=SIG11)
+    return seeds.Seed(at, eye, SIG11)
 
 
 def test_singular_custom_seed_flags_its_points():
@@ -74,16 +73,18 @@ def test_singular_custom_seed_flags_its_points():
     poles, vectors = (1j,), (np.array([1.2, 0.4]),)
     rho, z = np.array([0.8, 1.6, 0.9]), np.array([0.3, 0.3, -0.2])
     clean = dressing.dress(SolitonConfig(SIG11, poles, vectors, _varying()), rho, z)
-    for seed, note in [(_varying(q0=np.nan), "seed q0 is not finite at DomainPoint(rho=1.6"),
+    for seed, note in [(_varying(q0=np.nan), "seed Psi0 is not finite at DomainPoint(rho=1.6"),
                        (_varying(psi0=np.inf), "seed Psi0 is not finite at DomainPoint(rho=1.6"),
                        (_varying(psi0=0.0), "matrix is numerically singular")]:
         out = dressing.dress(SolitonConfig(SIG11, poles, vectors, seed), rho, z)
         assert out.singular.tolist() == [False, True, False]
         assert out.notes[1].startswith(note), out.notes[1]
         np.testing.assert_array_equal(out.q[[0, 2]], clean.q[[0, 2]])
-    bad_shape = seeds.Seed(q0=lambda rho, z: np.eye(2)[None],
-                           psi0=lambda lam, rho, z: np.eye(2)[None], deck=np.eye(2),
-                           signature=SIG11)
+    # q0 is never inverted: one far above the condition cap flags nothing
+    big = dressing.dress(SolitonConfig(SIG11, poles, vectors,
+                                       _varying(q0=hyperbolic_seed_matrix(15.0))), rho, z)
+    assert not big.singular.any()
+    bad_shape = seeds.Seed(lambda lam, rho, z: (np.eye(2)[None], {}), np.eye(2), SIG11)
     with pytest.raises(SeedError, match="Psi0 evaluation has shape"):
         dressing.dress(SolitonConfig(SIG11, poles, vectors, bad_shape), rho, z)
 
@@ -104,9 +105,9 @@ def test_constant_seed_deck_symmetry():
     boosted = seeds.constant_seed(hyperbolic_seed_matrix(0.4), SIG11)
     for seed in (seeds.identity_seed(SIG11), boosted, _dressed(SIG11), _dressed(SIG21)):
         g = algebra.gamma(seed.signature)
-        np.testing.assert_allclose(np.linalg.inv(algebra.sigma(seed.q0(rho, z), g)),
-                                   seed.q0(rho, z), atol=1e-12)
-        lhs = seed.psi0(-(rho * rho)[:, None] / lam, rho, z)
-        rhs = seed.q0(rho, z)[:, None] @ algebra.sigma(seed.psi0(lam, rho, z), g) @ seed.deck
+        q0 = _q0(seed, rho, z)
+        np.testing.assert_allclose(np.linalg.inv(algebra.sigma(q0, g)), q0, atol=1e-12)
+        lhs = seed.psi0(-(rho * rho)[:, None] / lam, rho, z)[0]
+        rhs = q0[:, None] @ algebra.sigma(seed.psi0(lam, rho, z)[0], g) @ seed.deck
         scale = np.linalg.norm(lhs, axis=(-2, -1))
         assert np.all(np.linalg.norm(lhs - rhs, axis=(-2, -1)) <= 1e-12 * scale)

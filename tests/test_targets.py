@@ -72,6 +72,21 @@ def test_kerr_pipeline_point():
     np.testing.assert_allclose([e.x, e.y], [1.0 / 9.0, math.sqrt(2.0) / 4.5], rtol=1e-10)
     assert algebra.symspace_residual(q, G2) <= 1e-9
 
+def test_kerr_map_takes_both_sheets_of_the_chart_fold_across_its_disc():
+    # z = Re w, rho < Im w is the image of r = m, where (r, theta) and
+    # (2m - r, pi - theta) are one Weyl point: just above the disc the
+    # dressed map is the oracle at theta = arcsin(rho/s), just below at
+    # pi - theta, so it jumps there with no flag
+    m, s, rho = 1.0, 1.0, 0.5
+    dressed = dressing.dress(targets.kerr_config(m, s), [rho, rho], [-1e-9, 1e-9])
+    assert not dressed.singular.any()
+    got = targets.ernst_g11(dressed.q)
+    theta = math.asin(rho / s)
+    want = targets.kerr_oracle(m, math.hypot(m, s), m, np.array([math.pi - theta, theta]))
+    np.testing.assert_allclose(got.x, [0.2, 0.2], rtol=1e-8)
+    np.testing.assert_allclose(got.y, [-0.4 * math.sqrt(6.0), 0.4 * math.sqrt(6.0)], rtol=1e-8)
+    np.testing.assert_allclose([got.x, got.y], [want.x, want.y], rtol=1e-8)
+
 def test_basis_change_u3():
     u = targets.basis_change_u3()
     np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-14)
