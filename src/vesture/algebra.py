@@ -21,10 +21,13 @@ from .errors import ConfigError, NumericError
 
 ComplexMatrix = np.ndarray  # square, complex128
 
-#: the membership gate: the largest symmetric-space residual of a seed or a gated point
+#: the membership gate: the bound on symspace_residual, the payload's res_constraint,
+#: of a constant seed and of every gated point
 CONSTRAINT_TOL = 1e-9
 #: the largest 2-norm condition number of a matrix that checked_inv inverts
 CONDITION_CAP = 1e12
+#: the largest target size n = p + q of a Signature
+MAX_N = 64
 
 #: a.any() and a.all() over every axis as one C call; the methods pass
 #: through numpy's Python layer, which is most of their cost on small arrays
@@ -39,8 +42,9 @@ class Signature:
     __slots__ = ("p", "q_minus")
 
     def __init__(self, p: int, q_minus: int) -> None:
-        if p < 1 or q_minus < 1:
-            raise ConfigError(f"signature needs p >= 1 and q >= 1, got ({p}, {q_minus})")
+        if p < 1 or q_minus < 1 or p + q_minus > MAX_N:
+            raise ConfigError(f"signature needs p >= 1, q >= 1 and p + q <= {MAX_N}, "
+                              f"got ({p}, {q_minus})")
         self.p, self.q_minus = p, q_minus
 
     def __eq__(self, other) -> bool:

@@ -35,12 +35,6 @@ def rel_err(value, ref) -> np.ndarray:
     return np.hypot(diff.real, diff.imag) / np.where(scale == 0, 1.0, scale)
 
 
-def constraint(dressed: DressedGrid, keep: np.ndarray) -> float:
-    """Max membership-residual component over the points ``keep`` selects;
-    NaN when any of them is NaN."""
-    return worst(dressed.residuals[key][keep] for key in ("quadratic", "hermiticity", "unit_det"))
-
-
 def ernst(q: np.ndarray) -> targets.ErnstValue11 | targets.ErnstValue21:
     """The Ernst potentials of a (P, n, n) stack of maps on the (1,1) or the
     (2,1) target."""

@@ -30,6 +30,8 @@ _ALLOWED_FIELDS = ("q", "ernst", "residuals", "detA")
 #: stands in for a malformed axis, whose violation is reported; no later
 #: check refuses it, so that violation is the only line it adds
 _NO_AXIS = (1.0, 1.0, 1)
+#: the most points of a lattice axis, refused above it before any array is made
+MAX_COUNT = 1000
 
 
 class GridSpec(NamedTuple):
@@ -63,10 +65,16 @@ def _section(raw, where: str, keys: tuple[str, ...], problems: list[str]) -> dic
 
 
 def _json_number(raw, where: str, problems: list[str], integer: bool = False):
-    """raw when it is a JSON number, or a JSON integer if ``integer`` (no
-    bool, string or 4.0); else None, and a violation naming ``where``."""
+    """raw as a float when it is a JSON number a float holds, or raw if
+    ``integer`` and it is a JSON integer (no bool, string or 4.0); else
+    None, and a violation naming ``where``."""
     if type(raw) is int or (type(raw) is float and not integer):
-        return raw
+        try:
+            return raw if integer else float(raw)
+        except OverflowError:
+            digits = len(str(abs(raw)))
+            problems.append(f"{where} must fit a float, got an integer of {digits} digits")
+            return None
     kind = "integer" if integer else "number"
     problems.append(f"{where} must be a JSON {kind}, got {json.dumps(raw)}")
     return None
@@ -80,13 +88,14 @@ def _axis_triple(raw, name: str, problems: list[str]) -> tuple[float, float, int
                      for i, v in enumerate(raw))
     if None in (lo, hi, count):
         return _NO_AXIS
-    lo, hi = float(lo), float(hi)
     if count < 1 or not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         problems.append(f"grid.{name} needs count >= 1 and finite min <= max")
     elif count > 1 and lo == hi:
         problems.append(f"grid.{name} has {count} points but min = max = {lo!r}")
     elif not math.isfinite(hi - lo):
         problems.append(f"grid.{name} spans max - min = {hi - lo!r}, which overflows")
+    elif count > MAX_COUNT:
+        problems.append(f"grid.{name} has {count} points, more than {MAX_COUNT}")
     return (lo, hi, count)
 
 
@@ -104,7 +113,7 @@ def _complex_pair(raw, what: str, problems: list[str]) -> complex | None:
         problems.append(f"{what} must be a [re, im] pair")
         return None
     re, im = (_json_number(v, f"{what}[{i}]", problems) for i, v in enumerate(raw))
-    return None if re is None or im is None else complex(float(re), float(im))
+    return None if re is None or im is None else complex(re, im)
 
 
 def parse_config(text: bytes | str) -> RunConfig:
@@ -115,7 +124,7 @@ def parse_config(text: bytes | str) -> RunConfig:
     problems: list[str] = []
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a decode error, or an integer of more digits than int() reads
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -187,7 +196,7 @@ def parse_config(text: bytes | str) -> RunConfig:
         params = _section(grid_doc.get("params", {}), "grid.params", ("m", "s"), problems) or {}
         m, s = (_json_number(params.get(k, 0.0), f"grid.params.{k}", problems) for k in "ms")
         try:
-            bl = targets.BLParams(m=float(m), s=float(s)) if None not in (m, s) else None
+            bl = targets.BLParams(m=m, s=s) if None not in (m, s) else None
         except ConfigError as exc:
             problems.append(f"grid.params: {exc}")
     else:
@@ -250,17 +259,14 @@ def _write_output(path: str, fmt: str, columns: list[str], rows: np.ndarray,
 
 
 def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray],
-                 points: dict[str, np.ndarray], meta: dict,
-                 extra: dict[str, np.ndarray]) -> np.ndarray:
+                 points: dict[str, np.ndarray], meta: dict, extra: dict[str, np.ndarray]) -> None:
     """Write one row per dressed point of the lattice of ``axes``: the
     coordinates, the ``points`` columns (name: values), the requested fields
-    but ernst, with verification.audit's finite-difference residual, and the
-    ``extra`` columns, as one array; the payload meta is ``meta``, then the
-    target and the coordinates. Returns audit's gate-exclusion mask."""
+    but ernst, with verification.lattice_hodge's finite-difference residual,
+    and the ``extra`` columns, as one array; the payload meta is ``meta``,
+    then the target and the coordinates."""
     sig = cfg.solitons.signature
     n, size = sig.n, len(dressed.q)
-    excluded, hodge, _ = verification.audit(axes, dressed.q, dressed.singular, dressed.det_a,
-                                            cfg.grid.bl is None)
     names, cols = ["rho", "z", *points], [dressed.rho, dressed.z, *points.values()]
     if "q" in cfg.fields:
         names += [f"q_{part}_{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)
@@ -270,6 +276,8 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
         names += ["detA_re", "detA_im"]
         cols += [dressed.det_a.real, dressed.det_a.imag]
     if "residuals" in cfg.fields:
+        hodge, _ = verification.lattice_hodge(axes, dressed.q, dressed.singular,
+                                              cfg.grid.bl is None)
         names += ["res_constraint", "res_hodge2"]
         cols += [dressed.residuals["symspace"], hodge]
     names += ["singular", *extra]
@@ -277,21 +285,24 @@ def _write_sweep(cfg: RunConfig, dressed: DressedGrid, axes: tuple[np.ndarray, n
     meta = {**meta, "target": {"p": sig.p, "q": sig.q_minus},
             "coords": "weyl" if cfg.grid.bl is None else "boyer-lindquist"}
     _write_output(cfg.path, cfg.format, names, np.array(cols).T, meta)
-    return excluded
 
 
-def _summary(dressed: DressedGrid, excluded: np.ndarray, head: str, ok: bool = True) -> int:
-    """Print the summary line, ``head`` and the largest gated residuals, and
-    return the exit code: the gate holds the membership residual over the
-    gated points to algebra.CONSTRAINT_TOL, a NaN failing it, and needs the
-    caller's own gate ``ok``. The chi audits are reported, not gated."""
-    keep = ~excluded
-    worst = checks.constraint(dressed, keep)
+def _summary(dressed: DressedGrid, axes: tuple[np.ndarray, np.ndarray], head: str,
+             error: np.ndarray | None = None) -> int:
+    """Print the summary line of the dressed lattice of ``axes`` and return
+    the exit code of verification.verdict's gate, which a preset's Ernst
+    ``error`` at the gated points also needs within checks.ERNST_TOL. The
+    chi audits are reported, not gated."""
+    excluded, worst, note = verification.verdict(tuple(map(len, axes)), dressed.singular,
+                                                 dressed.det_a, dressed.residuals["symspace"])
+    keep, ok = ~excluded, True
+    if error is not None:
+        ernst = checks.worst([error[keep]])
+        head, ok = f"{head}: max relative Ernst error {ernst:.3e}", ernst <= checks.ERNST_TOL
     reality, involution = (checks.worst([dressed.residuals[key][keep]])
                            for key in ("chi_reality", "chi_involution"))
     print(f"{head}; max gated constraint residual {worst:.3e}; max gated chi residuals "
-          f"{reality:.3e} (reality), {involution:.3e} (involution){verification.vacuous(excluded)}",
-          file=sys.stderr)
+          f"{reality:.3e} (reality), {involution:.3e} (involution){note}", file=sys.stderr)
     return EXIT_OK if ok and worst <= algebra.CONSTRAINT_TOL else EXIT_GATE
 
 
@@ -299,11 +310,10 @@ def run_dress(cfg: RunConfig) -> int:
     """Row-major sweep of the dressing pipeline over the configured grid."""
     axes = cfg.grid.axis_values()
     dressed, points = checks.sweep(cfg.solitons, axes, cfg.grid.bl)
-    excluded = _write_sweep(
-        cfg, dressed, axes, points, {},
-        checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
-    return _summary(dressed, excluded,
-                    f"dressed {excluded.size} points ({int(dressed.singular.sum())} singular)")
+    _write_sweep(cfg, dressed, axes, points, {},
+                 checks.ernst_columns(checks.ernst(dressed.q)) if "ernst" in cfg.fields else {})
+    return _summary(dressed, axes,
+                    f"dressed {len(dressed.q)} points ({int(dressed.singular.sum())} singular)")
 
 
 def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str = "csv") -> int:
@@ -316,11 +326,8 @@ def run_preset(family: checks.Family, grid: GridSpec, path: str = "-", fmt: str 
     axes = grid.axis_values()
     dressed, points = checks.sweep(cfg.solitons, axes, grid.bl)
     columns, error = family.compare(dressed.q, points)
-    excluded = _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
-    worst = checks.worst([error[~excluded]])
-    return _summary(dressed, excluded,
-                    f"{family.label()}: max relative Ernst error {worst:.3e}",
-                    worst <= checks.ERNST_TOL)
+    _write_sweep(cfg, dressed, axes, points, family.meta(), columns)
+    return _summary(dressed, axes, family.label(), error)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ class Spectral(NamedTuple):
 
 class OracleReport(NamedTuple):
     error: float         # max per-point Ernst error at the non-singular points
-    constraint: float    # max membership-residual component at the non-singular points
+    constraint: float    # max membership residual (res_constraint) at the non-singular points
     singular: int        # singular points over all sweeps
     slowest: float       # seconds of the slowest sweep
 
@@ -227,7 +227,7 @@ def oracle_report(family: type[checks.Family], param_sets, count: int = 40) -> O
         slowest = max(slowest, time.perf_counter() - t0)
         keep = ~dressed.singular
         errors.append(error[keep])
-        constraints.append(checks.constraint(dressed, keep))
+        constraints.append(dressed.residuals["symspace"][keep])
         singular += int(dressed.singular.sum())
     return OracleReport(checks.worst(errors), checks.worst(constraints), singular, slowest)
 

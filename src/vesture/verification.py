@@ -9,8 +9,9 @@ that is not harmonic. Central second-order stencils are used in the
 interior and second-order one-sided stencils on the boundary; boundary
 values and a margin around the singular locus are excluded from pass/fail
 statistics. Stencils touching a singular hole yield no data (NaN), never
-zero. ``audit`` gives sweep and verify the exit gate of an (r, theta) or
-(rho, z) lattice, from its singular flags and det A signs, and the residual.
+zero. ``verdict`` is the one exit gate of sweep and verify on an (r, theta)
+or (rho, z) lattice, from its singular flags, det A signs and membership
+residuals; ``lattice_hodge`` gives both the residual of a (rho, z) one.
 """
 from __future__ import annotations
 
@@ -151,28 +152,34 @@ def refinement_ratios(fine: FieldGrid) -> float:
     return float(np.median(num[pos] / den[pos]))
 
 
-def gate_exclusion(singular: np.ndarray, det_a: np.ndarray | None) -> np.ndarray:
+def gate_exclusion(singular: np.ndarray, det_a: np.ndarray) -> np.ndarray:
     """Mask of lattice points excluded from exit gates: the singular points
-    and both ends of each sign change of Re det A along either axis (the
-    singular points alone when det_a is None), widened by GATE_MARGIN cells.
-    The dress flags every |det A| below its threshold and every non-finite
-    det A, so this takes no tolerance."""
+    and both ends of each sign change of Re det A along either axis, widened
+    by GATE_MARGIN cells. The dress flags every |det A| below its threshold
+    and every non-finite det A, so this takes no tolerance."""
     locus = np.array(singular, dtype=bool)
-    if det_a is not None:
-        sign = np.sign(np.real(det_a))  # a product of signs cannot overflow as one of values can
-        cross_r = sign[:-1, :] * sign[1:, :] < 0
-        cross_z = sign[:, :-1] * sign[:, 1:] < 0
-        locus[:-1, :] |= cross_r
-        locus[1:, :] |= cross_r
-        locus[:, :-1] |= cross_z
-        locus[:, 1:] |= cross_z
+    sign = np.sign(np.real(det_a))  # a product of signs cannot overflow as one of values can
+    cross_r = sign[:-1, :] * sign[1:, :] < 0
+    cross_z = sign[:, :-1] * sign[:, 1:] < 0
+    locus[:-1, :] |= cross_r
+    locus[1:, :] |= cross_r
+    locus[:, :-1] |= cross_z
+    locus[:, 1:] |= cross_z
     return exclusion_mask(locus)
 
 
-def vacuous(excluded: np.ndarray) -> str:
-    """The summary's note when the exit gate is left with no point."""
-    return (f"; gate vacuous: all {excluded.size} points singular or within "
+def verdict(shape: tuple[int, int], singular: np.ndarray, det_a: np.ndarray,
+            residual: np.ndarray) -> tuple[np.ndarray, float, str]:
+    """The exit gate of the row-major lattice of ``shape`` from the singular
+    flags, det A and membership residuals (algebra.symspace_residual) of its
+    points: the gate-exclusion mask, the largest gated residual, which the
+    caller holds to algebra.CONSTRAINT_TOL (0.0 for none, NaN when any is
+    NaN), and the summary's note when no point is gated."""
+    excluded = gate_exclusion(singular.reshape(shape), det_a.reshape(shape)).ravel()
+    worst = float(np.max(residual[~excluded], initial=0.0))
+    note = (f"; gate vacuous: all {excluded.size} points singular or within "
             f"{GATE_MARGIN} cells of the singular locus") if excluded.all() else ""
+    return excluded, worst, note
 
 
 def lattice_order(a1: np.ndarray, a2: np.ndarray):
@@ -189,28 +196,20 @@ def lattice_order(a1: np.ndarray, a2: np.ndarray):
     return (axis1, axis2), ids.ravel()
 
 
-def audit(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarray,
-          det_a: np.ndarray | None, weyl: bool) -> tuple[np.ndarray, np.ndarray, str]:
-    """The exit gate and the field equation on the row-major lattice of two
-    axes, from the (P, n, n) maps, singular flags and det A values (or None,
-    see gate_exclusion) of its P points.
-
-    Returns the gate-exclusion mask; the divergence residual when ``weyl``
-    says the axes are (rho, z), a singular or non-finite q being a hole, NaN
-    where it is not formed; and why it was not formed, or "" when it was.
-    """
-    shape = (len(axes[0]), len(axes[1]))
-    excluded = gate_exclusion(singular.reshape(shape),
-                              None if det_a is None else det_a.reshape(shape)).ravel()
+def lattice_hodge(axes: tuple[np.ndarray, np.ndarray], q: np.ndarray, singular: np.ndarray,
+                  weyl: bool) -> tuple[np.ndarray, str]:
+    """The divergence residual of the (P, n, n) maps on the row-major lattice
+    of two axes, (rho, z) if ``weyl``, a singular or non-finite q being a
+    hole, NaN where it is not formed; and why not, or "" when it was."""
     if not weyl:
-        return (excluded, np.full(len(q), math.nan),
-                "the points form an (r, theta) lattice, not a (rho, z) one")
+        return np.full(len(q), math.nan), "the points form an (r, theta) lattice, not a (rho, z) one"
+    shape = (len(axes[0]), len(axes[1]))
     holes = singular | ~np.all(np.isfinite(q), axis=(-2, -1))
     try:
         field = FieldGrid(*axes, values=q.reshape(shape + q.shape[1:]), mask=~holes.reshape(shape))
-        return excluded, hodge_residual(field).ravel(), ""
+        return hodge_residual(field).ravel(), ""
     except ConfigError as exc:
-        return excluded, np.full(len(q), math.nan), str(exc)
+        return np.full(len(q), math.nan), str(exc)
 
 
 def lambda_flow_residual(varpi0: complex, x: DomainPoint, h: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import algebra, checks, verification
 from .algebra import Signature
-from .errors import EXIT_CONFIG, EXIT_GATE, EXIT_OK, ConfigError
+from .errors import EXIT_GATE, EXIT_OK, ConfigError
 
 
 def _check_widths(path: str, widths: list[int], columns: int) -> None:
@@ -104,76 +104,67 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def verify_file(path: str) -> int:
-    """Recompute membership residuals from the stored q of an output file.
+    """Recompute the membership residual of the stored q of a payload and
+    gate it as the sweep that wrote it did. A payload is what dress writes:
+    q, detA_re, detA_im and singular on a complete lattice, the rows in any
+    order; any other file raises ConfigError, with one line saying why.
 
     The signature is the one a JSON output stores. A file without one, as a
     CSV, is read as (n-1, 1) when n <= 3, the targets a config writes as
-    CSV, and refused otherwise. The stored rows, in any order, are put onto
-    their (r, theta) lattice when the file has those columns, else their
-    (rho, z) one, and gated there as the sweep gated them
-    (verification.audit); one without det A, not written by dress, on its
-    singular flags alone.
+    CSV, and refused otherwise. The rows are put onto their (r, theta)
+    lattice when the file has those columns, else their (rho, z) one, and
+    gated there by verification.verdict, the sweep's gate.
     """
     cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
     if not q_cols:
-        print("file has no q columns to verify", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("file has no q columns to verify")
     n = int(math.isqrt(len(q_cols)))
     idx = {c: k for k, c in enumerate(cols)}
     cells = [f"{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
     if n * n != len(q_cols) or any(f"q_{part}_{c}" not in idx
                                    for c in cells for part in ("re", "im")):
-        print("q columns do not form a square matrix", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("q columns do not form a square matrix")
     if n < 2:
-        print(f"{n}x{n} q data has no SU(p,q) target (n = p + q >= 2)", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{n}x{n} q data has no SU(p,q) target (n = p + q >= 2)")
     if stored[0] is None and n >= 4:
-        print(f"{n}x{n} q columns do not fix the signature: write the payload as JSON, "
-              "which stores the target", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{n}x{n} q columns do not fix the signature: write the payload as "
+                          "JSON, which stores the target")
     sig = Signature(*stored) if stored[0] is not None else Signature(n - 1, 1)
     if sig.n != n:
-        print(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"signature ({sig.p},{sig.q_minus}) does not match {n}x{n} data")
     coords = ("r", "theta") if "r" in idx and "theta" in idx else ("rho", "z")
-    lattice = verification.lattice_order(*(data[:, idx[c]] for c in coords)) \
-        if all(c in idx for c in coords) else None
-    if lattice is not None:
-        data = data[lattice[1]]
+    missing = [c for c in (*coords, "detA_re", "detA_im", "singular") if c not in idx]
+    if missing:
+        raise ConfigError(f"file has no {', '.join(missing)} column{'s' * (len(missing) > 1)}, "
+                          "which dress writes with q")
+    lattice = verification.lattice_order(*(data[:, idx[c]] for c in coords))
+    if lattice is None:
+        raise ConfigError(f"the stored ({coords[0]}, {coords[1]}) points do not form a "
+                          "complete rectangular lattice")
+    data = data[lattice[1]]
     q = _complex(data[:, [idx[f"q_re_{c}"] for c in cells]],
                  data[:, [idx[f"q_im_{c}"] for c in cells]]).reshape(-1, n, n)
-    singular = data[:, idx["singular"]] >= 0.5 if "singular" in idx \
-        else np.zeros(len(data), dtype=bool)
-    det_a = _complex(data[:, idx["detA_re"]], data[:, idx["detA_im"]]) \
-        if "detA_re" in idx and "detA_im" in idx else None
-    excluded, hodge = np.zeros(len(data), dtype=bool), None
-    why = f"the stored ({coords[0]}, {coords[1]}) points do not form a rectangular lattice"
-    if lattice is not None:
-        excluded, hodge, why = verification.audit(lattice[0], q, singular, det_a,
-                                                  coords == ("rho", "z"))
-    # membership residuals of every stored non-singular q, gated by the
-    # largest component as the sweep is; a non-finite q reads NaN, which
-    # fails the gate as in the sweep; res_constraint stores their sum
+    singular = data[:, idx["singular"]] >= 0.5
+    hodge, why = verification.lattice_hodge(lattice[0], q, singular, coords == ("rho", "z"))
+    # the membership residual of every stored non-singular q; a non-finite
+    # q reads NaN, which fails the gate as in the sweep
     finite = ~singular & np.all(np.isfinite(q.view(float)), axis=(-2, -1))
-    parts = np.array(algebra.symspace_components(q[finite], algebra.gamma(sig)))
     resid = np.full(len(q), math.nan)
-    resid[finite] = np.max(parts, axis=0)
-    worst_gated = checks.worst([resid[~(singular | excluded)]])
+    resid[finite] = algebra.symspace_residual(q[finite], algebra.gamma(sig))
+    excluded, worst_gated, note = verification.verdict(
+        tuple(map(len, lattice[0])), singular,
+        _complex(data[:, idx["detA_re"]], data[:, idx["detA_im"]]), resid)
     worst_diff = 0.0
     if "res_constraint" in idx:
-        stored = data[finite, idx["res_constraint"]]
-        diff = np.abs(parts.sum(axis=0) - stored)[np.isfinite(stored)]
+        saved = data[finite, idx["res_constraint"]]
+        diff = np.abs(resid[finite] - saved)[np.isfinite(saved)]
         worst_diff = float(np.fmax.reduce(diff, initial=0.0))
-    note = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
+    held = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
         if excluded.any() else ""
     print(f"verified {(~singular).sum()} stored points: max recomputed constraint residual "
-          f"{worst_gated:.3e} gated / {checks.worst([resid[~singular]]):.3e} overall{note}"
-          f"{verification.vacuous(excluded | singular)}; "
-          f"max deviation from stored values {worst_diff:.3e}",
-          file=sys.stderr)
+          f"{worst_gated:.3e} gated / {checks.worst([resid[~singular]]):.3e} overall{held}"
+          f"{note}; max deviation from stored values {worst_diff:.3e}", file=sys.stderr)
     if why:
         print(f"finite-difference residuals not recomputed: {why}", file=sys.stderr)
     else:

@@ -130,6 +130,24 @@ _BL_GRID = {"coords": "boyer-lindquist", "r": [2.5, 5.0, 4], "theta": [0.5, 2.5,
     ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4, 5], "z": [-0.5, 0.5, 3]}},
      "grid.rho must be [min, max, count]"),
     ({"grid": {**_BL_GRID, "theta": [0.5, 2.5]}}, "grid.theta must be [min, max, count]"),
+    # a JSON integer no float holds, wherever a number is read
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4], "z": [-10**400, 0.5, 3]}},
+     "grid.z[0] must fit a float, got an integer of 401 digits"),
+    ({"grid": {**_BL_GRID, "params": {"m": 10**400, "s": 1.0}}},
+     "grid.params.m must fit a float, got an integer of 401 digits"),
+    ({"solitons": [{"omega": [0.0, 10**400], "v": [[1.2, 0.0], [0.5, 0.0]]}]},
+     "solitons[0].omega[1] must fit a float, got an integer of 401 digits"),
+    # a lattice or a target above its bound is refused before any array is
+    # allocated (only counts and sizes that allocate nothing are tried)
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 10**30], "z": [-0.5, 0.5, 3]}},
+     f"grid.rho has {10**30} points, more than {cli.MAX_COUNT}"),
+    ({"grid": {"coords": "weyl", "rho": [0.7, 2.1, 4], "z": [-0.5, 0.5, cli.MAX_COUNT + 1]}},
+     f"grid.z has {cli.MAX_COUNT + 1} points, more than {cli.MAX_COUNT}"),
+    ({"target": {"p": 10**30, "q": 1}},
+     f"target: signature needs p >= 1, q >= 1 and p + q <= {algebra.MAX_N}, got ({10**30}, 1)"),
+    ({"target": {"p": algebra.MAX_N, "q": 1}},
+     f"target: signature needs p >= 1, q >= 1 and p + q <= {algebra.MAX_N}, "
+     f"got ({algebra.MAX_N}, 1)"),
 ])
 def test_parse_config_refuses_a_malformed_number_with_one_line(tmp_path, capsys, overrides,
                                                                 message):
@@ -138,6 +156,15 @@ def test_parse_config_refuses_a_malformed_number_with_one_line(tmp_path, capsys,
     assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err == f"invalid config:\n  - {message}\n"
     assert not (tmp_path / "out.csv").exists()
+
+def test_a_config_integer_too_long_to_read_is_malformed_json(tmp_path, capsys):
+    # json.loads reads at most 4300 digits of an integer
+    path = tmp_path / "config.json"
+    path.write_text('{"grid": {"coords": "weyl", "rho": [1, 2, ' + "9" * 5000 + ']}}')
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("malformed JSON: Exceeds the limit (4300 digits)")
+    assert err.count("\n") == 1
 
 def test_parse_config_rejects_oracle_field(tmp_path):
     doc = minimal_config(tmp_path)
@@ -194,28 +221,49 @@ def test_dress_command_gates_every_point(tmp_path, capsys):
     cfg = cli.parse_config(json.dumps(doc))
     dressed, _ = _dressed_field(cfg)
     assert cfg.grid.bl is None
-    excluded, _, why = verification.audit(cfg.grid.axis_values(), dressed.q, dressed.singular,
-                                          dressed.det_a, True)
-    assert excluded.shape == (36,) and not excluded.any() and why == ""
+    excluded, worst, note = verification.verdict((6, 6), dressed.singular, dressed.det_a,
+                                                 dressed.residuals["symspace"])
+    assert excluded.shape == (36,) and not excluded.any() and note == ""
+    assert f"{worst:.3e}" == re.search(r"constraint residual (\S+);", err).group(1)
+    _, why = verification.lattice_hodge(cfg.grid.axis_values(), dressed.q, dressed.singular, True)
+    assert why == ""
 
-@pytest.mark.parametrize("key", ["quadratic", "hermiticity", "unit_det"])
+_COMPONENTS = ("quadratic", "hermiticity", "unit_det")
+
+@pytest.mark.parametrize("key", _COMPONENTS)
 def test_a_nan_gated_residual_fails_the_dress_gate(tmp_path, capsys, monkeypatch, key):
-    # a NaN fails the constraint gate as it fails every check
+    # a NaN membership component makes the sum the gate reads NaN, which
+    # fails the constraint gate as it fails every check
     doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
                                          "z": [-0.5, 0.5, 6]})
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    dress = dressing.dress
+    components = algebra.symspace_components
 
-    def nan_at_one_point(*args, **kwargs):
-        out = dress(*args, **kwargs)
-        out.residuals[key][7] = math.nan
-        return out
+    def nan_at_one_point(m, g):
+        parts = components(m, g)
+        parts[_COMPONENTS.index(key)][7] = math.nan
+        return parts
 
-    monkeypatch.setattr(dressing, "dress", nan_at_one_point)
+    monkeypatch.setattr(algebra, "symspace_components", nan_at_one_point)
     assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_GATE
     assert capsys.readouterr().err.startswith(
         "dressed 36 points (0 singular); max gated constraint residual nan")
+
+def test_dress_and_verify_gate_the_sum_of_the_membership_components(tmp_path, capsys,
+                                                                    monkeypatch):
+    # each component at 0.6e-9 is within the 1e-9 gate, their sum, the
+    # stored res_constraint, is not: dress and verify both fail the gate
+    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [3.0, 4.0, 6],
+                                         "z": [-0.5, 0.5, 6]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(algebra, "symspace_components",
+                        lambda m, g: (np.full(m.shape[:-2], 0.6e-9),) * 3)
+    assert cli.main(["dress", "-c", str(path)]) == cli.EXIT_GATE
+    assert _reported(capsys.readouterr().err, "max gated constraint residual") == 1.8e-9
+    assert cli.main(["verify", str(tmp_path / "out.csv")]) == cli.EXIT_GATE
+    assert "max recomputed constraint residual 1.800e-09 gated" in capsys.readouterr().err
 
 
 def test_minimal_config_gates_every_point(tmp_path, capsys):
@@ -424,6 +472,12 @@ SMALL_GRID = ["--r-min", "3", "--r-max", "5", "--r-count", "2", "--theta-count",
     (["kerr-newman", "--m", "1", "--e", "1e200", "--s", "1", "--r-count", "3",
       "--theta-count", "3"],
      "Kerr-Newman parameters need m^2 + s^2 + e^2 finite, got m=1.0, s=1.0, e=1e+200"),
+    # a window above the lattice bound, refused before any array is allocated
+    (["kerr", "--m", "1", "--s", "1", "--r-count", str(10**30)],
+     f"grid.r has {10**30} points, more than {cli.MAX_COUNT}"),
+    (["kerr-newman", "--m", "1", "--e", "0.5", "--s", "1",
+      "--theta-count", str(cli.MAX_COUNT + 1)],
+     f"grid.theta has {cli.MAX_COUNT + 1} points, more than {cli.MAX_COUNT}"),
 ])
 def test_preset_grid_arguments_are_validated(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -654,10 +708,11 @@ def test_a_payload_verify_could_not_read_is_refused(tmp_path, capsys, target, ou
     assert capsys.readouterr().err == f"invalid config:\n  - {message}\n"
     assert not (tmp_path / "out.csv").exists()
 
-def test_verify_rejects_missing_q(tmp_path):
+def test_verify_rejects_missing_q(tmp_path, capsys):
     p = tmp_path / "bad.csv"
     p.write_text("rho,z\n1.0,0.0\n")
-    assert verify.verify_file(str(p)) == cli.EXIT_CONFIG
+    assert cli.main(["verify", str(p)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "file has no q columns to verify\n"
 
 def test_verify_detects_corruption(tmp_path):
     out = tmp_path / "kerr.csv"
@@ -990,11 +1045,11 @@ def test_dress_and_verify_gate_the_same_points(tmp_path, capsys, monkeypatch, fi
     (tmp_path / "weyl.json").write_text(json.dumps({**CI_WEYL, "outputs": {
         **CI_WEYL["outputs"], "fields": fields}}))
     assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
-    assert _reported(capsys.readouterr().err, "max gated constraint residual") == 3.283e-14
+    assert _reported(capsys.readouterr().err, "max gated constraint residual") == 4.657e-14
     assert "detA_re,detA_im" in (tmp_path / "weyl.csv").read_text().split("\n", 1)[0]
     assert cli.main(["verify", "weyl.csv"]) == cli.EXIT_OK
     assert re.search(r"constraint residual (\S+) gated / \S+ overall \(410 rows near the "
-                     r"singular locus excluded", capsys.readouterr().err).group(1) == "3.283e-14"
+                     r"singular locus excluded", capsys.readouterr().err).group(1) == "4.657e-14"
 
 def _scaled_q(reconstruct):
     """A fault that moves q off the symmetric space by a factor 1 + 1e-6."""
@@ -1040,7 +1095,7 @@ def test_verify_fails_a_non_finite_q_at_a_gated_point(tmp_path, capsys, monkeypa
                                            det_a.reshape(32, 32)).ravel()
     assert not (excluded[2] or singular[2])
     for row, code, gated in ((2, cli.EXIT_GATE, "nan"),
-                             (int(np.argmax(excluded)), cli.EXIT_OK, "3.283e-14")):
+                             (int(np.argmax(excluded)), cli.EXIT_OK, "4.657e-14")):
         edited = rows.copy()
         edited[row, columns.index("q_re_11")] = value
         cli._write_output("edited.csv", "csv", columns, edited, {})
@@ -1082,32 +1137,52 @@ def test_verify_reads_the_rows_in_any_order(tmp_path, capsys, monkeypatch, argv,
         assert cli.main(["verify", "moved.csv"]) == cli.EXIT_OK
         assert capsys.readouterr().err == want
 
-def test_verify_without_det_a_excludes_the_singular_margin(tmp_path, capsys):
-    # a file without det A columns, as one not written by dress, fixes only
-    # part of the sweep's gate: the flagged branch point (rho, z) = (1, 0) and
-    # its 3-cell margin, 7x7 points
-    doc = minimal_config(tmp_path, grid={"coords": "weyl", "rho": [0.25, 3.25, 13],
-                                         "z": [-1.0, 1.0, 11]})
-    doc["outputs"]["fields"] = ["q", "residuals"]
-    assert cli.run_dress(cli.parse_config(json.dumps(doc))) == cli.EXIT_OK
+def _without(*names):
+    """A payload edit that drops the named columns."""
+    def cut(columns, rows):
+        keep = [k for k, c in enumerate(columns) if c not in names]
+        return [columns[k] for k in keep], rows[:, keep]
+    return cut
+
+def _moved_r(columns, rows):
+    """A payload edit that moves the first row's r off the lattice."""
+    rows = rows.copy()
+    rows[0, columns.index("r")] += 0.01
+    return columns, rows
+
+@pytest.mark.parametrize("argv, out, cut, message", [
+    # the gate's inputs go with q, so a payload without them was not written by dress
+    (["dress", "-c", "weyl.json"], "weyl.csv", _without("detA_re", "detA_im"),
+     "file has no detA_re, detA_im columns, which dress writes with q"),
+    (KERR_RING, "kring.csv", _without("singular"),
+     "file has no singular column, which dress writes with q"),
+    # without theta the rows are read on (rho, z), where a Boyer-Lindquist
+    # payload forms no lattice
+    (KERR_RING, "kring.csv", _without("theta"),
+     "the stored (rho, z) points do not form a complete rectangular lattice"),
+    # a lattice point without its row, or a row off the lattice
+    (["dress", "-c", "weyl.json"], "weyl.csv", lambda columns, rows: (columns, rows[1:]),
+     "the stored (rho, z) points do not form a complete rectangular lattice"),
+    (KERR_RING, "kring.csv", _moved_r,
+     "the stored (r, theta) points do not form a complete rectangular lattice"),
+], ids=["no-detA", "no-singular", "no-theta", "weyl-hole", "bl-moved-row"])
+def test_verify_refuses_a_payload_dress_does_not_write(tmp_path, capsys, monkeypatch, argv, out,
+                                                       cut, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    assert cli.main(argv) == cli.EXIT_OK
+    columns, rows, _ = verify._load_table(out)
+    cli._write_output("cut.csv", "csv", *cut(columns, rows), {})
     capsys.readouterr()
-    columns, rows, _ = verify._load_table(str(tmp_path / "out.csv"))
-    keep = [k for k, name in enumerate(columns) if not name.startswith("detA_")]
-    assert len(keep) == len(columns) - 2
-    cli._write_output(str(tmp_path / "out.csv"), "csv", [columns[k] for k in keep],
-                      rows[:, keep], {})
-    assert verify.verify_file(str(tmp_path / "out.csv")) == cli.EXIT_OK
-    err = capsys.readouterr().err
-    gated, overall = map(float, re.search(r"residual (\S+) gated / (\S+) overall \(49 rows near "
-                                          r"the singular locus excluded from the gate\);",
-                                          err).groups())
-    assert err.startswith("verified 142 stored points: ") and gated <= 1e-13 < overall
+    assert cli.main(["verify", "cut.csv"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == message + "\n"
 
 def test_verify_treats_an_exactly_singular_q_as_a_hole(tmp_path, capsys):
-    # a 3x3 lattice of identity maps, one of them q = 0 but not marked singular
+    # a 3x3 lattice of identity maps, one of them q = 0 but not marked
+    # singular, all of det A = 1
     cols = ["rho", "z"] + [f"q_{part}_{c}" for c in ("11", "12", "21", "22")
-                           for part in ("re", "im")] + ["singular"]
-    rows = np.array([[rho, z, 1, 0, 0, 0, 0, 0, 1, 0, 0]
+                           for part in ("re", "im")] + ["detA_re", "detA_im", "singular"]
+    rows = np.array([[rho, z, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0]
                      for rho in (1.0, 1.5, 2.0) for z in (-0.5, 0.0, 0.5)], dtype=float)
     rows[4, [2, 8]] = 0.0
     path = str(tmp_path / "zero.csv")

@@ -269,9 +269,8 @@ def test_locus_mask_sign_changes_cannot_overflow(monkeypatch):
             view[1:] |= cross
         flags = singular.copy()
         assert np.array_equal(verification.gate_exclusion(singular, re + 0j), expected)
-        # the flags are left as they were; without det A they are the locus
+        # the flags are left as they were
         assert np.array_equal(singular, flags)
-        assert np.array_equal(verification.gate_exclusion(singular, None), flags)
 
 
 def test_exclusion_mask_is_the_chebyshev_dilation(monkeypatch):
