@@ -226,7 +226,7 @@ def symspace_components(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> tuple:
     return quad, herm, det_dev
 
 
-def symspace_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float:
+def symspace_residual(m: ComplexMatrix, gamma_mat: ComplexMatrix) -> float | np.ndarray:
     """Total membership residual for the Cartan-embedded symmetric space,
     of a matrix or of each matrix of a stack."""
     return sum(symspace_components(m, gamma_mat))

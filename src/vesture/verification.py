@@ -11,7 +11,8 @@ values and a margin around the singular locus are excluded from pass/fail
 statistics. Stencils touching a singular hole yield no data (NaN), never
 zero. ``verdict`` is the one exit gate of sweep and verify on an (r, theta)
 or (rho, z) lattice, from its singular flags, det A signs and membership
-residuals; ``lattice_hodge`` gives both the residual of a (rho, z) one.
+residuals, and ``lattice_hodge`` gives both of them the divergence residual
+of a (rho, z) lattice.
 """
 from __future__ import annotations
 

@@ -103,6 +103,7 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_file(path: str) -> int:
     """Recompute the membership residual of the stored q of a payload and
     gate it as the sweep that wrote it did. A payload is what dress writes:
@@ -113,7 +114,9 @@ def verify_file(path: str) -> int:
     CSV, is read as (n-1, 1) when n <= 3, the targets a config writes as
     CSV, and refused otherwise. The rows are put onto their (r, theta)
     lattice when the file has those columns, else their (rho, z) one, and
-    gated there by verification.verdict, the sweep's gate.
+    gated there by verification.verdict, the sweep's gate. numpy's
+    overflow and invalid warnings are off: a stored q whose products
+    overflow reads an inf or NaN residual, which fails the gate.
     """
     cols, data, stored = _load_table(path)
     q_cols = sorted(c for c in cols if c.startswith("q_re_"))
@@ -160,8 +163,8 @@ def verify_file(path: str) -> int:
         saved = data[finite, idx["res_constraint"]]
         diff = np.abs(resid[finite] - saved)[np.isfinite(saved)]
         worst_diff = float(np.fmax.reduce(diff, initial=0.0))
-    held = f" ({excluded.sum()} rows near the singular locus excluded from the gate)" \
-        if excluded.any() else ""
+    kept = int((excluded & ~singular).sum())  # the excluded rows among the verified ones
+    held = f" ({kept} rows near the singular locus excluded from the gate)" if kept else ""
     print(f"verified {(~singular).sum()} stored points: max recomputed constraint residual "
           f"{worst_gated:.3e} gated / {checks.worst([resid[~singular]]):.3e} overall{held}"
           f"{note}; max deviation from stored values {worst_diff:.3e}", file=sys.stderr)

@@ -16,12 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 import _closed_forms as closed_forms
+from _problems import kernels
 import vesture
 from vesture import algebra, checks, seeds, selftest
 from vesture.dressing import SolitonConfig
 from vesture.spectral import DomainPoint
 from vesture.targets import SIG_11
-from test_dressing import kernels
 
 G2 = algebra.gamma(SIG_11)
 GATES = {name: gate for name, _, gate in selftest.SELFTEST_SUITES}

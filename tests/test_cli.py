@@ -832,7 +832,9 @@ def test_verify_reports_a_vacuous_gate_without_warnings(tmp_path, capsys):
         assert cli.main(["verify", str(tmp_path / "out.csv")]) == cli.EXIT_OK
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err
-    assert "(36 rows near the singular locus excluded from the gate); gate vacuous: all 36 " \
+    # 12 of the 36 points are verified, the others singular; all 12 are excluded
+    assert "verified 12 stored points:" in err
+    assert "(12 rows near the singular locus excluded from the gate); gate vacuous: all 36 " \
         "points singular or within 3 cells of the singular locus;" in err
     assert "recomputed finite-difference residuals: no finite value;" in err
 
@@ -1103,6 +1105,21 @@ def test_verify_fails_a_non_finite_q_at_a_gated_point(tmp_path, capsys, monkeypa
         assert cli.main(["verify", "edited.csv"]) == code
         assert re.search(r"max recomputed constraint residual (\S+) gated",
                          capsys.readouterr().err).group(1) == gated
+
+def test_verify_fails_a_stored_q_whose_products_overflow(tmp_path, capsys, monkeypatch):
+    # a finite 1e200 in q_re_11 at row 1 of CI's Weyl payload, a gated row:
+    # its products overflow, so its residual reads inf and fails the gate
+    # with the usual summary, and no numpy warning escapes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "weyl.json").write_text(json.dumps(CI_WEYL))
+    assert cli.main(["dress", "-c", "weyl.json"]) == cli.EXIT_OK
+    columns, rows, _ = verify._load_table("weyl.csv")
+    rows[1, columns.index("q_re_11")] = 1e200
+    cli._write_output("edited.csv", "csv", columns, rows, {})
+    capsys.readouterr()
+    assert cli.main(["verify", "edited.csv"]) == cli.EXIT_GATE
+    assert re.search(r"max recomputed constraint residual (\S+) gated",
+                     capsys.readouterr().err).group(1) == "inf"
 
 @pytest.mark.parametrize("argv", [
     ["kerr", "--m", "x", "--s", "1"],

@@ -1,23 +1,24 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import _closed_forms as closed_forms
 import _exact_dressing as exact_dressing
-import _reference_dressing as reference
+from _problems import (FLAT, KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, boosted, kernels,
+                       problems, thresholds)
 from vesture import algebra, dressing, seeds, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig
 from vesture.errors import ConfigError
 from vesture.spectral import DomainPoint
 from vesture.verification import gate_exclusion
-from test_equivalence import KERR_RING, LARGE_Q, NEAR_LOCUS, SU21, TIGHT, coords, thresholds
 
 SIG11 = Signature(1, 1)
 G11 = algebra.gamma(SIG11)
+EPS = np.finfo(float).eps
+#: values of lam at which chi is held to its 50-digit value and to its audit's bound
+CHI_SAMPLES = np.array([0.37 + 0.62j, -1.4 + 0.9j, 2.2 - 1.3j, 0.05 - 0.8j])
 
 
 def kerr_cfg(m=1.0, s=1.0):
@@ -26,19 +27,6 @@ def kerr_cfg(m=1.0, s=1.0):
 
 def bl_point(r, th, m=1.0, s=1.0):
     return DomainPoint(*targets.bl_chart(r, th, targets.BLParams(m=m, s=s)))
-
-
-def kernels(cfg, x):
-    """The batch kernels at the one point x: the poles and rows w_k as a
-    namespace, A, B*, the factors u_k of chi's residues as rows and q, each
-    with its batch axis."""
-    fails = dressing._Failures(1)
-    lambdas, w, q0 = dressing._spectral(cfg, np.array([x.rho]), np.array([x.z]), None, fails)
-    a, b_star = dressing._system(lambdas, w, algebra.gamma(cfg.signature), fails)
-    u = dressing._solve(a, b_star, fails)[0].conj()
-    q = dressing._reconstruct(u, w, lambdas, q0, fails)
-    assert fails.ok[0], fails.note[0]
-    return SimpleNamespace(lambdas=lambdas, w=w), a, b_star, u, q
 
 
 def test_config_validation():
@@ -113,9 +101,7 @@ def test_constant_seed_coupling_and_pairing():
     # any valid constant seed has coupling S_kj = Gamma, so the Gram
     # numerators w_k Gamma w_j^* are v_k* Gamma v_j, and the deck partner of
     # v is q0 Gamma v (plain Gamma v for the trivial seed)
-    t = 0.45
-    q0 = np.array([[np.cosh(2 * t), np.sinh(2 * t)],
-                   [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
+    q0 = boosted(SIG11, 0.45)
     v = np.array([0.8, 0.3j], dtype=complex)
     x = DomainPoint(rho=1.4, z=-0.2)
     cfg = SolitonConfig(SIG11, (0.5 + 1j,), (v,), seeds.constant_seed(q0, SIG11))
@@ -317,12 +303,84 @@ def test_kerr_determinant_already_one():
 ], ids=["large-q", "near-locus"])
 def test_q_is_close_to_its_50_digit_value(problem, point, bound):
     # the forward error of q against the same dressing evaluated in 50-digit
-    # arithmetic from the same float inputs; a q rescaled by its computed
-    # det^(-1/n) adds that det's rounding, up to eps ||q||_F^2 relative
-    # (1.7e-10 and 1.7e-6 here)
-    exact = exact_dressing.dressed_q(problem[0], *point)
+    # arithmetic from the same float inputs
+    exact = exact_dressing.dressed(problem[0], *point).q[0]
     got = dressing.dress(problem[0], *point).q[0]
     assert np.linalg.norm(got - exact) <= bound * np.linalg.norm(exact)
+
+
+#: the notes of a point flagged after its system was built, which keeps its det A
+SOLVE_NOTES = ("det A = ", "system condition ", "solve residual ")
+
+
+def forward_bound(a: np.ndarray) -> np.ndarray:
+    """The relative forward error that q, det A and chi are held to at each
+    point of a stack of systems A: 1e-12 where cond(A) < 1e4, else 10 eps
+    cond(A). To first order a backward-stable solve of an A whose entries
+    carry a few eps of rounding is off by that many eps times cond(A)
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 7.1)."""
+    cond = np.linalg.cond(a) if a.shape[-1] else np.ones(len(a))
+    return np.where(cond < 1e4, 1e-12, 10 * EPS * cond)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(problems())
+@example(KERR_RING)
+@example(SU21)
+@example(FLAT)
+@example(TIGHT)
+@example(LARGE_Q)
+@example(NEAR_LOCUS)
+def test_q_det_a_and_chi_are_close_to_their_50_digit_values(problem):
+    cfg, rho, z, *limits = problem
+    with thresholds(*limits):
+        out, u, w, lambdas = dressing._dress(cfg, rho, z, True, None)
+        bare = dressing.dress(cfg, rho, z, audit_chi=False)
+    singular = out.singular
+    # the chi audit changes no q, det A, flag or note
+    assert (bare.singular.tolist(), bare.notes) == (singular.tolist(), out.notes)
+    np.testing.assert_array_equal(bare.q, out.q)
+    np.testing.assert_array_equal(bare.det_a, out.det_a)
+    # q is finite exactly where the point is not singular, det A is NaN
+    # exactly where no system was built, and a residual is NaN exactly where
+    # the point is singular, a chi residual also where no audit ran
+    assert np.array_equal(np.isfinite(out.q).all(axis=(-2, -1)), ~singular)
+    unbuilt = [k in out.notes and not out.notes[k].startswith(SOLVE_NOTES)
+               for k in range(len(singular))]
+    assert np.isnan(out.det_a).tolist() == unbuilt
+    for grid, audited in ((out, True), (bare, False)):
+        for key, col in grid.residuals.items():
+            unaudited = key.startswith("chi") and not audited and len(cfg.poles) > 0
+            assert np.array_equal(np.isnan(col), singular | unaudited), key
+    # q, det A and chi at up to 8 unflagged points, spread over the lattice
+    ok = np.flatnonzero(~singular)
+    at = ok[np.unique(np.linspace(0, ok.size - 1, min(8, ok.size)).astype(int))]
+    if not at.size:
+        return
+    exact = exact_dressing.dressed(cfg, out.rho[at], out.z[at], CHI_SAMPLES)
+    chi = dressing._chi(np.broadcast_to(CHI_SAMPLES, (at.size, CHI_SAMPLES.size)), u[at], w[:1],
+                        lambdas[at])[0]
+    bound = forward_bound(exact.a)
+    norm = np.linalg.norm
+    assert np.all(norm(out.q[at] - exact.q, axis=(-2, -1)) <= bound * norm(exact.q, axis=(-2, -1)))
+    assert np.all(np.abs(out.det_a[at] - exact.det_a) <= bound * np.abs(exact.det_a))
+    assert np.all(norm(chi - exact.chi, axis=(-2, -1))
+                  <= bound[:, None] * norm(exact.chi, axis=(-2, -1)))
+
+
+def test_the_named_problems_cover_branch_points_and_the_locus():
+    cfg, rho, z = SU21
+    assert dressing.dress(cfg, rho, z).singular.sum() == 3
+    cfg, rho, z = KERR_RING
+    dressed = dressing.dress(cfg, rho, z)
+    band = gate_exclusion(dressed.singular.reshape(rho.shape), dressed.det_a.reshape(rho.shape))
+    assert not dressed.singular.any() and band.any() and not band.all()
+    cfg, rho, z, *limits = TIGHT
+    with thresholds(*limits):
+        dressed = dressing.dress(cfg, rho, z)
+    assert {note.split(" ")[0] for note in dressed.notes.values()} == {"det", "system"}
+    assert not dressed.singular.all()
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -334,9 +392,9 @@ def test_q_is_close_to_its_50_digit_value_next_to_the_axis():
     for rho in (1e-2, 1e-3, 1e-4):
         got = dressing.dress(cfg, np.full(z.shape, rho), z)
         assert not got.singular.any()
-        for k, zk in enumerate(z):
-            exact = exact_dressing.dressed_q(cfg, rho, zk)
-            assert np.linalg.norm(got.q[k] - exact) <= 1e-13 * np.linalg.norm(exact)
+        exact = exact_dressing.dressed(cfg, np.full(z.shape, rho), z).q
+        err = np.linalg.norm(got.q - exact, axis=(-2, -1))
+        assert np.all(err <= 1e-13 * np.linalg.norm(exact, axis=(-2, -1)))
 
 
 def test_unit_det_audits_the_reconstructed_determinant(monkeypatch):
@@ -388,9 +446,7 @@ def test_dress_point_numeric_failure_flagged(monkeypatch):
 
 
 def test_dress_point_with_nontrivial_constant_seed():
-    t = 0.35
-    q0 = np.array([[np.cosh(2 * t), np.sinh(2 * t)],
-                   [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
+    q0 = boosted(SIG11, 0.35)
     cfg = SolitonConfig(SIG11, (0.4 + 0.9j,), (np.array([1.0, 0.2 - 0.1j]),),
                         seeds.constant_seed(q0, SIG11))
     res = dressing.dress(cfg, 1.2, 0.3)
@@ -440,8 +496,8 @@ def test_an_empty_batch_has_the_arrays_of_one_point():
 def test_dressing_does_not_depend_on_the_batch_split(example):
     # bit-identical output however the points are batched: the ring locus,
     # branch points, det A and condition flags, and the chi audits
-    cfg, rows, *limits = example
-    rho, z = coords(rows).reshape(2, -1)
+    cfg, rho, z, *limits = example
+    rho, z = rho.ravel(), z.ravel()
     half = len(rho) // 2
     with thresholds(*limits):
         whole = dressing.dress(cfg, rho, z)
@@ -466,11 +522,6 @@ def test_solve_residual_above_bound_flags_point_singular(monkeypatch):
     assert res.notes[0].startswith("solve residual")
 
 
-def _boost11(t):
-    return np.array([[np.cosh(2 * t), np.sinh(2 * t)],
-                     [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
-
-
 @pytest.mark.parametrize("make_cfg, prefix, keeps_q", [
     # rho = 1, z = 0 is the branch point of the pole at i
     (lambda: (kerr_cfg(), {}), "branch point of varpi0=1j", False),
@@ -478,7 +529,7 @@ def _boost11(t):
     (lambda: (kerr_cfg(), {"cap": 2.0}), "system condition ", False),
     # cond(psi0) = e^1.4 for the boosted seed
     (lambda: (SolitonConfig(SIG11, (1j,), (np.array([1.2, 0.4]),),
-                            seeds.constant_seed(_boost11(0.35), SIG11)), {"cap": 2.0}),
+                            seeds.constant_seed(boosted(SIG11, 0.35), SIG11)), {"cap": 2.0}),
      "condition estimate 4.055e+00 exceeds cap", False),
     # conjugate poles: lam_0 = conj(lam_1) at every point
     (lambda: (SolitonConfig(SIG11, (1j, -1j), (np.array([1.2, 0.4]), np.array([0.3, 1.0])),
@@ -503,7 +554,7 @@ def test_every_singular_reason_is_flagged_with_its_note(make_cfg, prefix, keeps_
 
 def test_per_point_seed_dresses_like_the_constant_seed():
     # evaluators that return full (P, M) batch axes of one constant matrix
-    q0 = _boost11(0.35)
+    q0 = boosted(SIG11, 0.35)
     calls = []
 
     def psi0(lam, rho, z):
@@ -531,7 +582,7 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
     # the residue form inverts nothing, so it has nothing to refuse: no
     # inverse, condition estimate or solve runs inside the audit, and every
     # point it audits keeps its map unflagged
-    cfg, rows, *limits = problem
+    cfg, rho, z, *limits = problem
     calls, audited, inside, audit = [], [], [], dressing._audit
 
     def counted(name, fn):
@@ -553,7 +604,7 @@ def test_audit_inverts_only_samples_its_bound_cannot_clear(monkeypatch, problem)
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(dressing, "_audit", traced_audit)
     with thresholds(*limits):
-        out = dressing.dress(cfg, *coords(rows))
+        out = dressing.dress(cfg, rho, z)
     assert calls == []
     assert audited == [(~out.singular).sum()] and not out.singular.all()
     assert np.isfinite(out.residuals["chi_involution"][~out.singular]).all()
@@ -649,8 +700,7 @@ def _iterated():
     return SolitonConfig(sig, (-0.7 + 0.8j,), (np.array(v2),), first), rho, z
 
 
-AUDITED = [lambda: (KERR_RING[0], *coords(KERR_RING[1])), lambda: (SU21[0], *coords(SU21[1])),
-           _iterated]
+AUDITED = [lambda: KERR_RING, lambda: SU21, _iterated]
 
 
 def _factors(cfg, rho, z):
@@ -695,8 +745,7 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
         grid.residuals["quadratic"][keep]
     q0 = np.broadcast_to(cfg.seed.psi0(np.zeros((len(rho), 1)), rho, z)[0][:, 0], q.shape)
     g, half, norm = algebra.gamma(cfg.signature), len(cfg.poles), algebra.frobenius
-    samples = np.array([reference._audit_samples(SimpleNamespace(lambdas=lam), DomainPoint(r, h))
-                        for lam, r, h in zip(lambdas, rho, z)])
+    samples = np.broadcast_to(CHI_SAMPLES, (len(rho), len(CHI_SAMPLES)))
     dist = np.abs(samples[..., None] - lambdas[:, None])
     dist_conj = np.abs(samples[..., None] - lambdas.conj()[:, None])
     # each deck pair's audited pole, the one nearer 0, and its partner
@@ -734,39 +783,10 @@ def test_chi_at_the_reference_samples_stays_under_the_residue_bound(problem):
         assert np.all(norm(chi - rhs) <= g_bound + slack)
 
 
-@pytest.mark.parametrize("problem", AUDITED, ids=["kerr-ring", "su21", "iterated"])
-def test_rank_one_factors_match_the_reference_residues_and_chi(problem):
-    # chi's residues are u_k w_k, a column times a row; the per-point
-    # reference forms them as matrices, u_k v_k* psi0_k^{-1}. Both, and chi at
-    # the reference's audit samples, agree at every point with a map
-    cfg, rho, z = problem()
-    grid, u, w, lambdas, keep = _factors(cfg, rho, z)
-    g, half = algebra.gamma(cfg.signature), len(cfg.poles)
-    worst = 0.0
-    for i, (r, h) in enumerate(zip(grid.rho[keep], grid.z[keep])):
-        sd = reference.spectral_data(cfg, DomainPoint(float(r), float(h)))
-        # the reference pairs the vectors by q0, which is J for a constant seed only
-        sd.vs[half:] = sd.vs[:half] @ (cfg.seed.deck @ g).T
-        u_ref = reference.solve_system(*reference.build_system(sd, g))
-        np.testing.assert_array_equal(sd.lambdas, lambdas[i])
-        w_i = w[i:i + 1] if len(w) > 1 else w
-        mine = u[i][:, :, None] * w_i[0][:, None, :]
-        theirs = np.array([np.outer(u_ref[:, k], sd.vs[k].conj()) @ sd.psi0_inv[k]
-                           for k in range(2 * half)])
-        worst = max(worst, (np.linalg.norm(mine - theirs, axis=(-2, -1))
-                            / np.linalg.norm(theirs, axis=(-2, -1))).max())
-        samples = reference._audit_samples(sd, DomainPoint(float(r), float(h)))
-        chi = dressing._chi(np.array([samples]), u[i:i + 1], w_i, lambdas[i:i + 1])[0][0]
-        for s, got in zip(samples, chi):
-            want = reference.chi_at(s, u_ref, sd)
-            worst = max(worst, np.linalg.norm(got - want) / np.linalg.norm(want))
-    assert worst <= 1e-12, worst
-
-
 def test_a_mispaired_deck_constant_fails_the_involution_audit():
     # a boosted constant seed pairs the vectors by J = q0; given J = I, the
     # deck partners are wrong and chi breaks the deck involution everywhere
-    right = seeds.constant_seed(_boost11(0.35), SIG11)
+    right = seeds.constant_seed(boosted(SIG11, 0.35), SIG11)
     wrong = seeds.Seed(right.psi0, np.eye(2), SIG11)
     rho, z = np.meshgrid([0.8, 1.5, 2.5], [-0.5, 0.3, 1.0], indexing="ij")
     vectors = (np.array([1.0, 0.2 - 0.1j]),)

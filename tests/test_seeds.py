@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import _reference_dressing as reference
+from _problems import boosted
 from vesture import algebra, dressing, seeds
 from vesture.algebra import Signature
 from vesture.dressing import SolitonConfig
@@ -10,12 +10,9 @@ from vesture.errors import SeedError
 SIG11 = Signature(1, 1)
 SIG21 = Signature(2, 1)
 RHO, Z = np.array([1.0]), np.array([0.5])
-
-
-def hyperbolic_seed_matrix(t: float = 0.3) -> np.ndarray:
-    # g g* for g = [[cosh t, sinh t], [sinh t, cosh t]] in the 2x2 group
-    return np.array([[np.cosh(2 * t), np.sinh(2 * t)],
-                     [np.sinh(2 * t), np.cosh(2 * t)]], dtype=complex)
+#: values of lam at which the deck symmetry of Psi0 is checked
+SAMPLES = np.array([0.37 + 0.62j, -1.4 + 0.9j, 2.2 - 1.3j, 0.05 - 0.8j,
+                    -0.66 - 0.45j, 1.7 + 2.5j, -2.8 + 0.2j, 0.9 + 1.1j])
 
 
 def _q0(seed: seeds.Seed, rho: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -33,7 +30,7 @@ def test_identity_seeds():
 
 
 def test_constant_seed_accepts_valid_matrix():
-    q0 = hyperbolic_seed_matrix()
+    q0 = boosted(SIG11, 0.3)
     seed = seeds.constant_seed(q0, SIG11)
     np.testing.assert_array_equal(_q0(seed, RHO, Z)[0], q0)
     # one matrix for every lambda and point: both batch axes have length 1
@@ -82,7 +79,7 @@ def test_singular_custom_seed_flags_its_points():
         np.testing.assert_array_equal(out.q[[0, 2]], clean.q[[0, 2]])
     # q0 is never inverted: one far above the condition cap flags nothing
     big = dressing.dress(SolitonConfig(SIG11, poles, vectors,
-                                       _varying(q0=hyperbolic_seed_matrix(15.0))), rho, z)
+                                       _varying(q0=boosted(SIG11, 15.0))), rho, z)
     assert not big.singular.any()
     bad_shape = seeds.Seed(lambda lam, rho, z: (np.eye(2)[None], {}), np.eye(2), SIG11)
     with pytest.raises(SeedError, match="Psi0 evaluation has shape"):
@@ -97,13 +94,13 @@ def _dressed(sig: Signature) -> seeds.Seed:
 
 
 def test_constant_seed_deck_symmetry():
-    # Psi0(deck(lam)) = q0 sigma(Psi0(lam)) J at the reference's chi-audit
-    # samples, with J the seed's deck constant: sigma(q0)^{-1} = q0 for a
-    # constant seed, the identity for a map dressed from the flat seed
+    # Psi0(deck(lam)) = q0 sigma(Psi0(lam)) J at the samples, with J the
+    # seed's deck constant: sigma(q0)^{-1} = q0 for a constant seed, the
+    # identity for a map dressed from the flat seed
     rho, z = np.array([1.3, 2.0, 0.7]), np.array([0.2, -0.4, 1.1])
-    lam = np.broadcast_to(np.asarray(reference.CHI_SAMPLES), (3, len(reference.CHI_SAMPLES)))
-    boosted = seeds.constant_seed(hyperbolic_seed_matrix(0.4), SIG11)
-    for seed in (seeds.identity_seed(SIG11), boosted, _dressed(SIG11), _dressed(SIG21)):
+    lam = np.broadcast_to(SAMPLES, (3, len(SAMPLES)))
+    lifted = seeds.constant_seed(boosted(SIG11, 0.4), SIG11)
+    for seed in (seeds.identity_seed(SIG11), lifted, _dressed(SIG11), _dressed(SIG21)):
         g = algebra.gamma(seed.signature)
         q0 = _q0(seed, rho, z)
         np.testing.assert_allclose(np.linalg.inv(algebra.sigma(q0, g)), q0, atol=1e-12)

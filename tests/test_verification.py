@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from test_equivalence import SU21, coords
+from _problems import SU21
 from vesture import algebra, dressing, selftest, spectral, targets, verification
 from vesture.algebra import Signature
 from vesture.errors import ConfigError, SingularPointError
@@ -142,10 +142,10 @@ def _drift_field(name):
     """The selftest's Kerr convergence box at both of its spacings, or
     the dressed SU(2,1) example lattice (three branch points, so holes)."""
     if name == "su21":
-        rho, z = coords(SU21[1])
-        dressed = dressing.dress(SU21[0], rho, z)
+        cfg, rho, z = SU21
+        dressed = dressing.dress(cfg, rho, z)
         return FieldGrid(rho[:, 0], z[0], dressed.q.reshape(rho.shape + (3, 3)),
-                         ~dressed.singular.reshape(rho.shape)), algebra.gamma(SU21[0].signature)
+                         ~dressed.singular.reshape(rho.shape)), algebra.gamma(cfg.signature)
     return selftest.kerr_field(selftest._KERR_BOX, float(name)), algebra.gamma(Signature(1, 1))
 
 
