@@ -19,14 +19,31 @@ from vesture.dressing import SolitonConfig
 DIGITS = 50
 
 
+#: values of lam at which chi is held to its 50-digit value and to its audit's bound
+CHI_SAMPLES = np.array([0.37 + 0.62j, -1.4 + 0.9j, 2.2 - 1.3j, 0.05 - 0.8j])
+
+
 class Exact(NamedTuple):
     """The 50-digit values at P points, rounded to complex128: q (P, n, n),
-    det A (P,), A itself (P, 2N, 2N), for its condition, and chi at the
-    S samples (P, S, n, n)."""
+    det A (P,), A itself (P, 2N, 2N), for its condition, chi at the S
+    samples (P, S, n, n), the poles lam_k (P, 2N) and chi's residues
+    R_k = u_k w_k (P, 2N, n, n)."""
     q: np.ndarray
     det_a: np.ndarray
     a: np.ndarray
     chi: np.ndarray
+    lambdas: np.ndarray
+    residues: np.ndarray
+
+
+def forward_bound(a: np.ndarray) -> np.ndarray:
+    """The relative forward error that q, det A and chi are held to at each
+    point of a stack of systems A: 1e-12 where cond(A) < 1e4, else 10 eps
+    cond(A). To first order a backward-stable solve of an A whose entries
+    carry a few eps of rounding is off by that many eps times cond(A)
+    (Higham, Accuracy and Stability of Numerical Algorithms, section 7.1)."""
+    cond = np.linalg.cond(a) if a.shape[-1] else np.ones(len(a))
+    return np.where(cond < 1e4, 1e-12, 10 * np.finfo(float).eps * cond)
 
 
 def _rows(values) -> list[list]:
@@ -70,7 +87,7 @@ def dressed(cfg: SolitonConfig, rho, z, samples=()) -> Exact:
         num = [[sum(wk[i] * flip[i] * conj(wj[i]) for i in range(n)) for wj in ws] for wk in ws]
         b_star = [[-wk[i] * flip[i] for i in range(n)] for wk in ws]
         wq0 = [[sum(w[i] * q0[i][j] for i in range(n)) for j in range(n)] for w in ws]
-        qs, dets, systems, chis = [], [], [], []
+        qs, dets, systems, chis, poles, residue_sets = [], [], [], [], [], []
         for r, h in zip(rho, z):
             # the pole pairs: c -+ sqrt(c^2 + rho^2) with c = z - varpi0
             cs = [mpmath.mpf(h) - mpmath.mpc(w) for w in cfg.poles]
@@ -95,8 +112,12 @@ def dressed(cfg: SolitonConfig, rho, z, samples=()) -> Exact:
             dets.append(det_a)
             systems.append(a)
             chis.append(chi)
+            poles.append(lambdas)
+            residue_sets.append(residues)
         size, m = len(rho), 2 * half
         return Exact(np.array(qs, dtype=complex).reshape(size, n, n),
                      np.array(dets, dtype=complex).reshape(size),
                      np.array(systems, dtype=complex).reshape(size, m, m),
-                     np.array(chis, dtype=complex).reshape(size, len(samples), n, n))
+                     np.array(chis, dtype=complex).reshape(size, len(samples), n, n),
+                     np.array(poles, dtype=complex).reshape(size, m),
+                     np.array(residue_sets, dtype=complex).reshape(size, m, n, n))
